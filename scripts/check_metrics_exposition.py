@@ -40,6 +40,7 @@ BASE_FAMILIES = [
     "fsim_refresh_queue_depth",
     "fsim_refresh_edits_total",
     "fsim_publish_age_seconds",
+    "fsim_snapshot_pin_refreshes_total",
     "fsim_scheduler_regions_total",
     "fsim_scheduler_steal_batches_total",
 ]

@@ -103,8 +103,8 @@ Result<QueryResult> QueryEngine::Run(const Query& query) const {
           : (query.kind == Query::Kind::kTopK ? latency_topk_
                                               : latency_thresh_);
   obs::ScopedLatencyTimer timer(latency);
-  SnapshotPtr snapshot = store_->Acquire();
-  if (snapshot == nullptr) {
+  const SnapshotStore::ReadGuard snapshot(*store_);
+  if (!snapshot) {
     return Status::NotFound("no snapshot published yet");
   }
   return Answer(*snapshot, query, DeadlineFor(query.budget_ms));
@@ -116,8 +116,10 @@ Result<std::vector<QueryResult>> QueryEngine::RunBatch(
   // fan-out lambda would put two clock reads around O(1) answers.
   obs::ScopedLatencyTimer timer(latency_batch_);
   FSIM_TRACE_SPAN_ARG("serve.batch", queries.size());
-  SnapshotPtr snapshot = store_->Acquire();
-  if (snapshot == nullptr) {
+  // One pin for the whole batch: the pool workers read through the
+  // caller's guard, which stays open until every chunk has finished.
+  const SnapshotStore::ReadGuard snapshot(*store_);
+  if (!snapshot) {
     return Status::NotFound("no snapshot published yet");
   }
   const Clock::time_point deadline = DeadlineFor(budget_ms);

@@ -55,10 +55,14 @@ struct QueryResult {
 };
 
 /// Stateless facade over a SnapshotStore. Safe to share across any number
-/// of reader threads; never blocks (snapshot acquisition is an atomic
-/// load). An optional ThreadPool fans large RunBatch calls out across
-/// workers — sound because every query of a batch reads the same acquired
-/// snapshot and writes only its own result slot. The pool must not be
+/// of reader threads. Each call reads the snapshot through a
+/// SnapshotStore::ReadGuard: the calling thread's pin, which costs one
+/// acquire load and writes no shared memory unless a publish happened since
+/// the thread's last read; then the thread re-pins under the store's
+/// publish mutex (at most one bounded wait per publish). An optional
+/// ThreadPool fans large RunBatch calls out across workers — sound because
+/// every query of a batch reads the caller's one pinned snapshot and writes
+/// only its own result slot. The pool must not be
 /// shared with concurrent ParallelFor callers (ThreadPool regions are
 /// exclusive); single queries never touch it.
 class QueryEngine {

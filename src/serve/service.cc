@@ -322,7 +322,9 @@ bool FSimService::HandleLine(std::string_view line, std::istream& in,
       out << "ERR usage: STATS [FULL]\n";
       return true;
     }
-    const SnapshotPtr snapshot = store_.Acquire();
+    // Every snapshot field, the version included, comes from this one
+    // read, so a concurrent publish cannot tear the line.
+    const SnapshotStore::ReadGuard snapshot(store_);
     const RefreshDriver::Stats stats = driver_->stats();
     out << StrFormat(
         "STATS version=%llu pairs=%zu pending=%zu capacity=%zu "
@@ -330,7 +332,8 @@ bool FSimService::HandleLine(std::string_view line, std::istream& in,
         "publishes=%llu persists=%llu wal_durable=%llu wal_applied=%llu "
         "wal_pending=%llu stale_edits=%llu stale_s=%llu publish_age_s=%llu "
         "ready=%s converged=%s warm=%s simd=%s\n",
-        static_cast<unsigned long long>(store_.version()),
+        static_cast<unsigned long long>(snapshot ? snapshot->meta().version
+                                                 : 0),
         snapshot ? snapshot->scores().NumPairs() : 0,
         driver_->pending_edits(), driver_->policy().queue_capacity,
         static_cast<unsigned long long>(stats.edits_applied),
@@ -427,8 +430,8 @@ void FSimService::HandleBatch(size_t n, double budget_ms, std::istream& in,
     ParseQuery(tokens, &queries[i], &errors[i]);
   }
 
-  const SnapshotPtr snapshot = store_.Acquire();
-  if (snapshot == nullptr) {
+  const SnapshotStore::ReadGuard snapshot(store_);
+  if (!snapshot) {
     out << "ERR no snapshot published yet\n";
     return;
   }

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
+#include "obs/metrics.h"
 
 namespace fsim {
 
@@ -82,15 +83,83 @@ std::vector<std::pair<NodeId, double>> FSimSnapshot::ThresholdNeighbors(
   return out;
 }
 
+namespace {
+
+// Process-wide store ids; 0 marks a pin slot that pins nothing yet.
+std::atomic<uint64_t> next_store_id{0};  // ordering: relaxed id ticket
+
+obs::Counter* PinRefreshes() {
+  static obs::Counter* const counter = obs::Registry::Default().GetCounter(
+      "fsim_snapshot_pin_refreshes_total",
+      "Per-thread snapshot pin re-reads under the publish mutex (about one "
+      "per reader thread per publish)");
+  return counter;
+}
+
+// One reader thread's pin. `guards` counts the thread's open outermost
+// ReadGuards, which read through `snapshot`; while nonzero the slot must
+// not be replaced.
+struct Pin {
+  uint64_t store_id = 0;
+  uint64_t version = 0;
+  SnapshotPtr snapshot;
+  uint32_t guards = 0;
+};
+
+thread_local Pin tls_pin;
+
+}  // namespace
+
+SnapshotStore::SnapshotStore()
+    : id_(next_store_id.fetch_add(1, std::memory_order_relaxed) + 1) {}
+
+const SnapshotPtr* SnapshotStore::PinnedHead() const {
+  Pin& pin = tls_pin;
+  const uint64_t version = published_version_.load(std::memory_order_acquire);
+  if (pin.store_id == id_ && pin.version == version) return &pin.snapshot;
+  if (pin.guards > 0) return nullptr;
+  SnapshotPtr head;
+  {
+    std::lock_guard<std::mutex> lock(publish_mu_);
+    head = current_;
+    pin.version = published_version_.load(std::memory_order_relaxed);
+  }
+  pin.store_id = id_;
+  pin.snapshot.swap(head);  // the old pin is released outside the lock
+  PinRefreshes()->Inc();
+  return &pin.snapshot;
+}
+
+SnapshotPtr SnapshotStore::Acquire() const {
+  if (const SnapshotPtr* pinned = PinnedHead()) return *pinned;
+  std::lock_guard<std::mutex> lock(publish_mu_);
+  return current_;
+}
+
+SnapshotStore::ReadGuard::ReadGuard(const SnapshotStore& store) {
+  if (tls_pin.guards == 0) {
+    snapshot_ = store.PinnedHead()->get();
+    ++tls_pin.guards;
+    pinned_ = true;
+  } else {
+    owned_ = store.Acquire();
+    snapshot_ = owned_.get();
+  }
+}
+
+SnapshotStore::ReadGuard::~ReadGuard() {
+  if (pinned_) --tls_pin.guards;
+}
+
 bool SnapshotStore::Publish(SnapshotPtr snapshot) {
   FSIM_CHECK(snapshot != nullptr) << "Publish of a null snapshot";
-  std::lock_guard<std::mutex> lock(publish_mu_);
+  std::unique_lock<std::mutex> lock(publish_mu_);
   const uint64_t version = snapshot->meta().version;
   FSIM_CHECK(version <= next_version_.load())
       << "snapshot version was not obtained from NextVersion";
   if (version <= published_version_.load()) return false;  // stale publish
-  current_.store(std::move(snapshot));
-  published_version_.store(version);
+  current_.swap(snapshot);
+  published_version_.store(version, std::memory_order_release);
   publish_count_.fetch_add(1);
   if (version_chain_.size() >= kVersionChainCapacity) {
     version_chain_.erase(version_chain_.begin());
@@ -102,6 +171,9 @@ bool SnapshotStore::Publish(SnapshotPtr snapshot) {
     FSIM_CHECK(valid.ok()) << valid.ToString();
   }
 #endif
+  lock.unlock();
+  // `snapshot` now holds the replaced head; it is released on return,
+  // outside the lock, so a reader's re-pin never waits on a free.
   return true;
 }
 
@@ -133,7 +205,7 @@ Status SnapshotStore::ValidateChainLocked() const {
         " is not the newest chain entry " +
         std::to_string(version_chain_.back()));
   }
-  const SnapshotPtr head = current_.load();
+  const SnapshotPtr head = current_;
   if (publish_count_.load() > 0) {
     // use_count counts the store's reference plus our local copy; below 2
     // the head is either gone or about to be freed under a reader.

@@ -2,10 +2,12 @@
 // serving layer (serve/service.h). A snapshot freezes one FSimScores table
 // (shared, never copied after freeze), precomputes a per-node top-k cache so
 // the hot TopK query never rescans a row, and carries version/provenance
-// metadata. SnapshotStore is the publish/acquire rendezvous: publishing
-// atomically swaps the current snapshot, acquiring is a lock-free refcount
-// bump, so readers never block and a snapshot stays alive until its last
-// reader drops it.
+// metadata. SnapshotStore is the publish/read rendezvous: publishing swaps
+// the current snapshot under a mutex, and each reader thread keeps a
+// per-thread pin of it that it re-reads only after a publish, so a
+// steady-state read writes no shared memory. A snapshot stays alive until
+// the store has moved past it and every thread that pinned it has re-pinned
+// or exited.
 #ifndef FSIM_SERVE_SNAPSHOT_H_
 #define FSIM_SERVE_SNAPSHOT_H_
 
@@ -98,27 +100,68 @@ class FSimSnapshot {
 
 using SnapshotPtr = std::shared_ptr<const FSimSnapshot>;
 
-/// The publish/acquire point between one publisher (the refresh driver) and
-/// any number of concurrent readers. Acquire is a single atomic
-/// shared_ptr load — wait-free for readers, and the returned reference
-/// keeps that snapshot version alive for the reader's whole request even
-/// while newer versions are published over it.
+/// The publish/read point between one publisher (the refresh driver) and
+/// any number of concurrent readers.
+///
+/// Pin protocol: every thread has one pin slot {store id, version,
+/// SnapshotPtr}. A read acquire-loads published_version_ and, when the slot
+/// already holds this store's snapshot of that version, uses it without
+/// touching any shared cache line. Otherwise (first read, a publish since
+/// the last one, or the slot pins another store) it re-pins: copies the
+/// head under publish_mu_ and replaces the slot. A reader therefore blocks
+/// on publish_mu_ at most once per publish, behind critical sections that
+/// only swap pointers (no I/O, no frees). Store ids come from a
+/// process-wide counter, so a store built where a destroyed one lived never
+/// matches the old store's pins.
+///
+/// Retention: a retired snapshot is freed once the store has published
+/// past it and every thread that pinned it has re-pinned or exited, so each
+/// idle reader thread holds back at most one stale snapshot.
 class SnapshotStore {
  public:
+  SnapshotStore();
+
+  /// A refcount-free read of the current snapshot for the guard's scope,
+  /// through the calling thread's pin. A guard opened while another guard
+  /// of the same thread is open does not replace the pin (the outer guard
+  /// reads through it) but holds an owning copy instead. Not movable: the
+  /// pointer is valid on any thread, but only until the guard closes on the
+  /// thread that opened it.
+  class ReadGuard {
+   public:
+    explicit ReadGuard(const SnapshotStore& store);
+    ~ReadGuard();
+    ReadGuard(const ReadGuard&) = delete;
+    ReadGuard& operator=(const ReadGuard&) = delete;
+
+    /// The snapshot, or nullptr before the store's first publish.
+    const FSimSnapshot* get() const { return snapshot_; }
+    const FSimSnapshot& operator*() const { return *snapshot_; }
+    const FSimSnapshot* operator->() const { return snapshot_; }
+    explicit operator bool() const { return snapshot_ != nullptr; }
+
+   private:
+    const FSimSnapshot* snapshot_ = nullptr;
+    bool pinned_ = false;  // reads through the thread's pin (outermost guard)
+    SnapshotPtr owned_;    // a nested guard's own reference
+  };
+
   /// Hands out the next version number; builders stamp their SnapshotMeta
   /// with it before constructing the snapshot.
   uint64_t NextVersion() { return next_version_.fetch_add(1) + 1; }
 
-  /// Atomically replaces the current snapshot. Serialized across
-  /// publishers; snapshot versions must be fresh NextVersion() values, and
-  /// a stale publish (version below the current one, possible only if two
-  /// publishers race) is dropped. Returns whether the snapshot became
-  /// current.
+  /// Replaces the current snapshot. Serialized across publishers; snapshot
+  /// versions must be fresh NextVersion() values, and a stale publish
+  /// (version below the current one, possible only if two publishers race)
+  /// is dropped. Returns whether the snapshot became current. The replaced
+  /// head is released after publish_mu_ is dropped.
   bool Publish(SnapshotPtr snapshot);
 
-  /// The current snapshot, or nullptr before the first publish. Never
-  /// blocks.
-  SnapshotPtr Acquire() const { return current_.load(); }
+  /// An owning handle on the current snapshot, or nullptr before the first
+  /// publish: a copy of the calling thread's pin (re-pinned first when
+  /// stale), so it costs one refcount increment on the snapshot. Prefer a
+  /// ReadGuard on hot paths.
+  SnapshotPtr Acquire() const;
 
   /// Version of the current snapshot (0 before the first publish).
   uint64_t version() const { return published_version_.load(); }
@@ -144,18 +187,24 @@ class SnapshotStore {
   /// ValidateChain body; the caller must hold publish_mu_.
   Status ValidateChainLocked() const;
 
+  /// The calling thread's pin slot, re-pinned to this store's head first
+  /// when stale. Returns nullptr instead when the slot is stale but an open
+  /// ReadGuard of this thread reads through it.
+  const SnapshotPtr* PinnedHead() const;
+
   // Publish order within the guarded section is the chain order.
   static constexpr size_t kVersionChainCapacity = 64;
 
-  // guards: version_chain_, and serializes publishers (current_ and the
-  // version counters stay atomics so readers never take it).
+  // Identifies this store in the per-thread pins; unique per process.
+  const uint64_t id_;
+  // guards: current_, version_chain_; serializes publishers and re-pins.
   mutable std::mutex publish_mu_;
-  // ordering: seq_cst store/load — publishing must not reorder past the
-  // version bump; Acquire is the readers' wait-free load.
-  std::atomic<SnapshotPtr> current_;
-  std::atomic<uint64_t> next_version_{0};       // ordering: fetch_add ticket
-  std::atomic<uint64_t> published_version_{0};  // ordering: behind publish_mu_
-  std::atomic<size_t> publish_count_{0};        // ordering: relaxed telemetry
+  SnapshotPtr current_;
+  std::atomic<uint64_t> next_version_{0};  // ordering: fetch_add ticket
+  // ordering: release store under publish_mu_ after current_ is set;
+  // readers acquire-load it to decide whether their pin is current.
+  std::atomic<uint64_t> published_version_{0};
+  std::atomic<size_t> publish_count_{0};  // ordering: relaxed telemetry
   // The last kVersionChainCapacity published versions, oldest first — the
   // "chain" ValidateChain() audits.
   std::vector<uint64_t> version_chain_;

@@ -9,7 +9,12 @@
 
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <cstdlib>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -191,29 +196,64 @@ TEST(SnapshotStoreTest, ReadersNeverObserveTornSnapshots) {
   };
 
   SnapshotStore store;
+  const QueryEngine engine(&store);
   std::atomic<bool> done{false};
   std::atomic<uint64_t> torn{0};
   std::atomic<uint64_t> reads{0};
 
+  // Whether `snap` is internally consistent.
+  auto consistent = [&](const FSimSnapshot& snap) {
+    const double want = value_of(snap.meta().version);
+    bool ok = true;
+    for (double value : snap.scores().values()) {
+      ok = ok && value == want;
+    }
+    for (uint32_t u = 0; u < kSide; ++u) {
+      const auto cached = snap.CachedTopK(u);
+      ok = ok && cached.size() == 4;
+      for (const auto& [v, score] : cached) {
+        ok = ok && score == want && score == snap.PairScore(u, v);
+      }
+    }
+    return ok;
+  };
+  // The three read paths: an owning Acquire(), a pinned ReadGuard, and
+  // QueryEngine::Run (a guard inside), whose TOPK answer must carry the
+  // scores of the version it is stamped with.
+  auto read_acquire = [&]() -> std::optional<bool> {
+    const SnapshotPtr snap = store.Acquire();
+    if (snap == nullptr) return std::nullopt;
+    return consistent(*snap);
+  };
+  auto read_guard = [&]() -> std::optional<bool> {
+    const SnapshotStore::ReadGuard snap(store);
+    if (!snap) return std::nullopt;
+    return consistent(*snap);
+  };
+  auto read_engine = [&, u = uint32_t{0}]() mutable -> std::optional<bool> {
+    Query query;
+    query.kind = Query::Kind::kTopK;
+    query.u = u++ % kSide;
+    query.k = kSide;
+    const Result<QueryResult> result = engine.Run(query);
+    if (!result.ok()) return std::nullopt;
+    bool ok = result->entries.size() == kSide;
+    for (const auto& entry : result->entries) {
+      ok = ok && entry.second == value_of(result->version);
+    }
+    return ok;
+  };
+
   std::vector<std::thread> readers;
   for (int r = 0; r < 4; ++r) {
-    readers.emplace_back([&] {
+    readers.emplace_back([&, r] {
+      std::function<std::optional<bool>()> read = read_acquire;
+      if (r == 2) read = read_guard;
+      if (r == 3) read = read_engine;
       while (!done.load()) {
-        const SnapshotPtr snap = store.Acquire();
-        if (snap == nullptr) continue;
-        const double want = value_of(snap->meta().version);
-        bool ok = true;
-        for (double value : snap->scores().values()) {
-          ok = ok && value == want;
-        }
-        for (uint32_t u = 0; u < kSide; ++u) {
-          const auto cached = snap->CachedTopK(u);
-          ok = ok && cached.size() == 4;
-          for (const auto& [v, score] : cached) {
-            ok = ok && score == want && score == snap->PairScore(u, v);
-          }
-        }
-        if (!ok) torn.fetch_add(1);
+        const std::optional<bool> ok = read();
+        if (!ok.has_value()) continue;
+        if (!*ok) torn.fetch_add(1);
         reads.fetch_add(1);
       }
     });
@@ -231,6 +271,213 @@ TEST(SnapshotStoreTest, ReadersNeverObserveTornSnapshots) {
   EXPECT_EQ(torn.load(), 0u);
   EXPECT_GE(reads.load(), kMinReads);
   EXPECT_EQ(store.version(), publishes);
+}
+
+/// An empty snapshot of `version`, tagged through edits_applied so tests
+/// can tell snapshots of different stores apart.
+SnapshotPtr MakeTaggedSnapshot(uint64_t version, uint64_t tag) {
+  SnapshotMeta meta;
+  meta.version = version;
+  meta.edits_applied = tag;
+  return std::make_shared<const FSimSnapshot>(FreezeScores(FSimScores()),
+                                              /*cache_k=*/2, meta);
+}
+
+/// Publishes a tagged snapshot into `store`; returns a weak reference.
+std::weak_ptr<const FSimSnapshot> PublishTagged(SnapshotStore& store,
+                                                uint64_t tag) {
+  SnapshotPtr snapshot = MakeTaggedSnapshot(store.NextVersion(), tag);
+  std::weak_ptr<const FSimSnapshot> weak = snapshot;
+  EXPECT_TRUE(store.Publish(std::move(snapshot)));
+  return weak;
+}
+
+/// A thread that runs each Do() body to completion on itself, so a test can
+/// interleave pins of several reader threads deterministically.
+class StepThread {
+ public:
+  StepThread() : thread_([this] { Loop(); }) {}
+  ~StepThread() {
+    Do(nullptr);
+    thread_.join();
+  }
+
+  /// Runs `step` on this thread and waits for it; nullptr ends the thread.
+  void Do(std::function<void()> step) {
+    std::unique_lock<std::mutex> lock(mu_);
+    step_ = std::move(step);
+    pending_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return !pending_; });
+  }
+
+ private:
+  void Loop() {
+    for (bool more = true; more;) {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] { return pending_; });
+      more = step_ != nullptr;
+      if (more) step_();
+      pending_ = false;
+      cv_.notify_all();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::function<void()> step_;
+  bool pending_ = false;
+  std::thread thread_;
+};
+
+uint64_t PinRefreshes() {
+  uint64_t total = 0;
+  for (const auto& [label, value] :
+       obs::Registry::Default().CounterFamilySnapshot(
+           "fsim_snapshot_pin_refreshes_total")) {
+    total += value;
+  }
+  return total;
+}
+
+TEST(SnapshotPinTest, RetiredSnapshotFreedOnceEveryReaderRepins) {
+  SnapshotStore store;
+  const QueryEngine engine(&store);
+  const auto run = [&engine] {
+    const Result<QueryResult> result = engine.Run(Query{});
+    ASSERT_TRUE(result.ok());
+  };
+  const std::weak_ptr<const FSimSnapshot> v1 = PublishTagged(store, 1);
+  StepThread a;
+  StepThread b;
+  a.Do(run);
+  b.Do([&store] {
+    const SnapshotStore::ReadGuard guard(store);
+    ASSERT_TRUE(guard);
+  });
+
+  // The store moved on, but both idle readers still pin version 1.
+  const std::weak_ptr<const FSimSnapshot> v2 = PublishTagged(store, 2);
+  EXPECT_FALSE(v1.expired());
+  a.Do(run);
+  EXPECT_FALSE(v1.expired());  // b still pins it
+  b.Do(run);
+  EXPECT_TRUE(v1.expired());
+  EXPECT_FALSE(v2.expired());
+}
+
+TEST(SnapshotPinTest, ReaderThreadExitReleasesItsPin) {
+  SnapshotStore store;
+  const std::weak_ptr<const FSimSnapshot> v1 = PublishTagged(store, 1);
+  {
+    StepThread reader;
+    reader.Do([&store] { EXPECT_NE(store.Acquire(), nullptr); });
+    PublishTagged(store, 2);
+    EXPECT_FALSE(v1.expired());
+  }  // the reader thread exits here, still pinning version 1
+  EXPECT_TRUE(v1.expired());
+}
+
+// The outer guard reads through the thread's pin; a nested guard opened
+// after a publish must not replace it (ASan catches a use-after-free).
+TEST(SnapshotPinTest, NestedGuardAcrossPublishKeepsOuterValid) {
+  SnapshotStore store;
+  const std::weak_ptr<const FSimSnapshot> v1 = PublishTagged(store, 1);
+  StepThread reader;
+  reader.Do([&] {
+    const SnapshotStore::ReadGuard outer(store);
+    ASSERT_TRUE(outer);
+    EXPECT_EQ(outer->meta().edits_applied, 1u);
+    PublishTagged(store, 2);
+    {
+      const SnapshotStore::ReadGuard inner(store);
+      ASSERT_TRUE(inner);
+      EXPECT_EQ(inner->meta().edits_applied, 2u);
+      EXPECT_EQ(store.Acquire()->meta().edits_applied, 2u);
+    }
+    PublishTagged(store, 3);
+    EXPECT_FALSE(v1.expired());
+    EXPECT_EQ(outer->meta().edits_applied, 1u);
+    EXPECT_EQ(outer->scores().NumPairs(), 0u);
+  });
+  // With the outer guard closed, the next read re-pins and lets go of v1.
+  EXPECT_FALSE(v1.expired());
+  reader.Do([&store] {
+    const SnapshotStore::ReadGuard guard(store);
+    EXPECT_EQ(guard->meta().edits_applied, 3u);
+  });
+  EXPECT_TRUE(v1.expired());
+}
+
+TEST(SnapshotPinTest, OneThreadAlternatingStoresReadsEachStoresSnapshot) {
+  SnapshotStore a;
+  SnapshotStore b;
+  PublishTagged(a, 100);
+  PublishTagged(b, 200);  // the same version number as a's snapshot
+  StepThread reader;
+  reader.Do([&] {
+    for (int i = 0; i < 4; ++i) {
+      {
+        const SnapshotStore::ReadGuard guard(a);
+        EXPECT_EQ(guard->meta().edits_applied, 100u);
+        const SnapshotStore::ReadGuard nested(b);
+        EXPECT_EQ(nested->meta().edits_applied, 200u);
+      }
+      const SnapshotStore::ReadGuard guard(b);
+      EXPECT_EQ(guard->meta().edits_applied, 200u);
+      EXPECT_EQ(a.Acquire()->meta().edits_applied, 100u);
+    }
+  });
+}
+
+TEST(SnapshotPinTest, NewStoreNeverServesADestroyedStoresPin) {
+  std::optional<SnapshotStore> store;
+  store.emplace();
+  PublishTagged(*store, 1);
+  StepThread reader;
+  reader.Do([&] {
+    const SnapshotStore::ReadGuard guard(*store);
+    EXPECT_EQ(guard->meta().edits_applied, 1u);
+  });
+  // Same address and, once published, the same version number as the pin:
+  // only the store id tells them apart.
+  store.emplace();
+  PublishTagged(*store, 2);
+  reader.Do([&] {
+    const SnapshotStore::ReadGuard guard(*store);
+    ASSERT_TRUE(guard);
+    EXPECT_EQ(guard->meta().version, 1u);
+    EXPECT_EQ(guard->meta().edits_applied, 2u);
+  });
+  store.emplace();
+  reader.Do([&] {
+    const SnapshotStore::ReadGuard guard(*store);
+    EXPECT_FALSE(guard);
+    EXPECT_EQ(store->Acquire(), nullptr);
+  });
+}
+
+// Re-pins (the slow path under the publish mutex) are counted; reads of an
+// already-pinned version are not.
+TEST(SnapshotPinTest, CountsRepinsOnlyAfterPublishes) {
+  SnapshotStore store;
+  const QueryEngine engine(&store);
+  PublishTagged(store, 1);
+  StepThread reader;
+  const auto read_many = [&] {
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_TRUE(engine.Run(Query{}).ok());
+      const SnapshotStore::ReadGuard guard(store);
+    }
+  };
+  const uint64_t before = PinRefreshes();
+  reader.Do(read_many);
+  EXPECT_EQ(PinRefreshes(), before + 1);
+  reader.Do(read_many);
+  EXPECT_EQ(PinRefreshes(), before + 1);
+  PublishTagged(store, 2);
+  reader.Do(read_many);
+  EXPECT_EQ(PinRefreshes(), before + 2);
 }
 
 TEST(RefreshDriverTest, CoalescesBurstsAndHonorsPublishPolicy) {
@@ -498,6 +745,8 @@ TEST(ServeLoopTest, MetricsAndStatsFull) {
   EXPECT_TRUE(contains("fsim_serve_query_seconds_count{verb=\"TOPK\"}"));
   EXPECT_TRUE(contains("# TYPE fsim_refresh_queue_depth gauge"));
   EXPECT_TRUE(contains("# TYPE fsim_publish_age_seconds gauge"));
+  // The queries above re-pinned the serve thread at least once.
+  EXPECT_TRUE(contains("# TYPE fsim_snapshot_pin_refreshes_total counter"));
 }
 
 TEST(ServeLoopTest, WarmStartServesBeforeRefreshReady) {
