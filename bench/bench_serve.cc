@@ -56,14 +56,6 @@ struct ServeReport {
   // Batch-query throughput (queries/second) via QueryEngine::RunBatch, by
   // pool-worker count (1 = the serial fallback path).
   std::vector<std::pair<int, double>> batch_qps;
-  // Refresh flush latency by engine thread count (the wave-parallel
-  // propagate path): (threads, median flush ms, median publish ms).
-  struct RefreshAtThreads {
-    int threads = 1;
-    double median_flush_ms = 0.0;
-    double median_publish_ms = 0.0;
-  };
-  std::vector<RefreshAtThreads> refresh_threads;
   // Durability overhead: the same edit stream with a WAL attached — every
   // Submit is a durable (fsync'd) append. Acceptance bound for the WAL
   // work: publish latency must stay within 25% of the WAL-off median.
@@ -123,58 +115,6 @@ ServeReport::VerbLatency MeasureVerbLatency(const QueryEngine& engine,
   out.p99_us = delta.Quantile(0.99) * 1e-3;
   out.max_us = static_cast<double>(delta.max) * 1e-3;
   return out;
-}
-
-/// Replays the synthetic edit-burst stream against a fresh refresh driver
-/// whose engine runs `num_threads` workers; returns the median flush and
-/// publish latency. Mirrors the main refresh section so the sweep isolates
-/// the engine thread count (same seed, same burst shape).
-ServeReport::RefreshAtThreads MeasureRefreshAtThreads(const Graph& g,
-                                                      FSimConfig config,
-                                                      int num_threads) {
-  config.num_threads = num_threads;
-  SnapshotStore store;
-  RefreshPolicy policy;
-  policy.max_edits_behind = kEditsPerBurst;
-  policy.topk_cache_k = 16;
-  IncrementalOptions inc_options;
-  inc_options.propagation_tolerance = 1e-6;
-  RefreshDriver driver(g, g, config, inc_options, policy, &store);
-  Status init = driver.Init();
-  if (!init.ok()) {
-    std::fprintf(stderr, "fatal: %s\n", init.ToString().c_str());
-    std::abort();
-  }
-  const NodeId num_nodes = static_cast<NodeId>(g.NumNodes());
-  Rng rng(0xED17);
-  std::vector<double> flush_ms;
-  std::vector<double> publish_ms;
-  for (int burst = 0; burst < kEditBursts; ++burst) {
-    for (int e = 0; e < kEditsPerBurst; ++e) {
-      EditOp op;
-      op.graph_index = (e % 2) + 1;
-      op.from = static_cast<NodeId>(rng.NextBounded(num_nodes));
-      op.to = static_cast<NodeId>(rng.NextBounded(num_nodes));
-      if (op.from == op.to) continue;
-      op.insert = (rng.Next() & 1) != 0;
-      if (!driver.Submit(op).ok()) std::abort();
-    }
-    Timer flush_timer;
-    Status st = driver.Flush();
-    if (!st.ok()) {
-      std::fprintf(stderr, "fatal: %s\n", st.ToString().c_str());
-      std::abort();
-    }
-    flush_ms.push_back(flush_timer.Seconds() * 1e3);
-    publish_ms.push_back(driver.stats().last_publish_seconds * 1e3);
-  }
-  std::sort(flush_ms.begin(), flush_ms.end());
-  std::sort(publish_ms.begin(), publish_ms.end());
-  ServeReport::RefreshAtThreads result;
-  result.threads = num_threads;
-  result.median_flush_ms = flush_ms[flush_ms.size() / 2];
-  result.median_publish_ms = publish_ms[publish_ms.size() / 2];
-  return result;
 }
 
 /// The same edit-burst stream with WAL durability attached: every Submit
@@ -384,19 +324,9 @@ bool WriteBenchJson(const std::string& path, const ServeReport& r) {
                r.median_flush_ms, r.median_publish_ms, r.publishes);
   std::fprintf(f,
                "    \"refresh_wal\": {\"median_flush_ms\": %.3f, "
-               "\"median_publish_ms\": %.3f, \"median_submit_us\": %.3f}%s\n",
+               "\"median_publish_ms\": %.3f, \"median_submit_us\": %.3f}\n",
                r.wal_median_flush_ms, r.wal_median_publish_ms,
-               r.wal_median_submit_us, r.refresh_threads.empty() ? "" : ",");
-  // The engine-thread refresh sweep; separate "refresh_tN" keys so the
-  // t=1 "refresh" history entries above stay comparable across PRs.
-  for (size_t i = 0; i < r.refresh_threads.size(); ++i) {
-    const auto& rt = r.refresh_threads[i];
-    std::fprintf(f,
-                 "    \"refresh_t%d\": {\"median_flush_ms\": %.3f, "
-                 "\"median_publish_ms\": %.3f, \"num_threads\": %d}%s\n",
-                 rt.threads, rt.median_flush_ms, rt.median_publish_ms,
-                 rt.threads, i + 1 < r.refresh_threads.size() ? "," : "");
-  }
+               r.wal_median_submit_us);
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   return true;
@@ -548,24 +478,6 @@ int main() {
     batch_table.AddRow({std::to_string(t), qps_s});
   }
   batch_table.Print();
-
-  // --- Refresh flush latency vs engine thread count (wave-parallel
-  // propagate; t=1 is the serial chaotic engine, already reported above
-  // as the history-tracked "refresh" section). ---
-  if (thread_counts.size() > 1) {
-    TablePrinter refresh_table({"engine threads", "med flush", "med publish"});
-    for (int t : thread_counts) {
-      if (t <= 1) continue;
-      const auto rt = MeasureRefreshAtThreads(g, config, t);
-      report.refresh_threads.push_back(rt);
-      char flush_s[32], publish_s[32];
-      std::snprintf(flush_s, sizeof(flush_s), "%.2fms", rt.median_flush_ms);
-      std::snprintf(publish_s, sizeof(publish_s), "%.2fms",
-                    rt.median_publish_ms);
-      refresh_table.AddRow({std::to_string(t), flush_s, publish_s});
-    }
-    refresh_table.Print();
-  }
 
   if (!WriteBenchJson("BENCH_serve.json", report)) {
     std::fprintf(stderr, "warning: could not write BENCH_serve.json\n");

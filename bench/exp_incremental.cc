@@ -168,8 +168,8 @@ int main() {
                       "time speedup", "end drift"});
   std::vector<std::pair<std::string, StreamReport>> reports;
   // The smallest dataset (yeast) sweeps every thread count so CI tracks the
-  // parallel propagate's scaling; the larger streams run at t=1 only to
-  // keep the binary's runtime bounded (their propagate path is identical).
+  // initial solve's scaling (edit repair is serial at any count); the
+  // larger streams run at t=1 only to keep the binary's runtime bounded.
   const std::vector<int> thread_counts = bench::BenchThreadCounts();
   for (const char* name : {"yeast", "nell", "gp"}) {
     Graph g = MakeDatasetByName(name);

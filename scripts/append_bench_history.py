@@ -88,9 +88,8 @@ def main():
             "median_publish_ms": round(refresh.get("median_publish_ms", 0.0), 3),
             "median_flush_ms": round(refresh.get("median_flush_ms", 0.0), 3),
         }
-        # Pooled batch throughput and the engine-thread refresh sweep: keyed
-        # per thread count ("..._Nt" / "refresh_tN") so the gate's rolling
-        # medians never mix runs at different counts.
+        # Pooled batch throughput: keyed per thread count ("..._Nt") so the
+        # gate's rolling medians never mix runs at different counts.
         for threads_key, value in serve.get("batch_qps", {}).items():
             n = threads_key.rsplit("_", 1)[-1]
             record["serve"][f"batch_qps_{n}t"] = round(value)
@@ -98,15 +97,6 @@ def main():
         # ...). p50/p99 gate lower-is-better; *_max_us is informational.
         for key, value in serve.get("latency", {}).items():
             record["serve"][key] = round(value, 3)
-        for key, section in serve.items():
-            if key.startswith("refresh_t") and isinstance(section, dict):
-                record["serve"][key] = {
-                    "median_flush_ms": round(
-                        section.get("median_flush_ms", 0.0), 3),
-                    "median_publish_ms": round(
-                        section.get("median_publish_ms", 0.0), 3),
-                    "num_threads": section.get("num_threads", 1),
-                }
     except OSError as e:
         print(f"warning: skipping serve summary: {e}", file=sys.stderr)
 

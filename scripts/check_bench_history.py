@@ -19,7 +19,7 @@ that disappear from the current line are ignored (benchmarks can be
 retired).
 
 Thread counts never mix: multi-thread runs carry "/tN"-suffixed metric
-names (fsim / incremental) or "_Nt" / "refresh_tN" keys (serve), so each
+names (fsim / incremental) or "_Nt" keys (serve), so each
 (metric, thread count) pair forms its own rolling-median series, and the
 per-entry "num_threads" leaf is skipped rather than gated. A CI runner
 whose core count changes therefore starts fresh series instead of

@@ -72,7 +72,7 @@ class ThreadPool {
                        const SpanBody& body);
 
   /// weight(i): relative cost estimate for evaluating index i (e.g. its
-  /// neighbor-ref count, or its pending influence in an incremental wave).
+  /// neighbor-ref count).
   using FrontierWeight = std::function<float(uint32_t)>;
 
   /// Priority frontier draining: like ParallelForSpan, but the slices handed

@@ -1,7 +1,6 @@
 #include "core/fsim_engine.h"
 
-#include <algorithm>
-#include <cmath>
+#include <utility>
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -93,40 +92,9 @@ Result<FSimScores> ComputeFSim(const Graph& g1, const Graph& g2,
   stats.build_seconds = build_timer.Seconds();
   init_span.End();
 
-  const uint32_t max_iters = FSimIterationBound(config);
   const PairEvaluator evaluator(g1, g2, config, lsim, store);
-
-  Timer iterate_timer;
   ActiveSetDriver driver(pool, store, evaluator, g1, g2, config);
-  stats.active_set = driver.active();
-  // Pre-reserve the iteration-indexed telemetry: the hard bound is known up
-  // front, so the hot loop never reallocates mid-iteration.
-  if (config.record_delta_history) stats.delta_history.reserve(max_iters);
-  if (driver.active()) stats.active_pairs_history.reserve(max_iters);
-
-  for (uint32_t iter = 1; iter <= max_iters; ++iter) {
-    FSIM_TRACE_SPAN_ARG("engine.iter", iter);
-    const double max_delta = driver.Step();
-    stats.iterations = iter;
-    stats.final_delta = max_delta;
-    if (config.record_delta_history) stats.delta_history.push_back(max_delta);
-    if (driver.active()) {
-      stats.active_pairs_history.push_back(driver.last_evaluated());
-    }
-    if (max_delta < config.epsilon) {
-      stats.converged = true;
-      break;
-    }
-  }
-  stats.iterate_seconds = iterate_timer.Seconds();
-  stats.frontier_build_seconds = driver.frontier_build_seconds();
-  stats.full_sweep_iterations = driver.full_sweeps();
-  if (driver.active() && stats.iterations > 0 && store.size() > 0) {
-    stats.frozen_fraction =
-        1.0 - static_cast<double>(driver.total_evaluated()) /
-                  (static_cast<double>(stats.iterations) *
-                   static_cast<double>(store.size()));
-  }
+  driver.Run(&stats);
 
   return FSimScores(store.TakeKeys(), store.TakeScores(), store.TakeIndex(),
                     std::move(stats));

@@ -4,9 +4,11 @@
 #include <cmath>
 
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/fsim_engine.h"
 #include "core/operators.h"
+#include "core/pair_evaluator.h"
 #include "core/pair_store.h"
 #include "obs/trace.h"
 
@@ -30,12 +32,7 @@ IncrementalFSim::IncrementalFSim(const Graph& g1, const Graph& g2,
       config_(std::move(config)),
       options_(options),
       op_(config_.operators()),
-      lsim_(*g1.dict(), config_.label_sim) {
-  if (config_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(config_.num_threads);
-  }
-  scratch_.resize(static_cast<size_t>(std::max(config_.num_threads, 1)));
-}
+      lsim_(*g1.dict(), config_.label_sim) {}
 
 Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
                                                 FSimConfig config,
@@ -128,7 +125,7 @@ Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
   if (warm_seed != nullptr && warm_seed->keys() == inc.keys_) {
     inc.values_ = warm_seed->values();
   }
-  inc.SolveFull();
+  inc.SolveFull(g1, g2);
   return inc;
 }
 
@@ -180,235 +177,65 @@ double IncrementalFSim::EvaluateDirty(size_t i, uint8_t dirty,
          const_term_[i];
 }
 
-void IncrementalFSim::SolveFull() {
-  // Synchronous Jacobi sweeps as in ComputeFSim, with the same delta-driven
-  // active-set scheduling when config_.active_set asks for it and the
-  // maintained index is live (the serving layer's RefreshDriver passes its
-  // FSimConfig straight through, so a warm-started service's background
-  // initial solve freezes converged pairs exactly like the batch engine).
-  // The maintained index always materializes both direction spans, so the
-  // reverse-dependency walk works for single-direction configs too. After
-  // the loop one extra *full* recording sweep re-establishes the cache
-  // invariant (values_ = combine(caches) with the caches computed against
-  // the pre-swap table) and its residual decides convergence — it only
+/// The incremental engine's pair space as ActiveSetDriver iterates it:
+/// values_ is the previous-score buffer, next_ the current one, the
+/// maintained index supplies the spans, and every evaluation recomputes
+/// both directions (refreshing the direction caches).
+class IncrementalFSim::SolveSpace {
+ public:
+  explicit SolveSpace(IncrementalFSim* inc)
+      : inc_(*inc), next_(inc->values_.size()) {}
+
+  size_t size() const { return inc_.keys_.size(); }
+  NodeId U(size_t i) const { return PairFirst(inc_.keys_[i]); }
+  NodeId V(size_t i) const { return PairSecond(inc_.keys_[i]); }
+  double prev(size_t i) const { return inc_.values_[i]; }
+  void set_curr(size_t i, double value) { next_[i] = value; }
+  void SwapBuffers() { inc_.values_.swap(next_); }
+  void CommitPair(size_t i) { inc_.values_[i] = next_[i]; }
+
+  /// The maintained index materializes both directions of every pair, so
+  /// its spans are reverse-dependency lists whenever it is enabled...
+  bool reverse_spans() const { return inc_.nbr_index_.enabled(); }
+  /// ...except for pinned diagonal pairs, which it leaves empty.
+  bool pinned_pairs_spanned() const { return false; }
+  template <typename F>
+  void WithRefs(size_t i, F&& f) const {
+    f(inc_.nbr_index_.Refs(i, IncrementalNeighborIndex::kOut),
+      inc_.nbr_index_.Refs(i, IncrementalNeighborIndex::kIn));
+  }
+  size_t RefSpanTotal(size_t i) const {
+    return inc_.nbr_index_.Refs(i, IncrementalNeighborIndex::kOut).size() +
+           inc_.nbr_index_.Refs(i, IncrementalNeighborIndex::kIn).size();
+  }
+
+  /// Writes only pair i's direction caches, so distinct pairs may be
+  /// evaluated concurrently.
+  double Evaluate(size_t i, MatchingScratch* scratch) const {
+    return inc_.EvaluateDirty(i, kDirtyOut | kDirtyIn, scratch);
+  }
+
+ private:
+  IncrementalFSim& inc_;
+  std::vector<double> next_;
+};
+
+void IncrementalFSim::SolveFull(const Graph& g1, const Graph& g2) {
+  // ComputeFSim's iterate loop on the shared driver, so the serving layer's
+  // warm-start background solve (RefreshDriver passes its FSimConfig
+  // straight through) freezes converged pairs exactly like the batch
+  // engine. The pool lives only for the solve; edit repair is serial.
+  ThreadPool pool(config_.num_threads);
+  SolveSpace space(this);
+  ActiveSetDriver driver(pool, space, space, g1, g2, config_);
+  driver.Run(&solve_stats_);
+  // One extra *full* recording sweep re-establishes the cache invariant
+  // (values_ = combine(caches) with the caches computed against the
+  // pre-swap table) and its residual decides convergence — it only
   // shrinks under the contraction, so the extra sweep never loosens the
-  // epsilon guarantee, and it also washes out any tolerance-mode
-  // frontier slack beyond the documented τ-style bound.
-  const size_t n = keys_.size();
-  std::vector<double> next(n);
-  const uint32_t max_iters = FSimIterationBound(config_);
-  // Reverse-dependency soundness (see ActiveSetDriver::ReverseDepScheme):
-  // in-lists must be the transpose of the out-lists, or — the AsUndirected
-  // adaptation — empty with symmetric out-lists, in which case the
-  // out-span is its own dependent list.
-  auto total_in = [](const DynamicGraph& g) {
-    size_t total = 0;
-    for (NodeId u = 0; u < g.NumNodes(); ++u) total += g.InDegree(u);
-    return total;
-  };
-  const size_t in1 = total_in(g1_);
-  const size_t in2 = total_in(g2_);
-  const bool transpose =
-      in1 == g1_.NumEdges() && in2 == g2_.NumEdges();
-  const bool symmetric_out = in1 == 0 && in2 == 0;
-  const bool active = config_.active_set != ActiveSetMode::kOff &&
-                      nbr_index_.enabled() &&
-                      config_.w_out + config_.w_in > 0.0 &&
-                      (transpose || symmetric_out);
-  const bool tolerance_mode =
-      active && config_.active_set == ActiveSetMode::kTolerance;
-  const double tol = config_.frontier_tolerance;
-  // The maintained index skips pinned diagonal spans, so the init -> 1 snap
-  // of the first sweep cannot notify its dependents through them; a second
-  // unconditional full sweep absorbs it (diagonals never change again).
-  const uint32_t initial_full_sweeps = config_.pin_diagonal ? 2 : 1;
-  // Marking deferral, as in ActiveSetDriver: pay for the reverse span walk
-  // only once enough pairs look freezable, and keep marking from then on.
-  bool marking = active && config_.active_set_activation_fraction == 0.0;
-  bool can_build_frontier = false;
-
-  std::vector<uint32_t> stamp;   // exact mode: epoch-tagged dirty marks
-  std::vector<double> carry;     // tolerance mode: accumulated influence
-  std::vector<uint32_t> frontier;
-  std::vector<double> fresh;
-  if (active) {
-    stamp.assign(n, 0);
-    if (tolerance_mode) carry.assign(n, 0.0);
-  }
-
-  auto mark_dependents = [&](size_t i, double delta, uint32_t epoch) {
-    // No IsPrunedRef guard needed here: Create rejects upper_bound
-    // configs, so the maintained index never contains tagged refs.
-    auto mark = [&](std::span<const NeighborRef> refs, double base,
-                    const std::vector<double>& factor) {
-      for (const NeighborRef& e : refs) {
-        if (tolerance_mode) {
-          carry[e.ref] += base * factor[e.ref];
-        } else {
-          stamp[e.ref] = epoch;
-        }
-      }
-    };
-    if (symmetric_out) {
-      // Undirected adaptation: the out-span is its own dependent list; the
-      // in-direction reads empty sets everywhere and never changes.
-      if (config_.w_out > 0.0) {
-        mark(nbr_index_.Refs(i, IncrementalNeighborIndex::kOut),
-             config_.w_out * delta, influence_factor_out_);
-      }
-      return;
-    }
-    if (config_.w_out > 0.0) {
-      mark(nbr_index_.Refs(i, IncrementalNeighborIndex::kIn),
-           config_.w_out * delta, influence_factor_out_);
-    }
-    if (config_.w_in > 0.0) {
-      mark(nbr_index_.Refs(i, IncrementalNeighborIndex::kOut),
-           config_.w_in * delta, influence_factor_in_);
-    }
-  };
-  auto build_frontier = [&](uint32_t epoch) {
-    frontier.clear();
-    if (tolerance_mode) {
-      for (size_t j = 0; j < n; ++j) {
-        if (carry[j] > tol) {
-          frontier.push_back(static_cast<uint32_t>(j));
-          carry[j] = 0.0;
-        }
-      }
-    } else {
-      for (size_t j = 0; j < n; ++j) {
-        if (stamp[j] == epoch) frontier.push_back(static_cast<uint32_t>(j));
-      }
-    }
-  };
-
-  uint32_t epoch = 0;
-  for (uint32_t iter = 1; iter <= max_iters; ++iter) {
-    const bool full =
-        !active || !can_build_frontier || iter <= initial_full_sweeps ||
-        static_cast<double>(frontier.size()) >=
-            config_.frontier_density_threshold * static_cast<double>(n);
-    ++epoch;
-    double max_delta = 0.0;
-    size_t evaluated = 0;
-    size_t freeze_signal = 0;   // tolerance: sub-tol deltas
-    uint64_t dep_bound = 0;     // exact: changed pairs' dependent cover
-    auto absorb = [&](size_t i, double value) {
-      const double delta = std::abs(value - values_[i]);
-      max_delta = std::max(max_delta, delta);
-      if (tolerance_mode && delta <= tol) ++freeze_signal;
-      if (delta != 0.0) {
-        if (marking) {
-          mark_dependents(i, delta, epoch);
-        } else if (!tolerance_mode) {
-          dep_bound += nbr_index_.Refs(i, IncrementalNeighborIndex::kOut).size() +
-                       nbr_index_.Refs(i, IncrementalNeighborIndex::kIn).size();
-        }
-      }
-    };
-    if (full) {
-      // Jacobi evaluations: each reads the pre-sweep values_ and writes one
-      // next[i], so the parallel sweep is bit-identical to the serial loop
-      // (the absorb/marking phase below stays serial either way).
-      if (pool_) {
-        pool_->ParallelForChunked(
-            n, config_.iterate_grain, [&](int worker, size_t b, size_t e) {
-              MatchingScratch* scratch = &scratch_[worker];
-              for (size_t i = b; i < e; ++i) {
-                next[i] = EvaluateDirty(i, kDirtyOut | kDirtyIn, scratch);
-              }
-            });
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          next[i] = EvaluateDirty(i, kDirtyOut | kDirtyIn, &scratch_[0]);
-        }
-      }
-      // The full evaluation absorbs all pending influence; only this
-      // sweep's fresh marks may carry forward.
-      if (tolerance_mode && marking) std::fill(carry.begin(), carry.end(), 0.0);
-      for (size_t i = 0; i < n; ++i) absorb(i, next[i]);
-      values_.swap(next);
-      evaluated = n;
-    } else {
-      // Two phases keep the Jacobi semantics (every evaluation reads the
-      // pre-sweep table); frozen pairs carry their value in place.
-      fresh.resize(frontier.size());
-      if (pool_) {
-        // Priority draining by evaluation cost; fresh values land in an
-        // id-keyed scratch since workers see reordered slices.
-        if (wave_fresh_.size() < n) wave_fresh_.resize(n);
-        pool_->ParallelForFrontier(
-            frontier,
-            [this](uint32_t i) {
-              return static_cast<float>(
-                  nbr_index_.Refs(i, IncrementalNeighborIndex::kOut).size() +
-                  nbr_index_.Refs(i, IncrementalNeighborIndex::kIn).size());
-            },
-            config_.iterate_grain,
-            [&](int worker, std::span<const uint32_t> ids) {
-              MatchingScratch* scratch = &scratch_[worker];
-              for (uint32_t i : ids) {
-                wave_fresh_[i] = EvaluateDirty(i, kDirtyOut | kDirtyIn, scratch);
-              }
-            });
-        for (size_t k = 0; k < frontier.size(); ++k) {
-          fresh[k] = wave_fresh_[frontier[k]];
-        }
-      } else {
-        for (size_t k = 0; k < frontier.size(); ++k) {
-          fresh[k] = EvaluateDirty(frontier[k], kDirtyOut | kDirtyIn,
-                                   &scratch_[0]);
-        }
-      }
-      for (size_t k = 0; k < frontier.size(); ++k) {
-        absorb(frontier[k], fresh[k]);
-        values_[frontier[k]] = fresh[k];
-      }
-      evaluated = frontier.size();
-    }
-    if (marking) build_frontier(epoch);
-    can_build_frontier = marking;
-    if (active && !marking) {
-      // Same activation signals as ActiveSetDriver: exact mode watches the
-      // changed pairs' dependent cover, tolerance the sub-tol fraction
-      // (gated on enough skippable pairs to beat the density threshold).
-      if (tolerance_mode) {
-        const double needed =
-            std::max(config_.active_set_activation_fraction *
-                         static_cast<double>(evaluated),
-                     (1.0 - config_.frontier_density_threshold) *
-                         static_cast<double>(n));
-        marking = static_cast<double>(freeze_signal) >= needed;
-      } else {
-        marking = static_cast<double>(dep_bound) <=
-                  (1.0 - config_.active_set_activation_fraction) *
-                      static_cast<double>(n);
-      }
-    }
-    if (max_delta < config_.epsilon) break;
-  }
-
-  double max_delta = 0.0;
-  if (pool_) {
-    pool_->ParallelForChunked(
-        n, config_.iterate_grain, [&](int worker, size_t b, size_t e) {
-          MatchingScratch* scratch = &scratch_[worker];
-          for (size_t i = b; i < e; ++i) {
-            next[i] = EvaluateDirty(i, kDirtyOut | kDirtyIn, scratch);
-          }
-        });
-    for (size_t i = 0; i < n; ++i) {
-      max_delta = std::max(max_delta, std::abs(next[i] - values_[i]));
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      next[i] = EvaluateDirty(i, kDirtyOut | kDirtyIn, &scratch_[0]);
-      max_delta = std::max(max_delta, std::abs(next[i] - values_[i]));
-    }
-  }
-  values_.swap(next);
-  converged_ = max_delta < config_.epsilon;
+  // epsilon guarantee, and it also washes out any tolerance-mode frontier
+  // slack beyond the documented τ-style bound.
+  converged_ = driver.Step(/*force_full=*/true) < config_.epsilon;
 }
 
 void IncrementalFSim::MaybeEnqueue(uint32_t idx) {
@@ -496,40 +323,8 @@ uint32_t IncrementalFSim::MaxWaves() const {
   return 1;
 }
 
-Status IncrementalFSim::FinishPropagate(uint64_t recomputed, uint64_t changed,
-                                        uint32_t wave, bool wave_capped,
-                                        bool update_capped,
-                                        double elapsed_seconds) {
-  // Reset any worklist remainder so the engine stays usable. Wave-capped
-  // leftovers carry sub-tolerance influence by the geometric-decay argument;
-  // update-cap leftovers may not — either way the snapshot reports the
-  // truncation via converged=false.
-  for (size_t q = queue_head_; q < queue_.size(); ++q) {
-    in_queue_[queue_[q]] = 0;
-    dirty_dir_[queue_[q]] = 0;
-    pending_out_[queue_[q]] = 0.0;
-    pending_in_[queue_[q]] = 0.0;
-  }
-  queue_.clear();
-  queue_head_ = 0;
-  last_edit_.recomputed = recomputed;
-  last_edit_.changed = changed;
-  last_edit_.waves = wave;
-  last_edit_.truncated = wave_capped || update_capped;
-  if (last_edit_.truncated) converged_ = false;
-  last_edit_.propagate_seconds = elapsed_seconds;
-  if (update_capped) {
-    return Status::Internal(StrFormat(
-        "edit exceeded max_updates_per_edit (%llu); scores may not have "
-        "re-converged",
-        static_cast<unsigned long long>(options_.max_updates_per_edit)));
-  }
-  return Status::OK();
-}
-
 Status IncrementalFSim::Propagate() {
-  if (pool_) return PropagateWaves();
-  FSIM_TRACE_SPAN("incremental.propagate.serial");
+  FSIM_TRACE_SPAN("incremental.propagate");
   Timer timer;
   const double tau = options_.propagation_tolerance;
   const uint32_t max_waves = MaxWaves();
@@ -590,7 +385,7 @@ Status IncrementalFSim::Propagate() {
     dirty_dir_[i] = 0;
     pending_out_[i] = 0.0;
     pending_in_[i] = 0.0;
-    const double fresh = EvaluateDirty(i, dirty, &scratch_[0]);
+    const double fresh = EvaluateDirty(i, dirty, &scratch_);
     ++recomputed;
     const double delta = std::abs(fresh - values_[i]);
     // Commit before any truncation check: the evaluation is already paid
@@ -606,131 +401,31 @@ Status IncrementalFSim::Propagate() {
       break;
     }
   }
-  return FinishPropagate(recomputed, changed, wave, wave_capped, update_capped,
-                         timer.Seconds());
-}
-
-Status IncrementalFSim::PropagateWaves() {
-  Timer timer;
-  FSIM_TRACE_SPAN("incremental.propagate");
-  const double tau = options_.propagation_tolerance;
-  const uint32_t max_waves = MaxWaves();
-  // Waves below this size keep the serial chaotic ordering: the propagation
-  // tail is many tiny waves whose same-wave absorption the Jacobi split
-  // would forfeit, and a parallel region would not amortize its dispatch.
-  // The test depends only on wave content, so any thread count walks the
-  // same trajectory (parallel runs are bit-identical to each other).
-  constexpr size_t kParallelWaveMin = 32;
-  // Wave regions deal in small chunks: one item is a whole matching
-  // evaluation, so rebalancing granularity beats chunk-claim amortization.
-  constexpr size_t kWaveGrain = 8;
-
-  const size_t n = keys_.size();
-  if (wave_fresh_.size() < n) wave_fresh_.resize(n);
-  if (wave_weight_.size() < n) wave_weight_.resize(n);
-  if (wave_dirty_.size() < n) wave_dirty_.resize(n);
-
-  uint64_t recomputed = 0;
-  uint64_t changed = 0;
-  uint32_t wave = 0;
-  bool wave_capped = false;
-  bool update_capped = false;
-
-  size_t wave_begin = queue_head_;
-  size_t wave_end = queue_.size();
-  while (wave_begin < wave_end && !update_capped) {
-    FSIM_TRACE_SPAN_ARG("incremental.wave", wave_end - wave_begin);
-    if (wave_end - wave_begin < kParallelWaveMin) {
-      // Serial chaotic tail: identical to Propagate's inner loop, so small
-      // repairs (the common case) match the serial engine bit for bit.
-      for (size_t q = wave_begin; q < wave_end; ++q) {
-        const uint32_t i = queue_[q];
-        queue_head_ = q + 1;
-        in_queue_[i] = 0;
-        uint8_t dirty = dirty_dir_[i];
-        if (pending_out_[i] > 0.0) dirty |= kDirtyOut;
-        if (pending_in_[i] > 0.0) dirty |= kDirtyIn;
-        dirty_dir_[i] = 0;
-        pending_out_[i] = 0.0;
-        pending_in_[i] = 0.0;
-        const double fresh = EvaluateDirty(i, dirty, &scratch_[0]);
-        ++recomputed;
-        const double delta = std::abs(fresh - values_[i]);
-        values_[i] = fresh;
-        if (delta > tau) {
-          ++changed;
-          PushDependents(i, delta);
-        }
-        if (recomputed >= options_.max_updates_per_edit &&
-            queue_head_ < queue_.size()) {
-          update_capped = true;
-          break;
-        }
-      }
-    } else {
-      // Phase 0 (serial): snapshot each item's dirty bits and priority
-      // weight, then release its worklist slot — pushes during phase 2
-      // accumulate fresh pending influence for the *next* wave instead of
-      // being wiped with this one's.
-      for (size_t q = wave_begin; q < wave_end; ++q) {
-        const uint32_t i = queue_[q];
-        uint8_t dirty = dirty_dir_[i];
-        if (pending_out_[i] > 0.0) dirty |= kDirtyOut;
-        if (pending_in_[i] > 0.0) dirty |= kDirtyIn;
-        wave_dirty_[i] = dirty;
-        wave_weight_[i] =
-            static_cast<float>(pending_out_[i] + pending_in_[i]);
-        dirty_dir_[i] = 0;
-        pending_out_[i] = 0.0;
-        pending_in_[i] = 0.0;
-        in_queue_[i] = 0;
-      }
-      // Phase 1 (parallel): evaluate the wave against the pre-wave score
-      // table (Jacobi within the wave), biggest accumulated influence
-      // first. Each item writes only its own caches and wave_fresh_ slot.
-      std::span<const uint32_t> items(queue_.data() + wave_begin,
-                                      wave_end - wave_begin);
-      pool_->ParallelForFrontier(
-          items, [this](uint32_t i) { return wave_weight_[i]; }, kWaveGrain,
-          [&](int worker, std::span<const uint32_t> ids) {
-            MatchingScratch* scratch = &scratch_[worker];
-            for (uint32_t i : ids) {
-              wave_fresh_[i] = EvaluateDirty(i, wave_dirty_[i], scratch);
-            }
-          });
-      // Phase 2 (serial, wave order): commit and propagate. Deterministic
-      // at any thread count — the pending sums and the next wave's order
-      // depend only on this fixed commit order.
-      for (size_t q = wave_begin; q < wave_end; ++q) {
-        const uint32_t i = queue_[q];
-        queue_head_ = q + 1;
-        const double fresh = wave_fresh_[i];
-        ++recomputed;
-        const double delta = std::abs(fresh - values_[i]);
-        values_[i] = fresh;
-        if (delta > tau) {
-          ++changed;
-          PushDependents(i, delta);
-        }
-        if (recomputed >= options_.max_updates_per_edit &&
-            queue_head_ < queue_.size()) {
-          update_capped = true;
-          break;
-        }
-      }
-    }
-    if (update_capped) break;
-    wave_begin = wave_end;
-    wave_end = queue_.size();
-    if (wave_begin >= wave_end) break;
-    ++wave;
-    if (wave >= max_waves) {
-      wave_capped = true;
-      break;
-    }
+  // Reset any worklist remainder so the engine stays usable. Wave-capped
+  // leftovers carry sub-tolerance influence by the geometric-decay argument;
+  // update-cap leftovers may not — either way the snapshot reports the
+  // truncation via converged=false.
+  for (size_t q = queue_head_; q < queue_.size(); ++q) {
+    in_queue_[queue_[q]] = 0;
+    dirty_dir_[queue_[q]] = 0;
+    pending_out_[queue_[q]] = 0.0;
+    pending_in_[queue_[q]] = 0.0;
   }
-  return FinishPropagate(recomputed, changed, wave, wave_capped, update_capped,
-                         timer.Seconds());
+  queue_.clear();
+  queue_head_ = 0;
+  last_edit_.recomputed = recomputed;
+  last_edit_.changed = changed;
+  last_edit_.waves = wave;
+  last_edit_.truncated = wave_capped || update_capped;
+  if (last_edit_.truncated) converged_ = false;
+  last_edit_.propagate_seconds = timer.Seconds();
+  if (update_capped) {
+    return Status::Internal(StrFormat(
+        "edit exceeded max_updates_per_edit (%llu); scores may not have "
+        "re-converged",
+        static_cast<unsigned long long>(options_.max_updates_per_edit)));
+  }
+  return Status::OK();
 }
 
 void IncrementalFSim::SeedEndpointPairs(int graph_index, NodeId a, NodeId b) {
@@ -847,7 +542,9 @@ Status IncrementalFSim::RemoveEdge(int graph_index, NodeId from, NodeId to) {
 }
 
 FSimScores IncrementalFSim::Snapshot() const {
-  FSimStats stats;
+  // The iterate fields describe the initial solve (the recording sweep and
+  // later edit repairs are not counted); EditStats reports each edit.
+  FSimStats stats = solve_stats_;
   stats.maintained_pairs = keys_.size();
   stats.theta_candidates = keys_.size();
   stats.converged = converged_;

@@ -32,6 +32,12 @@
 //    hash probes and label checks; when the index exceeds its memory budget
 //    the engine falls back to the hash path with identical results.
 //
+// The initial solve in Create is the batch engines' own iterate loop
+// (ActiveSetDriver, core/pair_evaluator.h) run over this engine's table and
+// maintained index, on a pool that lives only for the solve. Edit repair
+// is serial chaotic iteration at every thread count, so the maintained
+// scores do not depend on config.num_threads.
+//
 // Restrictions:
 //  * upper-bound updating must be off (pruning decisions are edge-dependent,
 //    so the maintained candidate set would change under edits);
@@ -46,11 +52,9 @@
 #define FSIM_CORE_INCREMENTAL_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "core/fsim_config.h"
 #include "core/fsim_scores.h"
 #include "core/incremental_index.h"
@@ -96,8 +100,8 @@ struct EditStats {
 class IncrementalFSim {
  public:
   /// Builds the candidate-pair set, runs the iterative computation to the
-  /// fixpoint (synchronous Jacobi sweeps, as ComputeFSim), and retains the
-  /// state needed for localized repair.
+  /// fixpoint (ComputeFSim's ActiveSetDriver loop, on config.num_threads
+  /// workers), and retains the state needed for localized repair.
   ///
   /// `config.epsilon` controls the initial solve; the maintained accuracy
   /// after edits is governed by `options.propagation_tolerance`, so choose
@@ -140,7 +144,9 @@ class IncrementalFSim {
   /// An immutable snapshot of the current scores (copies the score table).
   /// stats().converged faithfully reports whether every propagation since
   /// Create ran to quiescence (no truncation by max_updates_per_edit or the
-  /// wave cap).
+  /// wave cap). The iterate fields of stats() (iterations, final_delta,
+  /// active_set, full_sweep_iterations, frozen_fraction, iterate_seconds,
+  /// ...) describe the initial solve.
   FSimScores Snapshot() const;
 
   /// The evolving graphs (edit-capable adjacency; read API mirrors Graph).
@@ -193,34 +199,23 @@ class IncrementalFSim {
   /// `dirty` and reusing the cached scores for the rest.
   double EvaluateDirty(size_t i, uint8_t dirty, MatchingScratch* scratch);
 
-  /// Runs synchronous sweeps to convergence (the initial solve). Honors
-  /// FSimConfig::active_set: with the maintained index live, sweeps after
-  /// the first evaluate only the pairs with changed inputs (the batch
-  /// engines' delta-driven frontier), so the serving layer's warm-start
-  /// background solve inherits the frozen-pair skipping. Sweeps run on
-  /// pool_ when config_.num_threads > 1; the Jacobi evaluations and the
-  /// serial absorb phase make the result bit-identical at any thread count.
-  void SolveFull();
+  /// The engine's table and index as ActiveSetDriver's pair space.
+  class SolveSpace;
 
-  /// Chaotic iteration from the seeded worklist until quiescent. With
-  /// num_threads > 1 delegates to PropagateWaves.
+  /// The initial solve: ActiveSetDriver::Run over SolveSpace on a pool of
+  /// config.num_threads workers that lives only for the call, then one
+  /// full recording sweep that rebuilds the direction caches and decides
+  /// converged_. `g1`/`g2` are the graphs Create enumerated from (the
+  /// driver reads their degrees and in-edge totals). Honors
+  /// FSimConfig::active_set exactly like ComputeFSim; the index leaves
+  /// pinned diagonal pairs without spans, which the driver answers with a
+  /// second forced full sweep.
+  void SolveFull(const Graph& g1, const Graph& g2);
+
+  /// Chaotic iteration from the seeded worklist until quiescent (serial at
+  /// every thread count); records EditStats and maps truncation to the
+  /// returned Status.
   Status Propagate();
-
-  /// Wave-parallel repair: each wave is evaluated as one Jacobi parallel
-  /// region against the pre-wave score table (big-influence-first via
-  /// ThreadPool::ParallelForFrontier, per-worker matching scratch), then
-  /// committed and propagated serially in wave order, so the result is
-  /// deterministic at any thread count. Waves below a small cutoff keep the
-  /// serial chaotic ordering (same-wave absorption matters most in the
-  /// propagation tail, and a parallel region would not pay for itself);
-  /// the cutoff test depends only on wave content, so determinism holds.
-  Status PropagateWaves();
-
-  /// Shared tail of Propagate/PropagateWaves: resets worklist leftovers,
-  /// records EditStats, and maps truncation to the returned Status.
-  Status FinishPropagate(uint64_t recomputed, uint64_t changed, uint32_t wave,
-                         bool wave_capped, bool update_capped,
-                         double elapsed_seconds);
 
   /// The Corollary 1 wave cap ceil(log_w tau) + 2 (see Propagate).
   uint32_t MaxWaves() const;
@@ -303,15 +298,8 @@ class IncrementalFSim {
   std::vector<uint32_t> wave_scratch_;  // Propagate's wave partition buffer
   size_t queue_head_ = 0;
 
-  // Wave-parallel scratch (PropagateWaves; all keyed by store index).
-  std::vector<double> wave_fresh_;    // Jacobi results awaiting commit
-  std::vector<float> wave_weight_;    // pending influence at wave start
-  std::vector<uint8_t> wave_dirty_;   // dirty bits snapshotted at wave start
-
-  // Present when config_.num_threads > 1 (heap-held so the engine stays
-  // movable); scratch_ has one matching workspace per pool worker.
-  std::unique_ptr<ThreadPool> pool_;
-  std::vector<MatchingScratch> scratch_;
+  MatchingScratch scratch_;  // Propagate's matching workspace
+  FSimStats solve_stats_;    // the initial solve's iterate fields
   EditStats last_edit_;
   bool converged_ = false;
 };

@@ -15,6 +15,7 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/fsim_config.h"
+#include "core/fsim_scores.h"
 #include "core/init_value.h"
 #include "core/operators.h"
 #include "core/pair_store.h"
@@ -77,11 +78,7 @@ class PairEvaluator {
                                            in_refs, score_of, scratch);
         }
       };
-      if (store_.packed_refs()) {
-        evaluate_refs(store_.OutRefsPacked(i), store_.InRefsPacked(i));
-      } else {
-        evaluate_refs(store_.OutRefs(i), store_.InRefs(i));
-      }
+      store_.WithRefs(i, evaluate_refs);
     } else {
       // Previous-iteration score of (x, y); negative = not mappable under
       // the label constraint. Pairs pruned by the upper bound contribute
@@ -123,30 +120,24 @@ class PairEvaluator {
   const double alpha_;
 };
 
-/// Cache-line-padded per-worker accumulator (avoids false sharing in the
-/// parallel delta reduction).
-struct alignas(64) WorkerMaxDelta {
-  double value = 0.0;
-};
-
-/// Delta-driven active-set scheduling of the Algorithm 1 iterate loop,
-/// shared by ComputeFSim and ComputeTopKPairs (docs/performance.md
-/// "Active-set iteration"). Each Step() runs one synchronous Jacobi
-/// iteration and leaves the store's previous-score buffer holding the
-/// complete new state:
+/// Delta-driven active-set scheduling of the Algorithm 1 iterate loop —
+/// the one iterate loop of the sparse engines: ComputeFSim,
+/// ComputeTopKPairs and IncrementalFSim's initial solve
+/// (docs/performance.md "Active-set iteration"). Each Step() runs one
+/// synchronous Jacobi iteration and leaves the pair space's previous-score
+/// buffer holding the complete new state:
 ///
 ///  * The first iteration (and every iteration with the active set off or
-///    the CSR index absent) is a plain full sweep over all maintained
+///    without reverse spans) is a plain full sweep over all maintained
 ///    pairs, followed by an O(1) SwapBuffers.
 ///  * While sweeping, workers stamp the dependents of every changed pair
 ///    into their FrontierTracker arrays by walking the pair's own CSR
 ///    spans in reverse: the refs of the in-span are exactly the pairs
-///    reading (u, v) through their out-direction, and vice versa (the same
-///    double duty the incremental engine's spans serve).
+///    reading (u, v) through their out-direction, and vice versa.
 ///  * Later iterations evaluate only the built frontier and commit the
 ///    evaluated entries into the previous buffer (selective forward copy);
 ///    every frozen pair keeps its score for free. Frontiers at or above
-///    FSimConfig::frontier_density_threshold of the store fall back to a
+///    FSimConfig::frontier_density_threshold of the pairs fall back to a
 ///    full sweep — dense frontiers are cheaper as sweeps.
 ///
 /// In kExact mode a pair is skipped only when *none* of its inputs changed
@@ -158,6 +149,21 @@ struct alignas(64) WorkerMaxDelta {
 /// whose accumulated input influence — Σ w± · c/Ωχ · |Δ| with the
 /// sharpened per-pair factors of core/incremental.h — stays below
 /// frontier_tolerance, trading bounded error for fewer evaluations.
+///
+/// `Space` is the iterated pair space (PairStore, or the incremental
+/// engine's view of its maintained table and index). Its contract:
+///  * size(), U(i), V(i);
+///  * prev(i) / set_curr(i, value), SwapBuffers(), CommitPair(i) — the
+///    double buffer (see PairStore::CommitPair);
+///  * reverse_spans(): per-pair out/in spans exist and list reverse
+///    dependencies; WithRefs(i, f) calls f(out_refs, in_refs) with them;
+///    RefSpanTotal(i) is their total length;
+///  * pinned_pairs_spanned(): pin_diagonal pairs carry spans too. When
+///    they do not, their init -> 1 snap in the first sweep cannot mark its
+///    dependents, so the second sweep is forced full as well.
+/// `Evaluator` provides Evaluate(i, scratch), the Equation 3 value of pair
+/// i from the previous buffer, safe to call concurrently for distinct i.
+template <typename Space, typename Evaluator>
 class ActiveSetDriver {
  public:
   /// How a changed pair's dependents are found from its own spans.
@@ -173,18 +179,20 @@ class ActiveSetDriver {
     kSymmetricOut,
   };
 
-  ActiveSetDriver(ThreadPool& pool, PairStore& store,
-                  const PairEvaluator& evaluator, const Graph& g1,
-                  const Graph& g2, const FSimConfig& config)
+  /// `g1`/`g2` are the graphs the space was enumerated from; the driver
+  /// reads their degrees and in-edge totals only during construction.
+  ActiveSetDriver(ThreadPool& pool, Space& space, const Evaluator& evaluator,
+                  const Graph& g1, const Graph& g2, const FSimConfig& config)
       : pool_(pool),
-        store_(store),
+        space_(space),
         evaluator_(evaluator),
         config_(config),
+        forced_full_sweeps_(
+            config.pin_diagonal && !space.pinned_pairs_spanned() ? 2 : 1),
         scratch_(static_cast<size_t>(pool.num_threads())),
         worker_stats_(static_cast<size_t>(pool.num_threads())) {
     mode_ = ActiveSetMode::kOff;
-    if (store.has_neighbor_index() && store.reverse_spans() &&
-        config.w_out + config.w_in > 0.0) {
+    if (space.reverse_spans() && config.w_out + config.w_in > 0.0) {
       const bool transpose = g1.NumInEdges() == g1.NumEdges() &&
                              g2.NumInEdges() == g2.NumEdges();
       const bool symmetric_out =
@@ -199,11 +207,11 @@ class ActiveSetDriver {
     }
     if (mode_ == ActiveSetMode::kTolerance) {
       const OperatorConfig op = config.operators();
-      influence_out_.resize(store.size());
-      influence_in_.resize(store.size());
-      for (size_t i = 0; i < store.size(); ++i) {
-        const NodeId u = store.U(i);
-        const NodeId v = store.V(i);
+      influence_out_.resize(space.size());
+      influence_in_.resize(space.size());
+      for (size_t i = 0; i < space.size(); ++i) {
+        const NodeId u = space.U(i);
+        const NodeId v = space.V(i);
         influence_out_[i] = static_cast<float>(
             PairInfluenceFactor(op, g1.OutDegree(u), g2.OutDegree(v)));
         influence_in_[i] = static_cast<float>(
@@ -211,7 +219,7 @@ class ActiveSetDriver {
       }
     }
     if (mode_ != ActiveSetMode::kOff) {
-      tracker_.Init(store.size(), pool.num_threads(),
+      tracker_.Init(space.size(), pool.num_threads(),
                     mode_ == ActiveSetMode::kTolerance);
       marking_ = config.active_set_activation_fraction == 0.0;
     }
@@ -219,14 +227,15 @@ class ActiveSetDriver {
 
   /// Runs one iteration (frontier or full sweep per the policy above) and
   /// returns max |FSim^k - FSim^{k-1}| over the evaluated pairs — in exact
-  /// mode, exactly the full sweep's max delta.
-  double Step() {
+  /// mode, exactly the full sweep's max delta. `force_full` makes it a
+  /// full sweep whatever the frontier.
+  double Step(bool force_full = false) {
     ++iter_;
     // A frontier is only sound when the *previous* sweep marked dependents
     // (see marking_ below); density decides whether it is worth indirect
     // evaluation.
     bool full = true;
-    if (can_build_frontier_) {
+    if (can_build_frontier_ && !force_full && iter_ > forced_full_sweeps_) {
       Timer build_timer;
       FSIM_TRACE_SPAN("engine.frontier_build");
       tracker_.BuildNext(pool_, config_.frontier_tolerance,
@@ -234,15 +243,15 @@ class ActiveSetDriver {
       frontier_build_seconds_ += build_timer.Seconds();
       full = static_cast<double>(frontier_.size()) >=
              config_.frontier_density_threshold *
-                 static_cast<double>(store_.size());
+                 static_cast<double>(space_.size());
     }
     if (marking_) tracker_.BeginIteration();
     for (auto& w : worker_stats_) w = WorkerSweepStats{};
     const size_t iterate_grain = config_.iterate_grain;
     if (full) {
-      FSIM_TRACE_SPAN_ARG("engine.sweep.full", store_.size());
+      FSIM_TRACE_SPAN_ARG("engine.sweep.full", space_.size());
       pool_.ParallelForChunked(
-          store_.size(), iterate_grain,
+          space_.size(), iterate_grain,
           [&](int worker, size_t begin, size_t end) {
             MatchingScratch* scratch = &scratch_[worker];
             WorkerSweepStats local;
@@ -251,9 +260,9 @@ class ActiveSetDriver {
             }
             Fold(worker, local);
           });
-      store_.SwapBuffers();
+      space_.SwapBuffers();
       ++full_sweeps_;
-      last_evaluated_ = store_.size();
+      last_evaluated_ = space_.size();
     } else {
       FSIM_TRACE_SPAN_ARG("engine.sweep.frontier", frontier_.size());
       // Priority draining: a pair's evaluation cost is dominated by the
@@ -264,7 +273,7 @@ class ActiveSetDriver {
       pool_.ParallelForFrontier(
           frontier_,
           [this](uint32_t i) {
-            return static_cast<float>(store_.RefSpanTotal(i));
+            return static_cast<float>(space_.RefSpanTotal(i));
           },
           iterate_grain,
           [&](int worker, std::span<const uint32_t> ids) {
@@ -281,7 +290,7 @@ class ActiveSetDriver {
           frontier_.size(), kCommitGrain,
           [&](int /*worker*/, size_t begin, size_t end) {
             for (size_t k = begin; k < end; ++k) {
-              store_.CommitPair(frontier_[k]);
+              space_.CommitPair(frontier_[k]);
             }
           });
       last_evaluated_ = frontier_.size();
@@ -304,7 +313,7 @@ class ActiveSetDriver {
     // tolerance mode by the fraction of sub-tolerance deltas.
     can_build_frontier_ = marking_;
     if (mode_ != ActiveSetMode::kOff && !marking_) {
-      const double n = static_cast<double>(store_.size());
+      const double n = static_cast<double>(space_.size());
       if (mode_ == ActiveSetMode::kExact) {
         marking_ = static_cast<double>(dep_bound) <=
                    (1.0 - config_.active_set_activation_fraction) * n;
@@ -322,18 +331,46 @@ class ActiveSetDriver {
     return max_delta;
   }
 
-  /// True when active-set scheduling is engaged (mode != kOff and the CSR
-  /// neighbor index was materialized).
+  /// Steps until the max delta drops below config.epsilon or the
+  /// Corollary 1 bound is reached, and records the iterate fields of
+  /// `*stats` (iterations, converged, final_delta, histories, active_set,
+  /// full_sweep_iterations, frozen_fraction and the timings).
+  void Run(FSimStats* stats) {
+    Timer iterate_timer;
+    const uint32_t max_iters = FSimIterationBound(config_);
+    stats->active_set = active();
+    // Pre-reserve the iteration-indexed telemetry: the hard bound is known
+    // up front, so the hot loop never reallocates mid-iteration.
+    if (config_.record_delta_history) stats->delta_history.reserve(max_iters);
+    if (active()) stats->active_pairs_history.reserve(max_iters);
+    for (uint32_t iter = 1; iter <= max_iters; ++iter) {
+      FSIM_TRACE_SPAN_ARG("engine.iter", iter);
+      const double max_delta = Step();
+      stats->iterations = iter;
+      stats->final_delta = max_delta;
+      if (config_.record_delta_history) {
+        stats->delta_history.push_back(max_delta);
+      }
+      if (active()) stats->active_pairs_history.push_back(last_evaluated_);
+      if (max_delta < config_.epsilon) {
+        stats->converged = true;
+        break;
+      }
+    }
+    stats->iterate_seconds = iterate_timer.Seconds();
+    stats->frontier_build_seconds = frontier_build_seconds_;
+    stats->full_sweep_iterations = full_sweeps_;
+    if (active() && stats->iterations > 0 && space_.size() > 0) {
+      stats->frozen_fraction =
+          1.0 - static_cast<double>(total_evaluated_) /
+                    (static_cast<double>(stats->iterations) *
+                     static_cast<double>(space_.size()));
+    }
+  }
+
+  /// True when active-set scheduling is engaged (mode != kOff and the
+  /// space has reverse spans).
   bool active() const { return mode_ != ActiveSetMode::kOff; }
-  /// Pairs evaluated by the most recent Step.
-  size_t last_evaluated() const { return last_evaluated_; }
-  /// Pairs evaluated across all Steps so far.
-  size_t total_evaluated() const { return total_evaluated_; }
-  /// Iterations that ran as full sweeps (the first, plus density
-  /// fallbacks).
-  uint32_t full_sweeps() const { return full_sweeps_; }
-  /// Accumulated frontier-construction time.
-  double frontier_build_seconds() const { return frontier_build_seconds_; }
 
  private:
   /// Cache-line-padded per-worker sweep accumulators.
@@ -364,15 +401,15 @@ class ActiveSetDriver {
   void EvaluatePair(int worker, size_t i, MatchingScratch* scratch,
                     WorkerSweepStats* local) {
     const double value = evaluator_.Evaluate(i, scratch);
-    store_.set_curr(i, value);
-    const double delta = std::abs(value - store_.prev(i));
+    space_.set_curr(i, value);
+    const double delta = std::abs(value - space_.prev(i));
     if (delta > local->max_delta) local->max_delta = delta;
     if (mode_ == ActiveSetMode::kExact) {
       if (delta != 0.0) {
         if (marking_) {
           MarkDependents<false>(worker, i, delta);
         } else {
-          local->dep_bound += store_.RefSpanTotal(i);
+          local->dep_bound += space_.RefSpanTotal(i);
         }
       }
     } else if (mode_ == ActiveSetMode::kTolerance) {
@@ -415,39 +452,30 @@ class ActiveSetDriver {
     };
     const double base_out = config_.w_out * delta;
     const double base_in = config_.w_in * delta;
-    if (scheme_ == ReverseDepScheme::kSymmetricOut) {
-      // Symmetric out-adjacency: the out-span is its own dependent list,
-      // and the in-direction (empty sets everywhere) never changes.
-      if (config_.w_out > 0.0) {
-        if (store_.packed_refs()) {
-          mark_span(store_.OutRefsPacked(i), base_out, influence_out_.data());
-        } else {
-          mark_span(store_.OutRefs(i), base_out, influence_out_.data());
+    space_.WithRefs(i, [&](auto out_refs, auto in_refs) {
+      if (scheme_ == ReverseDepScheme::kSymmetricOut) {
+        // Symmetric out-adjacency: the out-span is its own dependent list,
+        // and the in-direction (empty sets everywhere) never changes.
+        if (config_.w_out > 0.0) {
+          mark_span(out_refs, base_out, influence_out_.data());
         }
+        return;
       }
-      return;
-    }
-    if (store_.packed_refs()) {
       if (config_.w_out > 0.0) {
-        mark_span(store_.InRefsPacked(i), base_out, influence_out_.data());
+        mark_span(in_refs, base_out, influence_out_.data());
       }
       if (config_.w_in > 0.0) {
-        mark_span(store_.OutRefsPacked(i), base_in, influence_in_.data());
+        mark_span(out_refs, base_in, influence_in_.data());
       }
-    } else {
-      if (config_.w_out > 0.0) {
-        mark_span(store_.InRefs(i), base_out, influence_out_.data());
-      }
-      if (config_.w_in > 0.0) {
-        mark_span(store_.OutRefs(i), base_in, influence_in_.data());
-      }
-    }
+    });
   }
 
   ThreadPool& pool_;
-  PairStore& store_;
-  const PairEvaluator& evaluator_;
+  Space& space_;
+  const Evaluator& evaluator_;
   const FSimConfig& config_;
+  /// Leading iterations that sweep in full whatever the marks say.
+  const uint32_t forced_full_sweeps_;
   ActiveSetMode mode_;
   ReverseDepScheme scheme_ = ReverseDepScheme::kTranspose;
   /// Dependent marking engaged (see active_set_activation_fraction).

@@ -154,6 +154,21 @@ class PairStore {
             nbr_refs_packed_.data() + nbr_offsets_[2 * i + 2]};
   }
 
+  /// Calls f(out_refs, in_refs) with pair i's two spans in whichever entry
+  /// layout the index uses, so one generic body serves both.
+  template <typename F>
+  void WithRefs(size_t i, F&& f) const {
+    if (packed_refs_) {
+      f(OutRefsPacked(i), InRefsPacked(i));
+    } else {
+      f(OutRefs(i), InRefs(i));
+    }
+  }
+
+  /// True when pinned diagonal pairs carry spans (the reverse-span layout
+  /// keeps them; see OutRefs), so their init -> 1 snap marks dependents.
+  bool pinned_pairs_spanned() const { return reverse_spans_; }
+
   /// Total CSR entries of pair i across both directions — an O(1) upper
   /// bound on how many (pair, direction) dependents a change at i can wake.
   /// The active-set driver sums this over changed pairs while marking is

@@ -59,7 +59,8 @@ Result<FSimScores> ScoresFromString(std::string_view text) {
         3) {
       return Status::IOError(StrFormat("malformed pair at line %zu", li + 1));
     }
-    if (score < 0.0 || score > 1.0) {
+    // Written so NaN (which sscanf accepts as "nan") fails the check too.
+    if (!(score >= 0.0 && score <= 1.0)) {
       return Status::IOError(
           StrFormat("score out of range at line %zu", li + 1));
     }

@@ -59,6 +59,23 @@ Graph MakeChainGraph(uint32_t n = 30) {
   return std::move(builder).BuildOrDie();
 }
 
+/// Two sources feeding the heads of two parallel chains: an unlabeled DAG
+/// on which SimRank scores settle exactly, level by level, so exact-mode
+/// frontiers shrink under pin_diagonal too.
+Graph MakeLadderGraph(uint32_t length = 12) {
+  GraphBuilder builder;
+  for (uint32_t i = 0; i < 2 + 2 * length; ++i) builder.AddNode("x");
+  for (NodeId head : {2u, 3u}) {
+    builder.AddEdge(0, head);
+    builder.AddEdge(1, head);
+  }
+  for (uint32_t k = 0; k + 1 < length; ++k) {
+    builder.AddEdge(2 + 2 * k, 4 + 2 * k);
+    builder.AddEdge(3 + 2 * k, 5 + 2 * k);
+  }
+  return std::move(builder).BuildOrDie();
+}
+
 /// Runs `config` with the exact active set (marking from iteration 1) and
 /// with the active set off, and asserts the runs are indistinguishable:
 /// same pair set, same scores bit for bit, same iteration count and
@@ -314,6 +331,28 @@ TEST(ActiveSetTolerance, ErrorBoundHolds) {
   // The skipping must be real: fewer evaluations than iterations * pairs.
   EXPECT_GT(tol->stats().frozen_fraction, 0.0);
   EXPECT_LE(tol->stats().iterations, off->stats().iterations);
+
+  // IncrementalFSim's initial solve runs on the same driver, so its
+  // tolerance mode — per-worker influence trackers at any thread count —
+  // keeps the same bound against its own exact-mode solve.
+  for (int threads : {1, 3}) {
+    config.num_threads = threads;
+    config.active_set = ActiveSetMode::kTolerance;
+    auto inc_tol = IncrementalFSim::Create(g, g, config);
+    ASSERT_TRUE(inc_tol.ok()) << inc_tol.status().ToString();
+    config.active_set = ActiveSetMode::kExact;
+    auto inc_exact = IncrementalFSim::Create(g, g, config);
+    ASSERT_TRUE(inc_exact.ok());
+    const FSimScores a = inc_tol->Snapshot();
+    const FSimScores b = inc_exact->Snapshot();
+    ASSERT_EQ(a.keys(), b.keys());
+    double inc_diff = 0.0;
+    for (size_t i = 0; i < a.values().size(); ++i) {
+      inc_diff = std::max(inc_diff, std::abs(a.values()[i] - b.values()[i]));
+    }
+    EXPECT_LE(inc_diff, bound) << "t=" << threads;
+    EXPECT_GT(a.stats().frozen_fraction, 0.0) << "t=" << threads;
+  }
 }
 
 // The top-k all-pairs engine shares the driver; its certified result must
@@ -346,9 +385,12 @@ TEST(ActiveSetTopK, TopKPairsLockstep) {
   }
 }
 
-// IncrementalFSim's initial solve honors the active-set config (the
-// serving layer's warm-start path); exact mode must match the off-mode
-// solve bit for bit, on transpose-consistent and undirected graphs alike.
+// IncrementalFSim's initial solve runs on ActiveSetDriver (the serving
+// layer's warm-start path): exact mode must match the off-mode solve bit
+// for bit at any thread count — on transpose-consistent and undirected
+// graphs, and under SimRank's pin_diagonal, whose unspanned diagonal pairs
+// force a second full sweep — and its iterate stats must describe the same
+// loop ComputeFSim runs.
 TEST(ActiveSetIncremental, InitialSolveLockstep) {
   LabelingOptions lo;
   lo.num_labels = 3;
@@ -356,10 +398,14 @@ TEST(ActiveSetIncremental, InitialSolveLockstep) {
   LabelingOptions lo1;
   lo1.num_labels = 1;
   const Graph undirected = ErdosRenyi(12, 30, lo1, 13).AsUndirected();
+  const Graph unlabeled = ErdosRenyi(14, 40, lo1, 31);
+  const Graph chain = MakeChainGraph();
+  const Graph ladder = MakeLadderGraph();
   struct Case {
     const Graph* g;
     FSimConfig config;
     const char* name;
+    bool freezes;  // exact frontiers shrink below the density threshold
   };
   FSimConfig plain;
   plain.w_out = 0.4;
@@ -367,24 +413,73 @@ TEST(ActiveSetIncremental, InitialSolveLockstep) {
   plain.epsilon = 1e-8;
   FSimConfig rolesim = RoleSimFSimConfig(0.15);
   rolesim.epsilon = 1e-8;
-  const Case cases[] = {{&directed, plain, "directed"},
-                        {&undirected, rolesim, "undirected"}};
+  FSimConfig simrank = SimRankFSimConfig(0.8);
+  simrank.epsilon = 1e-8;
+  const Case cases[] = {{&directed, plain, "directed", false},
+                        {&undirected, rolesim, "undirected", false},
+                        {&unlabeled, simrank, "simrank", false},
+                        {&chain, plain, "chain", true},
+                        {&ladder, simrank, "ladder simrank", true}};
   for (const Case& c : cases) {
-    FSimConfig config = c.config;
-    config.active_set = ActiveSetMode::kExact;
-    config.active_set_activation_fraction = 0.0;
-    auto active = IncrementalFSim::Create(*c.g, *c.g, config);
-    ASSERT_TRUE(active.ok()) << c.name << ": "
-                             << active.status().ToString();
-    config.active_set = ActiveSetMode::kOff;
-    auto off = IncrementalFSim::Create(*c.g, *c.g, config);
-    ASSERT_TRUE(off.ok()) << c.name;
-    FSimScores a = active->Snapshot();
-    FSimScores b = off->Snapshot();
-    ASSERT_EQ(a.values().size(), b.values().size()) << c.name;
-    EXPECT_EQ(a.stats().converged, b.stats().converged) << c.name;
-    for (size_t i = 0; i < a.values().size(); ++i) {
-      ASSERT_EQ(a.values()[i], b.values()[i]) << c.name << " pair " << i;
+    std::vector<double> single_thread;
+    for (int threads : {1, 3}) {
+      const std::string name =
+          std::string(c.name) + " t=" + std::to_string(threads);
+      FSimConfig config = c.config;
+      config.num_threads = threads;
+      config.active_set = ActiveSetMode::kExact;
+      config.active_set_activation_fraction = 0.0;
+      auto active = IncrementalFSim::Create(*c.g, *c.g, config);
+      ASSERT_TRUE(active.ok()) << name << ": " << active.status().ToString();
+      auto batch = ComputeFSim(*c.g, *c.g, config);
+      ASSERT_TRUE(batch.ok()) << name;
+      config.active_set = ActiveSetMode::kOff;
+      auto off = IncrementalFSim::Create(*c.g, *c.g, config);
+      ASSERT_TRUE(off.ok()) << name;
+      FSimScores a = active->Snapshot();
+      FSimScores b = off->Snapshot();
+      ASSERT_EQ(a.values().size(), b.values().size()) << name;
+      EXPECT_EQ(a.stats().converged, b.stats().converged) << name;
+      for (size_t i = 0; i < a.values().size(); ++i) {
+        ASSERT_EQ(a.values()[i], b.values()[i]) << name << " pair " << i;
+      }
+      if (threads == 1) {
+        single_thread = a.values();
+      } else {
+        ASSERT_EQ(a.values(), single_thread) << name;
+      }
+
+      // The iterate stats: exact mode runs the full-sweep trajectory, so
+      // the iteration count and final delta agree with the off-mode solve
+      // and with ComputeFSim's.
+      const FSimStats& sa = a.stats();
+      const FSimStats& sb = b.stats();
+      EXPECT_GT(sa.iterations, 1u) << name;
+      EXPECT_EQ(sa.iterations, sb.iterations) << name;
+      EXPECT_EQ(sa.final_delta, sb.final_delta) << name;
+      EXPECT_EQ(sa.iterations, batch->stats().iterations) << name;
+      EXPECT_EQ(sa.final_delta, batch->stats().final_delta) << name;
+      EXPECT_LT(sa.final_delta, config.epsilon) << name;
+      EXPECT_TRUE(sa.active_set) << name;
+      EXPECT_FALSE(sb.active_set) << name;
+      EXPECT_EQ(sb.full_sweep_iterations, sb.iterations) << name;
+      EXPECT_EQ(sb.frozen_fraction, 0.0) << name;
+      EXPECT_GT(sa.iterate_seconds, 0.0) << name;
+      EXPECT_GT(sb.iterate_seconds, 0.0) << name;
+      // The maintained index leaves pinned diagonal pairs unspanned, so
+      // pin_diagonal forces the first two sweeps full; ComputeFSim's store
+      // spans them and needs only one.
+      const uint32_t forced = config.pin_diagonal ? 2u : 1u;
+      EXPECT_LE(sa.full_sweep_iterations, sa.iterations) << name;
+      EXPECT_LT(sa.frozen_fraction, 1.0) << name;
+      if (c.freezes) {
+        EXPECT_EQ(sa.full_sweep_iterations, forced) << name;
+        EXPECT_EQ(batch->stats().full_sweep_iterations, 1u) << name;
+        EXPECT_GT(sa.frozen_fraction, 0.0) << name;
+      } else {
+        EXPECT_EQ(sa.full_sweep_iterations, sa.iterations) << name;
+        EXPECT_EQ(sa.frozen_fraction, 0.0) << name;
+      }
     }
   }
 }

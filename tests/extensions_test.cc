@@ -199,6 +199,9 @@ TEST(ScoresIoTest, RejectsCorruptInput) {
   EXPECT_TRUE(ScoresFromString("fsim-scores v1\npairs 1\n0 0 7.5\n")
                   .status()
                   .IsIOError());  // out-of-range score
+  EXPECT_TRUE(ScoresFromString("fsim-scores v1\npairs 1\n0 0 nan\n")
+                  .status()
+                  .IsIOError());  // NaN score
   EXPECT_TRUE(ScoresFromString("fsim-scores v1\npairs 2\n0 0 0.5\n0 0 0.6\n")
                   .status()
                   .IsIOError());  // duplicate pair
