@@ -36,10 +36,9 @@ double MaxAbsDiffOnPairs(const FSimScores& sparse,
 void SparseVsDense() {
   bench::PrintHeader(
       "Ablation (a): sparse candidate store vs dense matrix iteration "
-      "(FSim_bj, paper defaults; dense split into label-class index vs "
-      "per-visit lookup)");
-  TablePrinter table({"dataset", "theta", "pairs", "sparse", "dense idx",
-                      "dense lkp", "max |diff|"});
+      "(FSim_bj, paper defaults; dense on its label-class index)");
+  TablePrinter table({"dataset", "theta", "pairs", "sparse", "dense",
+                      "max |diff|"});
   for (const char* name : {"yeast", "nell"}) {
     Graph g = MakeDatasetByName(name);
     for (double theta : {0.0, 1.0}) {
@@ -58,23 +57,17 @@ void SparseVsDense() {
       if (!dense.ok()) {
         table.AddRow({name, theta == 0 ? "0" : "1",
                       std::to_string(sparse->NumPairs()),
-                      bench::FormatSeconds(sparse_s), "skipped (limit)", "-",
+                      bench::FormatSeconds(sparse_s), "skipped (limit)",
                       "-"});
         continue;
       }
-      Timer lookup_timer;
-      config.neighbor_index_budget_bytes = 0;  // force the lookup fallback
-      auto dense_lookup = ComputeFSimDense(g, g, config);
-      const double lookup_s = lookup_timer.Seconds();
       char diff[24];
       std::snprintf(diff, sizeof(diff), "%.1e",
                     MaxAbsDiffOnPairs(*sparse, *dense));
       table.AddRow({name, theta == 0 ? "0" : "1",
                     std::to_string(sparse->NumPairs()),
                     bench::FormatSeconds(sparse_s),
-                    bench::FormatSeconds(dense_s),
-                    dense_lookup.ok() ? bench::FormatSeconds(lookup_s) : "-",
-                    diff});
+                    bench::FormatSeconds(dense_s), diff});
     }
   }
   table.Print();

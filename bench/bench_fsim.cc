@@ -1,9 +1,9 @@
 // google-benchmark end-to-end timings of ComputeFSim per variant and
 // optimization setting on the Yeast analog (the smallest Table 4 dataset) —
 // the per-iteration engine cost behind Figures 7 and 8. The main()
-// additionally times the build/iterate phases per variant with the
-// pair-graph CSR neighbor index enabled vs the hash-lookup fallback and
-// writes BENCH_fsim.json for the perf trajectory.
+// additionally times the build/iterate phases per variant and scheduling
+// policy (exact active set, full sweeps, tolerance) plus the dense engine,
+// and writes BENCH_fsim.json for the perf trajectory.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -101,7 +101,6 @@ std::string RunTuningSweep(int num_threads) {
 
   FSimConfig base = BaseConfig(SimVariant::kDegreePreserving);
   base.theta = 1.0;
-  base.neighbor_index_budget_bytes = 1ULL << 30;
   base.num_threads = num_threads;
   auto timed_iterate = [&](const FSimConfig& config) {
     auto scores = ComputeFSim(g, g, config);
@@ -166,7 +165,6 @@ std::string RunTuningSweep(int num_threads) {
   for (int pass = 0; pass < 2; ++pass) {
     FSimConfig config = BaseConfig(SimVariant::kDegreePreserving);
     config.theta = 1.0;
-    config.neighbor_index_budget_bytes = 1ULL << 30;
     config.num_threads = pass == 0 ? 1 : num_threads;
     auto dense = ComputeFSimDense(g, g, config);
     if (!dense.ok()) {
@@ -239,7 +237,6 @@ std::string RunSimdSweep(int num_threads) {
         for (int rep = 0; rep < kSimdReps; ++rep) {
           FSimConfig config = BaseConfig(variant);
           config.theta = 1.0;
-          config.neighbor_index_budget_bytes = 1ULL << 30;
           config.num_threads = threads;
           setenv("FSIM_SIMD", level, 1);
           auto dense = ComputeFSimDense(g, g, config);
@@ -306,7 +303,6 @@ std::string RunTraceOverheadGuard() {
   const Graph& g = Yeast();
   FSimConfig config = BaseConfig(SimVariant::kDegreePreserving);
   config.theta = 1.0;
-  config.neighbor_index_budget_bytes = 1ULL << 30;
 
   constexpr size_t kSpans = 4'000'000;
   const uint64_t unit_start = obs::MonotonicNanos();
@@ -362,11 +358,10 @@ std::string RunTraceOverheadGuard() {
 ///                  active-set speedup is measured against),
 ///  * "tol"       — tolerance-mode active set (frontier_tolerance = ε/10,
 ///                  error bound tol·(1+w)/(1-w) = 0.9·ε — the frontier
-///                  slack stays below the termination tolerance itself),
-///  * "fallback"  — hash-lookup path (no index, hence full sweeps).
-/// indexed/fullsweep/fallback are cross-checked bit-identical; tol is
-/// cross-checked against its documented error bound plus the termination
-/// residual slack 2·ε·w/(1-w) (the two runs may stop at different sweeps).
+///                  slack stays below the termination tolerance itself).
+/// indexed/fullsweep are cross-checked bit-identical; tol is cross-checked
+/// against its documented error bound plus the termination residual slack
+/// 2·ε·w/(1-w) (the two runs may stop at different sweeps).
 void RunPhaseTimings() {
   const Graph& g = Yeast();
   bench::PhaseTimingsJson json;
@@ -379,40 +374,35 @@ void RunPhaseTimings() {
     config.theta = 1.0;
     const double w = config.w_out + config.w_in;
 
-    config.neighbor_index_budget_bytes = 1ULL << 30;
     auto indexed = ComputeFSim(g, g, config);
     config.active_set = ActiveSetMode::kOff;
     auto fullsweep = ComputeFSim(g, g, config);
     config.active_set = ActiveSetMode::kTolerance;
     config.frontier_tolerance = config.epsilon / 10.0;
     auto tol = ComputeFSim(g, g, config);
-    config.active_set = ActiveSetMode::kExact;
-    config.neighbor_index_budget_bytes = 0;
-    auto fallback = ComputeFSim(g, g, config);
-    if (!indexed.ok() || !fullsweep.ok() || !tol.ok() || !fallback.ok()) {
+    if (!indexed.ok() || !fullsweep.ok() || !tol.ok()) {
       std::fprintf(stderr, "fatal: phase-timing run failed\n");
       std::abort();
     }
-    auto max_diff_vs_fallback = [&](const FSimScores& scores) {
+    auto max_diff_vs_fullsweep = [&](const FSimScores& scores) {
       double max_diff = 0.0;
       for (size_t i = 0; i < scores.values().size(); ++i) {
         max_diff = std::max(max_diff, std::abs(scores.values()[i] -
-                                               fallback->values()[i]));
+                                               fullsweep->values()[i]));
       }
       return max_diff;
     };
-    const double exact_diff = std::max(max_diff_vs_fallback(*indexed),
-                                       max_diff_vs_fallback(*fullsweep));
-    if (!indexed->stats().used_neighbor_index || exact_diff > 1e-12) {
+    const double exact_diff = max_diff_vs_fullsweep(*indexed);
+    if (exact_diff != 0.0) {
       std::fprintf(stderr,
-                   "fatal: indexed/fallback mismatch (indexed=%d diff=%g)\n",
-                   indexed->stats().used_neighbor_index, exact_diff);
+                   "fatal: indexed/fullsweep mismatch (diff=%g)\n",
+                   exact_diff);
       std::abort();
     }
     const double tol_bound =
         config.frontier_tolerance * (1.0 + w) / (1.0 - w) +
         2.0 * config.epsilon * w / (1.0 - w);
-    const double tol_diff = max_diff_vs_fallback(*tol);
+    const double tol_diff = max_diff_vs_fullsweep(*tol);
     if (tol_diff > tol_bound) {
       std::fprintf(stderr, "fatal: tolerance run outside bound (%g > %g)\n",
                    tol_diff, tol_bound);
@@ -423,7 +413,6 @@ void RunPhaseTimings() {
     json.Add(std::string(name) + "/indexed", indexed->stats());
     json.Add(std::string(name) + "/fullsweep", fullsweep->stats());
     json.Add(std::string(name) + "/tol", tol->stats());
-    json.Add(std::string(name) + "/fallback", fallback->stats());
     auto row = [&](const char* path, const FSimStats& s) {
       std::printf("%-8s %-10s %-10s %-10s %.2fx         %.2f\n", name, path,
                   bench::FormatSeconds(s.build_seconds).c_str(),
@@ -434,55 +423,30 @@ void RunPhaseTimings() {
     row("indexed", indexed->stats());
     row("fullsweep", fullsweep->stats());
     row("tol", tol->stats());
-    row("fallback", fallback->stats());
     std::printf("%-8s tol frontier:", name);
     for (size_t a : tol->stats().active_pairs_history) {
       std::printf(" %zu", a);
     }
     std::printf("\n");
   }
-  // Dense engine: label-class index (core/dense_index.h) vs the per-visit
-  // lookup fallback on the yeast-scale labeled config, cross-checked over
-  // the full |V|² matrix. Recorded under the "dense" section.
-  std::printf("\ndense    path      build      iterate    speedup\n");
+  // Dense engine: the label-class indexed loop (core/dense_index.h) on the
+  // yeast-scale labeled config. Recorded under the "dense" section.
+  std::printf("\ndense    build      iterate\n");
   for (SimVariant variant :
        {SimVariant::kSimple, SimVariant::kDegreePreserving, SimVariant::kBi,
         SimVariant::kBijective}) {
     FSimConfig config = BaseConfig(variant);
     config.theta = 1.0;
-
-    config.neighbor_index_budget_bytes = 1ULL << 30;
     auto indexed = ComputeFSimDense(g, g, config);
-    config.neighbor_index_budget_bytes = 0;
-    auto fallback = ComputeFSimDense(g, g, config);
-    if (!indexed.ok() || !fallback.ok()) {
+    if (!indexed.ok()) {
       std::fprintf(stderr, "fatal: dense phase-timing run failed\n");
       std::abort();
     }
-    double max_diff = 0.0;
-    for (size_t i = 0; i < indexed->values().size(); ++i) {
-      max_diff = std::max(max_diff, std::abs(indexed->values()[i] -
-                                             fallback->values()[i]));
-    }
-    if (!indexed->stats().used_neighbor_index || max_diff > 1e-12) {
-      std::fprintf(
-          stderr,
-          "fatal: dense indexed/fallback mismatch (indexed=%d diff=%g)\n",
-          indexed->stats().used_neighbor_index, max_diff);
-      std::abort();
-    }
-
     const char* name = SimVariantName(variant);
     json.AddDense(std::string(name) + "/indexed", indexed->stats());
-    json.AddDense(std::string(name) + "/fallback", fallback->stats());
-    std::printf("%-8s indexed   %-10s %-10s %.2fx\n", name,
+    std::printf("%-8s %-10s %-10s\n", name,
                 bench::FormatSeconds(indexed->stats().build_seconds).c_str(),
-                bench::FormatSeconds(indexed->stats().iterate_seconds).c_str(),
-                fallback->stats().iterate_seconds /
-                    indexed->stats().iterate_seconds);
-    std::printf("%-8s fallback  %-10s %-10s\n", name,
-                bench::FormatSeconds(fallback->stats().build_seconds).c_str(),
-                bench::FormatSeconds(fallback->stats().iterate_seconds).c_str());
+                bench::FormatSeconds(indexed->stats().iterate_seconds).c_str());
   }
 
   // Thread-count sweep: the indexed (exact active set) and tolerance paths
@@ -500,7 +464,6 @@ void RunPhaseTimings() {
           SimVariant::kBijective}) {
       FSimConfig config = BaseConfig(variant);
       config.theta = 1.0;
-      config.neighbor_index_budget_bytes = 1ULL << 30;
       const double w = config.w_out + config.w_in;
       auto base_indexed = ComputeFSim(g, g, config);
       config.active_set = ActiveSetMode::kTolerance;

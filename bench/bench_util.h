@@ -117,7 +117,6 @@ class PhaseTimingsJson {
     double iterate_seconds = 0.0;
     uint32_t iterations = 0;
     size_t maintained_pairs = 0;
-    bool used_neighbor_index = false;
     // Threads the run used; recorded per entry so the history gate never
     // compares runs at different thread counts (thread-suffixed names keep
     // the metric paths distinct too).
@@ -192,7 +191,6 @@ class PhaseTimingsJson {
                   stats.iterate_seconds,
                   stats.iterations,
                   stats.maintained_pairs,
-                  stats.used_neighbor_index,
                   num_threads,
                   stats.active_set,
                   stats.frozen_fraction,
@@ -209,11 +207,9 @@ class PhaseTimingsJson {
       std::fprintf(f,
                    "    \"%s\": {\"build_seconds\": %.6f, "
                    "\"iterate_seconds\": %.6f, \"iterations\": %u, "
-                   "\"maintained_pairs\": %zu, "
-                   "\"used_neighbor_index\": %s, \"num_threads\": %d",
+                   "\"maintained_pairs\": %zu, \"num_threads\": %d",
                    r.name.c_str(), r.build_seconds, r.iterate_seconds,
-                   r.iterations, r.maintained_pairs,
-                   r.used_neighbor_index ? "true" : "false", r.num_threads);
+                   r.iterations, r.maintained_pairs, r.num_threads);
       if (r.active_set) {
         // Only active-set runs carry the frontier telemetry, so older
         // consumers of the fixed-field records keep parsing unchanged.

@@ -41,7 +41,6 @@ struct StreamReport {
   size_t full_evals = 0;  // pair evaluations of one from-scratch solve
   size_t edits = 0;
   int num_threads = 1;
-  bool used_neighbor_index = false;
 };
 
 StreamReport RunStream(const Graph& g, double theta, int num_edits,
@@ -63,7 +62,6 @@ StreamReport RunStream(const Graph& g, double theta, int num_edits,
     std::fprintf(stderr, "fatal: %s\n", inc.status().ToString().c_str());
     std::abort();
   }
-  report.used_neighbor_index = inc->uses_neighbor_index();
 
   Rng rng(seed);
   std::vector<double> edit_ms;
@@ -145,12 +143,11 @@ bool WriteBenchJson(const std::string& path,
         "\"max_edit_ms\": %.4f, \"avg_graph_patch_ms\": %.5f, "
         "\"avg_index_patch_ms\": %.5f, \"avg_propagate_ms\": %.4f, "
         "\"avg_recomputed\": %.1f, \"edits\": %zu, \"num_threads\": %d, "
-        "\"used_neighbor_index\": %s, \"end_drift\": %.3e}%s\n",
+        "\"end_drift\": %.3e}%s\n",
         reports[i].first.c_str(), r.full_solve_s, r.median_edit_ms,
         r.avg_edit_ms, r.max_edit_ms, r.avg_graph_patch_ms,
         r.avg_index_patch_ms, r.avg_propagate_ms, r.avg_recomputed, r.edits,
-        r.num_threads, r.used_neighbor_index ? "true" : "false",
-        r.final_max_diff, i + 1 < reports.size() ? "," : "");
+        r.num_threads, r.final_max_diff, i + 1 < reports.size() ? "," : "");
   }
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);

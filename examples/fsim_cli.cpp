@@ -132,14 +132,9 @@ int RunValidate(const Graph& graph1, const Graph& target, FSimConfig config) {
   }
   report("DynamicGraph::ValidateAdjacency", dg1.ValidateAdjacency());
 
-  // Batch CSR neighbor index. Force a budget so the index actually builds
-  // even when the run config leaves it off.
+  // Batch CSR neighbor index.
   LabelSimilarityCache lsim(*graph1.dict(), config.label_sim);
-  FSimConfig store_config = config;
-  if (store_config.neighbor_index_budget_bytes == 0) {
-    store_config.neighbor_index_budget_bytes = 1ULL << 30;
-  }
-  auto store = PairStore::Build(graph1, target, store_config, lsim);
+  auto store = PairStore::Build(graph1, target, config, lsim);
   if (!store.ok()) {
     report("PairStore::Build", store.status());
   } else {
@@ -159,8 +154,12 @@ int RunValidate(const Graph& graph1, const Graph& target, FSimConfig config) {
     DynamicGraph edit_g2(target);
     const NeighborIndexEnv env{edit_g1, edit_g2, pair_index, lsim};
     IncrementalNeighborIndex inc;
-    inc.Build(env, keys, store_config);
-    report("IncrementalNeighborIndex::Validate", inc.Validate(keys.size()));
+    const Status built = inc.Build(env, keys, config);
+    if (!built.ok()) {
+      report("IncrementalNeighborIndex::Build", built);
+    } else {
+      report("IncrementalNeighborIndex::Validate", inc.Validate(keys.size()));
+    }
   }
 
   // Work-stealing scheduler accounting, after a real parallel region.

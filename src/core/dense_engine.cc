@@ -84,10 +84,9 @@ Result<DenseFSimScores> ComputeFSimDense(const Graph& g1, const Graph& g2,
   ThreadPool pool(config.num_threads);
 
   // Label-class index (core/dense_index.h): compatibility bitsets, hoisted
-  // label terms and class-grouped adjacency. Budget-gated; nullopt runs the
-  // per-visit lookup fallback below with identical scores.
-  const std::optional<DenseIndex> index =
-      DenseIndex::Build(g1, g2, config, lsim);
+  // label terms and class-grouped adjacency, under the budget ceiling.
+  FSIM_ASSIGN_OR_RETURN(const DenseIndex index,
+                        DenseIndex::Build(g1, g2, config, lsim));
 
   // Vectorized kernel level for this run (docs/performance.md "Vectorized
   // tile kernels"). Every level is value-equivalent: the max-family tile
@@ -97,7 +96,6 @@ Result<DenseFSimScores> ComputeFSimDense(const Graph& g1, const Graph& g2,
   const simd::SimdKernels& kern = simd::KernelsFor(simd_level);
 
   const OperatorConfig op = config.operators();
-  const double label_weight = 1.0 - config.w_out - config.w_in;
   const uint32_t max_iters = FSimIterationBound(config);
   const uint32_t num_threads = static_cast<uint32_t>(config.num_threads);
   const bool use_out = config.w_out > 0.0;
@@ -105,12 +103,9 @@ Result<DenseFSimScores> ComputeFSimDense(const Graph& g1, const Graph& g2,
 
   // g2's label row as gather indices, shared by the kLabelSim seeding and
   // the combine kernel's label-term gather.
-  AlignedVector<int32_t> labels2;
-  if (index || config.init == InitKind::kLabelSim) {
-    labels2.resize(n2);
-    for (size_t v = 0; v < n2; ++v) {
-      labels2[v] = static_cast<int32_t>(g2.Label(static_cast<NodeId>(v)));
-    }
+  AlignedVector<int32_t> labels2(n2);
+  for (size_t v = 0; v < n2; ++v) {
+    labels2[v] = static_cast<int32_t>(g2.Label(static_cast<NodeId>(v)));
   }
 
   // SoA candidate panels for the vectorized max-family tile path
@@ -120,8 +115,7 @@ Result<DenseFSimScores> ComputeFSimDense(const Graph& g1, const Graph& g2,
   // per-pair matching/sum work dominates there), as does FSIM_SIMD=off —
   // which therefore stays the exact pre-panel code path the equivalence
   // tests diff against.
-  const bool simd_tiles = index.has_value() &&
-                          simd_level != simd::SimdLevel::kScalar &&
+  const bool simd_tiles = simd_level != simd::SimdLevel::kScalar &&
                           (op.mapping == MappingKind::kMaxPerRow ||
                            op.mapping == MappingKind::kMaxBothSides);
   std::optional<simd::TilePanelSet> out_panels;
@@ -129,20 +123,20 @@ Result<DenseFSimScores> ComputeFSimDense(const Graph& g1, const Graph& g2,
   uint32_t panel_max_slots = 0;
   FSimStats stats;
   if (simd_tiles) {
-    const ClassCompatView compat = index->table().view();
-    const size_t classes = index->table().num_classes();
+    const ClassCompatView compat = index.table().view();
+    const size_t classes = index.table().num_classes();
     const bool with_inv = op.mapping == MappingKind::kMaxBothSides;
     if (use_out) {
       out_panels = simd::BuildTilePanelSet(
           n2, kDenseVTile, classes, compat, with_inv,
-          [&](NodeId v) { return index->Out2(v); });
+          [&](NodeId v) { return index.Out2(v); });
       panel_max_slots = std::max(panel_max_slots, out_panels->max_slots);
       stats.simd_panel_bytes += out_panels->MemoryBytes();
     }
     if (use_in) {
       in_panels = simd::BuildTilePanelSet(
           n2, kDenseVTile, classes, compat, with_inv,
-          [&](NodeId v) { return index->In2(v); });
+          [&](NodeId v) { return index.In2(v); });
       panel_max_slots = std::max(panel_max_slots, in_panels->max_slots);
       stats.simd_panel_bytes += in_panels->MemoryBytes();
     }
@@ -198,19 +192,9 @@ Result<DenseFSimScores> ComputeFSimDense(const Graph& g1, const Graph& g2,
 
   stats.theta_candidates = total;
   stats.maintained_pairs = total;
-  stats.used_neighbor_index = index.has_value();
-  stats.neighbor_index_bytes = index ? index->MemoryBytes() : 0;
+  stats.neighbor_index_bytes = index.MemoryBytes();
   stats.simd_level = static_cast<uint32_t>(simd_level);
   stats.build_seconds = build_timer.Seconds();
-
-  // Fallback score source: previous-iteration value, negative marking
-  // label-incompatible pairs that the mapping operators must not use
-  // (Remark 2). The dense matrix holds a value for such pairs, but it never
-  // flows through Mχ. The indexed path never enumerates them instead.
-  auto lookup = [&](NodeId x, NodeId y) -> double {
-    if (!lsim.Compatible(g1.Label(x), g2.Label(y), config.theta)) return -1.0;
-    return prev[static_cast<size_t>(x) * n2 + y];
-  };
 
   Timer iterate_timer;
   std::vector<MatchingScratch> scratch(num_threads);
@@ -283,7 +267,7 @@ Result<DenseFSimScores> ComputeFSimDense(const Graph& g1, const Graph& g2,
   // per-pair operator inlines switch-free into the tile loop.
   auto evaluate_chunk_indexed = [&]<MappingKind M>(int worker, size_t begin,
                                                    size_t end) {
-    const DenseIndex& di = *index;
+    const DenseIndex& di = index;
     const LabelClassTable& table = di.table();
     const ClassCompatView compat = table.view();
     MatchingScratch* worker_scratch = &scratch[worker];
@@ -350,7 +334,7 @@ Result<DenseFSimScores> ComputeFSimDense(const Graph& g1, const Graph& g2,
     static_assert(M == MappingKind::kMaxPerRow ||
                   M == MappingKind::kMaxBothSides);
     constexpr bool kBothSides = M == MappingKind::kMaxBothSides;
-    const DenseIndex& di = *index;
+    const DenseIndex& di = index;
     const LabelClassTable& table = di.table();
     MatchingScratch* worker_scratch = &scratch[worker];
     PanelScratch& ps = panel_scratch[worker];
@@ -469,39 +453,6 @@ Result<DenseFSimScores> ComputeFSimDense(const Graph& g1, const Graph& g2,
     }
   };
 
-  // Lookup fallback: the seed-era per-visit path, kept verbatim as the
-  // reference the indexed path is differentially tested against.
-  auto evaluate_chunk_lookup = [&](int worker, size_t begin, size_t end) {
-    MatchingScratch* worker_scratch = &scratch[worker];
-    double chunk_delta = 0.0;
-    for (size_t u_index = begin; u_index < end; ++u_index) {
-      const NodeId u = static_cast<NodeId>(u_index);
-      double* out_row = curr.data() + u_index * n2;
-      for (NodeId v = 0; v < n2; ++v) {
-        double value;
-        if (config.pin_diagonal && u == v) {
-          value = 1.0;
-        } else {
-          const double out_score =
-              DirectionScore(op, config.matching, g1.OutNeighbors(u),
-                             g2.OutNeighbors(v), lookup, worker_scratch);
-          const double in_score =
-              DirectionScore(op, config.matching, g1.InNeighbors(u),
-                             g2.InNeighbors(v), lookup, worker_scratch);
-          value = config.w_out * out_score + config.w_in * in_score +
-                  label_weight *
-                      LabelTermValue(config, lsim, g1.Label(u), g2.Label(v));
-        }
-        out_row[v] = value;
-        chunk_delta =
-            std::max(chunk_delta, std::abs(value - prev[u_index * n2 + v]));
-      }
-    }
-    if (chunk_delta > worker_delta[worker].value) {
-      worker_delta[worker].value = chunk_delta;
-    }
-  };
-
   // Pre-reserve so the per-iteration push never reallocates mid-loop.
   if (config.record_delta_history) stats.delta_history.reserve(max_iters);
 
@@ -513,10 +464,6 @@ Result<DenseFSimScores> ComputeFSimDense(const Graph& g1, const Graph& g2,
     // would pay on the dense matrix.
     pool.ParallelForChunked(
         n1, kDenseRowGrain, [&](int worker, size_t begin, size_t end) {
-          if (!index) {
-            evaluate_chunk_lookup(worker, begin, end);
-            return;
-          }
           switch (op.mapping) {
             case MappingKind::kMaxPerRow:
               if (simd_tiles) {

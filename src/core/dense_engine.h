@@ -18,10 +18,11 @@
 // The iterate loop runs on the label-class index of core/dense_index.h —
 // per-class compatibility bitsets, a hoisted label-term table and
 // class-grouped adjacency, evaluated through DirectionScoreGrouped with the
-// v-loop tiled into cache-sized blocks — whenever it fits
-// FSimConfig::neighbor_index_budget_bytes; otherwise it falls back to the
-// per-visit label-check + dense-lookup path with identical scores
-// (FSimStats::used_neighbor_index reports which path ran).
+// v-loop tiled into cache-sized blocks. The index is held under the
+// FSimConfig::neighbor_index_budget_bytes ceiling: a run it cannot fit
+// fails with ResourceExhausted. tests/naive_fsim.h keeps the per-visit
+// label-check + lookup evaluation of Equation 3 as the oracle the engine is
+// checked against.
 #ifndef FSIM_CORE_DENSE_ENGINE_H_
 #define FSIM_CORE_DENSE_ENGINE_H_
 
@@ -78,7 +79,9 @@ class DenseFSimScores {
 ///
 /// Restrictions: upper-bound updating is not supported in dense mode
 /// (config.upper_bound must be false — pruning is exactly what dense mode
-/// ablates away), and |V1| * |V2| must not exceed config.pair_limit.
+/// ablates away), |V1| * |V2| must not exceed config.pair_limit, and the
+/// label-class index must fit config.neighbor_index_budget_bytes
+/// (ResourceExhausted otherwise).
 Result<DenseFSimScores> ComputeFSimDense(const Graph& g1, const Graph& g2,
                                          const FSimConfig& config);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "common/string_util.h"
 #include "core/init_value.h"
 
 namespace fsim {
@@ -102,11 +103,9 @@ GroupedAdjacency GroupedAdjacency::Build(const Graph& g, bool out,
   return adj;
 }
 
-std::optional<DenseIndex> DenseIndex::Build(const Graph& g1, const Graph& g2,
-                                            const FSimConfig& config,
-                                            const LabelSimilarityCache& lsim) {
-  if (config.neighbor_index_budget_bytes == 0) return std::nullopt;
-
+Result<DenseIndex> DenseIndex::Build(const Graph& g1, const Graph& g2,
+                                     const FSimConfig& config,
+                                     const LabelSimilarityCache& lsim) {
   // Upper bound: the class table is quadratic in |Σ|, the grouped
   // adjacency linear in |E| (run count <= |E|) plus the dense per-node
   // class index of |V| * (|Σ|+1) offsets.
@@ -124,7 +123,13 @@ std::optional<DenseIndex> DenseIndex::Build(const Graph& g1, const Graph& g2,
                        config.label_term != LabelTermKind::kZero);
   if (config.w_out > 0.0) estimate += adjacency_bytes(g1) + adjacency_bytes(g2);
   if (config.w_in > 0.0) estimate += adjacency_bytes(g1) + adjacency_bytes(g2);
-  if (estimate > config.neighbor_index_budget_bytes) return std::nullopt;
+  if (estimate > config.neighbor_index_budget_bytes) {
+    return Status::ResourceExhausted(StrFormat(
+        "dense label-class index needs up to %llu bytes, over "
+        "neighbor_index_budget_bytes %llu",
+        static_cast<unsigned long long>(estimate),
+        static_cast<unsigned long long>(config.neighbor_index_budget_bytes)));
+  }
 
   DenseIndex index(LabelClassTable(*g1.dict(), lsim, config, label_weight));
   if (config.w_out > 0.0) {

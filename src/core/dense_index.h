@@ -17,19 +17,18 @@
 //    whole incompatible classes instead of testing the full
 //    N±(u) x N±(v) cross product.
 //
-// DenseIndex bundles both, budget-gated by
-// FSimConfig::neighbor_index_budget_bytes (the |Σ|² label-term table is
-// the quadratic part); when it does not fit, ComputeFSimDense falls back
-// to the original per-visit lookup path with identical scores.
+// DenseIndex bundles both under the FSimConfig::neighbor_index_budget_bytes
+// ceiling (the |Σ|² label-term table is the quadratic part); when it does
+// not fit, ComputeFSimDense fails with ResourceExhausted.
 #ifndef FSIM_CORE_DENSE_INDEX_H_
 #define FSIM_CORE_DENSE_INDEX_H_
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "common/aligned.h"
+#include "common/result.h"
 #include "core/fsim_config.h"
 #include "core/operators.h"
 #include "graph/graph.h"
@@ -145,12 +144,11 @@ class GroupedAdjacency {
 /// grouped adjacency of every direction a run evaluates.
 class DenseIndex {
  public:
-  /// Builds the index, or returns nullopt when the estimated footprint
-  /// exceeds config.neighbor_index_budget_bytes (or the budget is 0) — the
-  /// engine then runs the per-visit lookup fallback.
-  static std::optional<DenseIndex> Build(const Graph& g1, const Graph& g2,
-                                         const FSimConfig& config,
-                                         const LabelSimilarityCache& lsim);
+  /// Builds the index; ResourceExhausted, naming the estimated footprint
+  /// and the budget, when that exceeds config.neighbor_index_budget_bytes.
+  static Result<DenseIndex> Build(const Graph& g1, const Graph& g2,
+                                  const FSimConfig& config,
+                                  const LabelSimilarityCache& lsim);
 
   const LabelClassTable& table() const { return table_; }
 

@@ -164,18 +164,20 @@ struct FSimConfig {
   /// this (memory safety valve).
   uint64_t pair_limit = 100'000'000;
 
-  /// Memory budget for the pair-graph CSR neighbor index (bytes). The index
-  /// materializes, per maintained pair, the label-compatible candidate pairs
-  /// of N±(u) x N±(v) as direct score-array references, eliminating every
-  /// per-lookup hash probe and label check from the iterate loop. When the
-  /// estimated footprint exceeds the budget the engine silently falls back
-  /// to hash lookups (identical scores, slower iterations). 0 disables the
-  /// index.
+  /// Memory ceiling for the neighbor index every engine iterates through
+  /// (bytes): the sparse engines' pair-graph CSR index, which materializes
+  /// per maintained pair the label-compatible candidate pairs of
+  /// N±(u) x N±(v) as direct score-array references; the incremental
+  /// engine's editable span arena; the dense engine's label-class index.
+  /// A run whose index bound exceeds it fails with ResourceExhausted naming
+  /// the bytes it needs, and an incremental edge insert that could grow the
+  /// arena past it is rejected before the graph changes. Must be positive.
   uint64_t neighbor_index_budget_bytes = 1ULL << 30;
 
-  /// Iterate-loop scheduling (see ActiveSetMode). Requires the CSR neighbor
-  /// index (its spans double as the reverse-dependency lists); when the
-  /// index is not materialized the engine runs full sweeps regardless.
+  /// Iterate-loop scheduling (see ActiveSetMode). The CSR neighbor index's
+  /// spans double as the reverse-dependency lists; when only the widened
+  /// span layout would exceed the budget, the index is built
+  /// evaluation-only and the engine runs full sweeps regardless.
   /// kExact is the default: it is bit-identical to full sweeps and on
   /// converging workloads freezes most pairs after the first few
   /// iterations (FSimStats::active_pairs_history / frozen_fraction).

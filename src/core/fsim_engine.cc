@@ -55,6 +55,11 @@ Status ValidateFSimConfig(const Graph& g1, const Graph& g2,
     return Status::InvalidArgument(
         "active_set_activation_fraction must be in [0, 1]");
   }
+  if (config.neighbor_index_budget_bytes == 0) {
+    return Status::InvalidArgument(
+        "neighbor_index_budget_bytes must be positive (every engine "
+        "iterates through its neighbor index)");
+  }
   if (config.iterate_grain == 0) {
     return Status::InvalidArgument("iterate_grain must be >= 1");
   }
@@ -82,11 +87,8 @@ Result<FSimScores> ComputeFSim(const Graph& g1, const Graph& g2,
   stats.theta_candidates = store.info().theta_candidates;
   stats.maintained_pairs = store.info().kept;
   stats.pruned_pairs = store.info().pruned;
-  stats.used_neighbor_index = store.has_neighbor_index();
-  stats.neighbor_index_bytes =
-      store.has_neighbor_index() ? store.NeighborIndexBytes() : 0;
-  stats.packed_neighbor_refs =
-      store.has_neighbor_index() && store.packed_refs();
+  stats.neighbor_index_bytes = store.NeighborIndexBytes();
+  stats.packed_neighbor_refs = store.packed_refs();
   stats.neighbor_index_peak_staging_bytes = store.info().peak_staging_bytes;
   stats.neighbor_index_bounded_build = store.info().bounded_staging_build;
   stats.build_seconds = build_timer.Seconds();

@@ -22,16 +22,13 @@ struct FSimStats {
   double final_delta = 0.0;
   double build_seconds = 0.0;
   double iterate_seconds = 0.0;
-  /// True when the iterate loop ran on the pair-graph CSR neighbor index
-  /// (false: hash-lookup fallback, e.g. budget exceeded or index disabled).
-  bool used_neighbor_index = false;
-  /// Heap footprint of the neighbor index (0 when not materialized).
+  /// Heap footprint of the neighbor index the iterate loop ran on.
   size_t neighbor_index_bytes = 0;
   /// True when the index used the packed 8-byte entry layout (16-bit
   /// row/col; degree-bounded graphs only).
   bool packed_neighbor_refs = false;
   /// Peak transient bytes held by the index build's per-chunk staging
-  /// buffers (0 when the bounded count-then-fill build ran, or no index).
+  /// buffers (0 when the bounded count-then-fill build ran).
   size_t neighbor_index_peak_staging_bytes = 0;
   /// True when the index was built with the bounded (no-staging,
   /// classify-twice) passes because one-pass staging would have pushed peak
@@ -42,7 +39,9 @@ struct FSimStats {
   /// decreasing).
   std::vector<double> delta_history;
   /// True when the iterate loop ran under active-set scheduling
-  /// (FSimConfig::active_set != kOff and the CSR neighbor index present).
+  /// (FSimConfig::active_set != kOff and the neighbor index carries
+  /// reverse-dependency spans — it does not when only the widened span
+  /// layout would have exceeded the budget).
   bool active_set = false;
   /// Pairs evaluated per iteration under active-set scheduling (the first
   /// entry is the full maintained-pair count; later entries shrink as

@@ -7,23 +7,13 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/fsim_engine.h"
+#include "core/init_value.h"
 #include "core/operators.h"
 #include "core/pair_evaluator.h"
 #include "core/pair_store.h"
 #include "obs/trace.h"
 
 namespace fsim {
-
-namespace {
-
-/// The sharpened per-entry influence bound of one direction of a dependent
-/// pair (see PushDependents in the header) — the shared operators.h
-/// definition, kept under its historical local name.
-double InfluenceFactor(const OperatorConfig& op, size_t n1, size_t n2) {
-  return PairInfluenceFactor(op, n1, n2);
-}
-
-}  // namespace
 
 IncrementalFSim::IncrementalFSim(const Graph& g1, const Graph& g2,
                                  FSimConfig config, IncrementalOptions options)
@@ -99,25 +89,16 @@ Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
   for (size_t i = 0; i < inc.keys_.size(); ++i) {
     const NodeId u = PairFirst(inc.keys_[i]);
     const NodeId v = PairSecond(inc.keys_[i]);
-    inc.influence_factor_out_[i] =
-        InfluenceFactor(inc.op_, inc.g1_.OutDegree(u), inc.g2_.OutDegree(v));
-    inc.influence_factor_in_[i] =
-        InfluenceFactor(inc.op_, inc.g1_.InDegree(u), inc.g2_.InDegree(v));
-    double label_term = 0.0;
-    switch (inc.config_.label_term) {
-      case LabelTermKind::kLabelSim:
-        label_term = inc.lsim_.Sim(inc.g1_.Label(u), inc.g2_.Label(v));
-        break;
-      case LabelTermKind::kZero:
-        label_term = 0.0;
-        break;
-      case LabelTermKind::kOne:
-        label_term = 1.0;
-        break;
-    }
-    inc.const_term_[i] = label_weight * label_term;
+    inc.influence_factor_out_[i] = PairInfluenceFactor(
+        inc.op_, inc.g1_.OutDegree(u), inc.g2_.OutDegree(v));
+    inc.influence_factor_in_[i] = PairInfluenceFactor(
+        inc.op_, inc.g1_.InDegree(u), inc.g2_.InDegree(v));
+    inc.const_term_[i] =
+        label_weight * LabelTermValue(inc.config_, inc.lsim_,
+                                      inc.g1_.Label(u), inc.g2_.Label(v));
   }
-  inc.nbr_index_.Build(inc.IndexEnv(), inc.keys_, inc.config_);
+  FSIM_RETURN_NOT_OK(
+      inc.nbr_index_.Build(inc.IndexEnv(), inc.keys_, inc.config_));
   // Warm start: overwrite the FSim^0 initialization with the seed's values
   // when the keysets agree exactly. Any mismatch (different graphs, config,
   // or a truncated snapshot) keeps the cold initialization — correctness
@@ -133,33 +114,17 @@ double IncrementalFSim::ComputeDirection(size_t i, int dir,
                                          MatchingScratch* scratch) {
   const NodeId u = PairFirst(keys_[i]);
   const NodeId v = PairSecond(keys_[i]);
-  if (nbr_index_.enabled()) {
-    const double* vals = values_.data();
-    auto score_of = [vals](uint32_t ref) -> double { return vals[ref]; };
-    if (dir == IncrementalNeighborIndex::kOut) {
-      return DirectionScoreIndexed(
-          op_, config_.matching, g1_.OutDegree(u), g2_.OutDegree(v),
-          nbr_index_.Refs(i, IncrementalNeighborIndex::kOut), score_of,
-          scratch);
-    }
+  const double* vals = values_.data();
+  auto score_of = [vals](uint32_t ref) -> double { return vals[ref]; };
+  if (dir == IncrementalNeighborIndex::kOut) {
     return DirectionScoreIndexed(
-        op_, config_.matching, g1_.InDegree(u), g2_.InDegree(v),
-        nbr_index_.Refs(i, IncrementalNeighborIndex::kIn), score_of,
+        op_, config_.matching, g1_.OutDegree(u), g2_.OutDegree(v),
+        nbr_index_.Refs(i, IncrementalNeighborIndex::kOut), score_of,
         scratch);
   }
-  auto lookup = [&](NodeId x, NodeId y) -> double {
-    if (!lsim_.Compatible(g1_.Label(x), g2_.Label(y), config_.theta)) {
-      return -1.0;
-    }
-    uint32_t idx = index_.Find(PairKey(x, y));
-    return idx == FlatPairMap::kNotFound ? 0.0 : values_[idx];
-  };
-  if (dir == IncrementalNeighborIndex::kOut) {
-    return DirectionScore(op_, config_.matching, g1_.OutNeighbors(u),
-                          g2_.OutNeighbors(v), lookup, scratch);
-  }
-  return DirectionScore(op_, config_.matching, g1_.InNeighbors(u),
-                        g2_.InNeighbors(v), lookup, scratch);
+  return DirectionScoreIndexed(
+      op_, config_.matching, g1_.InDegree(u), g2_.InDegree(v),
+      nbr_index_.Refs(i, IncrementalNeighborIndex::kIn), score_of, scratch);
 }
 
 double IncrementalFSim::EvaluateDirty(size_t i, uint8_t dirty,
@@ -195,8 +160,8 @@ class IncrementalFSim::SolveSpace {
   void CommitPair(size_t i) { inc_.values_[i] = next_[i]; }
 
   /// The maintained index materializes both directions of every pair, so
-  /// its spans are reverse-dependency lists whenever it is enabled...
-  bool reverse_spans() const { return inc_.nbr_index_.enabled(); }
+  /// its spans are reverse-dependency lists...
+  bool reverse_spans() const { return true; }
   /// ...except for pinned diagonal pairs, which it leaves empty.
   bool pinned_pairs_spanned() const { return false; }
   template <typename F>
@@ -259,51 +224,22 @@ void IncrementalFSim::AddPendingIn(uint32_t idx, double influence) {
 }
 
 void IncrementalFSim::PushDependents(size_t i, double delta) {
-  if (nbr_index_.enabled()) {
-    // Pair i's own spans double as its dependent lists: the in-span refs
-    // are the maintained pairs (x, y) with x ∈ N-(u), y ∈ N-(v) — exactly
-    // the pairs whose out-direction reads (u, v) — and symmetrically for
-    // the out-span. The ref walk replaces |N±(u)|·|N±(v)| hash probes.
-    if (config_.w_out > 0.0) {
-      const double base = config_.w_out * delta;
-      for (const NeighborRef& e :
-           nbr_index_.Refs(i, IncrementalNeighborIndex::kIn)) {
-        AddPendingOut(e.ref, base * influence_factor_out_[e.ref]);
-      }
-    }
-    if (config_.w_in > 0.0) {
-      const double base = config_.w_in * delta;
-      for (const NeighborRef& e :
-           nbr_index_.Refs(i, IncrementalNeighborIndex::kOut)) {
-        AddPendingIn(e.ref, base * influence_factor_in_[e.ref]);
-      }
-    }
-    return;
-  }
-  const NodeId u = PairFirst(keys_[i]);
-  const NodeId v = PairSecond(keys_[i]);
-  // (u, v) is read by the out-direction of pairs in N-(u) x N-(v), where it
-  // can move the result by at most w+ * c * delta / Ωχ of that dependent
-  // (the sharpened Lipschitz bound, see the header) ...
+  // Pair i's own spans double as its dependent lists: the in-span refs are
+  // the maintained pairs (x, y) with x ∈ N-(u), y ∈ N-(v) — exactly the
+  // pairs whose out-direction reads (u, v) — and symmetrically for the
+  // out-span.
   if (config_.w_out > 0.0) {
     const double base = config_.w_out * delta;
-    for (NodeId up : g1_.InNeighbors(u)) {
-      for (NodeId vp : g2_.InNeighbors(v)) {
-        const uint32_t idx = index_.Find(PairKey(up, vp));
-        if (idx == FlatPairMap::kNotFound) continue;
-        AddPendingOut(idx, base * influence_factor_out_[idx]);
-      }
+    for (const NeighborRef& e :
+         nbr_index_.Refs(i, IncrementalNeighborIndex::kIn)) {
+      AddPendingOut(e.ref, base * influence_factor_out_[e.ref]);
     }
   }
-  // ... and by the in-direction of pairs in N+(u) x N+(v).
   if (config_.w_in > 0.0) {
     const double base = config_.w_in * delta;
-    for (NodeId up : g1_.OutNeighbors(u)) {
-      for (NodeId vp : g2_.OutNeighbors(v)) {
-        const uint32_t idx = index_.Find(PairKey(up, vp));
-        if (idx == FlatPairMap::kNotFound) continue;
-        AddPendingIn(idx, base * influence_factor_in_[idx]);
-      }
+    for (const NeighborRef& e :
+         nbr_index_.Refs(i, IncrementalNeighborIndex::kOut)) {
+      AddPendingIn(e.ref, base * influence_factor_in_[e.ref]);
     }
   }
 }
@@ -468,8 +404,14 @@ Status IncrementalFSim::ApplyEdit(int graph_index, NodeId from, NodeId to,
   last_edit_ = EditStats{};
   Timer edit_timer;
   DynamicGraph& target = graph_index == 1 ? g1_ : g2_;
-  // A rejected edit (duplicate insert, absent removal, bad endpoint) leaves
-  // the adjacency, index and scores untouched.
+  // A rejected edit (duplicate insert, absent removal, bad endpoint, or an
+  // insert whose span growth could pass the index budget) leaves the
+  // adjacency, index and scores untouched. Removals never grow spans.
+  if (insert && from < target.NumNodes() && to < target.NumNodes() &&
+      !target.HasEdge(from, to)) {
+    FSIM_RETURN_NOT_OK(
+        nbr_index_.CheckGrowth(InsertGrowthBound(graph_index, from, to)));
+  }
   FSIM_RETURN_NOT_OK(insert ? target.InsertEdge(from, to)
                             : target.RemoveEdge(from, to));
   last_edit_.graph_rebuild_seconds = edit_timer.Seconds();
@@ -478,49 +420,38 @@ Status IncrementalFSim::ApplyEdit(int graph_index, NodeId from, NodeId to,
   // changes N+(from) and N-(to), so the out-spans (and out-direction Ωχ
   // factors) of row `from` and the in-spans/factors of row `to`; a graph-2
   // edit the same per column. (For a self-loop from == to both loops walk
-  // the same row/column, re-staging its two distinct directions.) The
-  // influence factors are refreshed even when the index is over budget —
-  // the hash fallback shares the sharpened propagation bound.
+  // the same row/column, re-staging its two distinct directions.)
   Timer patch_timer;
-  const bool indexed = nbr_index_.enabled();
   const NeighborIndexEnv env = IndexEnv();
   const uint64_t restaged_before = nbr_index_.restaged_spans();
   const OperatorConfig& op = op_;
   if (graph_index == 1) {
     for (uint32_t i = row_offsets_[from]; i < row_offsets_[from + 1]; ++i) {
       const NodeId v = PairSecond(keys_[i]);
-      if (indexed) {
-        nbr_index_.Restage(i, IncrementalNeighborIndex::kOut, from, v, env);
-      }
+      nbr_index_.Restage(i, IncrementalNeighborIndex::kOut, from, v, env);
       influence_factor_out_[i] =
-          InfluenceFactor(op, g1_.OutDegree(from), g2_.OutDegree(v));
+          PairInfluenceFactor(op, g1_.OutDegree(from), g2_.OutDegree(v));
     }
     for (uint32_t i = row_offsets_[to]; i < row_offsets_[to + 1]; ++i) {
       const NodeId v = PairSecond(keys_[i]);
-      if (indexed) {
-        nbr_index_.Restage(i, IncrementalNeighborIndex::kIn, to, v, env);
-      }
+      nbr_index_.Restage(i, IncrementalNeighborIndex::kIn, to, v, env);
       influence_factor_in_[i] =
-          InfluenceFactor(op, g1_.InDegree(to), g2_.InDegree(v));
+          PairInfluenceFactor(op, g1_.InDegree(to), g2_.InDegree(v));
     }
   } else {
     for (uint32_t c = col_offsets_[from]; c < col_offsets_[from + 1]; ++c) {
       const uint32_t i = col_pairs_[c];
       const NodeId u = PairFirst(keys_[i]);
-      if (indexed) {
-        nbr_index_.Restage(i, IncrementalNeighborIndex::kOut, u, from, env);
-      }
+      nbr_index_.Restage(i, IncrementalNeighborIndex::kOut, u, from, env);
       influence_factor_out_[i] =
-          InfluenceFactor(op, g1_.OutDegree(u), g2_.OutDegree(from));
+          PairInfluenceFactor(op, g1_.OutDegree(u), g2_.OutDegree(from));
     }
     for (uint32_t c = col_offsets_[to]; c < col_offsets_[to + 1]; ++c) {
       const uint32_t i = col_pairs_[c];
       const NodeId u = PairFirst(keys_[i]);
-      if (indexed) {
-        nbr_index_.Restage(i, IncrementalNeighborIndex::kIn, u, to, env);
-      }
+      nbr_index_.Restage(i, IncrementalNeighborIndex::kIn, u, to, env);
       influence_factor_in_[i] =
-          InfluenceFactor(op, g1_.InDegree(u), g2_.InDegree(to));
+          PairInfluenceFactor(op, g1_.InDegree(u), g2_.InDegree(to));
     }
   }
   last_edit_.restaged_spans =
@@ -531,6 +462,31 @@ Status IncrementalFSim::ApplyEdit(int graph_index, NodeId from, NodeId to,
   // out-neighbor set and `to`'s in-neighbor set in the edited graph.
   SeedEndpointPairs(graph_index, from, to);
   return Propagate();
+}
+
+uint64_t IncrementalFSim::InsertGrowthBound(int graph_index, NodeId from,
+                                            NodeId to) const {
+  // A graph-1 insert adds row `to` (x = to) to every out-span (from, v),
+  // i.e. at most |N+(v)| candidates, and column `from` to every in-span
+  // (to, v), at most |N-(v)|; a graph-2 insert the same per column with
+  // graph 1's degrees.
+  uint64_t bound = 0;
+  if (graph_index == 1) {
+    for (uint32_t i = row_offsets_[from]; i < row_offsets_[from + 1]; ++i) {
+      bound += g2_.OutDegree(PairSecond(keys_[i]));
+    }
+    for (uint32_t i = row_offsets_[to]; i < row_offsets_[to + 1]; ++i) {
+      bound += g2_.InDegree(PairSecond(keys_[i]));
+    }
+  } else {
+    for (uint32_t c = col_offsets_[from]; c < col_offsets_[from + 1]; ++c) {
+      bound += g1_.OutDegree(PairFirst(keys_[col_pairs_[c]]));
+    }
+    for (uint32_t c = col_offsets_[to]; c < col_offsets_[to + 1]; ++c) {
+      bound += g1_.InDegree(PairFirst(keys_[col_pairs_[c]]));
+    }
+  }
+  return bound;
 }
 
 Status IncrementalFSim::InsertEdge(int graph_index, NodeId from, NodeId to) {
@@ -548,9 +504,7 @@ FSimScores IncrementalFSim::Snapshot() const {
   stats.maintained_pairs = keys_.size();
   stats.theta_candidates = keys_.size();
   stats.converged = converged_;
-  stats.used_neighbor_index = nbr_index_.enabled();
-  stats.neighbor_index_bytes =
-      nbr_index_.enabled() ? nbr_index_.MemoryBytes() : 0;
+  stats.neighbor_index_bytes = nbr_index_.MemoryBytes();
   return FSimScores(keys_, values_, index_, stats);
 }
 

@@ -29,8 +29,10 @@
 //    same order as the one re-evaluation the edit forces anyway;
 //  * evaluation and dependent-propagation both run over the index
 //    (DirectionScoreIndexed + contiguous ref walks) instead of per-neighbor
-//    hash probes and label checks; when the index exceeds its memory budget
-//    the engine falls back to the hash path with identical results.
+//    hash probes and label checks. FSimConfig::neighbor_index_budget_bytes
+//    is a ceiling: Create fails with ResourceExhausted when the index does
+//    not fit it, and an edge insert whose span growth could pass it is
+//    rejected with ResourceExhausted before the graph is touched.
 //
 // The initial solve in Create is the batch engines' own iterate loop
 // (ActiveSetDriver, core/pair_evaluator.h) run over this engine's table and
@@ -45,9 +47,9 @@
 //    candidate set depends only on labels, so it stays valid — which is also
 //    what keeps the maintained index's ref values stable under edits).
 //
-// Verified against full recomputation and against the hash fallback by the
-// property tests in tests/dynamic_test.cc; the work savings are quantified
-// by bench/exp_incremental (BENCH_incremental.json).
+// Verified against full recomputation by the property tests in
+// tests/dynamic_test.cc; the work savings are quantified by
+// bench/exp_incremental (BENCH_incremental.json).
 #ifndef FSIM_CORE_INCREMENTAL_H_
 #define FSIM_CORE_INCREMENTAL_H_
 
@@ -116,12 +118,19 @@ class IncrementalFSim {
   /// silently falls back to the cold FSim^0 initialization, so a stale or
   /// foreign seed can never corrupt the fixpoint (the contraction drives
   /// any starting point in [0,1] to the same result).
+  ///
+  /// Fails with ResourceExhausted, naming the bytes it needs, when the
+  /// maintained neighbor index cannot fit
+  /// config.neighbor_index_budget_bytes.
   static Result<IncrementalFSim> Create(Graph g1, Graph g2, FSimConfig config,
                                         IncrementalOptions options = {},
                                         const FSimScores* warm_seed = nullptr);
 
   /// Adds the directed edge from -> to in graph `graph_index` (1 or 2) and
   /// re-converges the affected scores. O(affected degree), not O(|V|+|E|).
+  /// ResourceExhausted when the edit's span growth bound could push the
+  /// neighbor index past config.neighbor_index_budget_bytes; like every
+  /// rejected edit, it leaves the graphs, index and scores untouched.
   Status InsertEdge(int graph_index, NodeId from, NodeId to);
 
   /// Removes the directed edge from -> to in graph `graph_index` (1 or 2)
@@ -164,9 +173,10 @@ class IncrementalFSim {
   /// the initial solve stopped above epsilon.
   bool converged() const { return converged_; }
 
-  /// True while the maintained pair-graph CSR neighbor index is active
-  /// (false: over budget at Create; evaluation uses hash lookups).
-  bool uses_neighbor_index() const { return nbr_index_.enabled(); }
+  /// The maintained pair-graph CSR neighbor index (read-only).
+  const IncrementalNeighborIndex& neighbor_index() const {
+    return nbr_index_;
+  }
 
   /// Work report of the most recent InsertEdge/RemoveEdge.
   const EditStats& last_edit_stats() const { return last_edit_; }
@@ -190,9 +200,9 @@ class IncrementalFSim {
   static constexpr uint8_t kDirtyIn = 2;
 
   /// One direction's Equation 3 contribution of pair i against the current
-  /// score table (through the maintained index when enabled; bit-identical
-  /// either way). dir is IncrementalNeighborIndex::kOut or kIn. `scratch`
-  /// is the caller's matching workspace (per worker under the pool).
+  /// score table, through the maintained index. dir is
+  /// IncrementalNeighborIndex::kOut or kIn. `scratch` is the caller's
+  /// matching workspace (per worker under the pool).
   double ComputeDirection(size_t i, int dir, MatchingScratch* scratch);
 
   /// The Equation 3 value of pair i, recomputing only the directions in
@@ -228,6 +238,12 @@ class IncrementalFSim {
   /// seeds the worklist.
   Status ApplyEdit(int graph_index, NodeId from, NodeId to, bool insert);
 
+  /// Upper bound on the index entries inserting edge (from, to) into graph
+  /// `graph_index` can add: the out-spans of row/column `from` each gain at
+  /// most the other graph's out-degree of their partner, the in-spans of
+  /// row/column `to` its in-degree. Endpoints must be in range.
+  uint64_t InsertGrowthBound(int graph_index, NodeId from, NodeId to) const;
+
   /// Residual-driven propagation: a change of magnitude `delta` at pair i
   /// moves a dependent's direction sum by at most c * delta (the mapping
   /// operators are 1-Lipschitz per entry; c = 2 for the both-sides mapping,
@@ -238,10 +254,9 @@ class IncrementalFSim {
   /// spans) and the dependent is re-evaluated only once its pending
   /// influence exceeds the tolerance — so the τ·(1+w)/(1-w) accuracy
   /// guarantee is preserved while hub-adjacent pairs (large Ωχ) absorb far
-  /// more sub-threshold traffic. With the index enabled the dependents are
-  /// read off pair i's own spans (the in-span refs are exactly the pairs
-  /// reading i through their out-direction, and vice versa); the fallback
-  /// walks N±(u) x N±(v) with hash probes.
+  /// more sub-threshold traffic. The dependents are read off pair i's own
+  /// spans (the in-span refs are exactly the pairs reading i through their
+  /// out-direction, and vice versa).
   void PushDependents(size_t i, double delta);
   void AddPendingOut(uint32_t idx, double influence);
   void AddPendingIn(uint32_t idx, double influence);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/string_util.h"
+
 namespace fsim {
 
 void IncrementalNeighborIndex::ClassifyInto(
@@ -25,14 +27,17 @@ void IncrementalNeighborIndex::ClassifyInto(
   }
 }
 
-bool IncrementalNeighborIndex::Build(const NeighborIndexEnv& env,
-                                     std::span<const uint64_t> keys,
-                                     const FSimConfig& config) {
-  enabled_ = false;
+Status IncrementalNeighborIndex::Build(const NeighborIndexEnv& env,
+                                       std::span<const uint64_t> keys,
+                                       const FSimConfig& config) {
   const size_t n = keys.size();
-  if (config.neighbor_index_budget_bytes == 0) return false;
   // Stay inside the untagged ref range shared with the batch index.
-  if (n >= kNeighborRefPrunedTag) return false;
+  if (n >= kNeighborRefPrunedTag) {
+    return Status::ResourceExhausted(StrFormat(
+        "neighbor index refs overflow: %zu maintained pairs, but a ref "
+        "addresses at most %u",
+        n, kNeighborRefPrunedTag - 1));
+  }
 
   need_compat_ = config.theta > 0.0;
   theta_ = config.theta;
@@ -52,9 +57,16 @@ bool IncrementalNeighborIndex::Build(const NeighborIndexEnv& env,
         static_cast<uint64_t>(env.g1.InDegree(u)) * env.g2.InDegree(v);
   }
   const uint64_t meta_bytes = 2 * n * sizeof(SpanMeta);
-  if (max_entries * sizeof(NeighborRef) + meta_bytes >
-      config.neighbor_index_budget_bytes) {
-    return false;
+  const uint64_t bound_bytes = max_entries * sizeof(NeighborRef) + meta_bytes;
+  if (bound_bytes > budget_bytes_) {
+    return Status::ResourceExhausted(StrFormat(
+        "incremental neighbor index needs up to %llu bytes (%llu candidate "
+        "entries of %zu bytes + %llu span bytes), over "
+        "neighbor_index_budget_bytes %llu",
+        static_cast<unsigned long long>(bound_bytes),
+        static_cast<unsigned long long>(max_entries), sizeof(NeighborRef),
+        static_cast<unsigned long long>(meta_bytes),
+        static_cast<unsigned long long>(budget_bytes_)));
   }
 
   spans_.assign(2 * n, SpanMeta{});
@@ -70,29 +82,43 @@ bool IncrementalNeighborIndex::Build(const NeighborIndexEnv& env,
       continue;
     }
     for (int dir : {kOut, kIn}) {
-      stage_.clear();
-      if (dir == kOut) {
-        ClassifyInto(env.g1.OutNeighbors(u), env.g2.OutNeighbors(v), env,
-                     &stage_);
-      } else {
-        ClassifyInto(env.g1.InNeighbors(u), env.g2.InNeighbors(v), env,
-                     &stage_);
-      }
       SpanMeta& m = spans_[2 * i + dir];
       m.offset = arena_.size();
-      m.size = static_cast<uint32_t>(stage_.size());
+      if (dir == kOut) {
+        ClassifyInto(env.g1.OutNeighbors(u), env.g2.OutNeighbors(v), env,
+                     &arena_);
+      } else {
+        ClassifyInto(env.g1.InNeighbors(u), env.g2.InNeighbors(v), env,
+                     &arena_);
+      }
+      m.size = static_cast<uint32_t>(arena_.size() - m.offset);
       m.capacity = m.size;
-      arena_.insert(arena_.end(), stage_.begin(), stage_.end());
     }
   }
-  enabled_ = true;
-  return true;
+  // Drop the append growth's spare capacity, so MemoryBytes() (and the
+  // neighbor_index_bytes it reports) is the live index.
+  arena_.shrink_to_fit();
+  live_ = arena_.size();
+  return Status::OK();
+}
+
+Status IncrementalNeighborIndex::CheckGrowth(uint64_t new_entries) const {
+  const uint64_t entries = live_ + new_entries;
+  const uint64_t needed =
+      entries * sizeof(NeighborRef) + spans_.capacity() * sizeof(SpanMeta);
+  if (needed <= budget_bytes_) return Status::OK();
+  return Status::ResourceExhausted(StrFormat(
+      "edit could grow the neighbor index to %llu bytes (%llu live + %llu "
+      "new entries), over neighbor_index_budget_bytes %llu",
+      static_cast<unsigned long long>(needed),
+      static_cast<unsigned long long>(live_),
+      static_cast<unsigned long long>(new_entries),
+      static_cast<unsigned long long>(budget_bytes_)));
 }
 
 void IncrementalNeighborIndex::Restage(size_t pair, int dir, NodeId u,
                                        NodeId v,
                                        const NeighborIndexEnv& env) {
-  if (!enabled_) return;
   if (pin_diagonal_ && u == v) return;
   ++restaged_spans_;
   stage_.clear();
@@ -103,6 +129,7 @@ void IncrementalNeighborIndex::Restage(size_t pair, int dir, NodeId u,
     ClassifyInto(env.g1.InNeighbors(u), env.g2.InNeighbors(v), env, &stage_);
   }
   SpanMeta& m = spans_[2 * pair + dir];
+  live_ = live_ - m.size + stage_.size();
   if (stage_.size() <= m.capacity) {
     std::copy(stage_.begin(), stage_.end(), arena_.begin() + m.offset);
     m.size = static_cast<uint32_t>(stage_.size());
@@ -117,31 +144,20 @@ void IncrementalNeighborIndex::Restage(size_t pair, int dir, NodeId u,
   arena_.insert(arena_.end(), stage_.begin(), stage_.end());
   arena_.resize(arena_.size() + (m.capacity - m.size));
   if (freed_ > arena_.size() / 2 && freed_ > 4096) Compact();
-  // The budget is a ceiling, not just a build-time gate: if live growth
-  // (not reclaimable slack) exceeds it, drop the index entirely.
-  if (MemoryBytes() > budget_bytes_) {
-    Compact();
-    if (MemoryBytes() > budget_bytes_) Disable();
-  }
-}
-
-void IncrementalNeighborIndex::Disable() {
-  enabled_ = false;
-  std::vector<SpanMeta>().swap(spans_);
-  std::vector<NeighborRef>().swap(arena_);
-  std::vector<NeighborRef>().swap(stage_);
-  freed_ = 0;
+  // The budget is a ceiling: relocation slack is reclaimable, and the
+  // engine's CheckGrowth keeps the live entries themselves within it.
+  if (MemoryBytes() > budget_bytes_) Compact();
 }
 
 Status IncrementalNeighborIndex::Validate(size_t num_pairs) const {
   ValidatorCounters::Bump("IncrementalNeighborIndex::Validate");
-  if (!enabled_) return Status::OK();
   if (spans_.size() != 2 * num_pairs) {
     return Status::Internal("incremental index holds " +
                             std::to_string(spans_.size()) + " spans for " +
                             std::to_string(num_pairs) + " pairs");
   }
   uint64_t capacity_total = 0;
+  uint64_t size_total = 0;
   std::vector<std::pair<uint64_t, uint64_t>> extents;  // [offset, offset+cap)
   extents.reserve(spans_.size());
   for (size_t s = 0; s < spans_.size(); ++s) {
@@ -156,6 +172,7 @@ Status IncrementalNeighborIndex::Validate(size_t num_pairs) const {
                               " extends past the arena");
     }
     capacity_total += m.capacity;
+    size_total += m.size;
     if (m.capacity > 0) extents.emplace_back(m.offset, m.offset + m.capacity);
     uint64_t prev_key = 0;
     bool first = true;
@@ -184,6 +201,11 @@ Status IncrementalNeighborIndex::Validate(size_t num_pairs) const {
         std::to_string(capacity_total) + " + freed=" + std::to_string(freed_) +
         " != arena=" + std::to_string(arena_.size()));
   }
+  if (size_total != live_) {
+    return Status::Internal("live entry count off: Σsize=" +
+                            std::to_string(size_total) +
+                            " != live=" + std::to_string(live_));
+  }
   std::sort(extents.begin(), extents.end());
   for (size_t k = 1; k < extents.size(); ++k) {
     if (extents[k].first < extents[k - 1].second) {
@@ -195,7 +217,7 @@ Status IncrementalNeighborIndex::Validate(size_t num_pairs) const {
 
 void IncrementalNeighborIndex::Compact() {
   std::vector<NeighborRef> packed;
-  packed.reserve(arena_.size() - freed_);
+  packed.reserve(live_);
   for (SpanMeta& m : spans_) {
     const uint64_t offset = packed.size();
     packed.insert(packed.end(), arena_.begin() + m.offset,

@@ -6,8 +6,7 @@
 // entries: the out-direction span enumerates the label-compatible candidate
 // pairs of N+(u) x N+(v), the in-direction span those of N-(u) x N-(v),
 // both sorted by (row, col) exactly as the batch index — so
-// DirectionScoreIndexed produces bit-identical sums to the hash-lookup
-// fallback path.
+// DirectionScoreIndexed produces bit-identical sums to the batch engines.
 //
 // Both directions are materialized regardless of the w+/w- weights, because
 // each span serves double duty:
@@ -24,7 +23,10 @@
 // (O(|N(u)|·|N(v)|) classify work — the same cost as the one evaluation of
 // the pair the edit forces anyway). Spans that outgrow their slot relocate
 // to the arena tail; freed slots are reclaimed by periodic compaction, so
-// arena memory stays within ~2x of the live entries.
+// arena memory stays within ~2x of the live entries — and within
+// FSimConfig::neighbor_index_budget_bytes, which is a ceiling: Build fails
+// when the index cannot fit it, and CheckGrowth lets the engine reject an
+// edge insert that could grow the live entries past it.
 #ifndef FSIM_CORE_INCREMENTAL_INDEX_H_
 #define FSIM_CORE_INCREMENTAL_INDEX_H_
 
@@ -57,30 +59,38 @@ class IncrementalNeighborIndex {
   static constexpr int kOut = 0;
   static constexpr int kIn = 1;
 
-  /// Materializes both direction spans for every maintained pair.
-  /// Returns false — leaving the index disabled, so callers fall back to
-  /// hash lookups — when the estimated footprint exceeds
+  /// Where one direction span lives in the arena.
+  struct SpanMeta {
+    uint64_t offset = 0;
+    uint32_t size = 0;
+    uint32_t capacity = 0;
+  };
+
+  /// Materializes both direction spans for every maintained pair, in an
+  /// arena sized to the live entries. ResourceExhausted — naming the bytes
+  /// the index needs and the budget — when the pre-filter bound exceeds
   /// config.neighbor_index_budget_bytes or the ref range would overflow.
-  bool Build(const NeighborIndexEnv& env, std::span<const uint64_t> keys,
-             const FSimConfig& config);
+  Status Build(const NeighborIndexEnv& env, std::span<const uint64_t> keys,
+               const FSimConfig& config);
 
-  bool enabled() const { return enabled_; }
-
-  /// The direction span of pair i; empty when the index is disabled and for
-  /// pinned diagonal pairs.
+  /// The direction span of pair i; empty for pinned diagonal pairs.
   std::span<const NeighborRef> Refs(size_t pair, int dir) const {
-    if (!enabled_) return {};
     const SpanMeta& m = spans_[2 * pair + dir];
     return {arena_.data() + m.offset, arena_.data() + m.offset + m.size};
   }
 
+  /// OK when `new_entries` more live entries still fit the budget, else
+  /// ResourceExhausted naming the bytes they would need. The engine calls
+  /// it with an upper bound on an edit's span growth before touching the
+  /// graph, so an over-budget edit is rejected with nothing changed.
+  Status CheckGrowth(uint64_t new_entries) const;
+
   /// Rebuilds the direction span of pair (u, v) from the current graphs.
   /// Call after the graph edit has been applied, for every invalidated
   /// (pair, direction) — see the file comment for which spans an edit
-  /// invalidates. If growth pushes the footprint past the build-time budget
-  /// even after compaction (an insert-heavy stream on a graph that keeps
-  /// densifying), the index disables itself and the engine falls back to
-  /// hash lookups, keeping the configured memory ceiling honest.
+  /// invalidates. When relocation slack pushes the footprint past the
+  /// budget, the arena is compacted to its live entries, which CheckGrowth
+  /// keeps within the budget.
   void Restage(size_t pair, int dir, NodeId u, NodeId v,
                const NeighborIndexEnv& env);
 
@@ -90,6 +100,9 @@ class IncrementalNeighborIndex {
            spans_.capacity() * sizeof(SpanMeta);
   }
 
+  /// Entries the spans hold (arena slots minus relocation slack).
+  uint64_t live_entries() const { return live_; }
+
   /// Spans re-staged since Build (work accounting for EditStats).
   uint64_t restaged_spans() const { return restaged_spans_; }
 
@@ -98,7 +111,7 @@ class IncrementalNeighborIndex {
   /// slack accounting balances (Σ capacity + freed_ == arena size — a
   /// Restage that leaks or double-frees a slot breaks the equality), every
   /// ref targets a maintained pair, and each span is strictly
-  /// (row, col)-sorted. Trivially OK while disabled. Bumps
+  /// (row, col)-sorted, and the span sizes sum to live_entries(). Bumps
   /// ValidatorCounters "IncrementalNeighborIndex::Validate".
   Status Validate(size_t num_pairs) const;
 
@@ -107,24 +120,14 @@ class IncrementalNeighborIndex {
   // validator catches broken slack accounting and overlapping spans.
   friend struct IncrementalNeighborIndexTestAccess;
 
-  struct SpanMeta {
-    uint64_t offset = 0;
-    uint32_t size = 0;
-    uint32_t capacity = 0;
-  };
-
-  /// Appends the classified entries of one direction of (u, v) to stage_.
+  /// Appends the classified entries of one direction of (u, v) to *out.
   void ClassifyInto(std::span<const NodeId> s1, std::span<const NodeId> s2,
                     const NeighborIndexEnv& env, std::vector<NeighborRef>* out) const;
 
-  /// Rewrites the arena with tight spans, dropping freed capacity.
+  /// Rewrites the arena with tight spans in an allocation of exactly the
+  /// live entries, dropping freed capacity and relocation slack.
   void Compact();
 
-  /// Drops the index (spans + arena) and reports disabled; evaluation and
-  /// dependent pushes fall back to hash lookups from then on.
-  void Disable();
-
-  bool enabled_ = false;
   bool need_compat_ = false;
   double theta_ = 0.0;
   bool pin_diagonal_ = false;
@@ -133,6 +136,7 @@ class IncrementalNeighborIndex {
   std::vector<NeighborRef> arena_;
   std::vector<NeighborRef> stage_;  // re-stage scratch
   uint64_t freed_ = 0;              // arena entries no span owns
+  uint64_t live_ = 0;               // Σ span sizes
   uint64_t restaged_spans_ = 0;
 };
 

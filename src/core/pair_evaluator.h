@@ -1,10 +1,10 @@
 // The per-pair Equation 3 evaluation shared by the Algorithm 1 engines
 // (ComputeFSim, ComputeTopKPairs): one iterate-loop body that reads
-// previous-iteration scores either through the pair-graph CSR neighbor
-// index (direct array indexing — the fast path) or through the
-// label-check + hash-probe fallback when the index was not materialized.
-// Both paths produce bit-identical sums: the index enumerates exactly the
-// candidate pairs the fallback's nested loops visit, in the same order.
+// previous-iteration scores through the pair-graph CSR neighbor index
+// (direct array indexing, no hash probes or label checks). The index
+// enumerates exactly the candidate pairs Algorithm 1's Hp lookups visit,
+// in the same order; tests/naive_fsim.h keeps that hash-lookup evaluation
+// as the oracle the engines are checked against.
 #ifndef FSIM_CORE_PAIR_EVALUATOR_H_
 #define FSIM_CORE_PAIR_EVALUATOR_H_
 
@@ -54,53 +54,30 @@ class PairEvaluator {
     if (config_.pin_diagonal && u == v) return 1.0;
     double out_score = 0.0;
     double in_score = 0.0;
-    if (store_.has_neighbor_index()) {
-      const double* prev = store_.prev_data();
-      const float* pruned = store_.pruned_bounds_data();
-      auto score_of = [prev, pruned, this](uint32_t ref) -> double {
-        if (ref & kNeighborRefPrunedTag) {
-          return alpha_ *
-                 static_cast<double>(pruned[ref & ~kNeighborRefPrunedTag]);
-        }
-        return prev[ref];
-      };
-      // One evaluation body for both index entry layouts (the packed
-      // 8-byte refs of degree-bounded graphs and the wide 12-byte refs).
-      auto evaluate_refs = [&](auto out_refs, auto in_refs) {
-        if (config_.w_out > 0.0) {
-          out_score = DirectionScoreIndexed(op_, config_.matching,
-                                            g1_.OutDegree(u), g2_.OutDegree(v),
-                                            out_refs, score_of, scratch);
-        }
-        if (config_.w_in > 0.0) {
-          in_score = DirectionScoreIndexed(op_, config_.matching,
-                                           g1_.InDegree(u), g2_.InDegree(v),
-                                           in_refs, score_of, scratch);
-        }
-      };
-      store_.WithRefs(i, evaluate_refs);
-    } else {
-      // Previous-iteration score of (x, y); negative = not mappable under
-      // the label constraint. Pairs pruned by the upper bound contribute
-      // alpha * bound (0 with the default alpha = 0).
-      auto lookup = [this](NodeId x, NodeId y) -> double {
-        if (!lsim_.Compatible(g1_.Label(x), g2_.Label(y), config_.theta)) {
-          return -1.0;
-        }
-        uint32_t idx = store_.Find(x, y);
-        if (idx != FlatPairMap::kNotFound) return store_.prev(idx);
-        if (alpha_ > 0.0) return alpha_ * store_.PrunedUpperBound(x, y);
-        return 0.0;
-      };
+    const double* prev = store_.prev_data();
+    const float* pruned = store_.pruned_bounds_data();
+    auto score_of = [prev, pruned, this](uint32_t ref) -> double {
+      if (ref & kNeighborRefPrunedTag) {
+        return alpha_ *
+               static_cast<double>(pruned[ref & ~kNeighborRefPrunedTag]);
+      }
+      return prev[ref];
+    };
+    // One evaluation body for both index entry layouts (the packed 8-byte
+    // refs of degree-bounded graphs and the wide 12-byte refs).
+    auto evaluate_refs = [&](auto out_refs, auto in_refs) {
       if (config_.w_out > 0.0) {
-        out_score = DirectionScore(op_, config_.matching, g1_.OutNeighbors(u),
-                                   g2_.OutNeighbors(v), lookup, scratch);
+        out_score = DirectionScoreIndexed(op_, config_.matching,
+                                          g1_.OutDegree(u), g2_.OutDegree(v),
+                                          out_refs, score_of, scratch);
       }
       if (config_.w_in > 0.0) {
-        in_score = DirectionScore(op_, config_.matching, g1_.InNeighbors(u),
-                                  g2_.InNeighbors(v), lookup, scratch);
+        in_score = DirectionScoreIndexed(op_, config_.matching,
+                                         g1_.InDegree(u), g2_.InDegree(v),
+                                         in_refs, score_of, scratch);
       }
-    }
+    };
+    store_.WithRefs(i, evaluate_refs);
     return config_.w_out * out_score + config_.w_in * in_score +
            label_weight_ * LabelTerm(u, v);
   }

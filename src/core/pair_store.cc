@@ -88,6 +88,9 @@ Result<PairStore> PairStore::Build(const Graph& g1, const Graph& g2,
   store.info_.theta_candidates = store.keys_.size();
 
   // --- Stage 2: upper-bound pruning (Eq. 6). ---
+  // Tracked pruned pairs -> pruned_ub_ slot; the index build tags refs
+  // into it, nothing reads it afterwards.
+  FlatPairMap pruned_index;
   if (config.upper_bound) {
     const OperatorConfig op = config.operators();
     const double label_weight = 1.0 - config.w_out - config.w_in;
@@ -112,8 +115,8 @@ Result<PairStore> PairStore::Build(const Graph& g1, const Graph& g2,
       if (keep) {
         kept.push_back(key);
       } else if (track_pruned) {
-        store.pruned_index_.Insert(key,
-                                   static_cast<uint32_t>(store.pruned_ub_.size()));
+        pruned_index.Insert(key,
+                            static_cast<uint32_t>(store.pruned_ub_.size()));
         store.pruned_ub_.push_back(static_cast<float>(bound));
       }
     }
@@ -133,9 +136,10 @@ Result<PairStore> PairStore::Build(const Graph& g1, const Graph& g2,
                                PairSecond(store.keys_[i]));
   }
 
-  // --- Stage 4: pair-graph CSR neighbor index (budget-gated). ---
-  if (build_neighbor_index && config.neighbor_index_budget_bytes > 0) {
-    store.BuildNeighborIndex(g1, g2, config, lsim, pool);
+  // --- Stage 4: pair-graph CSR neighbor index (budget ceiling). ---
+  if (build_neighbor_index) {
+    FSIM_RETURN_NOT_OK(
+        store.BuildNeighborIndex(g1, g2, config, lsim, pruned_index, pool));
 #ifdef FSIM_DEBUG_CHECKS
     const Status valid = store.ValidateNeighborIndex();
     FSIM_CHECK(valid.ok()) << valid.ToString();
@@ -146,7 +150,6 @@ Result<PairStore> PairStore::Build(const Graph& g1, const Graph& g2,
 
 Status PairStore::ValidateNeighborIndex() const {
   ValidatorCounters::Bump("PairStore::ValidateNeighborIndex");
-  if (!has_neighbor_index_) return Status::OK();
   const size_t n = keys_.size();
   if (nbr_offsets_.size() != 2 * n + 1) {
     return Status::Internal(StrFormat(
@@ -219,14 +222,18 @@ Status PairStore::ValidateNeighborIndex() const {
   return Status::OK();
 }
 
-void PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
-                                   const FSimConfig& config,
-                                   const LabelSimilarityCache& lsim,
-                                   ThreadPool* pool) {
+Status PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
+                                     const FSimConfig& config,
+                                     const LabelSimilarityCache& lsim,
+                                     const FlatPairMap& pruned_index,
+                                     ThreadPool* pool) {
   const size_t n = keys_.size();
   // The pruned-ref tag bit halves the addressable range of a ref.
   if (n >= kNeighborRefPrunedTag || pruned_ub_.size() >= kNeighborRefPrunedTag) {
-    return;
+    return Status::ResourceExhausted(StrFormat(
+        "neighbor index refs overflow: %zu maintained and %zu pruned pairs, "
+        "but a ref addresses at most %u",
+        n, pruned_ub_.size(), kNeighborRefPrunedTag - 1));
   }
 
   // With the active set engaged, a direction's span is also materialized
@@ -278,15 +285,17 @@ void PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
   auto entry_bytes_for = [&](const SpanPlan& p) {
     return packed_for(p) ? sizeof(PackedNeighborRef) : sizeof(NeighborRef);
   };
+  auto bound_bytes = [&](const SpanPlan& p, uint64_t max_entries) {
+    return max_entries * entry_bytes_for(p) + offsets_bytes;
+  };
   auto fits = [&](const SpanPlan& p, uint64_t max_entries) {
-    return max_entries * entry_bytes_for(p) + offsets_bytes <=
-           config.neighbor_index_budget_bytes;
+    return bound_bytes(p, max_entries) <= config.neighbor_index_budget_bytes;
   };
 
   // Prefer the widened layout the active set needs; if only the widening
   // blows the budget (single-direction configs double their entry count),
   // fall back to the evaluation-only index — the driver then runs full
-  // sweeps (reverse_spans() false), which still beats losing the index.
+  // sweeps (reverse_spans() false) instead of the build failing.
   bool active_spans = config.active_set != ActiveSetMode::kOff;
   SpanPlan plan = plan_for(active_spans);
   uint64_t max_entries = max_entries_for(plan);
@@ -295,7 +304,16 @@ void PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
     plan = plan_for(false);
     max_entries = max_entries_for(plan);
   }
-  if (!fits(plan, max_entries)) return;
+  if (!fits(plan, max_entries)) {
+    return Status::ResourceExhausted(StrFormat(
+        "neighbor index needs up to %llu bytes (%llu candidate entries of "
+        "%zu bytes + %llu offset bytes), over neighbor_index_budget_bytes "
+        "%llu",
+        static_cast<unsigned long long>(bound_bytes(plan, max_entries)),
+        static_cast<unsigned long long>(max_entries), entry_bytes_for(plan),
+        static_cast<unsigned long long>(offsets_bytes),
+        static_cast<unsigned long long>(config.neighbor_index_budget_bytes)));
+  }
   // The one-pass build transiently stages the classified entries once
   // more, so its peak usage can reach twice the final footprint; when the
   // doubled bound would blow the budget but the index itself fits, the
@@ -306,22 +324,23 @@ void PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
                        config.neighbor_index_budget_bytes;
 
   if (packed) {
-    FillNeighborRefs(g1, g2, config, lsim, pool, bounded, active_spans,
-                     &nbr_refs_packed_);
+    FillNeighborRefs(g1, g2, config, lsim, pruned_index, pool, bounded,
+                     active_spans, &nbr_refs_packed_);
   } else {
-    FillNeighborRefs(g1, g2, config, lsim, pool, bounded, active_spans,
-                     &nbr_refs_);
+    FillNeighborRefs(g1, g2, config, lsim, pruned_index, pool, bounded,
+                     active_spans, &nbr_refs_);
   }
   info_.bounded_staging_build = bounded;
   packed_refs_ = packed;
   reverse_spans_ = active_spans;
-  has_neighbor_index_ = true;
+  return Status::OK();
 }
 
 template <typename Ref>
 void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
                                  const FSimConfig& config,
                                  const LabelSimilarityCache& lsim,
+                                 const FlatPairMap& pruned_index,
                                  ThreadPool* pool, bool bounded_staging,
                                  bool active_spans, std::vector<Ref>* refs) {
   const size_t n = keys_.size();
@@ -335,9 +354,9 @@ void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
   const double alpha = config.upper_bound ? config.alpha : 0.0;
 
   // Score source of candidate pair (x, y): the maintained-pair index, or a
-  // tagged pruned-bound index whose lookup value is α * bound. Pairs that
-  // are label-incompatible, or whose fallback lookup would return 0 (pruned
-  // and untracked), are omitted — zero never contributes to any operator.
+  // tagged pruned-bound index whose score is α * bound. Pairs that are
+  // label-incompatible, or pruned and untracked (score 0), are omitted —
+  // zero never contributes to any operator.
   auto classify = [&](NodeId x, NodeId y, uint32_t* ref) -> bool {
     if (need_compat && !lsim.Compatible(g1.Label(x), g2.Label(y), theta)) {
       return false;
@@ -348,7 +367,7 @@ void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
       return true;
     }
     if (alpha > 0.0) {
-      const uint32_t p = pruned_index_.Find(PairKey(x, y));
+      const uint32_t p = pruned_index.Find(PairKey(x, y));
       if (p != FlatPairMap::kNotFound) {
         *ref = kNeighborRefPrunedTag | p;
         return true;
@@ -440,7 +459,7 @@ void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
   }
 
   // One classification pass over N±(u) x N±(v) per pair — roughly the
-  // lookup work of a single fallback iteration, repaid after the first
+  // hash-probe work of one iteration over Hp, repaid after the first
   // indexed iteration. Chunks classify into per-chunk staging buffers
   // while recording per-span counts; after the offsets prefix sum, each
   // chunk's staged entries are contiguous in the final layout (chunks

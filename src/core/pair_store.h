@@ -32,12 +32,13 @@ namespace fsim {
 ///    α > 0 their bounds are kept in a side table so lookups can return
 ///    α * bound.
 ///
-/// When config.neighbor_index_budget_bytes allows, Build additionally
-/// materializes the pair-graph CSR neighbor index: for every maintained pair
-/// i = (u, v) and each direction with nonzero weight, the NeighborRef list of
-/// label-compatible candidate pairs (x, y) ∈ N±(u) x N±(v) sorted by
-/// (row, col). Iterating then reads previous-iteration scores by direct
-/// indexing (prev_data() / pruned ref tag) instead of hash probes.
+/// Build also materializes the pair-graph CSR neighbor index: for every
+/// maintained pair i = (u, v) and each direction with nonzero weight, the
+/// NeighborRef list of label-compatible candidate pairs (x, y) ∈
+/// N±(u) x N±(v) sorted by (row, col). Iterating reads previous-iteration
+/// scores through it by direct indexing (prev_data() / pruned ref tag);
+/// there is no hash-lookup path. config.neighbor_index_budget_bytes is a
+/// ceiling: an index that cannot fit it fails the build.
 class PairStore {
  public:
   struct BuildInfo {
@@ -55,10 +56,14 @@ class PairStore {
     bool bounded_staging_build = false;
   };
 
-  /// Enumerates and initializes the candidate pairs. Fails with
-  /// InvalidArgument if the candidate count would exceed config.pair_limit.
-  /// `build_neighbor_index` lets callers that never run the Algorithm 1
-  /// iterate loop (e.g. incremental maintenance) skip the index build.
+  /// Enumerates and initializes the candidate pairs and builds the
+  /// neighbor index. Fails with InvalidArgument if the candidate count
+  /// would exceed config.pair_limit, and with ResourceExhausted — naming
+  /// the bytes the index needs and the budget — if the index cannot fit
+  /// config.neighbor_index_budget_bytes or its refs would overflow the
+  /// pruned-ref tag. `build_neighbor_index` = false skips the index for
+  /// callers that maintain their own (IncrementalFSim); such a store only
+  /// hands out its keys, scores and pair map, and must not be iterated.
   /// `pool` parallelizes the index build when provided (the engines pass
   /// their iterate pool); nullptr builds serially.
   static Result<PairStore> Build(const Graph& g1, const Graph& g2,
@@ -84,21 +89,6 @@ class PairStore {
   /// free. Full sweeps keep using SwapBuffers.
   void CommitPair(size_t i) { prev_[i] = curr_[i]; }
 
-  /// Index of (u,v) in the store, or FlatPairMap::kNotFound.
-  uint32_t Find(NodeId u, NodeId v) const {
-    return index_.Find(PairKey(u, v));
-  }
-
-  /// Eq. 6 upper bound of a pruned pair (0 when untracked, i.e. α == 0).
-  double PrunedUpperBound(NodeId u, NodeId v) const {
-    uint32_t idx = pruned_index_.Find(PairKey(u, v));
-    return idx == FlatPairMap::kNotFound ? 0.0 : pruned_ub_[idx];
-  }
-
-  /// True if the pair-graph CSR neighbor index was materialized (it fits
-  /// config.neighbor_index_budget_bytes and the build was requested).
-  bool has_neighbor_index() const { return has_neighbor_index_; }
-
   /// True when the index uses the packed 8-byte entry layout (16-bit
   /// row/col) — selected automatically when every relevant neighbor-list
   /// position fits (see FSimConfig::use_packed_neighbor_refs). Callers
@@ -111,22 +101,20 @@ class PairStore {
   /// the spans are usable as reverse-dependency lists. False when only
   /// the widening would have blown neighbor_index_budget_bytes and the
   /// build fell back to the evaluation-only layout — the active-set
-  /// driver then runs full sweeps instead of disabling the index.
+  /// driver then runs full sweeps instead of the build failing.
   bool reverse_spans() const { return reverse_spans_; }
 
   /// Out-direction CSR entries of pair i: the label-compatible candidate
-  /// pairs of N+(u) x N+(v), sorted by (row, col). Empty when the index was
-  /// not materialized. With the active set off, diagonal pairs of a
-  /// pin_diagonal run and zero-weight directions also have empty spans
-  /// (never evaluated); with it on, a direction is additionally
-  /// materialized when the *opposite* weight is nonzero — the refs of the
-  /// in-span are exactly the pairs reading (u, v) through their
+  /// pairs of N+(u) x N+(v), sorted by (row, col). With the active set
+  /// off, diagonal pairs of a pin_diagonal run and zero-weight directions
+  /// have empty spans (never evaluated); with it on, a direction is
+  /// additionally materialized when the *opposite* weight is nonzero — the
+  /// refs of the in-span are exactly the pairs reading (u, v) through their
   /// out-direction (x ∈ N-(u), y ∈ N-(v)), and vice versa, so each span
   /// doubles as the pair's reverse-dependency list for frontier marking —
   /// and pinned diagonal spans are kept so the init -> 1 snap of the first
   /// sweep can notify its dependents.
   std::span<const NeighborRef> OutRefs(size_t i) const {
-    if (!has_neighbor_index_) return {};
     FSIM_DCHECK(!packed_refs_);
     return {nbr_refs_.data() + nbr_offsets_[2 * i],
             nbr_refs_.data() + nbr_offsets_[2 * i + 1]};
@@ -134,7 +122,6 @@ class PairStore {
 
   /// In-direction CSR entries of pair i (N-(u) x N-(v)).
   std::span<const NeighborRef> InRefs(size_t i) const {
-    if (!has_neighbor_index_) return {};
     FSIM_DCHECK(!packed_refs_);
     return {nbr_refs_.data() + nbr_offsets_[2 * i + 1],
             nbr_refs_.data() + nbr_offsets_[2 * i + 2]};
@@ -142,13 +129,11 @@ class PairStore {
 
   /// Packed-layout counterparts of OutRefs/InRefs.
   std::span<const PackedNeighborRef> OutRefsPacked(size_t i) const {
-    if (!has_neighbor_index_) return {};
     FSIM_DCHECK(packed_refs_);
     return {nbr_refs_packed_.data() + nbr_offsets_[2 * i],
             nbr_refs_packed_.data() + nbr_offsets_[2 * i + 1]};
   }
   std::span<const PackedNeighborRef> InRefsPacked(size_t i) const {
-    if (!has_neighbor_index_) return {};
     FSIM_DCHECK(packed_refs_);
     return {nbr_refs_packed_.data() + nbr_offsets_[2 * i + 1],
             nbr_refs_packed_.data() + nbr_offsets_[2 * i + 2]};
@@ -174,10 +159,7 @@ class PairStore {
   /// The active-set driver sums this over changed pairs while marking is
   /// still deferred, to predict whether a frontier would skip anything.
   size_t RefSpanTotal(size_t i) const {
-    return has_neighbor_index_
-               ? static_cast<size_t>(nbr_offsets_[2 * i + 2] -
-                                     nbr_offsets_[2 * i])
-               : 0;
+    return static_cast<size_t>(nbr_offsets_[2 * i + 2] - nbr_offsets_[2 * i]);
   }
 
   /// Previous-iteration scores, indexed by untagged NeighborRef::ref values.
@@ -187,7 +169,7 @@ class PairStore {
   /// Eq. 6 bounds of tracked pruned pairs, indexed by tagged refs.
   const float* pruned_bounds_data() const { return pruned_ub_.data(); }
 
-  /// Heap footprint of the neighbor index (0 when not materialized).
+  /// Heap footprint of the neighbor index.
   size_t NeighborIndexBytes() const {
     return nbr_refs_.capacity() * sizeof(NeighborRef) +
            nbr_refs_packed_.capacity() * sizeof(PackedNeighborRef) +
@@ -202,7 +184,7 @@ class PairStore {
   /// exactly one entry layout is populated (per packed_refs()), every
   /// untagged ref targets a maintained pair, every tagged ref targets a
   /// tracked pruned bound, and each span is strictly (row, col)-sorted.
-  /// Trivially OK when the index was not materialized. O(entries); runs
+  /// O(entries); runs
   /// automatically after Build under FSIM_DEBUG_CHECKS. Bumps
   /// ValidatorCounters "PairStore::ValidateNeighborIndex".
   Status ValidateNeighborIndex() const;
@@ -220,11 +202,13 @@ class PairStore {
   // catches torn spans; nothing else may touch the internals.
   friend struct PairStoreTestAccess;
 
-  /// Materializes the CSR neighbor index if it fits the budget, choosing
-  /// the packed or wide entry layout.
-  void BuildNeighborIndex(const Graph& g1, const Graph& g2,
-                          const FSimConfig& config,
-                          const LabelSimilarityCache& lsim, ThreadPool* pool);
+  /// Materializes the CSR neighbor index, choosing the packed or wide
+  /// entry layout; ResourceExhausted when it cannot fit the budget.
+  /// `pruned_index` maps tracked pruned pairs to their pruned_ub_ slot.
+  Status BuildNeighborIndex(const Graph& g1, const Graph& g2,
+                            const FSimConfig& config,
+                            const LabelSimilarityCache& lsim,
+                            const FlatPairMap& pruned_index, ThreadPool* pool);
 
   /// Classification of every pair's candidate entries into `refs`. Default
   /// (one-pass): chunks classify into per-chunk staging buffers (recording
@@ -240,7 +224,8 @@ class PairStore {
   template <typename Ref>
   void FillNeighborRefs(const Graph& g1, const Graph& g2,
                         const FSimConfig& config,
-                        const LabelSimilarityCache& lsim, ThreadPool* pool,
+                        const LabelSimilarityCache& lsim,
+                        const FlatPairMap& pruned_index, ThreadPool* pool,
                         bool bounded_staging, bool active_spans,
                         std::vector<Ref>* refs);
 
@@ -248,7 +233,6 @@ class PairStore {
   FlatPairMap index_;
   std::vector<double> prev_;
   std::vector<double> curr_;
-  FlatPairMap pruned_index_;
   std::vector<float> pruned_ub_;
   BuildInfo info_;
 
@@ -256,7 +240,6 @@ class PairStore {
   // pair i's out-direction entries live in [offsets[2i], offsets[2i+1]) and
   // its in-direction entries in [offsets[2i+1], offsets[2i+2]). Exactly one
   // of the two entry arrays is populated, per packed_refs_.
-  bool has_neighbor_index_ = false;
   bool packed_refs_ = false;
   bool reverse_spans_ = false;
   std::vector<uint64_t> nbr_offsets_;

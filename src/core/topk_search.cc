@@ -81,17 +81,6 @@ Result<TopKResult> TopKSearch(const Graph& g1, const Graph& g2, NodeId source,
     const uint32_t idx = index.Find(PairKey(x, y));
     return idx == FlatPairMap::kNotFound ? 0.0 : prev[idx];
   };
-  auto label_term = [&](NodeId u, NodeId v) -> double {
-    switch (config.label_term) {
-      case LabelTermKind::kLabelSim:
-        return lsim.Sim(g1.Label(u), g2.Label(v));
-      case LabelTermKind::kZero:
-        return 0.0;
-      case LabelTermKind::kOne:
-        return 1.0;
-    }
-    return 0.0;
-  };
 
   MatchingScratch scratch;
   for (uint32_t iter = 0; iter < depth; ++iter) {
@@ -105,7 +94,8 @@ Result<TopKResult> TopKSearch(const Graph& g1, const Graph& g2, NodeId source,
           DirectionScore(op, config.matching, g1.InNeighbors(u),
                          g2.InNeighbors(v), lookup, &scratch);
       curr[i] = config.w_out * out_score + config.w_in * in_score +
-                label_weight * label_term(u, v);
+                label_weight *
+                    LabelTermValue(config, lsim, g1.Label(u), g2.Label(v));
     }
     prev.swap(curr);
   }

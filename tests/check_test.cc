@@ -318,7 +318,7 @@ struct IncrementalFixture {
     }
     FSimConfig config;
     const NeighborIndexEnv env{graph, graph, pair_index, lsim};
-    built = index.Build(env, keys, config);
+    built = index.Build(env, keys, config).ok();
   }
 
   DynamicGraph graph;

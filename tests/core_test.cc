@@ -294,8 +294,13 @@ TEST(PairStoreTest, KeysAreSortedAndIndexed) {
   LabelSimilarityCache lsim(*pair.g1.dict(), config.label_sim);
   auto store = PairStore::Build(pair.g1, pair.g2, config, lsim);
   ASSERT_TRUE(store.ok());
-  for (size_t i = 0; i < store->size(); ++i) {
-    EXPECT_EQ(store->Find(store->U(i), store->V(i)), i);
+  const std::vector<uint64_t> keys = store->TakeKeys();
+  const FlatPairMap index = store->TakeIndex();
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (i > 0) {
+      EXPECT_LT(keys[i - 1], keys[i]);
+    }
+    EXPECT_EQ(index.Find(keys[i]), i);
   }
 }
 

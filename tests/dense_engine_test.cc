@@ -2,8 +2,9 @@
 // (core/dense_index.h): across every MappingKind x OmegaKind operator
 // combination and both matching realizations, ComputeFSimDense must agree
 // with the sparse engine on every maintained pair to 1e-12 — and its
-// label-class indexed fast path must agree with its per-visit lookup
-// fallback on the full matrix. The grouped enumeration visits candidates
+// label-class indexed loop must agree with the naive per-visit lookup
+// evaluation (tests/naive_fsim.h) on the full matrix. The grouped
+// enumeration visits candidates
 // in class-grouped order; row/column maxima and the matching realizations
 // are order-exact (original positions key the tie-breaks), so only the
 // final additive reductions reassociate — far below the 1e-12 pin.
@@ -21,6 +22,7 @@
 #include "core/fsim_config.h"
 #include "core/fsim_engine.h"
 #include "graph/graph_builder.h"
+#include "tests/naive_fsim.h"
 
 namespace fsim {
 namespace {
@@ -97,7 +99,6 @@ TEST_P(DenseEngineOperatorSweep, DenseMatchesSparseOnAllPairs) {
 
   auto dense = ComputeFSimDense(g, g, config);
   ASSERT_TRUE(dense.ok()) << dense.status().ToString();
-  EXPECT_TRUE(dense->stats().used_neighbor_index);
   EXPECT_GT(dense->stats().neighbor_index_bytes, 0u);
   EXPECT_EQ(sparse->stats().iterations, dense->stats().iterations);
 
@@ -110,10 +111,10 @@ TEST_P(DenseEngineOperatorSweep, DenseMatchesSparseOnAllPairs) {
 }
 
 /// θ > 0 with a non-indicator L: multi-class compatibility bitsets and the
-/// class-skipping enumeration, cross-checked against the dense engine's own
-/// per-visit lookup fallback on the *full* matrix (including pairs the
-/// sparse engine would not maintain).
-TEST_P(DenseEngineOperatorSweep, IndexedMatchesLookupFallback) {
+/// class-skipping enumeration, cross-checked against the naive per-visit
+/// lookup oracle on the *full* matrix (including pairs the sparse engine
+/// would not maintain).
+TEST_P(DenseEngineOperatorSweep, IndexedMatchesNaiveOracle) {
   const auto [mapping, omega, matching] = GetParam();
   const Graph g = MakeDenseRandomGraph(/*seed=*/23 + static_cast<int>(omega));
   FSimConfig config;
@@ -125,22 +126,16 @@ TEST_P(DenseEngineOperatorSweep, IndexedMatchesLookupFallback) {
   config.w_in = 0.35;
   config.epsilon = 1e-4;
 
-  config.neighbor_index_budget_bytes = 1ULL << 30;
   auto indexed = ComputeFSimDense(g, g, config);
   ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
-  EXPECT_TRUE(indexed->stats().used_neighbor_index);
 
-  config.neighbor_index_budget_bytes = 0;
-  auto fallback = ComputeFSimDense(g, g, config);
-  ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
-  EXPECT_FALSE(fallback->stats().used_neighbor_index);
-  EXPECT_EQ(fallback->stats().neighbor_index_bytes, 0u);
-
-  EXPECT_EQ(indexed->stats().iterations, fallback->stats().iterations);
-  ASSERT_EQ(indexed->values().size(), fallback->values().size());
-  for (size_t i = 0; i < indexed->values().size(); ++i) {
+  const testing::NaiveFSimResult naive =
+      testing::NaiveFSim(g, g, config, /*all_pairs=*/true);
+  EXPECT_EQ(indexed->stats().iterations, naive.iterations);
+  ASSERT_EQ(indexed->values().size(), naive.values.size());
+  for (size_t i = 0; i < naive.values.size(); ++i) {
     ASSERT_FALSE(std::isnan(indexed->values()[i])) << "entry " << i;
-    ASSERT_NEAR(indexed->values()[i], fallback->values()[i], kTolerance)
+    ASSERT_NEAR(indexed->values()[i], naive.values[i], kTolerance)
         << "entry " << i;
   }
 
@@ -148,7 +143,6 @@ TEST_P(DenseEngineOperatorSweep, IndexedMatchesLookupFallback) {
   // (whatever level auto resolved to) on every entry. The vectorized
   // kernels are bit-identical by contract, so kTolerance is slack here;
   // tests/simd_kernel_test.cc pins the max-family paths to exact equality.
-  config.neighbor_index_budget_bytes = 1ULL << 30;
   const char* prev_env = std::getenv("FSIM_SIMD");
   const std::string saved_env = prev_env ? prev_env : "";
   setenv("FSIM_SIMD", "off", 1);
@@ -185,29 +179,6 @@ INSTANTIATE_TEST_SUITE_P(
                   ? "Hungarian"
                   : "Greedy");
     });
-
-TEST(DenseEngineTest, BudgetFallbackStillMatchesSparse) {
-  // A budget too small for the label-class table forces the lookup path;
-  // scores must not change.
-  const Graph g = MakeDenseRandomGraph(41);
-  FSimConfig config;
-  config.variant = SimVariant::kBijective;
-  config.label_sim = LabelSimKind::kEditDistance;
-  config.theta = 0.4;
-  config.epsilon = 1e-4;
-  config.neighbor_index_budget_bytes = 64;
-
-  auto sparse = ComputeFSimSelf(g, config);
-  ASSERT_TRUE(sparse.ok());
-  auto dense = ComputeFSimDense(g, g, config);
-  ASSERT_TRUE(dense.ok());
-  EXPECT_FALSE(dense->stats().used_neighbor_index);
-  for (uint64_t key : sparse->keys()) {
-    const NodeId u = PairFirst(key);
-    const NodeId v = PairSecond(key);
-    ASSERT_NEAR(sparse->Score(u, v), dense->Score(u, v), kTolerance);
-  }
-}
 
 TEST(DenseEngineTest, TopKBreaksTiesByNodeId) {
   // Row 0: v1 carries the top score; v0 and v2 tie below it and must be

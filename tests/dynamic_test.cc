@@ -4,11 +4,13 @@
 // sparse engine), the maintained pair-graph neighbor index
 // (core/incremental_index.h, differential against a fresh build) and
 // incremental FSim maintenance (core/incremental.h, property-tested against
-// full recomputation and against its own hash-lookup fallback).
+// full recomputation, plus its neighbor-index budget ceiling).
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/dense_engine.h"
 #include "core/simrank.h"
@@ -363,16 +365,6 @@ TEST_P(IncrementalEquivalence, TracksFullRecomputeAcrossEdits) {
 
     auto inc = IncrementalFSim::Create(pair.g1, pair.g2, config, options);
     ASSERT_TRUE(inc.ok()) << inc.status().ToString();
-    ASSERT_TRUE(inc->uses_neighbor_index());
-    // A second engine forced onto the hash-lookup fallback absorbs the same
-    // edit stream; the maintained index must not change a single bit of the
-    // propagation trajectory.
-    FSimConfig fallback_config = config;
-    fallback_config.neighbor_index_budget_bytes = 0;
-    auto fallback =
-        IncrementalFSim::Create(pair.g1, pair.g2, fallback_config, options);
-    ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
-    ASSERT_FALSE(fallback->uses_neighbor_index());
 
     Rng rng(seed * 977);
     for (int e = 0; e < 6; ++e) {
@@ -386,28 +378,18 @@ TEST_P(IncrementalEquivalence, TracksFullRecomputeAcrossEdits) {
       Status status = remove ? inc->RemoveEdge(graph_index, from, to)
                              : inc->InsertEdge(graph_index, from, to);
       ASSERT_TRUE(status.ok()) << status.ToString();
-      Status fb_status = remove ? fallback->RemoveEdge(graph_index, from, to)
-                                : fallback->InsertEdge(graph_index, from, to);
-      ASSERT_TRUE(fb_status.ok()) << fb_status.ToString();
 
       auto full = ComputeFSim(inc->MaterializeG1(), inc->MaterializeG2(),
                               config);
       ASSERT_TRUE(full.ok()) << full.status().ToString();
       double max_diff = 0.0;
-      double max_index_diff = 0.0;
       for (uint64_t key : full->keys()) {
         const NodeId u = PairFirst(key);
         const NodeId v = PairSecond(key);
         max_diff = std::max(
             max_diff, std::abs(full->Score(u, v) - inc->Score(u, v)));
-        max_index_diff =
-            std::max(max_index_diff,
-                     std::abs(inc->Score(u, v) - fallback->Score(u, v)));
       }
       EXPECT_LT(max_diff, 1e-6)
-          << "variant " << SimVariantName(variant) << " seed " << seed
-          << " edit " << e;
-      EXPECT_LT(max_index_diff, 1e-12)
           << "variant " << SimVariantName(variant) << " seed " << seed
           << " edit " << e;
     }
@@ -575,7 +557,7 @@ TEST_P(MaintainedIndexSweep, MatchesFreshBuildAfterRandomEdits) {
   DynamicGraph d2(pair.g2);
   const NeighborIndexEnv env{d1, d2, index, lsim};
   IncrementalNeighborIndex maintained;
-  ASSERT_TRUE(maintained.Build(env, keys, config));
+  ASSERT_TRUE(maintained.Build(env, keys, config).ok());
 
   Rng rng(515);
   for (int e = 0; e < 12; ++e) {
@@ -604,7 +586,7 @@ TEST_P(MaintainedIndexSweep, MatchesFreshBuildAfterRandomEdits) {
     }
 
     IncrementalNeighborIndex fresh;
-    ASSERT_TRUE(fresh.Build(env, keys, config));
+    ASSERT_TRUE(fresh.Build(env, keys, config).ok());
     for (size_t i = 0; i < keys.size(); ++i) {
       for (int dir :
            {IncrementalNeighborIndex::kOut, IncrementalNeighborIndex::kIn}) {
@@ -671,7 +653,17 @@ TEST(Incremental, TruncatedEditReportsNonConvergence) {
   EXPECT_FALSE(tiny->Snapshot().stats().converged);
 }
 
-TEST(Incremental, IndexOverBudgetMidStreamFallsBackToHashLookups) {
+/// Every maintained score, in key order.
+std::vector<double> AllScores(const IncrementalFSim& inc) {
+  return inc.Snapshot().values();
+}
+
+// θ = 0 keeps every candidate entry, so the arena's live entries equal the
+// Create-time bound and a budget of exactly that footprint admits Create but
+// no edit that grows a span. Such an insert must be rejected before the
+// graph is touched; a removal, and then re-inserting the removed edge
+// (which restores exactly the freed entries), still fit.
+TEST(Incremental, OverBudgetInsertIsRejectedAndLeavesStateUntouched) {
   auto pair = MakeRandomPair(35);
   FSimConfig config;
   config.variant = SimVariant::kSimple;
@@ -680,36 +672,78 @@ TEST(Incremental, IndexOverBudgetMidStreamFallsBackToHashLookups) {
   IncrementalOptions options;
   options.propagation_tolerance = 1e-10;
 
-  // Learn the initial footprint, then rebuild with a budget barely above it
-  // so that insert-driven span growth must blow the ceiling.
   auto probe = IncrementalFSim::Create(pair.g1, pair.g2, config, options);
   ASSERT_TRUE(probe.ok());
-  ASSERT_TRUE(probe->uses_neighbor_index());
   config.neighbor_index_budget_bytes =
-      probe->Snapshot().stats().neighbor_index_bytes + 64;
-
+      probe->Snapshot().stats().neighbor_index_bytes;
   auto inc = IncrementalFSim::Create(pair.g1, pair.g2, config, options);
-  ASSERT_TRUE(inc.ok());
-  ASSERT_TRUE(inc->uses_neighbor_index());
-  int inserted = 0;
-  for (NodeId u = 0; u < inc->g1().NumNodes() && inserted < 40; ++u) {
-    for (NodeId v = 0; v < inc->g1().NumNodes() && inserted < 40; ++v) {
-      if (u == v || inc->g1().HasEdge(u, v)) continue;
-      ASSERT_TRUE(inc->InsertEdge(1, u, v).ok());
-      ++inserted;
-    }
-  }
-  // Densifying one side must eventually trip the ceiling; after the index
-  // drops, the engine keeps answering through the hash fallback and the
-  // scores still track a full recompute.
-  EXPECT_FALSE(inc->uses_neighbor_index());
-  EXPECT_FALSE(inc->Snapshot().stats().used_neighbor_index);
+  ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+
+  NodeId from = 0;
+  NodeId to = 1;
+  while (inc->g1().HasEdge(from, to)) ++to;
+  const std::vector<double> before = AllScores(*inc);
+  const size_t bytes_before = inc->neighbor_index().MemoryBytes();
+  const Status rejected = inc->InsertEdge(1, from, to);
+  ASSERT_TRUE(rejected.IsResourceExhausted()) << rejected.ToString();
+  EXPECT_NE(rejected.ToString().find("neighbor_index_budget_bytes"),
+            std::string::npos);
+  EXPECT_FALSE(inc->g1().HasEdge(from, to));
+  EXPECT_EQ(AllScores(*inc), before);
+  EXPECT_EQ(inc->neighbor_index().MemoryBytes(), bytes_before);
+  EXPECT_TRUE(inc->g1().ValidateAdjacency().ok());
+  EXPECT_TRUE(inc->neighbor_index().Validate(inc->NumPairs()).ok());
+
+  // Graph 2 goes through the column bound.
+  NodeId to2 = 1;
+  while (inc->g2().HasEdge(from, to2)) ++to2;
+  const Status rejected2 = inc->InsertEdge(2, from, to2);
+  ASSERT_TRUE(rejected2.IsResourceExhausted()) << rejected2.ToString();
+  EXPECT_FALSE(inc->g2().HasEdge(from, to2));
+  EXPECT_EQ(AllScores(*inc), before);
+
+  // Removals never grow spans; re-adding the removed edge needs exactly
+  // the entries the removal freed.
+  NodeId u = 0;
+  while (inc->g1().OutDegree(u) == 0) ++u;
+  const NodeId w = inc->g1().OutNeighbors(u)[0];
+  ASSERT_TRUE(inc->RemoveEdge(1, u, w).ok());
+  ASSERT_TRUE(inc->InsertEdge(1, u, w).ok());
+  EXPECT_TRUE(inc->g1().HasEdge(u, w));
+  EXPECT_LE(inc->neighbor_index().MemoryBytes(),
+            config.neighbor_index_budget_bytes);
+  EXPECT_TRUE(inc->neighbor_index().Validate(inc->NumPairs()).ok());
   auto full = ComputeFSim(inc->MaterializeG1(), inc->MaterializeG2(), config);
   ASSERT_TRUE(full.ok());
   for (uint64_t key : full->keys()) {
-    const NodeId u = PairFirst(key);
-    const NodeId v = PairSecond(key);
-    EXPECT_NEAR(full->Score(u, v), inc->Score(u, v), 1e-6);
+    EXPECT_NEAR(full->Score(PairFirst(key), PairSecond(key)),
+                inc->Score(PairFirst(key), PairSecond(key)), 1e-6);
+  }
+}
+
+// The arena is sized to its live entries: right after Create the reported
+// footprint is exactly the entries the spans hold plus the span metadata.
+TEST(Incremental, IndexMemoryIsLiveEntriesPlusSpanMetadata) {
+  for (double theta : {0.0, 1.0}) {
+    auto pair = MakeRandomPair(36);
+    FSimConfig config;
+    config.variant = SimVariant::kBijective;
+    config.theta = theta;
+    auto inc = IncrementalFSim::Create(pair.g1, pair.g2, config);
+    ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+    const IncrementalNeighborIndex& index = inc->neighbor_index();
+    size_t live = 0;
+    for (size_t i = 0; i < inc->NumPairs(); ++i) {
+      live += index.Refs(i, IncrementalNeighborIndex::kOut).size() +
+              index.Refs(i, IncrementalNeighborIndex::kIn).size();
+    }
+    EXPECT_EQ(index.live_entries(), live) << "theta " << theta;
+    const size_t expected =
+        live * sizeof(NeighborRef) +
+        2 * inc->NumPairs() * sizeof(IncrementalNeighborIndex::SpanMeta);
+    EXPECT_EQ(index.MemoryBytes(), expected) << "theta " << theta;
+    EXPECT_EQ(inc->Snapshot().stats().neighbor_index_bytes, expected)
+        << "theta " << theta;
   }
 }
 

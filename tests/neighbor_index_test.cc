@@ -1,20 +1,27 @@
 // Path-equivalence tests for the pair-graph CSR neighbor index: for every
 // MappingKind x OmegaKind operator combination (and both matching
 // realizations, plus pin_diagonal and upper-bound pruning with α > 0), the
-// indexed fast path and the hash-lookup fallback must produce identical
-// scores — the index enumerates exactly the candidate pairs the fallback's
-// nested loops visit, in the same order.
+// indexed engine must reproduce the naive hash-lookup evaluation of
+// Equation 3 (tests/naive_fsim.h) — same pairs, same iteration count,
+// scores within 1e-12 — since the index enumerates exactly the candidate
+// pairs the oracle's nested loops visit, in the same order. Plus the
+// budget ceiling: an index that cannot fit fails with ResourceExhausted.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <string>
 #include <tuple>
 
 #include "common/random.h"
+#include "core/dense_engine.h"
 #include "core/fsim_config.h"
 #include "core/fsim_engine.h"
+#include "core/incremental.h"
 #include "core/simrank.h"
+#include "core/topk_allpairs.h"
 #include "graph/graph_builder.h"
+#include "tests/naive_fsim.h"
 
 namespace fsim {
 namespace {
@@ -43,33 +50,24 @@ Graph MakeDenseRandomGraph(uint64_t seed, uint32_t n = 24) {
   return std::move(builder).BuildOrDie();
 }
 
-/// Runs `config` with the neighbor index enabled and disabled and asserts
-/// both paths produce the same pair set with scores equal within 1e-12.
-void ExpectPathEquivalence(const Graph& g, FSimConfig config,
+/// Runs `config` through ComputeFSim and the naive oracle and asserts both
+/// produce the same pair set and iteration count, with scores equal within
+/// 1e-12.
+void ExpectPathEquivalence(const Graph& g, const FSimConfig& config,
                            const std::string& context) {
-  config.neighbor_index_budget_bytes = 1ULL << 30;
   auto indexed = ComputeFSimSelf(g, config);
   ASSERT_TRUE(indexed.ok()) << context << ": " << indexed.status().ToString();
-  EXPECT_TRUE(indexed->stats().used_neighbor_index) << context;
   EXPECT_GT(indexed->stats().neighbor_index_bytes, 0u) << context;
 
-  config.neighbor_index_budget_bytes = 0;
-  auto fallback = ComputeFSimSelf(g, config);
-  ASSERT_TRUE(fallback.ok()) << context << ": "
-                             << fallback.status().ToString();
-  EXPECT_FALSE(fallback->stats().used_neighbor_index) << context;
-
-  ASSERT_EQ(indexed->keys().size(), fallback->keys().size()) << context;
-  EXPECT_EQ(indexed->stats().iterations, fallback->stats().iterations)
-      << context;
-  for (size_t i = 0; i < indexed->keys().size(); ++i) {
-    ASSERT_EQ(indexed->keys()[i], fallback->keys()[i]) << context;
+  const testing::NaiveFSimResult naive = testing::NaiveFSim(g, g, config);
+  ASSERT_EQ(indexed->keys(), naive.keys) << context;
+  EXPECT_EQ(indexed->stats().iterations, naive.iterations) << context;
+  for (size_t i = 0; i < naive.keys.size(); ++i) {
     const double a = indexed->values()[i];
-    const double b = fallback->values()[i];
     ASSERT_FALSE(std::isnan(a)) << context << " pair " << i;
-    ASSERT_NEAR(a, b, kPathTolerance)
-        << context << " pair " << i << " (u=" << PairFirst(indexed->keys()[i])
-        << ", v=" << PairSecond(indexed->keys()[i]) << ")";
+    ASSERT_NEAR(a, naive.values[i], kPathTolerance)
+        << context << " pair " << i << " (u=" << PairFirst(naive.keys[i])
+        << ", v=" << PairSecond(naive.keys[i]) << ")";
   }
 }
 
@@ -108,7 +106,7 @@ using PathParam = std::tuple<MappingKind, OmegaKind, MatchingAlgo>;
 class NeighborIndexPathEquivalence
     : public ::testing::TestWithParam<PathParam> {};
 
-TEST_P(NeighborIndexPathEquivalence, IndexedMatchesFallback) {
+TEST_P(NeighborIndexPathEquivalence, IndexedMatchesNaiveOracle) {
   const auto [mapping, omega, matching] = GetParam();
   const Graph g = MakeDenseRandomGraph(/*seed=*/7 + static_cast<int>(omega));
   FSimConfig config;
@@ -138,8 +136,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(NeighborIndexTest, UpperBoundAlphaEquivalence) {
-  // Pruned pairs contribute α * bound through the tagged refs; the indexed
-  // and fallback paths must agree on them for every variant.
+  // Pruned pairs contribute α * bound through the tagged refs; the oracle
+  // reads the same float-rounded bounds by hash lookup, for every variant.
   const Graph g = MakeDenseRandomGraph(11);
   for (SimVariant variant :
        {SimVariant::kSimple, SimVariant::kDegreePreserving, SimVariant::kBi,
@@ -160,7 +158,7 @@ TEST(NeighborIndexTest, UpperBoundAlphaEquivalence) {
 
 TEST(NeighborIndexTest, UpperBoundAlphaZeroEquivalence) {
   // α = 0: pruned pairs are untracked and must be omitted from the index
-  // (their fallback lookups return 0).
+  // (the oracle's lookups return 0 for them).
   const Graph g = MakeDenseRandomGraph(13);
   FSimConfig config;
   config.variant = SimVariant::kBijective;
@@ -207,13 +205,11 @@ TEST(NeighborIndexTest, PackedRefLayoutEquivalence) {
   config.use_packed_neighbor_refs = true;
   auto packed = ComputeFSimSelf(g, config);
   ASSERT_TRUE(packed.ok());
-  ASSERT_TRUE(packed->stats().used_neighbor_index);
   EXPECT_TRUE(packed->stats().packed_neighbor_refs);
 
   config.use_packed_neighbor_refs = false;
   auto wide = ComputeFSimSelf(g, config);
   ASSERT_TRUE(wide.ok());
-  ASSERT_TRUE(wide->stats().used_neighbor_index);
   EXPECT_FALSE(wide->stats().packed_neighbor_refs);
 
   EXPECT_LT(packed->stats().neighbor_index_bytes,
@@ -227,25 +223,70 @@ TEST(NeighborIndexTest, PackedRefLayoutEquivalence) {
   }
 }
 
-TEST(NeighborIndexTest, BudgetFallbackTriggers) {
+/// The byte count an over-budget Status names after "needs up to ".
+uint64_t NeededBytes(const Status& status) {
+  const std::string message = status.ToString();
+  const size_t at = message.find("needs up to ");
+  if (at == std::string::npos) return 0;
+  return std::strtoull(message.c_str() + at + 12, nullptr, 10);
+}
+
+/// Every engine treats the budget as a ceiling: a run whose index cannot
+/// fit fails with ResourceExhausted naming the bytes it needs and the
+/// budget, and that many bytes are enough.
+TEST(NeighborIndexTest, OverBudgetRunsReturnResourceExhausted) {
   const Graph g = MakeDenseRandomGraph(23);
   FSimConfig config;
   config.variant = SimVariant::kBijective;
   config.label_sim = LabelSimKind::kEditDistance;
   config.theta = 0.4;
-
   config.neighbor_index_budget_bytes = 64;  // far below any real index
-  auto tiny = ComputeFSimSelf(g, config);
-  ASSERT_TRUE(tiny.ok());
-  EXPECT_FALSE(tiny->stats().used_neighbor_index);
-  EXPECT_EQ(tiny->stats().neighbor_index_bytes, 0u);
 
-  config.neighbor_index_budget_bytes = 1ULL << 30;
-  auto indexed = ComputeFSimSelf(g, config);
-  ASSERT_TRUE(indexed.ok());
-  EXPECT_TRUE(indexed->stats().used_neighbor_index);
-  EXPECT_LE(indexed->stats().neighbor_index_bytes, 1ULL << 30);
+  auto expect_exhausted = [](const Status& status, const char* engine) {
+    EXPECT_TRUE(status.IsResourceExhausted())
+        << engine << ": " << status.ToString();
+    EXPECT_NE(status.ToString().find("neighbor_index_budget_bytes 64"),
+              std::string::npos)
+        << engine << ": " << status.ToString();
+    EXPECT_GT(NeededBytes(status), 64u) << engine << ": " << status.ToString();
+    return NeededBytes(status);
+  };
+  auto sparse = ComputeFSimSelf(g, config);
+  ASSERT_FALSE(sparse.ok());
+  const uint64_t sparse_needed = expect_exhausted(sparse.status(), "sparse");
+  TopKPairsOptions topk_options;
+  topk_options.k = 3;
+  auto topk = ComputeTopKPairs(g, g, config, topk_options);
+  ASSERT_FALSE(topk.ok());
+  EXPECT_EQ(expect_exhausted(topk.status(), "topk"), sparse_needed);
+  auto dense = ComputeFSimDense(g, g, config);
+  ASSERT_FALSE(dense.ok());
+  const uint64_t dense_needed = expect_exhausted(dense.status(), "dense");
+  auto inc = IncrementalFSim::Create(g, g, config);
+  ASSERT_FALSE(inc.ok());
+  const uint64_t inc_needed = expect_exhausted(inc.status(), "incremental");
+
+  config.neighbor_index_budget_bytes = sparse_needed;
+  auto sparse_fit = ComputeFSimSelf(g, config);
+  ASSERT_TRUE(sparse_fit.ok()) << sparse_fit.status().ToString();
+  EXPECT_LE(sparse_fit->stats().neighbor_index_bytes, sparse_needed);
+  config.neighbor_index_budget_bytes = dense_needed;
+  auto dense_fit = ComputeFSimDense(g, g, config);
+  ASSERT_TRUE(dense_fit.ok()) << dense_fit.status().ToString();
+  EXPECT_LE(dense_fit->stats().neighbor_index_bytes, dense_needed);
+  config.neighbor_index_budget_bytes = inc_needed;
+  auto inc_fit = IncrementalFSim::Create(g, g, config);
+  ASSERT_TRUE(inc_fit.ok()) << inc_fit.status().ToString();
+  EXPECT_LE(inc_fit->Snapshot().stats().neighbor_index_bytes, inc_needed);
+
+  // 0 no longer means "no index": it is rejected up front.
+  config.neighbor_index_budget_bytes = 0;
+  EXPECT_TRUE(ComputeFSimSelf(g, config).status().IsInvalidArgument());
+  EXPECT_TRUE(ComputeFSimDense(g, g, config).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      IncrementalFSim::Create(g, g, config).status().IsInvalidArgument());
 }
+
 TEST(NeighborIndexTest, BoundedStagingBuildEquivalence) {
   // A budget that admits the index but not the one-pass build's transient
   // staging (which peaks near twice the final footprint) must select the
@@ -259,17 +300,14 @@ TEST(NeighborIndexTest, BoundedStagingBuildEquivalence) {
   config.theta = 0.0;
   config.epsilon = 1e-4;
 
-  config.neighbor_index_budget_bytes = 1ULL << 30;
   auto staged = ComputeFSimSelf(g, config);
   ASSERT_TRUE(staged.ok());
-  ASSERT_TRUE(staged->stats().used_neighbor_index);
   EXPECT_FALSE(staged->stats().neighbor_index_bounded_build);
   EXPECT_GT(staged->stats().neighbor_index_peak_staging_bytes, 0u);
 
   config.neighbor_index_budget_bytes = staged->stats().neighbor_index_bytes;
   auto bounded = ComputeFSimSelf(g, config);
   ASSERT_TRUE(bounded.ok());
-  ASSERT_TRUE(bounded->stats().used_neighbor_index);
   EXPECT_TRUE(bounded->stats().neighbor_index_bounded_build);
   EXPECT_EQ(bounded->stats().neighbor_index_peak_staging_bytes, 0u);
   EXPECT_EQ(bounded->stats().neighbor_index_bytes,

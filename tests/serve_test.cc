@@ -23,6 +23,7 @@
 #include "common/failpoint.h"
 #include "common/random.h"
 #include "core/fsim_engine.h"
+#include "core/incremental.h"
 #include "core/scores_io.h"
 #include "graph/graph_builder.h"
 #include "serve/query.h"
@@ -942,6 +943,64 @@ TEST(RefreshDriverTest, FlushDeadlineExceededWhileInitStalled) {
   EXPECT_TRUE(driver.ready());
   failpoint::Disarm("serve.refresh.init_solve");
   EXPECT_GE(failpoint::HitCount("serve.refresh.init_solve"), 1u);
+  ASSERT_TRUE(driver.Stop(std::chrono::milliseconds(0)).ok());
+}
+
+uint64_t FailedEditsMetric() {
+  for (const auto& [label, value] :
+       obs::Registry::Default().CounterFamilySnapshot(
+           "fsim_refresh_edits_total")) {
+    if (label == "failed") return value;
+  }
+  return 0;
+}
+
+// An edit the engine rejects for the neighbor-index budget is a failed
+// edit like any other: counted, not applied, and the RefreshDriver keeps
+// applying and publishing the edits that fit. θ = 0 keeps every candidate
+// entry, so a budget of exactly the Create-time footprint admits no span
+// growth.
+TEST(RefreshDriverTest, OverBudgetEditCountsAsFailedAndPublishingContinues) {
+  const Graph g = MakeServeGraph();
+  FSimConfig config = ServeConfig();
+  auto probe = IncrementalFSim::Create(g, g, config);
+  ASSERT_TRUE(probe.ok());
+  config.neighbor_index_budget_bytes =
+      probe->Snapshot().stats().neighbor_index_bytes;
+  SnapshotStore store;
+  RefreshDriver driver(g, g, config, IncrementalOptions{}, RefreshPolicy{},
+                       &store);
+  ASSERT_TRUE(driver.Init().ok());
+  const uint64_t failed_metric = FailedEditsMetric();
+  const uint64_t solve_version = store.version();
+
+  ASSERT_FALSE(g.HasEdge(0, 1));
+  ASSERT_TRUE(driver.Submit({1, 0, 1, /*insert=*/true}).ok());
+  ASSERT_TRUE(driver.Flush().ok());
+  EXPECT_EQ(driver.stats().edits_failed, 1u);
+  EXPECT_EQ(driver.stats().edits_applied, 0u);
+  EXPECT_EQ(FailedEditsMetric(), failed_metric + 1);
+
+  // A removal fits, and so does re-adding the removed edge (it restores
+  // exactly the entries the removal freed); both are published.
+  ASSERT_TRUE(driver.Submit({1, 0, 2, /*insert=*/false}).ok());
+  ASSERT_TRUE(driver.Flush().ok());
+  const uint64_t removed_version = store.version();
+  EXPECT_GT(removed_version, solve_version);
+  ASSERT_TRUE(driver.Submit({1, 0, 2, /*insert=*/true}).ok());
+  ASSERT_TRUE(driver.Flush().ok());
+  EXPECT_GT(store.version(), removed_version);
+  EXPECT_EQ(driver.stats().edits_applied, 2u);
+  EXPECT_EQ(driver.stats().edits_failed, 1u);
+
+  auto full = ComputeFSim(driver.MaterializeG1(), driver.MaterializeG2(),
+                          ServeConfig());
+  ASSERT_TRUE(full.ok());
+  const SnapshotPtr snap = store.Acquire();
+  for (uint64_t key : full->keys()) {
+    EXPECT_NEAR(snap->scores().Score(PairFirst(key), PairSecond(key)),
+                full->Score(PairFirst(key), PairSecond(key)), 1e-4);
+  }
   ASSERT_TRUE(driver.Stop(std::chrono::milliseconds(0)).ok());
 }
 

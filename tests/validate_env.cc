@@ -57,7 +57,7 @@ void RunAllValidators() {
   }
   IncrementalNeighborIndex incremental;
   const NeighborIndexEnv env{dg, dg, pair_index, lsim};
-  ASSERT_TRUE(incremental.Build(env, keys, config));
+  ASSERT_TRUE(incremental.Build(env, keys, config).ok());
   // Exercise the in-place and relocation Restage paths before auditing.
   ASSERT_TRUE(dg.InsertEdge(0, 3).ok());
   for (size_t i = 0; i < keys.size(); ++i) {
