@@ -58,20 +58,21 @@ int main() {
 
   Rng rng(0xBEEF);
   for (int burst = 1; burst <= 5; ++burst) {
-    // A burst of catalog churn: links appear and disappear.
-    size_t applied = 0;
-    size_t recomputed = 0;
+    // A burst of catalog churn: links appear and disappear. The whole burst
+    // is applied by one ApplyEdits call, which repairs the scores once.
+    std::vector<EdgeEdit> edits;
     for (int e = 0; e < 8; ++e) {
       NodeId a = static_cast<NodeId>(rng.NextBounded(catalog.NumNodes()));
       NodeId b = static_cast<NodeId>(rng.NextBounded(catalog.NumNodes()));
       if (a == b) continue;
-      Status status = monitor->g1().HasEdge(a, b)
-                          ? monitor->RemoveEdge(1, a, b)
-                          : monitor->InsertEdge(1, a, b);
-      if (!status.ok()) continue;
-      ++applied;
-      recomputed += monitor->last_edit_stats().recomputed;
+      edits.push_back({1, a, b, !monitor->g1().HasEdge(a, b)});
     }
+    std::vector<Status> statuses;
+    (void)monitor->ApplyEdits(edits, &statuses);
+    const size_t applied = static_cast<size_t>(
+        std::count_if(statuses.begin(), statuses.end(),
+                      [](const Status& status) { return status.ok(); }));
+    const size_t recomputed = monitor->last_edit_stats().recomputed;
 
     // Which products drifted furthest from their reference role?
     std::vector<std::pair<double, NodeId>> drift;

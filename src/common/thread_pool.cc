@@ -176,9 +176,9 @@ void ThreadPool::ParallelForFrontier(std::span<const uint32_t> indices,
     SchedulerMetrics::Get().inline_regions->Inc();
     return;
   }
-  // Two-class big-first split at 1/16 of the maximum weight (the same
-  // partition IncrementalFSim's serial waves drain in): heavy items lead so
-  // no worker picks up an expensive pair with an empty region behind it.
+  // Two-class big-first split at 1/16 of the maximum weight: heavy items
+  // lead so no worker picks up an expensive pair with an empty region
+  // behind it.
   // Each class keeps the original order, so within a class workers still
   // walk the underlying arrays roughly ascending.
   frontier_weights_.resize(n);

@@ -77,9 +77,9 @@ class ThreadPool {
 
   /// Priority frontier draining: like ParallelForSpan, but the slices handed
   /// to workers are drawn from a big-items-first reordering of `indices` —
-  /// items whose weight is within 1/16 of the frontier's maximum (the same
-  /// two-class split IncrementalFSim's serial waves use) come first, each
-  /// class keeping the original (ascending-index) order. Chunks are dealt
+  /// items whose weight is at least 1/16 of the frontier's maximum come
+  /// first, each class keeping the original (ascending-index) order (a
+  /// linear two-class split instead of a sort). Chunks are dealt
   /// round-robin so every worker starts on heavy chunks and thieves pick up
   /// a victim's lightest remaining work. Coverage/worker-id semantics are
   /// those of ParallelForSpan; the ordering is only a scheduling hint, so

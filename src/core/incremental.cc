@@ -1,7 +1,6 @@
 #include "core/incremental.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -76,26 +75,13 @@ Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
         static_cast<uint32_t>(i);
   }
 
-  inc.in_queue_.assign(inc.keys_.size(), 0);
-  inc.dirty_dir_.assign(inc.keys_.size(), 0);
-  inc.pending_out_.assign(inc.keys_.size(), 0.0);
-  inc.pending_in_.assign(inc.keys_.size(), 0.0);
-  inc.out_cache_.assign(inc.keys_.size(), 0.0);
-  inc.in_cache_.assign(inc.keys_.size(), 0.0);
-  inc.influence_factor_out_.resize(inc.keys_.size());
-  inc.influence_factor_in_.resize(inc.keys_.size());
   inc.const_term_.resize(inc.keys_.size());
   const double label_weight = 1.0 - inc.config_.w_out - inc.config_.w_in;
   for (size_t i = 0; i < inc.keys_.size(); ++i) {
-    const NodeId u = PairFirst(inc.keys_[i]);
-    const NodeId v = PairSecond(inc.keys_[i]);
-    inc.influence_factor_out_[i] = PairInfluenceFactor(
-        inc.op_, inc.g1_.OutDegree(u), inc.g2_.OutDegree(v));
-    inc.influence_factor_in_[i] = PairInfluenceFactor(
-        inc.op_, inc.g1_.InDegree(u), inc.g2_.InDegree(v));
     inc.const_term_[i] =
         label_weight * LabelTermValue(inc.config_, inc.lsim_,
-                                      inc.g1_.Label(u), inc.g2_.Label(v));
+                                      inc.g1_.Label(PairFirst(inc.keys_[i])),
+                                      inc.g2_.Label(PairSecond(inc.keys_[i])));
   }
   FSIM_RETURN_NOT_OK(
       inc.nbr_index_.Build(inc.IndexEnv(), inc.keys_, inc.config_));
@@ -110,54 +96,42 @@ Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
   return inc;
 }
 
-double IncrementalFSim::ComputeDirection(size_t i, int dir,
-                                         MatchingScratch* scratch) {
+double IncrementalFSim::Evaluate(size_t i, MatchingScratch* scratch) const {
   const NodeId u = PairFirst(keys_[i]);
   const NodeId v = PairSecond(keys_[i]);
+  if (config_.pin_diagonal && u == v) return 1.0;
   const double* vals = values_.data();
   auto score_of = [vals](uint32_t ref) -> double { return vals[ref]; };
-  if (dir == IncrementalNeighborIndex::kOut) {
-    return DirectionScoreIndexed(
+  double out_score = 0.0;
+  double in_score = 0.0;
+  if (config_.w_out > 0.0) {
+    out_score = DirectionScoreIndexed(
         op_, config_.matching, g1_.OutDegree(u), g2_.OutDegree(v),
         nbr_index_.Refs(i, IncrementalNeighborIndex::kOut), score_of,
         scratch);
   }
-  return DirectionScoreIndexed(
-      op_, config_.matching, g1_.InDegree(u), g2_.InDegree(v),
-      nbr_index_.Refs(i, IncrementalNeighborIndex::kIn), score_of, scratch);
+  if (config_.w_in > 0.0) {
+    in_score = DirectionScoreIndexed(
+        op_, config_.matching, g1_.InDegree(u), g2_.InDegree(v),
+        nbr_index_.Refs(i, IncrementalNeighborIndex::kIn), score_of,
+        scratch);
+  }
+  return config_.w_out * out_score + config_.w_in * in_score + const_term_[i];
 }
 
-double IncrementalFSim::EvaluateDirty(size_t i, uint8_t dirty,
-                                      MatchingScratch* scratch) {
-  const NodeId u = PairFirst(keys_[i]);
-  const NodeId v = PairSecond(keys_[i]);
-  if (config_.pin_diagonal && u == v) return 1.0;
-  if ((dirty & kDirtyOut) && config_.w_out > 0.0) {
-    out_cache_[i] = ComputeDirection(i, IncrementalNeighborIndex::kOut, scratch);
-  }
-  if ((dirty & kDirtyIn) && config_.w_in > 0.0) {
-    in_cache_[i] = ComputeDirection(i, IncrementalNeighborIndex::kIn, scratch);
-  }
-  return config_.w_out * out_cache_[i] + config_.w_in * in_cache_[i] +
-         const_term_[i];
-}
-
-/// The incremental engine's pair space as ActiveSetDriver iterates it:
-/// values_ is the previous-score buffer, next_ the current one, the
-/// maintained index supplies the spans, and every evaluation recomputes
-/// both directions (refreshing the direction caches).
-class IncrementalFSim::SolveSpace {
+/// What both views share: values_ is the previous-score buffer, the
+/// maintained index supplies the spans, and Evaluate reads values_.
+class IncrementalFSim::TableSpace {
  public:
-  explicit SolveSpace(IncrementalFSim* inc)
-      : inc_(*inc), next_(inc->values_.size()) {}
+  explicit TableSpace(IncrementalFSim* inc) : inc_(inc) {}
 
-  size_t size() const { return inc_.keys_.size(); }
-  NodeId U(size_t i) const { return PairFirst(inc_.keys_[i]); }
-  NodeId V(size_t i) const { return PairSecond(inc_.keys_[i]); }
-  double prev(size_t i) const { return inc_.values_[i]; }
-  void set_curr(size_t i, double value) { next_[i] = value; }
-  void SwapBuffers() { inc_.values_.swap(next_); }
-  void CommitPair(size_t i) { inc_.values_[i] = next_[i]; }
+  /// Points the view at `inc` (the engine may have moved since).
+  void Bind(IncrementalFSim* inc) { inc_ = inc; }
+
+  size_t size() const { return inc_->keys_.size(); }
+  NodeId U(size_t i) const { return PairFirst(inc_->keys_[i]); }
+  NodeId V(size_t i) const { return PairSecond(inc_->keys_[i]); }
+  double prev(size_t i) const { return inc_->values_[i]; }
 
   /// The maintained index materializes both directions of every pair, so
   /// its spans are reverse-dependency lists...
@@ -166,24 +140,86 @@ class IncrementalFSim::SolveSpace {
   bool pinned_pairs_spanned() const { return false; }
   template <typename F>
   void WithRefs(size_t i, F&& f) const {
-    f(inc_.nbr_index_.Refs(i, IncrementalNeighborIndex::kOut),
-      inc_.nbr_index_.Refs(i, IncrementalNeighborIndex::kIn));
+    f(inc_->nbr_index_.Refs(i, IncrementalNeighborIndex::kOut),
+      inc_->nbr_index_.Refs(i, IncrementalNeighborIndex::kIn));
   }
   size_t RefSpanTotal(size_t i) const {
-    return inc_.nbr_index_.Refs(i, IncrementalNeighborIndex::kOut).size() +
-           inc_.nbr_index_.Refs(i, IncrementalNeighborIndex::kIn).size();
+    return inc_->nbr_index_.Refs(i, IncrementalNeighborIndex::kOut).size() +
+           inc_->nbr_index_.Refs(i, IncrementalNeighborIndex::kIn).size();
   }
 
-  /// Writes only pair i's direction caches, so distinct pairs may be
-  /// evaluated concurrently.
   double Evaluate(size_t i, MatchingScratch* scratch) const {
-    return inc_.EvaluateDirty(i, kDirtyOut | kDirtyIn, scratch);
+    return inc_->Evaluate(i, scratch);
   }
+
+ protected:
+  IncrementalFSim* inc_;
+};
+
+/// The initial solve's view: Jacobi sweeps write a second buffer, next_.
+class IncrementalFSim::SolveSpace : public IncrementalFSim::TableSpace {
+ public:
+  explicit SolveSpace(IncrementalFSim* inc)
+      : TableSpace(inc), next_(inc->values_.size()) {}
+
+  void set_curr(size_t i, double value) { next_[i] = value; }
+  void SwapBuffers() { inc_->values_.swap(next_); }
+  void CommitPair(size_t i) { inc_->values_[i] = next_[i]; }
 
  private:
-  IncrementalFSim& inc_;
   std::vector<double> next_;
 };
+
+/// Edit repair's view: writes land in values_ at once, so an evaluation
+/// sees the changes made earlier in the same step, and there is nothing to
+/// swap or commit.
+class IncrementalFSim::RepairSpace : public IncrementalFSim::TableSpace {
+ public:
+  using TableSpace::TableSpace;
+
+  void set_curr(size_t i, double value) { inc_->values_[i] = value; }
+  void SwapBuffers() {}
+  void CommitPair(size_t /*i*/) {}
+};
+
+namespace {
+
+/// Tolerance mode at τ: the driver's carried influence is the pending
+/// bound behind the τ·(1+w)/(1-w) guarantee, and Corollary 1 at ε = τ caps
+/// the steps — changes shrink by w per step, so after ceil(log_w τ) steps
+/// every remaining one is below τ. The cap also ends a greedy matching's
+/// occasional non-Lipschitz tie-flip oscillation.
+FSimConfig RepairConfig(FSimConfig config, double tolerance) {
+  config.active_set = ActiveSetMode::kTolerance;
+  config.frontier_tolerance = tolerance;
+  config.epsilon = tolerance;
+  config.max_iterations = 0;
+  return config;
+}
+
+}  // namespace
+
+struct IncrementalFSim::Repairer {
+  explicit Repairer(IncrementalFSim* inc)
+      : config(RepairConfig(inc->config_, inc->options_.propagation_tolerance)),
+        space(inc),
+        driver(pool, space, space, inc->g1_, inc->g2_, config) {}
+  Repairer(const Repairer&) = delete;
+  Repairer& operator=(const Repairer&) = delete;
+
+  // The driver holds references to the members above it.
+  FSimConfig config;
+  // One worker: in-place results depend on the evaluation order, which
+  // must not depend on config.num_threads.
+  ThreadPool pool{1};
+  RepairSpace space;
+  ActiveSetDriver<RepairSpace, RepairSpace> driver;
+};
+
+IncrementalFSim::IncrementalFSim(IncrementalFSim&&) noexcept = default;
+IncrementalFSim& IncrementalFSim::operator=(IncrementalFSim&&) noexcept =
+    default;
+IncrementalFSim::~IncrementalFSim() = default;
 
 void IncrementalFSim::SolveFull(const Graph& g1, const Graph& g2) {
   // ComputeFSim's iterate loop on the shared driver, so the serving layer's
@@ -194,274 +230,111 @@ void IncrementalFSim::SolveFull(const Graph& g1, const Graph& g2) {
   SolveSpace space(this);
   ActiveSetDriver driver(pool, space, space, g1, g2, config_);
   driver.Run(&solve_stats_);
-  // One extra *full* recording sweep re-establishes the cache invariant
-  // (values_ = combine(caches) with the caches computed against the
-  // pre-swap table) and its residual decides convergence — it only
-  // shrinks under the contraction, so the extra sweep never loosens the
-  // epsilon guarantee, and it also washes out any tolerance-mode frontier
-  // slack beyond the documented τ-style bound.
-  converged_ = driver.Step(/*force_full=*/true) < config_.epsilon;
+  converged_ = solve_stats_.converged;
 }
 
-void IncrementalFSim::MaybeEnqueue(uint32_t idx) {
-  if (in_queue_[idx]) return;
-  if (pending_out_[idx] + pending_in_[idx] <=
-      options_.propagation_tolerance) {
-    return;
-  }
-  in_queue_[idx] = 1;
-  queue_.push_back(idx);
-}
-
-void IncrementalFSim::AddPendingOut(uint32_t idx, double influence) {
-  pending_out_[idx] += influence;
-  MaybeEnqueue(idx);
-}
-
-void IncrementalFSim::AddPendingIn(uint32_t idx, double influence) {
-  pending_in_[idx] += influence;
-  MaybeEnqueue(idx);
-}
-
-void IncrementalFSim::PushDependents(size_t i, double delta) {
-  // Pair i's own spans double as its dependent lists: the in-span refs are
-  // the maintained pairs (x, y) with x ∈ N-(u), y ∈ N-(v) — exactly the
-  // pairs whose out-direction reads (u, v) — and symmetrically for the
-  // out-span.
-  if (config_.w_out > 0.0) {
-    const double base = config_.w_out * delta;
-    for (const NeighborRef& e :
-         nbr_index_.Refs(i, IncrementalNeighborIndex::kIn)) {
-      AddPendingOut(e.ref, base * influence_factor_out_[e.ref]);
-    }
-  }
-  if (config_.w_in > 0.0) {
-    const double base = config_.w_in * delta;
-    for (const NeighborRef& e :
-         nbr_index_.Refs(i, IncrementalNeighborIndex::kOut)) {
-      AddPendingIn(e.ref, base * influence_factor_in_[e.ref]);
-    }
-  }
-}
-
-uint32_t IncrementalFSim::MaxWaves() const {
-  // Wave cap (the Corollary 1 argument applied to the repair): changes
-  // shrink by at least the contraction factor w per propagation wave, so
-  // after ceil(log_w(tau)) waves every remaining change is below tau and
-  // would be absorbed anyway. The cap also guarantees termination when the
-  // greedy matching's occasional non-Lipschitz tie flips would otherwise
-  // sustain a sub-tau-adjacent oscillation.
-  const double tau = options_.propagation_tolerance;
-  const double w = config_.w_out + config_.w_in;
-  if (w > 0.0 && w < 1.0 && tau < 1.0) {
-    return static_cast<uint32_t>(std::ceil(std::log(tau) / std::log(w))) + 2;
-  }
-  return 1;
-}
-
-Status IncrementalFSim::Propagate() {
-  FSIM_TRACE_SPAN("incremental.propagate");
+Status IncrementalFSim::Repair(std::span<const uint32_t> seeds) {
+  FSIM_TRACE_SPAN_ARG("incremental.repair", seeds.size());
   Timer timer;
-  const double tau = options_.propagation_tolerance;
-  const uint32_t max_waves = MaxWaves();
-
-  uint64_t recomputed = 0;
-  uint64_t changed = 0;
-  uint32_t wave = 0;
-  size_t wave_end = queue_.size();
-  bool wave_capped = false;
-  bool update_capped = false;
-  // Within a wave, absorb the largest accumulated influences first: their
-  // deltas then land in dependents' pending sums before those dependents
-  // are themselves evaluated, so one evaluation absorbs several inputs and
-  // the repeat-evaluation tail of later waves shrinks. A full sort pays
-  // more than it saves (measured ~10% of the edit in comparator cache
-  // misses), so a linear stable two-class partition around 1/16 of the wave
-  // maximum captures the head of the geometric influence distribution
-  // instead. Ordering only reshuffles the chaotic iteration; the fixpoint
-  // and the τ error budget are order-independent.
-  std::vector<uint32_t>& wave_scratch = wave_scratch_;
-  auto partition_wave = [&](size_t begin, size_t end) {
-    if (end - begin < 64) return;
-    double max_pending = 0.0;
-    for (size_t q = begin; q < end; ++q) {
-      const uint32_t i = queue_[q];
-      max_pending =
-          std::max(max_pending, pending_out_[i] + pending_in_[i]);
-    }
-    const double threshold = max_pending / 16.0;
-    wave_scratch.clear();
-    size_t big = begin;
-    for (size_t q = begin; q < end; ++q) {
-      const uint32_t i = queue_[q];
-      if (pending_out_[i] + pending_in_[i] >= threshold) {
-        queue_[big++] = i;
-      } else {
-        wave_scratch.push_back(i);
-      }
-    }
-    std::copy(wave_scratch.begin(), wave_scratch.end(), queue_.begin() + big);
-  };
-  partition_wave(queue_head_, wave_end);
-  while (queue_head_ < queue_.size()) {
-    if (queue_head_ == wave_end) {
-      ++wave;
-      wave_end = queue_.size();
-      if (wave >= max_waves) {
-        wave_capped = true;
-        break;
-      }
-      partition_wave(queue_head_, wave_end);
-    }
-    const uint32_t i = queue_[queue_head_++];
-    in_queue_[i] = 0;
-    uint8_t dirty = dirty_dir_[i];
-    if (pending_out_[i] > 0.0) dirty |= kDirtyOut;
-    if (pending_in_[i] > 0.0) dirty |= kDirtyIn;
-    dirty_dir_[i] = 0;
-    pending_out_[i] = 0.0;
-    pending_in_[i] = 0.0;
-    const double fresh = EvaluateDirty(i, dirty, &scratch_);
-    ++recomputed;
-    const double delta = std::abs(fresh - values_[i]);
-    // Commit before any truncation check: the evaluation is already paid
-    // for, and the committed value is closer to the fixpoint.
-    values_[i] = fresh;
-    if (delta > tau) {
-      ++changed;
-      PushDependents(i, delta);
-    }
-    if (recomputed >= options_.max_updates_per_edit &&
-        queue_head_ < queue_.size()) {
-      update_capped = true;
-      break;
-    }
+  // One driver for every burst, so that influence a repair leaves below τ
+  // counts toward the next one instead of being dropped with the driver.
+  // It chose its dependency walk from the graphs' shape; edits keep
+  // mirrored in-lists mirrored, but change any other shape (the empty
+  // in-lists of Graph::AsUndirected), which then needs a new driver.
+  if (repairer_ == nullptr || g1_.NumInEdges() != g1_.NumEdges() ||
+      g2_.NumInEdges() != g2_.NumEdges()) {
+    repairer_ = std::make_unique<Repairer>(this);
   }
-  // Reset any worklist remainder so the engine stays usable. Wave-capped
-  // leftovers carry sub-tolerance influence by the geometric-decay argument;
-  // update-cap leftovers may not — either way the snapshot reports the
-  // truncation via converged=false.
-  for (size_t q = queue_head_; q < queue_.size(); ++q) {
-    in_queue_[queue_[q]] = 0;
-    dirty_dir_[queue_[q]] = 0;
-    pending_out_[queue_[q]] = 0.0;
-    pending_in_[queue_[q]] = 0.0;
-  }
-  queue_.clear();
-  queue_head_ = 0;
-  last_edit_.recomputed = recomputed;
-  last_edit_.changed = changed;
-  last_edit_.waves = wave;
-  last_edit_.truncated = wave_capped || update_capped;
+  repairer_->space.Bind(this);
+  auto& driver = repairer_->driver;
+  // The ops changed the degrees only of pairs they re-staged, the seeds.
+  for (uint32_t i : seeds) driver.UpdateInfluence(i, g1_, g2_);
+  const auto report =
+      driver.Repair(seeds, FSimIterationBound(repairer_->config),
+                    options_.max_updates_per_edit);
+  last_edit_.recomputed = report.evaluated;
+  last_edit_.steps = report.steps;
+  last_edit_.truncated = report.step_capped || report.evaluation_capped;
   if (last_edit_.truncated) converged_ = false;
-  last_edit_.propagate_seconds = timer.Seconds();
-  if (update_capped) {
+  last_edit_.repair_seconds = timer.Seconds();
+  if (report.evaluation_capped) {
     return Status::Internal(StrFormat(
-        "edit exceeded max_updates_per_edit (%llu); scores may not have "
+        "burst exceeded max_updates_per_edit (%llu); scores may not have "
         "re-converged",
         static_cast<unsigned long long>(options_.max_updates_per_edit)));
   }
   return Status::OK();
 }
 
-void IncrementalFSim::SeedEndpointPairs(int graph_index, NodeId a, NodeId b) {
-  // The edit changed N+(a) and N-(b) of the edited graph, so the pairs on
-  // row/column a need their out-direction recomputed and those on row/column
-  // b their in-direction. The structural change is flagged via dirty_dir_
-  // (a pending magnitude cannot express "the input *set* changed").
-  size_t seeded = 0;
-  auto seed = [&](uint32_t i, uint8_t dir_bit) {
-    dirty_dir_[i] |= dir_bit;
-    if (!in_queue_[i]) {
-      in_queue_[i] = 1;
-      queue_.push_back(i);
-      ++seeded;
-    }
-  };
-  if (graph_index == 1) {
-    for (uint32_t i = row_offsets_[a]; i < row_offsets_[a + 1]; ++i) {
-      seed(i, kDirtyOut);
-    }
-    for (uint32_t i = row_offsets_[b]; i < row_offsets_[b + 1]; ++i) {
-      seed(i, kDirtyIn);
-    }
-  } else {
-    for (uint32_t c = col_offsets_[a]; c < col_offsets_[a + 1]; ++c) {
-      seed(col_pairs_[c], kDirtyOut);
-    }
-    for (uint32_t c = col_offsets_[b]; c < col_offsets_[b + 1]; ++c) {
-      seed(col_pairs_[c], kDirtyIn);
-    }
-  }
-  last_edit_.seeded_pairs = seeded;
-}
-
-Status IncrementalFSim::ApplyEdit(int graph_index, NodeId from, NodeId to,
-                                  bool insert) {
+Status IncrementalFSim::Patch(const EdgeEdit& edit,
+                              std::vector<uint32_t>* seeds) {
+  const int graph_index = edit.graph_index;
+  const NodeId from = edit.from;
+  const NodeId to = edit.to;
   if (graph_index != 1 && graph_index != 2) {
     return Status::InvalidArgument("graph_index must be 1 or 2");
   }
-  last_edit_ = EditStats{};
-  Timer edit_timer;
+  Timer graph_timer;
   DynamicGraph& target = graph_index == 1 ? g1_ : g2_;
-  // A rejected edit (duplicate insert, absent removal, bad endpoint, or an
+  // A rejected op (duplicate insert, absent removal, bad endpoint, or an
   // insert whose span growth could pass the index budget) leaves the
   // adjacency, index and scores untouched. Removals never grow spans.
-  if (insert && from < target.NumNodes() && to < target.NumNodes() &&
+  if (edit.insert && from < target.NumNodes() && to < target.NumNodes() &&
       !target.HasEdge(from, to)) {
     FSIM_RETURN_NOT_OK(
         nbr_index_.CheckGrowth(InsertGrowthBound(graph_index, from, to)));
   }
-  FSIM_RETURN_NOT_OK(insert ? target.InsertEdge(from, to)
-                            : target.RemoveEdge(from, to));
-  last_edit_.graph_rebuild_seconds = edit_timer.Seconds();
+  FSIM_RETURN_NOT_OK(edit.insert ? target.InsertEdge(from, to)
+                                 : target.RemoveEdge(from, to));
+  last_edit_.graph_rebuild_seconds += graph_timer.Seconds();
 
-  // Patch exactly what the edit invalidated. A graph-1 edit (from, to)
-  // changes N+(from) and N-(to), so the out-spans (and out-direction Ωχ
-  // factors) of row `from` and the in-spans/factors of row `to`; a graph-2
-  // edit the same per column. (For a self-loop from == to both loops walk
-  // the same row/column, re-staging its two distinct directions.)
+  // Patch exactly what the edit invalidated, and seed the pairs whose own
+  // Equation 3 inputs changed shape. A graph-1 edit (from, to) changes
+  // N+(from) and N-(to), so the out-spans of row `from` and the in-spans of
+  // row `to`; a graph-2 edit the same per column. (For a self-loop
+  // from == to both loops walk the same row/column, re-staging its two
+  // distinct directions.)
   Timer patch_timer;
   const NeighborIndexEnv env = IndexEnv();
   const uint64_t restaged_before = nbr_index_.restaged_spans();
-  const OperatorConfig& op = op_;
+  auto restage = [&](uint32_t i, int dir, NodeId u, NodeId v) {
+    nbr_index_.Restage(i, dir, u, v, env);
+    seeds->push_back(i);
+  };
   if (graph_index == 1) {
     for (uint32_t i = row_offsets_[from]; i < row_offsets_[from + 1]; ++i) {
-      const NodeId v = PairSecond(keys_[i]);
-      nbr_index_.Restage(i, IncrementalNeighborIndex::kOut, from, v, env);
-      influence_factor_out_[i] =
-          PairInfluenceFactor(op, g1_.OutDegree(from), g2_.OutDegree(v));
+      restage(i, IncrementalNeighborIndex::kOut, from, PairSecond(keys_[i]));
     }
     for (uint32_t i = row_offsets_[to]; i < row_offsets_[to + 1]; ++i) {
-      const NodeId v = PairSecond(keys_[i]);
-      nbr_index_.Restage(i, IncrementalNeighborIndex::kIn, to, v, env);
-      influence_factor_in_[i] =
-          PairInfluenceFactor(op, g1_.InDegree(to), g2_.InDegree(v));
+      restage(i, IncrementalNeighborIndex::kIn, to, PairSecond(keys_[i]));
     }
   } else {
     for (uint32_t c = col_offsets_[from]; c < col_offsets_[from + 1]; ++c) {
       const uint32_t i = col_pairs_[c];
-      const NodeId u = PairFirst(keys_[i]);
-      nbr_index_.Restage(i, IncrementalNeighborIndex::kOut, u, from, env);
-      influence_factor_out_[i] =
-          PairInfluenceFactor(op, g1_.OutDegree(u), g2_.OutDegree(from));
+      restage(i, IncrementalNeighborIndex::kOut, PairFirst(keys_[i]), from);
     }
     for (uint32_t c = col_offsets_[to]; c < col_offsets_[to + 1]; ++c) {
       const uint32_t i = col_pairs_[c];
-      const NodeId u = PairFirst(keys_[i]);
-      nbr_index_.Restage(i, IncrementalNeighborIndex::kIn, u, to, env);
-      influence_factor_in_[i] =
-          PairInfluenceFactor(op, g1_.InDegree(u), g2_.InDegree(to));
+      restage(i, IncrementalNeighborIndex::kIn, PairFirst(keys_[i]), to);
     }
   }
-  last_edit_.restaged_spans =
+  last_edit_.restaged_spans +=
       static_cast<size_t>(nbr_index_.restaged_spans() - restaged_before);
-  last_edit_.index_patch_seconds = patch_timer.Seconds();
+  last_edit_.index_patch_seconds += patch_timer.Seconds();
+  return Status::OK();
+}
 
-  // The pairs whose own Equation 3 inputs changed shape: `from`'s
-  // out-neighbor set and `to`'s in-neighbor set in the edited graph.
-  SeedEndpointPairs(graph_index, from, to);
-  return Propagate();
+Status IncrementalFSim::ApplyEdits(std::span<const EdgeEdit> edits,
+                                   std::vector<Status>* statuses) {
+  last_edit_ = EditStats{};
+  statuses->clear();
+  std::vector<uint32_t> seeds;
+  for (const EdgeEdit& edit : edits) statuses->push_back(Patch(edit, &seeds));
+  std::sort(seeds.begin(), seeds.end());
+  seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
+  last_edit_.seeded_pairs = seeds.size();
+  if (seeds.empty()) return Status::OK();
+  return Repair(seeds);
 }
 
 uint64_t IncrementalFSim::InsertGrowthBound(int graph_index, NodeId from,
@@ -489,17 +362,29 @@ uint64_t IncrementalFSim::InsertGrowthBound(int graph_index, NodeId from,
   return bound;
 }
 
+namespace {
+
+/// A one-op burst's status: the op's own if it was rejected, else the
+/// repair's.
+Status ApplyOneEdit(IncrementalFSim* inc, const EdgeEdit& edit) {
+  std::vector<Status> statuses;
+  const Status repair = inc->ApplyEdits({&edit, 1}, &statuses);
+  return statuses[0].ok() ? repair : statuses[0];
+}
+
+}  // namespace
+
 Status IncrementalFSim::InsertEdge(int graph_index, NodeId from, NodeId to) {
-  return ApplyEdit(graph_index, from, to, /*insert=*/true);
+  return ApplyOneEdit(this, {graph_index, from, to, /*insert=*/true});
 }
 
 Status IncrementalFSim::RemoveEdge(int graph_index, NodeId from, NodeId to) {
-  return ApplyEdit(graph_index, from, to, /*insert=*/false);
+  return ApplyOneEdit(this, {graph_index, from, to, /*insert=*/false});
 }
 
 FSimScores IncrementalFSim::Snapshot() const {
-  // The iterate fields describe the initial solve (the recording sweep and
-  // later edit repairs are not counted); EditStats reports each edit.
+  // The iterate fields describe the initial solve (edit repairs are not
+  // counted); EditStats reports each burst.
   FSimStats stats = solve_stats_;
   stats.maintained_pairs = keys_.size();
   stats.theta_candidates = keys_.size();

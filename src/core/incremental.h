@@ -6,10 +6,11 @@
 // Idea: Equation 3's update operator F is a sup-norm contraction with factor
 // w = w+ + w- < 1 (this is exactly the Theorem 1 convergence argument), so
 // the converged scores are the unique fixpoint of F and can be repaired by
-// *asynchronous* (chaotic) iteration: after an edit, only the pairs whose
-// inputs changed are recomputed, and a change is propagated to the dependent
-// pairs only when it exceeds a propagation tolerance τ. The geometric decay
-// of propagated changes bounds both the work and the final error:
+// *asynchronous* (chaotic) iteration from any set of seeded pairs: after a
+// burst of edits, only the pairs whose inputs changed are recomputed, and a
+// pair is re-evaluated only once the accumulated influence of its inputs'
+// changes exceeds a propagation tolerance τ. The geometric decay of
+// propagated changes bounds both the work and the final error:
 //
 //   ||maintained - exact fixpoint||∞  <=  τ · (1 + w) / (1 - w).
 //
@@ -17,28 +18,37 @@
 // the out-direction of every pair in N-(u) x N-(v) and by the in-direction of
 // every pair in N+(u) x N+(v).
 //
-// Cost model — every per-edit phase is O(affected degree), independent of
-// |V| + |E|:
-//  * the graphs are held as DynamicGraph (graph/dynamic_graph.h), so the
-//    edge edit itself patches two sorted adjacency lists in O(deg);
+// One iterate loop does all of it: ActiveSetDriver (core/pair_evaluator.h).
+// Create runs it over this engine's table and maintained index exactly as
+// ComputeFSim does, on a pool of config.num_threads workers that lives only
+// for the solve. A burst of edits (ApplyEdits) first patches every op, then
+// repairs once: the driver in tolerance mode (frontier_tolerance = τ)
+// starts from the union of the ops' seeded pairs and runs over an in-place
+// view of the table. Its writes land in the table at once, so an
+// evaluation sees the changes made earlier in the same step. The repair is
+// serial at every thread count, so the maintained scores do not depend on
+// config.num_threads. The first burst builds the repair driver and every
+// later burst reuses it, so influence a repair left below τ is carried
+// into the next one: the bound above holds over any number of bursts.
+//
+// Cost model:
+//  * the graphs are held as DynamicGraph (graph/dynamic_graph.h), so each
+//    op's edge edit patches two sorted adjacency lists in O(deg);
 //  * the pair-graph CSR neighbor index (core/incremental_index.h) is
 //    maintained, not rebuilt: an edit to edge (a, b) in graph 1 invalidates
 //    only the out-spans of pairs (a, *) and the in-spans of pairs (b, *)
 //    (symmetrically (*, a) / (*, b) for graph 2), and exactly those spans
 //    are re-staged — O(|N(u)|·|N(v)|) classify work per affected pair, the
 //    same order as the one re-evaluation the edit forces anyway;
-//  * evaluation and dependent-propagation both run over the index
-//    (DirectionScoreIndexed + contiguous ref walks) instead of per-neighbor
-//    hash probes and label checks. FSimConfig::neighbor_index_budget_bytes
+//  * the repair costs its evaluations (through the index, as in the batch
+//    engines) and their dependent marks, plus a frontier build per repair
+//    step over the marked pairs and pairs/64 bitmap words, once per burst
+//    however many ops it holds. Only the first burst pays the driver's
+//    O(pairs) setup (influence factors, zeroed frontier arrays).
+//    FSimConfig::neighbor_index_budget_bytes
 //    is a ceiling: Create fails with ResourceExhausted when the index does
 //    not fit it, and an edge insert whose span growth could pass it is
 //    rejected with ResourceExhausted before the graph is touched.
-//
-// The initial solve in Create is the batch engines' own iterate loop
-// (ActiveSetDriver, core/pair_evaluator.h) run over this engine's table and
-// maintained index, on a pool that lives only for the solve. Edit repair
-// is serial chaotic iteration at every thread count, so the maintained
-// scores do not depend on config.num_threads.
 //
 // Restrictions:
 //  * upper-bound updating must be off (pruning decisions are edge-dependent,
@@ -54,6 +64,8 @@
 #define FSIM_CORE_INCREMENTAL_H_
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -69,32 +81,40 @@ namespace fsim {
 
 /// Tuning knobs for the incremental engine.
 struct IncrementalOptions {
-  /// Score changes smaller than this are absorbed instead of propagated.
-  /// The maintained scores stay within tau * (1 + w) / (1 - w) of the exact
-  /// fixpoint (w = w+ + w-).
+  /// A pair is re-evaluated once the accumulated influence of its inputs'
+  /// changes exceeds this; smaller influences are absorbed. The maintained
+  /// scores stay within tau * (1 + w) / (1 - w) of the exact fixpoint
+  /// (w = w+ + w-).
   double propagation_tolerance = 1e-9;
 
-  /// Safety valve: an edit that recomputes more pair-updates than this is
-  /// truncated and returns Internal (possible only in pathological
-  /// non-contractive corner cases of the greedy matching realization). The
-  /// updates performed before the cap are kept, and the snapshot reports
-  /// the state as not converged.
+  /// Safety valve, per burst: a repair that has recomputed at least this
+  /// many pair-updates stops at the end of its current step and returns
+  /// Internal (possible only in pathological non-contractive corner cases
+  /// of the greedy matching realization). The updates performed are kept,
+  /// and the snapshot reports the state as not converged.
   uint64_t max_updates_per_edit = 200'000'000;
 };
 
-/// Work report for one edit.
+/// One edge edit of a burst (IncrementalFSim::ApplyEdits).
+struct EdgeEdit {
+  int graph_index = 1;  // 1 or 2
+  NodeId from = 0;
+  NodeId to = 0;
+  bool insert = true;  // false: remove
+};
+
+/// Work report for one burst (InsertEdge/RemoveEdge are one-op bursts).
 struct EditStats {
-  size_t seeded_pairs = 0;      // pairs whose inputs the edit touched directly
+  size_t seeded_pairs = 0;      // pairs whose inputs the ops touched directly
   size_t recomputed = 0;        // total pair recomputations performed
-  size_t changed = 0;           // recomputations that changed the score > τ
-  uint32_t waves = 0;           // propagation waves executed (capped at the
-                                // Corollary 1 bound ceil(log_w τ) + 2)
-  size_t restaged_spans = 0;    // neighbor-index spans re-staged by the edit
-  bool truncated = false;       // hit max_updates_per_edit or the wave cap;
+  uint32_t steps = 0;           // repair steps run (capped at the
+                                // Corollary 1 bound ceil(log_w τ))
+  size_t restaged_spans = 0;    // neighbor-index spans re-staged by the ops
+  bool truncated = false;       // hit max_updates_per_edit or the step cap;
                                 // the snapshot then reports converged=false
-  double graph_rebuild_seconds = 0.0;  // O(deg) adjacency patch
-  double index_patch_seconds = 0.0;    // O(deg) neighbor-index span re-stage
-  double propagate_seconds = 0.0;
+  double graph_rebuild_seconds = 0.0;  // O(deg) adjacency patches
+  double index_patch_seconds = 0.0;    // O(deg) neighbor-index span re-stages
+  double repair_seconds = 0.0;
 };
 
 /// A converged FSimχ computation that can be repaired in place after edge
@@ -126,15 +146,30 @@ class IncrementalFSim {
                                         IncrementalOptions options = {},
                                         const FSimScores* warm_seed = nullptr);
 
+  IncrementalFSim(IncrementalFSim&&) noexcept;
+  IncrementalFSim& operator=(IncrementalFSim&&) noexcept;
+  ~IncrementalFSim();
+
+  /// Applies a burst of edge edits: patches the graphs and the index for
+  /// each op in order, then re-converges the affected scores with one
+  /// repair. O(affected degree) per op plus the repair, not O(|V|+|E|).
+  /// `statuses` receives one Status per op. A rejected op (bad graph index
+  /// or endpoint, duplicate insert, absent removal, or an insert whose
+  /// span growth bound could push the neighbor index past
+  /// config.neighbor_index_budget_bytes, which is ResourceExhausted) leaves
+  /// the graphs, index and scores as the ops before it left them; the
+  /// other ops still apply. Returns Internal when the repair hit
+  /// max_updates_per_edit.
+  Status ApplyEdits(std::span<const EdgeEdit> edits,
+                    std::vector<Status>* statuses);
+
   /// Adds the directed edge from -> to in graph `graph_index` (1 or 2) and
-  /// re-converges the affected scores. O(affected degree), not O(|V|+|E|).
-  /// ResourceExhausted when the edit's span growth bound could push the
-  /// neighbor index past config.neighbor_index_budget_bytes; like every
-  /// rejected edit, it leaves the graphs, index and scores untouched.
+  /// re-converges the affected scores: a one-op ApplyEdits, returning the
+  /// op's status if it was rejected.
   Status InsertEdge(int graph_index, NodeId from, NodeId to);
 
   /// Removes the directed edge from -> to in graph `graph_index` (1 or 2)
-  /// and re-converges the affected scores.
+  /// and re-converges the affected scores, like InsertEdge.
   Status RemoveEdge(int graph_index, NodeId from, NodeId to);
 
   /// FSimχ(u, v) under the current graphs; 0 for non-candidate pairs.
@@ -151,11 +186,11 @@ class IncrementalFSim {
   size_t NumPairs() const { return keys_.size(); }
 
   /// An immutable snapshot of the current scores (copies the score table).
-  /// stats().converged faithfully reports whether every propagation since
-  /// Create ran to quiescence (no truncation by max_updates_per_edit or the
-  /// wave cap). The iterate fields of stats() (iterations, final_delta,
-  /// active_set, full_sweep_iterations, frozen_fraction, iterate_seconds,
-  /// ...) describe the initial solve.
+  /// stats().converged faithfully reports whether the initial solve
+  /// converged and every repair since ran to quiescence (no truncation by
+  /// max_updates_per_edit or the step cap). The iterate fields of stats()
+  /// (iterations, final_delta, active_set, full_sweep_iterations,
+  /// frozen_fraction, iterate_seconds, ...) describe the initial solve.
   FSimScores Snapshot() const;
 
   /// The evolving graphs (edit-capable adjacency; read API mirrors Graph).
@@ -169,8 +204,8 @@ class IncrementalFSim {
 
   const FSimConfig& config() const { return config_; }
 
-  /// False once any propagation was truncated (see EditStats::truncated) or
-  /// the initial solve stopped above epsilon.
+  /// False once any repair was truncated (see EditStats::truncated) or the
+  /// initial solve stopped above epsilon.
   bool converged() const { return converged_; }
 
   /// The maintained pair-graph CSR neighbor index (read-only).
@@ -178,7 +213,8 @@ class IncrementalFSim {
     return nbr_index_;
   }
 
-  /// Work report of the most recent InsertEdge/RemoveEdge.
+  /// Work report of the most recent burst (ApplyEdits, InsertEdge or
+  /// RemoveEdge).
   const EditStats& last_edit_stats() const { return last_edit_; }
 
  private:
@@ -189,78 +225,47 @@ class IncrementalFSim {
     return NeighborIndexEnv{g1_, g2_, index_, lsim_};
   }
 
-  // Direction-dirtiness bits: influence arrives targeted at one direction
-  // (a dependent reached through its out-direction only needs that
-  // direction recomputed), so each pair caches its two direction scores and
-  // a dequeue recomputes only the dirty ones. Reusing a clean cached
-  // direction is sound: any of its inputs that moved either pushed
-  // influence here (marking it dirty) or was absorbed sub-τ at the source —
-  // which the τ·(1+w)/(1-w) budget already accounts for.
-  static constexpr uint8_t kDirtyOut = 1;
-  static constexpr uint8_t kDirtyIn = 2;
+  /// The Equation 3 value of pair i against the current score table,
+  /// through the maintained index. `scratch` is the caller's matching
+  /// workspace (per worker under the pool).
+  double Evaluate(size_t i, MatchingScratch* scratch) const;
 
-  /// One direction's Equation 3 contribution of pair i against the current
-  /// score table, through the maintained index. dir is
-  /// IncrementalNeighborIndex::kOut or kIn. `scratch` is the caller's
-  /// matching workspace (per worker under the pool).
-  double ComputeDirection(size_t i, int dir, MatchingScratch* scratch);
-
-  /// The Equation 3 value of pair i, recomputing only the directions in
-  /// `dirty` and reusing the cached scores for the rest.
-  double EvaluateDirty(size_t i, uint8_t dirty, MatchingScratch* scratch);
-
-  /// The engine's table and index as ActiveSetDriver's pair space.
+  /// The engine's table and index as ActiveSetDriver's pair space: the
+  /// double-buffered view of the initial solve, and the in-place view of
+  /// edit repair.
+  class TableSpace;
   class SolveSpace;
+  class RepairSpace;
+  /// Edit repair's driver with its view and one-worker pool, kept across
+  /// bursts (see Repair).
+  struct Repairer;
 
   /// The initial solve: ActiveSetDriver::Run over SolveSpace on a pool of
-  /// config.num_threads workers that lives only for the call, then one
-  /// full recording sweep that rebuilds the direction caches and decides
-  /// converged_. `g1`/`g2` are the graphs Create enumerated from (the
-  /// driver reads their degrees and in-edge totals). Honors
-  /// FSimConfig::active_set exactly like ComputeFSim; the index leaves
-  /// pinned diagonal pairs without spans, which the driver answers with a
-  /// second forced full sweep.
+  /// config.num_threads workers that lives only for the call. `g1`/`g2`
+  /// are the graphs Create enumerated from (the driver reads their degrees
+  /// and in-edge totals). Honors FSimConfig::active_set exactly like
+  /// ComputeFSim; the index leaves pinned diagonal pairs without spans,
+  /// which the driver answers with a second forced full sweep.
   void SolveFull(const Graph& g1, const Graph& g2);
 
-  /// Chaotic iteration from the seeded worklist until quiescent (serial at
-  /// every thread count); records EditStats and maps truncation to the
-  /// returned Status.
-  Status Propagate();
+  /// Applies one op's graph-side edit and re-stages the index spans it
+  /// invalidated, appending the pairs whose Equation 3 inputs changed
+  /// shape to `*seeds`. A rejected op changes nothing.
+  Status Patch(const EdgeEdit& edit, std::vector<uint32_t>* seeds);
 
-  /// The Corollary 1 wave cap ceil(log_w tau) + 2 (see Propagate).
-  uint32_t MaxWaves() const;
-
-  /// Seeds every maintained pair (x, *) for x in {a, b} of graph 1, or
-  /// (*, x) for graph 2.
-  void SeedEndpointPairs(int graph_index, NodeId a, NodeId b);
-
-  /// Applies the graph-side edit, re-stages the invalidated index spans and
-  /// seeds the worklist.
-  Status ApplyEdit(int graph_index, NodeId from, NodeId to, bool insert);
+  /// ActiveSetDriver::Repair over RepairSpace from `seeds` (ascending,
+  /// distinct), serial at every thread count; records EditStats and maps
+  /// truncation by max_updates_per_edit to Internal. The driver is built
+  /// by the first repair and reused while the graphs' in-lists mirror
+  /// their out-lists, so its carried sub-τ influence persists from burst
+  /// to burst.
+  Status Repair(std::span<const uint32_t> seeds);
 
   /// Upper bound on the index entries inserting edge (from, to) into graph
   /// `graph_index` can add: the out-spans of row/column `from` each gain at
   /// most the other graph's out-degree of their partner, the in-spans of
   /// row/column `to` its in-degree. Endpoints must be in range.
   uint64_t InsertGrowthBound(int graph_index, NodeId from, NodeId to) const;
-
-  /// Residual-driven propagation: a change of magnitude `delta` at pair i
-  /// moves a dependent's direction sum by at most c * delta (the mapping
-  /// operators are 1-Lipschitz per entry; c = 2 for the both-sides mapping,
-  /// whose entries feed a row and a column maximum), hence the dependent's
-  /// score by at most w± * c * delta / Ωχ of that dependent's direction.
-  /// That bound is *accumulated* per dependent (influence_factor_out_/in_
-  /// hold the precomputed c / Ωχ, maintained under edits alongside the index
-  /// spans) and the dependent is re-evaluated only once its pending
-  /// influence exceeds the tolerance — so the τ·(1+w)/(1-w) accuracy
-  /// guarantee is preserved while hub-adjacent pairs (large Ωχ) absorb far
-  /// more sub-threshold traffic. The dependents are read off pair i's own
-  /// spans (the in-span refs are exactly the pairs reading i through their
-  /// out-direction, and vice versa).
-  void PushDependents(size_t i, double delta);
-  void AddPendingOut(uint32_t idx, double influence);
-  void AddPendingIn(uint32_t idx, double influence);
-  void MaybeEnqueue(uint32_t idx);
 
   DynamicGraph g1_;
   DynamicGraph g2_;
@@ -287,34 +292,9 @@ class IncrementalFSim {
   // Maintained pair-graph CSR neighbor index (delta-patched under edits).
   IncrementalNeighborIndex nbr_index_;
 
-  // Per-pair sharpened influence factors c / Ωχ(S1, S2) for each direction
-  // (see PushDependents); re-derived for the affected rows/columns on every
-  // edit, since Ωχ depends on the endpoint degrees.
-  std::vector<double> influence_factor_out_;
-  std::vector<double> influence_factor_in_;
+  std::unique_ptr<Repairer> repairer_;  // built by the first repair
 
-  // Cached per-direction scores; the invariant values_[i] ==
-  // w+ * out_cache_[i] + w- * in_cache_[i] + const_term_[i] holds for every
-  // pair outside the worklist (pin_diagonal pairs excepted — they are
-  // constant 1 and never read their caches).
-  std::vector<double> out_cache_;
-  std::vector<double> in_cache_;
-
-  // Worklist state (kept allocated across edits). pending_out_/in_[i]
-  // accumulate the upper bound on how much pair i's next evaluation of that
-  // direction can move, given the input changes seen since it was last
-  // evaluated; dirty_dir_[i] marks directions whose *inputs changed shape*
-  // (edit seeding), which pending magnitudes cannot express.
-  std::vector<uint32_t> queue_;
-  std::vector<uint8_t> in_queue_;
-  std::vector<uint8_t> dirty_dir_;
-  std::vector<double> pending_out_;
-  std::vector<double> pending_in_;
-  std::vector<uint32_t> wave_scratch_;  // Propagate's wave partition buffer
-  size_t queue_head_ = 0;
-
-  MatchingScratch scratch_;  // Propagate's matching workspace
-  FSimStats solve_stats_;    // the initial solve's iterate fields
+  FSimStats solve_stats_;  // the initial solve's iterate fields
   EditStats last_edit_;
   bool converged_ = false;
 };

@@ -132,9 +132,8 @@ inline double OmegaValue(OmegaKind kind, size_t n1, size_t n2) {
 /// 1-Lipschitz per entry; c = 2 for the both-sides mapping, whose entries
 /// feed a row and a column maximum). Clamped at 1 so it is never looser
 /// than the coarse "Ωχ >= 1" bound; 0 when the direction has an empty side
-/// (its span has no entries, so the factor is never read). Shared by the
-/// incremental engine's worklist pushes and the batch engines'
-/// tolerance-mode frontier marking.
+/// (its span has no entries, so the factor is never read). Read by
+/// ActiveSetDriver's tolerance-mode frontier marking.
 inline double PairInfluenceFactor(const OperatorConfig& op, size_t n1,
                                   size_t n2) {
   if (n1 == 0 || n2 == 0) return 0.0;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -99,7 +100,7 @@ class PairEvaluator {
 
 /// Delta-driven active-set scheduling of the Algorithm 1 iterate loop —
 /// the one iterate loop of the sparse engines: ComputeFSim,
-/// ComputeTopKPairs and IncrementalFSim's initial solve
+/// ComputeTopKPairs, and IncrementalFSim's initial solve and edit repair
 /// (docs/performance.md "Active-set iteration"). Each Step() runs one
 /// synchronous Jacobi iteration and leaves the pair space's previous-score
 /// buffer holding the complete new state:
@@ -124,14 +125,16 @@ class PairEvaluator {
 /// (frozen pairs have exactly zero change), so scores, iteration count and
 /// convergence decision all coincide. kTolerance additionally skips pairs
 /// whose accumulated input influence — Σ w± · c/Ωχ · |Δ| with the
-/// sharpened per-pair factors of core/incremental.h — stays below
+/// sharpened per-pair factors of PairInfluenceFactor — stays below
 /// frontier_tolerance, trading bounded error for fewer evaluations.
 ///
 /// `Space` is the iterated pair space (PairStore, or the incremental
 /// engine's view of its maintained table and index). Its contract:
 ///  * size(), U(i), V(i);
 ///  * prev(i) / set_curr(i, value), SwapBuffers(), CommitPair(i) — the
-///    double buffer (see PairStore::CommitPair);
+///    double buffer (see PairStore::CommitPair), or an in-place view whose
+///    set_curr writes prev(i) at once and whose buffer calls do nothing
+///    (IncrementalFSim's edit repair);
 ///  * reverse_spans(): per-pair out/in spans exist and list reverse
 ///    dependencies; WithRefs(i, f) calls f(out_refs, in_refs) with them;
 ///    RefSpanTotal(i) is their total length;
@@ -156,14 +159,17 @@ class ActiveSetDriver {
     kSymmetricOut,
   };
 
-  /// `g1`/`g2` are the graphs the space was enumerated from; the driver
-  /// reads their degrees and in-edge totals only during construction.
+  /// `g1`/`g2` are the graphs whose adjacency the space's spans describe
+  /// (Graph or DynamicGraph); the driver reads their degrees and in-edge
+  /// totals only here and in UpdateInfluence.
+  template <typename G>
   ActiveSetDriver(ThreadPool& pool, Space& space, const Evaluator& evaluator,
-                  const Graph& g1, const Graph& g2, const FSimConfig& config)
+                  const G& g1, const G& g2, const FSimConfig& config)
       : pool_(pool),
         space_(space),
         evaluator_(evaluator),
         config_(config),
+        op_(config.operators()),
         forced_full_sweeps_(
             config.pin_diagonal && !space.pinned_pairs_spanned() ? 2 : 1),
         scratch_(static_cast<size_t>(pool.num_threads())),
@@ -183,17 +189,9 @@ class ActiveSetDriver {
       // transpose) has no sound reverse walk; stay on full sweeps.
     }
     if (mode_ == ActiveSetMode::kTolerance) {
-      const OperatorConfig op = config.operators();
       influence_out_.resize(space.size());
       influence_in_.resize(space.size());
-      for (size_t i = 0; i < space.size(); ++i) {
-        const NodeId u = space.U(i);
-        const NodeId v = space.V(i);
-        influence_out_[i] = static_cast<float>(
-            PairInfluenceFactor(op, g1.OutDegree(u), g2.OutDegree(v)));
-        influence_in_[i] = static_cast<float>(
-            PairInfluenceFactor(op, g1.InDegree(u), g2.InDegree(v)));
-      }
+      for (size_t i = 0; i < space.size(); ++i) UpdateInfluence(i, g1, g2);
     }
     if (mode_ != ActiveSetMode::kOff) {
       tracker_.Init(space.size(), pool.num_threads(),
@@ -213,15 +211,138 @@ class ActiveSetDriver {
     // evaluation.
     bool full = true;
     if (can_build_frontier_ && !force_full && iter_ > forced_full_sweeps_) {
-      Timer build_timer;
-      FSIM_TRACE_SPAN("engine.frontier_build");
-      tracker_.BuildNext(pool_, config_.frontier_tolerance,
-                         last_was_full_sweep_, &frontier_);
-      frontier_build_seconds_ += build_timer.Seconds();
-      full = static_cast<double>(frontier_.size()) >=
-             config_.frontier_density_threshold *
-                 static_cast<double>(space_.size());
+      BuildFrontier();
+      full = Dense(frontier_.size());
     }
+    return Sweep(full);
+  }
+
+  /// Steps until the max delta drops below config.epsilon or the
+  /// Corollary 1 bound is reached, and records the iterate fields of
+  /// `*stats` (iterations, converged, final_delta, histories, active_set,
+  /// full_sweep_iterations, frozen_fraction and the timings).
+  void Run(FSimStats* stats) {
+    Timer iterate_timer;
+    const uint32_t max_iters = FSimIterationBound(config_);
+    stats->active_set = active();
+    // Pre-reserve the iteration-indexed telemetry: the hard bound is known
+    // up front, so the hot loop never reallocates mid-iteration.
+    if (config_.record_delta_history) stats->delta_history.reserve(max_iters);
+    if (active()) stats->active_pairs_history.reserve(max_iters);
+    for (uint32_t iter = 1; iter <= max_iters; ++iter) {
+      FSIM_TRACE_SPAN_ARG("engine.iter", iter);
+      const double max_delta = Step();
+      stats->iterations = iter;
+      stats->final_delta = max_delta;
+      if (config_.record_delta_history) {
+        stats->delta_history.push_back(max_delta);
+      }
+      if (active()) stats->active_pairs_history.push_back(last_evaluated_);
+      if (max_delta < config_.epsilon) {
+        stats->converged = true;
+        break;
+      }
+    }
+    stats->iterate_seconds = iterate_timer.Seconds();
+    stats->frontier_build_seconds = frontier_build_seconds_;
+    stats->full_sweep_iterations = full_sweeps_;
+    if (active() && stats->iterations > 0 && space_.size() > 0) {
+      stats->frozen_fraction =
+          1.0 - static_cast<double>(total_evaluated_) /
+                    (static_cast<double>(stats->iterations) *
+                     static_cast<double>(space_.size()));
+    }
+  }
+
+  /// True when active-set scheduling is engaged (mode != kOff and the
+  /// space has reverse spans).
+  bool active() const { return mode_ != ActiveSetMode::kOff; }
+
+  /// Tolerance mode: recomputes pair i's influence factors from the
+  /// current degrees of `g1`/`g2`.
+  template <typename G>
+  void UpdateInfluence(size_t i, const G& g1, const G& g2) {
+    if (mode_ != ActiveSetMode::kTolerance) return;
+    const NodeId u = space_.U(i);
+    const NodeId v = space_.V(i);
+    influence_out_[i] = static_cast<float>(
+        PairInfluenceFactor(op_, g1.OutDegree(u), g2.OutDegree(v)));
+    influence_in_[i] = static_cast<float>(
+        PairInfluenceFactor(op_, g1.InDegree(u), g2.InDegree(v)));
+  }
+
+  /// The work one Repair call did.
+  struct RepairReport {
+    uint32_t steps = 0;
+    size_t evaluated = 0;
+    /// Stopped with work left: max_steps steps were run, or
+    /// max_evaluations was reached.
+    bool step_capped = false;
+    bool evaluation_capped = false;
+  };
+
+  /// Edit repair from a seed frontier (core/incremental.h): the first step
+  /// evaluates exactly `seeds` (ascending, distinct), and every later step
+  /// the pairs whose carried influence exceeds frontier_tolerance, until
+  /// none is left. Frontiers at or above the density threshold run as
+  /// full sweeps. Without an active set every step is a full sweep, until
+  /// the max delta is within frontier_tolerance. The caps are checked
+  /// between steps, so a capped run still finishes its last step.
+  ///
+  /// Influence below frontier_tolerance stays carried into the next
+  /// Repair, which keeps the τ·(1+w)/(1-w) bound over any number of
+  /// repairs. Call UpdateInfluence first for pairs whose degrees changed.
+  RepairReport Repair(std::span<const uint32_t> seeds, uint32_t max_steps,
+                      uint64_t max_evaluations) {
+    RepairReport report;
+    marking_ = active();
+    frontier_.assign(seeds.begin(), seeds.end());
+    // The seeds are evaluated next, which absorbs what they carry.
+    if (active()) tracker_.ResetCarry(frontier_);
+    bool more = !frontier_.empty();
+    while (more) {
+      if (report.steps == max_steps) {
+        report.step_capped = true;
+        break;
+      }
+      if (report.evaluated >= max_evaluations) {
+        report.evaluation_capped = true;
+        break;
+      }
+      ++iter_;
+      const double max_delta = Sweep(!active() || Dense(frontier_.size()));
+      ++report.steps;
+      report.evaluated += last_evaluated_;
+      if (active()) {
+        BuildFrontier();
+        more = !frontier_.empty();
+      } else {
+        more = max_delta > config_.frontier_tolerance;
+      }
+    }
+    return report;
+  }
+
+ private:
+  void BuildFrontier() {
+    Timer build_timer;
+    FSIM_TRACE_SPAN("engine.frontier_build");
+    tracker_.BuildNext(pool_, config_.frontier_tolerance, last_was_full_sweep_,
+                       &frontier_);
+    frontier_build_seconds_ += build_timer.Seconds();
+  }
+
+  /// Frontiers this large are cheaper as full sweeps.
+  bool Dense(size_t frontier_size) const {
+    return static_cast<double>(frontier_size) >=
+           config_.frontier_density_threshold *
+               static_cast<double>(space_.size());
+  }
+
+  /// Evaluates frontier_ (or every pair when `full`), marks dependents
+  /// once marking is on, and returns the max delta over the evaluated
+  /// pairs.
+  double Sweep(bool full) {
     if (marking_) tracker_.BeginIteration();
     for (auto& w : worker_stats_) w = WorkerSweepStats{};
     const size_t iterate_grain = config_.iterate_grain;
@@ -308,48 +429,6 @@ class ActiveSetDriver {
     return max_delta;
   }
 
-  /// Steps until the max delta drops below config.epsilon or the
-  /// Corollary 1 bound is reached, and records the iterate fields of
-  /// `*stats` (iterations, converged, final_delta, histories, active_set,
-  /// full_sweep_iterations, frozen_fraction and the timings).
-  void Run(FSimStats* stats) {
-    Timer iterate_timer;
-    const uint32_t max_iters = FSimIterationBound(config_);
-    stats->active_set = active();
-    // Pre-reserve the iteration-indexed telemetry: the hard bound is known
-    // up front, so the hot loop never reallocates mid-iteration.
-    if (config_.record_delta_history) stats->delta_history.reserve(max_iters);
-    if (active()) stats->active_pairs_history.reserve(max_iters);
-    for (uint32_t iter = 1; iter <= max_iters; ++iter) {
-      FSIM_TRACE_SPAN_ARG("engine.iter", iter);
-      const double max_delta = Step();
-      stats->iterations = iter;
-      stats->final_delta = max_delta;
-      if (config_.record_delta_history) {
-        stats->delta_history.push_back(max_delta);
-      }
-      if (active()) stats->active_pairs_history.push_back(last_evaluated_);
-      if (max_delta < config_.epsilon) {
-        stats->converged = true;
-        break;
-      }
-    }
-    stats->iterate_seconds = iterate_timer.Seconds();
-    stats->frontier_build_seconds = frontier_build_seconds_;
-    stats->full_sweep_iterations = full_sweeps_;
-    if (active() && stats->iterations > 0 && space_.size() > 0) {
-      stats->frozen_fraction =
-          1.0 - static_cast<double>(total_evaluated_) /
-                    (static_cast<double>(stats->iterations) *
-                     static_cast<double>(space_.size()));
-    }
-  }
-
-  /// True when active-set scheduling is engaged (mode != kOff and the
-  /// space has reverse spans).
-  bool active() const { return mode_ != ActiveSetMode::kOff; }
-
- private:
   /// Cache-line-padded per-worker sweep accumulators.
   struct alignas(64) WorkerSweepStats {
     double max_delta = 0.0;
@@ -378,8 +457,9 @@ class ActiveSetDriver {
   void EvaluatePair(int worker, size_t i, MatchingScratch* scratch,
                     WorkerSweepStats* local) {
     const double value = evaluator_.Evaluate(i, scratch);
-    space_.set_curr(i, value);
+    // Before set_curr: an in-place space's prev(i) is the value it writes.
     const double delta = std::abs(value - space_.prev(i));
+    space_.set_curr(i, value);
     if (delta > local->max_delta) local->max_delta = delta;
     if (mode_ == ActiveSetMode::kExact) {
       if (delta != 0.0) {
@@ -408,6 +488,7 @@ class ActiveSetDriver {
     // per-worker influence next to a private stamp.
     uint32_t* stamp = kTolerance ? tracker_.stamps(worker) : nullptr;
     float* inf = kTolerance ? tracker_.influence(worker) : nullptr;
+    uint64_t* marked = kTolerance ? tracker_.marked(worker) : nullptr;
     std::atomic<uint32_t>* shared =
         kTolerance ? nullptr : tracker_.shared_stamps();
     auto mark_span = [&](auto refs, double base, const float* factor) {
@@ -419,6 +500,7 @@ class ActiveSetDriver {
           if (stamp[r] != epoch) {
             stamp[r] = epoch;
             inf[r] = x;
+            marked[r / 64] |= uint64_t{1} << (r % 64);
           } else {
             inf[r] += x;
           }
@@ -451,6 +533,7 @@ class ActiveSetDriver {
   Space& space_;
   const Evaluator& evaluator_;
   const FSimConfig& config_;
+  const OperatorConfig op_;
   /// Leading iterations that sweep in full whatever the marks say.
   const uint32_t forced_full_sweeps_;
   ActiveSetMode mode_;

@@ -1,6 +1,7 @@
 #include "core/pair_store.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/string_util.h"
@@ -542,10 +543,14 @@ void FrontierTracker::Init(size_t num_pairs, int num_workers,
   tolerance_ = tolerance;
   epoch_ = 0;
   if (tolerance) {
+    const size_t words = (num_pairs + 63) / 64;
     stamps_.assign(static_cast<size_t>(num_workers),
                    std::vector<uint32_t>(num_pairs, 0));
     influence_.assign(static_cast<size_t>(num_workers),
                       std::vector<float>(num_pairs, 0.0f));
+    marked_.assign(static_cast<size_t>(num_workers),
+                   std::vector<uint64_t>(words, 0));
+    marked_union_.assign(words, 0);
     carry_.assign(num_pairs, 0.0);
   } else {
     // Value-initialized to epoch 0 (< the first BeginIteration's epoch).
@@ -557,21 +562,26 @@ void FrontierTracker::Init(size_t num_pairs, int num_workers,
 void FrontierTracker::BuildNext(ThreadPool& pool, double tolerance,
                                 bool previous_sweep_was_full,
                                 std::vector<uint32_t>* frontier) {
-  const size_t n = num_pairs_;
-  // 4096-pair scan chunks: coarse enough that the two-pass offsets stay
-  // tiny, fine enough to balance across workers.
-  constexpr size_t kScanGrain = 4096;
-  const size_t num_chunks = (n + kScanGrain - 1) / kScanGrain;
+  // Exact mode scans the stamps, tolerance mode the marked-bit words, in
+  // 4096-pair chunks: coarse enough that the two-pass offsets stay tiny,
+  // fine enough to balance across workers.
+  const size_t n = tolerance_ ? marked_union_.size() : num_pairs_;
+  const size_t grain = tolerance_ ? 4096 / 64 : 4096;
+  const size_t num_chunks = (n + grain - 1) / grain;
   chunk_offsets_.assign(num_chunks + 1, 0);
   const uint32_t epoch = epoch_;
   const size_t workers = stamps_.size();
+  // A full sweep evaluated every pair, absorbing all carried influence.
+  if (tolerance_ && previous_sweep_was_full) {
+    std::fill(carry_.begin(), carry_.end(), 0.0);
+  }
 
   // Pass 1: per-chunk counts. Exact mode reads the one shared stamp
-  // array; tolerance mode collapses the per-worker influence sums into
-  // the cross-iteration carry_ accumulator so the fill pass reads one
-  // array. Chunks partition the pair range, so carry_ writes are
-  // race-free.
-  pool.ParallelForChunked(n, kScanGrain, [&](int, size_t begin, size_t end) {
+  // array; tolerance mode collapses the marked pairs' per-worker
+  // influence sums into the cross-iteration carry_ accumulator (unmarked
+  // pairs keep a carry at or below the tolerance, as every larger one was
+  // reset). Chunks partition the pairs, so writes are race-free.
+  pool.ParallelForChunked(n, grain, [&](int, size_t begin, size_t end) {
     uint32_t count = 0;
     if (!tolerance_) {
       const std::atomic<uint32_t>* stamps = shared_stamps_.get();
@@ -579,16 +589,25 @@ void FrontierTracker::BuildNext(ThreadPool& pool, double tolerance,
         if (stamps[j].load(std::memory_order_relaxed) == epoch) ++count;
       }
     } else {
-      for (size_t j = begin; j < end; ++j) {
-        double sum = previous_sweep_was_full ? 0.0 : carry_[j];
+      for (size_t word = begin; word < end; ++word) {
+        uint64_t bits = 0;
         for (size_t w = 0; w < workers; ++w) {
-          if (stamps_[w][j] == epoch) sum += influence_[w][j];
+          bits |= marked_[w][word];
+          marked_[w][word] = 0;
         }
-        carry_[j] = sum;
-        if (sum > tolerance) ++count;
+        marked_union_[word] = bits;
+        for (; bits != 0; bits &= bits - 1) {
+          const size_t j = word * 64 + std::countr_zero(bits);
+          double sum = carry_[j];
+          for (size_t w = 0; w < workers; ++w) {
+            if (stamps_[w][j] == epoch) sum += influence_[w][j];
+          }
+          carry_[j] = sum;
+          if (sum > tolerance) ++count;
+        }
       }
     }
-    chunk_offsets_[begin / kScanGrain + 1] = count;
+    chunk_offsets_[begin / grain + 1] = count;
   });
   for (size_t c = 1; c <= num_chunks; ++c) {
     chunk_offsets_[c] += chunk_offsets_[c - 1];
@@ -597,8 +616,8 @@ void FrontierTracker::BuildNext(ThreadPool& pool, double tolerance,
   // Pass 2: fill each chunk's slice; evaluated pairs reset their carried
   // influence (their next evaluation starts from a clean slate).
   frontier->resize(num_chunks == 0 ? 0 : chunk_offsets_[num_chunks]);
-  pool.ParallelForChunked(n, kScanGrain, [&](int, size_t begin, size_t end) {
-    uint32_t pos = chunk_offsets_[begin / kScanGrain];
+  pool.ParallelForChunked(n, grain, [&](int, size_t begin, size_t end) {
+    uint32_t pos = chunk_offsets_[begin / grain];
     if (!tolerance_) {
       const std::atomic<uint32_t>* stamps = shared_stamps_.get();
       for (size_t j = begin; j < end; ++j) {
@@ -607,10 +626,14 @@ void FrontierTracker::BuildNext(ThreadPool& pool, double tolerance,
         }
       }
     } else {
-      for (size_t j = begin; j < end; ++j) {
-        if (carry_[j] > tolerance) {
-          (*frontier)[pos++] = static_cast<uint32_t>(j);
-          carry_[j] = 0.0;
+      for (size_t word = begin; word < end; ++word) {
+        for (uint64_t bits = marked_union_[word]; bits != 0;
+             bits &= bits - 1) {
+          const size_t j = word * 64 + std::countr_zero(bits);
+          if (carry_[j] > tolerance) {
+            (*frontier)[pos++] = static_cast<uint32_t>(j);
+            carry_[j] = 0.0;
+          }
         }
       }
     }

@@ -260,13 +260,17 @@ class PairStore {
 /// Tolerance mode needs per-worker influence sums, so it keeps one stamp
 /// + float array per worker; there, a pair enters the frontier only once
 /// its *carried* influence — accumulated across iterations while it was
-/// being skipped — exceeds the tolerance. That is the incremental
-/// engine's pending-bound scheme (core/incremental.h), so the same
-/// τ·(1+w)/(1-w) error bound applies against the exact-mode scores.
+/// being skipped — exceeds the tolerance, which bounds the error by
+/// τ·(1+w)/(1-w) against the exact-mode scores. Each worker also sets a
+/// bit per pair it stamps, so BuildNext visits only the marked pairs (a
+/// pair's carry changes only when it is marked) at O(pairs / 64) words
+/// per call: a small frontier is cheap to build however large the table.
+/// The incremental engine's edit repair runs on this scheme
+/// (core/incremental.h).
 class FrontierTracker {
  public:
   /// Sizes the stamp arrays: one shared atomic array (exact) or one stamp
-  /// + influence array per worker (tolerance).
+  /// + influence array + marked-bit array per worker (tolerance).
   void Init(size_t num_pairs, int num_workers, bool tolerance);
 
   /// Opens the next iteration's epoch; marks stamped from now on belong to
@@ -280,9 +284,11 @@ class FrontierTracker {
 
   /// Tolerance mode: the calling worker's stamp / influence arrays
   /// (hot-path raw pointers; one cache-resident array per worker, no
-  /// false sharing of the accumulators).
+  /// false sharing of the accumulators), and its marked bits: set bit j
+  /// (word j / 64) whenever stamping pair j afresh.
   uint32_t* stamps(int worker) { return stamps_[worker].data(); }
   float* influence(int worker) { return influence_[worker].data(); }
+  uint64_t* marked(int worker) { return marked_[worker].data(); }
 
   /// Collects the pairs stamped in the current epoch (exact mode) or whose
   /// carried influence exceeds `tolerance` (tolerance mode) into
@@ -295,6 +301,13 @@ class FrontierTracker {
                  bool previous_sweep_was_full,
                  std::vector<uint32_t>* frontier);
 
+  /// Tolerance mode: drops the carried influence of `pairs`, which the
+  /// caller evaluates next without a BuildNext (a repair's seeds).
+  void ResetCarry(std::span<const uint32_t> pairs) {
+    if (!tolerance_) return;
+    for (uint32_t j : pairs) carry_[j] = 0.0;
+  }
+
  private:
   size_t num_pairs_ = 0;
   bool tolerance_ = false;
@@ -303,6 +316,8 @@ class FrontierTracker {
   std::vector<std::vector<uint32_t>> stamps_;     // per worker, tolerance
   std::vector<std::vector<float>> influence_;     // per worker, tolerance
   std::vector<double> carry_;       // cross-iteration pending influence
+  std::vector<std::vector<uint64_t>> marked_;  // per worker, tolerance
+  std::vector<uint64_t> marked_union_;  // BuildNext: the workers' bits
   std::vector<uint32_t> chunk_offsets_;  // BuildNext count/fill scratch
 };
 

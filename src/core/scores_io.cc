@@ -46,10 +46,15 @@ Result<FSimScores> ScoresFromString(std::string_view text) {
     ++line_no;
   }
 
+  // The declared count is untrusted: reserve no more than the lines left
+  // can hold, so a huge count fails the mismatch check instead of the
+  // allocation.
+  const size_t capacity =
+      static_cast<size_t>(std::min<uint64_t>(expected, lines.size() - 2));
   std::vector<uint64_t> keys;
   std::vector<double> values;
-  keys.reserve(expected);
-  values.reserve(expected);
+  keys.reserve(capacity);
+  values.reserve(capacity);
   for (size_t li = 2; li < lines.size(); ++li) {
     std::string_view line = Trim(lines[li]);
     if (line.empty()) continue;

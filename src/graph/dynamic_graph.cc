@@ -51,6 +51,12 @@ DynamicGraph::DynamicGraph(const Graph& g)
   }
 }
 
+size_t DynamicGraph::NumInEdges() const {
+  size_t total = 0;
+  for (const std::vector<NodeId>& in : in_) total += in.size();
+  return total;
+}
+
 Status DynamicGraph::InsertEdge(NodeId from, NodeId to) {
   FSIM_RETURN_NOT_OK(ValidateEndpoints(NumNodes(), from, to));
   if (!SortedInsert(out_[from], to)) {

@@ -46,6 +46,10 @@ class DynamicGraph {
   size_t NumNodes() const { return labels_.size(); }
   size_t NumEdges() const { return num_edges_; }
 
+  /// Σ |N-(u)|: NumEdges() under mirrored adjacency, 0 for a copy of
+  /// Graph::AsUndirected's empty in-lists. O(|V|).
+  size_t NumInEdges() const;
+
   /// N+(u), sorted ascending.
   std::span<const NodeId> OutNeighbors(NodeId u) const {
     FSIM_DCHECK(u < NumNodes());

@@ -1,12 +1,12 @@
 // Phase tracing — RAII spans recorded into per-thread ring buffers and
 // dumped as Chrome trace_event JSON (chrome://tracing, Perfetto). The
 // instrumented phases are the engine iteration structure (init, per-iter
-// frontier build / sweep / commit), incremental propagate waves, scheduler
+// frontier build / sweep / commit), incremental edit repair, scheduler
 // dispatch regions and the serve path; `fsim_cli --trace-out t.json`
 // arms tracing around a solve and writes the dump.
 //
 //   { FSIM_TRACE_SPAN("iterate"); ... }          // unnamed scope span
-//   { FSIM_TRACE_SPAN_ARG("wave", wave_size); ... }
+//   { FSIM_TRACE_SPAN_ARG("iter", iteration); ... }
 //
 // Disarmed (the default), a span costs one relaxed atomic load and two
 // register writes — cheap enough to compile into release builds
@@ -135,7 +135,7 @@ class TraceSpan {
 #define FSIM_TRACE_SPAN(name) \
   ::fsim::obs::TraceSpan FSIM_TRACE_CONCAT(fsim_trace_span_, __LINE__)(name)
 
-/// Scope span with one numeric argument (iteration number, wave size).
+/// Scope span with one numeric argument (iteration number, region size).
 #define FSIM_TRACE_SPAN_ARG(name, arg)                                     \
   ::fsim::obs::TraceSpan FSIM_TRACE_CONCAT(fsim_trace_span_, __LINE__)(    \
       name, static_cast<uint64_t>(arg))

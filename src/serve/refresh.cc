@@ -360,9 +360,11 @@ size_t RefreshDriver::ApplyBatchLocked(const std::vector<EditOp>& batch) {
   stats_.edits_coalesced += batch_coalesced;
   metrics.edits_coalesced->Inc(batch_coalesced);
 
-  size_t applied = 0;
   Timer apply_timer;
   const uint64_t apply_start_ns = obs::MonotonicNanos();
+  // Distinct edges, so no op of the burst changes another's presence.
+  std::vector<EdgeEdit> edits;
+  edits.reserve(batch_scratch_.size());
   for (const EditOp& op : batch_scratch_) {
     const DynamicGraph& target = op.graph_index == 2 ? inc_->g2() : inc_->g1();
     const bool present = op.from < target.NumNodes() &&
@@ -373,9 +375,15 @@ size_t RefreshDriver::ApplyBatchLocked(const std::vector<EditOp>& batch) {
       metrics.edits_coalesced->Inc();
       continue;
     }
-    const Status status =
-        op.insert ? inc_->InsertEdge(op.graph_index, op.from, op.to)
-                  : inc_->RemoveEdge(op.graph_index, op.from, op.to);
+    edits.push_back({op.graph_index, op.from, op.to, op.insert});
+  }
+  // The whole burst costs one repair. A repair truncated by
+  // max_updates_per_edit keeps its ops applied; the published snapshot
+  // then reports converged=false.
+  std::vector<Status> statuses;
+  (void)inc_->ApplyEdits(edits, &statuses);
+  size_t applied = 0;
+  for (const Status& status : statuses) {
     if (status.ok()) {
       ++applied;
     } else {

@@ -288,7 +288,8 @@ class RefreshDriver {
   Status InitLocked();
   /// DrainApply body; caller holds apply_mu_ and Init must have succeeded.
   Result<size_t> DrainApplyLocked(bool force_publish);
-  /// Applies one drained batch after coalescing; caller holds apply_mu_.
+  /// Applies one drained batch, coalesced, as one IncrementalFSim burst;
+  /// caller holds apply_mu_.
   size_t ApplyBatchLocked(const std::vector<EditOp>& batch);
   /// Builds and publishes a snapshot of the current scores; caller holds
   /// apply_mu_.

@@ -350,10 +350,14 @@ TEST(DenseEngine, MilnerModeIgnoresInNeighbors) {
 // Incremental maintenance: differential vs full recomputation
 // ---------------------------------------------------------------------------
 
-class IncrementalEquivalence : public ::testing::TestWithParam<SimVariant> {};
+// The second parameter groups the same random edits into bursts of three,
+// each applied by one ApplyEdits call and checked after the burst.
+class IncrementalEquivalence
+    : public ::testing::TestWithParam<std::tuple<SimVariant, bool>> {};
 
 TEST_P(IncrementalEquivalence, TracksFullRecomputeAcrossEdits) {
-  const SimVariant variant = GetParam();
+  const auto [variant, bursts] = GetParam();
+  const int burst_size = bursts ? 3 : 1;
   for (uint64_t seed : {21u, 22u}) {
     auto pair = MakeRandomPair(seed);
     FSimConfig config;
@@ -367,17 +371,39 @@ TEST_P(IncrementalEquivalence, TracksFullRecomputeAcrossEdits) {
     ASSERT_TRUE(inc.ok()) << inc.status().ToString();
 
     Rng rng(seed * 977);
-    for (int e = 0; e < 6; ++e) {
-      const int graph_index = (rng.Next() % 2 == 0) ? 1 : 2;
-      const DynamicGraph& g = graph_index == 1 ? inc->g1() : inc->g2();
-      const NodeId n = static_cast<NodeId>(g.NumNodes());
-      NodeId from = static_cast<NodeId>(rng.Next() % n);
-      NodeId to = static_cast<NodeId>(rng.Next() % n);
-      if (from == to) continue;
-      const bool remove = g.HasEdge(from, to);
-      Status status = remove ? inc->RemoveEdge(graph_index, from, to)
-                             : inc->InsertEdge(graph_index, from, to);
-      ASSERT_TRUE(status.ok()) << status.ToString();
+    for (int e = 0; e < 6; e += burst_size) {
+      std::vector<EdgeEdit> edits;
+      for (int k = 0; k < burst_size; ++k) {
+        const int graph_index = (rng.Next() % 2 == 0) ? 1 : 2;
+        const DynamicGraph& g = graph_index == 1 ? inc->g1() : inc->g2();
+        const NodeId n = static_cast<NodeId>(g.NumNodes());
+        NodeId from = static_cast<NodeId>(rng.Next() % n);
+        NodeId to = static_cast<NodeId>(rng.Next() % n);
+        if (from == to) continue;
+        const bool repeated = std::any_of(
+            edits.begin(), edits.end(), [&](const EdgeEdit& edit) {
+              return edit.graph_index == graph_index && edit.from == from &&
+                     edit.to == to;
+            });
+        if (repeated) continue;
+        edits.push_back({graph_index, from, to, !g.HasEdge(from, to)});
+      }
+      if (edits.empty()) continue;
+      if (bursts) {
+        std::vector<Status> statuses;
+        const Status status = inc->ApplyEdits(edits, &statuses);
+        ASSERT_TRUE(status.ok()) << status.ToString();
+        ASSERT_EQ(statuses.size(), edits.size());
+        for (const Status& op_status : statuses) {
+          ASSERT_TRUE(op_status.ok()) << op_status.ToString();
+        }
+      } else {
+        const EdgeEdit& edit = edits[0];
+        const Status status =
+            edit.insert ? inc->InsertEdge(edit.graph_index, edit.from, edit.to)
+                        : inc->RemoveEdge(edit.graph_index, edit.from, edit.to);
+        ASSERT_TRUE(status.ok()) << status.ToString();
+      }
 
       auto full = ComputeFSim(inc->MaterializeG1(), inc->MaterializeG2(),
                               config);
@@ -396,14 +422,18 @@ TEST_P(IncrementalEquivalence, TracksFullRecomputeAcrossEdits) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllVariants, IncrementalEquivalence,
-                         ::testing::Values(SimVariant::kSimple,
-                                           SimVariant::kDegreePreserving,
-                                           SimVariant::kBi,
-                                           SimVariant::kBijective),
-                         [](const ::testing::TestParamInfo<SimVariant>& param_info) {
-                           return SimVariantName(param_info.param);
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllVariants, IncrementalEquivalence,
+    ::testing::Combine(::testing::Values(SimVariant::kSimple,
+                                         SimVariant::kDegreePreserving,
+                                         SimVariant::kBi,
+                                         SimVariant::kBijective),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<SimVariant, bool>>&
+           param_info) {
+      return std::string(SimVariantName(std::get<0>(param_info.param))) +
+             (std::get<1>(param_info.param) ? "_bursts" : "");
+    });
 
 TEST(Incremental, GreedyMatchingStaysCloseToFullRecompute) {
   // The greedy ½-approximate matching is not exactly Lipschitz, so the
@@ -427,6 +457,66 @@ TEST(Incremental, GreedyMatchingStaysCloseToFullRecompute) {
         std::max(max_diff, std::abs(full->Score(u, v) - inc->Score(u, v)));
   }
   EXPECT_LT(max_diff, 1e-4);
+}
+
+// A repair leaves influence below τ unabsorbed. That influence must stay
+// carried into the later bursts: a pair is re-evaluated once its inputs
+// have moved it by more than τ in total, however many bursts that takes,
+// so the maintained scores' residual max |F(x) - x| stays within τ and
+// the scores within τ·(1+w)/(1-w) of the fixpoint. Dropped at the end of
+// each burst, the sub-τ residues would add up over a stream instead.
+TEST(Incremental, LongBurstStreamStaysWithinToleranceBound) {
+  auto pair = MakeRandomPair(41, 30, 36);
+  FSimConfig config;
+  config.variant = SimVariant::kSimple;
+  config.epsilon = 1e-9;
+  config.matching = MatchingAlgo::kHungarian;  // exact C3: true contraction
+  IncrementalOptions options;
+  options.propagation_tolerance = 1e-3;
+  const double tau = options.propagation_tolerance;
+  const double w = config.w_out + config.w_in;
+  // One Jacobi sweep from the maintained scores measures their residual.
+  FSimConfig one_sweep = config;
+  one_sweep.max_iterations = 1;
+
+  auto inc = IncrementalFSim::Create(pair.g1, pair.g2, config, options);
+  ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+  Rng rng(4242);
+  for (int burst = 1; burst <= 400; ++burst) {
+    const int graph_index = (rng.Next() % 2 == 0) ? 1 : 2;
+    const DynamicGraph& g = graph_index == 1 ? inc->g1() : inc->g2();
+    const NodeId n = static_cast<NodeId>(g.NumNodes());
+    const NodeId from = static_cast<NodeId>(rng.Next() % n);
+    const NodeId to = static_cast<NodeId>(rng.Next() % n);
+    const Status status = g.HasEdge(from, to)
+                              ? inc->RemoveEdge(graph_index, from, to)
+                              : inc->InsertEdge(graph_index, from, to);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    ASSERT_TRUE(inc->converged()) << "burst " << burst;
+    if (burst % 20 != 0) continue;
+
+    const FSimScores maintained = inc->Snapshot();
+    auto probe = IncrementalFSim::Create(inc->MaterializeG1(),
+                                         inc->MaterializeG2(), one_sweep,
+                                         options, &maintained);
+    ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+    ASSERT_EQ(probe->Snapshot().stats().iterations, 1u);
+    // Influence is carried as float sums, hence the relative slack.
+    EXPECT_LE(probe->Snapshot().stats().final_delta, tau * (1 + 1e-6) + 1e-9)
+        << "burst " << burst;
+
+    auto full = ComputeFSim(inc->MaterializeG1(), inc->MaterializeG2(),
+                            config);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    double max_diff = 0.0;
+    for (uint64_t key : full->keys()) {
+      const NodeId u = PairFirst(key);
+      const NodeId v = PairSecond(key);
+      max_diff =
+          std::max(max_diff, std::abs(full->Score(u, v) - inc->Score(u, v)));
+    }
+    EXPECT_LE(max_diff, tau * (1 + w) / (1 - w) + 1e-8) << "burst " << burst;
+  }
 }
 
 TEST(Incremental, RejectsUpperBoundConfig) {
@@ -489,9 +579,10 @@ TEST(Incremental, EditStatsAreReported) {
   const EditStats& stats = inc->last_edit_stats();
   EXPECT_GT(stats.seeded_pairs, 0u);
   EXPECT_GE(stats.recomputed, stats.seeded_pairs);
-  // The wave counter stays within the Corollary 1 cap for the default
-  // tolerance (ceil(log_{0.8} 1e-9) + 2 = 95).
-  EXPECT_LE(stats.waves, 95u);
+  // The repair runs within the Corollary 1 step cap for the default
+  // tolerance (ceil(log_{0.8} 1e-9) = 93).
+  EXPECT_GE(stats.steps, 1u);
+  EXPECT_LE(stats.steps, 93u);
 }
 
 TEST(Incremental, SnapshotMatchesLiveScores) {
@@ -640,8 +731,12 @@ TEST(Incremental, TruncatedEditReportsNonConvergence) {
                       : tiny->InsertEdge(1, from, to);
   EXPECT_EQ(status.code(), StatusCode::kInternal);
   EXPECT_TRUE(tiny->last_edit_stats().truncated);
-  // The one evaluation the cap admitted is committed, not discarded.
-  EXPECT_EQ(tiny->last_edit_stats().recomputed, 1u);
+  // The cap is checked between repair steps, so the first step — exactly
+  // the seeded pairs, well below the full-sweep density here — runs whole
+  // and is committed, not discarded.
+  EXPECT_EQ(tiny->last_edit_stats().steps, 1u);
+  EXPECT_EQ(tiny->last_edit_stats().recomputed,
+            tiny->last_edit_stats().seeded_pairs);
   EXPECT_FALSE(tiny->converged());
   EXPECT_FALSE(tiny->Snapshot().stats().converged);
 
@@ -713,6 +808,75 @@ TEST(Incremental, OverBudgetInsertIsRejectedAndLeavesStateUntouched) {
   EXPECT_LE(inc->neighbor_index().MemoryBytes(),
             config.neighbor_index_budget_bytes);
   EXPECT_TRUE(inc->neighbor_index().Validate(inc->NumPairs()).ok());
+  auto full = ComputeFSim(inc->MaterializeG1(), inc->MaterializeG2(), config);
+  ASSERT_TRUE(full.ok());
+  for (uint64_t key : full->keys()) {
+    EXPECT_NEAR(full->Score(PairFirst(key), PairSecond(key)),
+                inc->Score(PairFirst(key), PairSecond(key)), 1e-6);
+  }
+}
+
+// A burst applies every op it can. Rejected ops in the middle (an absent
+// removal, an over-budget insert) report their status and change nothing,
+// so the burst ends bit for bit where a burst of its valid ops alone ends.
+TEST(Incremental, BurstWithRejectedOpsAppliesTheRest) {
+  auto pair = MakeRandomPair(35);
+  FSimConfig config;
+  config.variant = SimVariant::kSimple;
+  config.epsilon = 1e-9;
+  config.matching = MatchingAlgo::kHungarian;
+  IncrementalOptions options;
+  options.propagation_tolerance = 1e-10;
+
+  auto probe = IncrementalFSim::Create(pair.g1, pair.g2, config, options);
+  ASSERT_TRUE(probe.ok());
+  config.neighbor_index_budget_bytes =
+      probe->Snapshot().stats().neighbor_index_bytes;
+  auto inc = IncrementalFSim::Create(pair.g1, pair.g2, config, options);
+  auto ref = IncrementalFSim::Create(pair.g1, pair.g2, config, options);
+  ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+
+  // θ = 0 makes every pair a candidate, so removing a graph-2 edge frees
+  // 2|E1| entries while a graph-1 insert may add up to 2|E2| — still over
+  // the budget after the removal when |E2| - 1 > |E1|.
+  ASSERT_GT(inc->g2().NumEdges(), inc->g1().NumEdges() + 1);
+  NodeId a = 0;
+  while (inc->g2().OutDegree(a) == 0) ++a;
+  NodeId c = a + 1;
+  while (inc->g2().OutDegree(c) == 0) ++c;
+  NodeId absent_to = 1;
+  while (inc->g1().HasEdge(0, absent_to)) ++absent_to;
+  NodeId insert_to = 2;
+  while (inc->g1().HasEdge(1, insert_to)) ++insert_to;
+  const std::vector<EdgeEdit> burst = {
+      {2, a, inc->g2().OutNeighbors(a)[0], /*insert=*/false},
+      {1, 0, absent_to, /*insert=*/false},
+      {1, 1, insert_to, /*insert=*/true},
+      {2, c, inc->g2().OutNeighbors(c)[0], /*insert=*/false}};
+
+  std::vector<Status> statuses;
+  ASSERT_TRUE(inc->ApplyEdits(burst, &statuses).ok());
+  ASSERT_EQ(statuses.size(), burst.size());
+  EXPECT_TRUE(statuses[0].ok()) << statuses[0].ToString();
+  EXPECT_EQ(statuses[1].code(), StatusCode::kNotFound);
+  EXPECT_TRUE(statuses[2].IsResourceExhausted()) << statuses[2].ToString();
+  EXPECT_TRUE(statuses[3].ok()) << statuses[3].ToString();
+  EXPECT_FALSE(inc->g2().HasEdge(burst[0].from, burst[0].to));
+  EXPECT_FALSE(inc->g1().HasEdge(1, insert_to));
+  EXPECT_FALSE(inc->g2().HasEdge(burst[3].from, burst[3].to));
+
+  const std::vector<EdgeEdit> valid = {burst[0], burst[3]};
+  ASSERT_TRUE(ref->ApplyEdits(valid, &statuses).ok());
+  EXPECT_EQ(inc->g1().NumEdges(), ref->g1().NumEdges());
+  EXPECT_EQ(inc->g2().NumEdges(), ref->g2().NumEdges());
+  EXPECT_EQ(inc->last_edit_stats().seeded_pairs,
+            ref->last_edit_stats().seeded_pairs);
+  EXPECT_EQ(inc->neighbor_index().MemoryBytes(),
+            ref->neighbor_index().MemoryBytes());
+  EXPECT_TRUE(inc->neighbor_index().Validate(inc->NumPairs()).ok());
+  EXPECT_EQ(AllScores(*inc), AllScores(*ref));
+
   auto full = ComputeFSim(inc->MaterializeG1(), inc->MaterializeG2(), config);
   ASSERT_TRUE(full.ok());
   for (uint64_t key : full->keys()) {

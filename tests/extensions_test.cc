@@ -205,6 +205,10 @@ TEST(ScoresIoTest, RejectsCorruptInput) {
   EXPECT_TRUE(ScoresFromString("fsim-scores v1\npairs 2\n0 0 0.5\n0 0 0.6\n")
                   .status()
                   .IsIOError());  // duplicate pair
+  EXPECT_TRUE(
+      ScoresFromString("fsim-scores v1\npairs 99999999999999\n0 0 0.5\n")
+          .status()
+          .IsIOError());  // count far beyond the text: no bad_alloc
 }
 
 TEST(ScoresIoTest, AcceptsUnsortedInput) {

@@ -631,21 +631,21 @@ TEST(ServeLoopTest, GoldenTranscript) {
       "SCORE 0.000000 v1\n"
       "TOPK 3 v1\n"
       "0 1.000000\n"
-      "4 0.656703\n"
+      "4 0.656702\n"
       "1 0.600000\n"
       "THRESH 4 v1\n"
       "0 1.000000\n"
-      "4 0.656703\n"
+      "4 0.656702\n"
       "1 0.600000\n"
       "2 0.533907\n"
       "TOPK 4 v1 degraded\n"
       "0 1.000000\n"
-      "4 0.656703\n"
+      "4 0.656702\n"
       "1 0.600000\n"
       "2 0.533907\n"
       "THRESH 4 v1 degraded\n"
       "0 1.000000\n"
-      "4 0.656703\n"
+      "4 0.656702\n"
       "1 0.600000\n"
       "2 0.533907\n"
       "BATCH 3 v1\n"
