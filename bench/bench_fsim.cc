@@ -90,8 +90,9 @@ BENCHMARK(BM_FSimMatchingAlgo)
 /// the "tuning" JSON section of BENCH_fsim.json. Each knob is swept on the
 /// yeast θ=1 FSim_dp run around its shipped default; "chosen" records the
 /// default so a future PR that retunes leaves an audit trail. The dense
-/// 8×256 v-tile is timed at 1 vs N threads (tile shape is compile-time, so
-/// the check is that the tiled kernel still scales rather than a re-sweep).
+/// 8×256 v-tile is timed on FSim_s at 1 vs N threads (tile shape is
+/// compile-time, so the check is that the tiled kernel still scales rather
+/// than a re-sweep).
 std::string RunTuningSweep(int num_threads) {
   const Graph& g = Yeast();
   std::string out = "{\n";
@@ -160,10 +161,10 @@ std::string RunTuningSweep(int num_threads) {
   out += buf;
 
   // Dense 8×256 v-tile at 1 vs N threads (ComputeFSimDense inherits the
-  // pool through config.num_threads).
+  // pool through config.num_threads). The dense engine runs s and b only.
   double dense_s[2] = {0.0, 0.0};
   for (int pass = 0; pass < 2; ++pass) {
-    FSimConfig config = BaseConfig(SimVariant::kDegreePreserving);
+    FSimConfig config = BaseConfig(SimVariant::kSimple);
     config.theta = 1.0;
     config.num_threads = pass == 0 ? 1 : num_threads;
     auto dense = ComputeFSimDense(g, g, config);
@@ -429,12 +430,11 @@ void RunPhaseTimings() {
     }
     std::printf("\n");
   }
-  // Dense engine: the label-class indexed loop (core/dense_index.h) on the
-  // yeast-scale labeled config. Recorded under the "dense" section.
+  // Dense engine: the tile-panel loop (core/dense_engine.h) on the
+  // yeast-scale labeled config, for the two mappings it accepts. Recorded
+  // under the "dense" section.
   std::printf("\ndense    build      iterate\n");
-  for (SimVariant variant :
-       {SimVariant::kSimple, SimVariant::kDegreePreserving, SimVariant::kBi,
-        SimVariant::kBijective}) {
+  for (SimVariant variant : {SimVariant::kSimple, SimVariant::kBi}) {
     FSimConfig config = BaseConfig(variant);
     config.theta = 1.0;
     auto indexed = ComputeFSimDense(g, g, config);

@@ -106,8 +106,7 @@ struct SyntheticNeighborhoods {
   size_t words = 0;
 
   GroupedNeighborhood View(NodeId v) const {
-    return {groups[v], nodes[v].data(), pos[v].data(), nullptr,
-            nodes[v].size()};
+    return {groups[v], nodes[v].data(), pos[v].data(), nodes[v].size()};
   }
   ClassCompatView Compat() const { return {bits.data(), words}; }
 };

@@ -2,27 +2,27 @@
 // (Algorithm 1) carried out over the full |V1| x |V2| score matrix in two
 // flat buffers, with no candidate store, no hashing and no pruning.
 //
-// Purpose:
-//  * ablation — quantifies what the sparse candidate store (θ filter,
-//    upper-bound updating, hash index) buys on small/medium inputs where the
-//    dense matrix fits in memory (see bench/bench_ablation);
-//  * differential testing — an independent implementation of Equation 3 whose
-//    scores must agree with the sparse engine on every θ-compatible pair
-//    (tests/dense_engine_test.cc).
+// It exists for the one case where it beats the sparse engine: the
+// max-family mappings (s, b) at θ = 0, where every pair is a candidate
+// (docs/performance.md "Dense engine"). Other mappings are rejected with
+// InvalidArgument; ComputeFSim serves them. bench/bench_ablation keeps the
+// sparse-vs-dense table that decides whether the engine stays.
 //
 // Dense mode computes a score for *every* pair, including label-incompatible
 // ones (which the sparse engine does not maintain); those extra scores follow
 // the same recurrence but never feed back through the mapping operators, so
 // agreement on compatible pairs is exact.
 //
-// The iterate loop runs on the label-class index of core/dense_index.h —
-// per-class compatibility bitsets, a hoisted label-term table and
-// class-grouped adjacency, evaluated through DirectionScoreGrouped with the
-// v-loop tiled into cache-sized blocks. The index is held under the
-// FSimConfig::neighbor_index_budget_bytes ceiling: a run it cannot fit
-// fails with ResourceExhausted. tests/naive_fsim.h keeps the per-visit
-// label-check + lookup evaluation of Equation 3 as the oracle the engine is
-// checked against.
+// The iterate loop is one realization at every SIMD level: per (8-row
+// chunk, 256-column v-tile), each S1 row walks its label class's work list
+// in the tile's SoA candidate panel (core/simd/tile_panel.h) through the
+// kernel table of the resolved level (core/simd/kernels.h; FSIM_SIMD=off
+// selects the scalar kernels). The panels are built from the label-class
+// index of core/dense_index.h. Index and panels are bounded together
+// against FSimConfig::neighbor_index_budget_bytes before either is built: a
+// run that does not fit fails with ResourceExhausted. tests/naive_fsim.h
+// keeps the per-visit label-check + lookup evaluation of Equation 3 as the
+// oracle the engine is checked against.
 #ifndef FSIM_CORE_DENSE_ENGINE_H_
 #define FSIM_CORE_DENSE_ENGINE_H_
 
@@ -77,10 +77,12 @@ class DenseFSimScores {
 /// sparse engine maintains; the label-constrained mapping (θ) is honored
 /// inside the operators.
 ///
-/// Restrictions: upper-bound updating is not supported in dense mode
-/// (config.upper_bound must be false — pruning is exactly what dense mode
-/// ablates away), |V1| * |V2| must not exceed config.pair_limit, and the
-/// label-class index must fit config.neighbor_index_budget_bytes
+/// Restrictions (InvalidArgument unless noted), checked before anything is
+/// allocated except the last: the mapping must be kMaxPerRow or
+/// kMaxBothSides; upper-bound updating is not supported (config.upper_bound
+/// must be false — pruning is exactly what dense mode ablates away);
+/// |V1| * |V2| must not exceed config.pair_limit; and the label-class index
+/// plus the tile panels must fit config.neighbor_index_budget_bytes
 /// (ResourceExhausted otherwise).
 Result<DenseFSimScores> ComputeFSimDense(const Graph& g1, const Graph& g2,
                                          const FSimConfig& config);

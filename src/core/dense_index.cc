@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "common/string_util.h"
 #include "core/init_value.h"
 
 namespace fsim {
@@ -18,8 +17,6 @@ LabelClassTable::LabelClassTable(const LabelDict& dict,
   const bool need_label_term =
       label_weight != 0.0 && config.label_term != LabelTermKind::kZero;
   if (need_label_term) label_term_.resize(n_ * n_);
-  compat_offsets_.resize(n_ + 1);
-  compat_offsets_[0] = 0;
   for (LabelId a = 0; a < n_; ++a) {
     uint64_t* row = compat_.data() + a * words_;
     double* terms =
@@ -28,31 +25,26 @@ LabelClassTable::LabelClassTable(const LabelDict& dict,
     for (LabelId b = 0; b < n_; ++b) {
       if (lsim.Compatible(a, b, config.theta)) {
         row[b >> 6] |= uint64_t{1} << (b & 63);
-        compat_list_.push_back(b);
       }
       if (need_label_term) {
         terms[b] = label_weight * LabelTermValue(config, lsim, a, b);
       }
     }
-    compat_offsets_[a + 1] = static_cast<uint32_t>(compat_list_.size());
   }
 }
 
 uint64_t LabelClassTable::EstimateBytes(size_t num_classes,
                                         bool with_label_term) {
   const uint64_t words = (num_classes + 63) / 64;
-  const uint64_t n2 = static_cast<uint64_t>(num_classes) * num_classes;
-  uint64_t bytes = num_classes * words * sizeof(uint64_t) +  // bitsets
-                   (num_classes + 1) * sizeof(uint32_t) +    // list offsets
-                   n2 * sizeof(LabelId);                     // full compat list
-  if (with_label_term) bytes += n2 * sizeof(double);
+  uint64_t bytes = num_classes * words * sizeof(uint64_t);  // bitsets
+  if (with_label_term) {
+    bytes += static_cast<uint64_t>(num_classes) * num_classes * sizeof(double);
+  }
   return bytes;
 }
 
-GroupedAdjacency GroupedAdjacency::Build(const Graph& g, bool out,
-                                         size_t num_classes) {
+GroupedAdjacency GroupedAdjacency::Build(const Graph& g, bool out) {
   GroupedAdjacency adj;
-  adj.num_classes_ = num_classes;
   const size_t n = g.NumNodes();
   adj.node_offsets_.resize(n + 1);
   adj.node_offsets_[0] = 0;
@@ -64,7 +56,6 @@ GroupedAdjacency GroupedAdjacency::Build(const Graph& g, bool out,
   adj.pos_.resize(adj.node_offsets_[n]);
   adj.group_offsets_.resize(n + 1);
   adj.group_offsets_[0] = 0;
-  adj.class_offsets_.resize(n * (num_classes + 1));
 
   std::vector<uint32_t> order;
   for (NodeId u = 0; u < n; ++u) {
@@ -85,60 +76,51 @@ GroupedAdjacency GroupedAdjacency::Build(const Graph& g, bool out,
       nodes[k] = nbrs[order[k]];
       pos[k] = order[k];
     }
-    // Class runs, plus the dense per-class cumulative offsets: classes
-    // absent from the list collapse to empty [off, off) spans.
-    uint32_t* class_off = adj.class_offsets_.data() + u * (num_classes + 1);
-    LabelId next_class = 0;
     for (uint32_t k = 0; k < deg;) {
       const LabelId label = g.Label(nodes[k]);
       uint32_t end = k + 1;
       while (end < deg && g.Label(nodes[end]) == label) ++end;
       adj.groups_.push_back(ClassGroup{label, k, end});
-      while (next_class <= label) class_off[next_class++] = k;
       k = end;
     }
-    while (next_class <= num_classes) class_off[next_class++] = deg;
     adj.group_offsets_[u + 1] = adj.groups_.size();
   }
+  // At most one run per edge; drop the growth slack so MemoryBytes stays
+  // within EstimateBytes.
+  adj.groups_.shrink_to_fit();
   return adj;
 }
 
-Result<DenseIndex> DenseIndex::Build(const Graph& g1, const Graph& g2,
-                                     const FSimConfig& config,
-                                     const LabelSimilarityCache& lsim) {
-  // Upper bound: the class table is quadratic in |Σ|, the grouped
-  // adjacency linear in |E| (run count <= |E|) plus the dense per-node
-  // class index of |V| * (|Σ|+1) offsets.
-  const size_t num_classes = g1.dict()->size();
-  const double label_weight = 1.0 - config.w_out - config.w_in;
-  auto adjacency_bytes = [num_classes](const Graph& g) -> uint64_t {
+uint64_t DenseIndex::EstimateBytes(const Graph& g1, const Graph& g2,
+                                   const FSimConfig& config) {
+  // The class table is quadratic in |Σ|, the grouped adjacency linear in
+  // |E| (run count <= |E|).
+  auto adjacency_bytes = [](const Graph& g) -> uint64_t {
     return static_cast<uint64_t>(g.NumEdges()) *
                (sizeof(NodeId) + sizeof(uint32_t) + sizeof(ClassGroup)) +
-           static_cast<uint64_t>(g.NumNodes()) * (num_classes + 1) *
-               sizeof(uint32_t) +
            (g.NumNodes() + 1) * 2 * sizeof(uint64_t);
   };
-  uint64_t estimate = LabelClassTable::EstimateBytes(
-      num_classes, label_weight != 0.0 &&
-                       config.label_term != LabelTermKind::kZero);
-  if (config.w_out > 0.0) estimate += adjacency_bytes(g1) + adjacency_bytes(g2);
-  if (config.w_in > 0.0) estimate += adjacency_bytes(g1) + adjacency_bytes(g2);
-  if (estimate > config.neighbor_index_budget_bytes) {
-    return Status::ResourceExhausted(StrFormat(
-        "dense label-class index needs up to %llu bytes, over "
-        "neighbor_index_budget_bytes %llu",
-        static_cast<unsigned long long>(estimate),
-        static_cast<unsigned long long>(config.neighbor_index_budget_bytes)));
-  }
+  const double label_weight = 1.0 - config.w_out - config.w_in;
+  uint64_t bytes = LabelClassTable::EstimateBytes(
+      g1.dict()->size(), label_weight != 0.0 &&
+                             config.label_term != LabelTermKind::kZero);
+  if (config.w_out > 0.0) bytes += adjacency_bytes(g1) + adjacency_bytes(g2);
+  if (config.w_in > 0.0) bytes += adjacency_bytes(g1) + adjacency_bytes(g2);
+  return bytes;
+}
 
+DenseIndex DenseIndex::Build(const Graph& g1, const Graph& g2,
+                             const FSimConfig& config,
+                             const LabelSimilarityCache& lsim) {
+  const double label_weight = 1.0 - config.w_out - config.w_in;
   DenseIndex index(LabelClassTable(*g1.dict(), lsim, config, label_weight));
   if (config.w_out > 0.0) {
-    index.out1_ = GroupedAdjacency::Build(g1, /*out=*/true, num_classes);
-    index.out2_ = GroupedAdjacency::Build(g2, /*out=*/true, num_classes);
+    index.out1_ = GroupedAdjacency::Build(g1, /*out=*/true);
+    index.out2_ = GroupedAdjacency::Build(g2, /*out=*/true);
   }
   if (config.w_in > 0.0) {
-    index.in1_ = GroupedAdjacency::Build(g1, /*out=*/false, num_classes);
-    index.in2_ = GroupedAdjacency::Build(g2, /*out=*/false, num_classes);
+    index.in1_ = GroupedAdjacency::Build(g1, /*out=*/false);
+    index.in2_ = GroupedAdjacency::Build(g2, /*out=*/false);
   }
   return index;
 }

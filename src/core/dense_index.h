@@ -11,15 +11,14 @@
 //    inside Mχ is one bit test, zero hash/string work) plus the hoisted,
 //    weight-scaled label term of Equation 1/3 (iteration-invariant);
 //  * GroupedAdjacency — each node's out/in neighbor list re-sorted by
-//    label class with group offsets (core/operators.h ClassGroup /
-//    GroupedNeighborhood), so DirectionScoreGrouped enumerates only
-//    compatible (x, y) candidates by intersecting class runs and skips
-//    whole incompatible classes instead of testing the full
-//    N±(u) x N±(v) cross product.
+//    label class with class runs (ClassGroup / GroupedNeighborhood below).
+//    The tile-panel builder (core/simd/tile_panel.h) turns g2's runs into
+//    per-class work lists against the bitsets, and the iterate loop reads
+//    g1's runs to map each S1 row to its class.
 //
-// DenseIndex bundles both under the FSimConfig::neighbor_index_budget_bytes
-// ceiling (the |Σ|² label-term table is the quadratic part); when it does
-// not fit, ComputeFSimDense fails with ResourceExhausted.
+// ComputeFSimDense checks DenseIndex::EstimateBytes plus the panel bound
+// against FSimConfig::neighbor_index_budget_bytes (the |Σ|² label-term
+// table is the quadratic part) before it builds either.
 #ifndef FSIM_CORE_DENSE_INDEX_H_
 #define FSIM_CORE_DENSE_INDEX_H_
 
@@ -28,13 +27,45 @@
 #include <vector>
 
 #include "common/aligned.h"
-#include "common/result.h"
 #include "core/fsim_config.h"
-#include "core/operators.h"
 #include "graph/graph.h"
 #include "label/label_similarity.h"
 
 namespace fsim {
+
+/// One same-label-class run inside a label-class-grouped neighbor list:
+/// [begin, end) index the grouped node/position arrays of the owning
+/// GroupedNeighborhood. Runs are ordered by ascending class id; within a
+/// run, nodes keep ascending node-id (hence ascending original-position)
+/// order.
+struct ClassGroup {
+  LabelId label;
+  uint32_t begin;
+  uint32_t end;
+};
+
+/// A label-class-grouped view of one neighbor set S = N±(u): nodes[k] is
+/// the k-th neighbor in (class, id) order and pos[k] its position in the
+/// original id-sorted neighbor list, so the panel path can walk S1 rows and
+/// reduce S2 columns in the nested loops' ascending-position order. `size`
+/// is |S|.
+struct GroupedNeighborhood {
+  std::span<const ClassGroup> groups;
+  const NodeId* nodes = nullptr;
+  const uint32_t* pos = nullptr;
+  size_t size = 0;
+};
+
+/// A borrowed view of LabelClassTable's θ-thresholded per-class bitsets,
+/// the compatibility test the tile-panel builder derives work lists from.
+struct ClassCompatView {
+  const uint64_t* bits = nullptr;  // per-class bitset rows
+  size_t words = 0;                // 64-bit words per row
+
+  bool Compatible(LabelId a, LabelId b) const {
+    return (bits[a * words + (b >> 6)] >> (b & 63)) & 1u;
+  }
+};
 
 /// Per-label-class-pair tables: the θ compatibility bitset and the hoisted
 /// label term. Both are |Σ| x |Σ| over the shared dictionary, computed once
@@ -67,24 +98,19 @@ class LabelClassTable {
     return label_term_.empty() ? nullptr : label_term_.data() + a * n_;
   }
 
-  /// The operators' borrowed view of the bitsets and per-class
-  /// compatible-class lists. Valid while this table lives.
+  /// A borrowed view of the bitsets. Valid while this table lives.
   ClassCompatView view() const {
-    return ClassCompatView{compat_.data(), words_, compat_offsets_.data(),
-                           compat_list_.data()};
+    return ClassCompatView{compat_.data(), words_};
   }
 
-  /// Worst-case heap footprint for `num_classes` classes (budget gating):
-  /// bitsets + offsets + a full n² compat list, plus the n² label-term
-  /// table when `with_label_term` (a zero-valued term materializes no
-  /// table).
+  /// Heap footprint for `num_classes` classes (budget gating): the bitsets,
+  /// plus the n² label-term table when `with_label_term` (a zero-valued
+  /// term materializes no table).
   static uint64_t EstimateBytes(size_t num_classes, bool with_label_term);
 
   size_t MemoryBytes() const {
     return compat_.capacity() * sizeof(uint64_t) +
-           label_term_.capacity() * sizeof(double) +
-           compat_offsets_.capacity() * sizeof(uint32_t) +
-           compat_list_.capacity() * sizeof(LabelId);
+           label_term_.capacity() * sizeof(double);
   }
 
  private:
@@ -93,20 +119,16 @@ class LabelClassTable {
   /// n_ rows of `words_` words. 64-byte aligned: the tile-panel builder
   /// (core/simd/tile_panel.h) streams whole rows when deriving work lists.
   AlignedVector<uint64_t> compat_;
-  std::vector<double> label_term_;    // n_ x n_, pre-scaled by label_weight
-  std::vector<uint32_t> compat_offsets_;  // n_+1: per-class compat-list CSR
-  std::vector<LabelId> compat_list_;      // ascending within each class
+  std::vector<double> label_term_;  // n_ x n_, pre-scaled by label_weight
 };
 
 /// One direction's adjacency of one graph, re-sorted per node by
 /// (label class, node id) with class-run offsets. Within a run node ids —
-/// and therefore original neighbor-list positions — stay ascending, which
-/// DirectionScoreGrouped relies on for order-exact matching tie-breaks.
+/// and therefore original neighbor-list positions — stay ascending.
 class GroupedAdjacency {
  public:
-  /// Builds the grouped view of N+(·) (`out` = true) or N-(·) over a
-  /// dictionary of `num_classes` label classes.
-  static GroupedAdjacency Build(const Graph& g, bool out, size_t num_classes);
+  /// Builds the grouped view of N+(·) (`out` = true) or N-(·).
+  static GroupedAdjacency Build(const Graph& g, bool out);
 
   /// The grouped view of node u's neighbor set.
   GroupedNeighborhood Neighborhood(NodeId u) const {
@@ -115,7 +137,6 @@ class GroupedAdjacency {
         {groups_.data() + group_offsets_[u], groups_.data() + group_offsets_[u + 1]},
         nodes_.data() + begin,
         pos_.data() + begin,
-        class_offsets_.data() + u * (num_classes_ + 1),
         static_cast<size_t>(node_offsets_[u + 1] - begin)};
   }
 
@@ -123,32 +144,33 @@ class GroupedAdjacency {
     return nodes_.capacity() * sizeof(NodeId) +
            pos_.capacity() * sizeof(uint32_t) +
            groups_.capacity() * sizeof(ClassGroup) +
-           class_offsets_.capacity() * sizeof(uint32_t) +
            node_offsets_.capacity() * sizeof(uint64_t) +
            group_offsets_.capacity() * sizeof(uint64_t);
   }
 
  private:
-  size_t num_classes_ = 0;
   std::vector<uint64_t> node_offsets_;   // |V|+1, into nodes_/pos_
   std::vector<uint64_t> group_offsets_;  // |V|+1, into groups_
   std::vector<NodeId> nodes_;            // neighbors in (class, id) order
   std::vector<uint32_t> pos_;            // original position of nodes_[k]
   std::vector<ClassGroup> groups_;       // class runs, begin/end local to node
-  /// Dense per-node class index: (num_classes_+1) cumulative local offsets
-  /// per node, so the class-c run of u is [off[c], off[c+1]) with one load.
-  std::vector<uint32_t> class_offsets_;
 };
 
 /// The dense engine's label-class index: one LabelClassTable plus the
 /// grouped adjacency of every direction a run evaluates.
 class DenseIndex {
  public:
-  /// Builds the index; ResourceExhausted, naming the estimated footprint
-  /// and the budget, when that exceeds config.neighbor_index_budget_bytes.
-  static Result<DenseIndex> Build(const Graph& g1, const Graph& g2,
-                                  const FSimConfig& config,
-                                  const LabelSimilarityCache& lsim);
+  /// Upper bound on MemoryBytes() of the index Build returns for the same
+  /// arguments: the class table plus the grouped adjacency of every
+  /// direction with nonzero weight.
+  static uint64_t EstimateBytes(const Graph& g1, const Graph& g2,
+                                const FSimConfig& config);
+
+  /// Builds the index. The caller checks EstimateBytes against its budget
+  /// first.
+  static DenseIndex Build(const Graph& g1, const Graph& g2,
+                          const FSimConfig& config,
+                          const LabelSimilarityCache& lsim);
 
   const LabelClassTable& table() const { return table_; }
 

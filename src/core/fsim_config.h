@@ -97,10 +97,10 @@ enum class LabelTermKind {
 /// Which vectorized kernel level the dense engine may use
 /// (core/simd/dispatch.h; docs/performance.md "Vectorized tile kernels").
 /// A request above what the binary carries or the host supports clamps
-/// down (kAvx512 -> kAvx2 -> scalar); every level produces bit-identical
-/// s/b scores and 1e-12-identical dp/bj scores, so this is purely a
-/// performance knob. The FSIM_SIMD environment variable
-/// (off|avx2|avx512|auto) overrides the config value.
+/// down (kAvx512 -> kAvx2 -> scalar); every level runs the same tile-panel
+/// loop and produces bit-identical scores (the dense engine accepts only
+/// the s/b mappings), so this is purely a performance knob. The FSIM_SIMD
+/// environment variable (off|avx2|avx512|auto) overrides the config value.
 enum class SimdMode {
   kOff,     // scalar kernels only
   kAvx2,    // at most the AVX2 kernels

@@ -62,7 +62,8 @@ struct FSimStats {
   /// sparse runs report 0.
   uint32_t simd_level = 0;
   /// Heap footprint of the dense engine's precomputed SoA tile panels
-  /// (core/simd/tile_panel.h); 0 when the vectorized tile path did not run.
+  /// (core/simd/tile_panel.h), built at every SIMD level; 0 for the sparse
+  /// engines.
   size_t simd_panel_bytes = 0;
 };
 

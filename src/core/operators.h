@@ -63,52 +63,6 @@ struct PackedNeighborRef {
   uint32_t ref;
 };
 
-/// One same-label-class run inside a label-class-grouped neighbor list:
-/// [begin, end) index the grouped node/position arrays of the owning
-/// GroupedNeighborhood. Runs are ordered by ascending class id; within a
-/// run, nodes keep ascending node-id (hence ascending original-position)
-/// order.
-struct ClassGroup {
-  LabelId label;
-  uint32_t begin;
-  uint32_t end;
-};
-
-/// A label-class-grouped view of one neighbor set S = N±(u): nodes[k] is
-/// the k-th neighbor in (class, id) order and pos[k] its position in the
-/// original id-sorted neighbor list — the row/col index the ungrouped
-/// operators use, which keeps matching tie-breaks and Ωχ identical between
-/// the grouped and the nested-loop enumeration. `size` is |S|.
-/// class_offsets is the node's dense per-class index: the class-c run is
-/// [class_offsets[c], class_offsets[c+1]) (empty for absent classes), so a
-/// compatible class resolves to its candidate run with one lookup.
-struct GroupedNeighborhood {
-  std::span<const ClassGroup> groups;
-  const NodeId* nodes = nullptr;
-  const uint32_t* pos = nullptr;
-  const uint32_t* class_offsets = nullptr;
-  size_t size = 0;
-};
-
-/// The class-compatibility interface the grouped operators consume
-/// (provided by core/dense_index.h LabelClassTable): the θ-thresholded
-/// per-class bitsets plus, per class, the precomputed ascending list of
-/// compatible classes — so the iterate loop intersects class lists without
-/// re-testing θ anywhere.
-struct ClassCompatView {
-  const uint64_t* bits = nullptr;      // per-class bitset rows
-  size_t words = 0;                    // 64-bit words per row
-  const uint32_t* list_offsets = nullptr;  // per-class compat-list CSR
-  const LabelId* list = nullptr;
-
-  bool Compatible(LabelId a, LabelId b) const {
-    return (bits[a * words + (b >> 6)] >> (b & 63)) & 1u;
-  }
-  std::span<const LabelId> CompatClasses(LabelId a) const {
-    return {list + list_offsets[a], list + list_offsets[a + 1]};
-  }
-};
-
 /// Ωχ(S1, S2) of Table 3.
 inline double OmegaValue(OmegaKind kind, size_t n1, size_t n2) {
   switch (kind) {
@@ -404,409 +358,6 @@ double DirectionScoreIndexed(const OperatorConfig& op, MatchingAlgo algo,
   const double omega = OmegaValue(op.omega, n1, n2);
   FSIM_DCHECK(omega > 0.0);
   return sum / omega;
-}
-
-namespace internal {
-
-/// Invokes visit(run_begin, run_end) for every non-empty S2 candidate run
-/// compatible with class `a`, ascending by class — by walking a's
-/// precomputed compatible-class list against S2's dense class index, or by
-/// scanning S2's present classes against the bitset, whichever loop is
-/// shorter (both produce the same runs in the same order). No intermediate
-/// buffers: the runs resolve to offset pairs inline.
-template <typename VisitFn>
-inline void ForEachCompatRun(LabelId a, const GroupedNeighborhood& s2,
-                             const ClassCompatView& compat, VisitFn&& visit) {
-  const std::span<const LabelId> classes = compat.CompatClasses(a);
-  if (classes.size() <= s2.groups.size()) {
-    for (LabelId c : classes) {
-      const uint32_t begin = s2.class_offsets[c];
-      const uint32_t end = s2.class_offsets[c + 1];
-      if (begin != end) visit(begin, end);
-    }
-  } else {
-    for (const ClassGroup& g : s2.groups) {
-      if (compat.Compatible(a, g.label)) visit(g.begin, g.end);
-    }
-  }
-}
-
-/// Total candidate count of class a against S2 (0 = the whole row class
-/// can be skipped).
-inline uint32_t CompatCandidateCount(LabelId a, const GroupedNeighborhood& s2,
-                                     const ClassCompatView& compat) {
-  uint32_t total = 0;
-  ForEachCompatRun(a, s2, compat,
-                   [&](uint32_t begin, uint32_t end) { total += end - begin; });
-  return total;
-}
-
-/// InjectiveMappingSum over grouped candidates. Edge endpoints are the
-/// original neighbor-list positions, so the greedy tie-break total order
-/// (weight, left, right) — and hence the selected matching — is identical
-/// to the ungrouped enumeration's.
-template <typename ScoreFn>
-double InjectiveMappingSumGrouped(const GroupedNeighborhood& s1,
-                                  const GroupedNeighborhood& s2,
-                                  const ClassCompatView& compat,
-                                  ScoreFn&& score, MatchingAlgo algo,
-                                  MatchingScratch* scratch) {
-  if (s1.size == 1 || s2.size == 1) {
-    // Singleton side: the matching keeps exactly the best edge.
-    double best = 0.0;
-    for (const ClassGroup& ga : s1.groups) {
-      for (uint32_t i = ga.begin; i < ga.end; ++i) {
-        const NodeId x = s1.nodes[i];
-        ForEachCompatRun(ga.label, s2, compat,
-                         [&](uint32_t rb, uint32_t re) {
-                           for (uint32_t j = rb; j < re; ++j) {
-                             const double v = score(x, s2.nodes[j]);
-                             if (v > best) best = v;
-                           }
-                         });
-      }
-    }
-    return best;
-  }
-  scratch->edges.clear();
-  for (const ClassGroup& ga : s1.groups) {
-    for (uint32_t i = ga.begin; i < ga.end; ++i) {
-      const NodeId x = s1.nodes[i];
-      ForEachCompatRun(
-          ga.label, s2, compat, [&](uint32_t rb, uint32_t re) {
-            for (uint32_t j = rb; j < re; ++j) {
-              const double v = score(x, s2.nodes[j]);
-              if (v > 0.0) scratch->edges.push_back({s1.pos[i], s2.pos[j], v});
-            }
-          });
-    }
-  }
-  double tiny = 0.0;
-  if (TinyMatchingSum(scratch->edges, &tiny)) return tiny;
-  if (algo == MatchingAlgo::kHungarian) {
-    scratch->weights.assign(s1.size * s2.size, 0.0);
-    for (const WeightedEdge& e : scratch->edges) {
-      scratch->weights[e.left * s2.size + e.right] = e.weight;
-    }
-    return HungarianMaxWeightMatching(scratch->weights.data(), s1.size,
-                                      s2.size);
-  }
-  return GreedyMaxWeightMatching(scratch, s1.size, s2.size);
-}
-
-}  // namespace internal
-
-/// DirectionScore over label-class-grouped neighborhoods (the dense-engine
-/// fast path, core/dense_index.h): candidate pairs are enumerated by
-/// intersecting the class runs of S1 and S2 — one compatibility test per
-/// *class pair* instead of per element, and incompatible classes are
-/// skipped wholesale. `compat(a, b)` is the θ-thresholded label-class
-/// compatibility (one bit test against the LabelClassTable); `score(x, y)`
-/// reads the previous-iteration score of an enumerated (hence compatible)
-/// candidate directly — no per-visit label work.
-///
-/// Candidates are visited class-grouped rather than in the nested loops'
-/// (x, y) order, but the results are bit-identical to the ungrouped
-/// enumeration for every operator except one corner: row/column maxima are
-/// order-exact and reduced in ascending original-position order, the
-/// matchings key their total orders on the *original* positions
-/// (s1.pos / s2.pos), and the product operator walks rows ascending with a
-/// raw ascending column walk whenever the row's class is compatible with
-/// every class present in S2 (always true at θ = 0). Only a product row
-/// with *partially* compatible classes sums its columns class-grouped —
-/// a within-row reassociation of an order-eps tail that the dense
-/// equivalence sweep pins to 1e-12 (tests/dense_engine_test.cc).
-template <MappingKind M, typename ScoreFn>
-double DirectionScoreGroupedT(OmegaKind omega_kind, MatchingAlgo algo,
-                              const GroupedNeighborhood& s1,
-                              const GroupedNeighborhood& s2,
-                              const ClassCompatView& compat, ScoreFn&& score,
-                              MatchingScratch* scratch) {
-  const size_t n1 = s1.size;
-  const size_t n2 = s2.size;
-  double sum = 0.0;
-  if constexpr (M == MappingKind::kMaxPerRow ||
-                M == MappingKind::kMaxBothSides) {
-    constexpr bool kBothSides = M == MappingKind::kMaxBothSides;
-    if constexpr (kBothSides) {
-      if (n1 == 0 && n2 == 0) return 1.0;
-      scratch->col_best.assign(n2, 0.0);
-    } else {
-      if (n1 == 0) return 1.0;
-    }
-    // Group-major pass: per-row maxima land in row_best[original position]
-    // (and column maxima in col_best for the bisimulation operator), exact
-    // regardless of visit order; reduced ascending afterwards. Every
-    // position is written exactly once (the runs partition the rows), so
-    // the buffer needs sizing but no zero-fill.
-    auto& row_best = scratch->row_best;
-    if (row_best.size() < n1) row_best.resize(n1);
-    for (const ClassGroup& ga : s1.groups) {
-      for (uint32_t i = ga.begin; i < ga.end; ++i) {
-        const NodeId x = s1.nodes[i];
-        double best = 0.0;
-        internal::ForEachCompatRun(
-            ga.label, s2, compat, [&](uint32_t rb, uint32_t re) {
-              for (uint32_t j = rb; j < re; ++j) {
-                const double v = score(x, s2.nodes[j]);
-                if (v > best) best = v;
-                if constexpr (kBothSides) {
-                  if (v > scratch->col_best[s2.pos[j]]) {
-                    scratch->col_best[s2.pos[j]] = v;
-                  }
-                }
-              }
-            });
-        row_best[s1.pos[i]] = best;
-      }
-    }
-    for (size_t p = 0; p < n1; ++p) sum += row_best[p];
-    if constexpr (kBothSides) {
-      for (double best : scratch->col_best) sum += best;
-    }
-  } else if constexpr (M == MappingKind::kInjectiveRow ||
-                       M == MappingKind::kInjectiveSym) {
-    if constexpr (M == MappingKind::kInjectiveRow) {
-      if (n1 == 0) return 1.0;
-      if (n2 == 0) return 0.0;
-    } else {
-      if (n1 == 0 && n2 == 0) return 1.0;
-      if (n1 == 0 || n2 == 0) return 0.0;
-    }
-    sum = internal::InjectiveMappingSumGrouped(s1, s2, compat, score, algo,
-                                               scratch);
-  } else {
-    static_assert(M == MappingKind::kProduct);
-    if (n1 == 0 || n2 == 0) return 0.0;
-    // The product sum has no per-row reduction to anchor on, so restore
-    // the nested loops' running-accumulator order: walk rows ascending
-    // via position->(class, node) maps, and columns ascending whenever
-    // the row's class is compatible with every class present in S2.
-    auto& row_class = scratch->row_class;
-    auto& row_node = scratch->row_node;
-    auto& col_node = scratch->col_node;
-    row_class.resize(n1);
-    row_node.resize(n1);
-    col_node.resize(n2);
-    for (const ClassGroup& ga : s1.groups) {
-      for (uint32_t i = ga.begin; i < ga.end; ++i) {
-        row_class[s1.pos[i]] = ga.label;
-        row_node[s1.pos[i]] = s1.nodes[i];
-      }
-    }
-    for (const ClassGroup& gb : s2.groups) {
-      for (uint32_t j = gb.begin; j < gb.end; ++j) {
-        col_node[s2.pos[j]] = s2.nodes[j];
-      }
-    }
-    LabelId covered_class = kInvalidNode;  // memoized count input
-    uint32_t covered = 0;
-    for (size_t p = 0; p < n1; ++p) {
-      if (row_class[p] != covered_class) {
-        covered_class = row_class[p];
-        covered = internal::CompatCandidateCount(covered_class, s2, compat);
-      }
-      if (covered == 0) continue;
-      const NodeId x = row_node[p];
-      if (covered == n2) {
-        for (size_t q = 0; q < n2; ++q) {
-          const double v = score(x, col_node[q]);
-          if (v > 0.0) sum += v;
-        }
-      } else {
-        internal::ForEachCompatRun(
-            static_cast<LabelId>(row_class[p]), s2, compat,
-            [&](uint32_t rb, uint32_t re) {
-              for (uint32_t j = rb; j < re; ++j) {
-                const double v = score(x, s2.nodes[j]);
-                if (v > 0.0) sum += v;
-              }
-            });
-      }
-    }
-  }
-  const double omega = OmegaValue(omega_kind, n1, n2);
-  FSIM_DCHECK(omega > 0.0);
-  return sum / omega;
-}
-
-/// Evaluates one direction of a fixed left neighborhood S1 against a tile
-/// of right neighborhoods s2s[t], writing the DirectionScore values into
-/// out[t] — the dense engine's per-(u, v-tile) fast path. For the
-/// max-per-row family the S1-side state (position maps, compatible-class
-/// lists, prev-row bases) is hoisted out of the tile loop and rows are
-/// walked in ascending original order with one running accumulator per
-/// tile entry, so every out[t] is bit-identical to the per-pair
-/// DirectionScoreGroupedT value. The matching-based and product operators
-/// delegate to the per-pair evaluation (their per-pair work dominates).
-///
-/// This scalar tile walk is also the reference semantics for the
-/// vectorized panel path (core/simd/): when a SIMD level is enabled, the
-/// dense engine replaces the max-family branch below with precomputed SoA
-/// candidate panels and masked-gather kernels that are bit-identical to
-/// it — the equivalence is pinned by tests/simd_kernel_test.cc, and
-/// FSIM_SIMD=off forces exactly this code.
-template <MappingKind M, typename ScoreFn>
-void DirectionScoreGroupedTile(OmegaKind omega_kind, MatchingAlgo algo,
-                               const GroupedNeighborhood& s1,
-                               std::span<const GroupedNeighborhood> s2s,
-                               const ClassCompatView& compat, ScoreFn&& score,
-                               MatchingScratch* scratch, double* out) {
-  const size_t tile = s2s.size();
-  const size_t n1 = s1.size;
-  constexpr bool kMaxFamily = M == MappingKind::kMaxPerRow ||
-                              M == MappingKind::kMaxBothSides;
-  constexpr bool kInjective = M == MappingKind::kInjectiveRow ||
-                              M == MappingKind::kInjectiveSym;
-  if ((!kMaxFamily && !kInjective) || n1 == 0) {
-    // Per-pair evaluation: the product operator, and the n1 = 0 empty-set
-    // conventions (which depend on each s2s[t].size).
-    for (size_t t = 0; t < tile; ++t) {
-      out[t] = DirectionScoreGroupedT<M>(omega_kind, algo, s1, s2s[t], compat,
-                                         score, scratch);
-    }
-    return;
-  }
-  // Position-ascending S1 row maps, built once per tile call.
-  auto& row_class = scratch->row_class;
-  auto& row_node = scratch->row_node;
-  row_class.resize(n1);
-  row_node.resize(n1);
-  for (const ClassGroup& ga : s1.groups) {
-    for (uint32_t i = ga.begin; i < ga.end; ++i) {
-      row_class[s1.pos[i]] = ga.label;
-      row_node[s1.pos[i]] = s1.nodes[i];
-    }
-  }
-  if constexpr (kInjective) {
-    // Per-tile-entry matching over edges collected through the hoisted row
-    // maps. Rows are walked ascending by position rather than group-major:
-    // the edge multiset is identical and every matching realization is
-    // enumeration-order-free (greedy sorts under a total order keyed on
-    // positions, Hungarian consumes a matrix, the tiny closed forms are
-    // commutative), so the values match the per-pair evaluation exactly.
-    for (size_t t = 0; t < tile; ++t) {
-      const GroupedNeighborhood& s2 = s2s[t];
-      const size_t n2 = s2.size;
-      if (n2 == 0) {
-        // n1 > 0 here: kInjectiveRow's vacuous n1 = 0 convention cannot
-        // apply, and the one-empty-side value is 0 for both operators.
-        out[t] = 0.0;
-        continue;
-      }
-      auto& edges = scratch->edges;
-      edges.clear();
-      for (size_t p = 0; p < n1; ++p) {
-        const NodeId x = row_node[p];
-        internal::ForEachCompatRun(
-            static_cast<LabelId>(row_class[p]), s2, compat,
-            [&](uint32_t rb, uint32_t re) {
-              for (uint32_t j = rb; j < re; ++j) {
-                const double v = score(x, s2.nodes[j]);
-                if (v > 0.0) {
-                  edges.push_back({static_cast<uint32_t>(p), s2.pos[j], v});
-                }
-              }
-            });
-      }
-      double sum;
-      if (n1 == 1 || n2 == 1) {
-        // Singleton side keeps the best edge (only positive scores can win,
-        // so the >0-filtered edge list loses nothing).
-        sum = 0.0;
-        for (const WeightedEdge& e : edges) {
-          if (e.weight > sum) sum = e.weight;
-        }
-      } else if (!internal::TinyMatchingSum(edges, &sum)) {
-        if (algo == MatchingAlgo::kHungarian) {
-          scratch->weights.assign(n1 * n2, 0.0);
-          for (const WeightedEdge& e : edges) {
-            scratch->weights[e.left * n2 + e.right] = e.weight;
-          }
-          sum = HungarianMaxWeightMatching(scratch->weights.data(), n1, n2);
-        } else {
-          sum = GreedyMaxWeightMatching(scratch, n1, n2);
-        }
-      }
-      const double omega = OmegaValue(omega_kind, n1, n2);
-      FSIM_DCHECK(omega > 0.0);
-      out[t] = sum / omega;
-    }
-  }
-  if constexpr (kMaxFamily) {
-    constexpr bool kBothSides = M == MappingKind::kMaxBothSides;
-    auto& acc = scratch->tile_acc;
-    acc.assign(tile, 0.0);
-    auto& col_off = scratch->tile_col_offsets;
-    auto& col_best = scratch->tile_col_best;
-    if constexpr (kBothSides) {
-      col_off.resize(tile + 1);
-      col_off[0] = 0;
-      for (size_t t = 0; t < tile; ++t) {
-        col_off[t + 1] = col_off[t] + static_cast<uint32_t>(s2s[t].size);
-      }
-      col_best.assign(col_off[tile], 0.0);
-    }
-    for (size_t p = 0; p < n1; ++p) {
-      const LabelId a = row_class[p];
-      const NodeId x = row_node[p];
-      for (size_t t = 0; t < tile; ++t) {
-        const GroupedNeighborhood& s2 = s2s[t];
-        double best = 0.0;
-        internal::ForEachCompatRun(
-            a, s2, compat, [&](uint32_t rb, uint32_t re) {
-              for (uint32_t j = rb; j < re; ++j) {
-                const double v = score(x, s2.nodes[j]);
-                if (v > best) best = v;
-                if constexpr (kBothSides) {
-                  double* cb = col_best.data() + col_off[t];
-                  if (v > cb[s2.pos[j]]) cb[s2.pos[j]] = v;
-                }
-              }
-            });
-        acc[t] += best;  // rows ascending: the ungrouped row-sum order
-      }
-    }
-    for (size_t t = 0; t < tile; ++t) {
-      double sum = acc[t];
-      if constexpr (kBothSides) {
-        // n1 > 0 here, so the both-empty convention cannot apply.
-        const double* cb = col_best.data() + col_off[t];
-        const size_t n2 = s2s[t].size;
-        for (size_t k = 0; k < n2; ++k) sum += cb[k];
-      }
-      const double omega = OmegaValue(omega_kind, n1, s2s[t].size);
-      FSIM_DCHECK(omega > 0.0);
-      out[t] = sum / omega;
-    }
-  }
-}
-
-/// Runtime-dispatched wrapper over DirectionScoreGroupedT.
-template <typename ScoreFn>
-double DirectionScoreGrouped(const OperatorConfig& op, MatchingAlgo algo,
-                             const GroupedNeighborhood& s1,
-                             const GroupedNeighborhood& s2,
-                             const ClassCompatView& compat, ScoreFn&& score,
-                             MatchingScratch* scratch) {
-  switch (op.mapping) {
-    case MappingKind::kMaxPerRow:
-      return DirectionScoreGroupedT<MappingKind::kMaxPerRow>(
-          op.omega, algo, s1, s2, compat, score, scratch);
-    case MappingKind::kInjectiveRow:
-      return DirectionScoreGroupedT<MappingKind::kInjectiveRow>(
-          op.omega, algo, s1, s2, compat, score, scratch);
-    case MappingKind::kMaxBothSides:
-      return DirectionScoreGroupedT<MappingKind::kMaxBothSides>(
-          op.omega, algo, s1, s2, compat, score, scratch);
-    case MappingKind::kInjectiveSym:
-      return DirectionScoreGroupedT<MappingKind::kInjectiveSym>(
-          op.omega, algo, s1, s2, compat, score, scratch);
-    case MappingKind::kProduct:
-      return DirectionScoreGroupedT<MappingKind::kProduct>(
-          op.omega, algo, s1, s2, compat, score, scratch);
-  }
-  return 0.0;
 }
 
 /// Upper bound of one direction's contribution (Eq. 6): DirectionScore with

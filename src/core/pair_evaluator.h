@@ -30,10 +30,10 @@ namespace fsim {
 /// previous-iteration buffer. Stateless between calls except for the
 /// caller-owned MatchingScratch, so one instance serves all workers.
 ///
-/// This sparse per-pair path always runs the scalar operators; only the
-/// dense engine's full-matrix tile loop has a vectorized realization
-/// (core/simd/), and the two agree bit-for-bit on the max family — see
-/// DirectionScoreGroupedTile (core/operators.h).
+/// This sparse per-pair path always runs the scalar operators of
+/// core/operators.h; only the dense engine's full-matrix tile-panel loop
+/// runs through the kernel table (core/simd/), and the two agree on the
+/// max family at 1e-12 (tests/dense_engine_test.cc).
 class PairEvaluator {
  public:
   PairEvaluator(const Graph& g1, const Graph& g2, const FSimConfig& config,

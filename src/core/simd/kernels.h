@@ -18,8 +18,9 @@
 //    pass, one kernel per InitKind shape.
 //  * find_first_ge — the TopKInto score-reject prescan.
 //
-// Bit-identity contract: every kernel produces results bit-identical to
-// the scalar tile path for the max-family operators. The load-bearing
+// Bit-identity contract: every vector kernel produces results bit-identical
+// to the scalar kernels (kernels_scalar.cc), so the dense engine's panel
+// loop returns the same scores at every level. The load-bearing
 // facts are (1) max over doubles is exact and order-free, (2) dense
 // scores are non-negative, so a masked-out lane contributing +0.0 equals
 // the scalar loop's `best = 0.0` seed, and (3) combine_row uses separate

@@ -11,7 +11,7 @@
 //    the scalar `best = 0.0` seed;
 //  * combine_row uses VMULPD + VADDPD in the scalar association
 //    ((w+·o) + (w-·i)) + L; never VFMADD, whose single rounding would
-//    diverge from the scalar tile path;
+//    diverge from the scalar kernels;
 //  * |delta| is a sign-bit VANDPD; the horizontal max reduction is exact.
 #include "core/simd/kernels.h"
 

@@ -1,9 +1,10 @@
-// Precomputed SoA candidate panels for the vectorized tile row pass
-// (core/simd/kernels.h). The dense engine's tile operators evaluate a
-// fixed S1 row set against a tile of right neighborhoods s2s[t]; the
-// grouped views of g2 are iteration-invariant, so ComputeFSimDense builds
-// one TilePanelSet per direction up front and every (row, tile) evaluation
-// reduces to walking a per-class work list of masked 4-slot gathers.
+// Precomputed SoA candidate panels for the tile row pass
+// (core/simd/kernels.h), the dense engine's only iterate path. The engine
+// evaluates a fixed S1 row set against a tile of right neighborhoods
+// s2s[t]; the grouped views of g2 are iteration-invariant, so
+// ComputeFSimDense builds one TilePanelSet per direction up front and every
+// (row, tile) evaluation reduces to walking a per-class work list of masked
+// 4-slot gathers — at every SIMD level, the scalar one included.
 //
 // Layout per tile panel:
 //  * slot space — tile entries concatenated, each entry's candidates in
@@ -17,7 +18,7 @@
 //  * inv[entry_off[t] + j] — the slot holding entry t's candidate at
 //    position j of v's original id-sorted neighbor list (the inverse of
 //    the grouped permutation). The both-sides finalize reads the column
-//    maxima through inv to reproduce the scalar path's position-ascending
+//    maxima through inv to reproduce the nested loops' position-ascending
 //    summation order without a scatter (only built when with_inv).
 //  * WorkList(a) — for S1 row class a, the compacted PanelWorkItem list
 //    covering exactly the nibbles with >= 1 θ-compatible candidate, in
@@ -34,7 +35,7 @@
 #include <vector>
 
 #include "common/aligned.h"
-#include "core/operators.h"
+#include "core/dense_index.h"
 #include "core/simd/kernels.h"
 
 namespace fsim {
@@ -77,11 +78,31 @@ struct TilePanelSet {
 /// `neighborhood(v)` returns the direction's grouped view of N±(v) (the
 /// DenseIndex GroupedAdjacency lookup); `with_inv` materializes the inv
 /// panel (needed only by the both-sides operator). Work lists are built
-/// for classes [0, num_classes) against `compat`.
+/// for classes [0, num_classes) against `compat`. Every buffer is sized
+/// exactly, so MemoryBytes() stays within TilePanelSetBytesBound.
 TilePanelSet BuildTilePanelSet(
     size_t n2, size_t tile_width, size_t num_classes,
     const ClassCompatView& compat, bool with_inv,
     const std::function<GroupedNeighborhood(NodeId)>& neighborhood);
+
+/// What TilePanelSetBytesBound needs to know of one tile entry v: its
+/// candidate count |N±(v)|, and the number of (row class a, candidate y)
+/// pairs with a compatible with ℓ(y), a in [0, num_classes).
+struct PanelEntryShape {
+  uint32_t size = 0;
+  uint64_t compatible_pairs = 0;
+};
+
+/// Upper bound on MemoryBytes() of the set BuildTilePanelSet returns for
+/// the same n2, tile_width, num_classes and with_inv, computed from the
+/// entries' shapes without building anything (the engine's budget check).
+/// Class a's work list holds at most one item per nibble of entry v that
+/// has a compatible candidate, so v adds at most
+/// min(num_classes · ⌈size/4⌉, compatible_pairs) items; when every class
+/// pair is compatible (θ = 0) the bound is exact.
+uint64_t TilePanelSetBytesBound(
+    size_t n2, size_t tile_width, size_t num_classes, bool with_inv,
+    const std::function<PanelEntryShape(NodeId)>& shape);
 
 }  // namespace simd
 }  // namespace fsim

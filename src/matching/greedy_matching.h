@@ -19,7 +19,7 @@ struct WeightedEdge {
   double weight;
 };
 
-/// Reusable scratch buffers so the hot loop of the FSim engine does not
+/// Reusable matching state so the hot loop of the FSim engine does not
 /// allocate per pair.
 struct MatchingScratch {
   std::vector<WeightedEdge> edges;
@@ -29,22 +29,6 @@ struct MatchingScratch {
   std::vector<double> weights;
   /// Per-column maxima for the bisimulation operator's converse side.
   std::vector<double> col_best;
-  /// Per-row maxima, indexed by original row position: the grouped
-  /// operators fill these group-major, then reduce in ascending-row order
-  /// so their sums are bit-identical to the nested-loop enumeration's.
-  std::vector<double> row_best;
-  /// Original-position -> (class, node) maps of S1, rebuilt per evaluation
-  /// by the grouped product operator's ascending-row walk.
-  std::vector<uint32_t> row_class;
-  std::vector<uint32_t> row_node;
-  /// Original-position -> node map of S2 (ascending-column walk).
-  std::vector<uint32_t> col_node;
-  /// Tile-evaluation state (DirectionScoreGroupedTile): one running
-  /// accumulator per tile entry, plus a per-tile column-maxima arena
-  /// (cumulative offsets + flattened per-entry column buffers).
-  std::vector<double> tile_acc;
-  std::vector<uint32_t> tile_col_offsets;
-  std::vector<double> tile_col_best;
 };
 
 /// Greedily selects edges in descending weight order (ties broken by

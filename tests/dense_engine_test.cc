@@ -1,13 +1,14 @@
-// Equivalence tests for the label-class indexed dense engine
-// (core/dense_index.h): across every MappingKind x OmegaKind operator
-// combination and both matching realizations, ComputeFSimDense must agree
-// with the sparse engine on every maintained pair to 1e-12 — and its
-// label-class indexed loop must agree with the naive per-visit lookup
-// evaluation (tests/naive_fsim.h) on the full matrix. The grouped
-// enumeration visits candidates
-// in class-grouped order; row/column maxima and the matching realizations
-// are order-exact (original positions key the tie-breaks), so only the
-// final additive reductions reassociate — far below the 1e-12 pin.
+// Equivalence tests for the dense engine's tile-panel loop
+// (core/dense_engine.h): for both max-family mappings (s, b) across every
+// OmegaKind, ComputeFSimDense must agree with the sparse engine on every
+// maintained pair to 1e-12 — and with the naive per-visit lookup evaluation
+// (tests/naive_fsim.h) on the full matrix. The panels visit candidates in
+// class-grouped order; row/column maxima are order-exact and reduced in
+// ascending position order, so only the final additive reductions can
+// reassociate — far below the 1e-12 pin. The sweep spans every MappingKind:
+// for dp, bj and product, which have no dense path, each case checks the
+// rejection and the sparse engine against the oracle on the same input
+// (tests/no_dense_path.h).
 //
 // Plus unit coverage for DenseFSimScores::TopK tie-breaking.
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "core/fsim_engine.h"
 #include "graph/graph_builder.h"
 #include "tests/naive_fsim.h"
+#include "tests/no_dense_path.h"
 
 namespace fsim {
 namespace {
@@ -96,6 +98,10 @@ TEST_P(DenseEngineOperatorSweep, DenseMatchesSparseOnAllPairs) {
   auto sparse = ComputeFSimSelf(g, config);
   ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
   ASSERT_EQ(sparse->NumPairs(), g.NumNodes() * g.NumNodes());
+  if (!testing::HasDensePath(mapping)) {
+    testing::ExpectNoDensePath(g, g, config);
+    return;
+  }
 
   auto dense = ComputeFSimDense(g, g, config);
   ASSERT_TRUE(dense.ok()) << dense.status().ToString();
@@ -111,7 +117,7 @@ TEST_P(DenseEngineOperatorSweep, DenseMatchesSparseOnAllPairs) {
 }
 
 /// θ > 0 with a non-indicator L: multi-class compatibility bitsets and the
-/// class-skipping enumeration, cross-checked against the naive per-visit
+/// per-class panel work lists, cross-checked against the naive per-visit
 /// lookup oracle on the *full* matrix (including pairs the sparse engine
 /// would not maintain).
 TEST_P(DenseEngineOperatorSweep, IndexedMatchesNaiveOracle) {
@@ -125,6 +131,10 @@ TEST_P(DenseEngineOperatorSweep, IndexedMatchesNaiveOracle) {
   config.w_out = 0.35;
   config.w_in = 0.35;
   config.epsilon = 1e-4;
+  if (!testing::HasDensePath(mapping)) {
+    testing::ExpectNoDensePath(g, g, config);
+    return;
+  }
 
   auto indexed = ComputeFSimDense(g, g, config);
   ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
@@ -139,10 +149,9 @@ TEST_P(DenseEngineOperatorSweep, IndexedMatchesNaiveOracle) {
         << "entry " << i;
   }
 
-  // Forced-scalar lockstep: FSIM_SIMD=off must reproduce the indexed run
-  // (whatever level auto resolved to) on every entry. The vectorized
-  // kernels are bit-identical by contract, so kTolerance is slack here;
-  // tests/simd_kernel_test.cc pins the max-family paths to exact equality.
+  // Forced-scalar lockstep: FSIM_SIMD=off runs the same panel loop on the
+  // scalar kernels and must reproduce the run at whatever level auto
+  // resolved to bit for bit (the kernels.h contract).
   const char* prev_env = std::getenv("FSIM_SIMD");
   const std::string saved_env = prev_env ? prev_env : "";
   setenv("FSIM_SIMD", "off", 1);
@@ -157,8 +166,7 @@ TEST_P(DenseEngineOperatorSweep, IndexedMatchesNaiveOracle) {
   EXPECT_EQ(scalar->stats().iterations, indexed->stats().iterations);
   ASSERT_EQ(scalar->values().size(), indexed->values().size());
   for (size_t i = 0; i < indexed->values().size(); ++i) {
-    ASSERT_NEAR(scalar->values()[i], indexed->values()[i], kTolerance)
-        << "entry " << i;
+    ASSERT_EQ(scalar->values()[i], indexed->values()[i]) << "entry " << i;
   }
 }
 

@@ -10,10 +10,10 @@
 #include <span>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/dense_engine.h"
-#include "core/simrank.h"
 #include "core/fsim_engine.h"
 #include "core/incremental.h"
 #include "core/incremental_index.h"
@@ -22,6 +22,7 @@
 #include "graph/edits.h"
 #include "gtest/gtest.h"
 #include "test_graphs.h"
+#include "tests/no_dense_path.h"
 
 namespace fsim {
 namespace {
@@ -223,6 +224,11 @@ TEST_P(DenseEquivalence, MatchesSparseEngineOnMaintainedPairs) {
     config.variant = variant;
     config.theta = theta;
     config.epsilon = 1e-4;
+    if (!testing::HasDensePath(config.operators().mapping)) {
+      // dp and bj have no dense path (tests/no_dense_path.h).
+      testing::ExpectNoDensePath(pair.g1, pair.g2, config);
+      continue;
+    }
 
     auto sparse = ComputeFSim(pair.g1, pair.g2, config);
     ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
@@ -251,9 +257,36 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(param_info.param) == 0.0 ? "_theta0" : "_theta1");
     });
 
+TEST(DenseEngine, RejectsNonMaxFamilyMappings) {
+  // Only s and b have a dense path; every other mapping is turned away
+  // with a message that names it and points to the sparse engine.
+  auto pair = MakeRandomPair(14);
+  FSimConfig dp;
+  dp.variant = SimVariant::kDegreePreserving;
+  FSimConfig bj;
+  bj.variant = SimVariant::kBijective;
+  const std::pair<const char*, FSimConfig> cases[] = {
+      {"dp", dp},
+      {"bj", bj},
+      {"SimRank", SimRankFSimConfig(0.8)},
+      {"RoleSim", RoleSimFSimConfig()},
+  };
+  for (const auto& [name, config] : cases) {
+    // Self-similarity, which SimRank's pinned diagonal requires.
+    auto dense = ComputeFSimDense(pair.g1, pair.g1, config);
+    ASSERT_FALSE(dense.ok()) << name;
+    EXPECT_TRUE(dense.status().IsInvalidArgument())
+        << name << ": " << dense.status().ToString();
+    EXPECT_NE(dense.status().ToString().find("ComputeFSim"),
+              std::string::npos)
+        << name << ": " << dense.status().ToString();
+  }
+}
+
 TEST(DenseEngine, RejectsUpperBoundConfig) {
   auto pair = MakeRandomPair(14);
   FSimConfig config;
+  config.variant = SimVariant::kSimple;
   config.upper_bound = true;
   auto dense = ComputeFSimDense(pair.g1, pair.g2, config);
   ASSERT_FALSE(dense.ok());
@@ -263,6 +296,7 @@ TEST(DenseEngine, RejectsUpperBoundConfig) {
 TEST(DenseEngine, RespectsPairLimit) {
   auto pair = MakeRandomPair(15);
   FSimConfig config;
+  config.variant = SimVariant::kSimple;
   config.pair_limit = 4;  // 10 x 12 pairs blow this immediately
   auto dense = ComputeFSimDense(pair.g1, pair.g2, config);
   ASSERT_FALSE(dense.ok());
@@ -286,6 +320,7 @@ TEST(DenseEngine, SimulationDefinitenessOnFigure1) {
 TEST(DenseEngine, TopKAgreesWithScores) {
   auto pair = MakeRandomPair(16);
   FSimConfig config;
+  config.variant = SimVariant::kSimple;
   auto dense = ComputeFSimDense(pair.g1, pair.g2, config);
   ASSERT_TRUE(dense.ok());
   auto top = dense->TopK(0, 3);
@@ -297,26 +332,6 @@ TEST(DenseEngine, TopKAgreesWithScores) {
   }
 }
 
-
-TEST(DenseEngine, SimRankConfigMatchesStandaloneOracle) {
-  // The §4.3 SimRank configuration, run through the *dense* engine, must
-  // agree with the standalone oracle — this exercises the kProduct mapping,
-  // pin_diagonal and the diagonal-indicator initialization in dense mode.
-  auto pair = MakeRandomPair(31, 9, 9, 1);
-  const Graph& g = pair.g1;
-  FSimConfig config = SimRankFSimConfig(0.8);
-  config.max_iterations = 9;
-  config.epsilon = 1e-12;  // run all 9 sweeps
-  auto dense = ComputeFSimDense(g, g, config);
-  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
-  std::vector<double> oracle = SimRankScores(g, 0.8, 9);
-  for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    for (NodeId v = 0; v < g.NumNodes(); ++v) {
-      EXPECT_NEAR(dense->Score(u, v), oracle[u * g.NumNodes() + v], 1e-9)
-          << "(" << u << ", " << v << ")";
-    }
-  }
-}
 
 TEST(DenseEngine, MilnerModeIgnoresInNeighbors) {
   // w- = 0 is the paper's "original 1971 definition" mode; scores must be

@@ -259,7 +259,10 @@ TEST(NeighborIndexTest, OverBudgetRunsReturnResourceExhausted) {
   auto topk = ComputeTopKPairs(g, g, config, topk_options);
   ASSERT_FALSE(topk.ok());
   EXPECT_EQ(expect_exhausted(topk.status(), "topk"), sparse_needed);
-  auto dense = ComputeFSimDense(g, g, config);
+  // The dense engine has no bj path; its leg runs s.
+  FSimConfig dense_config = config;
+  dense_config.variant = SimVariant::kSimple;
+  auto dense = ComputeFSimDense(g, g, dense_config);
   ASSERT_FALSE(dense.ok());
   const uint64_t dense_needed = expect_exhausted(dense.status(), "dense");
   auto inc = IncrementalFSim::Create(g, g, config);
@@ -270,10 +273,19 @@ TEST(NeighborIndexTest, OverBudgetRunsReturnResourceExhausted) {
   auto sparse_fit = ComputeFSimSelf(g, config);
   ASSERT_TRUE(sparse_fit.ok()) << sparse_fit.status().ToString();
   EXPECT_LE(sparse_fit->stats().neighbor_index_bytes, sparse_needed);
-  config.neighbor_index_budget_bytes = dense_needed;
-  auto dense_fit = ComputeFSimDense(g, g, config);
+  // The dense count covers the label-class index and the tile panels
+  // together: that many bytes hold both, and one byte less is refused.
+  dense_config.neighbor_index_budget_bytes = dense_needed;
+  auto dense_fit = ComputeFSimDense(g, g, dense_config);
   ASSERT_TRUE(dense_fit.ok()) << dense_fit.status().ToString();
-  EXPECT_LE(dense_fit->stats().neighbor_index_bytes, dense_needed);
+  EXPECT_GT(dense_fit->stats().simd_panel_bytes, 0u);
+  EXPECT_LE(dense_fit->stats().neighbor_index_bytes +
+                dense_fit->stats().simd_panel_bytes,
+            dense_needed);
+  dense_config.neighbor_index_budget_bytes = dense_needed - 1;
+  const Status dense_short = ComputeFSimDense(g, g, dense_config).status();
+  EXPECT_TRUE(dense_short.IsResourceExhausted()) << dense_short.ToString();
+  EXPECT_EQ(NeededBytes(dense_short), dense_needed) << dense_short.ToString();
   config.neighbor_index_budget_bytes = inc_needed;
   auto inc_fit = IncrementalFSim::Create(g, g, config);
   ASSERT_TRUE(inc_fit.ok()) << inc_fit.status().ToString();
@@ -282,7 +294,9 @@ TEST(NeighborIndexTest, OverBudgetRunsReturnResourceExhausted) {
   // 0 no longer means "no index": it is rejected up front.
   config.neighbor_index_budget_bytes = 0;
   EXPECT_TRUE(ComputeFSimSelf(g, config).status().IsInvalidArgument());
-  EXPECT_TRUE(ComputeFSimDense(g, g, config).status().IsInvalidArgument());
+  dense_config.neighbor_index_budget_bytes = 0;
+  EXPECT_TRUE(
+      ComputeFSimDense(g, g, dense_config).status().IsInvalidArgument());
   EXPECT_TRUE(
       IncrementalFSim::Create(g, g, config).status().IsInvalidArgument());
 }

@@ -4,15 +4,17 @@
 //    (AVX2, AVX-512) against the scalar reference on synthetic panels and
 //    rows, asserting bit-exact outputs (the kernels.h contract, including
 //    the masked-gather +0.0 convention and the no-FMA combine);
-//  * engine sweeps — ComputeFSimDense under FSIM_SIMD=off vs every
-//    available vector level across MappingKind x OmegaKind x matching x θ:
-//    bit-identical for the max-family (s/b) tile paths, <= 1e-12 for the
-//    matching-bound (dp/bj) and product paths (which keep their scalar
-//    tile loops; only the seeding/combine kernels differ, and those are
-//    bit-identical too);
+//  * engine sweeps — ComputeFSimDense under FSIM_SIMD=off (the same panel
+//    loop on the scalar kernels) vs every available vector level across
+//    MappingKind x OmegaKind x matching x θ: bit-identical for s/b; dp, bj
+//    and product have no dense path, so every level must refuse them and
+//    the sparse engine is checked against the naive oracle instead
+//    (tests/no_dense_path.h);
 //  * ragged shapes — n2 not a multiple of the 256-wide v-tile, rows
 //    shorter than the 8-row chunk grain, label classes with empty work
-//    lists (θ = 1 across disjoint label groups);
+//    lists (θ = 1 across disjoint label groups) — where the off run is
+//    also checked against the naive oracle (tests/naive_fsim.h), so a
+//    panel-builder bug shared by every level still shows;
 //  * dispatch — FSIM_SIMD parsing, the off/auto clamps, and the reported
 //    FSimStats::simd_level / simd_panel_bytes.
 #include <gtest/gtest.h>
@@ -32,6 +34,8 @@
 #include "core/simd/dispatch.h"
 #include "core/simd/kernels.h"
 #include "graph/graph_builder.h"
+#include "tests/naive_fsim.h"
+#include "tests/no_dense_path.h"
 
 namespace fsim {
 namespace {
@@ -292,8 +296,8 @@ TEST(SimdDispatchTest, ParseAndClamp) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine sweeps: FSIM_SIMD=off (the exact pre-panel scalar path) vs every
-// vector level the host offers.
+// Engine sweeps: FSIM_SIMD=off (the panel loop on the scalar kernels) vs
+// every vector level the host offers.
 
 Graph MakeSweepGraph(uint64_t seed, uint32_t n) {
   static const char* kLabels[] = {"aa", "ab", "bb", "bc"};
@@ -328,14 +332,25 @@ Result<DenseFSimScores> RunAtLevel(const Graph& g, const FSimConfig& config,
   return ComputeFSimDense(g, g, config);
 }
 
+/// The forced-off run against the naive oracle over the full matrix: every
+/// level shares the panel builder, so only this comparison sees a bug in it.
+void ExpectMatchesNaiveOracle(const Graph& g, const FSimConfig& config,
+                              const DenseFSimScores& off) {
+  const testing::NaiveFSimResult naive =
+      testing::NaiveFSim(g, g, config, /*all_pairs=*/true);
+  EXPECT_EQ(off.stats().iterations, naive.iterations);
+  ASSERT_EQ(off.values().size(), naive.values.size());
+  for (size_t i = 0; i < naive.values.size(); ++i) {
+    ASSERT_NEAR(off.values()[i], naive.values[i], 1e-12) << "entry " << i;
+  }
+}
+
 using SweepParam = std::tuple<MappingKind, OmegaKind, MatchingAlgo>;
 
 class SimdEngineSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(SimdEngineSweep, VectorLevelsMatchForcedOff) {
   const auto [mapping, omega, matching] = GetParam();
-  const bool max_family = mapping == MappingKind::kMaxPerRow ||
-                          mapping == MappingKind::kMaxBothSides;
   const Graph g = MakeSweepGraph(/*seed=*/11 + static_cast<int>(omega), 40);
   for (double theta : {0.4, 1.0}) {
     FSimConfig config;
@@ -346,11 +361,20 @@ TEST_P(SimdEngineSweep, VectorLevelsMatchForcedOff) {
     config.w_out = 0.35;
     config.w_in = 0.35;
     config.epsilon = 1e-4;
+    if (!testing::HasDensePath(mapping)) {
+      for (const char* level : HostVectorLevelNames()) {
+        EXPECT_TRUE(RunAtLevel(g, config, level).status().IsInvalidArgument())
+            << level << " θ=" << theta;
+      }
+      ScopedSimdEnv env("off");
+      testing::ExpectNoDensePath(g, g, config);
+      continue;
+    }
 
     auto off = RunAtLevel(g, config, "off");
     ASSERT_TRUE(off.ok()) << off.status().ToString();
     EXPECT_EQ(off->stats().simd_level, 0u);
-    EXPECT_EQ(off->stats().simd_panel_bytes, 0u);
+    EXPECT_GT(off->stats().simd_panel_bytes, 0u);
     for (const char* level : HostVectorLevelNames()) {
       auto vec = RunAtLevel(g, config, level);
       ASSERT_TRUE(vec.ok()) << vec.status().ToString();
@@ -358,19 +382,11 @@ TEST_P(SimdEngineSweep, VectorLevelsMatchForcedOff) {
                        vec->stats().simd_level)),
                    level);
       EXPECT_EQ(off->stats().iterations, vec->stats().iterations);
-      if (max_family) {
-        EXPECT_GT(vec->stats().simd_panel_bytes, 0u);
-      }
+      EXPECT_EQ(off->stats().simd_panel_bytes, vec->stats().simd_panel_bytes);
       ASSERT_EQ(off->values().size(), vec->values().size());
       for (size_t i = 0; i < off->values().size(); ++i) {
-        if (max_family) {
-          // The panel tile path is bit-identical to the scalar tile path.
-          ASSERT_EQ(off->values()[i], vec->values()[i])
-              << level << " θ=" << theta << " entry " << i;
-        } else {
-          ASSERT_NEAR(off->values()[i], vec->values()[i], 1e-12)
-              << level << " θ=" << theta << " entry " << i;
-        }
+        ASSERT_EQ(off->values()[i], vec->values()[i])
+            << level << " θ=" << theta << " entry " << i;
       }
     }
   }
@@ -426,6 +442,7 @@ TEST(SimdEngineTest, RaggedTilesMatchForcedOff) {
     config.epsilon = 1e-3;
     auto off = RunAtLevel(g, config, "off");
     ASSERT_TRUE(off.ok()) << off.status().ToString();
+    ExpectMatchesNaiveOracle(g, config, *off);
     for (const char* level : HostVectorLevelNames()) {
       auto vec = RunAtLevel(g, config, level);
       ASSERT_TRUE(vec.ok()) << vec.status().ToString();
@@ -460,6 +477,7 @@ TEST(SimdEngineTest, EmptyCompatClassesMatchForcedOff) {
     config.epsilon = 1e-4;
     auto off = RunAtLevel(g, config, "off");
     ASSERT_TRUE(off.ok()) << off.status().ToString();
+    ExpectMatchesNaiveOracle(g, config, *off);
     for (const char* level : HostVectorLevelNames()) {
       auto vec = RunAtLevel(g, config, level);
       ASSERT_TRUE(vec.ok()) << vec.status().ToString();
