@@ -172,6 +172,9 @@ struct FSimConfig {
   /// A run whose index bound exceeds it fails with ResourceExhausted naming
   /// the bytes it needs, and an incremental edge insert that could grow the
   /// arena past it is rejected before the graph changes. Must be positive.
+  /// The budget covers the index itself; the sparse build additionally
+  /// holds one chunk (PairStore::kChunkPairs pairs) of classification
+  /// scratch per worker while it runs.
   uint64_t neighbor_index_budget_bytes = 1ULL << 30;
 
   /// Iterate-loop scheduling (see ActiveSetMode). The CSR neighbor index's
@@ -211,14 +214,6 @@ struct FSimConfig {
   /// to amortize the per-chunk claim; 64 held up across the thread-count
   /// sweep in BENCH_fsim.json's tuning section.
   size_t iterate_grain = 64;
-
-  /// Allow the packed 8-byte neighbor-index entry layout (16-bit row/col)
-  /// when every relevant neighbor-list position (0..deg-1) fits in 16
-  /// bits — halves the index memory on degree-bounded graphs. Graphs
-  /// whose max degree exceeds 65536 in a weighted direction fall back to
-  /// the 12-byte layout automatically; tests and benchmarks set this
-  /// false to pin the wide layout.
-  bool use_packed_neighbor_refs = true;
 
   /// Vectorized kernel ceiling for the dense engine (see SimdMode). The
   /// FSIM_SIMD environment variable takes precedence when set to a valid

@@ -89,8 +89,6 @@ Result<FSimScores> ComputeFSim(const Graph& g1, const Graph& g2,
   stats.pruned_pairs = store.info().pruned;
   stats.neighbor_index_bytes = store.NeighborIndexBytes();
   stats.packed_neighbor_refs = store.packed_refs();
-  stats.neighbor_index_peak_staging_bytes = store.info().peak_staging_bytes;
-  stats.neighbor_index_bounded_build = store.info().bounded_staging_build;
   stats.build_seconds = build_timer.Seconds();
   init_span.End();
 

@@ -25,15 +25,9 @@ struct FSimStats {
   /// Heap footprint of the neighbor index the iterate loop ran on.
   size_t neighbor_index_bytes = 0;
   /// True when the index used the packed 8-byte entry layout (16-bit
-  /// row/col; degree-bounded graphs only).
+  /// row/col), chosen whenever no weighted direction has a degree above
+  /// 65536; false means the 12-byte layout.
   bool packed_neighbor_refs = false;
-  /// Peak transient bytes held by the index build's per-chunk staging
-  /// buffers (0 when the bounded count-then-fill build ran).
-  size_t neighbor_index_peak_staging_bytes = 0;
-  /// True when the index was built with the bounded (no-staging,
-  /// classify-twice) passes because one-pass staging would have pushed peak
-  /// build memory past FSimConfig::neighbor_index_budget_bytes.
-  bool neighbor_index_bounded_build = false;
   /// max_{(u,v)} |FSim^k - FSim^{k-1}| per iteration, when
   /// FSimConfig::record_delta_history is set (Theorem 1: strictly
   /// decreasing).

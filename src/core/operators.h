@@ -54,9 +54,9 @@ inline constexpr bool IsPrunedRef(uint32_t ref) {
 /// 8-byte packed variant of NeighborRef for degree-bounded graphs: when
 /// every relevant neighbor-list position fits in 16 bits, row/col shrink to
 /// uint16_t, halving the index memory and doubling the entries per cache
-/// line. PairStore::Build selects the layout automatically (see
-/// FSimConfig::use_packed_neighbor_refs); the indexed operators below are
-/// templated over the entry type, so both layouts share one code path.
+/// line. PairStore::Build selects it whenever no weighted direction has a
+/// degree above 65536; the indexed operators below are templated over the
+/// entry type, so both layouts share one code path.
 struct PackedNeighborRef {
   uint16_t row;
   uint16_t col;

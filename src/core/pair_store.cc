@@ -149,6 +149,17 @@ Result<PairStore> PairStore::Build(const Graph& g1, const Graph& g2,
   return store;
 }
 
+size_t PairStore::NeighborIndexBytes() const {
+  size_t bytes = nbr_offsets_.capacity() * sizeof(uint64_t);
+  for (const std::vector<NeighborRef>& chunk : nbr_chunks_) {
+    bytes += chunk.capacity() * sizeof(NeighborRef);
+  }
+  for (const std::vector<PackedNeighborRef>& chunk : nbr_chunks_packed_) {
+    bytes += chunk.capacity() * sizeof(PackedNeighborRef);
+  }
+  return bytes;
+}
+
 Status PairStore::ValidateNeighborIndex() const {
   ValidatorCounters::Bump("PairStore::ValidateNeighborIndex");
   const size_t n = keys_.size();
@@ -160,26 +171,39 @@ Status PairStore::ValidateNeighborIndex() const {
   if (nbr_offsets_.front() != 0) {
     return Status::Internal("neighbor index offsets do not start at 0");
   }
-  // Exactly one entry layout may be populated; the offsets must account
-  // for exactly its arena (the batch build is tight — any slack means a
-  // torn or double-written span).
-  const size_t arena_size =
-      packed_refs_ ? nbr_refs_packed_.size() : nbr_refs_.size();
-  const size_t other_size =
-      packed_refs_ ? nbr_refs_.size() : nbr_refs_packed_.size();
-  if (other_size != 0) {
-    return Status::Internal("both neighbor-ref layouts are populated");
-  }
-  if (nbr_offsets_.back() != arena_size) {
-    return Status::Internal(StrFormat(
-        "neighbor index slack: offsets end at %llu but the arena holds %zu "
-        "entries",
-        static_cast<unsigned long long>(nbr_offsets_.back()), arena_size));
-  }
   for (size_t k = 1; k < nbr_offsets_.size(); ++k) {
     if (nbr_offsets_[k] < nbr_offsets_[k - 1]) {
       return Status::Internal(
           StrFormat("neighbor index offsets regress at span %zu", k));
+    }
+  }
+  // Exactly one entry layout may be populated, with one buffer per chunk,
+  // and each buffer must hold exactly its pairs' offsets range (the batch
+  // build is tight — any slack means a torn or double-written span).
+  const size_t other_chunks =
+      packed_refs_ ? nbr_chunks_.size() : nbr_chunks_packed_.size();
+  if (other_chunks != 0) {
+    return Status::Internal("both neighbor-ref layouts are populated");
+  }
+  const size_t num_chunks = (n + kChunkPairs - 1) / kChunkPairs;
+  const size_t chunk_count =
+      packed_refs_ ? nbr_chunks_packed_.size() : nbr_chunks_.size();
+  if (chunk_count != num_chunks) {
+    return Status::Internal(StrFormat(
+        "neighbor index has %zu chunk buffers for %zu pairs (want %zu)",
+        chunk_count, n, num_chunks));
+  }
+  for (size_t c = 0; c < num_chunks; ++c) {
+    const uint64_t range =
+        nbr_offsets_[2 * std::min((c + 1) * kChunkPairs, n)] -
+        nbr_offsets_[2 * c * kChunkPairs];
+    const size_t held = packed_refs_ ? nbr_chunks_packed_[c].size()
+                                     : nbr_chunks_[c].size();
+    if (held != range) {
+      return Status::Internal(StrFormat(
+          "neighbor index chunk %zu slack: its offsets span %llu entries but "
+          "its buffer holds %zu",
+          c, static_cast<unsigned long long>(range), held));
     }
   }
   // Per-entry checks, shared between the two layouts.
@@ -258,8 +282,7 @@ Status PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
   // packs while its max degree is <= 65536. The 12-byte layout otherwise.
   constexpr size_t kPackedDegreeLimit = 0x10000;
   auto packed_for = [&](const SpanPlan& p) {
-    return config.use_packed_neighbor_refs &&
-           (!p.use_out || (g1.MaxOutDegree() <= kPackedDegreeLimit &&
+    return (!p.use_out || (g1.MaxOutDegree() <= kPackedDegreeLimit &&
                            g2.MaxOutDegree() <= kPackedDegreeLimit)) &&
            (!p.use_in || (g1.MaxInDegree() <= kPackedDegreeLimit &&
                           g2.MaxInDegree() <= kPackedDegreeLimit));
@@ -315,23 +338,14 @@ Status PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
         static_cast<unsigned long long>(offsets_bytes),
         static_cast<unsigned long long>(config.neighbor_index_budget_bytes)));
   }
-  // The one-pass build transiently stages the classified entries once
-  // more, so its peak usage can reach twice the final footprint; when the
-  // doubled bound would blow the budget but the index itself fits, the
-  // bounded count-then-fill build caps peak memory at the final footprint.
   const bool packed = packed_for(plan);
-  const uint64_t entry_bytes = entry_bytes_for(plan);
-  const bool bounded = 2 * max_entries * entry_bytes + offsets_bytes >
-                       config.neighbor_index_budget_bytes;
-
   if (packed) {
-    FillNeighborRefs(g1, g2, config, lsim, pruned_index, pool, bounded,
-                     active_spans, &nbr_refs_packed_);
+    FillNeighborRefs(g1, g2, config, lsim, pruned_index, pool, active_spans,
+                     &nbr_chunks_packed_);
   } else {
-    FillNeighborRefs(g1, g2, config, lsim, pruned_index, pool, bounded,
-                     active_spans, &nbr_refs_);
+    FillNeighborRefs(g1, g2, config, lsim, pruned_index, pool, active_spans,
+                     &nbr_chunks_);
   }
-  info_.bounded_staging_build = bounded;
   packed_refs_ = packed;
   reverse_spans_ = active_spans;
   return Status::OK();
@@ -342,8 +356,8 @@ void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
                                  const FSimConfig& config,
                                  const LabelSimilarityCache& lsim,
                                  const FlatPairMap& pruned_index,
-                                 ThreadPool* pool, bool bounded_staging,
-                                 bool active_spans, std::vector<Ref>* refs) {
+                                 ThreadPool* pool, bool active_spans,
+                                 std::vector<std::vector<Ref>>* chunks) {
   const size_t n = keys_.size();
   const bool use_out =
       config.w_out > 0.0 || (active_spans && config.w_in > 0.0);
@@ -377,105 +391,19 @@ void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
     return false;
   };
 
-  nbr_offsets_.assign(2 * n + 1, 0);
-  ThreadPool serial_pool(1);
-  if (pool == nullptr) pool = &serial_pool;
-  constexpr size_t kBuildGrain = 256;
-  const size_t num_chunks = (n + kBuildGrain - 1) / kBuildGrain;
   using PosT = decltype(Ref::row);
-
-  if (bounded_staging) {
-    // Bounded count-then-fill: a counting classification records every
-    // span's size, then — after the prefix sum fixes the layout — a second
-    // classification writes entries straight into their final slots.
-    // Classifies twice, but peak build memory is the final index footprint
-    // (no staging), which is what the budget admitted.
-    auto count_direction = [&](std::span<const NodeId> s1,
-                               std::span<const NodeId> s2) -> uint64_t {
-      uint64_t count = 0;
-      uint32_t ref;
-      for (uint32_t r = 0; r < s1.size(); ++r) {
-        for (uint32_t c = 0; c < s2.size(); ++c) {
-          if (classify(s1[r], s2[c], &ref)) ++count;
-        }
-      }
-      return count;
-    };
-    pool->ParallelForChunked(n, kBuildGrain,
-                            [&](int /*worker*/, size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        const NodeId u = PairFirst(keys_[i]);
-        const NodeId v = PairSecond(keys_[i]);
-        if (skip_diagonal && u == v) continue;
-        if (use_out) {
-          nbr_offsets_[2 * i + 1] =
-              count_direction(g1.OutNeighbors(u), g2.OutNeighbors(v));
-        }
-        if (use_in) {
-          nbr_offsets_[2 * i + 2] =
-              count_direction(g1.InNeighbors(u), g2.InNeighbors(v));
-        }
-      }
-    });
-    for (size_t k = 1; k < nbr_offsets_.size(); ++k) {
-      nbr_offsets_[k] += nbr_offsets_[k - 1];
-    }
-    refs->resize(nbr_offsets_.back());
-    auto fill_direction = [&](std::span<const NodeId> s1,
-                              std::span<const NodeId> s2, uint64_t cursor) {
-      for (uint32_t r = 0; r < s1.size(); ++r) {
-        for (uint32_t c = 0; c < s2.size(); ++c) {
-          uint32_t ref;
-          if (classify(s1[r], s2[c], &ref)) {
-            // The packed layout was selected on a degree bound; a position
-            // overflowing PosT would wrap silently and corrupt the span.
-            FSIM_DCHECK(r <= std::numeric_limits<PosT>::max());
-            FSIM_DCHECK(c <= std::numeric_limits<PosT>::max());
-            (*refs)[cursor++] =
-                Ref{static_cast<PosT>(r), static_cast<PosT>(c), ref};
-          }
-        }
-      }
-      return cursor;
-    };
-    pool->ParallelForChunked(n, kBuildGrain,
-                            [&](int /*worker*/, size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        const NodeId u = PairFirst(keys_[i]);
-        const NodeId v = PairSecond(keys_[i]);
-        if (skip_diagonal && u == v) continue;
-        if (use_out) {
-          const uint64_t filled = fill_direction(
-              g1.OutNeighbors(u), g2.OutNeighbors(v), nbr_offsets_[2 * i]);
-          FSIM_DCHECK(filled == nbr_offsets_[2 * i + 1]);
-        }
-        if (use_in) {
-          const uint64_t filled = fill_direction(
-              g1.InNeighbors(u), g2.InNeighbors(v), nbr_offsets_[2 * i + 1]);
-          FSIM_DCHECK(filled == nbr_offsets_[2 * i + 2]);
-        }
-      }
-    });
-    return;
-  }
-
-  // One classification pass over N±(u) x N±(v) per pair — roughly the
-  // hash-probe work of one iteration over Hp, repaid after the first
-  // indexed iteration. Chunks classify into per-chunk staging buffers
-  // while recording per-span counts; after the offsets prefix sum, each
-  // chunk's staged entries are contiguous in the final layout (chunks
-  // cover contiguous pair ranges), so placement is one bulk copy per
-  // chunk, not a second classification.
-  std::vector<std::vector<Ref>> staged(num_chunks);
-
-  auto stage_direction = [&](std::span<const NodeId> s1,
-                             std::span<const NodeId> s2,
-                             std::vector<Ref>* buf) -> uint64_t {
+  // Appends the entries of one direction's N±(u) x N±(v) to `buf` and
+  // returns how many there were.
+  auto classify_direction = [&](std::span<const NodeId> s1,
+                                std::span<const NodeId> s2,
+                                std::vector<Ref>* buf) -> uint64_t {
     const size_t before = buf->size();
     for (uint32_t r = 0; r < s1.size(); ++r) {
       for (uint32_t c = 0; c < s2.size(); ++c) {
         uint32_t ref;
         if (classify(s1[r], s2[c], &ref)) {
+          // The packed layout was selected on a degree bound; a position
+          // overflowing PosT would wrap silently and corrupt the span.
           FSIM_DCHECK(r <= std::numeric_limits<PosT>::max());
           FSIM_DCHECK(c <= std::numeric_limits<PosT>::max());
           buf->push_back(
@@ -485,56 +413,49 @@ void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
     }
     return buf->size() - before;
   };
-  pool->ParallelForChunked(n, kBuildGrain,
-                          [&](int /*worker*/, size_t begin, size_t end) {
-    // ParallelForChunked hands out grain-aligned begins (the inline
-    // single-chunk path starts at 0), so begin / kBuildGrain identifies
-    // the staging buffer.
-    std::vector<Ref>& buf = staged[begin / kBuildGrain];
-    for (size_t i = begin; i < end; ++i) {
-      const NodeId u = PairFirst(keys_[i]);
-      const NodeId v = PairSecond(keys_[i]);
-      if (skip_diagonal && u == v) continue;
-      if (use_out) {
-        nbr_offsets_[2 * i + 1] =
-            stage_direction(g1.OutNeighbors(u), g2.OutNeighbors(v), &buf);
+
+  // One classification pass over N±(u) x N±(v) per pair — roughly the
+  // hash-probe work of one iteration over Hp, repaid after the first
+  // indexed iteration. Each chunk is classified into its worker's reused
+  // scratch vector, recording span counts in nbr_offsets_, and copied into
+  // its own buffer at exact size; that buffer is the index.
+  nbr_offsets_.assign(2 * n + 1, 0);
+  chunks->assign((n + kChunkPairs - 1) / kChunkPairs, std::vector<Ref>());
+  ThreadPool serial_pool(1);
+  if (pool == nullptr) pool = &serial_pool;
+  // One cache line per worker: the push_backs would otherwise false-share
+  // the neighboring workers' vector headers.
+  struct alignas(64) WorkerScratch {
+    std::vector<Ref> entries;
+  };
+  std::vector<WorkerScratch> scratch(static_cast<size_t>(pool->num_threads()));
+  pool->ParallelForChunked(chunks->size(), 1,
+                          [&](int worker, size_t begin, size_t end) {
+    std::vector<Ref>& buf = scratch[static_cast<size_t>(worker)].entries;
+    for (size_t chunk = begin; chunk < end; ++chunk) {
+      buf.clear();
+      const size_t last = std::min(n, (chunk + 1) * kChunkPairs);
+      for (size_t i = chunk * kChunkPairs; i < last; ++i) {
+        const NodeId u = PairFirst(keys_[i]);
+        const NodeId v = PairSecond(keys_[i]);
+        if (skip_diagonal && u == v) continue;
+        if (use_out) {
+          nbr_offsets_[2 * i + 1] = classify_direction(
+              g1.OutNeighbors(u), g2.OutNeighbors(v), &buf);
+        }
+        if (use_in) {
+          nbr_offsets_[2 * i + 2] = classify_direction(
+              g1.InNeighbors(u), g2.InNeighbors(v), &buf);
+        }
       }
-      if (use_in) {
-        nbr_offsets_[2 * i + 2] =
-            stage_direction(g1.InNeighbors(u), g2.InNeighbors(v), &buf);
-      }
+      (*chunks)[chunk].assign(buf.begin(), buf.end());
     }
   });
-  // Every staging buffer is alive here, so this is the build's transient
-  // peak on top of the final index allocation.
-  for (const std::vector<Ref>& buf : staged) {
-    info_.peak_staging_bytes += buf.capacity() * sizeof(Ref);
-  }
   // In-place prefix sum: nbr_offsets_[k] currently holds the count of
   // span k-1.
   for (size_t k = 1; k < nbr_offsets_.size(); ++k) {
     nbr_offsets_[k] += nbr_offsets_[k - 1];
   }
-
-  refs->resize(nbr_offsets_.back());
-  pool->ParallelForChunked(num_chunks, 1,
-                          [&](int /*worker*/, size_t begin, size_t end) {
-    for (size_t chunk = begin; chunk < end; ++chunk) {
-      // The chunk's entries start at its first pair's first span.
-      const uint64_t dst = nbr_offsets_[2 * (chunk * kBuildGrain)];
-      std::copy(staged[chunk].begin(), staged[chunk].end(),
-                refs->data() + dst);
-      // A non-empty buffer ends at the next chunk's start — or at the
-      // array end when it absorbed the tail (last chunk, or the pool's
-      // inline single-chunk execution staging everything into buffer 0,
-      // which leaves the remaining buffers empty with nothing to check).
-      FSIM_DCHECK(staged[chunk].empty() ||
-                  dst + staged[chunk].size() == nbr_offsets_.back() ||
-                  dst + staged[chunk].size() ==
-                      nbr_offsets_[2 * std::min((chunk + 1) * kBuildGrain, n)]);
-      staged[chunk] = std::vector<Ref>();  // release while others copy
-    }
-  });
 }
 
 void FrontierTracker::Init(size_t num_pairs, int num_workers,

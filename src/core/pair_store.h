@@ -37,23 +37,22 @@ namespace fsim {
 /// NeighborRef list of label-compatible candidate pairs (x, y) ∈
 /// N±(u) x N±(v) sorted by (row, col). Iterating reads previous-iteration
 /// scores through it by direct indexing (prev_data() / pruned ref tag);
-/// there is no hash-lookup path. config.neighbor_index_budget_bytes is a
-/// ceiling: an index that cannot fit it fails the build.
+/// there is no hash-lookup path. The entries are stored per chunk of
+/// kChunkPairs consecutive pairs, one exact-size buffer each, which the
+/// parallel build fills in one pass and never copies.
+/// config.neighbor_index_budget_bytes is a ceiling: an index whose bound
+/// cannot fit it fails the build. Beyond the index, the build holds one
+/// chunk of classification scratch per worker.
 class PairStore {
  public:
+  /// Pairs per neighbor-index chunk: the unit of entry storage and of the
+  /// parallel index build.
+  static constexpr size_t kChunkPairs = 256;
+
   struct BuildInfo {
     size_t theta_candidates = 0;  // pairs surviving the θ filter
     size_t kept = 0;              // pairs actually maintained
     size_t pruned = 0;            // pairs dropped by the upper bound
-    /// Peak bytes held in the neighbor-index build's per-chunk staging
-    /// buffers (all alive simultaneously at the classify/copy barrier).
-    /// 0 under the bounded build, which stages nothing.
-    size_t peak_staging_bytes = 0;
-    /// True when the index was built with the bounded count-then-fill
-    /// passes because the one-pass staging would have pushed transient
-    /// memory past neighbor_index_budget_bytes (classifies twice, but peak
-    /// build memory stays at the final index footprint).
-    bool bounded_staging_build = false;
   };
 
   /// Enumerates and initializes the candidate pairs and builds the
@@ -90,8 +89,8 @@ class PairStore {
   void CommitPair(size_t i) { prev_[i] = curr_[i]; }
 
   /// True when the index uses the packed 8-byte entry layout (16-bit
-  /// row/col) — selected automatically when every relevant neighbor-list
-  /// position fits (see FSimConfig::use_packed_neighbor_refs). Callers
+  /// row/col) — selected whenever every relevant neighbor-list position
+  /// fits, i.e. no weighted direction has a degree above 65536. Callers
   /// read through OutRefsPacked/InRefsPacked then, OutRefs/InRefs
   /// otherwise.
   bool packed_refs() const { return packed_refs_; }
@@ -116,27 +115,23 @@ class PairStore {
   /// sweep can notify its dependents.
   std::span<const NeighborRef> OutRefs(size_t i) const {
     FSIM_DCHECK(!packed_refs_);
-    return {nbr_refs_.data() + nbr_offsets_[2 * i],
-            nbr_refs_.data() + nbr_offsets_[2 * i + 1]};
+    return SpanOf(nbr_chunks_, 2 * i);
   }
 
   /// In-direction CSR entries of pair i (N-(u) x N-(v)).
   std::span<const NeighborRef> InRefs(size_t i) const {
     FSIM_DCHECK(!packed_refs_);
-    return {nbr_refs_.data() + nbr_offsets_[2 * i + 1],
-            nbr_refs_.data() + nbr_offsets_[2 * i + 2]};
+    return SpanOf(nbr_chunks_, 2 * i + 1);
   }
 
   /// Packed-layout counterparts of OutRefs/InRefs.
   std::span<const PackedNeighborRef> OutRefsPacked(size_t i) const {
     FSIM_DCHECK(packed_refs_);
-    return {nbr_refs_packed_.data() + nbr_offsets_[2 * i],
-            nbr_refs_packed_.data() + nbr_offsets_[2 * i + 1]};
+    return SpanOf(nbr_chunks_packed_, 2 * i);
   }
   std::span<const PackedNeighborRef> InRefsPacked(size_t i) const {
     FSIM_DCHECK(packed_refs_);
-    return {nbr_refs_packed_.data() + nbr_offsets_[2 * i + 1],
-            nbr_refs_packed_.data() + nbr_offsets_[2 * i + 2]};
+    return SpanOf(nbr_chunks_packed_, 2 * i + 1);
   }
 
   /// Calls f(out_refs, in_refs) with pair i's two spans in whichever entry
@@ -169,22 +164,19 @@ class PairStore {
   /// Eq. 6 bounds of tracked pruned pairs, indexed by tagged refs.
   const float* pruned_bounds_data() const { return pruned_ub_.data(); }
 
-  /// Heap footprint of the neighbor index.
-  size_t NeighborIndexBytes() const {
-    return nbr_refs_.capacity() * sizeof(NeighborRef) +
-           nbr_refs_packed_.capacity() * sizeof(PackedNeighborRef) +
-           nbr_offsets_.capacity() * sizeof(uint64_t);
-  }
+  /// Heap footprint of the neighbor index: the chunk buffers' entries and
+  /// the offsets.
+  size_t NeighborIndexBytes() const;
 
   const BuildInfo& info() const { return info_; }
 
   /// Structural invariants of the CSR neighbor index: the offsets array is
-  /// monotone and accounts for exactly the ref arena (no slack — the batch
-  /// index is built tight, unlike the incremental arena's tracked slack),
-  /// exactly one entry layout is populated (per packed_refs()), every
-  /// untagged ref targets a maintained pair, every tagged ref targets a
-  /// tracked pruned bound, and each span is strictly (row, col)-sorted.
-  /// O(entries); runs
+  /// monotone, exactly one entry layout is populated (per packed_refs()),
+  /// there is one buffer per kChunkPairs-pair chunk and each holds exactly
+  /// its pairs' offsets range (no slack — the batch index is built tight,
+  /// unlike the incremental arena's tracked slack), every untagged ref
+  /// targets a maintained pair, every tagged ref targets a tracked pruned
+  /// bound, and each span is strictly (row, col)-sorted. O(entries); runs
   /// automatically after Build under FSIM_DEBUG_CHECKS. Bumps
   /// ValidatorCounters "PairStore::ValidateNeighborIndex".
   Status ValidateNeighborIndex() const;
@@ -210,24 +202,30 @@ class PairStore {
                             const LabelSimilarityCache& lsim,
                             const FlatPairMap& pruned_index, ThreadPool* pool);
 
-  /// Classification of every pair's candidate entries into `refs`. Default
-  /// (one-pass): chunks classify into per-chunk staging buffers (recording
-  /// per-span counts), offsets are prefix-summed, then each chunk's staged
-  /// entries — contiguous in the final layout by construction — are copied
-  /// into place; transient peak reaches final + staged bytes. Bounded
-  /// (`bounded_staging`): a counting pass fills the per-span counts, offsets
-  /// are prefix-summed, then a second classification writes entries straight
-  /// into their final slots — twice the classify work, no staging. Ref is
-  /// NeighborRef or PackedNeighborRef.
-  /// `active_spans` selects the widened active-set span layout (see
-  /// reverse_spans()).
+  /// Classifies every pair's candidate entries into `chunks`, one
+  /// exact-size buffer per kChunkPairs-pair chunk, and fills nbr_offsets_.
+  /// Ref is NeighborRef or PackedNeighborRef. `active_spans` selects the
+  /// widened active-set span layout (see reverse_spans()).
   template <typename Ref>
   void FillNeighborRefs(const Graph& g1, const Graph& g2,
                         const FSimConfig& config,
                         const LabelSimilarityCache& lsim,
                         const FlatPairMap& pruned_index, ThreadPool* pool,
-                        bool bounded_staging, bool active_spans,
-                        std::vector<Ref>* refs);
+                        bool active_spans,
+                        std::vector<std::vector<Ref>>* chunks);
+
+  /// Entries of span k (k = 2i: pair i's out-direction, 2i + 1: its
+  /// in-direction), read from pair i's chunk buffer: global offsets rebased
+  /// by the chunk's first offset.
+  template <typename Ref>
+  std::span<const Ref> SpanOf(const std::vector<std::vector<Ref>>& chunks,
+                              size_t k) const {
+    const size_t chunk = k / (2 * kChunkPairs);
+    const uint64_t base = nbr_offsets_[2 * kChunkPairs * chunk];
+    const Ref* data = chunks[chunk].data();
+    return {data + (nbr_offsets_[k] - base),
+            data + (nbr_offsets_[k + 1] - base)};
+  }
 
   std::vector<uint64_t> keys_;  // sorted ascending: u-major, then v
   FlatPairMap index_;
@@ -236,15 +234,18 @@ class PairStore {
   std::vector<float> pruned_ub_;
   BuildInfo info_;
 
-  // Pair-graph CSR neighbor index. nbr_offsets_ has 2 * size() + 1 entries:
-  // pair i's out-direction entries live in [offsets[2i], offsets[2i+1]) and
-  // its in-direction entries in [offsets[2i+1], offsets[2i+2]). Exactly one
-  // of the two entry arrays is populated, per packed_refs_.
+  // Pair-graph CSR neighbor index. nbr_offsets_ has 2 * size() + 1 entries
+  // indexing one global entry sequence: pair i's out-direction entries are
+  // [offsets[2i], offsets[2i+1]) and its in-direction entries
+  // [offsets[2i+1], offsets[2i+2]). Chunk c (pairs [c·K, (c+1)·K),
+  // K = kChunkPairs) stores its part of that sequence, starting at
+  // offsets[2·c·K], in its own exact-size buffer. Exactly one of the two
+  // chunk lists is populated, per packed_refs_.
   bool packed_refs_ = false;
   bool reverse_spans_ = false;
   std::vector<uint64_t> nbr_offsets_;
-  std::vector<NeighborRef> nbr_refs_;
-  std::vector<PackedNeighborRef> nbr_refs_packed_;
+  std::vector<std::vector<NeighborRef>> nbr_chunks_;
+  std::vector<std::vector<PackedNeighborRef>> nbr_chunks_packed_;
 };
 
 /// Race-free, allocation-free (after Init) construction of the next

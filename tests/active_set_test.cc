@@ -17,36 +17,18 @@
 #include <string>
 #include <tuple>
 
-#include "common/random.h"
 #include "core/fsim_config.h"
 #include "core/fsim_engine.h"
 #include "core/incremental.h"
 #include "core/topk_allpairs.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "tests/test_graphs.h"
 
 namespace fsim {
 namespace {
 
-/// A random labeled digraph where every node has out- and in-degree >= 1
-/// (a ring plus random chords), as in tests/neighbor_index_test.cc.
-Graph MakeDenseRandomGraph(uint64_t seed, uint32_t n = 24) {
-  static const char* kLabels[] = {"aa", "ab", "bb", "bc"};
-  Rng rng(seed);
-  GraphBuilder builder;
-  for (uint32_t i = 0; i < n; ++i) {
-    builder.AddNode(kLabels[rng.Next() % 4]);
-  }
-  for (uint32_t i = 0; i < n; ++i) {
-    builder.AddEdge(i, (i + 1) % n);
-  }
-  for (uint32_t e = 0; e < 2 * n; ++e) {
-    NodeId from = static_cast<NodeId>(rng.Next() % n);
-    NodeId to = static_cast<NodeId>(rng.Next() % n);
-    if (from != to) builder.AddEdge(from, to);
-  }
-  return std::move(builder).BuildOrDie();
-}
+using ::fsim::testing::MakeDenseRandomGraph;
 
 /// A directed chain: dependencies have bounded depth, so pairs freeze
 /// *exactly* (bit-level) wave by wave from the chain's tail — the
@@ -256,22 +238,23 @@ TEST(ActiveSetExact, BudgetFallsBackToEvaluationOnlyIndex) {
   config.w_in = 0.0;
   config.theta = 0.0;
   config.epsilon = 1e-6;
-  config.use_packed_neighbor_refs = false;
+  auto active = ComputeFSimSelf(g, config);
+  ASSERT_TRUE(active.ok());
+  EXPECT_TRUE(active->stats().active_set);
+
+  const uint64_t entry_bytes = active->stats().packed_neighbor_refs
+                                   ? sizeof(PackedNeighborRef)
+                                   : sizeof(NeighborRef);
   const uint64_t pairs =
       static_cast<uint64_t>(g.NumNodes()) * g.NumNodes();
   const uint64_t edges = g.NumEdges();
   const uint64_t bound_base =
-      edges * edges * sizeof(NeighborRef) + (2 * pairs + 1) * sizeof(uint64_t);
+      edges * edges * entry_bytes + (2 * pairs + 1) * sizeof(uint64_t);
   config.neighbor_index_budget_bytes = bound_base;  // widened = 2x entries
   auto limited = ComputeFSimSelf(g, config);
   ASSERT_TRUE(limited.ok()) << limited.status().ToString();
   EXPECT_GT(limited->stats().neighbor_index_bytes, 0u);
   EXPECT_FALSE(limited->stats().active_set);
-
-  config.neighbor_index_budget_bytes = 1ULL << 30;
-  auto active = ComputeFSimSelf(g, config);
-  ASSERT_TRUE(active.ok());
-  EXPECT_TRUE(active->stats().active_set);
 
   config.active_set = ActiveSetMode::kOff;
   auto off = ComputeFSimSelf(g, config);

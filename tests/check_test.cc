@@ -31,11 +31,16 @@ namespace fsim {
 // headers, defined here so production code cannot reach them.
 struct PairStoreTestAccess {
   static std::vector<uint64_t>& Offsets(PairStore& s) { return s.nbr_offsets_; }
-  static std::vector<NeighborRef>& Refs(PairStore& s) { return s.nbr_refs_; }
-  static std::vector<PackedNeighborRef>& PackedRefs(PairStore& s) {
-    return s.nbr_refs_packed_;
+  /// Calls f(chunks) with the store's populated list of per-chunk entry
+  /// buffers, whichever entry layout it uses.
+  template <typename F>
+  static void WithChunks(PairStore& s, F&& f) {
+    if (s.packed_refs_) {
+      f(s.nbr_chunks_packed_);
+    } else {
+      f(s.nbr_chunks_);
+    }
   }
-  static bool Packed(const PairStore& s) { return s.packed_refs_; }
 };
 
 struct DynamicGraphTestAccess {
@@ -246,7 +251,7 @@ TEST(ValidateNeighborIndexTest, CatchesNonMonotoneOffsets) {
   ASSERT_GT(target, 0u);
   const uint64_t saved = offsets[target];
   offsets[target] = 0;
-  if (saved == offsets.back()) offsets[target] = saved;  // keep arena total
+  if (saved == offsets.back()) offsets[target] = saved;  // keep the total
   for (size_t i = 1; i < offsets.size(); ++i) {
     if (offsets[i] < offsets[i - 1]) {
       EXPECT_FALSE(store->ValidateNeighborIndex().ok());
@@ -254,7 +259,7 @@ TEST(ValidateNeighborIndexTest, CatchesNonMonotoneOffsets) {
     }
   }
   // Fallback (all offsets still monotone): shrink the last offset so the
-  // arena accounting breaks instead.
+  // last chunk's accounting breaks instead.
   offsets.back() -= 1;
   EXPECT_FALSE(store->ValidateNeighborIndex().ok());
 }
@@ -262,15 +267,11 @@ TEST(ValidateNeighborIndexTest, CatchesNonMonotoneOffsets) {
 TEST(ValidateNeighborIndexTest, CatchesOutOfRangeRef) {
   auto store = BuildSmallStore();
   ASSERT_TRUE(store.ok());
-  if (PairStoreTestAccess::Packed(*store)) {
-    auto& refs = PairStoreTestAccess::PackedRefs(*store);
-    ASSERT_FALSE(refs.empty());
-    refs[0].ref = 0x7FFFFFFFu;  // untagged, far past the pair count
-  } else {
-    auto& refs = PairStoreTestAccess::Refs(*store);
-    ASSERT_FALSE(refs.empty());
-    refs[0].ref = 0x7FFFFFFFu;
-  }
+  PairStoreTestAccess::WithChunks(*store, [](auto& chunks) {
+    ASSERT_FALSE(chunks.empty());
+    ASSERT_FALSE(chunks[0].empty());
+    chunks[0][0].ref = 0x7FFFFFFFu;  // untagged, far past the pair count
+  });
   const Status st = store->ValidateNeighborIndex();
   ASSERT_FALSE(st.ok());
 }
@@ -279,27 +280,42 @@ TEST(ValidateNeighborIndexTest, CatchesUnsortedSpan) {
   auto store = BuildSmallStore();
   ASSERT_TRUE(store.ok());
   const auto& offsets = PairStoreTestAccess::Offsets(*store);
-  // Find a span with at least two entries and swap them.
+  // Find a span with at least two entries and swap them, within the chunk
+  // buffer holding it (rebased by the chunk's first offset).
+  size_t chunk = 0;
   size_t begin = 0;
   size_t len = 0;
   for (size_t s = 0; s + 1 < offsets.size(); ++s) {
     if (offsets[s + 1] - offsets[s] >= 2) {
-      begin = static_cast<size_t>(offsets[s]);
+      chunk = s / (2 * PairStore::kChunkPairs);
+      begin = static_cast<size_t>(
+          offsets[s] - offsets[2 * PairStore::kChunkPairs * chunk]);
       len = static_cast<size_t>(offsets[s + 1] - offsets[s]);
       break;
     }
   }
   ASSERT_GE(len, 2u) << "test graph too sparse for a 2-entry span";
-  if (PairStoreTestAccess::Packed(*store)) {
-    auto& refs = PairStoreTestAccess::PackedRefs(*store);
-    std::swap(refs[begin], refs[begin + 1]);
-  } else {
-    auto& refs = PairStoreTestAccess::Refs(*store);
-    std::swap(refs[begin], refs[begin + 1]);
-  }
+  PairStoreTestAccess::WithChunks(*store, [&](auto& chunks) {
+    std::swap(chunks[chunk][begin], chunks[chunk][begin + 1]);
+  });
   const Status st = store->ValidateNeighborIndex();
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.ToString().find("sorted"), std::string::npos);
+}
+
+TEST(ValidateNeighborIndexTest, CatchesChunkSlack) {
+  auto store = BuildSmallStore();
+  ASSERT_TRUE(store.ok());
+  // One entry more in a chunk buffer than its pairs' offsets account for.
+  PairStoreTestAccess::WithChunks(*store, [](auto& chunks) {
+    ASSERT_FALSE(chunks.empty());
+    ASSERT_FALSE(chunks[0].empty());
+    const auto entry = chunks[0].back();
+    chunks[0].push_back(entry);
+  });
+  const Status st = store->ValidateNeighborIndex();
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("slack"), std::string::npos);
 }
 
 // ------------------------------------- IncrementalNeighborIndex corruption --

@@ -18,40 +18,19 @@
 #include <string>
 #include <tuple>
 
-#include "common/random.h"
 #include "core/dense_engine.h"
 #include "core/fsim_config.h"
 #include "core/fsim_engine.h"
-#include "graph/graph_builder.h"
 #include "tests/naive_fsim.h"
 #include "tests/no_dense_path.h"
+#include "tests/test_graphs.h"
 
 namespace fsim {
 namespace {
 
-constexpr double kTolerance = 1e-12;
+using ::fsim::testing::MakeDenseRandomGraph;
 
-/// A random labeled digraph where every node has out- and in-degree >= 1
-/// (a ring plus random chords), so no operator/omega combination divides by
-/// a zero normalizer. Labels are two-letter strings with nontrivial mutual
-/// edit similarity, giving θ a real compatibility structure.
-Graph MakeDenseRandomGraph(uint64_t seed, uint32_t n = 20) {
-  static const char* kLabels[] = {"aa", "ab", "bb", "bc"};
-  Rng rng(seed);
-  GraphBuilder builder;
-  for (uint32_t i = 0; i < n; ++i) {
-    builder.AddNode(kLabels[rng.Next() % 4]);
-  }
-  for (uint32_t i = 0; i < n; ++i) {
-    builder.AddEdge(i, (i + 1) % n);
-  }
-  for (uint32_t e = 0; e < 2 * n; ++e) {
-    NodeId from = static_cast<NodeId>(rng.Next() % n);
-    NodeId to = static_cast<NodeId>(rng.Next() % n);
-    if (from != to) builder.AddEdge(from, to);
-  }
-  return std::move(builder).BuildOrDie();
-}
+constexpr double kTolerance = 1e-12;
 
 const char* MappingName(MappingKind kind) {
   switch (kind) {
@@ -85,7 +64,7 @@ class DenseEngineOperatorSweep : public ::testing::TestWithParam<DenseParam> {
 /// pair set — the full-matrix differential check of the issue's sweep.
 TEST_P(DenseEngineOperatorSweep, DenseMatchesSparseOnAllPairs) {
   const auto [mapping, omega, matching] = GetParam();
-  const Graph g = MakeDenseRandomGraph(/*seed=*/7 + static_cast<int>(omega));
+  const Graph g = MakeDenseRandomGraph(/*seed=*/7 + static_cast<int>(omega), /*n=*/20);
   FSimConfig config;
   config.operator_override = OperatorConfig{mapping, omega};
   config.matching = matching;
@@ -122,7 +101,7 @@ TEST_P(DenseEngineOperatorSweep, DenseMatchesSparseOnAllPairs) {
 /// would not maintain).
 TEST_P(DenseEngineOperatorSweep, IndexedMatchesNaiveOracle) {
   const auto [mapping, omega, matching] = GetParam();
-  const Graph g = MakeDenseRandomGraph(/*seed=*/23 + static_cast<int>(omega));
+  const Graph g = MakeDenseRandomGraph(/*seed=*/23 + static_cast<int>(omega), /*n=*/20);
   FSimConfig config;
   config.operator_override = OperatorConfig{mapping, omega};
   config.matching = matching;

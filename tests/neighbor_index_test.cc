@@ -5,50 +5,35 @@
 // Equation 3 (tests/naive_fsim.h) — same pairs, same iteration count,
 // scores within 1e-12 — since the index enumerates exactly the candidate
 // pairs the oracle's nested loops visit, in the same order. Plus the
-// budget ceiling: an index that cannot fit fails with ResourceExhausted.
+// wide entry layout a high-degree hub needs, the parallel chunked build
+// (the same index and scores at every pool size), and the budget ceiling:
+// an index that cannot fit fails with ResourceExhausted.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <string>
 #include <tuple>
+#include <vector>
 
-#include "common/random.h"
+#include "common/thread_pool.h"
 #include "core/dense_engine.h"
 #include "core/fsim_config.h"
 #include "core/fsim_engine.h"
 #include "core/incremental.h"
+#include "core/pair_store.h"
 #include "core/simrank.h"
 #include "core/topk_allpairs.h"
 #include "graph/graph_builder.h"
 #include "tests/naive_fsim.h"
+#include "tests/test_graphs.h"
 
 namespace fsim {
 namespace {
 
-constexpr double kPathTolerance = 1e-12;
+using ::fsim::testing::MakeDenseRandomGraph;
 
-/// A random labeled digraph where every node has out- and in-degree >= 1
-/// (a ring plus random chords), so no operator/omega combination divides by
-/// a zero normalizer. Labels are two-letter strings with nontrivial mutual
-/// edit similarity, giving θ a real compatibility structure.
-Graph MakeDenseRandomGraph(uint64_t seed, uint32_t n = 24) {
-  static const char* kLabels[] = {"aa", "ab", "bb", "bc"};
-  Rng rng(seed);
-  GraphBuilder builder;
-  for (uint32_t i = 0; i < n; ++i) {
-    builder.AddNode(kLabels[rng.Next() % 4]);
-  }
-  for (uint32_t i = 0; i < n; ++i) {
-    builder.AddEdge(i, (i + 1) % n);
-  }
-  for (uint32_t e = 0; e < 2 * n; ++e) {
-    NodeId from = static_cast<NodeId>(rng.Next() % n);
-    NodeId to = static_cast<NodeId>(rng.Next() % n);
-    if (from != to) builder.AddEdge(from, to);
-  }
-  return std::move(builder).BuildOrDie();
-}
+constexpr double kPathTolerance = 1e-12;
 
 /// Runs `config` through ComputeFSim and the naive oracle and asserts both
 /// produce the same pair set and iteration count, with scores equal within
@@ -191,35 +176,104 @@ TEST(NeighborIndexTest, ThetaZeroEquivalence) {
   ExpectPathEquivalence(g, config, "theta-zero");
 }
 
-TEST(NeighborIndexTest, PackedRefLayoutEquivalence) {
-  // Degree-bounded graphs auto-select the packed 8-byte entry layout
-  // (16-bit row/col); forcing the wide 12-byte layout must not change a
-  // single score or iteration, and the packed index must be smaller.
-  const Graph g = MakeDenseRandomGraph(29);
+TEST(NeighborIndexTest, WideRefLayoutEquivalence) {
+  // The hub's 65,537 out-leaves put a neighbor-list position (65,536) past
+  // 16 bits, so the build must choose the wide 12-byte entry layout, and
+  // the wide index must still reproduce the naive oracle.
+  const Graph g1 = testing::MakeStarHub(65537);
+  GraphBuilder builder(g1.dict());
+  const NodeId hub = builder.AddNode("hub");
+  const NodeId leaf1 = builder.AddNode("leaf");
+  const NodeId leaf2 = builder.AddNode("leaf");
+  builder.AddEdge(hub, leaf1);
+  builder.AddEdge(hub, leaf2);
+  builder.AddEdge(leaf1, leaf2);
+  const Graph g2 = std::move(builder).BuildOrDie();
   FSimConfig config;
-  config.variant = SimVariant::kBijective;
-  config.label_sim = LabelSimKind::kEditDistance;
-  config.theta = 0.4;
+  config.theta = 1.0;
   config.epsilon = 1e-4;
 
-  config.use_packed_neighbor_refs = true;
-  auto packed = ComputeFSimSelf(g, config);
-  ASSERT_TRUE(packed.ok());
-  EXPECT_TRUE(packed->stats().packed_neighbor_refs);
-
-  config.use_packed_neighbor_refs = false;
-  auto wide = ComputeFSimSelf(g, config);
-  ASSERT_TRUE(wide.ok());
+  auto wide = ComputeFSim(g1, g2, config);
+  ASSERT_TRUE(wide.ok()) << wide.status().ToString();
   EXPECT_FALSE(wide->stats().packed_neighbor_refs);
+  const testing::NaiveFSimResult naive = testing::NaiveFSim(g1, g2, config);
+  ASSERT_EQ(wide->keys(), naive.keys);
+  EXPECT_EQ(wide->stats().iterations, naive.iterations);
+  for (size_t i = 0; i < naive.keys.size(); ++i) {
+    ASSERT_NEAR(wide->values()[i], naive.values[i], kPathTolerance)
+        << "pair " << i;
+  }
+}
 
-  EXPECT_LT(packed->stats().neighbor_index_bytes,
-            wide->stats().neighbor_index_bytes);
-  EXPECT_EQ(packed->stats().iterations, wide->stats().iterations);
-  ASSERT_EQ(packed->keys().size(), wide->keys().size());
-  for (size_t i = 0; i < packed->keys().size(); ++i) {
-    ASSERT_EQ(packed->keys()[i], wide->keys()[i]);
-    // Same enumeration, same refs, different storage width: bit-identical.
-    ASSERT_EQ(packed->values()[i], wide->values()[i]) << "pair " << i;
+/// Every span of `store` flattened in pair order: per pair its out- and
+/// in-span lengths, then each entry's row, col and ref.
+std::vector<uint64_t> FlattenIndex(const PairStore& store) {
+  std::vector<uint64_t> flat;
+  for (size_t i = 0; i < store.size(); ++i) {
+    store.WithRefs(i, [&](auto out_refs, auto in_refs) {
+      flat.push_back(out_refs.size());
+      flat.push_back(in_refs.size());
+      for (auto refs : {out_refs, in_refs}) {
+        for (const auto& entry : refs) {
+          flat.push_back(entry.row);
+          flat.push_back(entry.col);
+          flat.push_back(entry.ref);
+        }
+      }
+    });
+  }
+  return flat;
+}
+
+// θ = 0 over 30 nodes gives 900 pairs: three full chunks and a ragged
+// tail, so several workers fill chunk buffers side by side.
+constexpr uint32_t kParallelBuildNodes = 30;
+
+TEST(NeighborIndexTest, ParallelBuildMatchesAcrossPoolSizes) {
+  const Graph g = MakeDenseRandomGraph(37, kParallelBuildNodes);
+  FSimConfig config;
+  config.theta = 0.0;
+  const LabelSimilarityCache lsim(*g.dict(), config.label_sim);
+
+  std::vector<uint64_t> reference;
+  size_t reference_bytes = 0;
+  for (int threads : {1, 3, 4}) {
+    ThreadPool pool(threads);
+    auto store = PairStore::Build(g, g, config, lsim,
+                                  /*build_neighbor_index=*/true, &pool);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_GE(store->size(), 3 * PairStore::kChunkPairs);
+    ASSERT_NE(store->size() % PairStore::kChunkPairs, 0u);
+    EXPECT_TRUE(store->ValidateNeighborIndex().ok()) << threads;
+    const std::vector<uint64_t> flat = FlattenIndex(*store);
+    if (threads == 1) {
+      reference = flat;
+      reference_bytes = store->NeighborIndexBytes();
+      continue;
+    }
+    ASSERT_EQ(flat, reference) << threads << " threads";
+    EXPECT_EQ(store->NeighborIndexBytes(), reference_bytes)
+        << threads << " threads";
+  }
+}
+
+TEST(NeighborIndexTest, ParallelBuildScoresMatchAcrossThreads) {
+  const Graph g = MakeDenseRandomGraph(37, kParallelBuildNodes);
+  FSimConfig config;
+  config.theta = 0.0;
+  config.epsilon = 1e-4;
+  config.num_threads = 1;
+  auto serial = ComputeFSimSelf(g, config);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  config.num_threads = 4;
+  auto parallel = ComputeFSimSelf(g, config);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  EXPECT_EQ(parallel->stats().neighbor_index_bytes,
+            serial->stats().neighbor_index_bytes);
+  EXPECT_EQ(parallel->stats().iterations, serial->stats().iterations);
+  ASSERT_EQ(parallel->keys(), serial->keys());
+  for (size_t i = 0; i < serial->values().size(); ++i) {
+    ASSERT_EQ(parallel->values()[i], serial->values()[i]) << "pair " << i;
   }
 }
 
@@ -301,37 +355,34 @@ TEST(NeighborIndexTest, OverBudgetRunsReturnResourceExhausted) {
       IncrementalFSim::Create(g, g, config).status().IsInvalidArgument());
 }
 
-TEST(NeighborIndexTest, BoundedStagingBuildEquivalence) {
-  // A budget that admits the index but not the one-pass build's transient
-  // staging (which peaks near twice the final footprint) must select the
-  // bounded count-then-fill build — same refs, bit-identical scores, and
-  // no staging reported. θ = 0 with no pruning keeps every candidate
-  // entry, so the final index footprint equals the pre-filter budget bound
-  // and the cutover point is exact.
+TEST(NeighborIndexTest, TightBudgetBuildEquivalence) {
+  // The budget covers the index, not its build: a budget of exactly the
+  // index bytes must still build it in the one pass, with bit-identical
+  // scores, and one byte less must be refused. θ = 0 with no pruning keeps
+  // every candidate entry, so the index bytes equal the budget bound.
   const Graph g = MakeDenseRandomGraph(31, /*n=*/12);
   FSimConfig config;
   config.variant = SimVariant::kBijective;
   config.theta = 0.0;
   config.epsilon = 1e-4;
 
-  auto staged = ComputeFSimSelf(g, config);
-  ASSERT_TRUE(staged.ok());
-  EXPECT_FALSE(staged->stats().neighbor_index_bounded_build);
-  EXPECT_GT(staged->stats().neighbor_index_peak_staging_bytes, 0u);
+  auto roomy = ComputeFSimSelf(g, config);
+  ASSERT_TRUE(roomy.ok());
+  const size_t index_bytes = roomy->stats().neighbor_index_bytes;
 
-  config.neighbor_index_budget_bytes = staged->stats().neighbor_index_bytes;
-  auto bounded = ComputeFSimSelf(g, config);
-  ASSERT_TRUE(bounded.ok());
-  EXPECT_TRUE(bounded->stats().neighbor_index_bounded_build);
-  EXPECT_EQ(bounded->stats().neighbor_index_peak_staging_bytes, 0u);
-  EXPECT_EQ(bounded->stats().neighbor_index_bytes,
-            staged->stats().neighbor_index_bytes);
-
-  ASSERT_EQ(bounded->keys().size(), staged->keys().size());
-  for (size_t i = 0; i < bounded->keys().size(); ++i) {
-    ASSERT_EQ(bounded->keys()[i], staged->keys()[i]);
-    ASSERT_EQ(bounded->values()[i], staged->values()[i]) << "pair " << i;
+  config.neighbor_index_budget_bytes = index_bytes;
+  auto tight = ComputeFSimSelf(g, config);
+  ASSERT_TRUE(tight.ok()) << tight.status().ToString();
+  EXPECT_EQ(tight->stats().neighbor_index_bytes, index_bytes);
+  ASSERT_EQ(tight->keys(), roomy->keys());
+  for (size_t i = 0; i < tight->keys().size(); ++i) {
+    ASSERT_EQ(tight->values()[i], roomy->values()[i]) << "pair " << i;
   }
+
+  config.neighbor_index_budget_bytes = index_bytes - 1;
+  const Status short_budget = ComputeFSimSelf(g, config).status();
+  EXPECT_TRUE(short_budget.IsResourceExhausted()) << short_budget.ToString();
+  EXPECT_EQ(NeededBytes(short_budget), index_bytes) << short_budget.ToString();
 }
 
 }  // namespace

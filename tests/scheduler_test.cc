@@ -27,6 +27,7 @@
 namespace fsim {
 namespace {
 
+using ::fsim::testing::MakeDenseRandomGraph;
 using ::fsim::testing::MakeRandomPair;
 
 // Burns enough work to make one index dominate a chunk (the adversarial
@@ -163,26 +164,6 @@ TEST(WorkStealingScheduler, FrontierHandlesDegenerateWeights) {
 // ---------------------------------------------------------------------------
 // Exact-mode equivalence across thread counts
 // ---------------------------------------------------------------------------
-
-/// A random labeled digraph where every node has out- and in-degree >= 1
-/// (a ring plus random chords), as in tests/active_set_test.cc.
-Graph MakeDenseRandomGraph(uint64_t seed, uint32_t n = 24) {
-  static const char* kLabels[] = {"aa", "ab", "bb", "bc"};
-  Rng rng(seed);
-  GraphBuilder builder;
-  for (uint32_t i = 0; i < n; ++i) {
-    builder.AddNode(kLabels[rng.Next() % 4]);
-  }
-  for (uint32_t i = 0; i < n; ++i) {
-    builder.AddEdge(i, (i + 1) % n);
-  }
-  for (uint32_t e = 0; e < 2 * n; ++e) {
-    NodeId from = static_cast<NodeId>(rng.Next() % n);
-    NodeId to = static_cast<NodeId>(rng.Next() % n);
-    if (from != to) builder.AddEdge(from, to);
-  }
-  return std::move(builder).BuildOrDie();
-}
 
 const MappingKind kAllMappings[] = {
     MappingKind::kMaxPerRow, MappingKind::kInjectiveRow,

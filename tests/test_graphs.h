@@ -1,5 +1,6 @@
 // Shared test fixtures: the paper's Figure 1 example (reconstructed from
-// Examples 1 and 3 and Table 2) plus helpers for random labeled graph pairs.
+// Examples 1 and 3 and Table 2) plus helpers for random labeled graphs and
+// a high-degree star.
 #ifndef FSIM_TESTS_TEST_GRAPHS_H_
 #define FSIM_TESTS_TEST_GRAPHS_H_
 
@@ -90,6 +91,40 @@ inline GraphPair MakeRandomPair(uint64_t seed, uint32_t n1 = 10,
   pair.g1 = ErdosRenyi(n1, 2 * n1, lo, seed);
   pair.g2 = ErdosRenyi(n2, 2 * n2, lo, seed ^ 0xFEED);
   return pair;
+}
+
+/// A random labeled digraph where every node has out- and in-degree >= 1
+/// (a ring plus random chords), so no operator/omega combination divides by
+/// a zero normalizer. Labels are two-letter strings with nontrivial mutual
+/// edit similarity, giving θ a real compatibility structure.
+inline Graph MakeDenseRandomGraph(uint64_t seed, uint32_t n = 24) {
+  static const char* kLabels[] = {"aa", "ab", "bb", "bc"};
+  Rng rng(seed);
+  GraphBuilder builder;
+  for (uint32_t i = 0; i < n; ++i) {
+    builder.AddNode(kLabels[rng.Next() % 4]);
+  }
+  for (uint32_t i = 0; i < n; ++i) {
+    builder.AddEdge(i, (i + 1) % n);
+  }
+  for (uint32_t e = 0; e < 2 * n; ++e) {
+    NodeId from = static_cast<NodeId>(rng.Next() % n);
+    NodeId to = static_cast<NodeId>(rng.Next() % n);
+    if (from != to) builder.AddEdge(from, to);
+  }
+  return std::move(builder).BuildOrDie();
+}
+
+/// A star: node 0, labeled "hub", with an out-edge to each of `leaves`
+/// nodes labeled "leaf". More than 65536 leaves give the hub an out-degree
+/// that needs the wide 12-byte neighbor-index entries.
+inline Graph MakeStarHub(uint32_t leaves) {
+  GraphBuilder builder;
+  const NodeId hub = builder.AddNode("hub");
+  for (uint32_t i = 0; i < leaves; ++i) {
+    builder.AddEdge(hub, builder.AddNode("leaf"));
+  }
+  return std::move(builder).BuildOrDie();
 }
 
 }  // namespace testing
