@@ -10,9 +10,9 @@
 //    compatibility bit (per-ℓ1 bitsets over ℓ2 classes: compatibility
 //    inside Mχ is one bit test, zero hash/string work) plus the hoisted,
 //    weight-scaled label term of Equation 1/3 (iteration-invariant);
-//  * GroupedAdjacency — each node's out/in neighbor list re-sorted by
-//    label class with class runs (ClassGroup / GroupedNeighborhood below).
-//    The tile-panel builder (core/simd/tile_panel.h) turns g2's runs into
+//  * GroupedAdjacency (core/grouped_adjacency.h) — each node's out/in
+//    neighbor list re-sorted by label class with class runs. The
+//    tile-panel builder (core/simd/tile_panel.h) turns g2's runs into
 //    per-class work lists against the bitsets, and the iterate loop reads
 //    g1's runs to map each S1 row to its class.
 //
@@ -28,33 +28,11 @@
 
 #include "common/aligned.h"
 #include "core/fsim_config.h"
+#include "core/grouped_adjacency.h"
 #include "graph/graph.h"
 #include "label/label_similarity.h"
 
 namespace fsim {
-
-/// One same-label-class run inside a label-class-grouped neighbor list:
-/// [begin, end) index the grouped node/position arrays of the owning
-/// GroupedNeighborhood. Runs are ordered by ascending class id; within a
-/// run, nodes keep ascending node-id (hence ascending original-position)
-/// order.
-struct ClassGroup {
-  LabelId label;
-  uint32_t begin;
-  uint32_t end;
-};
-
-/// A label-class-grouped view of one neighbor set S = N±(u): nodes[k] is
-/// the k-th neighbor in (class, id) order and pos[k] its position in the
-/// original id-sorted neighbor list, so the panel path can walk S1 rows and
-/// reduce S2 columns in the nested loops' ascending-position order. `size`
-/// is |S|.
-struct GroupedNeighborhood {
-  std::span<const ClassGroup> groups;
-  const NodeId* nodes = nullptr;
-  const uint32_t* pos = nullptr;
-  size_t size = 0;
-};
 
 /// A borrowed view of LabelClassTable's θ-thresholded per-class bitsets,
 /// the compatibility test the tile-panel builder derives work lists from.
@@ -120,40 +98,6 @@ class LabelClassTable {
   /// (core/simd/tile_panel.h) streams whole rows when deriving work lists.
   AlignedVector<uint64_t> compat_;
   std::vector<double> label_term_;  // n_ x n_, pre-scaled by label_weight
-};
-
-/// One direction's adjacency of one graph, re-sorted per node by
-/// (label class, node id) with class-run offsets. Within a run node ids —
-/// and therefore original neighbor-list positions — stay ascending.
-class GroupedAdjacency {
- public:
-  /// Builds the grouped view of N+(·) (`out` = true) or N-(·).
-  static GroupedAdjacency Build(const Graph& g, bool out);
-
-  /// The grouped view of node u's neighbor set.
-  GroupedNeighborhood Neighborhood(NodeId u) const {
-    const uint64_t begin = node_offsets_[u];
-    return GroupedNeighborhood{
-        {groups_.data() + group_offsets_[u], groups_.data() + group_offsets_[u + 1]},
-        nodes_.data() + begin,
-        pos_.data() + begin,
-        static_cast<size_t>(node_offsets_[u + 1] - begin)};
-  }
-
-  size_t MemoryBytes() const {
-    return nodes_.capacity() * sizeof(NodeId) +
-           pos_.capacity() * sizeof(uint32_t) +
-           groups_.capacity() * sizeof(ClassGroup) +
-           node_offsets_.capacity() * sizeof(uint64_t) +
-           group_offsets_.capacity() * sizeof(uint64_t);
-  }
-
- private:
-  std::vector<uint64_t> node_offsets_;   // |V|+1, into nodes_/pos_
-  std::vector<uint64_t> group_offsets_;  // |V|+1, into groups_
-  std::vector<NodeId> nodes_;            // neighbors in (class, id) order
-  std::vector<uint32_t> pos_;            // original position of nodes_[k]
-  std::vector<ClassGroup> groups_;       // class runs, begin/end local to node
 };
 
 /// The dense engine's label-class index: one LabelClassTable plus the

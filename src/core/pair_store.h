@@ -1,8 +1,8 @@
-// The candidate-pair store of Algorithm 1: which node pairs (u, v) are
-// maintained in the hash maps Hc/Hp, their double-buffered scores, the
-// side table of upper bounds for pruned pairs (upper-bound updating, §3.4),
-// and the pair-graph CSR neighbor index that turns the iterate loop's score
-// lookups into direct array reads.
+// The candidate-pair store of Algorithm 1: the maintained node pairs
+// (u, v) (the paper's Hc/Hp) as one u-major key array, their
+// double-buffered scores, the side table of upper bounds for pruned pairs
+// (upper-bound updating, §3.4), and the pair-graph CSR neighbor index that
+// turns the iterate loop's score lookups into direct array reads.
 #ifndef FSIM_CORE_PAIR_STORE_H_
 #define FSIM_CORE_PAIR_STORE_H_
 
@@ -32,14 +32,23 @@ namespace fsim {
 ///    α > 0 their bounds are kept in a side table so lookups can return
 ///    α * bound.
 ///
-/// Build also materializes the pair-graph CSR neighbor index: for every
-/// maintained pair i = (u, v) and each direction with nonzero weight, the
-/// NeighborRef list of label-compatible candidate pairs (x, y) ∈
-/// N±(u) x N±(v) sorted by (row, col). Iterating reads previous-iteration
-/// scores through it by direct indexing (prev_data() / pruned ref tag);
-/// there is no hash-lookup path. The entries are stored per chunk of
-/// kChunkPairs consecutive pairs, one exact-size buffer each, which the
-/// parallel build fills in one pass and never copies.
+/// Enumeration works per label class: row u of the candidates is the
+/// ascending list of g2 nodes whose label is θ-compatible with label(u),
+/// so the keys are written u-major in place and never sorted. Build also
+/// materializes the pair-graph CSR neighbor index: for every maintained
+/// pair i = (u, v) and each direction with nonzero weight, the NeighborRef
+/// list of label-compatible candidate pairs (x, y) ∈ N±(u) x N±(v) sorted
+/// by (row, col). The index build visits only those pairs: for each x it
+/// walks the label runs of g2's class-grouped N±(v) that label(x) is
+/// compatible with, and computes each (x, y)'s slot from the candidate
+/// rows' offsets and label-class ranks, with no hash lookup and no
+/// label-similarity test. Iterating reads previous-iteration scores
+/// through the index by direct indexing (prev_data() / pruned ref tag);
+/// there is no hash-lookup path. The key -> slot map (TakeIndex) is built
+/// for the callers that look scores up by key; the build never reads it.
+/// The entries are stored per chunk of kChunkPairs consecutive pairs, one
+/// exact-size buffer each, which the parallel build fills in one pass and
+/// never copies.
 /// config.neighbor_index_budget_bytes is a ceiling: an index whose bound
 /// cannot fit it fails the build. Beyond the index, the build holds one
 /// chunk of classification scratch per worker.
@@ -56,15 +65,18 @@ class PairStore {
   };
 
   /// Enumerates and initializes the candidate pairs and builds the
-  /// neighbor index. Fails with InvalidArgument if the candidate count
-  /// would exceed config.pair_limit, and with ResourceExhausted — naming
+  /// neighbor index, tracing each stage (engine.build.enumerate, .init and
+  /// .index). Fails with InvalidArgument if the candidate count would
+  /// exceed config.pair_limit (checked before the keys are allocated) or
+  /// the 32-bit pair-slot range, and with ResourceExhausted — naming
   /// the bytes the index needs and the budget — if the index cannot fit
   /// config.neighbor_index_budget_bytes or its refs would overflow the
   /// pruned-ref tag. `build_neighbor_index` = false skips the index for
   /// callers that maintain their own (IncrementalFSim); such a store only
   /// hands out its keys, scores and pair map, and must not be iterated.
-  /// `pool` parallelizes the index build when provided (the engines pass
-  /// their iterate pool); nullptr builds serially.
+  /// `pool` parallelizes enumeration, initialization and the index build
+  /// when provided (the engines pass their iterate pool); nullptr builds
+  /// serially.
   static Result<PairStore> Build(const Graph& g1, const Graph& g2,
                                  const FSimConfig& config,
                                  const LabelSimilarityCache& lsim,
@@ -194,13 +206,35 @@ class PairStore {
   // catches torn spans; nothing else may touch the internals.
   friend struct PairStoreTestAccess;
 
+  /// The θ-candidate set in label-class form, which Stage 4 reads instead
+  /// of hashing pairs (defined in pair_store.cc).
+  struct CandidateSpace;
+
+  /// Stages 1–2 of Build: enumerates the θ-candidates into keys_ (u-major,
+  /// written in place), fills `space`, and applies upper-bound pruning.
+  Status Enumerate(const Graph& g1, const Graph& g2, const FSimConfig& config,
+                   const LabelSimilarityCache& lsim, ThreadPool& pool,
+                   CandidateSpace* space);
+
+  /// Stage 1's label work for θ > 0: fills `space`'s per-label
+  /// compatible-label lists, pos2 and rank, writes each g1 label a's M
+  /// into `merged` at [m_begin[a], m_begin[a + 1]), and sets `total` to
+  /// the candidate count. Fails like Build when the count is over
+  /// config.pair_limit; past the limit it only counts, so nothing it
+  /// allocates outgrows the limit.
+  static Status BuildLabelTables(const Graph& g1, const Graph& g2,
+                                 const FSimConfig& config,
+                                 const LabelSimilarityCache& lsim,
+                                 CandidateSpace* space,
+                                 std::vector<uint32_t>* m_begin,
+                                 std::vector<NodeId>* merged,
+                                 uint64_t* total);
+
   /// Materializes the CSR neighbor index, choosing the packed or wide
   /// entry layout; ResourceExhausted when it cannot fit the budget.
-  /// `pruned_index` maps tracked pruned pairs to their pruned_ub_ slot.
   Status BuildNeighborIndex(const Graph& g1, const Graph& g2,
                             const FSimConfig& config,
-                            const LabelSimilarityCache& lsim,
-                            const FlatPairMap& pruned_index, ThreadPool* pool);
+                            const CandidateSpace& space, ThreadPool& pool);
 
   /// Classifies every pair's candidate entries into `chunks`, one
   /// exact-size buffer per kChunkPairs-pair chunk, and fills nbr_offsets_.
@@ -208,10 +242,8 @@ class PairStore {
   /// widened active-set span layout (see reverse_spans()).
   template <typename Ref>
   void FillNeighborRefs(const Graph& g1, const Graph& g2,
-                        const FSimConfig& config,
-                        const LabelSimilarityCache& lsim,
-                        const FlatPairMap& pruned_index, ThreadPool* pool,
-                        bool active_spans,
+                        const FSimConfig& config, const CandidateSpace& space,
+                        ThreadPool& pool, bool active_spans,
                         std::vector<std::vector<Ref>>* chunks);
 
   /// Entries of span k (k = 2i: pair i's out-direction, 2i + 1: its

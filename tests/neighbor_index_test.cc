@@ -10,6 +10,7 @@
 // an index that cannot fit fails with ResourceExhausted.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <string>
@@ -205,11 +206,14 @@ TEST(NeighborIndexTest, WideRefLayoutEquivalence) {
   }
 }
 
-/// Every span of `store` flattened in pair order: per pair its out- and
-/// in-span lengths, then each entry's row, col and ref.
+/// Everything a build produces, flattened in pair order: per pair its key,
+/// the bits of its initial score, its out- and in-span lengths, then each
+/// entry's row, col and ref.
 std::vector<uint64_t> FlattenIndex(const PairStore& store) {
   std::vector<uint64_t> flat;
   for (size_t i = 0; i < store.size(); ++i) {
+    flat.push_back(PairKey(store.U(i), store.V(i)));
+    flat.push_back(std::bit_cast<uint64_t>(store.prev(i)));
     store.WithRefs(i, [&](auto out_refs, auto in_refs) {
       flat.push_back(out_refs.size());
       flat.push_back(in_refs.size());
@@ -225,14 +229,18 @@ std::vector<uint64_t> FlattenIndex(const PairStore& store) {
   return flat;
 }
 
-// θ = 0 over 30 nodes gives 900 pairs: three full chunks and a ragged
-// tail, so several workers fill chunk buffers side by side.
-constexpr uint32_t kParallelBuildNodes = 30;
+// θ = 0 over 100 nodes gives 10,000 pairs: 39 full index chunks and a
+// ragged tail, so several workers fill chunk buffers side by side, and
+// enough rows and pairs that enumeration and initialization split too.
+constexpr uint32_t kParallelBuildNodes = 100;
 
 TEST(NeighborIndexTest, ParallelBuildMatchesAcrossPoolSizes) {
+  // Keys, initial scores and spans: the enumeration, initialization and
+  // index stages all split across the workers.
   const Graph g = MakeDenseRandomGraph(37, kParallelBuildNodes);
   FSimConfig config;
   config.theta = 0.0;
+  config.init = InitKind::kDegreeRatio;
   const LabelSimilarityCache lsim(*g.dict(), config.label_sim);
 
   std::vector<uint64_t> reference;

@@ -16,8 +16,11 @@
 #include <thread>
 #include <vector>
 
+#include "core/fsim_config.h"
+#include "core/fsim_engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "tests/test_graphs.h"
 
 namespace fsim {
 namespace obs {
@@ -346,6 +349,41 @@ TEST(TraceTest, ChromeTraceJsonIsWellFormed) {
     ++events;
   }
   EXPECT_GE(events, 2u);
+}
+
+TEST(TraceTest, BuildStagesNestUnderEngineInit) {
+  const Graph g = fsim::testing::MakeDenseRandomGraph(3);
+  FSimConfig config;
+  config.num_threads = 1;
+  ArmTracing();
+  ASSERT_TRUE(ComputeFSimSelf(g, config).ok());
+  DisarmTracing();
+
+  // One solve on one thread: engine.init and, inside it, one span per
+  // PairStore::Build stage.
+  const char* kStages[] = {"engine.build.enumerate", "engine.build.init",
+                           "engine.build.index"};
+  size_t init_count = 0;
+  size_t stage_count = 0;
+  for (const ThreadTrace& t : SnapshotTrace()) {
+    for (const TraceEvent& init : t.events) {
+      if (std::string(init.name) != "engine.init") continue;
+      ++init_count;
+      for (const char* stage : kStages) {
+        const auto it = std::find_if(
+            t.events.begin(), t.events.end(), [&](const TraceEvent& e) {
+              return std::string(e.name) == stage;
+            });
+        ASSERT_NE(it, t.events.end()) << stage;
+        EXPECT_GE(it->start_ns, init.start_ns) << stage;
+        EXPECT_LE(it->start_ns + it->dur_ns, init.start_ns + init.dur_ns)
+            << stage;
+        ++stage_count;
+      }
+    }
+  }
+  EXPECT_EQ(init_count, 1u);
+  EXPECT_EQ(stage_count, 3u);
 }
 
 TEST(TraceTest, ArmResetsPriorEvents) {
