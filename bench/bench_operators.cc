@@ -1,8 +1,8 @@
 // google-benchmark micro-benchmarks of the framework's hot paths: the
 // greedy vs Hungarian realizations of the injective mapping operators (the
 // ablation behind the paper's complexity claim in §4.2), the per-direction
-// operator evaluation, the flat pair-map lookups that dominate
-// Algorithm 1's inner loop, and the isolated stages of the vectorized tile
+// operator evaluation, the pair-space slot lookups behind every score
+// query (PairSpace::Find), and the isolated stages of the vectorized tile
 // kernels (core/simd/) — panel/work-list build (the θ-compat bitset tests),
 // the masked-gather accumulate pass, and the normalize reduction — per
 // kernel level, through the kernel table only (no intrinsics here; the
@@ -11,16 +11,20 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/aligned.h"
-#include "common/flat_pair_map.h"
 #include "common/random.h"
+#include "core/fsim_config.h"
 #include "core/operators.h"
+#include "core/pair_space.h"
 #include "core/simd/cpu_features.h"
 #include "core/simd/kernels.h"
 #include "core/simd/tile_panel.h"
+#include "graph/graph_builder.h"
+#include "label/label_similarity.h"
 #include "matching/greedy_matching.h"
 #include "matching/hungarian.h"
 
@@ -270,22 +274,52 @@ BENCHMARK(BM_TileNormalize)
     ->ArgName("level")
     ->Unit(benchmark::kMicrosecond);
 
-void BM_FlatPairMapLookup(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  FlatPairMap map(n);
+/// PairSpace::Find on serve_read's PAIR mix: 3/4 of the queries are pairs
+/// of the space, 1/4 random (u, v). The space is θ = 1 over 4 indicator
+/// labels on edgeless graphs sized so that it holds about range(0) pairs.
+void BM_PairSpaceFind(benchmark::State& state) {
+  const size_t target = static_cast<size_t>(state.range(0));
+  size_t side = 1;
+  while (side * side < 4 * target) ++side;
   Rng rng(3);
-  std::vector<uint64_t> keys(n);
-  for (size_t i = 0; i < n; ++i) {
-    keys[i] = rng.Next();
-    map.Insert(keys[i], static_cast<uint32_t>(i));
+  auto dict = std::make_shared<LabelDict>();
+  auto make_graph = [&] {
+    static const char* kLabels[] = {"a", "b", "c", "d"};
+    GraphBuilder builder(dict);
+    for (size_t i = 0; i < side; ++i) builder.AddNode(kLabels[rng.Next() % 4]);
+    return std::move(builder).BuildOrDie();
+  };
+  const Graph g1 = make_graph();
+  const Graph g2 = make_graph();
+  FSimConfig config;
+  config.theta = 1.0;
+  const LabelSimilarityCache lsim(*dict, config.label_sim);
+  Result<PairSpace> space = PairSpace::Build(g1, g2, config, lsim);
+  if (!space.ok()) {
+    state.SkipWithError(space.status().ToString().c_str());
+    return;
+  }
+  const std::vector<uint64_t>& keys = space->keys();
+  std::vector<std::pair<NodeId, NodeId>> queries(1 << 16);
+  for (auto& [u, v] : queries) {
+    if (rng.Next() % 4 != 0) {
+      const uint64_t key = keys[rng.Next() % keys.size()];
+      u = PairFirst(key);
+      v = PairSecond(key);
+    } else {
+      u = static_cast<NodeId>(rng.Next() % side);
+      v = static_cast<NodeId>(rng.Next() % side);
+    }
   }
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(map.Find(keys[i]));
-    i = (i + 1) % n;
+    const auto [u, v] = queries[i];
+    benchmark::DoNotOptimize(space->Find(u, v));
+    i = (i + 1) & (queries.size() - 1);
   }
+  state.counters["pairs"] = static_cast<double>(keys.size());
 }
-BENCHMARK(BM_FlatPairMapLookup)->Arg(1024)->Arg(65536)->Arg(1 << 20);
+BENCHMARK(BM_PairSpaceFind)->Arg(1024)->Arg(65536)->Arg(1 << 20);
 
 }  // namespace
 }  // namespace fsim

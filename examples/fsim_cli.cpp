@@ -32,7 +32,6 @@
 
 #include "common/check.h"
 #include "common/failpoint.h"
-#include "common/flat_pair_map.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/fsim_engine.h"
@@ -141,24 +140,16 @@ int RunValidate(const Graph& graph1, const Graph& target, FSimConfig config) {
     report("PairStore::ValidateNeighborIndex", store->ValidateNeighborIndex());
 
     // Incremental span arena over the same candidate set.
-    std::vector<uint64_t> keys;
-    keys.reserve(store->size());
-    for (size_t i = 0; i < store->size(); ++i) {
-      keys.push_back(PairKey(store->U(i), store->V(i)));
-    }
-    FlatPairMap pair_index(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      pair_index.Insert(keys[i], static_cast<uint32_t>(i));
-    }
     DynamicGraph edit_g1(graph1);
     DynamicGraph edit_g2(target);
-    const NeighborIndexEnv env{edit_g1, edit_g2, pair_index, lsim};
+    const NeighborIndexEnv env{edit_g1, edit_g2, *store->space()};
     IncrementalNeighborIndex inc;
-    const Status built = inc.Build(env, keys, config);
+    const Status built = inc.Build(env, config);
     if (!built.ok()) {
       report("IncrementalNeighborIndex::Build", built);
     } else {
-      report("IncrementalNeighborIndex::Validate", inc.Validate(keys.size()));
+      report("IncrementalNeighborIndex::Validate",
+             inc.Validate(store->size()));
     }
   }
 

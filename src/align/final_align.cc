@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/flat_pair_map.h"
 #include "common/logging.h"
+#include "core/pair_space.h"
 
 namespace fsim {
 
@@ -21,18 +21,16 @@ Alignment FinalAlignment(const Graph& g1, const Graph& g2,
 
   // Candidate pairs: same-label only (h(u,v) = 1 on them, 0 elsewhere; pairs
   // with h = 0 keep negligible mass and are dropped, which is FINAL's own
-  // attribute-based sparsification).
-  std::vector<std::vector<NodeId>> by_label(g1.dict()->size());
-  for (NodeId v = 0; v < n2; ++v) by_label[g2.Label(v)].push_back(v);
-  std::vector<uint64_t> keys;
-  for (NodeId u = 0; u < n1; ++u) {
-    for (NodeId v : by_label[g1.Label(u)]) keys.push_back(PairKey(u, v));
-    FSIM_CHECK(keys.size() <= opts.pair_limit) << "FINAL pair limit exceeded";
-  }
-  FlatPairMap index(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    index.Insert(keys[i], static_cast<uint32_t>(i));
-  }
+  // attribute-based sparsification) — the indicator-label space at θ = 1.
+  FSimConfig space_config;
+  space_config.label_sim = LabelSimKind::kIndicator;
+  space_config.theta = 1.0;
+  space_config.pair_limit = opts.pair_limit;
+  const LabelSimilarityCache lsim(*g1.dict(), LabelSimKind::kIndicator);
+  Result<PairSpace> space = PairSpace::Build(g1, g2, space_config, lsim);
+  FSIM_CHECK(space.ok()) << "FINAL pair limit exceeded: "
+                         << space.status().ToString();
+  const std::vector<uint64_t>& keys = space->keys();
 
   auto inv_sqrt_deg = [](const Graph& g, NodeId u) {
     const double d = static_cast<double>(g.OutDegree(u));
@@ -67,8 +65,8 @@ Alignment FinalAlignment(const Graph& g1, const Graph& g2,
       double acc = 0.0;
       for (NodeId un : u1.OutNeighbors(u)) {
         for (NodeId vn : u2.OutNeighbors(v)) {
-          const uint32_t j = index.Find(PairKey(un, vn));
-          if (j == FlatPairMap::kNotFound) continue;
+          const uint32_t j = space->Find(un, vn);
+          if (j == PairSpace::kNotFound) continue;
           acc += prev[j] * isd1[un] * isd2[vn];
         }
       }

@@ -96,8 +96,7 @@ Result<FSimScores> ComputeFSim(const Graph& g1, const Graph& g2,
   ActiveSetDriver driver(pool, store, evaluator, g1, g2, config);
   driver.Run(&stats);
 
-  return FSimScores(store.TakeKeys(), store.TakeScores(), store.TakeIndex(),
-                    std::move(stats));
+  return FSimScores(store.space(), store.TakeScores(), std::move(stats));
 }
 
 Result<FSimScores> ComputeFSimSelf(const Graph& g, const FSimConfig& config) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/check.h"
 #include "core/simd/dispatch.h"
 
 namespace fsim {
@@ -29,20 +30,12 @@ inline bool RanksBefore(const std::pair<NodeId, double>& a,
 
 }  // namespace
 
-FSimScores::FSimScores(std::vector<uint64_t> keys, std::vector<double> values,
-                       FlatPairMap index, FSimStats stats)
-    : keys_(std::move(keys)),
+FSimScores::FSimScores(std::shared_ptr<const PairSpace> space,
+                       std::vector<double> values, FSimStats stats)
+    : space_(std::move(space)),
       values_(std::move(values)),
-      index_(std::move(index)),
-      stats_(std::move(stats)) {}
-
-std::pair<size_t, size_t> FSimScores::RangeOf(NodeId u) const {
-  const uint64_t lo = PairKey(u, 0);
-  const uint64_t hi = PairKey(u, ~0U);
-  auto first = std::lower_bound(keys_.begin(), keys_.end(), lo);
-  auto last = std::upper_bound(keys_.begin(), keys_.end(), hi);
-  return {static_cast<size_t>(first - keys_.begin()),
-          static_cast<size_t>(last - keys_.begin())};
+      stats_(std::move(stats)) {
+  FSIM_CHECK_EQ(values_.size(), space_->size());
 }
 
 std::vector<std::pair<NodeId, double>> FSimScores::TopK(NodeId u,
@@ -56,7 +49,8 @@ size_t FSimScores::TopKInto(
     NodeId u, size_t k, std::vector<std::pair<NodeId, double>>* out) const {
   const size_t base = out->size();
   if (k == 0) return 0;
-  auto [first, last] = RangeOf(u);
+  const auto [first, last] = space_->Row(u);
+  const std::vector<uint64_t>& keys = space_->keys();
 
   // Bounded min-heap over out's tail: the heap top (out[base]) is the
   // currently weakest kept entry under the ranking order, so a candidate
@@ -76,7 +70,7 @@ size_t FSimScores::TopKInto(
       // loop-invariant across the skipped run since nothing enters).
       i += find_first_ge(values_.data() + i, last - i, (*out)[base].second);
       if (i >= last) break;
-      const std::pair<NodeId, double> entry{PairSecond(keys_[i]), values_[i]};
+      const std::pair<NodeId, double> entry{PairSecond(keys[i]), values_[i]};
       if (RanksBefore(entry, (*out)[base])) {
         std::pop_heap(out->begin() + base, out->end(), heap_cmp);
         out->back() = entry;
@@ -84,7 +78,7 @@ size_t FSimScores::TopKInto(
       }
       ++i;
     } else {
-      out->emplace_back(PairSecond(keys_[i]), values_[i]);
+      out->emplace_back(PairSecond(keys[i]), values_[i]);
       std::push_heap(out->begin() + base, out->end(), heap_cmp);
       ++i;
     }
@@ -94,11 +88,12 @@ size_t FSimScores::TopKInto(
 }
 
 std::vector<std::pair<NodeId, double>> FSimScores::Row(NodeId u) const {
-  auto [first, last] = RangeOf(u);
+  const auto [first, last] = space_->Row(u);
+  const std::vector<uint64_t>& keys = space_->keys();
   std::vector<std::pair<NodeId, double>> row;
   row.reserve(last - first);
   for (size_t i = first; i < last; ++i) {
-    row.emplace_back(PairSecond(keys_[i]), values_[i]);
+    row.emplace_back(PairSecond(keys[i]), values_[i]);
   }
   return row;
 }

@@ -7,7 +7,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/flat_pair_map.h"
+#include "core/pair_space.h"
 #include "graph/graph.h"
 
 namespace fsim {
@@ -61,27 +61,31 @@ struct FSimStats {
   size_t simd_panel_bytes = 0;
 };
 
-/// Immutable score container. Pairs are sorted (u-major), so all scores for
-/// one u form a contiguous range.
+/// Immutable score container: one value per pair of a shared PairSpace.
+/// Pairs are sorted (u-major), so all scores for one u form a contiguous
+/// range.
 class FSimScores {
  public:
-  FSimScores() = default;
-  FSimScores(std::vector<uint64_t> keys, std::vector<double> values,
-             FlatPairMap index, FSimStats stats);
+  /// No pairs: every lookup answers 0.
+  FSimScores() : space_(PairSpace::Empty()) {}
+  /// `values` holds one score per pair of `space`, in slot order.
+  FSimScores(std::shared_ptr<const PairSpace> space,
+             std::vector<double> values, FSimStats stats);
 
-  /// FSimχ(u, v); 0 for pairs outside the maintained candidate set.
+  /// FSimχ(u, v); 0 for pairs outside the maintained candidate set,
+  /// including out-of-range ids.
   double Score(NodeId u, NodeId v) const {
-    uint32_t idx = index_.Find(PairKey(u, v));
-    return idx == FlatPairMap::kNotFound ? 0.0 : values_[idx];
+    const uint32_t slot = space_->Find(u, v);
+    return slot == PairSpace::kNotFound ? 0.0 : values_[slot];
   }
 
   /// True if (u,v) was maintained (score 0 is then a real score, not a
   /// missing pair).
   bool Contains(NodeId u, NodeId v) const {
-    return index_.Find(PairKey(u, v)) != FlatPairMap::kNotFound;
+    return space_->Find(u, v) != PairSpace::kNotFound;
   }
 
-  size_t NumPairs() const { return keys_.size(); }
+  size_t NumPairs() const { return values_.size(); }
 
   /// The k highest-scoring v for a fixed u, descending (ties by node id).
   /// This is the paper's future-work top-k similarity query, answerable
@@ -98,17 +102,16 @@ class FSimScores {
   /// All (v, score) for one u (unsorted by score; ascending v).
   std::vector<std::pair<NodeId, double>> Row(NodeId u) const;
 
-  const std::vector<uint64_t>& keys() const { return keys_; }
+  const std::vector<uint64_t>& keys() const { return space_->keys(); }
   const std::vector<double>& values() const { return values_; }
   const FSimStats& stats() const { return stats_; }
+  /// The pair space the values are laid out in, shared by every container
+  /// built on it.
+  const std::shared_ptr<const PairSpace>& space() const { return space_; }
 
  private:
-  /// [first, last) range of indices whose key has high word u.
-  std::pair<size_t, size_t> RangeOf(NodeId u) const;
-
-  std::vector<uint64_t> keys_;
+  std::shared_ptr<const PairSpace> space_;
   std::vector<double> values_;
-  FlatPairMap index_;
   FSimStats stats_;
 };
 

@@ -47,22 +47,14 @@ Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
                        /*build_neighbor_index=*/false));
   // Move the initialized candidate set into the mutable single-buffer table;
   // prev_ holds the FSim^0 initialization right after Build.
-  inc.keys_ = store.TakeKeys();
+  inc.space_ = store.space();
+  inc.keys_ = inc.space_->keys();
   inc.values_ = store.TakeScores();
-  inc.index_ = store.TakeIndex();
 
-  // Row ranges (keys_ are sorted u-major) and the v-grouped CSR.
-  const size_t n1 = inc.g1_.NumNodes();
+  // The v-grouped CSR (rows come from the space).
   const size_t n2 = inc.g2_.NumNodes();
-  inc.row_offsets_.assign(n1 + 1, 0);
   std::vector<uint32_t> col_counts(n2, 0);
-  for (uint64_t key : inc.keys_) {
-    ++inc.row_offsets_[PairFirst(key) + 1];
-    ++col_counts[PairSecond(key)];
-  }
-  for (size_t u = 0; u < n1; ++u) {
-    inc.row_offsets_[u + 1] += inc.row_offsets_[u];
-  }
+  for (uint64_t key : inc.keys_) ++col_counts[PairSecond(key)];
   inc.col_offsets_.assign(n2 + 1, 0);
   for (size_t v = 0; v < n2; ++v) {
     inc.col_offsets_[v + 1] = inc.col_offsets_[v] + col_counts[v];
@@ -83,13 +75,12 @@ Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
                                       inc.g1_.Label(PairFirst(inc.keys_[i])),
                                       inc.g2_.Label(PairSecond(inc.keys_[i])));
   }
-  FSIM_RETURN_NOT_OK(
-      inc.nbr_index_.Build(inc.IndexEnv(), inc.keys_, inc.config_));
+  FSIM_RETURN_NOT_OK(inc.nbr_index_.Build(inc.IndexEnv(), inc.config_));
   // Warm start: overwrite the FSim^0 initialization with the seed's values
   // when the keysets agree exactly. Any mismatch (different graphs, config,
   // or a truncated snapshot) keeps the cold initialization — correctness
   // never depends on the seed, only the solve's iteration count does.
-  if (warm_seed != nullptr && warm_seed->keys() == inc.keys_) {
+  if (warm_seed != nullptr && warm_seed->keys() == inc.space_->keys()) {
     inc.values_ = warm_seed->values();
   }
   inc.SolveFull(g1, g2);
@@ -302,11 +293,15 @@ Status IncrementalFSim::Patch(const EdgeEdit& edit,
     seeds->push_back(i);
   };
   if (graph_index == 1) {
-    for (uint32_t i = row_offsets_[from]; i < row_offsets_[from + 1]; ++i) {
-      restage(i, IncrementalNeighborIndex::kOut, from, PairSecond(keys_[i]));
+    const auto [from_first, from_last] = space_->Row(from);
+    for (size_t i = from_first; i < from_last; ++i) {
+      restage(static_cast<uint32_t>(i), IncrementalNeighborIndex::kOut, from,
+              PairSecond(keys_[i]));
     }
-    for (uint32_t i = row_offsets_[to]; i < row_offsets_[to + 1]; ++i) {
-      restage(i, IncrementalNeighborIndex::kIn, to, PairSecond(keys_[i]));
+    const auto [to_first, to_last] = space_->Row(to);
+    for (size_t i = to_first; i < to_last; ++i) {
+      restage(static_cast<uint32_t>(i), IncrementalNeighborIndex::kIn, to,
+              PairSecond(keys_[i]));
     }
   } else {
     for (uint32_t c = col_offsets_[from]; c < col_offsets_[from + 1]; ++c) {
@@ -345,10 +340,12 @@ uint64_t IncrementalFSim::InsertGrowthBound(int graph_index, NodeId from,
   // graph 1's degrees.
   uint64_t bound = 0;
   if (graph_index == 1) {
-    for (uint32_t i = row_offsets_[from]; i < row_offsets_[from + 1]; ++i) {
+    const auto [from_first, from_last] = space_->Row(from);
+    for (size_t i = from_first; i < from_last; ++i) {
       bound += g2_.OutDegree(PairSecond(keys_[i]));
     }
-    for (uint32_t i = row_offsets_[to]; i < row_offsets_[to + 1]; ++i) {
+    const auto [to_first, to_last] = space_->Row(to);
+    for (size_t i = to_first; i < to_last; ++i) {
       bound += g2_.InDegree(PairSecond(keys_[i]));
     }
   } else {
@@ -390,7 +387,7 @@ FSimScores IncrementalFSim::Snapshot() const {
   stats.theta_candidates = keys_.size();
   stats.converged = converged_;
   stats.neighbor_index_bytes = nbr_index_.MemoryBytes();
-  return FSimScores(keys_, values_, index_, stats);
+  return FSimScores(space_, values_, stats);
 }
 
 }  // namespace fsim

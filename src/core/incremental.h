@@ -174,18 +174,19 @@ class IncrementalFSim {
 
   /// FSimχ(u, v) under the current graphs; 0 for non-candidate pairs.
   double Score(NodeId u, NodeId v) const {
-    uint32_t idx = index_.Find(PairKey(u, v));
-    return idx == FlatPairMap::kNotFound ? 0.0 : values_[idx];
+    const uint32_t slot = space_->Find(u, v);
+    return slot == PairSpace::kNotFound ? 0.0 : values_[slot];
   }
 
   /// True if (u, v) is in the maintained candidate set.
   bool Contains(NodeId u, NodeId v) const {
-    return index_.Find(PairKey(u, v)) != FlatPairMap::kNotFound;
+    return space_->Find(u, v) != PairSpace::kNotFound;
   }
 
   size_t NumPairs() const { return keys_.size(); }
 
-  /// An immutable snapshot of the current scores (copies the score table).
+  /// An immutable snapshot of the current scores. It shares the engine's
+  /// pair space (fixed under edits) and copies only the score values.
   /// stats().converged faithfully reports whether the initial solve
   /// converged and every repair since ran to quiescence (no truncation by
   /// max_updates_per_edit or the step cap). The iterate fields of stats()
@@ -222,7 +223,7 @@ class IncrementalFSim {
                   IncrementalOptions options);
 
   NeighborIndexEnv IndexEnv() const {
-    return NeighborIndexEnv{g1_, g2_, index_, lsim_};
+    return NeighborIndexEnv{g1_, g2_, *space_};
   }
 
   /// The Equation 3 value of pair i against the current score table,
@@ -274,16 +275,15 @@ class IncrementalFSim {
   OperatorConfig op_;  // config_.operators(), hoisted out of Evaluate
   LabelSimilarityCache lsim_;
 
-  std::vector<uint64_t> keys_;  // sorted u-major
+  // The θ-candidate pairs: labels are fixed under edits, so the space
+  // never changes. Its rows seed and re-stage edits in graph 1.
+  std::shared_ptr<const PairSpace> space_;
+  std::span<const uint64_t> keys_;  // space_->keys(): u-major
   std::vector<double> values_;
   // Per-pair constant Equation 3 tail (1 - w+ - w-) * L(u, v): labels are
   // fixed under edits, so it never changes.
   std::vector<double> const_term_;
-  FlatPairMap index_;
 
-  // Per-u contiguous ranges into keys_ (u-major sort): row_offsets_[u] ..
-  // row_offsets_[u+1]. Used to seed and re-stage edits in graph 1.
-  std::vector<uint32_t> row_offsets_;
   // CSR of store indices grouped by v. Used to seed and re-stage edits in
   // graph 2.
   std::vector<uint32_t> col_offsets_;

@@ -6,30 +6,26 @@
 
 namespace fsim {
 
-void IncrementalNeighborIndex::ClassifyInto(
-    std::span<const NodeId> s1, std::span<const NodeId> s2,
-    const NeighborIndexEnv& env, std::vector<NeighborRef>* out) const {
+void IncrementalNeighborIndex::ClassifyInto(std::span<const NodeId> s1,
+                                            std::span<const NodeId> s2,
+                                            const NeighborIndexEnv& env,
+                                            std::vector<NeighborRef>* out) {
   for (uint32_t r = 0; r < s1.size(); ++r) {
     for (uint32_t c = 0; c < s2.size(); ++c) {
-      const NodeId x = s1[r];
-      const NodeId y = s2[c];
-      if (need_compat_ &&
-          !env.lsim.Compatible(env.g1.Label(x), env.g2.Label(y), theta_)) {
-        continue;
-      }
-      const uint32_t idx = env.pair_index.Find(PairKey(x, y));
-      // Absent pairs would look up 0.0, which never contributes to any
-      // operator; omit them (the incremental engine maintains the full
-      // θ-candidate set, so there is no pruned side table to tag into).
-      if (idx == FlatPairMap::kNotFound) continue;
-      out->push_back(NeighborRef{r, c, idx});
+      const uint32_t slot = env.pairs.Find(s1[r], s2[c]);
+      // Pairs outside the space (θ-incompatible ones included) would look
+      // up 0.0, which never contributes to any operator; omit them (the
+      // incremental engine maintains the full θ-candidate set, so there is
+      // no pruned side table to tag into).
+      if (slot == PairSpace::kNotFound) continue;
+      out->push_back(NeighborRef{r, c, slot});
     }
   }
 }
 
 Status IncrementalNeighborIndex::Build(const NeighborIndexEnv& env,
-                                       std::span<const uint64_t> keys,
                                        const FSimConfig& config) {
+  const std::vector<uint64_t>& keys = env.pairs.keys();
   const size_t n = keys.size();
   // Stay inside the untagged ref range shared with the batch index.
   if (n >= kNeighborRefPrunedTag) {
@@ -39,8 +35,6 @@ Status IncrementalNeighborIndex::Build(const NeighborIndexEnv& env,
         n, kNeighborRefPrunedTag - 1));
   }
 
-  need_compat_ = config.theta > 0.0;
-  theta_ = config.theta;
   pin_diagonal_ = config.pin_diagonal;
   budget_bytes_ = config.neighbor_index_budget_bytes;
 

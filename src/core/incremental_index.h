@@ -35,12 +35,11 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/flat_pair_map.h"
 #include "common/status.h"
 #include "core/fsim_config.h"
 #include "core/operators.h"
+#include "core/pair_space.h"
 #include "graph/dynamic_graph.h"
-#include "label/label_similarity.h"
 
 namespace fsim {
 
@@ -50,8 +49,7 @@ namespace fsim {
 struct NeighborIndexEnv {
   const DynamicGraph& g1;
   const DynamicGraph& g2;
-  const FlatPairMap& pair_index;  // maintained pair -> score index
-  const LabelSimilarityCache& lsim;
+  const PairSpace& pairs;  // the maintained pairs and their slots
 };
 
 class IncrementalNeighborIndex {
@@ -66,12 +64,11 @@ class IncrementalNeighborIndex {
     uint32_t capacity = 0;
   };
 
-  /// Materializes both direction spans for every maintained pair, in an
+  /// Materializes both direction spans for every pair of env.pairs, in an
   /// arena sized to the live entries. ResourceExhausted — naming the bytes
   /// the index needs and the budget — when the pre-filter bound exceeds
   /// config.neighbor_index_budget_bytes or the ref range would overflow.
-  Status Build(const NeighborIndexEnv& env, std::span<const uint64_t> keys,
-               const FSimConfig& config);
+  Status Build(const NeighborIndexEnv& env, const FSimConfig& config);
 
   /// The direction span of pair i; empty for pinned diagonal pairs.
   std::span<const NeighborRef> Refs(size_t pair, int dir) const {
@@ -120,16 +117,17 @@ class IncrementalNeighborIndex {
   // validator catches broken slack accounting and overlapping spans.
   friend struct IncrementalNeighborIndexTestAccess;
 
-  /// Appends the classified entries of one direction of (u, v) to *out.
-  void ClassifyInto(std::span<const NodeId> s1, std::span<const NodeId> s2,
-                    const NeighborIndexEnv& env, std::vector<NeighborRef>* out) const;
+  /// Appends the entries of one direction of (u, v) to *out: every
+  /// (x, y) of s1 x s2 that env.pairs holds, in (row, col) order.
+  static void ClassifyInto(std::span<const NodeId> s1,
+                           std::span<const NodeId> s2,
+                           const NeighborIndexEnv& env,
+                           std::vector<NeighborRef>* out);
 
   /// Rewrites the arena with tight spans in an allocation of exactly the
   /// live entries, dropping freed capacity and relocation slack.
   void Compact();
 
-  bool need_compat_ = false;
-  double theta_ = 0.0;
   bool pin_diagonal_ = false;
   uint64_t budget_bytes_ = 0;
   std::vector<SpanMeta> spans_;  // 2 per pair: [2i] = out, [2i+1] = in

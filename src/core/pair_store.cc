@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <numeric>
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -16,102 +15,52 @@ namespace fsim {
 
 namespace {
 
-/// Rank base of a label pair that the θ filter rejects.
-constexpr uint32_t kIncompatible = ~0u;
 /// Candidate-ref entry of a pruned pair whose bound is not tracked (α = 0):
 /// its score is 0, so the neighbor index omits it. Tagged pruned refs stay
 /// below it, since the index build refuses kNeighborRefPrunedTag pruned
 /// bounds.
 constexpr uint32_t kAbsentRef = ~0u;
-/// Rows (Stage 1) and pairs (Stage 3) per parallel chunk.
-constexpr size_t kEnumerateRowGrain = 64;
+/// Pairs per parallel chunk of Stage 3.
 constexpr size_t kInitPairGrain = 4096;
 
-/// Fails a candidate count over config.pair_limit or the 32-bit pair-slot
-/// range (FlatPairMap payloads and neighbor refs are 32-bit).
-Status CheckCandidateCount(uint64_t total, const FSimConfig& config) {
-  if (total > config.pair_limit) {
-    return Status::InvalidArgument(StrFormat(
-        config.theta <= 0.0
-            ? "candidate pairs %llu exceed pair_limit %llu (theta=0 "
-              "enumerates |V1|x|V2|)"
-            : "candidate pairs %llu exceed pair_limit %llu",
-        static_cast<unsigned long long>(total),
-        static_cast<unsigned long long>(config.pair_limit)));
+/// Stage 2: upper-bound pruning (Eq. 6). Every candidate gets its
+/// neighbor-index ref: the maintained slot, a tagged `pruned_ub` slot
+/// (tracked when α > 0), or kAbsentRef.
+std::vector<uint32_t> PruneRefs(const Graph& g1, const Graph& g2,
+                                const FSimConfig& config,
+                                const LabelSimilarityCache& lsim,
+                                const std::vector<uint64_t>& keys,
+                                std::vector<float>* pruned_ub) {
+  const OperatorConfig op = config.operators();
+  const double label_weight = 1.0 - config.w_out - config.w_in;
+  auto compat = [&](NodeId x, NodeId y) {
+    return lsim.Compatible(g1.Label(x), g2.Label(y), config.theta);
+  };
+  std::vector<uint32_t> refs(keys.size());
+  uint32_t kept = 0;
+  for (size_t id = 0; id < keys.size(); ++id) {
+    const NodeId u = PairFirst(keys[id]);
+    const NodeId v = PairSecond(keys[id]);
+    double bound =
+        config.w_out * DirectionUpperBound(op, g1.OutNeighbors(u),
+                                           g2.OutNeighbors(v), compat) +
+        config.w_in * DirectionUpperBound(op, g1.InNeighbors(u),
+                                          g2.InNeighbors(v), compat) +
+        label_weight * LabelTermValue(config, lsim, g1.Label(u), g2.Label(v));
+    if (bound > config.beta || (config.pin_diagonal && u == v)) {
+      refs[id] = kept++;
+    } else if (config.alpha > 0.0) {
+      refs[id] = kNeighborRefPrunedTag |
+                 static_cast<uint32_t>(pruned_ub->size());
+      pruned_ub->push_back(static_cast<float>(bound));
+    } else {
+      refs[id] = kAbsentRef;
+    }
   }
-  if (total >= FlatPairMap::kNotFound) {
-    return Status::InvalidArgument(StrFormat(
-        "candidate pairs %llu exceed the 32-bit pair-slot range",
-        static_cast<unsigned long long>(total)));
-  }
-  return Status::OK();
+  return refs;
 }
 
 }  // namespace
-
-/// The θ-candidate set in label-class form (Remark 2). For each g1 label a,
-/// M_a is the ascending list of g2 nodes whose label is θ-compatible with
-/// a, and candidate row u is exactly M_label(u). Candidate (u, v) has the
-/// id row_offsets[u] + rank of v in M_label(u); ids run u-major, so before
-/// pruning they are the keys' slots. The neighbor-index build finds the id
-/// of (x, y) without a hash lookup. At θ <= 0 every M is all of g2, so the
-/// rank is y itself and no label table exists. Otherwise
-///
-///   id = row_offsets[x] + rank[Block(label(x), label(y)) + pos2[y]]
-///
-/// where pos2[y] is y's rank in its g2 label group and rank holds ranks in
-/// M_a. Each g1 label a has the ascending list of its compatible g2 labels,
-/// each with its rank base (the start of its group's ranks in a's rank
-/// range); Block binary-searches that list and returns kIncompatible for a
-/// label the θ filter rejects. Every table is sized by the dictionary or by
-/// the compatible label and node pairs, never by |Σ|².
-struct PairStore::CandidateSpace {
-  bool all_compatible = false;        // θ <= 0: the rank of y is y
-  std::vector<uint64_t> row_offsets;  // |V1| + 1 candidate-id offsets
-  // Per dictionary label + 1: label a's compatible g2 labels and their
-  // rank bases are [compatible_begin[a], compatible_begin[a + 1]) of
-  // `labels` and `blocks` (empty for labels absent from g1).
-  std::vector<uint32_t> compatible_begin;
-  std::vector<LabelId> labels;
-  std::vector<uint32_t> blocks;
-  std::vector<uint32_t> rank;  // rank in M_a, per block and pos2
-  std::vector<uint32_t> pos2;  // per g2 node: rank inside its label group
-  // Per candidate id when upper-bound pruning ran: the maintained slot, a
-  // kNeighborRefPrunedTag-tagged pruned-bound index, or kAbsentRef. Empty
-  // without pruning, and then the id is the slot.
-  std::vector<uint32_t> refs;
-
-  /// The g2 labels compatible with one g1 label, ascending, with their
-  /// rank bases.
-  struct Compatible {
-    const LabelId* labels_begin;
-    const LabelId* labels_end;
-    const uint32_t* blocks;
-
-    /// Rank base of g2 label b, or kIncompatible. A one-label list
-    /// (every list at θ = 1) costs one compare; longer ones a branch-free
-    /// binary search.
-    uint32_t Block(LabelId b) const {
-      const LabelId* first = labels_begin;
-      size_t len = static_cast<size_t>(labels_end - labels_begin);
-      if (len == 1) return *first == b ? blocks[0] : kIncompatible;
-      if (len == 0) return kIncompatible;
-      while (len > 1) {
-        const size_t half = len / 2;
-        first = first[half] <= b ? first + half : first;
-        len -= half;
-      }
-      return *first == b ? blocks[first - labels_begin] : kIncompatible;
-    }
-  };
-
-  /// The compatible g2 labels of g1 label a.
-  Compatible CompatibleWith(LabelId a) const {
-    return Compatible{labels.data() + compatible_begin[a],
-                      labels.data() + compatible_begin[a + 1],
-                      blocks.data() + compatible_begin[a]};
-  }
-};
 
 Result<PairStore> PairStore::Build(const Graph& g1, const Graph& g2,
                                    const FSimConfig& config,
@@ -121,19 +70,26 @@ Result<PairStore> PairStore::Build(const Graph& g1, const Graph& g2,
   PairStore store;
   ThreadPool serial_pool(1);
   if (pool == nullptr) pool = &serial_pool;
-  CandidateSpace space;
   {
+    // --- Stages 1–2: θ-constrained enumeration (Remark 2) and
+    // upper-bound pruning (Eq. 6). ---
     FSIM_TRACE_SPAN("engine.build.enumerate");
-    FSIM_RETURN_NOT_OK(store.Enumerate(g1, g2, config, lsim, *pool, &space));
+    FSIM_ASSIGN_OR_RETURN(PairSpace space,
+                          PairSpace::Build(g1, g2, config, lsim, pool));
+    store.info_.theta_candidates = space.size();
+    if (config.upper_bound) {
+      space.Prune(PruneRefs(g1, g2, config, lsim, space.keys(),
+                            &store.pruned_ub_));
+    }
+    store.info_.kept = space.size();
+    store.info_.pruned = store.info_.theta_candidates - store.info_.kept;
+    store.space_ = std::make_shared<const PairSpace>(std::move(space));
+    store.keys_ = store.space_->keys();
   }
   {
-    // --- Stage 3: index + initialization (§3.3). ---
+    // --- Stage 3: initialization (§3.3). ---
     FSIM_TRACE_SPAN("engine.build.init");
     const size_t n = store.keys_.size();
-    store.index_ = FlatPairMap(n);
-    for (size_t i = 0; i < n; ++i) {
-      store.index_.Insert(store.keys_[i], static_cast<uint32_t>(i));
-    }
     store.prev_.resize(n);
     store.curr_.resize(n);
     pool->ParallelForChunked(n, kInitPairGrain,
@@ -149,202 +105,13 @@ Result<PairStore> PairStore::Build(const Graph& g1, const Graph& g2,
   // --- Stage 4: pair-graph CSR neighbor index (budget ceiling). ---
   if (build_neighbor_index) {
     FSIM_TRACE_SPAN("engine.build.index");
-    FSIM_RETURN_NOT_OK(store.BuildNeighborIndex(g1, g2, config, space, *pool));
+    FSIM_RETURN_NOT_OK(store.BuildNeighborIndex(g1, g2, config, *pool));
 #ifdef FSIM_DEBUG_CHECKS
     const Status valid = store.ValidateNeighborIndex();
     FSIM_CHECK(valid.ok()) << valid.ToString();
 #endif
   }
   return store;
-}
-
-Status PairStore::Enumerate(const Graph& g1, const Graph& g2,
-                            const FSimConfig& config,
-                            const LabelSimilarityCache& lsim,
-                            ThreadPool& pool, CandidateSpace* space) {
-  const size_t n1 = g1.NumNodes();
-  const size_t n2 = g2.NumNodes();
-
-  // --- Stage 1: θ-constrained candidate enumeration (Remark 2). ---
-  // Row u is M_label(u). At θ <= 0 every M is all of g2; otherwise
-  // `merged` holds the labels' M back to back, label a's at
-  // [m_begin[a], m_begin[a + 1]).
-  std::vector<uint32_t> m_begin;
-  std::vector<NodeId> merged;
-  uint64_t total = 0;
-  if (config.theta <= 0.0) {
-    // Every pair is a candidate: the count is known before any label work.
-    total = static_cast<uint64_t>(n1) * n2;
-    FSIM_RETURN_NOT_OK(CheckCandidateCount(total, config));
-    space->all_compatible = true;
-    merged.resize(n2);
-    std::iota(merged.begin(), merged.end(), NodeId{0});
-  } else {
-    FSIM_RETURN_NOT_OK(BuildLabelTables(g1, g2, config, lsim, space,
-                                        &m_begin, &merged, &total));
-  }
-  auto m_of = [&](NodeId u) -> std::span<const NodeId> {
-    if (space->all_compatible) return merged;
-    const LabelId a = g1.Label(u);
-    return {merged.data() + m_begin[a], merged.data() + m_begin[a + 1]};
-  };
-
-  // Row u of the keys is M_label(u), written in place: the keys come out
-  // u-major and v-ascending with no sort.
-  space->row_offsets.assign(n1 + 1, 0);
-  for (NodeId u = 0; u < n1; ++u) {
-    space->row_offsets[u + 1] = space->row_offsets[u] + m_of(u).size();
-  }
-  keys_.resize(total);
-  pool.ParallelForChunked(n1, kEnumerateRowGrain,
-                          [&](int, size_t begin, size_t end) {
-    for (size_t u = begin; u < end; ++u) {
-      const std::span<const NodeId> m = m_of(static_cast<NodeId>(u));
-      uint64_t* row = keys_.data() + space->row_offsets[u];
-      for (size_t k = 0; k < m.size(); ++k) {
-        row[k] = PairKey(static_cast<NodeId>(u), m[k]);
-      }
-    }
-  });
-  info_.theta_candidates = keys_.size();
-
-  // --- Stage 2: upper-bound pruning (Eq. 6). ---
-  // Every candidate id gets its neighbor-index ref: the maintained slot,
-  // a tagged pruned_ub_ slot (tracked when α > 0), or kAbsentRef.
-  if (config.upper_bound) {
-    const OperatorConfig op = config.operators();
-    const double label_weight = 1.0 - config.w_out - config.w_in;
-    auto compat = [&](NodeId x, NodeId y) {
-      return lsim.Compatible(g1.Label(x), g2.Label(y), config.theta);
-    };
-    const bool track_pruned = config.alpha > 0.0;
-    space->refs.resize(keys_.size());
-    size_t kept = 0;
-    for (size_t id = 0; id < keys_.size(); ++id) {
-      const uint64_t key = keys_[id];
-      const NodeId u = PairFirst(key);
-      const NodeId v = PairSecond(key);
-      double bound =
-          config.w_out * DirectionUpperBound(op, g1.OutNeighbors(u),
-                                             g2.OutNeighbors(v), compat) +
-          config.w_in * DirectionUpperBound(op, g1.InNeighbors(u),
-                                            g2.InNeighbors(v), compat) +
-          label_weight *
-              LabelTermValue(config, lsim, g1.Label(u), g2.Label(v));
-      const bool keep = bound > config.beta ||
-                        (config.pin_diagonal && u == v);
-      if (keep) {
-        space->refs[id] = static_cast<uint32_t>(kept);
-        keys_[kept++] = key;
-      } else if (track_pruned) {
-        space->refs[id] = kNeighborRefPrunedTag |
-                          static_cast<uint32_t>(pruned_ub_.size());
-        pruned_ub_.push_back(static_cast<float>(bound));
-      } else {
-        space->refs[id] = kAbsentRef;
-      }
-    }
-    info_.pruned = keys_.size() - kept;
-    keys_.resize(kept);
-  }
-  info_.kept = keys_.size();
-  return Status::OK();
-}
-
-Status PairStore::BuildLabelTables(const Graph& g1, const Graph& g2,
-                                   const FSimConfig& config,
-                                   const LabelSimilarityCache& lsim,
-                                   CandidateSpace* space,
-                                   std::vector<uint32_t>* m_begin,
-                                   std::vector<NodeId>* merged,
-                                   uint64_t* total) {
-  const size_t n1 = g1.NumNodes();
-  const size_t n2 = g2.NumNodes();
-  const size_t dict_size = g1.dict()->size();
-
-  // g2's label groups: each node's rank inside its group, the group sizes,
-  // and the nodes in (label, id) order.
-  std::vector<uint32_t> group_size(dict_size, 0);
-  space->pos2.resize(n2);
-  for (NodeId v = 0; v < n2; ++v) space->pos2[v] = group_size[g2.Label(v)]++;
-  std::vector<uint32_t> group_begin(dict_size + 1, 0);
-  for (LabelId b = 0; b < dict_size; ++b) {
-    group_begin[b + 1] = group_begin[b] + group_size[b];
-  }
-  std::vector<NodeId> by_label2(n2);
-  for (NodeId v = 0; v < n2; ++v) {
-    by_label2[group_begin[g2.Label(v)] + space->pos2[v]] = v;
-  }
-  std::vector<LabelId> labels2;  // the labels present in g2, ascending
-  for (LabelId b = 0; b < dict_size; ++b) {
-    if (group_size[b] != 0) labels2.push_back(b);
-  }
-  std::vector<uint32_t> count1(dict_size, 0);
-  for (NodeId u = 0; u < n1; ++u) ++count1[g1.Label(u)];
-
-  // Each g1 label's compatible g2 labels and |M|. Past the pair limit the
-  // loop only counts, for the error message, so the label lists never
-  // outgrow the limit. L_I(a, b) is 1 only for b = a, so an indicator
-  // label's one candidate label is its own; other kinds test every label
-  // present in g2.
-  space->compatible_begin.assign(dict_size + 1, 0);
-  m_begin->assign(dict_size + 1, 0);
-  const bool indicator = lsim.kind() == LabelSimKind::kIndicator;
-  *total = 0;
-  for (LabelId a = 0; a < dict_size; ++a) {
-    const bool keep = *total <= config.pair_limit;
-    uint64_t size = 0;
-    auto take = [&](LabelId b) {
-      size += group_size[b];
-      if (keep) space->labels.push_back(b);
-    };
-    if (count1[a] != 0) {
-      if (indicator) {
-        if (group_size[a] != 0 && lsim.Compatible(a, a, config.theta)) {
-          take(a);
-        }
-      } else {
-        for (LabelId b : labels2) {
-          if (lsim.Compatible(a, b, config.theta)) take(b);
-        }
-      }
-    }
-    *total += count1[a] * size;
-    space->compatible_begin[a + 1] =
-        static_cast<uint32_t>(space->labels.size());
-    (*m_begin)[a + 1] = (*m_begin)[a] + static_cast<uint32_t>(size);
-  }
-  FSIM_RETURN_NOT_OK(CheckCandidateCount(*total, config));
-
-  // Each label's M and rank range. Within label a's range, compatible
-  // label b's block holds the ranks of b's group in pos2 order.
-  merged->resize(m_begin->back());
-  space->rank.resize(m_begin->back());
-  space->blocks.resize(space->labels.size());
-  std::vector<uint32_t> block_of_label(dict_size);  // scratch per label
-  for (LabelId a = 0; a < dict_size; ++a) {
-    const uint32_t begin = (*m_begin)[a];
-    NodeId* m = merged->data() + begin;
-    uint32_t block = begin;
-    for (uint32_t j = space->compatible_begin[a];
-         j < space->compatible_begin[a + 1]; ++j) {
-      const LabelId b = space->labels[j];
-      space->blocks[j] = block;
-      block_of_label[b] = block;
-      std::copy(by_label2.begin() + group_begin[b],
-                by_label2.begin() + group_begin[b + 1], m + (block - begin));
-      block += group_size[b];
-    }
-    const uint32_t size = (*m_begin)[a + 1] - begin;
-    if (space->compatible_begin[a + 1] - space->compatible_begin[a] > 1) {
-      std::sort(m, m + size);
-    }
-    for (uint32_t k = 0; k < size; ++k) {
-      const NodeId y = m[k];
-      space->rank[block_of_label[g2.Label(y)] + space->pos2[y]] = k;
-    }
-  }
-  return Status::OK();
 }
 
 size_t PairStore::NeighborIndexBytes() const {
@@ -447,7 +214,6 @@ Status PairStore::ValidateNeighborIndex() const {
 
 Status PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
                                      const FSimConfig& config,
-                                     const CandidateSpace& space,
                                      ThreadPool& pool) {
   const size_t n = keys_.size();
   // The pruned-ref tag bit halves the addressable range of a ref.
@@ -537,10 +303,9 @@ Status PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
   }
   const bool packed = packed_for(plan);
   if (packed) {
-    FillNeighborRefs(g1, g2, config, space, pool, active_spans,
-                     &nbr_chunks_packed_);
+    FillNeighborRefs(g1, g2, config, pool, active_spans, &nbr_chunks_packed_);
   } else {
-    FillNeighborRefs(g1, g2, config, space, pool, active_spans, &nbr_chunks_);
+    FillNeighborRefs(g1, g2, config, pool, active_spans, &nbr_chunks_);
   }
   packed_refs_ = packed;
   reverse_spans_ = active_spans;
@@ -549,10 +314,10 @@ Status PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
 
 template <typename Ref>
 void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
-                                 const FSimConfig& config,
-                                 const CandidateSpace& space, ThreadPool& pool,
+                                 const FSimConfig& config, ThreadPool& pool,
                                  bool active_spans,
                                  std::vector<std::vector<Ref>>* chunks) {
+  const PairSpace& space = *space_;
   const size_t n = keys_.size();
   const bool use_out =
       config.w_out > 0.0 || (active_spans && config.w_in > 0.0);
@@ -561,7 +326,7 @@ void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
   const bool skip_diagonal = config.pin_diagonal && !active_spans;
   // g2's neighbor lists grouped by label class, so a row visits only the
   // class runs its label is compatible with. At θ <= 0 every run is.
-  const bool by_class = !space.all_compatible;
+  const bool by_class = !space.all_compatible();
   const GroupedAdjacency out2 = use_out && by_class
                                     ? GroupedAdjacency::Build(g2, /*out=*/true)
                                     : GroupedAdjacency();
@@ -570,7 +335,6 @@ void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
                                    : GroupedAdjacency();
 
   using PosT = decltype(Ref::row);
-  const bool pruned = !space.refs.empty();
   // Appends the entries of one direction's N±(u) x N±(v) to `buf` and
   // returns how many there were: for each row r (x = s1[r]) the
   // label-compatible y of s2 in ascending column order, each with its
@@ -585,7 +349,7 @@ void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
                                 std::vector<Ref>* buf) -> uint64_t {
     const size_t before = buf->size();
     auto emit = [&](uint32_t r, uint32_t c, uint64_t id) {
-      const uint32_t ref = pruned ? space.refs[id] : static_cast<uint32_t>(id);
+      const uint32_t ref = space.RefOf(id);
       if (ref == kAbsentRef) return;
       // The packed layout was selected on a degree bound; a position
       // overflowing PosT would wrap silently and corrupt the span.
@@ -593,9 +357,9 @@ void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
       FSIM_DCHECK(c <= std::numeric_limits<PosT>::max());
       buf->push_back(Ref{static_cast<PosT>(r), static_cast<PosT>(c), ref});
     };
-    if (space.all_compatible) {
+    if (space.all_compatible()) {
       for (uint32_t r = 0; r < s1.size(); ++r) {
-        const uint64_t row_begin = space.row_offsets[s1[r]];
+        const uint64_t row_begin = space.RowBegin(s1[r]);
         for (uint32_t c = 0; c < s2.size(); ++c) {
           emit(r, c, row_begin + s2[c]);
         }
@@ -605,18 +369,18 @@ void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
     const GroupedNeighborhood grouped = adjacency.Neighborhood(v);
     for (uint32_t r = 0; r < s1.size(); ++r) {
       const NodeId x = s1[r];
-      const uint64_t row_begin = space.row_offsets[x];
+      const uint64_t row_begin = space.RowBegin(x);
       auto emit_ranked = [&](uint32_t c, NodeId y, uint32_t block) {
-        emit(r, c, row_begin + space.rank[block + space.pos2[y]]);
+        emit(r, c, row_begin + space.Rank(block, y));
       };
-      const CandidateSpace::Compatible compatible =
+      const PairSpace::Compatible compatible =
           space.CompatibleWith(g1.Label(x));
       const ClassGroup* match = nullptr;
-      uint32_t match_block = kIncompatible;
+      uint32_t match_block = PairSpace::kIncompatible;
       size_t matches = 0;
       for (const ClassGroup& run : grouped.groups) {
         const uint32_t block = compatible.Block(run.label);
-        if (block == kIncompatible) continue;
+        if (block == PairSpace::kIncompatible) continue;
         match = &run;
         match_block = block;
         if (++matches > 1) break;
@@ -629,17 +393,19 @@ void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
       } else if (matches > 1) {
         // Several runs: record each compatible column's rank base, then
         // walk the columns in ascending order to merge the runs.
-        column_blocks->assign(s2.size(), kIncompatible);
+        column_blocks->assign(s2.size(), PairSpace::kIncompatible);
         for (const ClassGroup& run : grouped.groups) {
           const uint32_t block = compatible.Block(run.label);
-          if (block == kIncompatible) continue;
+          if (block == PairSpace::kIncompatible) continue;
           for (uint32_t k = run.begin; k < run.end; ++k) {
             (*column_blocks)[grouped.pos[k]] = block;
           }
         }
         for (uint32_t c = 0; c < s2.size(); ++c) {
           const uint32_t block = (*column_blocks)[c];
-          if (block != kIncompatible) emit_ranked(c, s2[c], block);
+          if (block != PairSpace::kIncompatible) {
+            emit_ranked(c, s2[c], block);
+          }
         }
       }
     }

@@ -1,5 +1,5 @@
 // The candidate-pair store of Algorithm 1: the maintained node pairs
-// (u, v) (the paper's Hc/Hp) as one u-major key array, their
+// (u, v) (the paper's Hc/Hp) as a shared PairSpace, their
 // double-buffered scores, the side table of upper bounds for pruned pairs
 // (upper-bound updating, §3.4), and the pair-graph CSR neighbor index that
 // turns the iterate loop's score lookups into direct array reads.
@@ -12,11 +12,11 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/flat_pair_map.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "core/fsim_config.h"
 #include "core/operators.h"
+#include "core/pair_space.h"
 #include "graph/graph.h"
 #include "label/label_similarity.h"
 
@@ -32,20 +32,19 @@ namespace fsim {
 ///    α > 0 their bounds are kept in a side table so lookups can return
 ///    α * bound.
 ///
-/// Enumeration works per label class: row u of the candidates is the
-/// ascending list of g2 nodes whose label is θ-compatible with label(u),
-/// so the keys are written u-major in place and never sorted. Build also
-/// materializes the pair-graph CSR neighbor index: for every maintained
-/// pair i = (u, v) and each direction with nonzero weight, the NeighborRef
-/// list of label-compatible candidate pairs (x, y) ∈ N±(u) x N±(v) sorted
-/// by (row, col). The index build visits only those pairs: for each x it
-/// walks the label runs of g2's class-grouped N±(v) that label(x) is
-/// compatible with, and computes each (x, y)'s slot from the candidate
-/// rows' offsets and label-class ranks, with no hash lookup and no
-/// label-similarity test. Iterating reads previous-iteration scores
-/// through the index by direct indexing (prev_data() / pruned ref tag);
-/// there is no hash-lookup path. The key -> slot map (TakeIndex) is built
-/// for the callers that look scores up by key; the build never reads it.
+/// Enumeration (PairSpace::Build) works per label class: row u of the
+/// candidates is the ascending list of g2 nodes whose label is
+/// θ-compatible with label(u), so the keys are written u-major in place
+/// and never sorted. Build also materializes the pair-graph CSR neighbor
+/// index: for every maintained pair i = (u, v) and each direction with
+/// nonzero weight, the NeighborRef list of label-compatible candidate
+/// pairs (x, y) ∈ N±(u) x N±(v) sorted by (row, col). The index build
+/// visits only those pairs: for each x it walks the label runs of g2's
+/// class-grouped N±(v) that label(x) is compatible with, and reads each
+/// (x, y)'s slot from the space's candidate-id function, with no hash
+/// lookup and no label-similarity test. Iterating reads previous-iteration
+/// scores through the index by direct indexing (prev_data() / pruned ref
+/// tag); callers that look scores up by key share the space (space()).
 /// The entries are stored per chunk of kChunkPairs consecutive pairs, one
 /// exact-size buffer each, which the parallel build fills in one pass and
 /// never copies.
@@ -73,7 +72,7 @@ class PairStore {
   /// config.neighbor_index_budget_bytes or its refs would overflow the
   /// pruned-ref tag. `build_neighbor_index` = false skips the index for
   /// callers that maintain their own (IncrementalFSim); such a store only
-  /// hands out its keys, scores and pair map, and must not be iterated.
+  /// hands out its space and scores, and must not be iterated.
   /// `pool` parallelizes enumeration, initialization and the index build
   /// when provided (the engines pass their iterate pool); nullptr builds
   /// serially.
@@ -193,11 +192,13 @@ class PairStore {
   /// ValidatorCounters "PairStore::ValidateNeighborIndex".
   Status ValidateNeighborIndex() const;
 
+  /// The maintained pairs and their slot function, shared with every
+  /// score container built from this store.
+  const std::shared_ptr<const PairSpace>& space() const { return space_; }
+
   /// Moves the final scores out (call after the last SwapBuffers, so prev_
   /// holds the converged values).
-  std::vector<uint64_t> TakeKeys() { return std::move(keys_); }
   std::vector<double> TakeScores() { return std::move(prev_); }
-  FlatPairMap TakeIndex() { return std::move(index_); }
 
  private:
   PairStore() = default;
@@ -206,35 +207,10 @@ class PairStore {
   // catches torn spans; nothing else may touch the internals.
   friend struct PairStoreTestAccess;
 
-  /// The θ-candidate set in label-class form, which Stage 4 reads instead
-  /// of hashing pairs (defined in pair_store.cc).
-  struct CandidateSpace;
-
-  /// Stages 1–2 of Build: enumerates the θ-candidates into keys_ (u-major,
-  /// written in place), fills `space`, and applies upper-bound pruning.
-  Status Enumerate(const Graph& g1, const Graph& g2, const FSimConfig& config,
-                   const LabelSimilarityCache& lsim, ThreadPool& pool,
-                   CandidateSpace* space);
-
-  /// Stage 1's label work for θ > 0: fills `space`'s per-label
-  /// compatible-label lists, pos2 and rank, writes each g1 label a's M
-  /// into `merged` at [m_begin[a], m_begin[a + 1]), and sets `total` to
-  /// the candidate count. Fails like Build when the count is over
-  /// config.pair_limit; past the limit it only counts, so nothing it
-  /// allocates outgrows the limit.
-  static Status BuildLabelTables(const Graph& g1, const Graph& g2,
-                                 const FSimConfig& config,
-                                 const LabelSimilarityCache& lsim,
-                                 CandidateSpace* space,
-                                 std::vector<uint32_t>* m_begin,
-                                 std::vector<NodeId>* merged,
-                                 uint64_t* total);
-
   /// Materializes the CSR neighbor index, choosing the packed or wide
   /// entry layout; ResourceExhausted when it cannot fit the budget.
   Status BuildNeighborIndex(const Graph& g1, const Graph& g2,
-                            const FSimConfig& config,
-                            const CandidateSpace& space, ThreadPool& pool);
+                            const FSimConfig& config, ThreadPool& pool);
 
   /// Classifies every pair's candidate entries into `chunks`, one
   /// exact-size buffer per kChunkPairs-pair chunk, and fills nbr_offsets_.
@@ -242,8 +218,8 @@ class PairStore {
   /// widened active-set span layout (see reverse_spans()).
   template <typename Ref>
   void FillNeighborRefs(const Graph& g1, const Graph& g2,
-                        const FSimConfig& config, const CandidateSpace& space,
-                        ThreadPool& pool, bool active_spans,
+                        const FSimConfig& config, ThreadPool& pool,
+                        bool active_spans,
                         std::vector<std::vector<Ref>>* chunks);
 
   /// Entries of span k (k = 2i: pair i's out-direction, 2i + 1: its
@@ -259,8 +235,8 @@ class PairStore {
             data + (nbr_offsets_[k + 1] - base)};
   }
 
-  std::vector<uint64_t> keys_;  // sorted ascending: u-major, then v
-  FlatPairMap index_;
+  std::shared_ptr<const PairSpace> space_;
+  std::span<const uint64_t> keys_;  // space_->keys(): u-major, then v
   std::vector<double> prev_;
   std::vector<double> curr_;
   std::vector<float> pruned_ub_;

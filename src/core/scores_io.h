@@ -7,9 +7,14 @@
 //   pairs <n>
 //   <u> <v> <score>
 //   ...
+//
+// A file is read against the pair space of the graphs and config it is
+// meant for (PairSpace::Of): it must hold every pair of that space exactly
+// once, in any order, and nothing else.
 #ifndef FSIM_CORE_SCORES_IO_H_
 #define FSIM_CORE_SCORES_IO_H_
 
+#include <memory>
 #include <string>
 
 #include "common/result.h"
@@ -21,19 +26,18 @@ namespace fsim {
 /// persisted).
 std::string ScoresToString(const FSimScores& scores);
 
-/// Parses a serialized score map.
-Result<FSimScores> ScoresFromString(std::string_view text);
+/// Parses a serialized score map into the slots of `space`. IOError, naming
+/// the line, for malformed input: a header or count line that does not
+/// parse, a pair line that is not exactly "<u> <v> <score>" with 32-bit
+/// ids and a score in [0, 1], a pair outside the space (named), a
+/// duplicate pair, or a pair count different from the space's.
+Result<FSimScores> ScoresFromString(std::string_view text,
+                                    std::shared_ptr<const PairSpace> space);
 
 /// File round trip.
 Status SaveScoresToFile(const FSimScores& scores, const std::string& path);
-Result<FSimScores> LoadScoresFromFile(const std::string& path);
-
-/// Crash-safe save: writes to `path`.tmp, fsyncs, renames over `path`, and
-/// fsyncs the parent directory, so readers see either the old file or the
-/// complete new one — never a torn write. Use for score files that feed
-/// warm starts or recovery (docs/serving.md "Durability & recovery").
-Status SaveScoresToFileDurable(const FSimScores& scores,
-                               const std::string& path);
+Result<FSimScores> LoadScoresFromFile(const std::string& path,
+                                      std::shared_ptr<const PairSpace> space);
 
 }  // namespace fsim
 

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/flat_pair_map.h"
 #include "core/fsim_engine.h"
 #include "core/init_value.h"
 #include "core/operators.h"
+#include "core/pair_space.h"
 #include "graph/traversal.h"
 #include "label/label_similarity.h"
 #include "matching/greedy_matching.h"
@@ -31,55 +31,33 @@ Result<TopKResult> TopKSearch(const Graph& g1, const Graph& g2, NodeId source,
 
   LabelSimilarityCache lsim(*g1.dict(), config.label_sim);
 
-  // Restricted pair set: left nodes within the radius-`depth` ball of the
-  // source (the full dependency cone of FSim^depth(source, ·)).
+  // Restricted pair space: the rows of left nodes within the
+  // radius-`depth` ball of the source (the full dependency cone of
+  // FSim^depth(source, ·)); every other row is empty.
   auto dist = BfsDistances(g1, source, /*undirected=*/true);
-  std::vector<NodeId> ball;
+  std::vector<bool> ball(g1.NumNodes());
   for (NodeId x = 0; x < g1.NumNodes(); ++x) {
-    if (dist[x] != kUnreachable && dist[x] <= depth) ball.push_back(x);
+    ball[x] = dist[x] != kUnreachable && dist[x] <= depth;
   }
-  std::vector<std::vector<NodeId>> by_label(g1.dict()->size());
-  for (NodeId v = 0; v < g2.NumNodes(); ++v) {
-    by_label[g2.Label(v)].push_back(v);
-  }
+  FSIM_ASSIGN_OR_RETURN(
+      PairSpace space,
+      PairSpace::Build(g1, g2, config, lsim, /*pool=*/nullptr, &ball));
+  const std::vector<uint64_t>& keys = space.keys();
 
-  std::vector<uint64_t> keys;
-  for (NodeId x : ball) {
-    if (config.theta <= 0.0) {
-      for (NodeId y = 0; y < g2.NumNodes(); ++y) {
-        keys.push_back(PairKey(x, y));
-      }
-    } else {
-      for (LabelId l = 0; l < by_label.size(); ++l) {
-        if (by_label[l].empty() ||
-            !lsim.Compatible(g1.Label(x), static_cast<LabelId>(l),
-                             config.theta)) {
-          continue;
-        }
-        for (NodeId y : by_label[l]) keys.push_back(PairKey(x, y));
-      }
-    }
-    if (keys.size() > config.pair_limit) {
-      return Status::InvalidArgument("TopKSearch pair limit exceeded");
-    }
-  }
-  std::sort(keys.begin(), keys.end());
-
-  FlatPairMap index(keys.size());
   std::vector<double> prev(keys.size());
   std::vector<double> curr(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
-    index.Insert(keys[i], static_cast<uint32_t>(i));
     prev[i] =
         InitValue(config, lsim, g1, g2, PairFirst(keys[i]), PairSecond(keys[i]));
   }
 
   const OperatorConfig op = config.operators();
   const double label_weight = 1.0 - config.w_out - config.w_in;
+  // Pairs outside the space (θ-incompatible, or outside the ball) read 0,
+  // which no operator counts.
   auto lookup = [&](NodeId x, NodeId y) -> double {
-    if (!lsim.Compatible(g1.Label(x), g2.Label(y), config.theta)) return -1.0;
-    const uint32_t idx = index.Find(PairKey(x, y));
-    return idx == FlatPairMap::kNotFound ? 0.0 : prev[idx];
+    const uint32_t slot = space.Find(x, y);
+    return slot == PairSpace::kNotFound ? 0.0 : prev[slot];
   };
 
   MatchingScratch scratch;
@@ -108,12 +86,8 @@ Result<TopKResult> TopKSearch(const Graph& g1, const Graph& g2, NodeId source,
   result.error_bound =
       w <= 0.0 ? 0.0
                : std::min(1.0, std::pow(w, depth + 1) / (1.0 - w));
-  const uint64_t lo = PairKey(source, 0);
-  const uint64_t hi = PairKey(source, ~0U);
-  auto first = std::lower_bound(keys.begin(), keys.end(), lo);
-  auto last = std::upper_bound(keys.begin(), keys.end(), hi);
-  for (auto it = first; it != last; ++it) {
-    const size_t i = static_cast<size_t>(it - keys.begin());
+  const auto [first, last] = space.Row(source);
+  for (size_t i = first; i < last; ++i) {
     result.ranking.emplace_back(PairSecond(keys[i]), prev[i]);
   }
   auto cmp = [](const auto& a, const auto& b) {

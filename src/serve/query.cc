@@ -58,7 +58,7 @@ QueryResult QueryEngine::Answer(const FSimSnapshot& snapshot,
                            Clock::now() >= deadline;
   switch (query.kind) {
     case Query::Kind::kPair:
-      // O(1) hash lookup — cheaper than any degradation bookkeeping.
+      // O(1) slot lookup — cheaper than any degradation bookkeeping.
       result.score = snapshot.PairScore(query.u, query.v);
       break;
     case Query::Kind::kTopK:

@@ -136,7 +136,7 @@ Result<LoadedSnapshot> ParseSnapshot(std::string_view bytes, uint64_t lsn) {
   // Both graphs share one dictionary, as the serving layer loads them.
   FSIM_ASSIGN_OR_RETURN(snap.g1, GraphFromBinary(g1_bytes));
   FSIM_ASSIGN_OR_RETURN(snap.g2, GraphFromBinary(g2_bytes, snap.g1.dict()));
-  FSIM_ASSIGN_OR_RETURN(snap.scores, ScoresFromString(scores_text));
+  snap.scores_text = std::string(scores_text);
   return snap;
 }
 
@@ -277,7 +277,7 @@ Result<RecoveredState> RecoverServeState(const std::string& dir, Graph base_g1,
     state.snapshot_lsn = loaded.lsn;
     state.g1 = std::move(loaded.g1);
     state.g2 = std::move(loaded.g2);
-    state.scores = std::move(loaded.scores);
+    state.scores_text = std::move(loaded.scores_text);
     state.snapshots_discarded = loaded.discarded;
   } else if (snap.status().IsNotFound()) {
     state.g1 = std::move(base_g1);

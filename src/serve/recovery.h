@@ -7,7 +7,9 @@
 //   snap-<lsn>.fsnap  a full state snapshot as of LSN <lsn>: both graphs
 //                     (binary format, graph/binary_io.h) and the converged
 //                     scores (text format, core/scores_io.h), framed with a
-//                     magic, version and whole-payload FNV checksum
+//                     magic, version and whole-payload FNV checksum. The
+//                     scores are parsed later, against the candidate space
+//                     of the config served (see RecoveredState).
 //
 // Snapshots are written atomically (tmp file + fsync + rename + directory
 // fsync), so a crash mid-persist leaves either the old set or the old set
@@ -21,7 +23,6 @@
 #define FSIM_SERVE_RECOVERY_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,8 +55,12 @@ struct RecoveredState {
   Graph g2;
   bool have_snapshot = false;
   uint64_t snapshot_lsn = 0;
-  /// Warm seed for IncrementalFSim::Create (empty without a snapshot).
-  std::optional<FSimScores> scores;
+  /// The snapshot's score section, unparsed (empty without a snapshot).
+  /// Its pairs depend on the config served, so the driver fits it to the
+  /// candidate space of the recovered graphs (RefreshDriver::
+  /// EnableDurability); scores that do not fit are dropped, while the
+  /// graphs and snapshot_lsn stay the recovery floor.
+  std::string scores_text;
   /// WAL records past the snapshot, ascending — replay these through the
   /// incremental engine to reach the pre-crash state.
   std::vector<EditRecord> tail;
@@ -80,7 +85,7 @@ struct LoadedSnapshot {
   uint64_t lsn = 0;
   Graph g1;
   Graph g2;
-  FSimScores scores;
+  std::string scores_text;  // core/scores_io.h text, checksummed, unparsed
   size_t discarded = 0;  // corrupt snapshots skipped before this one
 };
 Result<LoadedSnapshot> LoadLatestSnapshot(const std::string& dir);

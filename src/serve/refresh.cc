@@ -6,6 +6,7 @@
 #include "common/failpoint.h"
 #include "common/hash.h"
 #include "common/timer.h"
+#include "core/scores_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -206,7 +207,24 @@ Status RefreshDriver::EnableDurability(DurabilityOptions options,
         "adopt edits applied without it)");
   }
   durability_ = std::move(options);
-  warm_seed_ = std::move(recovered.scores);
+  warm_seed_.reset();
+  if (recovered.have_snapshot) {
+    // The snapshot's scores seed the solve and are served at once, but
+    // only when they fit the candidate space of these graphs under this
+    // config; otherwise the solve starts cold. Either way the snapshot's
+    // graphs and LSN are the floor the WAL tail replays from.
+    auto space = PairSpace::Of(g1_, g2_, config_);
+    auto scores = space.ok() ? ScoresFromString(recovered.scores_text, *space)
+                             : Result<FSimScores>(space.status());
+    if (scores.ok()) {
+      warm_seed_ = FreezeScores(std::move(scores).ValueOrDie());
+      SnapshotMeta meta;
+      meta.version = store_->NextVersion();
+      meta.warm_start = true;
+      store_->Publish(std::make_shared<const FSimSnapshot>(
+          warm_seed_, policy_.topk_cache_k, meta));
+    }
+  }
   recovered_lsn_ = recovered.snapshot_lsn;
   applied_lsn_ = recovered.snapshot_lsn;
   persisted_lsn_ = recovered.have_snapshot ? recovered.snapshot_lsn : 0;
@@ -231,7 +249,7 @@ Status RefreshDriver::EnableDurability(DurabilityOptions options,
 Status RefreshDriver::InitLocked() {
   FSIM_FAILPOINT("serve.refresh.init_solve");
   auto inc = IncrementalFSim::Create(g1_, g2_, config_, inc_options_,
-                                     warm_seed_ ? &*warm_seed_ : nullptr);
+                                     warm_seed_.get());
   if (!inc.ok()) return inc.status();
   inc_ = std::make_unique<IncrementalFSim>(std::move(inc).ValueOrDie());
   warm_seed_.reset();  // the engine owns the state now

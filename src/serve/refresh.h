@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -215,10 +214,12 @@ class RefreshDriver {
 
   /// Attaches WAL + snapshot durability. Must be called before Init/Start/
   /// Submit. `recovered` comes from RecoverServeState over the same
-  /// directory; its scores seed the initial solve, its tail is replayed
-  /// (without re-logging) during Init, and the WAL writer resumes at its
-  /// next_lsn. The driver must have been constructed with the recovered
-  /// graphs.
+  /// directory. Its scores, when they fit the candidate space of the
+  /// driver's graphs and config, are published at once as a warm_start
+  /// snapshot and seed the initial solve; scores that do not fit are
+  /// dropped. Its tail is replayed (without re-logging) during Init, and
+  /// the WAL writer resumes at its next_lsn. The driver must have been
+  /// constructed with the recovered graphs.
   Status EnableDurability(DurabilityOptions options, RecoveredState recovered);
 
   /// Runs the initial fixpoint solve (warm-seeded under durability),
@@ -312,7 +313,7 @@ class RefreshDriver {
   // Durability attachments (set once by EnableDurability, before Init).
   DurabilityOptions durability_;
   std::unique_ptr<WalWriter> wal_;
-  std::optional<FSimScores> warm_seed_;
+  SharedFSimScores warm_seed_;  // also the published warm snapshot's
   std::vector<EditOp> replay_tail_;
   uint64_t recovered_lsn_ = 0;  // snapshot LSN recovery started from
 

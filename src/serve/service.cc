@@ -173,20 +173,13 @@ Result<std::unique_ptr<FSimService>> FSimService::Create(Graph g1, Graph g2,
   }
 
   if (!options.durability.dir.empty()) {
-    // Crash recovery first: the recovered snapshot (if any) becomes both
-    // the immediately-served warm snapshot and the solve's warm seed; the
-    // WAL tail replays inside the driver's Init.
+    // Crash recovery first: the recovered snapshot's scores, when they fit
+    // the candidate space, become both the immediately-served warm snapshot
+    // and the solve's warm seed (EnableDurability publishes them); the WAL
+    // tail replays inside the driver's Init.
     FSIM_ASSIGN_OR_RETURN(RecoveredState recovered,
                           RecoverServeState(options.durability.dir,
                                             std::move(g1), std::move(g2)));
-    if (recovered.scores.has_value()) {
-      FSimScores warm = *recovered.scores;  // the driver keeps the original
-      SnapshotMeta meta;
-      meta.version = service->store_.NextVersion();
-      meta.warm_start = true;
-      service->store_.Publish(std::make_shared<const FSimSnapshot>(
-          FreezeScores(std::move(warm)), options.policy.topk_cache_k, meta));
-    }
     service->driver_ = std::make_unique<RefreshDriver>(
         std::move(recovered.g1), std::move(recovered.g2), std::move(config),
         options.incremental, options.policy, &service->store_);
@@ -194,8 +187,13 @@ Result<std::unique_ptr<FSimService>> FSimService::Create(Graph g1, Graph g2,
         options.durability, std::move(recovered)));
   } else {
     if (!options.warm_scores_path.empty()) {
-      FSIM_ASSIGN_OR_RETURN(FSimScores scores,
-                            LoadScoresFromFile(options.warm_scores_path));
+      // The file must fit the candidate space of the graphs and config
+      // served, so every PAIR answer comes from a real candidate slot.
+      FSIM_ASSIGN_OR_RETURN(std::shared_ptr<const PairSpace> space,
+                            PairSpace::Of(g1, g2, config));
+      FSIM_ASSIGN_OR_RETURN(
+          FSimScores scores,
+          LoadScoresFromFile(options.warm_scores_path, std::move(space)));
       SnapshotMeta meta;
       meta.version = service->store_.NextVersion();
       meta.warm_start = true;

@@ -16,32 +16,23 @@ FSimSnapshot::FSimSnapshot(SharedFSimScores scores, size_t cache_k,
   // build below adds its own share so the published figure is the whole
   // snapshot cost.
   Timer cache_timer;
-  const auto& keys = scores_->keys();
-  BuildCache(keys);
+  BuildCache();
   meta_.build_seconds += cache_timer.Seconds();
 }
 
-void FSimSnapshot::BuildCache(const std::vector<uint64_t>& keys) {
-  if (keys.empty() || cache_k_ == 0) return;
-  // Keys are u-major sorted, so rows are contiguous; one linear walk finds
-  // every row boundary and top-k-selects it in place.
-  const NodeId max_u = PairFirst(keys.back());
-  cache_offsets_.assign(static_cast<size_t>(max_u) + 2, 0);
+void FSimSnapshot::BuildCache() {
+  const PairSpace& space = *scores_->space();
+  if (space.size() == 0 || cache_k_ == 0) return;
+  // Rows are contiguous slot ranges; each is top-k-selected in place, and
+  // rows without pairs get empty [off, off) spans.
+  const NodeId rows = static_cast<NodeId>(space.num_rows());
+  cache_offsets_.assign(static_cast<size_t>(rows) + 1, 0);
   cache_entries_.reserve(
-      std::min(keys.size(), (static_cast<size_t>(max_u) + 1) * cache_k_));
-  size_t i = 0;
-  NodeId next_row = 0;
-  while (i < keys.size()) {
-    const NodeId u = PairFirst(keys[i]);
-    // Rows absent from the pair table get empty [off, off) spans.
-    for (; next_row <= u; ++next_row) {
-      cache_offsets_[next_row] = static_cast<uint32_t>(cache_entries_.size());
-    }
+      std::min(space.size(), static_cast<size_t>(rows) * cache_k_));
+  for (NodeId u = 0; u < rows; ++u) {
     scores_->TopKInto(u, cache_k_, &cache_entries_);
-    while (i < keys.size() && PairFirst(keys[i]) == u) ++i;
+    cache_offsets_[u + 1] = static_cast<uint32_t>(cache_entries_.size());
   }
-  cache_offsets_[static_cast<size_t>(max_u) + 1] =
-      static_cast<uint32_t>(cache_entries_.size());
 }
 
 std::vector<std::pair<NodeId, double>> FSimSnapshot::TopK(NodeId u,

@@ -49,8 +49,8 @@ struct SnapshotMeta {
 /// of every row, selected once at build time with bounded-heap selection).
 class FSimSnapshot {
  public:
-  /// Builds the top-k cache over `scores` (one linear walk of the pair
-  /// table, O(row log k) selection per row).
+  /// Builds the top-k cache over `scores` (one walk of the pair table's
+  /// rows, O(row log k) selection per row).
   FSimSnapshot(SharedFSimScores scores, size_t cache_k, SnapshotMeta meta);
 
   /// FSimχ(u, v); 0 for pairs outside the maintained candidate set.
@@ -87,7 +87,7 @@ class FSimSnapshot {
   }
 
  private:
-  void BuildCache(const std::vector<uint64_t>& keys);
+  void BuildCache();
 
   SharedFSimScores scores_;
   size_t cache_k_;

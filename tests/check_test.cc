@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/flat_pair_map.h"
 #include "common/hash.h"
 #include "common/thread_pool.h"
 #include "core/fsim_scores.h"
@@ -321,25 +320,17 @@ TEST(ValidateNeighborIndexTest, CatchesChunkSlack) {
 // ------------------------------------- IncrementalNeighborIndex corruption --
 
 struct IncrementalFixture {
-  IncrementalFixture()
-      : graph(MakeEditGraph()),
-        lsim(*graph.dict(), LabelSimKind::kIndicator) {
-    const size_t n = graph.NumNodes();
-    for (NodeId u = 0; u < n; ++u) {
-      for (NodeId v = 0; v < n; ++v) {
-        const uint64_t key = PairKey(u, v);
-        pair_index.Insert(key, static_cast<uint32_t>(keys.size()));
-        keys.push_back(key);
-      }
-    }
+  IncrementalFixture() : graph(MakeEditGraph()) {
+    const Graph g = graph.ToGraph();
     FSimConfig config;
-    const NeighborIndexEnv env{graph, graph, pair_index, lsim};
-    built = index.Build(env, keys, config).ok();
+    space = *PairSpace::Of(g, g, config);
+    keys = space->keys();
+    const NeighborIndexEnv env{graph, graph, *space};
+    built = index.Build(env, config).ok();
   }
 
   DynamicGraph graph;
-  LabelSimilarityCache lsim;
-  FlatPairMap pair_index;
+  std::shared_ptr<const PairSpace> space;
   std::vector<uint64_t> keys;
   IncrementalNeighborIndex index;
   bool built = false;
@@ -383,9 +374,7 @@ TEST(IncrementalIndexValidateTest, WrongPairCountRejected) {
 // ------------------------------------------------ SnapshotStore corruption --
 
 SnapshotPtr MakeSnapshot(SnapshotStore& store) {
-  FlatPairMap index(1);
-  index.Insert(PairKey(0, 0), 0);
-  FSimScores scores({PairKey(0, 0)}, {1.0}, std::move(index), FSimStats{});
+  FSimScores scores(testing::FullPairSpace(1, 1), {1.0}, FSimStats{});
   SnapshotMeta meta;
   meta.version = store.NextVersion();
   return std::make_shared<const FSimSnapshot>(

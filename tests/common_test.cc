@@ -9,7 +9,6 @@
 #include <set>
 #include <thread>
 
-#include "common/flat_pair_map.h"
 #include "common/hash.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -120,52 +119,6 @@ TEST(HashTest, Mix64SpreadsSequentialKeys) {
 TEST(HashTest, HashStringDiffersOnContent) {
   EXPECT_NE(HashString("abc"), HashString("abd"));
   EXPECT_EQ(HashString("abc"), HashString("abc"));
-}
-
-// ---------------------------------------------------------- FlatPairMap --
-
-TEST(FlatPairMapTest, InsertAndFind) {
-  FlatPairMap map;
-  EXPECT_TRUE(map.Insert(PairKey(1, 2), 10));
-  EXPECT_TRUE(map.Insert(PairKey(3, 4), 20));
-  EXPECT_EQ(map.Find(PairKey(1, 2)), 10u);
-  EXPECT_EQ(map.Find(PairKey(3, 4)), 20u);
-  EXPECT_EQ(map.Find(PairKey(9, 9)), FlatPairMap::kNotFound);
-  EXPECT_EQ(map.size(), 2u);
-}
-
-TEST(FlatPairMapTest, DuplicateInsertKeepsFirst) {
-  FlatPairMap map;
-  EXPECT_TRUE(map.Insert(7, 1));
-  EXPECT_FALSE(map.Insert(7, 2));
-  EXPECT_EQ(map.Find(7), 1u);
-  EXPECT_EQ(map.size(), 1u);
-}
-
-TEST(FlatPairMapTest, GrowsBeyondInitialCapacity) {
-  FlatPairMap map;
-  constexpr uint32_t kCount = 10000;
-  for (uint32_t i = 0; i < kCount; ++i) {
-    ASSERT_TRUE(map.Insert(PairKey(i, i * 31 + 1), i));
-  }
-  EXPECT_EQ(map.size(), kCount);
-  for (uint32_t i = 0; i < kCount; ++i) {
-    ASSERT_EQ(map.Find(PairKey(i, i * 31 + 1)), i);
-  }
-}
-
-TEST(FlatPairMapTest, PresizedConstructionFindsEverything) {
-  FlatPairMap map(5000);
-  for (uint32_t i = 0; i < 5000; ++i) map.Insert(Mix64(i), i);
-  for (uint32_t i = 0; i < 5000; ++i) ASSERT_EQ(map.Find(Mix64(i)), i);
-}
-
-TEST(FlatPairMapTest, ClearEmptiesTheMap) {
-  FlatPairMap map;
-  map.Insert(1, 1);
-  map.Clear();
-  EXPECT_TRUE(map.empty());
-  EXPECT_EQ(map.Find(1), FlatPairMap::kNotFound);
 }
 
 // ------------------------------------------------------------------- Rng --

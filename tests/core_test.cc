@@ -294,13 +294,13 @@ TEST(PairStoreTest, KeysAreSortedAndIndexed) {
   LabelSimilarityCache lsim(*pair.g1.dict(), config.label_sim);
   auto store = PairStore::Build(pair.g1, pair.g2, config, lsim);
   ASSERT_TRUE(store.ok());
-  const std::vector<uint64_t> keys = store->TakeKeys();
-  const FlatPairMap index = store->TakeIndex();
+  const PairSpace& space = *store->space();
+  const std::vector<uint64_t>& keys = space.keys();
   for (size_t i = 0; i < keys.size(); ++i) {
     if (i > 0) {
       EXPECT_LT(keys[i - 1], keys[i]);
     }
-    EXPECT_EQ(index.Find(keys[i]), i);
+    EXPECT_EQ(space.Find(PairFirst(keys[i]), PairSecond(keys[i])), i);
   }
 }
 

@@ -656,14 +656,13 @@ TEST_P(MaintainedIndexSweep, MatchesFreshBuildAfterRandomEdits) {
   auto store = PairStore::Build(pair.g1, pair.g2, config, lsim,
                                 /*build_neighbor_index=*/false);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  std::vector<uint64_t> keys = store->TakeKeys();
-  FlatPairMap index = store->TakeIndex();
+  const std::vector<uint64_t>& keys = store->space()->keys();
 
   DynamicGraph d1(pair.g1);
   DynamicGraph d2(pair.g2);
-  const NeighborIndexEnv env{d1, d2, index, lsim};
+  const NeighborIndexEnv env{d1, d2, *store->space()};
   IncrementalNeighborIndex maintained;
-  ASSERT_TRUE(maintained.Build(env, keys, config).ok());
+  ASSERT_TRUE(maintained.Build(env, config).ok());
 
   Rng rng(515);
   for (int e = 0; e < 12; ++e) {
@@ -692,7 +691,7 @@ TEST_P(MaintainedIndexSweep, MatchesFreshBuildAfterRandomEdits) {
     }
 
     IncrementalNeighborIndex fresh;
-    ASSERT_TRUE(fresh.Build(env, keys, config).ok());
+    ASSERT_TRUE(fresh.Build(env, config).ok());
     for (size_t i = 0; i < keys.size(); ++i) {
       for (int dir :
            {IncrementalNeighborIndex::kOut, IncrementalNeighborIndex::kIn}) {

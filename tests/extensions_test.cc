@@ -170,7 +170,11 @@ TEST(ScoresIoTest, RoundTripPreservesEverything) {
   auto scores = ComputeFSim(pair.g1, pair.g2, config);
   ASSERT_TRUE(scores.ok());
   std::string text = ScoresToString(*scores);
-  auto loaded = ScoresFromString(text);
+  // Read against a space rebuilt from the graphs and config, as a server
+  // loading a warm file does.
+  auto space = PairSpace::Of(pair.g1, pair.g2, config);
+  ASSERT_TRUE(space.ok()) << space.status().ToString();
+  auto loaded = ScoresFromString(text, *space);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->NumPairs(), scores->NumPairs());
   for (NodeId u = 0; u < pair.g1.NumNodes(); ++u) {
@@ -186,37 +190,69 @@ TEST(ScoresIoTest, FileRoundTrip) {
   ASSERT_TRUE(scores.ok());
   const std::string path = ::testing::TempDir() + "/fsim_scores_test.txt";
   ASSERT_TRUE(SaveScoresToFile(*scores, path).ok());
-  auto loaded = LoadScoresFromFile(path);
+  auto loaded = LoadScoresFromFile(path, scores->space());
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->NumPairs(), scores->NumPairs());
 }
 
 TEST(ScoresIoTest, RejectsCorruptInput) {
-  EXPECT_TRUE(ScoresFromString("not a score file").status().IsIOError());
-  EXPECT_TRUE(ScoresFromString("fsim-scores v1\npairs 2\n0 0 0.5\n")
+  const auto one = testing::FullPairSpace(1, 1);  // (0, 0)
+  const auto two = testing::FullPairSpace(2, 1);  // (0, 0), (1, 0)
+  EXPECT_TRUE(ScoresFromString("not a score file", one).status().IsIOError());
+  EXPECT_TRUE(ScoresFromString("fsim-scores v1\npairs 2\n0 0 0.5\n", two)
                   .status()
                   .IsIOError());  // count mismatch
-  EXPECT_TRUE(ScoresFromString("fsim-scores v1\npairs 1\n0 0 7.5\n")
+  EXPECT_TRUE(ScoresFromString("fsim-scores v1\npairs 1\n0 0 7.5\n", one)
                   .status()
                   .IsIOError());  // out-of-range score
-  EXPECT_TRUE(ScoresFromString("fsim-scores v1\npairs 1\n0 0 nan\n")
+  EXPECT_TRUE(ScoresFromString("fsim-scores v1\npairs 1\n0 0 nan\n", one)
                   .status()
                   .IsIOError());  // NaN score
-  EXPECT_TRUE(ScoresFromString("fsim-scores v1\npairs 2\n0 0 0.5\n0 0 0.6\n")
-                  .status()
-                  .IsIOError());  // duplicate pair
   EXPECT_TRUE(
-      ScoresFromString("fsim-scores v1\npairs 99999999999999\n0 0 0.5\n")
+      ScoresFromString("fsim-scores v1\npairs 2\n0 0 0.5\n0 0 0.6\n", two)
+          .status()
+          .IsIOError());  // duplicate pair
+  EXPECT_TRUE(
+      ScoresFromString("fsim-scores v1\npairs 99999999999999\n0 0 0.5\n", one)
           .status()
           .IsIOError());  // count far beyond the text: no bad_alloc
+  // A pair outside the space is named.
+  const Status outside =
+      ScoresFromString("fsim-scores v1\npairs 1\n0 1 0.5\n", one).status();
+  EXPECT_TRUE(outside.IsIOError()) << outside.ToString();
+  EXPECT_NE(outside.message().find("pair (0, 1)"), std::string::npos)
+      << outside.ToString();
+  // Ids over 32 bits, signed ids and trailing fields are malformed, not
+  // wrapped to (1, 0) or (4294967295, 0) or truncated to three fields.
+  const struct {
+    const char* bad_line;
+    const char* other_line;
+  } kStrict[] = {
+      {"4294967297 0 0.5", "0 0 0.25"},
+      {"-1 0 0.5", "1 0 0.25"},
+      {"0 0 0.5 junk", "1 0 0.25"},
+  };
+  for (const auto& c : kStrict) {
+    const Status st =
+        ScoresFromString(std::string("fsim-scores v1\npairs 2\n") +
+                             c.bad_line + "\n" + c.other_line + "\n",
+                         two)
+            .status();
+    EXPECT_TRUE(st.IsIOError()) << c.bad_line << ": " << st.ToString();
+    EXPECT_NE(st.message().find("line 3"), std::string::npos)
+        << c.bad_line << ": " << st.ToString();
+  }
 }
 
 TEST(ScoresIoTest, AcceptsUnsortedInput) {
   auto loaded = ScoresFromString(
-      "fsim-scores v1\npairs 2\n3 1 0.25\n1 2 0.75\n");
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_DOUBLE_EQ(loaded->Score(3, 1), 0.25);
-  EXPECT_DOUBLE_EQ(loaded->Score(1, 2), 0.75);
+      "fsim-scores v1\npairs 4\n1 1 0.75\n0 1 0.5\n1 0 0.25\n0 0 0.125\n",
+      testing::FullPairSpace(2, 2));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_DOUBLE_EQ(loaded->Score(1, 1), 0.75);
+  EXPECT_DOUBLE_EQ(loaded->Score(0, 1), 0.5);
+  EXPECT_DOUBLE_EQ(loaded->Score(1, 0), 0.25);
+  EXPECT_DOUBLE_EQ(loaded->Score(0, 0), 0.125);
 }
 
 // ----------------------------------------------------------- IsoRank -----

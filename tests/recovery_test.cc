@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
@@ -22,9 +23,11 @@
 #include "common/hash.h"
 #include "common/string_util.h"
 #include "core/fsim_engine.h"
+#include "core/scores_io.h"
 #include "graph/graph_builder.h"
 #include "serve/recovery.h"
 #include "serve/refresh.h"
+#include "serve/service.h"
 #include "serve/snapshot.h"
 #include "serve/wal.h"
 
@@ -140,10 +143,12 @@ TEST(SnapshotPersistTest, PersistLoadRoundTripAndRetention) {
   EXPECT_EQ(loaded->discarded, 0u);
   EXPECT_EQ(loaded->g1.NumNodes(), g.NumNodes());
   EXPECT_EQ(loaded->g1.NumEdges(), g.NumEdges());
-  ASSERT_EQ(loaded->scores.keys(), scores->keys());
+  auto loaded_scores = ScoresFromString(loaded->scores_text, scores->space());
+  ASSERT_TRUE(loaded_scores.ok()) << loaded_scores.status().ToString();
+  ASSERT_EQ(loaded_scores->keys(), scores->keys());
   // Scores round-trip exactly (%.17g text payload).
   for (size_t i = 0; i < scores->values().size(); ++i) {
-    EXPECT_EQ(loaded->scores.values()[i], scores->values()[i]);
+    EXPECT_EQ(loaded_scores->values()[i], scores->values()[i]);
   }
 
   // A newer snapshot wins; retention keeps the newest `keep`.
@@ -297,6 +302,65 @@ TEST(RecoveryTest, SnapshotPlusTailRecoveryWithin1e12) {
     ASSERT_TRUE(init.ok()) << init.message(); }
   EXPECT_EQ(driver_b->stats().applied_lsn, 8u);
   ExpectPublishedMatchesRecompute(*driver_b, store_b, 1e-12);
+}
+
+// A snapshot persisted under θ = 1 does not fit the θ = 0.5 candidate space
+// (edit-distance labels "ab" and "ac" are 0.5-similar): recovery under
+// θ = 0.5 keeps its graphs and LSN as the floor and replays the WAL tail,
+// but neither serves nor seeds its scores, and converges to a cold solve.
+TEST(RecoveryTest, SnapshotUnderOtherThetaRecoversColdFromItsFloor) {
+  const std::string dir = FreshDir("other_theta");
+  GraphBuilder builder;
+  for (const char* label : {"ab", "ab", "ac", "ac", "ab"}) {
+    builder.AddNode(label);
+  }
+  for (const auto& [from, to] : {std::pair<NodeId, NodeId>{0, 2}, {1, 2},
+                                {2, 3}, {3, 4}, {4, 0}, {1, 3}}) {
+    builder.AddEdge(from, to);
+  }
+  const Graph g = std::move(builder).BuildOrDie();
+  auto config_at = [](double theta) {
+    FSimConfig config = TightConfig();
+    config.label_sim = LabelSimKind::kEditDistance;
+    config.theta = theta;
+    return config;
+  };
+  ServeOptions options;
+  options.background_refresh = false;
+  options.incremental = TightIncOptions();
+  options.durability.dir = dir;
+  options.durability.snapshot_every_edits = 0;  // the boot snapshot only
+
+  const std::vector<EditOp> edits = BurstEdits();
+  {
+    auto service = FSimService::Create(g, g, config_at(1.0), options);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    for (size_t i = 0; i < 4; ++i) {
+      ASSERT_TRUE((*service)->driver().Submit(edits[i]).ok());
+    }
+    ASSERT_TRUE((*service)->driver().Flush().ok());
+  }
+
+  auto service = FSimService::Create(g, g, config_at(0.5), options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  RefreshDriver& driver = (*service)->driver();
+  EXPECT_EQ(driver.stats().edits_replayed, 4u);
+  EXPECT_EQ(driver.stats().applied_lsn, 4u);
+  // Only the solve published: no warm_start snapshot came first.
+  const SnapshotPtr snap = (*service)->store().Acquire();
+  ASSERT_NE(snap, nullptr);
+  EXPECT_FALSE(snap->meta().warm_start);
+  EXPECT_EQ(snap->meta().version, 1u);
+  // The replayed graphs carry the tail: edit 0 inserted 0 -> 3 in g1.
+  const Graph g1 = driver.MaterializeG1();
+  const auto out0 = g1.OutNeighbors(0);
+  EXPECT_NE(std::find(out0.begin(), out0.end(), NodeId{3}), out0.end());
+  auto cold = ComputeFSim(g1, driver.MaterializeG2(), config_at(0.5));
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_EQ(snap->scores().keys(), cold->keys());
+  for (size_t i = 0; i < cold->values().size(); ++i) {
+    EXPECT_NEAR(snap->scores().values()[i], cold->values()[i], 1e-12);
+  }
 }
 
 TEST(RecoveryTest, TornWalTailIsTruncatedAndReplayStops) {

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -176,23 +177,15 @@ TEST(SnapshotStoreTest, ReadersNeverObserveTornSnapshots) {
   auto value_of = [](uint64_t version) {
     return static_cast<double>(version % 97) / 96.0;
   };
+  const std::shared_ptr<const PairSpace> space =
+      testing::FullPairSpace(kSide, kSide);
   auto make_snapshot = [&](uint64_t version) {
     const double value = value_of(version);
-    std::vector<uint64_t> keys;
-    std::vector<double> values;
-    FlatPairMap index(kSide * kSide);
-    for (uint32_t u = 0; u < kSide; ++u) {
-      for (uint32_t v = 0; v < kSide; ++v) {
-        index.Insert(PairKey(u, v), static_cast<uint32_t>(keys.size()));
-        keys.push_back(PairKey(u, v));
-        values.push_back(value);
-      }
-    }
     SnapshotMeta meta;
     meta.version = version;
     return std::make_shared<const FSimSnapshot>(
-        FreezeScores(FSimScores(std::move(keys), std::move(values),
-                                std::move(index), FSimStats{})),
+        FreezeScores(FSimScores(
+            space, std::vector<double>(kSide * kSide, value), FSimStats{})),
         /*cache_k=*/4, meta);
   };
 
@@ -571,6 +564,68 @@ TEST(QueryEngineTest, BatchAnswersFromOneSnapshot) {
   }
 }
 
+// Ids past the graphs (up to 2^32 - 1) reach the pair space unchecked by
+// the protocol parser; every read answers 0 or nothing, with and without
+// upper-bound pruning.
+TEST(QueryEngineTest, OutOfRangeIdsAnswerNothing) {
+  const Graph g = MakeServeGraph();
+  constexpr NodeId kMaxId = ~NodeId{0};
+  for (bool prune : {false, true}) {
+    FSimConfig config = ServeConfig();
+    config.upper_bound = prune;
+    config.beta = 0.5;
+    auto scores = ComputeFSimSelf(g, config);
+    ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+    if (prune) {
+      EXPECT_GT(scores->stats().pruned_pairs, 0u);
+    }
+    EXPECT_TRUE(scores->Row(static_cast<NodeId>(g.NumNodes())).empty());
+    EXPECT_FALSE(scores->Contains(kMaxId, 0));
+    EXPECT_TRUE(scores->TopK(kMaxId, 3).empty());
+    SnapshotStore store;
+    SnapshotMeta meta;
+    meta.version = store.NextVersion();
+    ASSERT_TRUE(store.Publish(std::make_shared<const FSimSnapshot>(
+        FreezeScores(std::move(*scores)), /*cache_k=*/2, meta)));
+    const QueryEngine engine(&store);
+    for (const auto& [u, v] : {std::pair<NodeId, NodeId>{kMaxId, 0},
+                              std::pair<NodeId, NodeId>{0, kMaxId}}) {
+      Query pair_query;
+      pair_query.kind = Query::Kind::kPair;
+      pair_query.u = u;
+      pair_query.v = v;
+      auto result = engine.Run(pair_query);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->score, 0.0) << "PAIR " << u << " " << v;
+    }
+    for (size_t k : {size_t{1}, size_t{3}}) {  // within and past cache_k
+      Query topk;
+      topk.kind = Query::Kind::kTopK;
+      topk.u = kMaxId;
+      topk.k = k;
+      auto result = engine.Run(topk);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_TRUE(result->entries.empty()) << "TOPK " << kMaxId << " " << k;
+    }
+  }
+
+  // The same requests through the wire protocol.
+  ServeOptions options;
+  options.background_refresh = false;
+  auto service = FSimService::Create(g, g, ServeConfig(), options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  std::istringstream in(
+      "PAIR 4294967295 0\nPAIR 0 4294967295\nTOPK 4294967295 3\nQUIT\n");
+  std::ostringstream out;
+  ASSERT_TRUE((*service)->ServeLoop(in, out).ok());
+  std::istringstream lines(out.str());
+  std::string line;
+  for (const char* want : {"SCORE 0.000000 ", "SCORE 0.000000 ", "TOPK 0 "}) {
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_EQ(line.substr(0, std::string(want).size()), want) << line;
+  }
+}
+
 // The full protocol surface against a deterministic synchronous service:
 // pair/top-k/threshold/batch queries, edits + flush, stats, malformed
 // requests, comments, and QUIT. The transcript pins the exact wire format.
@@ -777,6 +832,37 @@ TEST(ServeLoopTest, WarmStartServesBeforeRefreshReady) {
   std::ostringstream out2;
   ASSERT_TRUE((*service)->ServeLoop(in2, out2).ok());
   EXPECT_EQ(out2.str().substr(0, 15), "SCORE 0.600000 ");
+}
+
+// A warm score file must fit the candidate space of the graphs and config
+// served: a pair outside it fails Create, naming the pair.
+TEST(ServeLoopTest, WarmFileOutsideCandidateSpaceFailsCreate) {
+  const Graph g = MakeServeGraph();
+  FSimConfig config = ServeConfig();
+  config.theta = 1.0;  // A-B pairs are outside the space
+  auto scores = ComputeFSimSelf(g, config);
+  ASSERT_TRUE(scores.ok());
+  std::string text = ScoresToString(*scores);
+  const size_t at = text.find("\n0 0 ");
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, 5, "\n0 2 ");  // (0, 2) is an A-B pair
+  const std::string path = ::testing::TempDir() + "/warm_outside.scores";
+  {
+    std::ofstream file(path);
+    file << text;
+  }
+  ServeOptions options;
+  options.background_refresh = false;
+  options.warm_scores_path = path;
+  auto service = FSimService::Create(g, g, config, options);
+  ASSERT_FALSE(service.ok());
+  EXPECT_NE(service.status().message().find("pair (0, 2)"), std::string::npos)
+      << service.status().ToString();
+
+  // The unedited file fits and warm-starts.
+  ASSERT_TRUE(SaveScoresToFile(*scores, path).ok());
+  service = FSimService::Create(g, g, config, options);
+  EXPECT_TRUE(service.ok()) << service.status().ToString();
 }
 
 // End to end: a background edit stream is applied while reader threads

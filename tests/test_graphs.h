@@ -6,7 +6,10 @@
 
 #include <memory>
 
+#include "common/check.h"
 #include "common/random.h"
+#include "core/fsim_config.h"
+#include "core/pair_space.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
@@ -125,6 +128,21 @@ inline Graph MakeStarHub(uint32_t leaves) {
     builder.AddEdge(hub, builder.AddNode("leaf"));
   }
   return std::move(builder).BuildOrDie();
+}
+
+/// The full n1 x n2 pair space (θ = 0 over edgeless graphs): the layout of
+/// a score container whose values a test fills by hand, slot u * n2 + v.
+inline std::shared_ptr<const PairSpace> FullPairSpace(uint32_t n1,
+                                                      uint32_t n2) {
+  auto dict = std::make_shared<LabelDict>();
+  auto make_graph = [&](uint32_t n) {
+    GraphBuilder builder(dict);
+    for (uint32_t i = 0; i < n; ++i) builder.AddNode("x");
+    return std::move(builder).BuildOrDie();
+  };
+  auto space = PairSpace::Of(make_graph(n1), make_graph(n2), FSimConfig{});
+  FSIM_CHECK(space.ok()) << space.status().ToString();
+  return *space;
 }
 
 }  // namespace testing

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/flat_pair_map.h"
 #include "common/hash.h"
 #include "common/thread_pool.h"
 #include "core/fsim_config.h"
@@ -18,6 +17,7 @@
 #include "graph/graph_builder.h"
 #include "label/label_similarity.h"
 #include "serve/snapshot.h"
+#include "tests/test_graphs.h"
 
 namespace fsim {
 namespace {
@@ -48,23 +48,16 @@ void RunAllValidators() {
   const Status neighbor_index = store->ValidateNeighborIndex();
   EXPECT_TRUE(neighbor_index.ok()) << neighbor_index.ToString();
 
-  std::vector<uint64_t> keys;
-  FlatPairMap pair_index(store->size());
-  for (size_t i = 0; i < store->size(); ++i) {
-    const uint64_t key = PairKey(store->U(i), store->V(i));
-    pair_index.Insert(key, static_cast<uint32_t>(i));
-    keys.push_back(key);
-  }
   IncrementalNeighborIndex incremental;
-  const NeighborIndexEnv env{dg, dg, pair_index, lsim};
-  ASSERT_TRUE(incremental.Build(env, keys, config).ok());
+  const NeighborIndexEnv env{dg, dg, *store->space()};
+  ASSERT_TRUE(incremental.Build(env, config).ok());
   // Exercise the in-place and relocation Restage paths before auditing.
   ASSERT_TRUE(dg.InsertEdge(0, 3).ok());
-  for (size_t i = 0; i < keys.size(); ++i) {
+  for (size_t i = 0; i < store->size(); ++i) {
     incremental.Restage(i, IncrementalNeighborIndex::kOut, store->U(i),
                         store->V(i), env);
   }
-  const Status arena = incremental.Validate(keys.size());
+  const Status arena = incremental.Validate(store->size());
   EXPECT_TRUE(arena.ok()) << arena.ToString();
 
   ThreadPool pool(3);
@@ -76,10 +69,8 @@ void RunAllValidators() {
   EXPECT_TRUE(scheduler.ok()) << scheduler.ToString();
 
   SnapshotStore snapshots;
-  FlatPairMap score_index(1);
-  score_index.Insert(PairKey(0, 0), 0);
   SharedFSimScores scores = FreezeScores(
-      FSimScores({PairKey(0, 0)}, {1.0}, std::move(score_index), FSimStats{}));
+      FSimScores(testing::FullPairSpace(1, 1), {1.0}, FSimStats{}));
   for (int round = 0; round < 2; ++round) {
     SnapshotMeta meta;
     meta.version = snapshots.NextVersion();
