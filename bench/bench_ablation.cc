@@ -1,8 +1,9 @@
 // Ablation study of the framework's design choices (DESIGN.md §6):
 //
-//  (a) sparse candidate store vs dense matrix iteration for the two
-//      mappings the dense engine accepts (s, b), with θ filtering off and
-//      on — the table that decides whether the dense engine stays;
+//  (a) ComputeFSim's two θ regimes for the max-family mappings (s, b):
+//      θ = 0, where every pair is a candidate and the run iterates on the
+//      tile panels, against θ = 1 on the CSR neighbor index, at 1 and 4
+//      threads;
 //  (b) greedy ½-approximate vs exact Hungarian realization of the injective
 //      mapping operators (M_dp / M_bj) — the paper's speed/fidelity
 //      trade-off [23];
@@ -10,11 +11,13 @@
 //      the Theorem 1 tail bound in action.
 #include <cmath>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/table_printer.h"
 #include "common/timer.h"
-#include "core/dense_engine.h"
+#include "core/panel_engine.h"
 #include "core/topk_allpairs.h"
 #include "eval/metrics.h"
 
@@ -22,24 +25,12 @@ using namespace fsim;
 
 namespace {
 
-double MaxAbsDiffOnPairs(const FSimScores& sparse,
-                         const DenseFSimScores& dense) {
-  double max_diff = 0.0;
-  for (size_t i = 0; i < sparse.keys().size(); ++i) {
-    const NodeId u = PairFirst(sparse.keys()[i]);
-    const NodeId v = PairSecond(sparse.keys()[i]);
-    max_diff =
-        std::max(max_diff, std::abs(sparse.values()[i] - dense.Score(u, v)));
-  }
-  return max_diff;
-}
-
-void SparseVsDense() {
+void ThetaRegimes() {
   bench::PrintHeader(
-      "Ablation (a): sparse candidate store vs dense matrix iteration "
-      "(FSim_s and FSim_b, paper defaults; dense on its tile panels)");
-  TablePrinter table({"dataset", "variant", "theta", "pairs", "sparse",
-                      "dense", "max |diff|"});
+      "Ablation (a): ComputeFSim at theta=0 (tile panels) vs theta=1 (CSR "
+      "neighbor index), FSim_s and FSim_b, paper defaults");
+  TablePrinter table({"dataset", "variant", "theta", "path", "pairs",
+                      "t=1", "t=4", "index MB"});
   for (const char* name : {"yeast", "nell"}) {
     Graph g = MakeDatasetByName(name);
     for (SimVariant variant : {SimVariant::kSimple, SimVariant::kBi}) {
@@ -47,43 +38,42 @@ void SparseVsDense() {
         FSimConfig config = bench::PaperDefaults(variant);
         config.theta = theta;
         config.pair_limit = bench::kBenchPairLimit;
-        const char* variant_name = SimVariantName(variant);
-        const char* theta_name = theta == 0 ? "0" : "1";
-
-        Timer sparse_timer;
-        auto sparse = ComputeFSim(g, g, config);
-        const double sparse_s = sparse_timer.Seconds();
-        if (!sparse.ok()) {
-          table.AddRow({name, variant_name, theta_name, "-",
-                        sparse.status().ToString(), "-", "-"});
-          continue;
+        std::vector<std::string> row = {
+            name, SimVariantName(variant), theta == 0 ? "0" : "1",
+            RunsOnTilePanels(config) ? "panels" : "csr index"};
+        std::string pairs = "-";
+        std::string index_mb = "-";
+        std::vector<std::string> times;
+        for (int threads : {1, 4}) {
+          config.num_threads = threads;
+          Timer timer;
+          auto scores = ComputeFSim(g, g, config);
+          const double seconds = timer.Seconds();
+          if (!scores.ok()) {
+            times.push_back(scores.status().ToString());
+            continue;
+          }
+          times.push_back(bench::FormatSeconds(seconds));
+          pairs = std::to_string(scores->NumPairs());
+          char mb[24];
+          std::snprintf(mb, sizeof(mb), "%.2f",
+                        static_cast<double>(
+                            scores->stats().neighbor_index_bytes) /
+                            1e6);
+          index_mb = mb;
         }
-
-        Timer dense_timer;
-        auto dense = ComputeFSimDense(g, g, config);
-        const double dense_s = dense_timer.Seconds();
-        if (!dense.ok()) {
-          table.AddRow({name, variant_name, theta_name,
-                        std::to_string(sparse->NumPairs()),
-                        bench::FormatSeconds(sparse_s),
-                        dense.status().ToString(), "-"});
-          continue;
-        }
-        char diff[24];
-        std::snprintf(diff, sizeof(diff), "%.1e",
-                      MaxAbsDiffOnPairs(*sparse, *dense));
-        table.AddRow({name, variant_name, theta_name,
-                      std::to_string(sparse->NumPairs()),
-                      bench::FormatSeconds(sparse_s),
-                      bench::FormatSeconds(dense_s), diff});
+        row.push_back(pairs);
+        row.insert(row.end(), times.begin(), times.end());
+        row.push_back(index_mb);
+        table.AddRow(row);
       }
     }
   }
   table.Print();
   std::printf(
-      "expected: identical scores (diff ~ 0); dense wins only at theta=0, "
-      "where every pair is a candidate and the panels run flat; at "
-      "theta=1 sparse wins by not visiting incompatible pairs at all\n");
+      "expected: theta=0 iterates every pair on the tile panels in full "
+      "sweeps with a small index; theta=1 visits only same-label pairs "
+      "through the CSR index\n");
 }
 
 void GreedyVsHungarian() {
@@ -165,7 +155,7 @@ void TopKEarlyTermination() {
 }  // namespace
 
 int main() {
-  SparseVsDense();
+  ThetaRegimes();
   GreedyVsHungarian();
   TopKEarlyTermination();
   return 0;

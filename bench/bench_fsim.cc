@@ -2,8 +2,9 @@
 // optimization setting on the Yeast analog (the smallest Table 4 dataset) —
 // the per-iteration engine cost behind Figures 7 and 8. The main()
 // additionally times the build/iterate phases per variant and scheduling
-// policy (exact active set, full sweeps, tolerance) plus the dense engine,
-// and writes BENCH_fsim.json for the perf trajectory.
+// policy (exact active set, full sweeps, tolerance) plus the θ = 0
+// tile-panel path of s and b, and writes BENCH_fsim.json for the perf
+// trajectory.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/dense_engine.h"
 #include "core/fsim_engine.h"
 #include "core/simd/cpu_features.h"
 #include "core/simd/dispatch.h"
@@ -89,10 +89,10 @@ BENCHMARK(BM_FSimMatchingAlgo)
 /// `num_threads` workers (the sweep's max) and renders the measurements as
 /// the "tuning" JSON section of BENCH_fsim.json. Each knob is swept on the
 /// yeast θ=1 FSim_dp run around its shipped default; "chosen" records the
-/// default so a future PR that retunes leaves an audit trail. The dense
-/// 8×256 v-tile is timed on FSim_s at 1 vs N threads (tile shape is
-/// compile-time, so the check is that the tiled kernel still scales rather
-/// than a re-sweep).
+/// default so a future PR that retunes leaves an audit trail. The θ = 0
+/// tile-panel path's 8×256 v-tile is timed on FSim_s at 1 vs N threads
+/// (tile shape is compile-time, so the check is that the tiled kernel still
+/// scales rather than a re-sweep).
 std::string RunTuningSweep(int num_threads) {
   const Graph& g = Yeast();
   std::string out = "{\n";
@@ -160,33 +160,35 @@ std::string RunTuningSweep(int num_threads) {
                 FSimConfig().active_set_activation_fraction);
   out += buf;
 
-  // Dense 8×256 v-tile at 1 vs N threads (ComputeFSimDense inherits the
-  // pool through config.num_threads). The dense engine runs s and b only.
-  double dense_s[2] = {0.0, 0.0};
+  // θ = 0 8×256 v-tile at 1 vs N threads (the panel loop runs on the
+  // run's pool, config.num_threads).
+  double panel_s[2] = {0.0, 0.0};
   for (int pass = 0; pass < 2; ++pass) {
     FSimConfig config = BaseConfig(SimVariant::kSimple);
-    config.theta = 1.0;
+    config.theta = 0.0;
     config.num_threads = pass == 0 ? 1 : num_threads;
-    auto dense = ComputeFSimDense(g, g, config);
-    if (!dense.ok()) {
-      std::fprintf(stderr, "fatal: tuning-sweep dense run failed\n");
+    auto panels = ComputeFSim(g, g, config);
+    if (!panels.ok()) {
+      std::fprintf(stderr, "fatal: tuning-sweep theta=0 run failed\n");
       std::abort();
     }
-    dense_s[pass] = dense->stats().iterate_seconds;
+    panel_s[pass] = panels->stats().iterate_seconds;
   }
   std::snprintf(buf, sizeof(buf),
-                "    \"dense_vtile_8x256\": {\"t1\": %.6f, \"t%d\": %.6f}\n",
-                dense_s[0], num_threads, dense_s[1]);
+                "    \"theta0_vtile_8x256\": {\"t1\": %.6f, \"t%d\": %.6f}\n",
+                panel_s[0], num_threads, panel_s[1]);
   out += buf;
-  std::printf("  dense v-tile: t1=%s t%d=%s\n",
-              bench::FormatSeconds(dense_s[0]).c_str(), num_threads,
-              bench::FormatSeconds(dense_s[1]).c_str());
+  std::printf("  theta=0 v-tile: t1=%s t%d=%s\n",
+              bench::FormatSeconds(panel_s[0]).c_str(), num_threads,
+              bench::FormatSeconds(panel_s[1]).c_str());
   out += "  }";
   return out;
 }
 
-/// Scalar-vs-vectorized dense iterate per max-family variant (s and b),
-/// t=1 and t=N, rendered as the raw "simd" JSON section. Every timing is
+/// Scalar-vs-vectorized θ = 0 tile-panel iterate per max-family variant
+/// (s and b), t=1 and t=N, rendered as the raw "simd_theta0" JSON section
+/// (older history lines hold θ = 1 timings under "simd"; a distinct key
+/// keeps the gate from comparing across θ). Every timing is
 /// the min over kSimdReps runs (the CI container's run-to-run variance
 /// swamps single-shot numbers), every vector run is cross-checked
 /// bit-identical against the forced-scalar run, and "host_level" records
@@ -237,31 +239,30 @@ std::string RunSimdSweep(int num_threads) {
         double best = 0.0;
         for (int rep = 0; rep < kSimdReps; ++rep) {
           FSimConfig config = BaseConfig(variant);
-          config.theta = 1.0;
+          config.theta = 0.0;
           config.num_threads = threads;
           setenv("FSIM_SIMD", level, 1);
-          auto dense = ComputeFSimDense(g, g, config);
+          auto panels = ComputeFSim(g, g, config);
           if (kSavedEnv) {
             setenv("FSIM_SIMD", saved_env.c_str(), 1);
           } else {
             unsetenv("FSIM_SIMD");
           }
-          if (!dense.ok()) {
+          if (!panels.ok()) {
             std::fprintf(stderr, "fatal: simd sweep run failed (%s/%s)\n",
                          name, level);
             std::abort();
           }
-          const double s = dense->stats().iterate_seconds;
+          const double s = panels->stats().iterate_seconds;
           if (rep == 0 || s < best) best = s;
           if (rep == 0) {
             if (baseline.empty()) {
-              baseline.assign(dense->values().begin(),
-                              dense->values().end());
+              baseline = panels->values();
             } else {
               // The panel path's bit-identity contract, enforced where the
               // headline numbers are produced.
               for (size_t i = 0; i < baseline.size(); ++i) {
-                if (dense->values()[i] != baseline[i]) {
+                if (panels->values()[i] != baseline[i]) {
                   std::fprintf(
                       stderr,
                       "fatal: %s/%s not bit-identical to scalar at [%zu]\n",
@@ -430,23 +431,23 @@ void RunPhaseTimings() {
     }
     std::printf("\n");
   }
-  // Dense engine: the tile-panel loop (core/dense_engine.h) on the
-  // yeast-scale labeled config, for the two mappings it accepts. Recorded
-  // under the "dense" section.
-  std::printf("\ndense    build      iterate\n");
+  // θ = 0: s and b run on the tile panels (core/panel_engine.h), every
+  // pair a candidate. Recorded under the "theta0" section, apart from the
+  // θ = 1 "dense" series of older history lines.
+  std::printf("\ntheta=0  build      iterate\n");
   for (SimVariant variant : {SimVariant::kSimple, SimVariant::kBi}) {
     FSimConfig config = BaseConfig(variant);
-    config.theta = 1.0;
-    auto indexed = ComputeFSimDense(g, g, config);
-    if (!indexed.ok()) {
-      std::fprintf(stderr, "fatal: dense phase-timing run failed\n");
+    config.theta = 0.0;
+    auto panels = ComputeFSim(g, g, config);
+    if (!panels.ok()) {
+      std::fprintf(stderr, "fatal: theta=0 phase-timing run failed\n");
       std::abort();
     }
     const char* name = SimVariantName(variant);
-    json.AddDense(std::string(name) + "/indexed", indexed->stats());
+    json.AddTheta0(std::string(name) + "/panels", panels->stats());
     std::printf("%-8s %-10s %-10s\n", name,
-                bench::FormatSeconds(indexed->stats().build_seconds).c_str(),
-                bench::FormatSeconds(indexed->stats().iterate_seconds).c_str());
+                bench::FormatSeconds(panels->stats().build_seconds).c_str(),
+                bench::FormatSeconds(panels->stats().iterate_seconds).c_str());
   }
 
   // Thread-count sweep: the indexed (exact active set) and tolerance paths
@@ -525,7 +526,8 @@ void RunPhaseTimings() {
     json.SetTuningJson(RunTuningSweep(thread_counts.back()));
   }
   json.AddRawSection(
-      "simd", RunSimdSweep(thread_counts.empty() ? 1 : thread_counts.back()));
+      "simd_theta0",
+      RunSimdSweep(thread_counts.empty() ? 1 : thread_counts.back()));
   json.AddRawSection("trace_overhead", RunTraceOverheadGuard());
 
   if (!json.WriteFile("BENCH_fsim.json")) {

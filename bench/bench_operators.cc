@@ -3,8 +3,8 @@
 // ablation behind the paper's complexity claim in §4.2), the per-direction
 // operator evaluation, the pair-space slot lookups behind every score
 // query (PairSpace::Find), and the isolated stages of the vectorized tile
-// kernels (core/simd/) — panel/work-list build (the θ-compat bitset tests),
-// the masked-gather accumulate pass, and the normalize reduction — per
+// kernels (core/simd/) — panel/work-list build, the masked-gather
+// accumulate pass, and the normalize reduction — per
 // kernel level, through the kernel table only (no intrinsics here; the
 // simd-isolation lint rule keeps those in src/core/simd/).
 #include <benchmark/benchmark.h>
@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -93,78 +94,36 @@ BENCHMARK(BM_DirectionScore)
 
 // ---------------------------------------------------------------------------
 // Tile-kernel stages (core/simd/). A synthetic yeast-shaped workload: one
-// 256-entry tile, Poisson-ish degrees around 6 across 13 label classes,
-// half the class pairs θ-compatible — the shape the dense engine feeds the
-// kernels at, without the engine around it.
+// 256-entry tile with degrees between 2 and 10 — the shape ComputeFSim's
+// θ = 0 panel loop feeds the kernels at, without the engine around it.
 
-constexpr uint32_t kBenchClasses = 13;
 constexpr uint32_t kBenchTile = 256;
 
-/// Backing store for the GroupedNeighborhood views BuildTilePanelSet pulls.
-struct SyntheticNeighborhoods {
-  std::vector<std::vector<ClassGroup>> groups;
-  std::vector<std::vector<NodeId>> nodes;
-  std::vector<std::vector<uint32_t>> pos;
-  // θ-compat bitsets (ClassCompatView rows).
-  std::vector<uint64_t> bits;
-  size_t words = 0;
-
-  GroupedNeighborhood View(NodeId v) const {
-    return {groups[v], nodes[v].data(), pos[v].data(), nodes[v].size()};
-  }
-  ClassCompatView Compat() const { return {bits.data(), words}; }
-};
-
-const SyntheticNeighborhoods& BenchNeighborhoods() {
-  static const SyntheticNeighborhoods store = [] {
-    SyntheticNeighborhoods s;
+/// The id-sorted neighbor lists BuildTilePanelSet pulls.
+const std::vector<std::vector<NodeId>>& BenchNeighbors() {
+  static const std::vector<std::vector<NodeId>> lists = [] {
+    std::vector<std::vector<NodeId>> out(kBenchTile);
     Rng rng(271828);
-    s.groups.resize(kBenchTile);
-    s.nodes.resize(kBenchTile);
-    s.pos.resize(kBenchTile);
-    for (uint32_t v = 0; v < kBenchTile; ++v) {
+    for (std::vector<NodeId>& list : out) {
       const uint32_t deg = 2 + static_cast<uint32_t>(rng.NextBounded(9));
-      // Grouped (class, id) order with the original-position permutation,
-      // mimicking DenseIndex's GroupedAdjacency layout.
-      std::vector<std::pair<uint32_t, uint32_t>> by_class(deg);
       for (uint32_t k = 0; k < deg; ++k) {
-        by_class[k] = {static_cast<uint32_t>(rng.NextBounded(kBenchClasses)),
-                       k};
+        list.push_back(static_cast<NodeId>(rng.NextBounded(kBenchTile)));
       }
-      std::sort(by_class.begin(), by_class.end());
-      uint32_t run_begin = 0;
-      for (uint32_t k = 0; k < deg; ++k) {
-        s.nodes[v].push_back(
-            static_cast<NodeId>(rng.NextBounded(kBenchTile)));
-        s.pos[v].push_back(by_class[k].second);
-        if (k + 1 == deg || by_class[k + 1].first != by_class[k].first) {
-          s.groups[v].push_back({static_cast<LabelId>(by_class[k].first),
-                                 run_begin, k + 1});
-          run_begin = k + 1;
-        }
-      }
+      std::sort(list.begin(), list.end());
+      list.erase(std::unique(list.begin(), list.end()), list.end());
     }
-    s.words = (kBenchClasses + 63) / 64;
-    s.bits.assign(kBenchClasses * s.words, 0);
-    for (uint32_t a = 0; a < kBenchClasses; ++a) {
-      for (uint32_t b = 0; b < kBenchClasses; ++b) {
-        if ((a + b) % 2 == 0) {  // half the pairs compatible
-          s.bits[a * s.words + (b >> 6)] |= uint64_t{1} << (b & 63);
-        }
-      }
-    }
-    return s;
+    return out;
   }();
-  return store;
+  return lists;
+}
+
+std::span<const NodeId> BenchNeighborsOf(NodeId v) {
+  return BenchNeighbors()[v];
 }
 
 const simd::TilePanelSet& BenchPanelSet() {
-  static const simd::TilePanelSet set = [] {
-    const SyntheticNeighborhoods& s = BenchNeighborhoods();
-    return simd::BuildTilePanelSet(
-        kBenchTile, kBenchTile, kBenchClasses, s.Compat(), /*with_inv=*/true,
-        [&s](NodeId v) { return s.View(v); });
-  }();
+  static const simd::TilePanelSet set =
+      simd::BuildTilePanelSet(kBenchTile, kBenchTile, BenchNeighborsOf);
   return set;
 }
 
@@ -182,21 +141,20 @@ const simd::SimdKernels* BenchKernels(int level) {
   }
 }
 
-/// Panel + work-list build: the per-run θ-compat bitset tests and nibble
-/// packing (amortized across the whole solve in the engine; isolated here).
+/// Panel + work-list build: the id copy and nibble packing (amortized
+/// across the whole solve in the engine; isolated here).
 void BM_TilePanelBuild(benchmark::State& state) {
-  const SyntheticNeighborhoods& s = BenchNeighborhoods();
+  BenchNeighbors();
   for (auto _ : state) {
-    simd::TilePanelSet set = simd::BuildTilePanelSet(
-        kBenchTile, kBenchTile, kBenchClasses, s.Compat(), /*with_inv=*/true,
-        [&s](NodeId v) { return s.View(v); });
+    simd::TilePanelSet set =
+        simd::BuildTilePanelSet(kBenchTile, kBenchTile, BenchNeighborsOf);
     benchmark::DoNotOptimize(set.tiles.size());
   }
 }
 BENCHMARK(BM_TilePanelBuild)->Unit(benchmark::kMicrosecond);
 
-/// The accumulate stage: one row's masked-gather max pass over every class
-/// work list of the tile (the s-variant inner loop).
+/// The accumulate stage: one row's masked-gather max pass over the tile's
+/// work list (the s-variant inner loop).
 void BM_TileRowPass(benchmark::State& state) {
   const simd::SimdKernels* kern = BenchKernels(static_cast<int>(state.range(0)));
   if (kern == nullptr) {
@@ -209,11 +167,8 @@ void BM_TileRowPass(benchmark::State& state) {
   for (double& v : prev) v = rng.NextDouble();
   std::vector<double> acc(panel.entries);
   for (auto _ : state) {
-    for (uint32_t a = 0; a < kBenchClasses; ++a) {
-      const auto items = panel.WorkList(static_cast<LabelId>(a));
-      kern->tile_row_pass(items.data(), items.size(), panel.ids.data(),
-                          prev.data(), acc.data());
-    }
+    kern->tile_row_pass(panel.items.data(), panel.items.size(),
+                        panel.ids.data(), prev.data(), acc.data());
     benchmark::DoNotOptimize(acc.data());
   }
 }
@@ -237,12 +192,9 @@ void BM_TileRowPassColmax(benchmark::State& state) {
   AlignedVector<double> colmax(panel.SlotCount());
   for (auto _ : state) {
     kern->fill(colmax.data(), colmax.size(), 0.0);
-    for (uint32_t a = 0; a < kBenchClasses; ++a) {
-      const auto items = panel.WorkList(static_cast<LabelId>(a));
-      kern->tile_row_pass_colmax(items.data(), items.size(),
-                                 panel.ids.data(), prev.data(), acc.data(),
-                                 colmax.data());
-    }
+    kern->tile_row_pass_colmax(panel.items.data(), panel.items.size(),
+                               panel.ids.data(), prev.data(), acc.data(),
+                               colmax.data());
     benchmark::DoNotOptimize(colmax.data());
   }
 }

@@ -133,11 +133,11 @@ class PhaseTimingsJson {
     records_.push_back(MakeRecord(name, stats, num_threads));
   }
 
-  /// Adds a record to the separate "dense" section (the ComputeFSimDense
-  /// label-class-index timings).
-  void AddDense(const std::string& name, const FSimStats& stats,
-                int num_threads = 1) {
-    dense_records_.push_back(MakeRecord(name, stats, num_threads));
+  /// Adds a record to the separate "theta0" section (ComputeFSim's θ = 0
+  /// tile-panel timings).
+  void AddTheta0(const std::string& name, const FSimStats& stats,
+                 int num_threads = 1) {
+    theta0_records_.push_back(MakeRecord(name, stats, num_threads));
   }
 
   /// Attaches a pre-rendered JSON object emitted as a top-level "tuning"
@@ -153,19 +153,19 @@ class PhaseTimingsJson {
 
   const std::vector<Record>& records() const { return records_; }
 
-  /// Writes {"runs": {name: {...}, ...}, "dense": {...}} to `path`;
-  /// returns false on I/O failure. The "dense" key is omitted while empty
+  /// Writes {"runs": {name: {...}, ...}, "theta0": {...}} to `path`;
+  /// returns false on I/O failure. The "theta0" key is omitted while empty
   /// so older consumers keep parsing unchanged files.
   bool WriteFile(const std::string& path) const {
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) return false;
     std::fprintf(f, "{\n");
-    const bool more_after_runs = !dense_records_.empty() ||
+    const bool more_after_runs = !theta0_records_.empty() ||
                                  !tuning_json_.empty() ||
                                  !raw_sections_.empty();
     WriteSection(f, "runs", records_, /*trailing_comma=*/more_after_runs);
-    if (!dense_records_.empty()) {
-      WriteSection(f, "dense", dense_records_,
+    if (!theta0_records_.empty()) {
+      WriteSection(f, "theta0", theta0_records_,
                    /*trailing_comma=*/!tuning_json_.empty() ||
                        !raw_sections_.empty());
     }
@@ -230,7 +230,7 @@ class PhaseTimingsJson {
   }
 
   std::vector<Record> records_;
-  std::vector<Record> dense_records_;
+  std::vector<Record> theta0_records_;
   std::string tuning_json_;
   std::vector<std::pair<std::string, std::string>> raw_sections_;
 };

@@ -20,6 +20,8 @@
 //
 // With no --g2 the graph is compared against itself. With no action flag
 // the tool prints run statistics and the 10 best non-trivial pairs.
+// --simd caps the kernel level of the θ = 0 s/b runs, which iterate on the
+// tile panels; every other run ignores it.
 #include <algorithm>
 #include <climits>
 #include <cstdio>
@@ -70,7 +72,9 @@ int Usage(const char* argv0) {
       "          [--wal-dir <dir>] [--wal-snapshot-edits N]\n"
       "          [--queue-capacity N] [--flush-timeout S]\n"
       "          [--failpoints <site=spec;...>] [--validate]\n"
-      "          [--metrics] [--trace-out <file>]\n",
+      "          [--metrics] [--trace-out <file>]\n"
+      "--simd caps the vector kernel level of theta=0 s/b runs (the tile\n"
+      "panels); other runs do not use the kernels\n",
       argv0);
   return 2;
 }
@@ -301,8 +305,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--frontier-tolerance") == 0) {
       config.frontier_tolerance = parse_double_flag("--frontier-tolerance");
     } else if (std::strcmp(argv[i], "--simd") == 0) {
-      // Kernel-level ceiling for the dense engine (core/simd/dispatch.h);
-      // the FSIM_SIMD environment variable, when set, wins over this flag.
+      // Kernel-level ceiling for the θ = 0 s/b tile panels
+      // (core/simd/dispatch.h); the FSIM_SIMD environment variable, when
+      // set, wins over this flag.
       if (!simd::ParseSimdMode(need_value("--simd"), &config.simd)) {
         return Usage(argv[0]);
       }

@@ -52,13 +52,16 @@ def main():
         with open(args.fsim) as f:
             fsim = json.load(f)
         record["fsim"] = fsim_summary(fsim.get("runs", {}))
-        if fsim.get("dense"):
-            record["dense"] = fsim_summary(fsim["dense"])
-        # The "simd" section is already compact (per-variant scalar-vs-vector
-        # iterate seconds and speedups from bench_fsim's min-of-N sweep);
-        # fold it through as-is so the gate tracks the `*_s` time series.
-        if fsim.get("simd"):
-            record["simd"] = fsim["simd"]
+        # The θ = 0 tile-panel timings. Older lines carry θ = 1 dense-engine
+        # timings under "dense"/"simd"; the new keys start fresh series.
+        if fsim.get("theta0"):
+            record["theta0"] = fsim_summary(fsim["theta0"])
+        # The "simd_theta0" section is already compact (per-variant
+        # scalar-vs-vector iterate seconds and speedups from bench_fsim's
+        # min-of-N sweep); fold it through as-is so the gate tracks the
+        # `*_s` time series.
+        if fsim.get("simd_theta0"):
+            record["simd_theta0"] = fsim["simd_theta0"]
     except OSError as e:
         print(f"warning: skipping fsim summary: {e}", file=sys.stderr)
     try:

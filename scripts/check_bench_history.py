@@ -25,10 +25,13 @@ per-entry "num_threads" leaf is skipped rather than gated. A CI runner
 whose core count changes therefore starts fresh series instead of
 comparing a 4-thread run against 1-thread medians.
 
-The "simd.<variant>.<level>_t<N>_s" leaves (scalar-vs-vectorized dense
-iterate, bench_fsim's min-of-N sweep) gate as ordinary lower-is-better
-series; the derived "speedup_*" ratios are informational, since each one
-is the quotient of two already-gated times.
+The "simd_theta0.<variant>.<level>_t<N>_s" leaves (scalar-vs-vectorized
+θ = 0 tile-panel iterate of ComputeFSim, bench_fsim's min-of-N sweep) gate
+as ordinary lower-is-better series; the derived "speedup_*" ratios are
+informational, since each one is the quotient of two already-gated times.
+The "theta0.*" and "simd_theta0.*" series replace the "dense.*" and
+"simd.*" ones of older lines, which timed a separate dense engine at
+θ = 1: new keys, so no θ = 0 time is ever compared against a θ = 1 median.
 
 PR 5 note: "fsim.<variant>/indexed.iterate_s" now measures the active-set
 engine (exact mode, the library default — bit-identical to full sweeps and
@@ -71,8 +74,8 @@ def is_informational(path):
     # *_max_us latency leaves are a single worst sample (one scheduler stall
     # inflates them 1000x), so they are recorded but never gated; the p50/p99
     # quantile leaves gate through the default lower-is-better rule.
-    # speedup_* ratios (the simd section) are derived from two gated time
-    # series; gating the ratio too would double-count one noisy sample.
+    # speedup_* ratios (the simd_theta0 section) are derived from two gated
+    # time series; gating the ratio too would double-count one noisy sample.
     return (leaf == "iters" or leaf == "num_threads"
             or leaf.endswith("_fraction") or leaf.endswith("_max_us")
             or leaf.startswith("speedup_"))

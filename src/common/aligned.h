@@ -6,7 +6,7 @@
 // forwards the alignment. AlignedVector is layout- and API-compatible with
 // std::vector (it IS std::vector), so call sites keep .data()/.size()/[]
 // unchanged — only the template type differs where alignment is part of
-// the contract (dense score panels, compat bitsets, SoA tile panels).
+// the contract (SoA tile panels and their column-maximum scratch).
 #ifndef FSIM_COMMON_ALIGNED_H_
 #define FSIM_COMMON_ALIGNED_H_
 

@@ -2,9 +2,12 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <type_traits>
 
 namespace fsim {
 
@@ -71,9 +74,22 @@ std::string StrFormat(const char* fmt, ...) {
 
 namespace {
 
+/// True when strtod's ERANGE reports underflow rather than overflow: the
+/// result is finite and no larger in magnitude than the smallest normal
+/// double (a subnormal or zero), and it is the nearest double to the text.
+template <typename T>
+bool IsUnderflow(T value) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return std::isfinite(value) &&
+           std::abs(value) <= std::numeric_limits<T>::min();
+  } else {
+    return false;
+  }
+}
+
 /// Shared strto* harness: NUL-terminates the trimmed input (strto* needs a C
 /// string), runs `parse`, and rejects empty input, trailing garbage, and
-/// ERANGE uniformly.
+/// ERANGE overflow uniformly; a floating-point underflow stands.
 template <typename T, typename Parse>
 Result<T> ParseWith(std::string_view s, const char* kind, Parse parse) {
   const std::string text(Trim(s));
@@ -95,7 +111,7 @@ Result<T> ParseWith(std::string_view s, const char* kind, Parse parse) {
                               static_cast<const char*>(end))
                       .c_str()));
   }
-  if (errno == ERANGE) {
+  if (errno == ERANGE && !IsUnderflow(value)) {
     return Status::OutOfRange(
         StrFormat("'%s' overflows the %s range", text.c_str(), kind));
   }

@@ -32,9 +32,11 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /// Checked numeric parsers for CLI/file input. Unlike atoi/atof they reject
-/// empty input, trailing garbage ("12abc"), and out-of-range values with a
-/// Status::InvalidArgument naming the offending text, instead of silently
-/// returning 0 or saturating.
+/// empty input and trailing garbage ("12abc") with a Status::InvalidArgument
+/// naming the offending text, and overflowing values with OutOfRange,
+/// instead of silently returning 0 or saturating. ParseDouble keeps an
+/// underflowing value (a subnormal such as 4.9406564584124654e-324, or
+/// zero): it is the nearest double, and what %.17g writes for one.
 Result<int64_t> ParseInt64(std::string_view s);
 Result<uint64_t> ParseUint64(std::string_view s);
 Result<double> ParseDouble(std::string_view s);

@@ -94,13 +94,14 @@ enum class LabelTermKind {
   kOne,       // 1 (RoleSim: the β "decay" becomes an additive constant)
 };
 
-/// Which vectorized kernel level the dense engine may use
-/// (core/simd/dispatch.h; docs/performance.md "Vectorized tile kernels").
+/// Which vectorized kernel level ComputeFSim's θ = 0 tile-panel loop for
+/// the s and b mappings may use (core/simd/dispatch.h; docs/performance.md
+/// "Vectorized tile kernels"); runs on the CSR neighbor index ignore it.
 /// A request above what the binary carries or the host supports clamps
 /// down (kAvx512 -> kAvx2 -> scalar); every level runs the same tile-panel
-/// loop and produces bit-identical scores (the dense engine accepts only
-/// the s/b mappings), so this is purely a performance knob. The FSIM_SIMD
-/// environment variable (off|avx2|avx512|auto) overrides the config value.
+/// loop and produces bit-identical scores, so this is purely a performance
+/// knob. The FSIM_SIMD environment variable (off|avx2|avx512|auto)
+/// overrides the config value.
 enum class SimdMode {
   kOff,     // scalar kernels only
   kAvx2,    // at most the AVX2 kernels
@@ -168,7 +169,8 @@ struct FSimConfig {
   /// (bytes): the sparse engines' pair-graph CSR index, which materializes
   /// per maintained pair the label-compatible candidate pairs of
   /// N±(u) x N±(v) as direct score-array references; the incremental
-  /// engine's editable span arena; the dense engine's label-class index.
+  /// engine's editable span arena; the tile panels plus the label-term
+  /// table of a θ = 0 s/b ComputeFSim run (core/panel_engine.h).
   /// A run whose index bound exceeds it fails with ResourceExhausted naming
   /// the bytes it needs, and an incremental edge insert that could grow the
   /// arena past it is rejected before the graph changes. Must be positive.
@@ -180,7 +182,9 @@ struct FSimConfig {
   /// Iterate-loop scheduling (see ActiveSetMode). The CSR neighbor index's
   /// spans double as the reverse-dependency lists; when only the widened
   /// span layout would exceed the budget, the index is built
-  /// evaluation-only and the engine runs full sweeps regardless.
+  /// evaluation-only and the engine runs full sweeps regardless. A θ = 0
+  /// s/b run iterates on the tile panels in full sweeps at every mode,
+  /// which meets each mode's contract.
   /// kExact is the default: it is bit-identical to full sweeps and on
   /// converging workloads freezes most pairs after the first few
   /// iterations (FSimStats::active_pairs_history / frozen_fraction).
@@ -215,9 +219,9 @@ struct FSimConfig {
   /// sweep in BENCH_fsim.json's tuning section.
   size_t iterate_grain = 64;
 
-  /// Vectorized kernel ceiling for the dense engine (see SimdMode). The
-  /// FSIM_SIMD environment variable takes precedence when set to a valid
-  /// value; -DFSIM_SIMD_FORCE_SCALAR builds ignore both.
+  /// Vectorized kernel ceiling for the θ = 0 tile panels (see SimdMode).
+  /// The FSIM_SIMD environment variable takes precedence when set to a
+  /// valid value; -DFSIM_SIMD_FORCE_SCALAR builds ignore both.
   SimdMode simd = SimdMode::kAuto;
 
   /// The effective operator pair.

@@ -7,6 +7,7 @@
 #include "common/timer.h"
 #include "core/pair_evaluator.h"
 #include "core/pair_store.h"
+#include "core/panel_engine.h"
 #include "obs/trace.h"
 
 namespace fsim {
@@ -78,12 +79,20 @@ Result<FSimScores> ComputeFSim(const Graph& g1, const Graph& g2,
   Timer build_timer;
   obs::TraceSpan init_span("engine.init");
   LabelSimilarityCache lsim(*g1.dict(), config.label_sim);
+  FSimStats stats;
+  if (RunsOnTilePanels(config)) {
+    FSIM_ASSIGN_OR_RETURN(
+        TilePanelEngine engine,
+        TilePanelEngine::Build(g1, g2, config, lsim, pool, &stats));
+    stats.build_seconds = build_timer.Seconds();
+    init_span.End();
+    engine.Run(&stats);
+    return engine.TakeScores(std::move(stats));
+  }
   FSIM_ASSIGN_OR_RETURN(PairStore store,
                         PairStore::Build(g1, g2, config, lsim,
                                          /*build_neighbor_index=*/true,
                                          &pool));
-
-  FSimStats stats;
   stats.theta_candidates = store.info().theta_candidates;
   stats.maintained_pairs = store.info().kept;
   stats.pruned_pairs = store.info().pruned;

@@ -18,7 +18,14 @@ Status ValidateFSimConfig(const Graph& g1, const Graph& g2,
 /// Computes fractional χ-simulation scores FSimχ(u, v) for u ∈ V(g1),
 /// v ∈ V(g2). The graphs must share one LabelDict. Returns the converged
 /// score container, or InvalidArgument for malformed configs / blown pair
-/// limits.
+/// limits, or ResourceExhausted when the run's index does not fit
+/// config.neighbor_index_budget_bytes.
+///
+/// The path follows from the config: at θ = 0 with the s or b mapping and
+/// no upper-bound updating, every pair is a candidate and the run iterates
+/// on the tile panels (core/panel_engine.h) in full sweeps; every other
+/// run iterates through the pair-graph CSR neighbor index under the
+/// active-set driver (core/pair_evaluator.h). Both give the same values.
 ///
 /// Guarantees (assuming MatchingAlgo::kHungarian for dp/bj, which makes
 /// condition C3 of Theorem 1 exact):

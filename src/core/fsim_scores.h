@@ -22,7 +22,9 @@ struct FSimStats {
   double final_delta = 0.0;
   double build_seconds = 0.0;
   double iterate_seconds = 0.0;
-  /// Heap footprint of the neighbor index the iterate loop ran on.
+  /// Heap footprint of the neighbor index the iterate loop ran on: the
+  /// CSR index, or for a θ = 0 s/b run its tile panels plus its
+  /// label-term table.
   size_t neighbor_index_bytes = 0;
   /// True when the index used the packed 8-byte entry layout (16-bit
   /// row/col), chosen whenever no weighted direction has a degree above
@@ -35,7 +37,8 @@ struct FSimStats {
   /// True when the iterate loop ran under active-set scheduling
   /// (FSimConfig::active_set != kOff and the neighbor index carries
   /// reverse-dependency spans — it does not when only the widened span
-  /// layout would have exceeded the budget).
+  /// layout would have exceeded the budget). Always false for a θ = 0 s/b
+  /// run, which iterates on the tile panels in full sweeps.
   bool active_set = false;
   /// Pairs evaluated per iteration under active-set scheduling (the first
   /// entry is the full maintained-pair count; later entries shrink as
@@ -52,12 +55,13 @@ struct FSimStats {
   /// frontier at or above FSimConfig::frontier_density_threshold.
   uint32_t full_sweep_iterations = 0;
   /// Resolved vectorized kernel level of the run (core/simd/kernels.h
-  /// SimdLevel: 0 = scalar, 1 = AVX2, 2 = AVX-512). Dense engine only;
-  /// sparse runs report 0.
+  /// SimdLevel: 0 = scalar, 1 = AVX2, 2 = AVX-512). Only θ = 0 s/b runs
+  /// iterate on the kernels (core/panel_engine.h); every other run
+  /// reports 0.
   uint32_t simd_level = 0;
-  /// Heap footprint of the dense engine's precomputed SoA tile panels
-  /// (core/simd/tile_panel.h), built at every SIMD level; 0 for the sparse
-  /// engines.
+  /// The part of neighbor_index_bytes taken by the precomputed SoA tile
+  /// panels (core/simd/tile_panel.h) of a θ = 0 s/b run, built at every
+  /// SIMD level; 0 for runs on the CSR neighbor index.
   size_t simd_panel_bytes = 0;
 };
 

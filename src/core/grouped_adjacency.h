@@ -1,9 +1,7 @@
 // Label-class-grouped neighbor lists: each node's out- or in-neighbor
-// list re-sorted by (label class, node id), with one run per class. Two
-// consumers read it. PairStore::Build walks g2's runs to visit only the
-// label-compatible candidate pairs of a neighbor-index span, and the dense
-// engine's tile panels (core/dense_index.h, core/simd/tile_panel.h) turn
-// the runs into per-class work lists.
+// list re-sorted by (label class, node id), with one run per class.
+// PairStore::Build walks g2's runs to visit only the label-compatible
+// candidate pairs of a neighbor-index span.
 #ifndef FSIM_CORE_GROUPED_ADJACENCY_H_
 #define FSIM_CORE_GROUPED_ADJACENCY_H_
 

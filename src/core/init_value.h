@@ -1,7 +1,7 @@
 // FSim^0 initialization (§3.3 and the §4.3 SimRank/RoleSim configurations)
 // and the additive label term of Equation 1/3, shared by every engine
-// (sparse, dense, top-k search) so the InitKind/LabelTermKind semantics
-// cannot silently diverge between them.
+// (sparse, θ = 0 tile panels, top-k search) so the InitKind/LabelTermKind
+// semantics cannot silently diverge between them.
 #ifndef FSIM_CORE_INIT_VALUE_H_
 #define FSIM_CORE_INIT_VALUE_H_
 
@@ -36,7 +36,7 @@ inline double InitValue(const FSimConfig& config,
 
 /// The additive L-term of Equation 1/3 for a label-class pair under
 /// config.label_term. Iteration-invariant, so engines hoist it — per pair
-/// (sparse) or per label-class pair (dense, core/dense_index.h).
+/// (sparse) or per label pair (θ = 0 tile panels, core/panel_engine.h).
 inline double LabelTermValue(const FSimConfig& config,
                              const LabelSimilarityCache& lsim, LabelId a,
                              LabelId b) {

@@ -31,9 +31,9 @@ namespace fsim {
 /// caller-owned MatchingScratch, so one instance serves all workers.
 ///
 /// This sparse per-pair path always runs the scalar operators of
-/// core/operators.h; only the dense engine's full-matrix tile-panel loop
-/// runs through the kernel table (core/simd/), and the two agree on the
-/// max family at 1e-12 (tests/dense_engine_test.cc).
+/// core/operators.h; only ComputeFSim's θ = 0 tile-panel loop for s and b
+/// (core/panel_engine.h) runs through the kernel table (core/simd/), and
+/// the two give identical values (tests/panel_engine_test.cc).
 class PairEvaluator {
  public:
   PairEvaluator(const Graph& g1, const Graph& g2, const FSimConfig& config,

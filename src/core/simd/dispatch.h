@@ -1,7 +1,9 @@
 // Runtime selection of the vectorized kernel level (core/simd/kernels.h).
 //
-// Precedence, resolved per ComputeFSimDense run (and once for the
-// process-wide consumers that have no config, like TopKInto):
+// Precedence, resolved per ComputeFSim run on the θ = 0 tile panels
+// (core/panel_engine.h; runs on the CSR neighbor index use no kernels),
+// and once for the process-wide consumers that have no config, like
+// TopKInto:
 //   1. -DFSIM_SIMD_FORCE_SCALAR (build flag): always scalar.
 //   2. FSIM_SIMD environment variable: off | avx2 | avx512 | auto
 //      (invalid values are ignored).

@@ -1,4 +1,5 @@
-// The vectorized kernel table of the dense engine's flat loops
+// The vectorized kernel table of the θ = 0 tile-panel loop
+// (core/panel_engine.h) and of FSimScores::TopKInto's prescan
 // (docs/performance.md "Vectorized tile kernels").
 //
 // Three interchangeable realizations — scalar (always built, the
@@ -7,23 +8,23 @@
 // same value contract:
 //
 //  * tile_row_pass / tile_row_pass_colmax — one S1-row pass over a tile
-//    panel's per-class work list (core/simd/tile_panel.h): masked gathers
+//    panel's work list (core/simd/tile_panel.h): masked gathers
 //    of previous-iteration scores, a running per-tile-entry maximum, and
 //    (for the both-sides operator) a slot-space column-maximum panel.
 //  * normalize_tile — the tile finalize sums[t] / Ωχ(|S1|, |S2_t|), the
 //    per-entry omega switch hoisted out and the division vectorized.
 //  * combine_row — the iterate loop's w+·out + w-·in + label-term
 //    combine with running max-|delta| reduction.
-//  * fill / gather_row / degree_ratio_row — the dense FSim^0 seeding
-//    pass, one kernel per InitKind shape.
+//  * fill / gather_row / degree_ratio_row — the full-matrix FSim^0
+//    seeding pass, one kernel per InitKind shape.
 //  * find_first_ge — the TopKInto score-reject prescan.
 //
 // Bit-identity contract: every vector kernel produces results bit-identical
-// to the scalar kernels (kernels_scalar.cc), so the dense engine's panel
-// loop returns the same scores at every level. The load-bearing
-// facts are (1) max over doubles is exact and order-free, (2) dense
-// scores are non-negative, so a masked-out lane contributing +0.0 equals
-// the scalar loop's `best = 0.0` seed, and (3) combine_row uses separate
+// to the scalar kernels (kernels_scalar.cc), so the panel loop returns
+// the same scores at every level. The load-bearing facts are (1) max
+// over doubles is exact and order-free, (2) scores are non-negative, so a
+// masked-out lane contributing +0.0 equals the scalar loop's `best = 0.0`
+// seed, and (3) combine_row uses separate
 // multiply and add (never FMA — its single rounding would diverge from
 // the scalar expression) in the scalar association ((w+·o) + (w-·i)) + L.
 // tests/simd_kernel_test.cc sweeps all levels against each other.
@@ -44,33 +45,28 @@ enum class SimdLevel : uint8_t {
   kAvx512 = 2,
 };
 
-/// One unit of tile-row work: a 4-slot nibble of a tile panel with at
-/// least one θ-compatible candidate for the row's label class. Work lists
-/// are precomputed per (panel, S1 class) — see TilePanel — so the row pass
-/// touches only compatible nibbles and never scans the panel's zero mask
-/// stretches (the 64-candidates-at-a-time compatibility test happens once
-/// at list-build time, off the LabelClassTable bitsets). The 4-slot
-/// granularity matches one AVX2 gather of doubles: on the sparse class
-/// runs that dominate real graphs (1–3 candidates per entry per class) an
-/// empty half-vector simply produces no work item, instead of a wasted
-/// all-masked gather lane group.
+/// One unit of tile-row work: a 4-slot nibble of a tile panel holding at
+/// least one candidate. Each panel precomputes its work list — see
+/// TilePanel — so the row pass never scans pad slots. The 4-slot
+/// granularity matches one AVX2 gather of doubles; only an entry's last
+/// nibble can be partially masked.
 struct PanelWorkItem {
   uint32_t slot;   // first panel slot of the nibble; always a multiple of 4
   uint16_t entry;  // tile entry the nibble belongs to
-  uint8_t mask;    // candidate bits 0..3: bit i = slot + i is compatible;
-                   // != 0, bits 4..7 always clear
+  uint8_t mask;    // candidate bits 0..3: bit i = slot + i is a
+                   // candidate; != 0, bits 4..7 always clear
   uint8_t reserved = 0;
 };
 static_assert(sizeof(PanelWorkItem) == 8, "work items are 8-byte packed");
 
-/// One S1-row pass over a class work list. Items are sorted by slot, hence
-/// grouped by ascending entry. Per entry present in the list:
+/// One S1-row pass over a panel's work list. Items are sorted by slot,
+/// hence grouped by ascending entry. Per entry present in the list:
 ///   best = max over set mask bits of prev_row[ids[slot + i]]  (>= 0)
 ///   if best > 0: acc[entry] += best
 /// Skipping the += for best == 0 is bit-identical to the scalar
 /// `acc[t] += best` (adding +0.0 to a non-negative accumulator is exact).
-/// Entries absent from the list (no compatible candidate) contribute
-/// nothing, exactly like the scalar best = 0.0 rows.
+/// Entries absent from the list (no candidate) contribute nothing,
+/// exactly like the scalar best = 0.0 rows.
 typedef void (*TileRowPassFn)(const PanelWorkItem* items, size_t n_items,
                               const int32_t* ids, const double* prev_row,
                               double* acc);
@@ -118,7 +114,7 @@ typedef void (*NormalizeTileFn)(const double* sums, const uint32_t* sizes,
 typedef void (*FillFn)(double* dst, size_t n, double value);
 
 /// dst[i] = base[idx[i]] (the kLabelSim seeding gather: base is the row's
-/// per-class L(ℓ(u), ·) values, idx the g2 label array).
+/// L(ℓ(u), ·) value per g2 label, idx g2's per-node label numbers).
 typedef void (*GatherRowFn)(const double* base, const int32_t* idx, size_t n,
                             double* dst);
 

@@ -5,9 +5,8 @@
 //
 // The row pass uses the VL subset at 256-bit width: one PanelWorkItem
 // nibble is four panel slots, one __mmask8 (low four bits), one 256-bit
-// masked gather — the 4-slot item granularity keeps every gather dense on
-// sparse class runs (see kernels.h), and the mask feeds the gather
-// directly with no LUT. The flat kernels (combine, seeding, normalize,
+// masked gather (see kernels.h), and the mask feeds the gather directly
+// with no LUT. The flat kernels (combine, seeding, normalize,
 // prescan) run full 512-bit. Bit-identity follows the same contract as
 // the AVX2 file: VMAXPD only for maxima (+0.0 masked lanes = scalar
 // seed), VMULPD + VADDPD in scalar association for combine_row, never

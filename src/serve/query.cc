@@ -2,18 +2,26 @@
 
 #include <algorithm>
 
+#include "common/check.h"
 #include "obs/trace.h"
 
 namespace fsim {
 
-namespace {
-
-QueryEngine::Clock::time_point DeadlineFor(double budget_ms) {
-  if (budget_ms <= 0.0) return QueryEngine::Clock::time_point::max();
-  return QueryEngine::Clock::now() +
-         std::chrono::duration_cast<QueryEngine::Clock::duration>(
-             std::chrono::duration<double, std::milli>(budget_ms));
+QueryEngine::Clock::time_point QueryEngine::DeadlineFor(double budget_ms) {
+  FSIM_DCHECK(ValidBudget(budget_ms));
+  constexpr Clock::time_point kNoDeadline = Clock::time_point::max();
+  if (!(budget_ms > 0.0)) return kNoDeadline;
+  const Clock::time_point now = Clock::now();
+  // Compared in double milliseconds first: converting a budget past the
+  // clock's range to its integer ticks is undefined behaviour. The 1/1024
+  // slack absorbs the rounding of both sides to double.
+  const std::chrono::duration<double, std::milli> budget(budget_ms);
+  const std::chrono::duration<double, std::milli> headroom = kNoDeadline - now;
+  if (budget >= headroom - headroom / 1024.0) return kNoDeadline;
+  return now + std::chrono::duration_cast<Clock::duration>(budget);
 }
+
+namespace {
 
 /// Best-effort TOPK from the snapshot's precomputed cache prefix: the first
 /// min(k, cache_k, |row|) ranked entries, no row scan, no allocation beyond
@@ -97,6 +105,9 @@ QueryResult QueryEngine::Answer(const FSimSnapshot& snapshot,
 }
 
 Result<QueryResult> QueryEngine::Run(const Query& query) const {
+  if (!ValidBudget(query.budget_ms)) {
+    return Status::InvalidArgument("budget_ms must be finite and >= 0");
+  }
   obs::Histogram* latency =
       query.kind == Query::Kind::kPair
           ? latency_pair_
@@ -112,6 +123,9 @@ Result<QueryResult> QueryEngine::Run(const Query& query) const {
 
 Result<std::vector<QueryResult>> QueryEngine::RunBatch(
     std::span<const Query> queries, double budget_ms) const {
+  if (!ValidBudget(budget_ms)) {
+    return Status::InvalidArgument("budget_ms must be finite and >= 0");
+  }
   // One observation for the whole batch — per-query timing inside the
   // fan-out lambda would put two clock reads around O(1) answers.
   obs::ScopedLatencyTimer timer(latency_batch_);

@@ -13,6 +13,7 @@
 #define FSIM_SERVE_QUERY_H_
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -38,8 +39,10 @@ struct Query {
   NodeId v = 0;     // kPair
   size_t k = 0;     // kTopK
   double tau = 0.0; // kThreshold
-  /// Deadline budget in milliseconds; 0 = unlimited. Run() starts the
-  /// clock on entry; RunBatch shares one clock across the whole batch.
+  /// Deadline budget in milliseconds; 0 = unlimited, and so is a finite
+  /// budget past the clock's range. Must be finite and >= 0
+  /// (QueryEngine::ValidBudget). Run() starts the clock on entry; RunBatch
+  /// shares one clock across the whole batch.
   double budget_ms = 0.0;
 };
 
@@ -76,7 +79,8 @@ class QueryEngine {
   explicit QueryEngine(const SnapshotStore* store, ThreadPool* pool = nullptr);
 
   /// Answers one query against the current snapshot. NotFound when no
-  /// snapshot has been published yet. Honors query.budget_ms.
+  /// snapshot has been published yet, InvalidArgument for a budget
+  /// ValidBudget rejects. Honors query.budget_ms.
   Result<QueryResult> Run(const Query& query) const;
 
   /// Answers all queries against ONE acquired snapshot (cross-query
@@ -84,9 +88,21 @@ class QueryEngine {
   /// Batches of at least kParallelBatchMin queries run on the pool when one
   /// was supplied; results are in query order either way. `budget_ms` (0 =
   /// unlimited) is one shared deadline for the whole batch: queries
-  /// evaluated after it expires degrade to cache answers.
+  /// evaluated after it expires degrade to cache answers. InvalidArgument
+  /// for a budget ValidBudget rejects.
   Result<std::vector<QueryResult>> RunBatch(std::span<const Query> queries,
                                             double budget_ms = 0.0) const;
+
+  /// True for a budget Run and RunBatch accept: finite and >= 0.
+  static bool ValidBudget(double budget_ms) {
+    return std::isfinite(budget_ms) && budget_ms >= 0.0;
+  }
+
+  /// The deadline `budget_ms` milliseconds from now, for a ValidBudget
+  /// budget: time_point::max() (no deadline) for 0 and for a budget past
+  /// the clock's range. The one budget-to-deadline conversion of Run,
+  /// RunBatch and the protocol's BATCH.
+  static Clock::time_point DeadlineFor(double budget_ms);
 
   /// Below this batch size the pool dispatch costs more than the queries.
   static constexpr size_t kParallelBatchMin = 64;

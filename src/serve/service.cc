@@ -33,14 +33,19 @@ bool ParseU32(std::string_view token, uint32_t* out) {
   return true;
 }
 
-bool ParseDouble(std::string_view token, double* out) {
-  const std::string s(token);
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size() || s.empty()) return false;
-  *out = value;
+/// Parses a number through the shared ParseDouble; false on anything it
+/// rejects.
+bool ParseNumber(std::string_view token, double* out) {
+  const Result<double> value = ParseDouble(token);
+  if (!value.ok()) return false;
+  *out = *value;
   return true;
+}
+
+/// Parses a query budget in milliseconds: a number QueryEngine accepts
+/// (finite and >= 0).
+bool ParseBudget(std::string_view token, double* out) {
+  return ParseNumber(token, out) && QueryEngine::ValidBudget(*out);
 }
 
 /// Parses a PAIR/TOPK/THRESH request; writes an error message otherwise.
@@ -65,8 +70,7 @@ bool ParseQuery(const std::vector<std::string_view>& tokens, Query* query,
     double budget_ms = 0.0;
     if (tokens.size() < 3 || tokens.size() > 4 ||
         !ParseU32(tokens[1], &query->u) || !ParseU32(tokens[2], &k) ||
-        (tokens.size() == 4 &&
-         (!ParseDouble(tokens[3], &budget_ms) || budget_ms < 0.0))) {
+        (tokens.size() == 4 && !ParseBudget(tokens[3], &budget_ms))) {
       *error = "usage: TOPK <u> <k> [budget_ms]";
       return false;
     }
@@ -79,9 +83,8 @@ bool ParseQuery(const std::vector<std::string_view>& tokens, Query* query,
     double budget_ms = 0.0;
     if (tokens.size() < 3 || tokens.size() > 4 ||
         !ParseU32(tokens[1], &query->u) ||
-        !ParseDouble(tokens[2], &query->tau) ||
-        (tokens.size() == 4 &&
-         (!ParseDouble(tokens[3], &budget_ms) || budget_ms < 0.0))) {
+        !ParseNumber(tokens[2], &query->tau) ||
+        (tokens.size() == 4 && !ParseBudget(tokens[3], &budget_ms))) {
       *error = "usage: THRESH <u> <tau> [budget_ms]";
       return false;
     }
@@ -267,8 +270,7 @@ bool FSimService::HandleLine(std::string_view line, std::istream& in,
     double budget_ms = 0.0;
     if (tokens.size() < 2 || tokens.size() > 3 || !ParseU32(tokens[1], &n) ||
         n > kMaxBatch ||
-        (tokens.size() == 3 &&
-         (!ParseDouble(tokens[2], &budget_ms) || budget_ms < 0.0))) {
+        (tokens.size() == 3 && !ParseBudget(tokens[2], &budget_ms))) {
       out << StrFormat("ERR usage: BATCH <n> [budget_ms] (n <= %zu)\n",
                        kMaxBatch);
       return true;
@@ -354,7 +356,7 @@ bool FSimService::HandleLine(std::string_view line, std::istream& in,
         snapshot && snapshot->meta().converged ? "yes" : "no",
         snapshot && snapshot->meta().warm_start ? "yes" : "no",
         // Resolving here also refreshes the fsim_simd_level gauge for
-        // METRICS readers that never ran a dense solve.
+        // METRICS readers that never ran a θ = 0 tile-panel solve.
         simd::SimdLevelName(simd::ResolveSimdLevel(SimdMode::kAuto)));
     if (full) {
       for (const obs::HistogramEntry& entry :
@@ -434,11 +436,7 @@ void FSimService::HandleBatch(size_t n, double budget_ms, std::istream& in,
     return;
   }
   const QueryEngine::Clock::time_point deadline =
-      budget_ms > 0.0
-          ? QueryEngine::Clock::now() +
-                std::chrono::duration_cast<QueryEngine::Clock::duration>(
-                    std::chrono::duration<double, std::milli>(budget_ms))
-          : QueryEngine::Clock::time_point::max();
+      QueryEngine::DeadlineFor(budget_ms);
   out << StrFormat("BATCH %zu v%llu\n", n,
                    static_cast<unsigned long long>(
                        snapshot->meta().version));

@@ -2,7 +2,8 @@
 // (core/pair_evaluator.h ActiveSetDriver, docs/performance.md "Active-set
 // iteration"): exact mode must be bit-identical to full sweeps — same
 // scores, same iteration count, same convergence decision — across the
-// MappingKind x OmegaKind x matching x θ sweep, including the
+// MappingKind x OmegaKind x matching x θ sweep (s and b at θ = 0 run on
+// the tile panels instead, so they are swept at θ > 0), including the
 // dense-frontier fallback, single-direction configs (whose reverse
 // dependency lists come from the opposite-direction spans), the
 // AsUndirected adaptation (out-span doubles as its own dependent list),
@@ -20,6 +21,7 @@
 #include "core/fsim_config.h"
 #include "core/fsim_engine.h"
 #include "core/incremental.h"
+#include "core/panel_engine.h"
 #include "core/topk_allpairs.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
@@ -118,6 +120,10 @@ TEST_P(ActiveSetLockstep, ExactModeMatchesFullSweeps) {
     config.w_out = 0.35;
     config.w_in = 0.35;
     config.epsilon = 1e-6;  // enough iterations for frontiers to matter
+    // At θ = 0, s and b iterate on the tile panels in full sweeps, with no
+    // active set (tests/panel_engine_test.cc); their lockstep is the θ > 0
+    // leg.
+    if (RunsOnTilePanels(config)) continue;
     ExpectExactLockstep(g, config,
                         "theta=" + std::to_string(theta));
   }

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <thread>
 
@@ -411,6 +412,26 @@ TEST(StringUtilTest, ParseDoubleAcceptsValidValues) {
   EXPECT_DOUBLE_EQ(ParseDouble("0.75").ValueOrDie(), 0.75);
   EXPECT_DOUBLE_EQ(ParseDouble("-2").ValueOrDie(), -2.0);
   EXPECT_DOUBLE_EQ(ParseDouble("1e3").ValueOrDie(), 1000.0);
+}
+
+TEST(StringUtilTest, ParseDoubleKeepsUnderflowAndRejectsOverflow) {
+  // strtod flags both with ERANGE. An underflow is the nearest double, a
+  // subnormal or zero, and is what %.17g writes for a subnormal value.
+  const Result<double> tiny = ParseDouble("4.9406564584124654e-324");
+  ASSERT_TRUE(tiny.ok()) << tiny.status().ToString();
+  EXPECT_EQ(*tiny, std::numeric_limits<double>::denorm_min());
+  const Result<double> negative_tiny = ParseDouble("-2.2250738585072e-310");
+  ASSERT_TRUE(negative_tiny.ok()) << negative_tiny.status().ToString();
+  EXPECT_LT(*negative_tiny, 0.0);
+  EXPECT_GT(*negative_tiny, -std::numeric_limits<double>::min());
+  const Result<double> zero = ParseDouble("1e-400");
+  ASSERT_TRUE(zero.ok()) << zero.status().ToString();
+  EXPECT_EQ(*zero, 0.0);
+  for (const char* huge : {"1e400", "-1e400"}) {
+    const Status st = ParseDouble(huge).status();
+    EXPECT_EQ(st.code(), StatusCode::kOutOfRange)
+        << huge << ": " << st.ToString();
+  }
 }
 
 TEST(StringUtilTest, ParseDoubleRejectsBadInput) {

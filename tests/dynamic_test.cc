@@ -1,7 +1,7 @@
 // Tests for the dynamic-graph extensions: single-edge graph edits
 // (graph/edits.h), the edit-capable DynamicGraph (graph/dynamic_graph.h),
-// the dense-mode engine (core/dense_engine.h, differential against the
-// sparse engine), the maintained pair-graph neighbor index
+// ComputeFSim's θ = 0 tile-panel path (core/panel_engine.h, differential
+// against the sparse driver), the maintained pair-graph neighbor index
 // (core/incremental_index.h, differential against a fresh build) and
 // incremental FSim maintenance (core/incremental.h, property-tested against
 // full recomputation, plus its neighbor-index budget ceiling).
@@ -13,16 +13,16 @@
 #include <utility>
 #include <vector>
 
-#include "core/dense_engine.h"
 #include "core/fsim_engine.h"
 #include "core/incremental.h"
 #include "core/incremental_index.h"
 #include "core/pair_store.h"
+#include "core/panel_engine.h"
 #include "graph/dynamic_graph.h"
 #include "graph/edits.h"
 #include "gtest/gtest.h"
 #include "test_graphs.h"
-#include "tests/no_dense_path.h"
+#include "tests/path_oracles.h"
 
 namespace fsim {
 namespace {
@@ -210,13 +210,13 @@ TEST(DynamicGraph, SelfLoopAppearsInBothDirections) {
 }
 
 // ---------------------------------------------------------------------------
-// Dense engine: differential equivalence with the sparse engine
+// ComputeFSim's two paths: θ = 0 tile panels vs the sparse driver
 // ---------------------------------------------------------------------------
 
-class DenseEquivalence
+class PathEquivalence
     : public ::testing::TestWithParam<std::tuple<SimVariant, double>> {};
 
-TEST_P(DenseEquivalence, MatchesSparseEngineOnMaintainedPairs) {
+TEST_P(PathEquivalence, MatchesSparseDriverOrOracle) {
   const auto [variant, theta] = GetParam();
   for (uint64_t seed : {11u, 12u, 13u}) {
     auto pair = MakeRandomPair(seed);
@@ -224,29 +224,17 @@ TEST_P(DenseEquivalence, MatchesSparseEngineOnMaintainedPairs) {
     config.variant = variant;
     config.theta = theta;
     config.epsilon = 1e-4;
-    if (!testing::HasDensePath(config.operators().mapping)) {
-      // dp and bj have no dense path (tests/no_dense_path.h).
-      testing::ExpectNoDensePath(pair.g1, pair.g2, config);
-      continue;
-    }
-
-    auto sparse = ComputeFSim(pair.g1, pair.g2, config);
-    ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
-    auto dense = ComputeFSimDense(pair.g1, pair.g2, config);
-    ASSERT_TRUE(dense.ok()) << dense.status().ToString();
-
-    EXPECT_EQ(sparse->stats().iterations, dense->stats().iterations);
-    for (uint64_t key : sparse->keys()) {
-      const NodeId u = PairFirst(key);
-      const NodeId v = PairSecond(key);
-      EXPECT_NEAR(sparse->Score(u, v), dense->Score(u, v), 1e-12)
-          << "seed " << seed << " pair (" << u << ", " << v << ")";
+    SCOPED_TRACE(seed);
+    if (RunsOnTilePanels(config)) {
+      testing::ExpectPanelsMatchSparse(pair.g1, pair.g2, config);
+    } else {
+      testing::ExpectMatchesNaiveOracle(pair.g1, pair.g2, config);
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllVariantsAndThetas, DenseEquivalence,
+    AllVariantsAndThetas, PathEquivalence,
     ::testing::Combine(::testing::Values(SimVariant::kSimple,
                                          SimVariant::kDegreePreserving,
                                          SimVariant::kBi,
@@ -257,9 +245,9 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(param_info.param) == 0.0 ? "_theta0" : "_theta1");
     });
 
-TEST(DenseEngine, RejectsNonMaxFamilyMappings) {
-  // Only s and b have a dense path; every other mapping is turned away
-  // with a message that names it and points to the sparse engine.
+TEST(PanelEngine, NonMaxFamilyMappingsRunOnTheSparseDriver) {
+  // Only s and b run on the tile panels; every other mapping stays on the
+  // sparse driver at θ = 0, checked against the naive oracle.
   auto pair = MakeRandomPair(14);
   FSimConfig dp;
   dp.variant = SimVariant::kDegreePreserving;
@@ -272,68 +260,64 @@ TEST(DenseEngine, RejectsNonMaxFamilyMappings) {
       {"RoleSim", RoleSimFSimConfig()},
   };
   for (const auto& [name, config] : cases) {
+    SCOPED_TRACE(name);
+    EXPECT_FALSE(RunsOnTilePanels(config));
     // Self-similarity, which SimRank's pinned diagonal requires.
-    auto dense = ComputeFSimDense(pair.g1, pair.g1, config);
-    ASSERT_FALSE(dense.ok()) << name;
-    EXPECT_TRUE(dense.status().IsInvalidArgument())
-        << name << ": " << dense.status().ToString();
-    EXPECT_NE(dense.status().ToString().find("ComputeFSim"),
-              std::string::npos)
-        << name << ": " << dense.status().ToString();
+    testing::ExpectMatchesNaiveOracle(pair.g1, pair.g1, config);
   }
 }
 
-TEST(DenseEngine, RejectsUpperBoundConfig) {
+TEST(PanelEngine, UpperBoundRunsOnTheSparseDriver) {
   auto pair = MakeRandomPair(14);
   FSimConfig config;
   config.variant = SimVariant::kSimple;
   config.upper_bound = true;
-  auto dense = ComputeFSimDense(pair.g1, pair.g2, config);
-  ASSERT_FALSE(dense.ok());
-  EXPECT_TRUE(dense.status().IsInvalidArgument());
+  EXPECT_FALSE(RunsOnTilePanels(config));
+  testing::ExpectMatchesNaiveOracle(pair.g1, pair.g2, config);
 }
 
-TEST(DenseEngine, RespectsPairLimit) {
+TEST(PanelEngine, RespectsPairLimit) {
   auto pair = MakeRandomPair(15);
   FSimConfig config;
   config.variant = SimVariant::kSimple;
   config.pair_limit = 4;  // 10 x 12 pairs blow this immediately
-  auto dense = ComputeFSimDense(pair.g1, pair.g2, config);
-  ASSERT_FALSE(dense.ok());
-  EXPECT_TRUE(dense.status().IsInvalidArgument());
+  auto scores = ComputeFSim(pair.g1, pair.g2, config);
+  ASSERT_FALSE(scores.ok());
+  EXPECT_TRUE(scores.status().IsInvalidArgument());
 }
 
-TEST(DenseEngine, SimulationDefinitenessOnFigure1) {
+TEST(PanelEngine, SimulationDefinitenessOnFigure1) {
   auto fig = MakeFigure1();
   FSimConfig config;
   config.variant = SimVariant::kSimple;
   config.matching = MatchingAlgo::kHungarian;
-  auto dense = ComputeFSimDense(fig.pattern, fig.data, config);
-  ASSERT_TRUE(dense.ok());
+  ASSERT_TRUE(RunsOnTilePanels(config));
+  auto scores = ComputeFSim(fig.pattern, fig.data, config);
+  ASSERT_TRUE(scores.ok());
   // u is s-simulated by v2, v3 and v4 but not v1 (Example 1).
-  EXPECT_DOUBLE_EQ(dense->Score(fig.u, fig.v2), 1.0);
-  EXPECT_DOUBLE_EQ(dense->Score(fig.u, fig.v3), 1.0);
-  EXPECT_DOUBLE_EQ(dense->Score(fig.u, fig.v4), 1.0);
-  EXPECT_LT(dense->Score(fig.u, fig.v1), 1.0);
+  EXPECT_DOUBLE_EQ(scores->Score(fig.u, fig.v2), 1.0);
+  EXPECT_DOUBLE_EQ(scores->Score(fig.u, fig.v3), 1.0);
+  EXPECT_DOUBLE_EQ(scores->Score(fig.u, fig.v4), 1.0);
+  EXPECT_LT(scores->Score(fig.u, fig.v1), 1.0);
 }
 
-TEST(DenseEngine, TopKAgreesWithScores) {
+TEST(PanelEngine, TopKAgreesWithScores) {
   auto pair = MakeRandomPair(16);
   FSimConfig config;
   config.variant = SimVariant::kSimple;
-  auto dense = ComputeFSimDense(pair.g1, pair.g2, config);
-  ASSERT_TRUE(dense.ok());
-  auto top = dense->TopK(0, 3);
+  ASSERT_TRUE(RunsOnTilePanels(config));
+  auto scores = ComputeFSim(pair.g1, pair.g2, config);
+  ASSERT_TRUE(scores.ok());
+  auto top = scores->TopK(0, 3);
   ASSERT_EQ(top.size(), 3u);
   EXPECT_GE(top[0].second, top[1].second);
   EXPECT_GE(top[1].second, top[2].second);
   for (const auto& [v, score] : top) {
-    EXPECT_DOUBLE_EQ(score, dense->Score(0, v));
+    EXPECT_DOUBLE_EQ(score, scores->Score(0, v));
   }
 }
 
-
-TEST(DenseEngine, MilnerModeIgnoresInNeighbors) {
+TEST(PanelEngine, MilnerModeIgnoresInNeighbors) {
   // w- = 0 is the paper's "original 1971 definition" mode; scores must be
   // independent of any in-only structure. Compare against a graph with an
   // extra source feeding u: with w- = 0, u's scores cannot change.
@@ -356,7 +340,8 @@ TEST(DenseEngine, MilnerModeIgnoresInNeighbors) {
   config.w_out = 0.8;
   config.w_in = 0.0;
   config.epsilon = 1e-10;
-  auto scores = ComputeFSimDense(g1, g2, config);
+  ASSERT_TRUE(RunsOnTilePanels(config));
+  auto scores = ComputeFSim(g1, g2, config);
   ASSERT_TRUE(scores.ok());
   EXPECT_DOUBLE_EQ(scores->Score(u0, v0), 1.0);  // in-structure invisible
 }

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "core/fsim_engine.h"
 #include "core/scores_io.h"
@@ -182,6 +184,20 @@ TEST(ScoresIoTest, RoundTripPreservesEverything) {
       ASSERT_DOUBLE_EQ(loaded->Score(u, v), scores->Score(u, v));
     }
   }
+}
+
+TEST(ScoresIoTest, SubnormalScoreRoundTrips) {
+  // %.17g writes the smallest subnormal as 4.9406564584124654e-324, which
+  // strtod reads back with an underflow ERANGE; the value must survive.
+  const auto space = testing::FullPairSpace(1, 2);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const FSimScores scores(space, {tiny, 0.5}, FSimStats{});
+  const std::string text = ScoresToString(scores);
+  EXPECT_NE(text.find("4.9406564584124654e-324"), std::string::npos) << text;
+  auto loaded = ScoresFromString(text, space);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->Score(0, 0), tiny);
+  EXPECT_EQ(loaded->Score(0, 1), 0.5);
 }
 
 TEST(ScoresIoTest, FileRoundTrip) {

@@ -1,8 +1,8 @@
 // A naive realization of Algorithm 1: Jacobi iteration of Equation 3 that
 // reads every FSim^{k-1}(x, y) through a hash lookup plus a label check,
 // the way the paper's Hc/Hp maps do. The engines iterate through
-// precomputed neighbor indexes instead (core/pair_store.h,
-// core/incremental_index.h, core/dense_index.h); this header is the shared
+// precomputed neighbor indexes or tile panels instead (core/pair_store.h,
+// core/incremental_index.h, core/panel_engine.h); this header is the shared
 // oracle their indexed evaluations are checked against. It enumerates its
 // own pair set by brute force, so it checks the engines' candidate
 // enumeration too.
@@ -37,12 +37,10 @@ struct NaiveFSimResult {
 /// L(u, v) >= θ, minus the upper-bound-pruned ones (Eq. 6 bound <= β,
 /// pin_diagonal pairs kept) when config.upper_bound is set; a tracked
 /// pruned pair (α > 0) reads α times its bound rounded through float, as
-/// the engines store it. `all_pairs` maintains every |V1| x |V2| pair
-/// instead, the dense engine's matrix. Label-incompatible pairs never feed
-/// the mapping operators (Remark 2), whichever pair set is maintained.
+/// the engines store it. Label-incompatible pairs never feed the mapping
+/// operators (Remark 2).
 inline NaiveFSimResult NaiveFSim(const Graph& g1, const Graph& g2,
-                                 const FSimConfig& config,
-                                 bool all_pairs = false) {
+                                 const FSimConfig& config) {
   const LabelSimilarityCache lsim(*g1.dict(), config.label_sim);
   const OperatorConfig op = config.operators();
   const double label_weight = 1.0 - config.w_out - config.w_in;
@@ -57,8 +55,8 @@ inline NaiveFSimResult NaiveFSim(const Graph& g1, const Graph& g2,
   std::unordered_map<uint64_t, float> pruned_bound;
   for (NodeId u = 0; u < g1.NumNodes(); ++u) {
     for (NodeId v = 0; v < g2.NumNodes(); ++v) {
-      if (!all_pairs && !compat(u, v)) continue;
-      if (!all_pairs && config.upper_bound) {
+      if (!compat(u, v)) continue;
+      if (config.upper_bound) {
         const double bound =
             config.w_out * DirectionUpperBound(op, g1.OutNeighbors(u),
                                                g2.OutNeighbors(v), compat) +

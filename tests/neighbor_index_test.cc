@@ -18,11 +18,11 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "core/dense_engine.h"
 #include "core/fsim_config.h"
 #include "core/fsim_engine.h"
 #include "core/incremental.h"
 #include "core/pair_store.h"
+#include "core/panel_engine.h"
 #include "core/simrank.h"
 #include "core/topk_allpairs.h"
 #include "graph/graph_builder.h"
@@ -321,12 +321,14 @@ TEST(NeighborIndexTest, OverBudgetRunsReturnResourceExhausted) {
   auto topk = ComputeTopKPairs(g, g, config, topk_options);
   ASSERT_FALSE(topk.ok());
   EXPECT_EQ(expect_exhausted(topk.status(), "topk"), sparse_needed);
-  // The dense engine has no bj path; its leg runs s.
-  FSimConfig dense_config = config;
-  dense_config.variant = SimVariant::kSimple;
-  auto dense = ComputeFSimDense(g, g, dense_config);
-  ASSERT_FALSE(dense.ok());
-  const uint64_t dense_needed = expect_exhausted(dense.status(), "dense");
+  // The tile panels serve θ = 0 s and b; their leg runs s.
+  FSimConfig panel_config = config;
+  panel_config.variant = SimVariant::kSimple;
+  panel_config.theta = 0.0;
+  ASSERT_TRUE(RunsOnTilePanels(panel_config));
+  auto panels = ComputeFSimSelf(g, panel_config);
+  ASSERT_FALSE(panels.ok());
+  const uint64_t panel_needed = expect_exhausted(panels.status(), "panels");
   auto inc = IncrementalFSim::Create(g, g, config);
   ASSERT_FALSE(inc.ok());
   const uint64_t inc_needed = expect_exhausted(inc.status(), "incremental");
@@ -335,19 +337,18 @@ TEST(NeighborIndexTest, OverBudgetRunsReturnResourceExhausted) {
   auto sparse_fit = ComputeFSimSelf(g, config);
   ASSERT_TRUE(sparse_fit.ok()) << sparse_fit.status().ToString();
   EXPECT_LE(sparse_fit->stats().neighbor_index_bytes, sparse_needed);
-  // The dense count covers the label-class index and the tile panels
-  // together: that many bytes hold both, and one byte less is refused.
-  dense_config.neighbor_index_budget_bytes = dense_needed;
-  auto dense_fit = ComputeFSimDense(g, g, dense_config);
-  ASSERT_TRUE(dense_fit.ok()) << dense_fit.status().ToString();
-  EXPECT_GT(dense_fit->stats().simd_panel_bytes, 0u);
-  EXPECT_LE(dense_fit->stats().neighbor_index_bytes +
-                dense_fit->stats().simd_panel_bytes,
-            dense_needed);
-  dense_config.neighbor_index_budget_bytes = dense_needed - 1;
-  const Status dense_short = ComputeFSimDense(g, g, dense_config).status();
-  EXPECT_TRUE(dense_short.IsResourceExhausted()) << dense_short.ToString();
-  EXPECT_EQ(NeededBytes(dense_short), dense_needed) << dense_short.ToString();
+  // The panel count covers the label-term table and the tile panels
+  // together, exactly: that many bytes hold both, and one byte less is
+  // refused.
+  panel_config.neighbor_index_budget_bytes = panel_needed;
+  auto panel_fit = ComputeFSimSelf(g, panel_config);
+  ASSERT_TRUE(panel_fit.ok()) << panel_fit.status().ToString();
+  EXPECT_GT(panel_fit->stats().simd_panel_bytes, 0u);
+  EXPECT_EQ(panel_fit->stats().neighbor_index_bytes, panel_needed);
+  panel_config.neighbor_index_budget_bytes = panel_needed - 1;
+  const Status panel_short = ComputeFSimSelf(g, panel_config).status();
+  EXPECT_TRUE(panel_short.IsResourceExhausted()) << panel_short.ToString();
+  EXPECT_EQ(NeededBytes(panel_short), panel_needed) << panel_short.ToString();
   config.neighbor_index_budget_bytes = inc_needed;
   auto inc_fit = IncrementalFSim::Create(g, g, config);
   ASSERT_TRUE(inc_fit.ok()) << inc_fit.status().ToString();
@@ -356,9 +357,8 @@ TEST(NeighborIndexTest, OverBudgetRunsReturnResourceExhausted) {
   // 0 no longer means "no index": it is rejected up front.
   config.neighbor_index_budget_bytes = 0;
   EXPECT_TRUE(ComputeFSimSelf(g, config).status().IsInvalidArgument());
-  dense_config.neighbor_index_budget_bytes = 0;
-  EXPECT_TRUE(
-      ComputeFSimDense(g, g, dense_config).status().IsInvalidArgument());
+  panel_config.neighbor_index_budget_bytes = 0;
+  EXPECT_TRUE(ComputeFSimSelf(g, panel_config).status().IsInvalidArgument());
   EXPECT_TRUE(
       IncrementalFSim::Create(g, g, config).status().IsInvalidArgument());
 }

@@ -17,9 +17,12 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/fsim_config.h"
+#include "core/fsim_engine.h"
 #include "core/pair_store.h"
+#include "core/panel_engine.h"
 #include "graph/graph_builder.h"
 #include "label/label_similarity.h"
+#include "tests/path_oracles.h"
 #include "tests/reference_pair_store.h"
 #include "tests/test_graphs.h"
 
@@ -236,15 +239,20 @@ void ExpectMatchesReference(const PairStore& store,
   EXPECT_GT(entries, 0u) << context;
 }
 
-TEST(PairStoreBuildTest, LargeIndicatorDictionaryMatchesReference) {
-  // 17,000 labels: past the similarity matrix's 16384-label limit, so
-  // only L_I serves this dictionary. Every g1 node has its own label; g2
-  // carries the same labels rotated by half the ring (so the ring and
-  // chord edges line up) plus two of its own, and `few` holds a handful
-  // of nodes, two of them sharing a label. The build's label tables must stay
-  // within the dictionary and the candidates: a |Σ1|x|Σ2| table alone
-  // would be over a gigabyte here.
-  constexpr uint32_t kLabels = 17000;
+/// 17,000 labels: past the similarity matrix's 16384-label limit, so only
+/// L_I serves this dictionary. Every g1 node has its own label; g2 carries
+/// the same labels rotated by half the ring (so the ring and chord edges
+/// line up) plus two of its own, and `few` holds a handful of nodes, two
+/// of them sharing a label.
+constexpr uint32_t kLabels = 17000;
+
+struct LargeDictionaryGraphs {
+  Graph g1;
+  Graph g2;
+  Graph few;
+};
+
+LargeDictionaryGraphs MakeLargeDictionaryGraphs() {
   std::vector<std::string> labels1, labels2;
   for (uint32_t i = 0; i < kLabels; ++i) {
     labels1.push_back(StrFormat("n%u", i));
@@ -253,11 +261,22 @@ TEST(PairStoreBuildTest, LargeIndicatorDictionaryMatchesReference) {
   labels2.push_back("extra0");
   labels2.push_back("extra1");
   GraphBuilder first;
-  const Graph g1 = MakeLabeledRing(GraphBuilder(first.dict()), labels1);
-  const Graph g2 = MakeLabeledRing(GraphBuilder(first.dict()), labels2);
-  const Graph few = MakeLabeledRing(
+  LargeDictionaryGraphs graphs;
+  graphs.g1 = MakeLabeledRing(GraphBuilder(first.dict()), labels1);
+  graphs.g2 = MakeLabeledRing(GraphBuilder(first.dict()), labels2);
+  graphs.few = MakeLabeledRing(
       GraphBuilder(first.dict()),
       {"n0", "n1", "extra0", "n1", "n16999", "n5", "n7", "extra1"});
+  return graphs;
+}
+
+TEST(PairStoreBuildTest, LargeIndicatorDictionaryMatchesReference) {
+  // The build's label tables must stay within the dictionary and the
+  // candidates: a |Σ1|x|Σ2| table alone would be over a gigabyte here.
+  const LargeDictionaryGraphs graphs = MakeLargeDictionaryGraphs();
+  const Graph& g1 = graphs.g1;
+  const Graph& g2 = graphs.g2;
+  const Graph& few = graphs.few;
   ASSERT_GT(g1.dict()->size(), 16384u);
   const LabelSimilarityCache lsim(*g1.dict(), LabelSimKind::kIndicator);
   ThreadPool pool(3);
@@ -306,6 +325,25 @@ TEST(PairStoreBuildTest, LargeIndicatorDictionaryMatchesReference) {
   EXPECT_TRUE(all.IsInvalidArgument()) << all.ToString();
   EXPECT_EQ(all.message(), "candidate pairs 289034000 exceed pair_limit "
                            "100000000 (theta=0 enumerates |V1|x|V2|)");
+}
+
+TEST(PairStoreBuildTest, LargeIndicatorDictionaryThetaZeroSolve) {
+  // A θ = 0 s solve runs on the tile panels, whose label-term table spans
+  // only the labels that occur (17,000 x 7 here), not the dictionary's
+  // |Σ|² (over 2 GB): the default budget holds it, far below the 16 bytes
+  // per pair the sparse θ = 0 index spends on span offsets alone, and the
+  // values equal the sparse driver's.
+  const LargeDictionaryGraphs graphs = MakeLargeDictionaryGraphs();
+  FSimConfig config;
+  config.variant = SimVariant::kSimple;
+  config.num_threads = 2;
+  ASSERT_TRUE(RunsOnTilePanels(config));
+  auto scores = ComputeFSim(graphs.g1, graphs.few, config);
+  ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+  ASSERT_EQ(scores->NumPairs(), size_t{kLabels} * 8);
+  EXPECT_LT(scores->stats().neighbor_index_bytes, 16 * scores->NumPairs());
+  testing::ExpectSameScores(
+      *scores, testing::SparseDriverScores(graphs.g1, graphs.few, config));
 }
 
 // The reference comparison runs at several pool sizes, so it carries the

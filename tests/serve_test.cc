@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -1002,6 +1004,103 @@ TEST(QueryEngineTest, ExpiredDeadlineDegradesToCachePrefix) {
   const QueryResult exact = QueryEngine::Answer(snapshot, pair, expired);
   EXPECT_FALSE(exact.degraded);
   EXPECT_EQ(exact.score, reference.Score(0, 1));
+}
+
+// A budget past the clock's range is no deadline: it must neither wrap to
+// a deadline in the past (answering as timed out at once) nor be undefined
+// behaviour. A non-finite or negative budget is rejected.
+TEST(QueryEngineTest, BudgetsPastTheClockMeanNoDeadline) {
+  using Clock = QueryEngine::Clock;
+  EXPECT_EQ(QueryEngine::DeadlineFor(0.0), Clock::time_point::max());
+  EXPECT_EQ(QueryEngine::DeadlineFor(1e300), Clock::time_point::max());
+  EXPECT_EQ(QueryEngine::DeadlineFor(std::numeric_limits<double>::max()),
+            Clock::time_point::max());
+  const Clock::time_point before = Clock::now();
+  const Clock::time_point hour = QueryEngine::DeadlineFor(3.6e6);
+  EXPECT_GE(hour, before + std::chrono::hours(1));
+  EXPECT_LT(hour, Clock::time_point::max());
+  for (double bad : {std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    EXPECT_FALSE(QueryEngine::ValidBudget(bad)) << bad;
+  }
+
+  const Graph g = MakeServeGraph();
+  auto scores = ComputeFSimSelf(g, ServeConfig());
+  ASSERT_TRUE(scores.ok());
+  const FSimScores reference = *scores;
+  SnapshotStore store;
+  SnapshotMeta meta;
+  meta.version = store.NextVersion();
+  ASSERT_TRUE(store.Publish(std::make_shared<const FSimSnapshot>(
+      FreezeScores(std::move(*scores)), /*cache_k=*/1, meta)));
+  const QueryEngine engine(&store);
+  Query topk;
+  topk.kind = Query::Kind::kTopK;
+  topk.u = 0;
+  topk.k = 3;
+  Query thresh;
+  thresh.kind = Query::Kind::kThreshold;
+  thresh.u = 0;
+  thresh.tau = 0.5;
+  for (Query query : {topk, thresh}) {
+    query.budget_ms = 1e300;
+    auto result = engine.Run(query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_FALSE(result->degraded);
+    if (query.kind == Query::Kind::kTopK) {
+      EXPECT_EQ(result->entries, ReferenceTopK(reference, 0, 3));
+    }
+    for (double bad : {std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()}) {
+      query.budget_ms = bad;
+      EXPECT_TRUE(engine.Run(query).status().IsInvalidArgument()) << bad;
+    }
+  }
+  const std::vector<Query> batch = {topk, thresh};
+  auto answered = engine.RunBatch(batch, 1e300);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  for (const QueryResult& result : *answered) EXPECT_FALSE(result.degraded);
+  for (double bad : {std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_TRUE(engine.RunBatch(batch, bad).status().IsInvalidArgument())
+        << bad;
+  }
+}
+
+// The same budgets through the wire protocol: a budget past the clock
+// answers exactly like no budget, and a non-finite one is a usage error.
+TEST(ServeLoopTest, BudgetsPastTheClockMeanNoDeadline) {
+  const Graph g = MakeServeGraph();
+  ServeOptions options;
+  options.background_refresh = false;
+  options.policy.topk_cache_k = 1;
+  auto service = FSimService::Create(g, g, ServeConfig(), options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  auto serve = [&](const std::string& requests) {
+    std::istringstream in(requests);
+    std::ostringstream out;
+    EXPECT_TRUE((*service)->ServeLoop(in, out).ok());
+    return out.str();
+  };
+
+  const std::string unbudgeted =
+      serve("TOPK 0 3\nTHRESH 0 0.5\nBATCH 1\nTOPK 0 3\nQUIT\n");
+  EXPECT_EQ(serve("TOPK 0 3 1e300\nTHRESH 0 0.5 1e300\nBATCH 1 1e300\n"
+                  "TOPK 0 3\nQUIT\n"),
+            unbudgeted);
+  EXPECT_EQ(unbudgeted.find("degraded"), std::string::npos) << unbudgeted;
+  EXPECT_EQ(serve("TOPK 0 3 inf\nTOPK 0 3 nan\nTHRESH 0 0.5 inf\n"
+                  "THRESH 0 0.5 nan\nBATCH 1 inf\nBATCH 1 nan\n"
+                  "BATCH 1\nTOPK 0 3 inf\nQUIT\n"),
+            "ERR usage: TOPK <u> <k> [budget_ms]\n"
+            "ERR usage: TOPK <u> <k> [budget_ms]\n"
+            "ERR usage: THRESH <u> <tau> [budget_ms]\n"
+            "ERR usage: THRESH <u> <tau> [budget_ms]\n"
+            "ERR usage: BATCH <n> [budget_ms] (n <= 100000)\n"
+            "ERR usage: BATCH <n> [budget_ms] (n <= 100000)\n"
+            "BATCH 1 v1\n"
+            "ERR usage: TOPK <u> <k> [budget_ms]\n"
+            "BYE\n");
 }
 
 // Flush must return DeadlineExceeded instead of blocking forever behind a

@@ -4,17 +4,17 @@
 //    (AVX2, AVX-512) against the scalar reference on synthetic panels and
 //    rows, asserting bit-exact outputs (the kernels.h contract, including
 //    the masked-gather +0.0 convention and the no-FMA combine);
-//  * engine sweeps — ComputeFSimDense under FSIM_SIMD=off (the same panel
-//    loop on the scalar kernels) vs every available vector level across
-//    MappingKind x OmegaKind x matching x θ: bit-identical for s/b; dp, bj
-//    and product have no dense path, so every level must refuse them and
-//    the sparse engine is checked against the naive oracle instead
-//    (tests/no_dense_path.h);
+//  * engine sweeps — ComputeFSim at θ = 0 under FSIM_SIMD=off (the same
+//    panel loop on the scalar kernels) vs every available vector level
+//    across MappingKind x OmegaKind x matching: bit-identical for s/b,
+//    whose off run also equals the sparse driver; dp, bj and product run
+//    on the sparse driver and are checked against the naive oracle
+//    instead (tests/path_oracles.h);
 //  * ragged shapes — n2 not a multiple of the 256-wide v-tile, rows
-//    shorter than the 8-row chunk grain, label classes with empty work
-//    lists (θ = 1 across disjoint label groups) — where the off run is
-//    also checked against the naive oracle (tests/naive_fsim.h), so a
-//    panel-builder bug shared by every level still shows;
+//    shorter than the 8-row chunk grain, isolated nodes whose panel
+//    entries have no work items — where the off run is also checked
+//    against the naive oracle (tests/naive_fsim.h), so a panel-builder
+//    bug shared by every level still shows;
 //  * dispatch — FSIM_SIMD parsing, the off/auto clamps, and the reported
 //    FSimStats::simd_level / simd_panel_bytes.
 #include <gtest/gtest.h>
@@ -28,14 +28,15 @@
 
 #include "common/aligned.h"
 #include "common/random.h"
-#include "core/dense_engine.h"
 #include "core/fsim_config.h"
+#include "core/fsim_engine.h"
+#include "core/panel_engine.h"
 #include "core/simd/cpu_features.h"
 #include "core/simd/dispatch.h"
 #include "core/simd/kernels.h"
 #include "graph/graph_builder.h"
 #include "tests/naive_fsim.h"
-#include "tests/no_dense_path.h"
+#include "tests/path_oracles.h"
 
 namespace fsim {
 namespace {
@@ -325,23 +326,40 @@ std::vector<const char*> HostVectorLevelNames() {
   return names;
 }
 
-/// Runs the dense engine with FSIM_SIMD forced to `level` for the call.
-Result<DenseFSimScores> RunAtLevel(const Graph& g, const FSimConfig& config,
-                                   const char* level) {
+/// Runs ComputeFSim with FSIM_SIMD forced to `level` for the call.
+Result<FSimScores> RunAtLevel(const Graph& g, const FSimConfig& config,
+                              const char* level) {
   ScopedSimdEnv env(level);
-  return ComputeFSimDense(g, g, config);
+  return ComputeFSimSelf(g, config);
 }
 
-/// The forced-off run against the naive oracle over the full matrix: every
-/// level shares the panel builder, so only this comparison sees a bug in it.
+/// The forced-off run against the naive oracle: every level shares the
+/// panel builder, so only this comparison sees a bug in it.
 void ExpectMatchesNaiveOracle(const Graph& g, const FSimConfig& config,
-                              const DenseFSimScores& off) {
-  const testing::NaiveFSimResult naive =
-      testing::NaiveFSim(g, g, config, /*all_pairs=*/true);
+                              const FSimScores& off) {
+  const testing::NaiveFSimResult naive = testing::NaiveFSim(g, g, config);
   EXPECT_EQ(off.stats().iterations, naive.iterations);
-  ASSERT_EQ(off.values().size(), naive.values.size());
+  ASSERT_EQ(off.keys(), naive.keys);
   for (size_t i = 0; i < naive.values.size(); ++i) {
     ASSERT_NEAR(off.values()[i], naive.values[i], 1e-12) << "entry " << i;
+  }
+}
+
+/// The off run against every vector level the host offers: bit-identical.
+void ExpectVectorLevelsMatchOff(const Graph& g, const FSimConfig& config,
+                                const FSimScores& off) {
+  for (const char* level : HostVectorLevelNames()) {
+    auto vec = RunAtLevel(g, config, level);
+    ASSERT_TRUE(vec.ok()) << vec.status().ToString();
+    EXPECT_STREQ(simd::SimdLevelName(static_cast<simd::SimdLevel>(
+                     vec->stats().simd_level)),
+                 level);
+    EXPECT_EQ(off.stats().iterations, vec->stats().iterations);
+    EXPECT_EQ(off.stats().simd_panel_bytes, vec->stats().simd_panel_bytes);
+    ASSERT_EQ(off.values().size(), vec->values().size());
+    for (size_t i = 0; i < off.values().size(); ++i) {
+      ASSERT_EQ(off.values()[i], vec->values()[i]) << level << " entry " << i;
+    }
   }
 }
 
@@ -352,44 +370,26 @@ class SimdEngineSweep : public ::testing::TestWithParam<SweepParam> {};
 TEST_P(SimdEngineSweep, VectorLevelsMatchForcedOff) {
   const auto [mapping, omega, matching] = GetParam();
   const Graph g = MakeSweepGraph(/*seed=*/11 + static_cast<int>(omega), 40);
-  for (double theta : {0.4, 1.0}) {
-    FSimConfig config;
-    config.operator_override = OperatorConfig{mapping, omega};
-    config.matching = matching;
-    config.label_sim = LabelSimKind::kEditDistance;
-    config.theta = theta;
-    config.w_out = 0.35;
-    config.w_in = 0.35;
-    config.epsilon = 1e-4;
-    if (!testing::HasDensePath(mapping)) {
-      for (const char* level : HostVectorLevelNames()) {
-        EXPECT_TRUE(RunAtLevel(g, config, level).status().IsInvalidArgument())
-            << level << " θ=" << theta;
-      }
-      ScopedSimdEnv env("off");
-      testing::ExpectNoDensePath(g, g, config);
-      continue;
-    }
-
-    auto off = RunAtLevel(g, config, "off");
-    ASSERT_TRUE(off.ok()) << off.status().ToString();
-    EXPECT_EQ(off->stats().simd_level, 0u);
-    EXPECT_GT(off->stats().simd_panel_bytes, 0u);
-    for (const char* level : HostVectorLevelNames()) {
-      auto vec = RunAtLevel(g, config, level);
-      ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-      EXPECT_STREQ(simd::SimdLevelName(static_cast<simd::SimdLevel>(
-                       vec->stats().simd_level)),
-                   level);
-      EXPECT_EQ(off->stats().iterations, vec->stats().iterations);
-      EXPECT_EQ(off->stats().simd_panel_bytes, vec->stats().simd_panel_bytes);
-      ASSERT_EQ(off->values().size(), vec->values().size());
-      for (size_t i = 0; i < off->values().size(); ++i) {
-        ASSERT_EQ(off->values()[i], vec->values()[i])
-            << level << " θ=" << theta << " entry " << i;
-      }
-    }
+  FSimConfig config;
+  config.operator_override = OperatorConfig{mapping, omega};
+  config.matching = matching;
+  config.label_sim = LabelSimKind::kEditDistance;
+  config.theta = 0.0;
+  config.w_out = 0.35;
+  config.w_in = 0.35;
+  config.epsilon = 1e-4;
+  if (!RunsOnTilePanels(config)) {
+    ScopedSimdEnv env("off");
+    testing::ExpectMatchesNaiveOracle(g, g, config);
+    return;
   }
+
+  auto off = RunAtLevel(g, config, "off");
+  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  EXPECT_EQ(off->stats().simd_level, 0u);
+  EXPECT_GT(off->stats().simd_panel_bytes, 0u);
+  testing::ExpectSameScores(*off, testing::SparseDriverScores(g, g, config));
+  ExpectVectorLevelsMatchOff(g, config, *off);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -438,55 +438,39 @@ TEST(SimdEngineTest, RaggedTilesMatchForcedOff) {
     FSimConfig config;
     config.variant = variant;
     config.label_sim = LabelSimKind::kEditDistance;
-    config.theta = 0.4;
     config.epsilon = 1e-3;
+    ASSERT_TRUE(RunsOnTilePanels(config));
     auto off = RunAtLevel(g, config, "off");
     ASSERT_TRUE(off.ok()) << off.status().ToString();
     ExpectMatchesNaiveOracle(g, config, *off);
-    for (const char* level : HostVectorLevelNames()) {
-      auto vec = RunAtLevel(g, config, level);
-      ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-      ASSERT_EQ(off->values().size(), vec->values().size());
-      for (size_t i = 0; i < off->values().size(); ++i) {
-        ASSERT_EQ(off->values()[i], vec->values()[i])
-            << level << " entry " << i;
-      }
-    }
+    ExpectVectorLevelsMatchOff(g, config, *off);
   }
 }
 
-TEST(SimdEngineTest, EmptyCompatClassesMatchForcedOff) {
-  // Two label groups with zero cross-similarity under θ = 1: every row of
-  // one group walks an empty work list against the other group's entries,
-  // and entire classes have no compatible candidates in some tiles.
+TEST(SimdEngineTest, EmptyNeighborhoodsMatchForcedOff) {
+  // Isolated nodes and nodes without in- or out-edges: their panel
+  // entries have no work items, and their rows take the empty-S1
+  // conventions.
   GraphBuilder builder;
   const uint32_t n = 24;
   for (uint32_t i = 0; i < n; ++i) {
     builder.AddNode(i % 2 == 0 ? "aa" : "zz");
   }
-  for (uint32_t i = 0; i < n; ++i) {
-    builder.AddEdge(i, (i + 1) % n);
-    builder.AddEdge(i, (i + 5) % n);
+  for (uint32_t i = 0; i + 6 < n; ++i) {
+    if (i % 3 != 0) builder.AddEdge(i, i + 5);
   }
   const Graph g = std::move(builder).BuildOrDie();
   for (SimVariant variant : {SimVariant::kSimple, SimVariant::kBi}) {
     FSimConfig config;
     config.variant = variant;
     config.label_sim = LabelSimKind::kEditDistance;
-    config.theta = 1.0;
     config.epsilon = 1e-4;
+    ASSERT_TRUE(RunsOnTilePanels(config));
     auto off = RunAtLevel(g, config, "off");
     ASSERT_TRUE(off.ok()) << off.status().ToString();
     ExpectMatchesNaiveOracle(g, config, *off);
-    for (const char* level : HostVectorLevelNames()) {
-      auto vec = RunAtLevel(g, config, level);
-      ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-      ASSERT_EQ(off->values().size(), vec->values().size());
-      for (size_t i = 0; i < off->values().size(); ++i) {
-        ASSERT_EQ(off->values()[i], vec->values()[i])
-            << level << " entry " << i;
-      }
-    }
+    testing::ExpectSameScores(*off, testing::SparseDriverScores(g, g, config));
+    ExpectVectorLevelsMatchOff(g, config, *off);
   }
 }
 
@@ -497,16 +481,16 @@ TEST(SimdEngineTest, ConfigKnobOffMatchesEnvOff) {
   FSimConfig config;
   config.variant = SimVariant::kBi;
   config.label_sim = LabelSimKind::kEditDistance;
-  config.theta = 0.5;
   config.epsilon = 1e-4;
   config.simd = SimdMode::kOff;
-  auto knob = ComputeFSimDense(g, g, config);
+  ASSERT_TRUE(RunsOnTilePanels(config));
+  auto knob = ComputeFSimSelf(g, config);
   ASSERT_TRUE(knob.ok());
   EXPECT_EQ(knob->stats().simd_level, 0u);
 
   config.simd = SimdMode::kAuto;
   ScopedSimdEnv env("off");
-  auto envoff = ComputeFSimDense(g, g, config);
+  auto envoff = ComputeFSimSelf(g, config);
   ASSERT_TRUE(envoff.ok());
   EXPECT_EQ(envoff->stats().simd_level, 0u);
   for (size_t i = 0; i < knob->values().size(); ++i) {

@@ -99,11 +99,13 @@ inline GraphPair MakeRandomPair(uint64_t seed, uint32_t n1 = 10,
 /// A random labeled digraph where every node has out- and in-degree >= 1
 /// (a ring plus random chords), so no operator/omega combination divides by
 /// a zero normalizer. Labels are two-letter strings with nontrivial mutual
-/// edit similarity, giving θ a real compatibility structure.
-inline Graph MakeDenseRandomGraph(uint64_t seed, uint32_t n = 24) {
+/// edit similarity, giving θ a real compatibility structure. `dict`, when
+/// given, is the dictionary to share with other graphs.
+inline Graph MakeDenseRandomGraph(uint64_t seed, uint32_t n = 24,
+                                  std::shared_ptr<LabelDict> dict = nullptr) {
   static const char* kLabels[] = {"aa", "ab", "bb", "bc"};
   Rng rng(seed);
-  GraphBuilder builder;
+  GraphBuilder builder = dict ? GraphBuilder(std::move(dict)) : GraphBuilder();
   for (uint32_t i = 0; i < n; ++i) {
     builder.AddNode(kLabels[rng.Next() % 4]);
   }
