@@ -6,12 +6,13 @@
 // deterministic stream of mixed insert/delete edits; we report the median
 // and mean per-edit latency with its phase split (O(deg) graph patch,
 // neighbor-index span re-stage, repair) against the from-scratch solve
-// time, and verify the repaired scores against a full recompute at the end
-// of the stream. A second engine then applies the same edits as 8-op
-// bursts (one ApplyEdits call, so one repair, per burst), reported per
-// burst next to 8x the per-edit figures. The per-dataset numbers are also
-// written to BENCH_incremental.json so CI can track the edit-path latency
-// per PR alongside BENCH_fsim.json.
+// time, and the neighbor index's bytes, and verify the repaired scores
+// against a full recompute at the end of the stream. A second engine then
+// applies the same edits as 8-op bursts (one ApplyEdits call, so one
+// repair, per burst), reported per burst next to 8x the per-edit figures.
+// The per-dataset numbers are also written to BENCH_incremental.json so CI
+// can track the edit-path latency and index bytes per PR alongside
+// BENCH_fsim.json.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -40,6 +41,7 @@ struct StreamReport {
   // Mean per-edit phase split (milliseconds).
   double avg_graph_patch_ms = 0.0;
   double avg_index_patch_ms = 0.0;
+  size_t index_bytes = 0;  // the neighbor index after the stream
   double avg_propagate_ms = 0.0;
   double avg_recomputed = 0.0;
   double avg_seeded = 0.0;
@@ -123,6 +125,7 @@ StreamReport RunStream(const Graph& g, double theta, int num_edits,
     report.avg_recomputed = total_recomputed / n_edits;
     report.avg_seeded = total_seeded / n_edits;
   }
+  report.index_bytes = inc->store().NeighborIndexBytes();
 
   auto burst_inc = IncrementalFSim::Create(g, g, config, options);
   if (!burst_inc.ok()) {
@@ -184,14 +187,16 @@ bool WriteBenchJson(const std::string& path,
         "    \"%s\": {\"full_solve_seconds\": %.6f, "
         "\"median_edit_ms\": %.4f, \"avg_edit_ms\": %.4f, "
         "\"max_edit_ms\": %.4f, \"avg_graph_patch_ms\": %.5f, "
-        "\"avg_index_patch_ms\": %.5f, \"avg_propagate_ms\": %.4f, "
+        "\"avg_index_patch_ms\": %.5f, \"index_bytes\": %zu, "
+        "\"avg_propagate_ms\": %.4f, "
         "\"avg_recomputed\": %.1f, \"edits\": %zu, \"num_threads\": %d, "
         "\"end_drift\": %.3e, \"bursts\": %zu, \"median_burst_ms\": %.4f, "
         "\"avg_burst_recomputed\": %.1f, \"x8_median_edit_ms\": %.4f, "
         "\"x8_avg_recomputed\": %.1f}%s\n",
         reports[i].first.c_str(), r.full_solve_s, r.median_edit_ms,
         r.avg_edit_ms, r.max_edit_ms, r.avg_graph_patch_ms,
-        r.avg_index_patch_ms, r.avg_propagate_ms, r.avg_recomputed, r.edits,
+        r.avg_index_patch_ms, r.index_bytes, r.avg_propagate_ms,
+        r.avg_recomputed, r.edits,
         r.num_threads, r.final_max_diff, r.bursts, r.median_burst_ms,
         r.avg_burst_recomputed, kBurst * r.median_edit_ms,
         kBurst * r.avg_recomputed, i + 1 < reports.size() ? "," : "");

@@ -37,7 +37,7 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/fsim_engine.h"
-#include "core/incremental_index.h"
+#include "core/incremental.h"
 #include "core/pair_store.h"
 #include "core/scores_io.h"
 #include "core/simd/dispatch.h"
@@ -142,18 +142,26 @@ int RunValidate(const Graph& graph1, const Graph& target, FSimConfig config) {
     report("PairStore::Build", store.status());
   } else {
     report("PairStore::ValidateNeighborIndex", store->ValidateNeighborIndex());
+  }
 
-    // Incremental span arena over the same candidate set.
-    DynamicGraph edit_g1(graph1);
-    DynamicGraph edit_g2(target);
-    const NeighborIndexEnv env{edit_g1, edit_g2, *store->space()};
-    IncrementalNeighborIndex inc;
-    const Status built = inc.Build(env, config);
-    if (!built.ok()) {
-      report("IncrementalNeighborIndex::Build", built);
+  // The incremental engine's store after an edit has re-staged spans and
+  // rewritten their chunks: toggle one graph-1 edge. The engine keeps the
+  // full candidate set, so upper-bound runs have no incremental store.
+  if (graph1.NumNodes() >= 2 && !config.upper_bound) {
+    auto inc = IncrementalFSim::Create(graph1, target, config);
+    if (!inc.ok()) {
+      report("IncrementalFSim::Create", inc.status());
     } else {
-      report("IncrementalNeighborIndex::Validate",
-             inc.Validate(store->size()));
+      const NodeId a = 0;
+      const NodeId b = static_cast<NodeId>(graph1.NumNodes() - 1);
+      const Status edit = inc->g1().HasEdge(a, b) ? inc->RemoveEdge(1, a, b)
+                                                  : inc->InsertEdge(1, a, b);
+      if (!edit.ok()) {
+        report("IncrementalFSim edit", edit);
+      } else {
+        report("PairStore::ValidateNeighborIndex (edited)",
+               inc->store().ValidateNeighborIndex());
+      }
     }
   }
 

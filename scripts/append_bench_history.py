@@ -71,6 +71,7 @@ def main():
             name: {
                 "median_edit_ms": round(s["median_edit_ms"], 3),
                 "avg_propagate_ms": round(s["avg_propagate_ms"], 3),
+                "index_bytes": s.get("index_bytes"),
                 "num_threads": s.get("num_threads", 1),
             }
             for name, s in streams.items()

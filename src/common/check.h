@@ -1,8 +1,7 @@
 // FSIM_CHECK / FSIM_DCHECK — the project's invariant-checking macro family,
 // plus the invocation counters behind the structural validators
 // (PairStore::ValidateNeighborIndex, DynamicGraph::ValidateAdjacency,
-// SnapshotStore::ValidateChain, ThreadPool::ValidateScheduler,
-// IncrementalNeighborIndex::Validate).
+// SnapshotStore::ValidateChain, ThreadPool::ValidateScheduler).
 //
 //   FSIM_CHECK(cond) << "context " << value;
 //
@@ -15,8 +14,9 @@
 // FSIM_DCHECK compiles away — condition unevaluated — unless the build
 // defines FSIM_DEBUG_CHECKS (CMake option -DFSIM_DEBUG_CHECKS=ON). The
 // debug-checks build also turns on the automatic validator hooks wired into
-// the hot data structures (validated after every PairStore::Build, graph
-// edit, snapshot publish). docs/correctness.md describes the levels.
+// the hot data structures (validated after every PairStore::Build,
+// incremental edit burst, graph edit, snapshot publish).
+// docs/correctness.md describes the levels.
 #ifndef FSIM_COMMON_CHECK_H_
 #define FSIM_COMMON_CHECK_H_
 

@@ -166,14 +166,15 @@ struct FSimConfig {
   uint64_t pair_limit = 100'000'000;
 
   /// Memory ceiling for the neighbor index every engine iterates through
-  /// (bytes): the sparse engines' pair-graph CSR index, which materializes
-  /// per maintained pair the label-compatible candidate pairs of
-  /// N±(u) x N±(v) as direct score-array references; the incremental
-  /// engine's editable span arena; the tile panels plus the label-term
-  /// table of a θ = 0 s/b ComputeFSim run (core/panel_engine.h).
+  /// (bytes): the sparse engines' pair-graph CSR index (PairStore), which
+  /// materializes per maintained pair the label-compatible candidate pairs
+  /// of N±(u) x N±(v) as direct score-array references — the incremental
+  /// engine keeps the same index under edits, always in its reverse-span
+  /// layout; the tile panels plus the label-term table of a θ = 0 s/b
+  /// ComputeFSim run (core/panel_engine.h).
   /// A run whose index bound exceeds it fails with ResourceExhausted naming
   /// the bytes it needs, and an incremental edge insert that could grow the
-  /// arena past it is rejected before the graph changes. Must be positive.
+  /// index past it is rejected before the graph changes. Must be positive.
   /// The budget covers the index itself; the sparse build additionally
   /// holds one chunk (PairStore::kChunkPairs pairs) of classification
   /// scratch per worker while it runs.

@@ -1,177 +1,17 @@
 #include "core/incremental.h"
 
 #include <algorithm>
+#include <cmath>
+#include <optional>
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/fsim_engine.h"
-#include "core/init_value.h"
-#include "core/operators.h"
 #include "core/pair_evaluator.h"
-#include "core/pair_store.h"
 #include "obs/trace.h"
 
 namespace fsim {
-
-IncrementalFSim::IncrementalFSim(const Graph& g1, const Graph& g2,
-                                 FSimConfig config, IncrementalOptions options)
-    : g1_(g1),
-      g2_(g2),
-      config_(std::move(config)),
-      options_(options),
-      op_(config_.operators()),
-      lsim_(*g1.dict(), config_.label_sim) {}
-
-Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
-                                                FSimConfig config,
-                                                IncrementalOptions options,
-                                                const FSimScores* warm_seed) {
-  FSIM_RETURN_NOT_OK(ValidateFSimConfig(g1, g2, config));
-  if (config.upper_bound) {
-    return Status::InvalidArgument(
-        "incremental maintenance requires the full θ-candidate set "
-        "(upper-bound pruning decisions depend on the edges being edited)");
-  }
-  if (options.propagation_tolerance <= 0.0) {
-    return Status::InvalidArgument("propagation_tolerance must be positive");
-  }
-
-  IncrementalFSim inc(g1, g2, std::move(config), options);
-
-  // Enumerate + initialize the candidate pairs; the engine maintains its own
-  // edit-capable neighbor index, so PairStore's snapshot-time one is skipped.
-  FSIM_ASSIGN_OR_RETURN(
-      PairStore store,
-      PairStore::Build(g1, g2, inc.config_, inc.lsim_,
-                       /*build_neighbor_index=*/false));
-  // Move the initialized candidate set into the mutable single-buffer table;
-  // prev_ holds the FSim^0 initialization right after Build.
-  inc.space_ = store.space();
-  inc.keys_ = inc.space_->keys();
-  inc.values_ = store.TakeScores();
-
-  // The v-grouped CSR (rows come from the space).
-  const size_t n2 = inc.g2_.NumNodes();
-  std::vector<uint32_t> col_counts(n2, 0);
-  for (uint64_t key : inc.keys_) ++col_counts[PairSecond(key)];
-  inc.col_offsets_.assign(n2 + 1, 0);
-  for (size_t v = 0; v < n2; ++v) {
-    inc.col_offsets_[v + 1] = inc.col_offsets_[v] + col_counts[v];
-  }
-  inc.col_pairs_.resize(inc.keys_.size());
-  std::vector<uint32_t> cursor(inc.col_offsets_.begin(),
-                               inc.col_offsets_.end() - 1);
-  for (size_t i = 0; i < inc.keys_.size(); ++i) {
-    inc.col_pairs_[cursor[PairSecond(inc.keys_[i])]++] =
-        static_cast<uint32_t>(i);
-  }
-
-  inc.const_term_.resize(inc.keys_.size());
-  const double label_weight = 1.0 - inc.config_.w_out - inc.config_.w_in;
-  for (size_t i = 0; i < inc.keys_.size(); ++i) {
-    inc.const_term_[i] =
-        label_weight * LabelTermValue(inc.config_, inc.lsim_,
-                                      inc.g1_.Label(PairFirst(inc.keys_[i])),
-                                      inc.g2_.Label(PairSecond(inc.keys_[i])));
-  }
-  FSIM_RETURN_NOT_OK(inc.nbr_index_.Build(inc.IndexEnv(), inc.config_));
-  // Warm start: overwrite the FSim^0 initialization with the seed's values
-  // when the keysets agree exactly. Any mismatch (different graphs, config,
-  // or a truncated snapshot) keeps the cold initialization — correctness
-  // never depends on the seed, only the solve's iteration count does.
-  if (warm_seed != nullptr && warm_seed->keys() == inc.space_->keys()) {
-    inc.values_ = warm_seed->values();
-  }
-  inc.SolveFull(g1, g2);
-  return inc;
-}
-
-double IncrementalFSim::Evaluate(size_t i, MatchingScratch* scratch) const {
-  const NodeId u = PairFirst(keys_[i]);
-  const NodeId v = PairSecond(keys_[i]);
-  if (config_.pin_diagonal && u == v) return 1.0;
-  const double* vals = values_.data();
-  auto score_of = [vals](uint32_t ref) -> double { return vals[ref]; };
-  double out_score = 0.0;
-  double in_score = 0.0;
-  if (config_.w_out > 0.0) {
-    out_score = DirectionScoreIndexed(
-        op_, config_.matching, g1_.OutDegree(u), g2_.OutDegree(v),
-        nbr_index_.Refs(i, IncrementalNeighborIndex::kOut), score_of,
-        scratch);
-  }
-  if (config_.w_in > 0.0) {
-    in_score = DirectionScoreIndexed(
-        op_, config_.matching, g1_.InDegree(u), g2_.InDegree(v),
-        nbr_index_.Refs(i, IncrementalNeighborIndex::kIn), score_of,
-        scratch);
-  }
-  return config_.w_out * out_score + config_.w_in * in_score + const_term_[i];
-}
-
-/// What both views share: values_ is the previous-score buffer, the
-/// maintained index supplies the spans, and Evaluate reads values_.
-class IncrementalFSim::TableSpace {
- public:
-  explicit TableSpace(IncrementalFSim* inc) : inc_(inc) {}
-
-  /// Points the view at `inc` (the engine may have moved since).
-  void Bind(IncrementalFSim* inc) { inc_ = inc; }
-
-  size_t size() const { return inc_->keys_.size(); }
-  NodeId U(size_t i) const { return PairFirst(inc_->keys_[i]); }
-  NodeId V(size_t i) const { return PairSecond(inc_->keys_[i]); }
-  double prev(size_t i) const { return inc_->values_[i]; }
-
-  /// The maintained index materializes both directions of every pair, so
-  /// its spans are reverse-dependency lists...
-  bool reverse_spans() const { return true; }
-  /// ...except for pinned diagonal pairs, which it leaves empty.
-  bool pinned_pairs_spanned() const { return false; }
-  template <typename F>
-  void WithRefs(size_t i, F&& f) const {
-    f(inc_->nbr_index_.Refs(i, IncrementalNeighborIndex::kOut),
-      inc_->nbr_index_.Refs(i, IncrementalNeighborIndex::kIn));
-  }
-  size_t RefSpanTotal(size_t i) const {
-    return inc_->nbr_index_.Refs(i, IncrementalNeighborIndex::kOut).size() +
-           inc_->nbr_index_.Refs(i, IncrementalNeighborIndex::kIn).size();
-  }
-
-  double Evaluate(size_t i, MatchingScratch* scratch) const {
-    return inc_->Evaluate(i, scratch);
-  }
-
- protected:
-  IncrementalFSim* inc_;
-};
-
-/// The initial solve's view: Jacobi sweeps write a second buffer, next_.
-class IncrementalFSim::SolveSpace : public IncrementalFSim::TableSpace {
- public:
-  explicit SolveSpace(IncrementalFSim* inc)
-      : TableSpace(inc), next_(inc->values_.size()) {}
-
-  void set_curr(size_t i, double value) { next_[i] = value; }
-  void SwapBuffers() { inc_->values_.swap(next_); }
-  void CommitPair(size_t i) { inc_->values_[i] = next_[i]; }
-
- private:
-  std::vector<double> next_;
-};
-
-/// Edit repair's view: writes land in values_ at once, so an evaluation
-/// sees the changes made earlier in the same step, and there is nothing to
-/// swap or commit.
-class IncrementalFSim::RepairSpace : public IncrementalFSim::TableSpace {
- public:
-  using TableSpace::TableSpace;
-
-  void set_curr(size_t i, double value) { inc_->values_[i] = value; }
-  void SwapBuffers() {}
-  void CommitPair(size_t /*i*/) {}
-};
 
 namespace {
 
@@ -189,6 +29,132 @@ FSimConfig RepairConfig(FSimConfig config, double tolerance) {
 }
 
 }  // namespace
+
+IncrementalFSim::IncrementalFSim(const Graph& g1, const Graph& g2,
+                                 FSimConfig config, IncrementalOptions options,
+                                 LabelSimilarityCache lsim, PairStore store)
+    : g1_(g1),
+      g2_(g2),
+      config_(std::move(config)),
+      options_(options),
+      lsim_(std::move(lsim)),
+      store_(std::move(store)) {}
+
+Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
+                                                FSimConfig config,
+                                                IncrementalOptions options,
+                                                const FSimScores* warm_seed) {
+  FSIM_RETURN_NOT_OK(ValidateFSimConfig(g1, g2, config));
+  if (config.upper_bound) {
+    return Status::InvalidArgument(
+        "incremental maintenance requires the full θ-candidate set "
+        "(upper-bound pruning decisions depend on the edges being edited)");
+  }
+  if (!(options.propagation_tolerance > 0.0) ||
+      !std::isfinite(options.propagation_tolerance)) {
+    return Status::InvalidArgument(
+        "propagation_tolerance must be positive and finite");
+  }
+
+  // The store serves the tolerance-mode repair, so it is built with the
+  // repair's config: the reverse-span layout whatever config.active_set
+  // says.
+  ThreadPool pool(config.num_threads);
+  LabelSimilarityCache lsim(*g1.dict(), config.label_sim);
+  FSIM_ASSIGN_OR_RETURN(
+      PairStore store,
+      PairStore::Build(g1, g2,
+                       RepairConfig(config, options.propagation_tolerance),
+                       lsim, /*build_neighbor_index=*/true, &pool));
+  if (!store.reverse_spans()) {
+    return Status::ResourceExhausted(StrFormat(
+        "incremental maintenance needs the reverse-span neighbor index, up "
+        "to %llu bytes, over neighbor_index_budget_bytes %llu",
+        static_cast<unsigned long long>(store.info().reverse_span_bytes),
+        static_cast<unsigned long long>(config.neighbor_index_budget_bytes)));
+  }
+  IncrementalFSim inc(g1, g2, std::move(config), options, std::move(lsim),
+                      std::move(store));
+  const std::vector<uint64_t>& keys = inc.store_.space()->keys();
+
+  // The v-grouped CSR (rows come from the space).
+  const size_t n2 = inc.g2_.NumNodes();
+  std::vector<uint32_t> col_counts(n2, 0);
+  for (uint64_t key : keys) ++col_counts[PairSecond(key)];
+  inc.col_offsets_.assign(n2 + 1, 0);
+  for (size_t v = 0; v < n2; ++v) {
+    inc.col_offsets_[v + 1] = inc.col_offsets_[v] + col_counts[v];
+  }
+  inc.col_pairs_.resize(keys.size());
+  std::vector<uint32_t> cursor(inc.col_offsets_.begin(),
+                               inc.col_offsets_.end() - 1);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    inc.col_pairs_[cursor[PairSecond(keys[i])]++] = static_cast<uint32_t>(i);
+  }
+
+  // Warm start: overwrite the FSim^0 initialization with the seed's values
+  // when the keysets agree exactly. Any mismatch (different graphs, config,
+  // or a truncated snapshot) keeps the cold initialization — correctness
+  // never depends on the seed, only the solve's iteration count does.
+  if (warm_seed != nullptr && warm_seed->keys() == keys) {
+    for (size_t i = 0; i < keys.size(); ++i) {
+      inc.store_.set_curr(i, warm_seed->values()[i]);
+      inc.store_.CommitPair(i);
+    }
+  }
+
+  // ComputeFSim's sparse solve, so the serving layer's warm-start
+  // background solve (RefreshDriver passes its FSimConfig straight
+  // through) freezes converged pairs exactly like the batch engine.
+  const PairEvaluator evaluator(g1, g2, inc.config_, inc.lsim_, inc.store_);
+  ActiveSetDriver driver(pool, inc.store_, evaluator, g1, g2, inc.config_);
+  driver.Run(&inc.solve_stats_);
+  inc.converged_ = inc.solve_stats_.converged;
+  return inc;
+}
+
+/// Edit repair's view of the store: set_curr commits at once, so an
+/// evaluation sees the changes made earlier in the same step, and there
+/// is nothing left to swap or commit. It is also the driver's evaluator,
+/// reading the current graphs.
+class IncrementalFSim::RepairSpace {
+ public:
+  explicit RepairSpace(IncrementalFSim* inc) { Bind(inc); }
+
+  /// Points the view at `inc` (the engine may have moved since).
+  void Bind(IncrementalFSim* inc) {
+    store_ = &inc->store_;
+    evaluator_.emplace(inc->g1_, inc->g2_, inc->config_, inc->lsim_,
+                       inc->store_);
+  }
+
+  size_t size() const { return store_->size(); }
+  NodeId U(size_t i) const { return store_->U(i); }
+  NodeId V(size_t i) const { return store_->V(i); }
+  double prev(size_t i) const { return store_->prev(i); }
+  void set_curr(size_t i, double value) {
+    store_->set_curr(i, value);
+    store_->CommitPair(i);
+  }
+  void SwapBuffers() {}
+  void CommitPair(size_t /*i*/) {}
+
+  bool reverse_spans() const { return store_->reverse_spans(); }
+  bool pinned_pairs_spanned() const { return store_->pinned_pairs_spanned(); }
+  template <typename F>
+  void WithRefs(size_t i, F&& f) const {
+    store_->WithRefs(i, std::forward<F>(f));
+  }
+  size_t RefSpanTotal(size_t i) const { return store_->RefSpanTotal(i); }
+
+  double Evaluate(size_t i, MatchingScratch* scratch) const {
+    return evaluator_->Evaluate(i, scratch);
+  }
+
+ private:
+  PairStore* store_ = nullptr;
+  std::optional<PairEvaluator<DynamicGraph>> evaluator_;
+};
 
 struct IncrementalFSim::Repairer {
   explicit Repairer(IncrementalFSim* inc)
@@ -211,18 +177,6 @@ IncrementalFSim::IncrementalFSim(IncrementalFSim&&) noexcept = default;
 IncrementalFSim& IncrementalFSim::operator=(IncrementalFSim&&) noexcept =
     default;
 IncrementalFSim::~IncrementalFSim() = default;
-
-void IncrementalFSim::SolveFull(const Graph& g1, const Graph& g2) {
-  // ComputeFSim's iterate loop on the shared driver, so the serving layer's
-  // warm-start background solve (RefreshDriver passes its FSimConfig
-  // straight through) freezes converged pairs exactly like the batch
-  // engine. The pool lives only for the solve; edit repair is serial.
-  ThreadPool pool(config_.num_threads);
-  SolveSpace space(this);
-  ActiveSetDriver driver(pool, space, space, g1, g2, config_);
-  driver.Run(&solve_stats_);
-  converged_ = solve_stats_.converged;
-}
 
 Status IncrementalFSim::Repair(std::span<const uint32_t> seeds) {
   FSIM_TRACE_SPAN_ARG("incremental.repair", seeds.size());
@@ -272,8 +226,9 @@ Status IncrementalFSim::Patch(const EdgeEdit& edit,
   // adjacency, index and scores untouched. Removals never grow spans.
   if (edit.insert && from < target.NumNodes() && to < target.NumNodes() &&
       !target.HasEdge(from, to)) {
-    FSIM_RETURN_NOT_OK(
-        nbr_index_.CheckGrowth(InsertGrowthBound(graph_index, from, to)));
+    FSIM_RETURN_NOT_OK(store_.ReserveInsert(
+        InsertGrowthBound(graph_index, from, to), target.OutDegree(from) + 1,
+        target.InDegree(to) + 1, config_.neighbor_index_budget_bytes));
   }
   FSIM_RETURN_NOT_OK(edit.insert ? target.InsertEdge(from, to)
                                  : target.RemoveEdge(from, to));
@@ -281,40 +236,33 @@ Status IncrementalFSim::Patch(const EdgeEdit& edit,
 
   // Patch exactly what the edit invalidated, and seed the pairs whose own
   // Equation 3 inputs changed shape. A graph-1 edit (from, to) changes
-  // N+(from) and N-(to), so the out-spans of row `from` and the in-spans of
-  // row `to`; a graph-2 edit the same per column. (For a self-loop
-  // from == to both loops walk the same row/column, re-staging its two
-  // distinct directions.)
+  // N+(from) and N-(to), so the out-spans (span 2i) of row `from` and the
+  // in-spans (span 2i + 1) of row `to`; a graph-2 edit the same per
+  // column. (For a self-loop from == to both walk the same row/column,
+  // re-staging its two distinct directions.)
   Timer patch_timer;
-  const NeighborIndexEnv env = IndexEnv();
-  const uint64_t restaged_before = nbr_index_.restaged_spans();
-  auto restage = [&](uint32_t i, int dir, NodeId u, NodeId v) {
-    nbr_index_.Restage(i, dir, u, v, env);
-    seeds->push_back(i);
+  std::vector<uint32_t> stale_spans;
+  auto stale = [&](size_t i, uint32_t dir) {
+    stale_spans.push_back(static_cast<uint32_t>(2 * i + dir));
+    seeds->push_back(static_cast<uint32_t>(i));
   };
   if (graph_index == 1) {
-    const auto [from_first, from_last] = space_->Row(from);
-    for (size_t i = from_first; i < from_last; ++i) {
-      restage(static_cast<uint32_t>(i), IncrementalNeighborIndex::kOut, from,
-              PairSecond(keys_[i]));
-    }
-    const auto [to_first, to_last] = space_->Row(to);
-    for (size_t i = to_first; i < to_last; ++i) {
-      restage(static_cast<uint32_t>(i), IncrementalNeighborIndex::kIn, to,
-              PairSecond(keys_[i]));
-    }
+    const PairSpace& space = *store_.space();
+    const auto [from_first, from_last] = space.Row(from);
+    for (size_t i = from_first; i < from_last; ++i) stale(i, 0);
+    const auto [to_first, to_last] = space.Row(to);
+    for (size_t i = to_first; i < to_last; ++i) stale(i, 1);
   } else {
     for (uint32_t c = col_offsets_[from]; c < col_offsets_[from + 1]; ++c) {
-      const uint32_t i = col_pairs_[c];
-      restage(i, IncrementalNeighborIndex::kOut, PairFirst(keys_[i]), from);
+      stale(col_pairs_[c], 0);
     }
     for (uint32_t c = col_offsets_[to]; c < col_offsets_[to + 1]; ++c) {
-      const uint32_t i = col_pairs_[c];
-      restage(i, IncrementalNeighborIndex::kIn, PairFirst(keys_[i]), to);
+      stale(col_pairs_[c], 1);
     }
   }
-  last_edit_.restaged_spans +=
-      static_cast<size_t>(nbr_index_.restaged_spans() - restaged_before);
+  std::sort(stale_spans.begin(), stale_spans.end());
+  store_.RestageSpans(g1_, g2_, stale_spans);
+  last_edit_.restaged_spans += stale_spans.size();
   last_edit_.index_patch_seconds += patch_timer.Seconds();
   return Status::OK();
 }
@@ -325,6 +273,10 @@ Status IncrementalFSim::ApplyEdits(std::span<const EdgeEdit> edits,
   statuses->clear();
   std::vector<uint32_t> seeds;
   for (const EdgeEdit& edit : edits) statuses->push_back(Patch(edit, &seeds));
+#ifdef FSIM_DEBUG_CHECKS
+  const Status valid = store_.ValidateNeighborIndex();
+  FSIM_CHECK(valid.ok()) << valid.ToString();
+#endif
   std::sort(seeds.begin(), seeds.end());
   seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
   last_edit_.seeded_pairs = seeds.size();
@@ -340,20 +292,21 @@ uint64_t IncrementalFSim::InsertGrowthBound(int graph_index, NodeId from,
   // graph 1's degrees.
   uint64_t bound = 0;
   if (graph_index == 1) {
-    const auto [from_first, from_last] = space_->Row(from);
+    const PairSpace& space = *store_.space();
+    const auto [from_first, from_last] = space.Row(from);
     for (size_t i = from_first; i < from_last; ++i) {
-      bound += g2_.OutDegree(PairSecond(keys_[i]));
+      bound += g2_.OutDegree(store_.V(i));
     }
-    const auto [to_first, to_last] = space_->Row(to);
+    const auto [to_first, to_last] = space.Row(to);
     for (size_t i = to_first; i < to_last; ++i) {
-      bound += g2_.InDegree(PairSecond(keys_[i]));
+      bound += g2_.InDegree(store_.V(i));
     }
   } else {
     for (uint32_t c = col_offsets_[from]; c < col_offsets_[from + 1]; ++c) {
-      bound += g1_.OutDegree(PairFirst(keys_[col_pairs_[c]]));
+      bound += g1_.OutDegree(store_.U(col_pairs_[c]));
     }
     for (uint32_t c = col_offsets_[to]; c < col_offsets_[to + 1]; ++c) {
-      bound += g1_.InDegree(PairFirst(keys_[col_pairs_[c]]));
+      bound += g1_.InDegree(store_.U(col_pairs_[c]));
     }
   }
   return bound;
@@ -383,11 +336,15 @@ FSimScores IncrementalFSim::Snapshot() const {
   // The iterate fields describe the initial solve (edit repairs are not
   // counted); EditStats reports each burst.
   FSimStats stats = solve_stats_;
-  stats.maintained_pairs = keys_.size();
-  stats.theta_candidates = keys_.size();
+  stats.maintained_pairs = store_.size();
+  stats.theta_candidates = store_.size();
   stats.converged = converged_;
-  stats.neighbor_index_bytes = nbr_index_.MemoryBytes();
-  return FSimScores(space_, values_, stats);
+  stats.neighbor_index_bytes = store_.NeighborIndexBytes();
+  stats.packed_neighbor_refs = store_.packed_refs();
+  const double* values = store_.prev_data();
+  return FSimScores(store_.space(),
+                    std::vector<double>(values, values + store_.size()),
+                    stats);
 }
 
 }  // namespace fsim

@@ -18,28 +18,35 @@
 // the out-direction of every pair in N-(u) x N-(v) and by the in-direction of
 // every pair in N+(u) x N+(v).
 //
-// One iterate loop does all of it: ActiveSetDriver (core/pair_evaluator.h).
-// Create runs it over this engine's table and maintained index exactly as
-// ComputeFSim does, on a pool of config.num_threads workers that lives only
-// for the solve. A burst of edits (ApplyEdits) first patches every op, then
-// repairs once: the driver in tolerance mode (frontier_tolerance = τ)
-// starts from the union of the ops' seeded pairs and runs over an in-place
-// view of the table. Its writes land in the table at once, so an
-// evaluation sees the changes made earlier in the same step. The repair is
-// serial at every thread count, so the maintained scores do not depend on
-// config.num_threads. The first burst builds the repair driver and every
-// later burst reuses it, so influence a repair left below τ is carried
-// into the next one: the bound above holds over any number of bursts.
+// One index and one iterate loop do all of it: PairStore's chunked CSR
+// neighbor index (core/pair_store.h) and ActiveSetDriver with
+// PairEvaluator (core/pair_evaluator.h). Create builds the store and runs
+// ComputeFSim's sparse solve on it, on a pool of config.num_threads
+// workers that lives only for the call. A burst of edits (ApplyEdits)
+// first patches every op, then repairs once: the driver in tolerance mode
+// (frontier_tolerance = τ) starts from the union of the ops' seeded pairs
+// and runs over an in-place view of the store. Its writes land in the
+// previous-score buffer at once, so an evaluation sees the changes made
+// earlier in the same step. The repair is serial at every thread count, so
+// the maintained scores do not depend on config.num_threads. The first
+// burst builds the repair driver and every later burst reuses it, so
+// influence a repair left below τ is carried into the next one: the bound
+// above holds over any number of bursts.
 //
 // Cost model:
 //  * the graphs are held as DynamicGraph (graph/dynamic_graph.h), so each
 //    op's edge edit patches two sorted adjacency lists in O(deg);
-//  * the pair-graph CSR neighbor index (core/incremental_index.h) is
-//    maintained, not rebuilt: an edit to edge (a, b) in graph 1 invalidates
-//    only the out-spans of pairs (a, *) and the in-spans of pairs (b, *)
-//    (symmetrically (*, a) / (*, b) for graph 2), and exactly those spans
-//    are re-staged — O(|N(u)|·|N(v)|) classify work per affected pair, the
-//    same order as the one re-evaluation the edit forces anyway;
+//  * the store keeps both directions of every pair (its reverse-span
+//    layout, which the tolerance-mode repair needs whatever
+//    config.active_set says) and is maintained, not rebuilt: an edit to
+//    edge (a, b) in graph 1 invalidates only the out-spans of pairs (a, *)
+//    and the in-spans of pairs (b, *) (symmetrically (*, a) / (*, b) for
+//    graph 2), and exactly those spans are re-staged —
+//    O(|N(u)|·|N(v)|) classify work per affected pair, the same order as
+//    the one re-evaluation the edit forces anyway — plus one rewrite of
+//    each touched kChunkPairs-pair chunk buffer per op. A graph-1 edit
+//    touches the chunks of two rows; a graph-2 edit touches one pair per
+//    row, so at θ = 0 it rewrites about one chunk in every |V2|/256;
 //  * the repair costs its evaluations (through the index, as in the batch
 //    engines) and their dependent marks, plus a frontier build per repair
 //    step over the marked pairs and pairs/64 bitmap words, once per burst
@@ -57,6 +64,10 @@
 //    candidate set depends only on labels, so it stays valid — which is also
 //    what keeps the maintained index's ref values stable under edits).
 //
+// After any edit stream the store equals a fresh PairStore::Build of the
+// materialized graphs (MaterializeG1/G2), except that an index widened to
+// 12-byte refs by an insert stays wide.
+//
 // Verified against full recomputation by the property tests in
 // tests/dynamic_test.cc; the work savings are quantified by
 // bench/exp_incremental (BENCH_incremental.json).
@@ -71,11 +82,10 @@
 #include "common/result.h"
 #include "core/fsim_config.h"
 #include "core/fsim_scores.h"
-#include "core/incremental_index.h"
+#include "core/pair_store.h"
 #include "graph/dynamic_graph.h"
 #include "graph/graph.h"
 #include "label/label_similarity.h"
-#include "matching/greedy_matching.h"
 
 namespace fsim {
 
@@ -113,7 +123,7 @@ struct EditStats {
   bool truncated = false;       // hit max_updates_per_edit or the step cap;
                                 // the snapshot then reports converged=false
   double graph_rebuild_seconds = 0.0;  // O(deg) adjacency patches
-  double index_patch_seconds = 0.0;    // O(deg) neighbor-index span re-stages
+  double index_patch_seconds = 0.0;    // span re-stages + chunk rewrites
   double repair_seconds = 0.0;
 };
 
@@ -121,9 +131,10 @@ struct EditStats {
 /// edits, instead of recomputed from scratch.
 class IncrementalFSim {
  public:
-  /// Builds the candidate-pair set, runs the iterative computation to the
-  /// fixpoint (ComputeFSim's ActiveSetDriver loop, on config.num_threads
-  /// workers), and retains the state needed for localized repair.
+  /// Builds the candidate-pair store with its neighbor index and runs the
+  /// iterative computation to the fixpoint (ComputeFSim's sparse solve,
+  /// on config.num_threads workers), and retains the state needed for
+  /// localized repair.
   ///
   /// `config.epsilon` controls the initial solve; the maintained accuracy
   /// after edits is governed by `options.propagation_tolerance`, so choose
@@ -139,9 +150,10 @@ class IncrementalFSim {
   /// foreign seed can never corrupt the fixpoint (the contraction drives
   /// any starting point in [0,1] to the same result).
   ///
-  /// Fails with ResourceExhausted, naming the bytes it needs, when the
-  /// maintained neighbor index cannot fit
-  /// config.neighbor_index_budget_bytes.
+  /// Fails with ResourceExhausted, naming the bytes it needs and the
+  /// budget, when the reverse-span neighbor index cannot fit
+  /// config.neighbor_index_budget_bytes (even where ComputeFSim would fall
+  /// back to its evaluation-only index).
   static Result<IncrementalFSim> Create(Graph g1, Graph g2, FSimConfig config,
                                         IncrementalOptions options = {},
                                         const FSimScores* warm_seed = nullptr);
@@ -174,16 +186,16 @@ class IncrementalFSim {
 
   /// FSimχ(u, v) under the current graphs; 0 for non-candidate pairs.
   double Score(NodeId u, NodeId v) const {
-    const uint32_t slot = space_->Find(u, v);
-    return slot == PairSpace::kNotFound ? 0.0 : values_[slot];
+    const uint32_t slot = store_.space()->Find(u, v);
+    return slot == PairSpace::kNotFound ? 0.0 : store_.prev(slot);
   }
 
   /// True if (u, v) is in the maintained candidate set.
   bool Contains(NodeId u, NodeId v) const {
-    return space_->Find(u, v) != PairSpace::kNotFound;
+    return store_.space()->Find(u, v) != PairSpace::kNotFound;
   }
 
-  size_t NumPairs() const { return keys_.size(); }
+  size_t NumPairs() const { return store_.size(); }
 
   /// An immutable snapshot of the current scores. It shares the engine's
   /// pair space (fixed under edits) and copies only the score values.
@@ -209,10 +221,9 @@ class IncrementalFSim {
   /// initial solve stopped above epsilon.
   bool converged() const { return converged_; }
 
-  /// The maintained pair-graph CSR neighbor index (read-only).
-  const IncrementalNeighborIndex& neighbor_index() const {
-    return nbr_index_;
-  }
+  /// The maintained pairs, scores and pair-graph CSR neighbor index
+  /// (read-only).
+  const PairStore& store() const { return store_; }
 
   /// Work report of the most recent burst (ApplyEdits, InsertEdge or
   /// RemoveEdge).
@@ -220,34 +231,14 @@ class IncrementalFSim {
 
  private:
   IncrementalFSim(const Graph& g1, const Graph& g2, FSimConfig config,
-                  IncrementalOptions options);
+                  IncrementalOptions options, LabelSimilarityCache lsim,
+                  PairStore store);
 
-  NeighborIndexEnv IndexEnv() const {
-    return NeighborIndexEnv{g1_, g2_, *space_};
-  }
-
-  /// The Equation 3 value of pair i against the current score table,
-  /// through the maintained index. `scratch` is the caller's matching
-  /// workspace (per worker under the pool).
-  double Evaluate(size_t i, MatchingScratch* scratch) const;
-
-  /// The engine's table and index as ActiveSetDriver's pair space: the
-  /// double-buffered view of the initial solve, and the in-place view of
-  /// edit repair.
-  class TableSpace;
-  class SolveSpace;
+  /// The in-place view of the store that edit repair runs on.
   class RepairSpace;
   /// Edit repair's driver with its view and one-worker pool, kept across
   /// bursts (see Repair).
   struct Repairer;
-
-  /// The initial solve: ActiveSetDriver::Run over SolveSpace on a pool of
-  /// config.num_threads workers that lives only for the call. `g1`/`g2`
-  /// are the graphs Create enumerated from (the driver reads their degrees
-  /// and in-edge totals). Honors FSimConfig::active_set exactly like
-  /// ComputeFSim; the index leaves pinned diagonal pairs without spans,
-  /// which the driver answers with a second forced full sweep.
-  void SolveFull(const Graph& g1, const Graph& g2);
 
   /// Applies one op's graph-side edit and re-stages the index spans it
   /// invalidated, appending the pairs whose Equation 3 inputs changed
@@ -272,25 +263,17 @@ class IncrementalFSim {
   DynamicGraph g2_;
   FSimConfig config_;
   IncrementalOptions options_;
-  OperatorConfig op_;  // config_.operators(), hoisted out of Evaluate
   LabelSimilarityCache lsim_;
 
-  // The θ-candidate pairs: labels are fixed under edits, so the space
-  // never changes. Its rows seed and re-stage edits in graph 1.
-  std::shared_ptr<const PairSpace> space_;
-  std::span<const uint64_t> keys_;  // space_->keys(): u-major
-  std::vector<double> values_;
-  // Per-pair constant Equation 3 tail (1 - w+ - w-) * L(u, v): labels are
-  // fixed under edits, so it never changes.
-  std::vector<double> const_term_;
+  // The θ-candidate pairs (labels are fixed under edits, so the pair space
+  // never changes; its rows seed and re-stage edits in graph 1), their
+  // scores and the maintained neighbor index.
+  PairStore store_;
 
   // CSR of store indices grouped by v. Used to seed and re-stage edits in
   // graph 2.
   std::vector<uint32_t> col_offsets_;
   std::vector<uint32_t> col_pairs_;
-
-  // Maintained pair-graph CSR neighbor index (delta-patched under edits).
-  IncrementalNeighborIndex nbr_index_;
 
   std::unique_ptr<Repairer> repairer_;  // built by the first repair
 

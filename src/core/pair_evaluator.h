@@ -1,7 +1,7 @@
 // The per-pair Equation 3 evaluation shared by the Algorithm 1 engines
-// (ComputeFSim, ComputeTopKPairs): one iterate-loop body that reads
-// previous-iteration scores through the pair-graph CSR neighbor index
-// (direct array indexing, no hash probes or label checks). The index
+// (ComputeFSim, ComputeTopKPairs, IncrementalFSim): one iterate-loop body
+// that reads previous-iteration scores through the pair-graph CSR neighbor
+// index (direct array indexing, no hash probes or label checks). The index
 // enumerates exactly the candidate pairs Algorithm 1's Hp lookups visit,
 // in the same order; tests/naive_fsim.h keeps that hash-lookup evaluation
 // as the oracle the engines are checked against.
@@ -29,14 +29,17 @@ namespace fsim {
 /// Evaluates FSim^k(u, v) for maintained pairs against a PairStore's
 /// previous-iteration buffer. Stateless between calls except for the
 /// caller-owned MatchingScratch, so one instance serves all workers.
+/// `G` is the graph type whose degrees and labels it reads: Graph, or the
+/// DynamicGraph of IncrementalFSim's edit repair.
 ///
 /// This sparse per-pair path always runs the scalar operators of
 /// core/operators.h; only ComputeFSim's θ = 0 tile-panel loop for s and b
 /// (core/panel_engine.h) runs through the kernel table (core/simd/), and
 /// the two give identical values (tests/panel_engine_test.cc).
+template <typename G>
 class PairEvaluator {
  public:
-  PairEvaluator(const Graph& g1, const Graph& g2, const FSimConfig& config,
+  PairEvaluator(const G& g1, const G& g2, const FSimConfig& config,
                 const LabelSimilarityCache& lsim, const PairStore& store)
       : g1_(g1),
         g2_(g2),
@@ -88,8 +91,8 @@ class PairEvaluator {
     return LabelTermValue(config_, lsim_, g1_.Label(u), g2_.Label(v));
   }
 
-  const Graph& g1_;
-  const Graph& g2_;
+  const G& g1_;
+  const G& g2_;
   const FSimConfig& config_;
   const LabelSimilarityCache& lsim_;
   const PairStore& store_;
@@ -128,13 +131,12 @@ class PairEvaluator {
 /// sharpened per-pair factors of PairInfluenceFactor — stays below
 /// frontier_tolerance, trading bounded error for fewer evaluations.
 ///
-/// `Space` is the iterated pair space (PairStore, or the incremental
-/// engine's view of its maintained table and index). Its contract:
+/// `Space` is the iterated pair space (PairStore, or the in-place view of
+/// one that IncrementalFSim's edit repair runs on). Its contract:
 ///  * size(), U(i), V(i);
 ///  * prev(i) / set_curr(i, value), SwapBuffers(), CommitPair(i) — the
 ///    double buffer (see PairStore::CommitPair), or an in-place view whose
-///    set_curr writes prev(i) at once and whose buffer calls do nothing
-///    (IncrementalFSim's edit repair);
+///    set_curr writes prev(i) at once and whose buffer calls do nothing;
 ///  * reverse_spans(): per-pair out/in spans exist and list reverse
 ///    dependencies; WithRefs(i, f) calls f(out_refs, in_refs) with them;
 ///    RefSpanTotal(i) is their total length;

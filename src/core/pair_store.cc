@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 
 #include "common/string_util.h"
@@ -9,6 +11,7 @@
 #include "core/grouped_adjacency.h"
 #include "core/init_value.h"
 #include "core/operators.h"
+#include "graph/dynamic_graph.h"
 #include "obs/trace.h"
 
 namespace fsim {
@@ -114,43 +117,41 @@ Result<PairStore> PairStore::Build(const Graph& g1, const Graph& g2,
   return store;
 }
 
-size_t PairStore::NeighborIndexBytes() const {
-  size_t bytes = nbr_offsets_.capacity() * sizeof(uint64_t);
+uint64_t PairStore::NumEntries() const {
+  uint64_t entries = 0;
   for (const std::vector<NeighborRef>& chunk : nbr_chunks_) {
-    bytes += chunk.capacity() * sizeof(NeighborRef);
+    entries += chunk.size();
   }
   for (const std::vector<PackedNeighborRef>& chunk : nbr_chunks_packed_) {
-    bytes += chunk.capacity() * sizeof(PackedNeighborRef);
+    entries += chunk.size();
   }
-  return bytes;
+  return entries;
+}
+
+size_t PairStore::NeighborIndexBytes() const {
+  const size_t entry_bytes =
+      packed_refs_ ? sizeof(PackedNeighborRef) : sizeof(NeighborRef);
+  return nbr_offsets_.size() * sizeof(uint64_t) +
+         static_cast<size_t>(NumEntries()) * entry_bytes;
 }
 
 Status PairStore::ValidateNeighborIndex() const {
   ValidatorCounters::Bump("PairStore::ValidateNeighborIndex");
   const size_t n = keys_.size();
-  if (nbr_offsets_.size() != 2 * n + 1) {
+  const size_t num_chunks = (n + kChunkPairs - 1) / kChunkPairs;
+  if (nbr_offsets_.size() != 2 * n + num_chunks) {
     return Status::Internal(StrFormat(
         "neighbor index has %zu offsets for %zu pairs (want %zu)",
-        nbr_offsets_.size(), n, 2 * n + 1));
-  }
-  if (nbr_offsets_.front() != 0) {
-    return Status::Internal("neighbor index offsets do not start at 0");
-  }
-  for (size_t k = 1; k < nbr_offsets_.size(); ++k) {
-    if (nbr_offsets_[k] < nbr_offsets_[k - 1]) {
-      return Status::Internal(
-          StrFormat("neighbor index offsets regress at span %zu", k));
-    }
+        nbr_offsets_.size(), n, 2 * n + num_chunks));
   }
   // Exactly one entry layout may be populated, with one buffer per chunk,
-  // and each buffer must hold exactly its pairs' offsets range (the batch
-  // build is tight — any slack means a torn or double-written span).
+  // and each buffer must hold exactly its chunk-local offsets range (the
+  // index is kept tight — any slack means a torn or double-written span).
   const size_t other_chunks =
       packed_refs_ ? nbr_chunks_.size() : nbr_chunks_packed_.size();
   if (other_chunks != 0) {
     return Status::Internal("both neighbor-ref layouts are populated");
   }
-  const size_t num_chunks = (n + kChunkPairs - 1) / kChunkPairs;
   const size_t chunk_count =
       packed_refs_ ? nbr_chunks_packed_.size() : nbr_chunks_.size();
   if (chunk_count != num_chunks) {
@@ -159,16 +160,25 @@ Status PairStore::ValidateNeighborIndex() const {
         chunk_count, n, num_chunks));
   }
   for (size_t c = 0; c < num_chunks; ++c) {
-    const uint64_t range =
-        nbr_offsets_[2 * std::min((c + 1) * kChunkPairs, n)] -
-        nbr_offsets_[2 * c * kChunkPairs];
+    const size_t first = 2 * c * kChunkPairs + c;
+    const size_t last = 2 * std::min((c + 1) * kChunkPairs, n) + c;
+    if (nbr_offsets_[first] != 0) {
+      return Status::Internal(
+          StrFormat("neighbor index chunk %zu offsets do not start at 0", c));
+    }
+    for (size_t p = first + 1; p <= last; ++p) {
+      if (nbr_offsets_[p] < nbr_offsets_[p - 1]) {
+        return Status::Internal(StrFormat(
+            "neighbor index offsets regress at span %zu", p - c - 1));
+      }
+    }
     const size_t held = packed_refs_ ? nbr_chunks_packed_[c].size()
                                      : nbr_chunks_[c].size();
-    if (held != range) {
+    if (held != nbr_offsets_[last]) {
       return Status::Internal(StrFormat(
           "neighbor index chunk %zu slack: its offsets span %llu entries but "
           "its buffer holds %zu",
-          c, static_cast<unsigned long long>(range), held));
+          c, static_cast<unsigned long long>(nbr_offsets_[last]), held));
     }
   }
   // Per-entry checks, shared between the two layouts.
@@ -229,11 +239,6 @@ Status PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
   // but serves as the reverse-dependency list for frontier marking), and
   // pinned diagonal spans are kept so their first-sweep init -> 1 snap can
   // notify dependents. See the OutRefs comment in the header.
-  struct SpanPlan {
-    bool use_out;
-    bool use_in;
-    bool skip_diagonal;
-  };
   auto plan_for = [&](bool active_spans) {
     return SpanPlan{
         config.w_out > 0.0 || (active_spans && config.w_in > 0.0),
@@ -242,8 +247,8 @@ Status PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
   };
   // Entry layout: the packed 8-byte NeighborRef when every row/col fits in
   // 16 bits; positions inside a neighbor list run 0..deg-1, so a direction
-  // packs while its max degree is <= 65536. The 12-byte layout otherwise.
-  constexpr size_t kPackedDegreeLimit = 0x10000;
+  // packs while its max degree is <= kPackedDegreeLimit. The 12-byte
+  // layout otherwise.
   auto packed_for = [&](const SpanPlan& p) {
     return (!p.use_out || (g1.MaxOutDegree() <= kPackedDegreeLimit &&
                            g2.MaxOutDegree() <= kPackedDegreeLimit)) &&
@@ -268,7 +273,8 @@ Status PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
     }
     return max_entries;
   };
-  const uint64_t offsets_bytes = (2 * n + 1) * sizeof(uint64_t);
+  const uint64_t offsets_bytes =
+      (2 * n + (n + kChunkPairs - 1) / kChunkPairs) * sizeof(uint64_t);
   auto entry_bytes_for = [&](const SpanPlan& p) {
     return packed_for(p) ? sizeof(PackedNeighborRef) : sizeof(NeighborRef);
   };
@@ -287,6 +293,7 @@ Status PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
   SpanPlan plan = plan_for(active_spans);
   uint64_t max_entries = max_entries_for(plan);
   if (active_spans && !fits(plan, max_entries)) {
+    info_.reverse_span_bytes = bound_bytes(plan, max_entries);
     active_spans = false;
     plan = plan_for(false);
     max_entries = max_entries_for(plan);
@@ -301,38 +308,33 @@ Status PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
         static_cast<unsigned long long>(offsets_bytes),
         static_cast<unsigned long long>(config.neighbor_index_budget_bytes)));
   }
-  const bool packed = packed_for(plan);
-  if (packed) {
-    FillNeighborRefs(g1, g2, config, pool, active_spans, &nbr_chunks_packed_);
-  } else {
-    FillNeighborRefs(g1, g2, config, pool, active_spans, &nbr_chunks_);
-  }
-  packed_refs_ = packed;
+  plan_ = plan;
+  packed_refs_ = packed_for(plan);
   reverse_spans_ = active_spans;
+  if (packed_refs_) {
+    FillNeighborRefs(g1, g2, pool, &nbr_chunks_packed_);
+  } else {
+    FillNeighborRefs(g1, g2, pool, &nbr_chunks_);
+  }
   return Status::OK();
 }
 
 template <typename Ref>
 void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
-                                 const FSimConfig& config, ThreadPool& pool,
-                                 bool active_spans,
+                                 ThreadPool& pool,
                                  std::vector<std::vector<Ref>>* chunks) {
   const PairSpace& space = *space_;
   const size_t n = keys_.size();
-  const bool use_out =
-      config.w_out > 0.0 || (active_spans && config.w_in > 0.0);
-  const bool use_in =
-      config.w_in > 0.0 || (active_spans && config.w_out > 0.0);
-  const bool skip_diagonal = config.pin_diagonal && !active_spans;
+  const SpanPlan plan = plan_;
   // g2's neighbor lists grouped by label class, so a row visits only the
   // class runs its label is compatible with. At θ <= 0 every run is.
   const bool by_class = !space.all_compatible();
-  const GroupedAdjacency out2 = use_out && by_class
-                                    ? GroupedAdjacency::Build(g2, /*out=*/true)
-                                    : GroupedAdjacency();
-  const GroupedAdjacency in2 = use_in && by_class
-                                   ? GroupedAdjacency::Build(g2, /*out=*/false)
-                                   : GroupedAdjacency();
+  const GroupedAdjacency out2 =
+      plan.use_out && by_class ? GroupedAdjacency::Build(g2, /*out=*/true)
+                               : GroupedAdjacency();
+  const GroupedAdjacency in2 =
+      plan.use_in && by_class ? GroupedAdjacency::Build(g2, /*out=*/false)
+                              : GroupedAdjacency();
 
   using PosT = decltype(Ref::row);
   // Appends the entries of one direction's N±(u) x N±(v) to `buf` and
@@ -414,10 +416,11 @@ void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
 
   // One classification pass over the compatible part of N±(u) x N±(v)
   // per pair. Each chunk is classified into its worker's reused scratch
-  // vector, recording span counts in nbr_offsets_, and copied into its own
-  // buffer at exact size; that buffer is the index.
-  nbr_offsets_.assign(2 * n + 1, 0);
-  chunks->assign((n + kChunkPairs - 1) / kChunkPairs, std::vector<Ref>());
+  // vector, recording its chunk-local span offsets, and copied into its
+  // own buffer at exact size; that buffer is the index.
+  const size_t num_chunks = (n + kChunkPairs - 1) / kChunkPairs;
+  nbr_offsets_.assign(2 * n + num_chunks, 0);
+  chunks->assign(num_chunks, std::vector<Ref>());
   // One cache line per worker: the push_backs would otherwise false-share
   // the neighboring workers' vector headers.
   struct alignas(64) WorkerScratch {
@@ -425,35 +428,200 @@ void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
     std::vector<uint32_t> column_blocks;
   };
   std::vector<WorkerScratch> scratch(static_cast<size_t>(pool.num_threads()));
-  pool.ParallelForChunked(chunks->size(), 1,
+  pool.ParallelForChunked(num_chunks, 1,
                          [&](int worker, size_t begin, size_t end) {
     WorkerScratch& mine = scratch[static_cast<size_t>(worker)];
     std::vector<Ref>& buf = mine.entries;
     for (size_t chunk = begin; chunk < end; ++chunk) {
       buf.clear();
       const size_t last = std::min(n, (chunk + 1) * kChunkPairs);
+      // offsets[2j + 1] and offsets[2j + 2] end pair (chunk·K + j)'s spans.
+      uint64_t* offsets = &nbr_offsets_[2 * chunk * kChunkPairs + chunk];
       for (size_t i = chunk * kChunkPairs; i < last; ++i) {
+        const size_t j = i - chunk * kChunkPairs;
         const NodeId u = PairFirst(keys_[i]);
         const NodeId v = PairSecond(keys_[i]);
-        if (skip_diagonal && u == v) continue;
-        if (use_out) {
-          nbr_offsets_[2 * i + 1] =
-              classify_direction(g1.OutNeighbors(u), g2.OutNeighbors(v),
-                                 out2, v, &mine.column_blocks, &buf);
+        if (!(plan.skip_diagonal && u == v)) {
+          if (plan.use_out) {
+            classify_direction(g1.OutNeighbors(u), g2.OutNeighbors(v), out2,
+                               v, &mine.column_blocks, &buf);
+          }
+          offsets[2 * j + 1] = buf.size();
+          if (plan.use_in) {
+            classify_direction(g1.InNeighbors(u), g2.InNeighbors(v), in2, v,
+                               &mine.column_blocks, &buf);
+          }
+        } else {
+          offsets[2 * j + 1] = buf.size();
         }
-        if (use_in) {
-          nbr_offsets_[2 * i + 2] =
-              classify_direction(g1.InNeighbors(u), g2.InNeighbors(v),
-                                 in2, v, &mine.column_blocks, &buf);
-        }
+        offsets[2 * j + 2] = buf.size();
       }
       (*chunks)[chunk].assign(buf.begin(), buf.end());
     }
   });
-  // In-place prefix sum: nbr_offsets_[k] currently holds the count of
-  // span k-1.
-  for (size_t k = 1; k < nbr_offsets_.size(); ++k) {
-    nbr_offsets_[k] += nbr_offsets_[k - 1];
+}
+
+namespace {
+
+/// Appends the entries of one direction of a pair to `*out`: every (x, y)
+/// of s1 x s2 that `space` holds, in (row, col) order, with its slot. The
+/// edit-time counterpart of the build's label-run walk; the two agree on
+/// an unpruned space, where the candidate id's ref is the slot.
+template <typename Ref>
+void ClassifyInto(std::span<const NodeId> s1, std::span<const NodeId> s2,
+                  const PairSpace& space, std::vector<Ref>* out) {
+  using PosT = decltype(Ref::row);
+  for (uint32_t r = 0; r < s1.size(); ++r) {
+    for (uint32_t c = 0; c < s2.size(); ++c) {
+      const uint32_t slot = space.Find(s1[r], s2[c]);
+      if (slot == PairSpace::kNotFound) continue;
+      FSIM_DCHECK(r <= std::numeric_limits<PosT>::max());
+      FSIM_DCHECK(c <= std::numeric_limits<PosT>::max());
+      out->push_back(Ref{static_cast<PosT>(r), static_cast<PosT>(c), slot});
+    }
+  }
+}
+
+}  // namespace
+
+Status PairStore::ReserveInsert(uint64_t new_entries, size_t out_degree,
+                                size_t in_degree, uint64_t budget_bytes) {
+  const bool widen =
+      packed_refs_ && ((plan_.use_out && out_degree > kPackedDegreeLimit) ||
+                       (plan_.use_in && in_degree > kPackedDegreeLimit));
+  const size_t entry_bytes = packed_refs_ && !widen ? sizeof(PackedNeighborRef)
+                                                    : sizeof(NeighborRef);
+  const uint64_t entries = NumEntries();
+  const uint64_t offsets_bytes = nbr_offsets_.size() * sizeof(uint64_t);
+  const uint64_t needed = (entries + new_entries) * entry_bytes + offsets_bytes;
+  if (needed > budget_bytes) {
+    return Status::ResourceExhausted(StrFormat(
+        "edit could grow the neighbor index to %llu bytes (%llu live + %llu "
+        "new entries of %zu bytes + %llu offset bytes), over "
+        "neighbor_index_budget_bytes %llu",
+        static_cast<unsigned long long>(needed),
+        static_cast<unsigned long long>(entries),
+        static_cast<unsigned long long>(new_entries), entry_bytes,
+        static_cast<unsigned long long>(offsets_bytes),
+        static_cast<unsigned long long>(budget_bytes)));
+  }
+  if (widen) {
+    nbr_chunks_.resize(nbr_chunks_packed_.size());
+    for (size_t c = 0; c < nbr_chunks_packed_.size(); ++c) {
+      nbr_chunks_[c].reserve(nbr_chunks_packed_[c].size());
+      for (const PackedNeighborRef& e : nbr_chunks_packed_[c]) {
+        nbr_chunks_[c].push_back(NeighborRef{e.row, e.col, e.ref});
+      }
+    }
+    nbr_chunks_packed_ = {};
+    packed_refs_ = false;
+  }
+  return Status::OK();
+}
+
+void PairStore::RestageSpans(const DynamicGraph& g1, const DynamicGraph& g2,
+                             std::span<const uint32_t> spans) {
+  FSIM_DCHECK(info_.pruned == 0);
+  if (packed_refs_) {
+    RestageChunks(g1, g2, spans, &nbr_chunks_packed_);
+  } else {
+    RestageChunks(g1, g2, spans, &nbr_chunks_);
+  }
+}
+
+template <typename Ref>
+void PairStore::RestageChunks(const DynamicGraph& g1, const DynamicGraph& g2,
+                              std::span<const uint32_t> spans,
+                              std::vector<std::vector<Ref>>* chunks) {
+  const size_t n = keys_.size();
+  auto classify = [&](size_t k, std::vector<Ref>* out) {
+    const NodeId u = U(k / 2);
+    const NodeId v = V(k / 2);
+    if (plan_.skip_diagonal && u == v) return;
+    if (k % 2 == 0) {
+      if (plan_.use_out) {
+        ClassifyInto(g1.OutNeighbors(u), g2.OutNeighbors(v), *space_, out);
+      }
+    } else if (plan_.use_in) {
+      ClassifyInto(g1.InNeighbors(u), g2.InNeighbors(v), *space_, out);
+    }
+  };
+  std::vector<Ref> fresh;          // the chunk's listed spans, re-staged
+  std::vector<size_t> fresh_ends;  // end of each listed span in `fresh`
+  std::vector<Ref> region;         // the rebuilt region's new entries
+  size_t s = 0;
+  while (s < spans.size()) {
+    const size_t chunk = spans[s] / (2 * kChunkPairs);
+    const size_t first_span = 2 * chunk * kChunkPairs;
+    const size_t num_spans =
+        2 * std::min(n, (chunk + 1) * kChunkPairs) - first_span;
+    uint64_t* offsets = &nbr_offsets_[first_span + chunk];
+    std::vector<Ref>& buf = (*chunks)[chunk];
+    const auto at = [&](uint64_t offset) {
+      return buf.begin() + static_cast<std::ptrdiff_t>(offset);
+    };
+    const size_t listed = s;
+    fresh.clear();
+    fresh_ends.clear();
+    size_t first_resized = SIZE_MAX;
+    size_t last_resized = SIZE_MAX;
+    for (; s < spans.size() && spans[s] < first_span + num_spans; ++s) {
+      const size_t j = spans[s] - first_span;
+      const size_t begin = fresh.size();
+      classify(spans[s], &fresh);
+      fresh_ends.push_back(fresh.size());
+      if (fresh.size() - begin != offsets[j + 1] - offsets[j]) {
+        if (first_resized == SIZE_MAX) first_resized = s;
+        last_resized = s;
+      }
+    }
+    auto fresh_span = [&](size_t q) {
+      const size_t end = fresh_ends[q - listed];
+      const size_t begin = q == listed ? 0 : fresh_ends[q - listed - 1];
+      return std::span<const Ref>(fresh.data() + begin, end - begin);
+    };
+    // The region from the first to the last resized span is rebuilt, and
+    // the entries after it move once, by its net size change; listed
+    // spans outside it keep their size and are overwritten in place.
+    if (first_resized != SIZE_MAX) {
+      const size_t j1 = spans[first_resized] - first_span;
+      const size_t j2 = spans[last_resized] - first_span;
+      const uint64_t region_begin = offsets[j1];
+      const uint64_t old_region_end = offsets[j2 + 1];
+      region.clear();
+      uint64_t old_begin = region_begin;
+      for (size_t j = j1, q = first_resized; j <= j2; ++j) {
+        const uint64_t old_end = offsets[j + 1];
+        if (q <= last_resized && spans[q] - first_span == j) {
+          const std::span<const Ref> entries = fresh_span(q++);
+          region.insert(region.end(), entries.begin(), entries.end());
+        } else {
+          region.insert(region.end(), at(old_begin), at(old_end));
+        }
+        offsets[j + 1] = region_begin + region.size();
+        old_begin = old_end;
+      }
+      const uint64_t new_region_end = offsets[j2 + 1];
+      if (new_region_end > old_region_end) {
+        buf.insert(at(old_region_end), new_region_end - old_region_end,
+                   Ref{});
+      } else {
+        buf.erase(at(new_region_end), at(old_region_end));
+      }
+      std::copy(region.begin(), region.end(), at(region_begin));
+      for (size_t j = j2 + 1; j < num_spans; ++j) {
+        offsets[j + 1] = offsets[j + 1] - old_region_end + new_region_end;
+      }
+    }
+    for (size_t q = listed; q < s; ++q) {
+      if (first_resized != SIZE_MAX && q >= first_resized &&
+          q <= last_resized) {
+        continue;
+      }
+      const std::span<const Ref> entries = fresh_span(q);
+      std::copy(entries.begin(), entries.end(),
+                at(offsets[spans[q] - first_span]));
+    }
   }
 }
 

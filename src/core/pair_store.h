@@ -2,7 +2,10 @@
 // (u, v) (the paper's Hc/Hp) as a shared PairSpace, their
 // double-buffered scores, the side table of upper bounds for pruned pairs
 // (upper-bound updating, §3.4), and the pair-graph CSR neighbor index that
-// turns the iterate loop's score lookups into direct array reads.
+// turns the iterate loop's score lookups into direct array reads. The one
+// index of every sparse engine: ComputeFSim and ComputeTopKPairs iterate
+// on it, and IncrementalFSim (core/incremental.h) solves on it and keeps
+// it valid under edge edits by re-staging the spans an edit invalidates.
 #ifndef FSIM_CORE_PAIR_STORE_H_
 #define FSIM_CORE_PAIR_STORE_H_
 
@@ -21,6 +24,8 @@
 #include "label/label_similarity.h"
 
 namespace fsim {
+
+class DynamicGraph;
 
 /// Candidate pairs with previous/current score buffers.
 ///
@@ -46,8 +51,9 @@ namespace fsim {
 /// scores through the index by direct indexing (prev_data() / pruned ref
 /// tag); callers that look scores up by key share the space (space()).
 /// The entries are stored per chunk of kChunkPairs consecutive pairs, one
-/// exact-size buffer each, which the parallel build fills in one pass and
-/// never copies.
+/// exact-size buffer each with chunk-local span offsets, which the
+/// parallel build fills in one pass and an edit rewrites without touching
+/// any other chunk (RestageSpans).
 /// config.neighbor_index_budget_bytes is a ceiling: an index whose bound
 /// cannot fit it fails the build. Beyond the index, the build holds one
 /// chunk of classification scratch per worker.
@@ -61,6 +67,10 @@ class PairStore {
     size_t theta_candidates = 0;  // pairs surviving the θ filter
     size_t kept = 0;              // pairs actually maintained
     size_t pruned = 0;            // pairs dropped by the upper bound
+    // Bound of the reverse-span layout when it did not fit the budget and
+    // the index fell back to the evaluation-only layout (reverse_spans()
+    // false); 0 otherwise.
+    uint64_t reverse_span_bytes = 0;
   };
 
   /// Enumerates and initializes the candidate pairs and builds the
@@ -70,9 +80,8 @@ class PairStore {
   /// the 32-bit pair-slot range, and with ResourceExhausted — naming
   /// the bytes the index needs and the budget — if the index cannot fit
   /// config.neighbor_index_budget_bytes or its refs would overflow the
-  /// pruned-ref tag. `build_neighbor_index` = false skips the index for
-  /// callers that maintain their own (IncrementalFSim); such a store only
-  /// hands out its space and scores, and must not be iterated.
+  /// pruned-ref tag. `build_neighbor_index` = false skips the index; such
+  /// a store only hands out its space and scores, and must not be iterated.
   /// `pool` parallelizes enumeration, initialization and the index build
   /// when provided (the engines pass their iterate pool); nullptr builds
   /// serially.
@@ -101,10 +110,14 @@ class PairStore {
 
   /// True when the index uses the packed 8-byte entry layout (16-bit
   /// row/col) — selected whenever every relevant neighbor-list position
-  /// fits, i.e. no weighted direction has a degree above 65536. Callers
-  /// read through OutRefsPacked/InRefsPacked then, OutRefs/InRefs
-  /// otherwise.
+  /// fits, i.e. no materialized direction has a degree above
+  /// kPackedDegreeLimit. Callers read through OutRefsPacked/InRefsPacked
+  /// then, OutRefs/InRefs otherwise.
   bool packed_refs() const { return packed_refs_; }
+
+  /// Largest neighbor-list length whose positions fit the packed layout's
+  /// 16-bit row/col.
+  static constexpr size_t kPackedDegreeLimit = 0x10000;
 
   /// True when the index was built with the widened active-set span
   /// layout (opposite-direction spans + pinned diagonal spans kept), so
@@ -165,7 +178,8 @@ class PairStore {
   /// The active-set driver sums this over changed pairs while marking is
   /// still deferred, to predict whether a frontier would skip anything.
   size_t RefSpanTotal(size_t i) const {
-    return static_cast<size_t>(nbr_offsets_[2 * i + 2] - nbr_offsets_[2 * i]);
+    const size_t p = 2 * i + i / kChunkPairs;
+    return static_cast<size_t>(nbr_offsets_[p + 2] - nbr_offsets_[p]);
   }
 
   /// Previous-iteration scores, indexed by untagged NeighborRef::ref values.
@@ -175,21 +189,45 @@ class PairStore {
   /// Eq. 6 bounds of tracked pruned pairs, indexed by tagged refs.
   const float* pruned_bounds_data() const { return pruned_ub_.data(); }
 
-  /// Heap footprint of the neighbor index: the chunk buffers' entries and
-  /// the offsets.
+  /// Live footprint of the neighbor index: the entries the chunk buffers
+  /// hold and the offsets (sizes, not capacities).
   size_t NeighborIndexBytes() const;
+
+  // Edit maintenance of a reverse-span index over an unpruned pair space
+  // (IncrementalFSim). The pairs and their slots depend only on labels, so
+  // they survive edge edits; an edit to edge (a, b) changes N+(a) and
+  // N-(b), which invalidates only the spans that list them.
+
+  /// Admits an edge insert that adds at most `new_entries` entries and
+  /// leaves its source with out-degree `out_degree` and its target with
+  /// in-degree `in_degree`. ResourceExhausted, changing nothing, when the
+  /// grown index could pass `budget_bytes`; otherwise, when a position
+  /// would no longer fit the packed layout, widens the index to the
+  /// 12-byte entries, which it keeps from then on. Call before the graph
+  /// changes.
+  Status ReserveInsert(uint64_t new_entries, size_t out_degree,
+                       size_t in_degree, uint64_t budget_bytes);
+
+  /// Rebuilds spans `spans` (ascending, distinct span ids: 2i is pair i's
+  /// out-direction, 2i + 1 its in-direction) from the current graphs,
+  /// classifying each candidate through PairSpace::Find, and rewrites
+  /// each touched chunk buffer once. The index then equals a fresh Build
+  /// of the graphs, provided every stale span is listed.
+  void RestageSpans(const DynamicGraph& g1, const DynamicGraph& g2,
+                    std::span<const uint32_t> spans);
 
   const BuildInfo& info() const { return info_; }
 
-  /// Structural invariants of the CSR neighbor index: the offsets array is
-  /// monotone, exactly one entry layout is populated (per packed_refs()),
-  /// there is one buffer per kChunkPairs-pair chunk and each holds exactly
-  /// its pairs' offsets range (no slack — the batch index is built tight,
-  /// unlike the incremental arena's tracked slack), every untagged ref
-  /// targets a maintained pair, every tagged ref targets a tracked pruned
-  /// bound, and each span is strictly (row, col)-sorted. O(entries); runs
-  /// automatically after Build under FSIM_DEBUG_CHECKS. Bumps
-  /// ValidatorCounters "PairStore::ValidateNeighborIndex".
+  /// Structural invariants of the CSR neighbor index: exactly one entry
+  /// layout is populated (per packed_refs()), there is one buffer per
+  /// kChunkPairs-pair chunk, each chunk's offsets start at 0, are
+  /// monotone and end at exactly its buffer's size (no slack — a torn or
+  /// double-written span breaks it), every untagged ref targets a
+  /// maintained pair, every tagged ref targets a tracked pruned bound, and
+  /// each span is strictly (row, col)-sorted. O(entries); runs
+  /// automatically after Build, and after every IncrementalFSim burst,
+  /// under FSIM_DEBUG_CHECKS. Bumps ValidatorCounters
+  /// "PairStore::ValidateNeighborIndex".
   Status ValidateNeighborIndex() const;
 
   /// The maintained pairs and their slot function, shared with every
@@ -207,32 +245,43 @@ class PairStore {
   // catches torn spans; nothing else may touch the internals.
   friend struct PairStoreTestAccess;
 
+  /// Which directions' spans the index materializes.
+  struct SpanPlan {
+    bool use_out = false;
+    bool use_in = false;
+    bool skip_diagonal = false;  // pinned diagonal pairs left without spans
+  };
+
   /// Materializes the CSR neighbor index, choosing the packed or wide
   /// entry layout; ResourceExhausted when it cannot fit the budget.
   Status BuildNeighborIndex(const Graph& g1, const Graph& g2,
                             const FSimConfig& config, ThreadPool& pool);
 
   /// Classifies every pair's candidate entries into `chunks`, one
-  /// exact-size buffer per kChunkPairs-pair chunk, and fills nbr_offsets_.
-  /// Ref is NeighborRef or PackedNeighborRef. `active_spans` selects the
-  /// widened active-set span layout (see reverse_spans()).
+  /// exact-size buffer per kChunkPairs-pair chunk, and fills nbr_offsets_
+  /// per plan_. Ref is NeighborRef or PackedNeighborRef.
   template <typename Ref>
-  void FillNeighborRefs(const Graph& g1, const Graph& g2,
-                        const FSimConfig& config, ThreadPool& pool,
-                        bool active_spans,
+  void FillNeighborRefs(const Graph& g1, const Graph& g2, ThreadPool& pool,
                         std::vector<std::vector<Ref>>* chunks);
 
+  /// RestageSpans on the populated entry layout.
+  template <typename Ref>
+  void RestageChunks(const DynamicGraph& g1, const DynamicGraph& g2,
+                     std::span<const uint32_t> spans,
+                     std::vector<std::vector<Ref>>* chunks);
+
+  /// Entries the index holds across both layouts' chunk buffers.
+  uint64_t NumEntries() const;
+
   /// Entries of span k (k = 2i: pair i's out-direction, 2i + 1: its
-  /// in-direction), read from pair i's chunk buffer: global offsets rebased
-  /// by the chunk's first offset.
+  /// in-direction), read from pair i's chunk buffer at its chunk-local
+  /// offsets.
   template <typename Ref>
   std::span<const Ref> SpanOf(const std::vector<std::vector<Ref>>& chunks,
                               size_t k) const {
     const size_t chunk = k / (2 * kChunkPairs);
-    const uint64_t base = nbr_offsets_[2 * kChunkPairs * chunk];
     const Ref* data = chunks[chunk].data();
-    return {data + (nbr_offsets_[k] - base),
-            data + (nbr_offsets_[k + 1] - base)};
+    return {data + nbr_offsets_[k + chunk], data + nbr_offsets_[k + chunk + 1]};
   }
 
   std::shared_ptr<const PairSpace> space_;
@@ -242,15 +291,16 @@ class PairStore {
   std::vector<float> pruned_ub_;
   BuildInfo info_;
 
-  // Pair-graph CSR neighbor index. nbr_offsets_ has 2 * size() + 1 entries
-  // indexing one global entry sequence: pair i's out-direction entries are
-  // [offsets[2i], offsets[2i+1]) and its in-direction entries
-  // [offsets[2i+1], offsets[2i+2]). Chunk c (pairs [c·K, (c+1)·K),
-  // K = kChunkPairs) stores its part of that sequence, starting at
-  // offsets[2·c·K], in its own exact-size buffer. Exactly one of the two
-  // chunk lists is populated, per packed_refs_.
+  // Pair-graph CSR neighbor index. Chunk c (pairs [c·K, (c+1)·K),
+  // K = kChunkPairs) stores its spans k = 2i (pair i's out-direction) and
+  // 2i + 1 (its in-direction) in its own exact-size buffer, span k at
+  // [nbr_offsets_[k + c], nbr_offsets_[k + c + 1]): every chunk's offsets
+  // are local, starting at 0, so nbr_offsets_ holds 2 * size() + (number
+  // of chunks) entries. Exactly one of the two chunk lists is populated,
+  // per packed_refs_.
   bool packed_refs_ = false;
   bool reverse_spans_ = false;
+  SpanPlan plan_;
   std::vector<uint64_t> nbr_offsets_;
   std::vector<std::vector<NeighborRef>> nbr_chunks_;
   std::vector<std::vector<PackedNeighborRef>> nbr_chunks_packed_;

@@ -16,7 +16,6 @@
 #include "common/thread_pool.h"
 #include "core/fsim_scores.h"
 #include "core/fsim_config.h"
-#include "core/incremental_index.h"
 #include "core/pair_store.h"
 #include "graph/dynamic_graph.h"
 #include "graph/graph_builder.h"
@@ -55,32 +54,6 @@ struct DynamicGraphTestAccess {
 struct SnapshotStoreTestAccess {
   static std::vector<uint64_t>& Chain(SnapshotStore& s) {
     return s.version_chain_;
-  }
-};
-
-struct IncrementalNeighborIndexTestAccess {
-  static uint64_t& Freed(IncrementalNeighborIndex& idx) { return idx.freed_; }
-  static void ShrinkLastSpan(IncrementalNeighborIndex& idx) {
-    // Dropping capacity without crediting freed_ breaks the slack equality.
-    for (auto it = idx.spans_.rbegin(); it != idx.spans_.rend(); ++it) {
-      if (it->capacity > 0) {
-        --it->capacity;
-        if (it->size > it->capacity) --it->size;
-        return;
-      }
-    }
-  }
-  static void OverlapFirstTwoSpans(IncrementalNeighborIndex& idx) {
-    size_t first = idx.spans_.size();
-    for (size_t s = 0; s < idx.spans_.size(); ++s) {
-      if (idx.spans_[s].capacity == 0) continue;
-      if (first == idx.spans_.size()) {
-        first = s;
-      } else {
-        idx.spans_[s].offset = idx.spans_[first].offset;
-        return;
-      }
-    }
   }
 };
 
@@ -279,16 +252,15 @@ TEST(ValidateNeighborIndexTest, CatchesUnsortedSpan) {
   auto store = BuildSmallStore();
   ASSERT_TRUE(store.ok());
   const auto& offsets = PairStoreTestAccess::Offsets(*store);
-  // Find a span with at least two entries and swap them, within the chunk
-  // buffer holding it (rebased by the chunk's first offset).
-  size_t chunk = 0;
+  // Find a span with at least two entries and swap them. The small store
+  // is one chunk, whose offsets index its buffer directly.
+  ASSERT_LE(store->size(), PairStore::kChunkPairs);
+  const size_t chunk = 0;
   size_t begin = 0;
   size_t len = 0;
   for (size_t s = 0; s + 1 < offsets.size(); ++s) {
     if (offsets[s + 1] - offsets[s] >= 2) {
-      chunk = s / (2 * PairStore::kChunkPairs);
-      begin = static_cast<size_t>(
-          offsets[s] - offsets[2 * PairStore::kChunkPairs * chunk]);
+      begin = static_cast<size_t>(offsets[s]);
       len = static_cast<size_t>(offsets[s + 1] - offsets[s]);
       break;
     }
@@ -315,60 +287,6 @@ TEST(ValidateNeighborIndexTest, CatchesChunkSlack) {
   const Status st = store->ValidateNeighborIndex();
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.ToString().find("slack"), std::string::npos);
-}
-
-// ------------------------------------- IncrementalNeighborIndex corruption --
-
-struct IncrementalFixture {
-  IncrementalFixture() : graph(MakeEditGraph()) {
-    const Graph g = graph.ToGraph();
-    FSimConfig config;
-    space = *PairSpace::Of(g, g, config);
-    keys = space->keys();
-    const NeighborIndexEnv env{graph, graph, *space};
-    built = index.Build(env, config).ok();
-  }
-
-  DynamicGraph graph;
-  std::shared_ptr<const PairSpace> space;
-  std::vector<uint64_t> keys;
-  IncrementalNeighborIndex index;
-  bool built = false;
-};
-
-TEST(IncrementalIndexValidateTest, CleanIndexPasses) {
-  IncrementalFixture f;
-  ASSERT_TRUE(f.built);
-  EXPECT_TRUE(f.index.Validate(f.keys.size()).ok());
-}
-
-TEST(IncrementalIndexValidateTest, CatchesLeakedSlack) {
-  IncrementalFixture f;
-  ASSERT_TRUE(f.built);
-  IncrementalNeighborIndexTestAccess::Freed(f.index) += 3;
-  const Status st = f.index.Validate(f.keys.size());
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.ToString().find("slack accounting"), std::string::npos);
-}
-
-TEST(IncrementalIndexValidateTest, CatchesShrunkSpanCapacity) {
-  IncrementalFixture f;
-  ASSERT_TRUE(f.built);
-  IncrementalNeighborIndexTestAccess::ShrinkLastSpan(f.index);
-  EXPECT_FALSE(f.index.Validate(f.keys.size()).ok());
-}
-
-TEST(IncrementalIndexValidateTest, CatchesOverlappingSpans) {
-  IncrementalFixture f;
-  ASSERT_TRUE(f.built);
-  IncrementalNeighborIndexTestAccess::OverlapFirstTwoSpans(f.index);
-  EXPECT_FALSE(f.index.Validate(f.keys.size()).ok());
-}
-
-TEST(IncrementalIndexValidateTest, WrongPairCountRejected) {
-  IncrementalFixture f;
-  ASSERT_TRUE(f.built);
-  EXPECT_FALSE(f.index.Validate(f.keys.size() + 1).ok());
 }
 
 // ------------------------------------------------ SnapshotStore corruption --

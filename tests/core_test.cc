@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/fsim_config.h"
 #include "core/fsim_engine.h"
@@ -248,6 +249,63 @@ TEST(ValidationTest, RejectsBadDomains) {
   config = FSimConfig{};
   config.num_threads = 0;
   EXPECT_FALSE(ComputeFSim(pair.g1, pair.g2, config).ok());
+}
+
+// Every real-valued field is range-checked so that NaN fails, and epsilon
+// and frontier_tolerance must be finite: a NaN weight would make every
+// score NaN, a NaN θ would empty the candidate space and a NaN epsilon
+// would stop the solve after one iteration, all without an error.
+TEST(ValidationTest, RejectsNonFiniteFields) {
+  auto pair = MakeRandomPair(2);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Row {
+    const char* field;
+    void (*set)(FSimConfig*, double);
+  };
+  const Row rows[] = {
+      {"w_out", [](FSimConfig* c, double x) { c->w_out = x; }},
+      {"w_in", [](FSimConfig* c, double x) { c->w_in = x; }},
+      {"theta", [](FSimConfig* c, double x) { c->theta = x; }},
+      {"alpha",
+       [](FSimConfig* c, double x) {
+         c->upper_bound = true;
+         c->alpha = x;
+       }},
+      {"beta",
+       [](FSimConfig* c, double x) {
+         c->upper_bound = true;
+         c->beta = x;
+       }},
+      {"epsilon", [](FSimConfig* c, double x) { c->epsilon = x; }},
+      {"frontier_tolerance (exact)",
+       [](FSimConfig* c, double x) { c->frontier_tolerance = x; }},
+      {"frontier_tolerance (tolerance)",
+       [](FSimConfig* c, double x) {
+         c->active_set = ActiveSetMode::kTolerance;
+         c->frontier_tolerance = x;
+       }},
+      {"frontier_density_threshold",
+       [](FSimConfig* c, double x) { c->frontier_density_threshold = x; }},
+      {"active_set_activation_fraction",
+       [](FSimConfig* c, double x) {
+         c->active_set_activation_fraction = x;
+       }},
+  };
+  for (const Row& row : rows) {
+    for (double x : {nan, inf, -inf}) {
+      FSimConfig config;
+      row.set(&config, x);
+      EXPECT_TRUE(ValidateFSimConfig(pair.g1, pair.g2, config)
+                      .IsInvalidArgument())
+          << row.field << " = " << x;
+    }
+    // The table's setters are sound: a valid value passes.
+    FSimConfig config;
+    row.set(&config, 0.5);
+    EXPECT_TRUE(ValidateFSimConfig(pair.g1, pair.g2, config).ok())
+        << row.field;
+  }
 }
 
 TEST(ValidationTest, PairLimitIsEnforced) {

@@ -2,11 +2,13 @@
 // (graph/edits.h), the edit-capable DynamicGraph (graph/dynamic_graph.h),
 // ComputeFSim's θ = 0 tile-panel path (core/panel_engine.h, differential
 // against the sparse driver), the maintained pair-graph neighbor index
-// (core/incremental_index.h, differential against a fresh build) and
+// (core/pair_store.h, differential against a fresh build) and
 // incremental FSim maintenance (core/incremental.h, property-tested against
 // full recomputation, plus its neighbor-index budget ceiling).
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <ostream>
 #include <span>
 #include <string>
 #include <tuple>
@@ -15,11 +17,11 @@
 
 #include "core/fsim_engine.h"
 #include "core/incremental.h"
-#include "core/incremental_index.h"
 #include "core/pair_store.h"
 #include "core/panel_engine.h"
 #include "graph/dynamic_graph.h"
 #include "graph/edits.h"
+#include "graph/graph_builder.h"
 #include "gtest/gtest.h"
 #include "test_graphs.h"
 #include "tests/path_oracles.h"
@@ -530,11 +532,17 @@ TEST(Incremental, RejectsUpperBoundConfig) {
 
 TEST(Incremental, RejectsNonPositiveTolerance) {
   auto pair = MakeRandomPair(25);
-  IncrementalOptions options;
-  options.propagation_tolerance = 0.0;
-  auto inc = IncrementalFSim::Create(pair.g1, pair.g2, FSimConfig{}, options);
-  ASSERT_FALSE(inc.ok());
-  EXPECT_TRUE(inc.status().IsInvalidArgument());
+  // A NaN tolerance would stop every repair after its first step.
+  for (double tolerance : {0.0, -1e-9,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    IncrementalOptions options;
+    options.propagation_tolerance = tolerance;
+    auto inc =
+        IncrementalFSim::Create(pair.g1, pair.g2, FSimConfig{}, options);
+    ASSERT_FALSE(inc.ok()) << tolerance;
+    EXPECT_TRUE(inc.status().IsInvalidArgument()) << tolerance;
+  }
 }
 
 TEST(Incremental, IllegalEditLeavesStateUntouched) {
@@ -623,88 +631,193 @@ TEST(Incremental, ThetaFilteredCandidateSetSurvivesEdits) {
   }
 }
 
-// Exact structural equivalence of the maintained neighbor index: after a
-// stream of random edits (self-loops included), every re-staged span must be
-// entry-for-entry identical to a from-scratch build on the edited graphs —
-// which makes any evaluation through the two indexes bit-identical (far
-// inside the 1e-12 score budget the engine-level sweep asserts).
-class MaintainedIndexSweep
-    : public ::testing::TestWithParam<std::tuple<SimVariant, double>> {};
-
-TEST_P(MaintainedIndexSweep, MatchesFreshBuildAfterRandomEdits) {
-  const auto [variant, theta] = GetParam();
-  auto pair = MakeRandomPair(51);
+// Exact structural equivalence of the maintained neighbor index: after
+// every burst of a random edit stream (self-loops included), the engine's
+// store must be entry-for-entry identical to a fresh PairStore::Build of
+// the materialized graphs — which makes any evaluation through the two
+// bit-identical (far inside the 1e-12 score budget the engine-level sweep
+// asserts).
+struct SweepCase {
+  std::string name;
   FSimConfig config;
-  config.variant = variant;
-  config.theta = theta;
-  LabelSimilarityCache lsim(*pair.g1.dict(), config.label_sim);
-  auto store = PairStore::Build(pair.g1, pair.g2, config, lsim,
-                                /*build_neighbor_index=*/false);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  const std::vector<uint64_t>& keys = store->space()->keys();
+  bool undirected = false;  // RoleSim's Graph::AsUndirected adaptation
+};
 
-  DynamicGraph d1(pair.g1);
-  DynamicGraph d2(pair.g2);
-  const NeighborIndexEnv env{d1, d2, *store->space()};
-  IncrementalNeighborIndex maintained;
-  ASSERT_TRUE(maintained.Build(env, config).ok());
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.name; }
 
-  Rng rng(515);
-  for (int e = 0; e < 12; ++e) {
-    const int graph_index = (rng.Next() % 2 == 0) ? 1 : 2;
-    DynamicGraph& target = graph_index == 1 ? d1 : d2;
-    const NodeId n = static_cast<NodeId>(target.NumNodes());
-    const NodeId from = static_cast<NodeId>(rng.Next() % n);
-    const NodeId to = static_cast<NodeId>(rng.Next() % n);
-    Status status = target.HasEdge(from, to) ? target.RemoveEdge(from, to)
-                                             : target.InsertEdge(from, to);
-    ASSERT_TRUE(status.ok()) << status.ToString();
-
-    // The engine's invalidation rule, replicated over a plain pair scan:
-    // a graph-1 edit re-stages the out-spans of row `from` and the in-spans
-    // of row `to`; a graph-2 edit the same per column.
-    for (size_t i = 0; i < keys.size(); ++i) {
-      const NodeId u = PairFirst(keys[i]);
-      const NodeId v = PairSecond(keys[i]);
-      const NodeId key_node = graph_index == 1 ? u : v;
-      if (key_node == from) {
-        maintained.Restage(i, IncrementalNeighborIndex::kOut, u, v, env);
-      }
-      if (key_node == to) {
-        maintained.Restage(i, IncrementalNeighborIndex::kIn, u, v, env);
-      }
+/// The entries a fresh build lists for span `out`/in of (u, v) over the
+/// dynamic graphs' own lists: every (x, y) of N±(u) x N±(v) in the space.
+std::vector<NeighborRef> ClassifiedSpan(const DynamicGraph& g1,
+                                        const DynamicGraph& g2,
+                                        const PairSpace& space, NodeId u,
+                                        NodeId v, bool out) {
+  const auto s1 = out ? g1.OutNeighbors(u) : g1.InNeighbors(u);
+  const auto s2 = out ? g2.OutNeighbors(v) : g2.InNeighbors(v);
+  std::vector<NeighborRef> refs;
+  for (uint32_t r = 0; r < s1.size(); ++r) {
+    for (uint32_t c = 0; c < s2.size(); ++c) {
+      const uint32_t slot = space.Find(s1[r], s2[c]);
+      if (slot != PairSpace::kNotFound) refs.push_back({r, c, slot});
     }
+  }
+  return refs;
+}
 
-    IncrementalNeighborIndex fresh;
-    ASSERT_TRUE(fresh.Build(env, config).ok());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      for (int dir :
-           {IncrementalNeighborIndex::kOut, IncrementalNeighborIndex::kIn}) {
-        auto got = maintained.Refs(i, dir);
-        auto want = fresh.Refs(i, dir);
-        ASSERT_EQ(got.size(), want.size())
-            << "edit " << e << " pair " << i << " dir " << dir;
-        for (size_t k = 0; k < got.size(); ++k) {
-          EXPECT_EQ(got[k].row, want[k].row);
-          EXPECT_EQ(got[k].col, want[k].col);
-          EXPECT_EQ(got[k].ref, want[k].ref);
-        }
-      }
-    }
+template <typename Got, typename Want>
+void ExpectSameSpan(Got got, Want want, const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k].row, want[k].row) << where;
+    EXPECT_EQ(got[k].col, want[k].col) << where;
+    EXPECT_EQ(got[k].ref, want[k].ref) << where;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllVariantsAndThetas, MaintainedIndexSweep,
-    ::testing::Combine(::testing::Values(SimVariant::kSimple,
-                                         SimVariant::kDegreePreserving,
-                                         SimVariant::kBi,
-                                         SimVariant::kBijective),
-                       ::testing::Values(0.0, 1.0)),
-    [](const ::testing::TestParamInfo<std::tuple<SimVariant, double>>& param_info) {
-      return std::string(SimVariantName(std::get<0>(param_info.param))) +
-             (std::get<1>(param_info.param) == 0.0 ? "_theta0" : "_theta1");
+/// Compares the engine's store with a fresh build of its materialized
+/// graphs. The AsUndirected adaptation leaves Graph in-lists empty while
+/// DynamicGraph edits populate them, so no Graph carries an edited
+/// undirected graph's in-lists: there the in-spans are checked against
+/// the dynamic lists directly.
+void ExpectStoreMatchesFreshBuild(const IncrementalFSim& inc, bool undirected,
+                                  const std::string& where) {
+  const PairStore& got = inc.store();
+  const Status valid = got.ValidateNeighborIndex();
+  ASSERT_TRUE(valid.ok()) << where << ": " << valid.ToString();
+  LabelSimilarityCache lsim(*inc.g1().dict(), inc.config().label_sim);
+  auto want = PairStore::Build(inc.MaterializeG1(), inc.MaterializeG2(),
+                               inc.config(), lsim);
+  ASSERT_TRUE(want.ok()) << where << ": " << want.status().ToString();
+  ASSERT_TRUE(want->reverse_spans()) << where;
+  ASSERT_EQ(got.space()->keys(), want->space()->keys()) << where;
+  ASSERT_EQ(got.packed_refs(), want->packed_refs()) << where;
+  if (!undirected) {
+    EXPECT_EQ(got.NeighborIndexBytes(), want->NeighborIndexBytes()) << where;
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    const std::string at = where + " pair " + std::to_string(i);
+    got.WithRefs(i, [&](auto got_out, auto got_in) {
+      want->WithRefs(i, [&](auto want_out, auto want_in) {
+        ExpectSameSpan(got_out, want_out, at + " out");
+        if (!undirected) ExpectSameSpan(got_in, want_in, at + " in");
+      });
+      if (undirected) {
+        ExpectSameSpan(got_in,
+                       std::span<const NeighborRef>(ClassifiedSpan(
+                           inc.g1(), inc.g2(), *got.space(), got.U(i),
+                           got.V(i), /*out=*/false)),
+                       at + " in");
+      }
     });
+  }
+}
+
+class MaintainedIndexSweep : public ::testing::TestWithParam<SweepCase> {};
+
+TEST_P(MaintainedIndexSweep, MatchesFreshBuildAfterRandomEdits) {
+  const SweepCase& param = GetParam();
+  // Several kChunkPairs-pair chunks at either θ, so edits rewrite chunks
+  // other than the first.
+  auto pair = MakeRandomPair(51, 30, 40);
+  if (param.config.pin_diagonal) pair.g2 = pair.g1;  // self-similarity
+  if (param.undirected) {
+    pair.g1 = pair.g1.AsUndirected();
+    pair.g2 = pair.g2.AsUndirected();
+  }
+  auto inc = IncrementalFSim::Create(pair.g1, pair.g2, param.config);
+  ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+  ExpectStoreMatchesFreshBuild(*inc, param.undirected, "create");
+
+  Rng rng(515);
+  std::vector<Status> statuses;
+  for (int burst = 0; burst < 8; ++burst) {
+    std::vector<EdgeEdit> edits;
+    for (size_t op = 0; op < 1 + rng.Next() % 3; ++op) {
+      const int graph_index = (rng.Next() % 2 == 0) ? 1 : 2;
+      const DynamicGraph& target = graph_index == 1 ? inc->g1() : inc->g2();
+      const NodeId n = static_cast<NodeId>(target.NumNodes());
+      const NodeId from = static_cast<NodeId>(rng.Next() % n);
+      const NodeId to = static_cast<NodeId>(rng.Next() % n);
+      // Ops apply in order, so a repeated edge in one burst can fail;
+      // either way the store must match the graphs afterwards.
+      edits.push_back({graph_index, from, to, !target.HasEdge(from, to)});
+    }
+    ASSERT_TRUE(inc->ApplyEdits(edits, &statuses).ok());
+    ExpectStoreMatchesFreshBuild(*inc, param.undirected,
+                                 "burst " + std::to_string(burst));
+  }
+}
+
+std::vector<SweepCase> MaintainedIndexCases() {
+  std::vector<SweepCase> cases;
+  for (SimVariant variant :
+       {SimVariant::kSimple, SimVariant::kDegreePreserving, SimVariant::kBi,
+        SimVariant::kBijective}) {
+    for (double theta : {0.0, 1.0}) {
+      FSimConfig config;
+      config.variant = variant;
+      config.theta = theta;
+      cases.push_back({std::string(SimVariantName(variant)) +
+                           (theta == 0.0 ? "_theta0" : "_theta1"),
+                       config});
+    }
+  }
+  cases.push_back({"simrank", SimRankFSimConfig()});
+  cases.push_back({"rolesim_undirected", RoleSimFSimConfig(), true});
+  // The store is built on Create's pool; TSan runs this case.
+  FSimConfig threaded;
+  threaded.variant = SimVariant::kBi;
+  threaded.theta = 1.0;
+  threaded.num_threads = 3;
+  cases.push_back({"b_theta1_threads3", threaded});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, MaintainedIndexSweep, ::testing::ValuesIn(MaintainedIndexCases()),
+    [](const ::testing::TestParamInfo<SweepCase>& param_info) {
+      return param_info.param.name;
+    });
+
+// The packed 8-byte refs hold 16-bit positions. A star whose hub reaches
+// out-degree 65537 puts its one label-compatible leaf at position 65536,
+// so the insert must widen the index to 12-byte refs before re-staging,
+// and it then stays wide.
+TEST(MaintainedIndex, InsertPastPackedDegreeWidensRefs) {
+  constexpr NodeId kLeaves = PairStore::kPackedDegreeLimit;
+  auto dict = std::make_shared<LabelDict>();
+  GraphBuilder star(dict);
+  star.AddNode("hub");
+  for (NodeId leaf = 1; leaf <= kLeaves; ++leaf) star.AddNode("leaf");
+  const NodeId last = star.AddNode("mark");
+  for (NodeId leaf = 1; leaf <= kLeaves; ++leaf) star.AddEdge(0, leaf);
+  GraphBuilder small(dict);
+  const NodeId hub = small.AddNode("hub");
+  const NodeId mark = small.AddNode("mark");
+  small.AddEdge(hub, mark);
+  FSimConfig config;
+  config.variant = SimVariant::kBi;
+  config.theta = 1.0;
+  auto inc = IncrementalFSim::Create(std::move(star).BuildOrDie(),
+                                     std::move(small).BuildOrDie(), config);
+  ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+  ASSERT_TRUE(inc->store().packed_refs());
+  ExpectStoreMatchesFreshBuild(*inc, false, "create");
+
+  ASSERT_TRUE(inc->InsertEdge(1, 0, last).ok());
+  EXPECT_FALSE(inc->store().packed_refs());
+  ExpectStoreMatchesFreshBuild(*inc, false, "widened");
+  const uint32_t hub_pair = inc->store().space()->Find(0, hub);
+  ASSERT_NE(hub_pair, PairSpace::kNotFound);
+  const auto out = inc->store().OutRefs(hub_pair);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].row, kLeaves);
+
+  // Dropping back to the packed degree keeps the wide layout.
+  ASSERT_TRUE(inc->RemoveEdge(1, 0, 1).ok());
+  EXPECT_FALSE(inc->store().packed_refs());
+  EXPECT_TRUE(inc->store().ValidateNeighborIndex().ok());
+  EXPECT_EQ(inc->store().OutRefs(hub_pair)[0].row, kLeaves - 1);
+}
 
 TEST(Incremental, TruncatedEditReportsNonConvergence) {
   auto pair = MakeRandomPair(33);
@@ -752,7 +865,7 @@ std::vector<double> AllScores(const IncrementalFSim& inc) {
   return inc.Snapshot().values();
 }
 
-// θ = 0 keeps every candidate entry, so the arena's live entries equal the
+// θ = 0 keeps every candidate entry, so the index's live entries equal the
 // Create-time bound and a budget of exactly that footprint admits Create but
 // no edit that grows a span. Such an insert must be rejected before the
 // graph is touched; a removal, and then re-inserting the removed edge
@@ -777,16 +890,16 @@ TEST(Incremental, OverBudgetInsertIsRejectedAndLeavesStateUntouched) {
   NodeId to = 1;
   while (inc->g1().HasEdge(from, to)) ++to;
   const std::vector<double> before = AllScores(*inc);
-  const size_t bytes_before = inc->neighbor_index().MemoryBytes();
+  const size_t bytes_before = inc->store().NeighborIndexBytes();
   const Status rejected = inc->InsertEdge(1, from, to);
   ASSERT_TRUE(rejected.IsResourceExhausted()) << rejected.ToString();
   EXPECT_NE(rejected.ToString().find("neighbor_index_budget_bytes"),
             std::string::npos);
   EXPECT_FALSE(inc->g1().HasEdge(from, to));
   EXPECT_EQ(AllScores(*inc), before);
-  EXPECT_EQ(inc->neighbor_index().MemoryBytes(), bytes_before);
+  EXPECT_EQ(inc->store().NeighborIndexBytes(), bytes_before);
   EXPECT_TRUE(inc->g1().ValidateAdjacency().ok());
-  EXPECT_TRUE(inc->neighbor_index().Validate(inc->NumPairs()).ok());
+  EXPECT_TRUE(inc->store().ValidateNeighborIndex().ok());
 
   // Graph 2 goes through the column bound.
   NodeId to2 = 1;
@@ -804,15 +917,43 @@ TEST(Incremental, OverBudgetInsertIsRejectedAndLeavesStateUntouched) {
   ASSERT_TRUE(inc->RemoveEdge(1, u, w).ok());
   ASSERT_TRUE(inc->InsertEdge(1, u, w).ok());
   EXPECT_TRUE(inc->g1().HasEdge(u, w));
-  EXPECT_LE(inc->neighbor_index().MemoryBytes(),
+  EXPECT_LE(inc->store().NeighborIndexBytes(),
             config.neighbor_index_budget_bytes);
-  EXPECT_TRUE(inc->neighbor_index().Validate(inc->NumPairs()).ok());
+  EXPECT_TRUE(inc->store().ValidateNeighborIndex().ok());
   auto full = ComputeFSim(inc->MaterializeG1(), inc->MaterializeG2(), config);
   ASSERT_TRUE(full.ok());
   for (uint64_t key : full->keys()) {
     EXPECT_NEAR(full->Score(PairFirst(key), PairSecond(key)),
                 inc->Score(PairFirst(key), PairSecond(key)), 1e-6);
   }
+}
+
+// Repair runs in tolerance mode, so the engine needs the reverse-span
+// layout even where ComputeFSim would fall back to the evaluation-only
+// index: SimRank's single weighted direction doubles its entries when
+// widened, and a budget that fits only the evaluation-only index fails
+// Create, naming the bytes and the budget.
+TEST(Incremental, CreateNeedsTheReverseSpanLayout) {
+  auto pair = MakeRandomPair(37);
+  FSimConfig config = SimRankFSimConfig();
+  config.active_set = ActiveSetMode::kOff;
+  LabelSimilarityCache lsim(*pair.g1.dict(), config.label_sim);
+  auto evaluation_only = PairStore::Build(pair.g1, pair.g1, config, lsim);
+  ASSERT_TRUE(evaluation_only.ok()) << evaluation_only.status().ToString();
+  ASSERT_FALSE(evaluation_only->reverse_spans());
+  config.neighbor_index_budget_bytes = evaluation_only->NeighborIndexBytes();
+
+  auto batch = ComputeFSim(pair.g1, pair.g1, config);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  config.active_set = ActiveSetMode::kExact;
+  auto inc = IncrementalFSim::Create(pair.g1, pair.g1, config);
+  ASSERT_TRUE(inc.status().IsResourceExhausted()) << inc.status().ToString();
+  const std::string message = inc.status().ToString();
+  EXPECT_NE(message.find("neighbor_index_budget_bytes " +
+                         std::to_string(config.neighbor_index_budget_bytes)),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("reverse-span"), std::string::npos) << message;
 }
 
 // A burst applies every op it can. Rejected ops in the middle (an absent
@@ -871,9 +1012,9 @@ TEST(Incremental, BurstWithRejectedOpsAppliesTheRest) {
   EXPECT_EQ(inc->g2().NumEdges(), ref->g2().NumEdges());
   EXPECT_EQ(inc->last_edit_stats().seeded_pairs,
             ref->last_edit_stats().seeded_pairs);
-  EXPECT_EQ(inc->neighbor_index().MemoryBytes(),
-            ref->neighbor_index().MemoryBytes());
-  EXPECT_TRUE(inc->neighbor_index().Validate(inc->NumPairs()).ok());
+  EXPECT_EQ(inc->store().NeighborIndexBytes(),
+            ref->store().NeighborIndexBytes());
+  EXPECT_TRUE(inc->store().ValidateNeighborIndex().ok());
   EXPECT_EQ(AllScores(*inc), AllScores(*ref));
 
   auto full = ComputeFSim(inc->MaterializeG1(), inc->MaterializeG2(), config);
@@ -884,9 +1025,10 @@ TEST(Incremental, BurstWithRejectedOpsAppliesTheRest) {
   }
 }
 
-// The arena is sized to its live entries: right after Create the reported
-// footprint is exactly the entries the spans hold plus the span metadata.
-TEST(Incremental, IndexMemoryIsLiveEntriesPlusSpanMetadata) {
+// The reported footprint is the live index, sizes and not capacities: an
+// edit that shrinks spans shrinks it to what a fresh build of the edited
+// graphs holds.
+TEST(Incremental, IndexBytesAreTheLiveFootprint) {
   for (double theta : {0.0, 1.0}) {
     auto pair = MakeRandomPair(36);
     FSimConfig config;
@@ -894,19 +1036,23 @@ TEST(Incremental, IndexMemoryIsLiveEntriesPlusSpanMetadata) {
     config.theta = theta;
     auto inc = IncrementalFSim::Create(pair.g1, pair.g2, config);
     ASSERT_TRUE(inc.ok()) << inc.status().ToString();
-    const IncrementalNeighborIndex& index = inc->neighbor_index();
-    size_t live = 0;
-    for (size_t i = 0; i < inc->NumPairs(); ++i) {
-      live += index.Refs(i, IncrementalNeighborIndex::kOut).size() +
-              index.Refs(i, IncrementalNeighborIndex::kIn).size();
-    }
-    EXPECT_EQ(index.live_entries(), live) << "theta " << theta;
-    const size_t expected =
-        live * sizeof(NeighborRef) +
-        2 * inc->NumPairs() * sizeof(IncrementalNeighborIndex::SpanMeta);
-    EXPECT_EQ(index.MemoryBytes(), expected) << "theta " << theta;
-    EXPECT_EQ(inc->Snapshot().stats().neighbor_index_bytes, expected)
+    const size_t created = inc->store().NeighborIndexBytes();
+    EXPECT_EQ(inc->Snapshot().stats().neighbor_index_bytes, created);
+    NodeId u = 0;
+    while (inc->g1().OutDegree(u) == 0) ++u;
+    ASSERT_TRUE(inc->RemoveEdge(1, u, inc->g1().OutNeighbors(u)[0]).ok());
+    LabelSimilarityCache lsim(*pair.g1.dict(), config.label_sim);
+    auto fresh = PairStore::Build(inc->MaterializeG1(), inc->MaterializeG2(),
+                                  config, lsim);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    EXPECT_EQ(inc->store().NeighborIndexBytes(), fresh->NeighborIndexBytes())
         << "theta " << theta;
+    EXPECT_EQ(inc->Snapshot().stats().neighbor_index_bytes,
+              fresh->NeighborIndexBytes())
+        << "theta " << theta;
+    if (theta == 0.0) {
+      EXPECT_LT(inc->store().NeighborIndexBytes(), created);
+    }
   }
 }
 

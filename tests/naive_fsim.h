@@ -1,8 +1,8 @@
 // A naive realization of Algorithm 1: Jacobi iteration of Equation 3 that
 // reads every FSim^{k-1}(x, y) through a hash lookup plus a label check,
 // the way the paper's Hc/Hp maps do. The engines iterate through
-// precomputed neighbor indexes or tile panels instead (core/pair_store.h,
-// core/incremental_index.h, core/panel_engine.h); this header is the shared
+// a precomputed neighbor index or tile panels instead (core/pair_store.h,
+// core/panel_engine.h); this header is the shared
 // oracle their indexed evaluations are checked against. It enumerates its
 // own pair set by brute force, so it checks the engines' candidate
 // enumeration too.

@@ -11,7 +11,7 @@
 #include "common/hash.h"
 #include "common/thread_pool.h"
 #include "core/fsim_config.h"
-#include "core/incremental_index.h"
+#include "core/incremental.h"
 #include "core/pair_store.h"
 #include "graph/dynamic_graph.h"
 #include "graph/graph_builder.h"
@@ -48,17 +48,17 @@ void RunAllValidators() {
   const Status neighbor_index = store->ValidateNeighborIndex();
   EXPECT_TRUE(neighbor_index.ok()) << neighbor_index.ToString();
 
-  IncrementalNeighborIndex incremental;
-  const NeighborIndexEnv env{dg, dg, *store->space()};
-  ASSERT_TRUE(incremental.Build(env, config).ok());
-  // Exercise the in-place and relocation Restage paths before auditing.
-  ASSERT_TRUE(dg.InsertEdge(0, 3).ok());
-  for (size_t i = 0; i < store->size(); ++i) {
-    incremental.Restage(i, IncrementalNeighborIndex::kOut, store->U(i),
-                        store->V(i), env);
-  }
-  const Status arena = incremental.Validate(store->size());
-  EXPECT_TRUE(arena.ok()) << arena.ToString();
+  // The incremental engine's store after an edit burst has re-staged
+  // spans and rewritten their chunks.
+  auto inc = IncrementalFSim::Create(g, g, config);
+  ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+  std::vector<Status> statuses;
+  const std::vector<EdgeEdit> edits = {{1, 0, 3, /*insert=*/true},
+                                       {2, 0, 1, /*insert=*/false}};
+  ASSERT_TRUE(inc->ApplyEdits(edits, &statuses).ok());
+  for (const Status& st : statuses) EXPECT_TRUE(st.ok()) << st.ToString();
+  const Status edited = inc->store().ValidateNeighborIndex();
+  EXPECT_TRUE(edited.ok()) << edited.ToString();
 
   ThreadPool pool(3);
   std::vector<uint64_t> sums(512, 0);
@@ -89,8 +89,7 @@ class StructureValidationEnvironment : public ::testing::Environment {
     // audit above at minimum, plus any automatic FSIM_DEBUG_CHECKS hooks.
     for (const char* name :
          {"DynamicGraph::ValidateAdjacency", "PairStore::ValidateNeighborIndex",
-          "IncrementalNeighborIndex::Validate", "ThreadPool::ValidateScheduler",
-          "SnapshotStore::ValidateChain"}) {
+          "ThreadPool::ValidateScheduler", "SnapshotStore::ValidateChain"}) {
       EXPECT_GE(ValidatorCounters::Count(name), 1u)
           << "validator never executed: " << name;
     }
