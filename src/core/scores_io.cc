@@ -1,5 +1,6 @@
 #include "core/scores_io.h"
 
+#include <charconv>
 #include <cinttypes>
 #include <fstream>
 #include <sstream>
@@ -13,9 +14,22 @@ std::string ScoresToString(const FSimScores& scores) {
   out += StrFormat("pairs %zu\n", scores.NumPairs());
   const auto& keys = scores.keys();
   const auto& values = scores.values();
+  out.reserve(out.size() + keys.size() * 32);  // ~ a 3-digit-id line
+  // Each line is what "%u %u %.17g\n" prints: two ids of at most 10
+  // digits and a value of at most 24 characters, plus separators.
+  constexpr size_t kIdChars = 10;
+  constexpr size_t kValueChars = 24;
+  char line[kIdChars + 1 + kIdChars + 1 + kValueChars + 1];
   for (size_t i = 0; i < keys.size(); ++i) {
-    out += StrFormat("%u %u %.17g\n", PairFirst(keys[i]),
-                     PairSecond(keys[i]), values[i]);
+    char* p = std::to_chars(line, line + kIdChars, PairFirst(keys[i])).ptr;
+    *p++ = ' ';
+    p = std::to_chars(p, p + kIdChars, PairSecond(keys[i])).ptr;
+    *p++ = ' ';
+    p = std::to_chars(p, p + kValueChars, values[i],
+                      std::chars_format::general, 17)
+            .ptr;
+    *p++ = '\n';
+    out.append(line, static_cast<size_t>(p - line));
   }
   return out;
 }

@@ -11,6 +11,10 @@
 // A file is read against the pair space of the graphs and config it is
 // meant for (PairSpace::Of): it must hold every pair of that space exactly
 // once, in any order, and nothing else.
+//
+// This is the CLI's score file format. Durable serving snapshots hold a
+// binary score section instead (serve/recovery.h); they carry this text
+// only in version 1.
 #ifndef FSIM_CORE_SCORES_IO_H_
 #define FSIM_CORE_SCORES_IO_H_
 

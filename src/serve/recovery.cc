@@ -6,23 +6,27 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cinttypes>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "common/failpoint.h"
 #include "common/hash.h"
 #include "common/string_util.h"
 #include "core/scores_io.h"
 #include "graph/binary_io.h"
+#include "obs/trace.h"
 
 namespace fsim {
 
 namespace {
 
 constexpr char kSnapshotMagic[8] = {'F', 'S', 'I', 'M', 'S', 'N', 'P', '1'};
-constexpr uint32_t kSnapshotVersion = 1;
+// Version 1 held the scores as core/scores_io.h text; 2 as a binary block.
+constexpr uint32_t kTextScoresVersion = 1;
+constexpr uint32_t kSnapshotVersion = 2;
+// A version-2 score block's header: pair count and key digest.
+constexpr size_t kScoreHeaderBytes = 16;
 
 constexpr char kSnapshotPrefix[] = "snap-";
 constexpr char kSnapshotSuffix[] = ".fsnap";
@@ -81,7 +85,55 @@ Result<std::vector<std::pair<uint64_t, std::string>>> ListSnapshots(
   return snapshots;
 }
 
-Result<LoadedSnapshot> ParseSnapshot(std::string_view bytes, uint64_t lsn) {
+uint64_t KeysDigest(const PairSpace& space) {
+  return HashBytes(space.keys().data(),
+                   space.keys().size() * sizeof(uint64_t));
+}
+
+Result<FSimScores> DecodeBinaryScores(std::string_view section,
+                                      std::shared_ptr<const PairSpace> space) {
+  if (section.size() < kScoreHeaderBytes) {
+    return Status::IOError(StrFormat(
+        "score section is %zu bytes, shorter than its %zu-byte header",
+        section.size(), kScoreHeaderBytes));
+  }
+  uint64_t count;
+  uint64_t digest;
+  std::memcpy(&count, section.data(), 8);
+  std::memcpy(&digest, section.data() + 8, 8);
+  // Checked before anything is sized by the untrusted count; once it equals
+  // the space's size, 8 * count cannot overflow.
+  if (count != space->size()) {
+    return Status::IOError(StrFormat(
+        "score section holds %" PRIu64 " pairs, the candidate space %zu",
+        count, space->size()));
+  }
+  const size_t value_bytes = space->size() * sizeof(double);
+  if (section.size() - kScoreHeaderBytes != value_bytes) {
+    return Status::IOError(StrFormat(
+        "score section is %zu bytes, %zu expected for %zu pairs",
+        section.size(), kScoreHeaderBytes + value_bytes, space->size()));
+  }
+  if (digest != KeysDigest(*space)) {
+    return Status::IOError(
+        "score section was written for other pair keys (key digest "
+        "mismatch)");
+  }
+  std::vector<double> values(space->size());
+  std::memcpy(values.data(), section.data() + kScoreHeaderBytes, value_bytes);
+  for (size_t slot = 0; slot < values.size(); ++slot) {
+    // Written so NaN fails the check too.
+    if (!(values[slot] >= 0.0 && values[slot] <= 1.0)) {
+      const uint64_t key = space->keys()[slot];
+      return Status::IOError(StrFormat(
+          "score of pair (%u, %u) is outside [0, 1]", PairFirst(key),
+          PairSecond(key)));
+    }
+  }
+  return FSimScores(std::move(space), std::move(values), FSimStats{});
+}
+
+Result<LoadedSnapshot> ParseSnapshot(std::string bytes, uint64_t lsn) {
   if (bytes.size() < sizeof(kSnapshotMagic) + 8 ||
       std::memcmp(bytes.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) !=
           0) {
@@ -96,38 +148,40 @@ Result<LoadedSnapshot> ParseSnapshot(std::string_view bytes, uint64_t lsn) {
     return Status::IOError("snapshot checksum mismatch (torn or corrupt)");
   }
 
+  const std::string_view view(bytes);
   size_t pos = sizeof(kSnapshotMagic);
   auto read_u32 = [&](uint32_t* v) {
     if (payload_end - pos < 4) return false;
-    std::memcpy(v, bytes.data() + pos, 4);
+    std::memcpy(v, view.data() + pos, 4);
     pos += 4;
     return true;
   };
   auto read_u64 = [&](uint64_t* v) {
     if (payload_end - pos < 8) return false;
-    std::memcpy(v, bytes.data() + pos, 8);
+    std::memcpy(v, view.data() + pos, 8);
     pos += 8;
     return true;
   };
   auto read_blob = [&](std::string_view* out) {
     uint64_t len;
     if (!read_u64(&len) || payload_end - pos < len) return false;
-    *out = bytes.substr(pos, len);
+    *out = view.substr(pos, len);
     pos += len;
     return true;
   };
 
   uint32_t version;
   uint64_t stored_lsn;
-  std::string_view g1_bytes, g2_bytes, scores_text;
-  if (!read_u32(&version) || version != kSnapshotVersion) {
+  std::string_view g1_bytes, g2_bytes, scores;
+  if (!read_u32(&version) ||
+      (version != kTextScoresVersion && version != kSnapshotVersion)) {
     return Status::IOError("unsupported snapshot version");
   }
   if (!read_u64(&stored_lsn) || stored_lsn != lsn) {
     return Status::IOError("snapshot lsn does not match its filename");
   }
-  if (!read_blob(&g1_bytes) || !read_blob(&g2_bytes) ||
-      !read_blob(&scores_text) || pos != payload_end) {
+  if (!read_blob(&g1_bytes) || !read_blob(&g2_bytes) || !read_blob(&scores) ||
+      pos != payload_end) {
     return Status::IOError("snapshot payload is malformed");
   }
 
@@ -136,8 +190,44 @@ Result<LoadedSnapshot> ParseSnapshot(std::string_view bytes, uint64_t lsn) {
   // Both graphs share one dictionary, as the serving layer loads them.
   FSIM_ASSIGN_OR_RETURN(snap.g1, GraphFromBinary(g1_bytes));
   FSIM_ASSIGN_OR_RETURN(snap.g2, GraphFromBinary(g2_bytes, snap.g1.dict()));
-  snap.scores_text = std::string(scores_text);
+  snap.scores.version = version;
+  snap.scores.offset = static_cast<size_t>(scores.data() - view.data());
+  snap.scores.size = scores.size();
+  snap.scores.file = std::move(bytes);
   return snap;
+}
+
+// The whole file, in one read sized by fstat.
+Result<std::string> ReadWholeFile(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IOError(StrFormat("cannot open %s: %s", path.c_str(),
+                                     std::strerror(errno)));
+  }
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    const int saved_errno = errno;
+    ::close(fd);
+    return Status::IOError(StrFormat("cannot stat %s: %s", path.c_str(),
+                                     std::strerror(saved_errno)));
+  }
+  std::string bytes(static_cast<size_t>(st.st_size), '\0');
+  size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::read(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      const int saved_errno = errno;
+      ::close(fd);
+      return Status::IOError(StrFormat("read of %s failed: %s", path.c_str(),
+                                       std::strerror(saved_errno)));
+    }
+    if (n == 0) break;  // shrank since the fstat: the checksum will tell
+    done += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  bytes.resize(done);
+  return bytes;
 }
 
 Status SyncDirectory(const std::string& dir) {
@@ -161,15 +251,46 @@ Status SyncDirectory(const std::string& dir) {
 
 }  // namespace
 
-Status PersistSnapshot(const std::string& dir, uint64_t lsn, const Graph& g1,
-                       const Graph& g2, const FSimScores& scores) {
+void AppendScoreSection(const FSimScores& scores, std::string* out) {
+  const PairSpace& space = *scores.space();
+  AppendU64(out, space.size());
+  AppendU64(out, KeysDigest(space));
+  out->append(reinterpret_cast<const char*>(scores.values().data()),
+              scores.values().size() * sizeof(double));
+}
+
+Result<FSimScores> DecodeScoreSection(uint32_t version,
+                                      std::string_view section,
+                                      std::shared_ptr<const PairSpace> space) {
+  switch (version) {
+    case kTextScoresVersion:
+      return ScoresFromString(section, std::move(space));
+    case kSnapshotVersion:
+      return DecodeBinaryScores(section, std::move(space));
+    default:
+      return Status::IOError(
+          StrFormat("unsupported snapshot version %u", version));
+  }
+}
+
+Result<uint64_t> PersistSnapshot(const std::string& dir, uint64_t lsn,
+                                 const Graph& g1, const Graph& g2,
+                                 const FSimScores& scores) {
   FSIM_FAILPOINT("serve.snapshot.persist");
-  std::string bytes(kSnapshotMagic, sizeof(kSnapshotMagic));
+  const std::string g1_bytes = GraphToBinary(g1);
+  const std::string g2_bytes = GraphToBinary(g2);
+  const size_t score_bytes =
+      kScoreHeaderBytes + scores.values().size() * sizeof(double);
+  std::string bytes;
+  bytes.reserve(sizeof(kSnapshotMagic) + 4 + 8 + 3 * 8 + g1_bytes.size() +
+                g2_bytes.size() + score_bytes + 8);
+  bytes.append(kSnapshotMagic, sizeof(kSnapshotMagic));
   AppendU32(&bytes, kSnapshotVersion);
   AppendU64(&bytes, lsn);
-  AppendBlob(&bytes, GraphToBinary(g1));
-  AppendBlob(&bytes, GraphToBinary(g2));
-  AppendBlob(&bytes, ScoresToString(scores));
+  AppendBlob(&bytes, g1_bytes);
+  AppendBlob(&bytes, g2_bytes);
+  AppendU64(&bytes, score_bytes);
+  AppendScoreSection(scores, &bytes);
   AppendU64(&bytes, HashBytes(bytes.data() + sizeof(kSnapshotMagic),
                               bytes.size() - sizeof(kSnapshotMagic)));
 
@@ -227,25 +348,21 @@ Status PersistSnapshot(const std::string& dir, uint64_t lsn, const Graph& g1,
   }
   // durability: the rename itself must be durable before callers treat the
   // snapshot as the new recovery floor and delete WAL segments behind it.
-  return SyncDirectory(dir);
+  FSIM_RETURN_NOT_OK(SyncDirectory(dir));
+  return static_cast<uint64_t>(bytes.size());
 }
 
 Result<LoadedSnapshot> LoadLatestSnapshot(const std::string& dir) {
+  FSIM_TRACE_SPAN("recovery.load_snapshot");
   FSIM_ASSIGN_OR_RETURN(auto snapshots, ListSnapshots(dir));
   size_t discarded = 0;
   for (auto it = snapshots.rbegin(); it != snapshots.rend(); ++it) {
-    std::ifstream in(it->second, std::ios::binary);
-    if (!in) {
+    auto bytes = ReadWholeFile(it->second);
+    if (!bytes.ok()) {
       ++discarded;
       continue;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad()) {
-      ++discarded;
-      continue;
-    }
-    auto snap = ParseSnapshot(buffer.str(), it->first);
+    auto snap = ParseSnapshot(std::move(bytes).ValueOrDie(), it->first);
     if (!snap.ok()) {
       ++discarded;
       continue;
@@ -277,7 +394,7 @@ Result<RecoveredState> RecoverServeState(const std::string& dir, Graph base_g1,
     state.snapshot_lsn = loaded.lsn;
     state.g1 = std::move(loaded.g1);
     state.g2 = std::move(loaded.g2);
-    state.scores_text = std::move(loaded.scores_text);
+    state.scores = std::move(loaded.scores);
     state.snapshots_discarded = loaded.discarded;
   } else if (snap.status().IsNotFound()) {
     state.g1 = std::move(base_g1);

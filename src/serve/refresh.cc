@@ -6,7 +6,6 @@
 #include "common/failpoint.h"
 #include "common/hash.h"
 #include "common/timer.h"
-#include "core/scores_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -21,6 +20,7 @@ struct RefreshMetrics {
   obs::Histogram* apply_latency;
   obs::Histogram* publish_latency;
   obs::Histogram* persist_latency;
+  obs::Gauge* snapshot_bytes;
   obs::Counter* edits_applied;
   obs::Counter* edits_coalesced;
   obs::Counter* edits_failed;
@@ -50,6 +50,8 @@ struct RefreshMetrics {
           "fsim_refresh_persist_seconds",
           "Durable snapshot write per persist (excludes WAL rotation)",
           obs::Histogram::Unit::kNanoseconds);
+      m.snapshot_bytes = registry.GetGauge(
+          "fsim_snapshot_bytes", "Size of the last durable snapshot written");
       m.edits_applied =
           registry.GetCounter(kEditsFamily, kEditsHelp, "result", "applied");
       m.edits_coalesced =
@@ -63,6 +65,19 @@ struct RefreshMetrics {
     return metrics;
   }
 };
+
+/// The recovered score section in the slots of the candidate space of
+/// (g1, g2, config), the decode half of a snapshot load (LoadLatestSnapshot
+/// records the read half under the same span name).
+Result<FSimScores> DecodeRecoveredScores(const Graph& g1, const Graph& g2,
+                                         const FSimConfig& config,
+                                         const ScoreSection& section) {
+  FSIM_TRACE_SPAN("recovery.load_snapshot");
+  FSIM_ASSIGN_OR_RETURN(std::shared_ptr<const PairSpace> space,
+                        PairSpace::Of(g1, g2, config));
+  return DecodeScoreSection(section.version, section.bytes(),
+                            std::move(space));
+}
 
 }  // namespace
 
@@ -213,9 +228,7 @@ Status RefreshDriver::EnableDurability(DurabilityOptions options,
     // only when they fit the candidate space of these graphs under this
     // config; otherwise the solve starts cold. Either way the snapshot's
     // graphs and LSN are the floor the WAL tail replays from.
-    auto space = PairSpace::Of(g1_, g2_, config_);
-    auto scores = space.ok() ? ScoresFromString(recovered.scores_text, *space)
-                             : Result<FSimScores>(space.status());
+    auto scores = DecodeRecoveredScores(g1_, g2_, config_, recovered.scores);
     if (scores.ok()) {
       warm_seed_ = FreezeScores(std::move(scores).ValueOrDie());
       SnapshotMeta meta;
@@ -449,12 +462,15 @@ Status RefreshDriver::PersistSnapshotLocked() {
   const FSimScores scores = inc_->Snapshot();
   const Graph g1 = inc_->MaterializeG1();
   const Graph g2 = inc_->MaterializeG2();
-  FSIM_RETURN_NOT_OK(
+  FSIM_ASSIGN_OR_RETURN(
+      const uint64_t bytes,
       PersistSnapshot(durability_.dir, applied_lsn_, g1, g2, scores));
   ++stats_.snapshot_persists;
   stats_.total_persist_seconds += timer.Seconds();
-  RefreshMetrics::Get().persist_latency->Record(obs::MonotonicNanos() -
-                                                persist_start_ns);
+  stats_.last_snapshot_bytes = bytes;
+  const RefreshMetrics& metrics = RefreshMetrics::Get();
+  metrics.persist_latency->Record(obs::MonotonicNanos() - persist_start_ns);
+  metrics.snapshot_bytes->Set(static_cast<double>(bytes));
   persisted_lsn_ = applied_lsn_;
   edits_since_snapshot_ = 0;
   // Retention: rotate so the closed segment becomes coverable, keep the

@@ -178,6 +178,9 @@ class RefreshDriver {
     /// still covers everything, so a failed persist only lengthens replay).
     uint64_t snapshot_persists = 0;
     uint64_t snapshot_persist_failures = 0;
+    /// Bytes of the last durable snapshot written (0 before the first);
+    /// also exported as the fsim_snapshot_bytes gauge.
+    uint64_t last_snapshot_bytes = 0;
     /// Init attempts retried by the background watchdog.
     uint64_t init_retries = 0;
     /// Drain/apply rounds that failed in the background loop (backoff
@@ -216,10 +219,11 @@ class RefreshDriver {
   /// Submit. `recovered` comes from RecoverServeState over the same
   /// directory. Its scores, when they fit the candidate space of the
   /// driver's graphs and config, are published at once as a warm_start
-  /// snapshot and seed the initial solve; scores that do not fit are
-  /// dropped. Its tail is replayed (without re-logging) during Init, and
-  /// the WAL writer resumes at its next_lsn. The driver must have been
-  /// constructed with the recovered graphs.
+  /// snapshot and seed the initial solve; a section that does not fit
+  /// (DecodeScoreSection's IOError) is dropped, and the snapshot's graphs
+  /// and LSN stay the floor. Its tail is replayed (without re-logging)
+  /// during Init, and the WAL writer resumes at its next_lsn. The driver
+  /// must have been constructed with the recovered graphs.
   Status EnableDurability(DurabilityOptions options, RecoveredState recovered);
 
   /// Runs the initial fixpoint solve (warm-seeded under durability),

@@ -329,9 +329,9 @@ bool FSimService::HandleLine(std::string_view line, std::istream& in,
     out << StrFormat(
         "STATS version=%llu pairs=%zu pending=%zu capacity=%zu "
         "applied=%llu coalesced=%llu failed=%llu shed=%llu replayed=%llu "
-        "publishes=%llu persists=%llu wal_durable=%llu wal_applied=%llu "
-        "wal_pending=%llu stale_edits=%llu stale_s=%llu publish_age_s=%llu "
-        "ready=%s converged=%s warm=%s simd=%s\n",
+        "publishes=%llu persists=%llu snapshot_bytes=%llu wal_durable=%llu "
+        "wal_applied=%llu wal_pending=%llu stale_edits=%llu stale_s=%llu "
+        "publish_age_s=%llu ready=%s converged=%s warm=%s simd=%s\n",
         static_cast<unsigned long long>(snapshot ? snapshot->meta().version
                                                  : 0),
         snapshot ? snapshot->scores().NumPairs() : 0,
@@ -343,6 +343,7 @@ bool FSimService::HandleLine(std::string_view line, std::istream& in,
         static_cast<unsigned long long>(stats.edits_replayed),
         static_cast<unsigned long long>(stats.publishes),
         static_cast<unsigned long long>(stats.snapshot_persists),
+        static_cast<unsigned long long>(stats.last_snapshot_bytes),
         static_cast<unsigned long long>(stats.durable_lsn),
         static_cast<unsigned long long>(stats.applied_lsn),
         static_cast<unsigned long long>(stats.wal_pending),

@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <random>
 #include <string>
 
+#include "common/string_util.h"
 #include "core/fsim_engine.h"
 #include "core/scores_io.h"
 #include "core/topk_search.h"
@@ -198,6 +200,48 @@ TEST(ScoresIoTest, SubnormalScoreRoundTrips) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->Score(0, 0), tiny);
   EXPECT_EQ(loaded->Score(0, 1), 0.5);
+}
+
+// The writer appends each line with std::to_chars; its output must stay
+// byte for byte what "%u %u %.17g\n" prints.
+TEST(ScoresIoTest, WriterMatchesPrintfByteForByte) {
+  std::vector<double> values = {
+      0.0,
+      1.0,
+      1.0 / 3,
+      2.0 / 3,
+      0.1,
+      0.5,
+      1e-17,
+      std::nextafter(1.0, 0.0),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::min() / 3,
+      5e-324,
+  };
+  std::mt19937_64 rng(0x5c0e);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const uint32_t n1 = 101;
+  const uint32_t n2 = 103;  // ids up to three digits
+  // Uniform values mixed with tiny ones (every exponent down into the
+  // subnormals), short decimals and float-rounded ones.
+  while (values.size() < size_t{n1} * n2) {
+    const double x = unit(rng);
+    const int shift = static_cast<int>(rng() % 1075);
+    const double forms[] = {x, std::ldexp(x, -shift),
+                            std::round(x * 1000) / 1000,
+                            static_cast<double>(static_cast<float>(x))};
+    values.push_back(forms[values.size() % 4]);
+  }
+  const FSimScores scores(testing::FullPairSpace(n1, n2), values,
+                          FSimStats{});
+  std::string expected = "fsim-scores v1\n";
+  expected += StrFormat("pairs %zu\n", values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    const uint64_t key = scores.keys()[i];
+    expected += StrFormat("%u %u %.17g\n", PairFirst(key), PairSecond(key),
+                          values[i]);
+  }
+  EXPECT_EQ(ScoresToString(scores), expected);
 }
 
 TEST(ScoresIoTest, FileRoundTrip) {

@@ -1,6 +1,8 @@
 // Crash-recovery tests for the durability layer (serve/wal.h,
 // serve/recovery.h, RefreshDriver::EnableDurability): snapshot
-// persist/load round trips with corruption fallback, WAL-tail replay
+// persist/load round trips with corruption fallback, the score-section
+// decoder (bit-identical round trips, sections that do not fit the pair
+// space, a cut-and-flip loop, version-1 text snapshots), WAL-tail replay
 // equivalence against a from-scratch recompute at 1e-12, torn-tail
 // truncation through the full recovery path, and a fork()-based abort
 // matrix that crashes the process at every serve-path failpoint site
@@ -13,8 +15,10 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,12 +28,16 @@
 #include "common/string_util.h"
 #include "core/fsim_engine.h"
 #include "core/scores_io.h"
+#include "datasets/dataset_registry.h"
+#include "graph/binary_io.h"
 #include "graph/graph_builder.h"
+#include "obs/metrics.h"
 #include "serve/recovery.h"
 #include "serve/refresh.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
 #include "serve/wal.h"
+#include "tests/test_graphs.h"
 
 namespace fsim {
 namespace {
@@ -129,6 +137,33 @@ void ExpectPublishedMatchesRecompute(const RefreshDriver& driver,
   }
 }
 
+void ExpectBitIdentical(const FSimScores& got, const FSimScores& want) {
+  ASSERT_EQ(got.values().size(), want.values().size());
+  EXPECT_EQ(std::memcmp(got.values().data(), want.values().data(),
+                        want.values().size() * sizeof(double)),
+            0);
+}
+
+/// The version-2 score section of `scores`.
+std::string SectionOf(const FSimScores& scores) {
+  std::string section;
+  AppendScoreSection(scores, &section);
+  return section;
+}
+
+/// Six pairs, (0, 0) .. (1, 2), with distinct scores.
+FSimScores SixPairScores() {
+  return FSimScores(testing::FullPairSpace(2, 3),
+                    {0.0, 0.125, 0.25, 0.5, 0.75, 1.0}, FSimStats{});
+}
+
+void ExpectDecodeFails(std::string_view section,
+                       const std::shared_ptr<const PairSpace>& space,
+                       const std::string& what) {
+  const Status status = DecodeScoreSection(2, section, space).status();
+  EXPECT_TRUE(status.IsIOError()) << what << ": " << status.ToString();
+}
+
 TEST(SnapshotPersistTest, PersistLoadRoundTripAndRetention) {
   const std::string dir = FreshDir("roundtrip");
   ASSERT_TRUE(std::filesystem::create_directories(dir));
@@ -136,20 +171,23 @@ TEST(SnapshotPersistTest, PersistLoadRoundTripAndRetention) {
   auto scores = ComputeFSim(g, g, TightConfig());
   ASSERT_TRUE(scores.ok());
 
-  ASSERT_TRUE(PersistSnapshot(dir, 7, g, g, *scores).ok());
+  auto written = PersistSnapshot(dir, 7, g, g, *scores);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_EQ(*written,
+            std::filesystem::file_size(dir +
+                                       "/snap-00000000000000000007.fsnap"));
   auto loaded = LoadLatestSnapshot(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
   EXPECT_EQ(loaded->lsn, 7u);
   EXPECT_EQ(loaded->discarded, 0u);
   EXPECT_EQ(loaded->g1.NumNodes(), g.NumNodes());
   EXPECT_EQ(loaded->g1.NumEdges(), g.NumEdges());
-  auto loaded_scores = ScoresFromString(loaded->scores_text, scores->space());
+  EXPECT_EQ(loaded->scores.version, 2u);
+  auto loaded_scores = DecodeScoreSection(
+      loaded->scores.version, loaded->scores.bytes(), scores->space());
   ASSERT_TRUE(loaded_scores.ok()) << loaded_scores.status().ToString();
   ASSERT_EQ(loaded_scores->keys(), scores->keys());
-  // Scores round-trip exactly (%.17g text payload).
-  for (size_t i = 0; i < scores->values().size(); ++i) {
-    EXPECT_EQ(loaded_scores->values()[i], scores->values()[i]);
-  }
+  ExpectBitIdentical(*loaded_scores, *scores);
 
   // A newer snapshot wins; retention keeps the newest `keep`.
   ASSERT_TRUE(PersistSnapshot(dir, 9, g, g, *scores).ok());
@@ -218,6 +256,188 @@ TEST(SnapshotPersistTest, CorruptNewestSnapshotFallsBackToOlder) {
   ASSERT_TRUE(recovered.ok());
   EXPECT_FALSE(recovered->have_snapshot);
   EXPECT_EQ(recovered->snapshots_discarded, 2u);
+}
+
+// Persist + load + decode keeps every value bit for bit: converged yeast
+// scores under b at θ = 1 and s at θ = 0 (where the slot of (u, v) is
+// u·|V2| + v), and a subnormal.
+TEST(SnapshotPersistTest, BinarySectionRoundTripsBitIdentical) {
+  const std::string dir = FreshDir("bit_identical");
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  const Graph yeast = MakeDatasetByName("yeast");
+  FSimConfig b_theta1;
+  b_theta1.variant = SimVariant::kBi;
+  b_theta1.theta = 1.0;
+  FSimConfig s_theta0;
+  s_theta0.variant = SimVariant::kSimple;
+  s_theta0.theta = 0.0;
+  s_theta0.max_iterations = 3;  // real, unconverged scores: enough here
+  uint64_t lsn = 0;
+  for (const FSimConfig& config : {b_theta1, s_theta0}) {
+    SCOPED_TRACE(config.theta);
+    auto scores = ComputeFSim(yeast, yeast, config);
+    ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+    ++lsn;
+    ASSERT_TRUE(PersistSnapshot(dir, lsn, yeast, yeast, *scores).ok());
+    auto loaded = LoadLatestSnapshot(dir);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_EQ(loaded->lsn, lsn);
+    auto space = PairSpace::Of(loaded->g1, loaded->g2, config);
+    ASSERT_TRUE(space.ok()) << space.status().ToString();
+    if (config.theta == 0.0) {
+      const NodeId n2 = static_cast<NodeId>(yeast.NumNodes());
+      ASSERT_EQ((*space)->size(), size_t{n2} * n2);
+      EXPECT_EQ((*space)->Find(3, 7), 3 * n2 + 7);
+      EXPECT_EQ((*space)->Find(n2 - 1, n2 - 1), size_t{n2} * n2 - 1);
+    }
+    auto decoded = DecodeScoreSection(loaded->scores.version,
+                                      loaded->scores.bytes(), *space);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ASSERT_EQ(decoded->keys(), scores->keys());
+    ExpectBitIdentical(*decoded, *scores);
+  }
+
+  const auto space = testing::FullPairSpace(1, 3);
+  const FSimScores tiny(space,
+                        {std::numeric_limits<double>::denorm_min(),
+                         std::numeric_limits<double>::min() / 3, 1.0},
+                        FSimStats{});
+  auto decoded = DecodeScoreSection(2, SectionOf(tiny), space);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectBitIdentical(*decoded, tiny);
+}
+
+// A section whose count, length or key digest does not fit the space, or
+// that holds a value outside [0, 1], is an IOError.
+TEST(SnapshotPersistTest, SectionThatDoesNotFitIsAnIOError) {
+  const FSimScores scores = SixPairScores();
+  const std::shared_ptr<const PairSpace>& space = scores.space();
+  const std::string section = SectionOf(scores);
+  ASSERT_EQ(section.size(), 16u + 6 * 8);
+  ASSERT_TRUE(DecodeScoreSection(2, section, space).ok());
+
+  auto with_count = [&](uint64_t count) {
+    std::string patched = section;
+    std::memcpy(patched.data(), &count, 8);
+    return patched;
+  };
+  ExpectDecodeFails(with_count(5), space, "count 5");
+  ExpectDecodeFails(with_count(7), space, "count 7");
+  // Rejected on the count alone, before anything is sized by it.
+  ExpectDecodeFails(with_count(uint64_t{1} << 63), space, "count 2^63");
+  ExpectDecodeFails(section.substr(0, section.size() - 1), space,
+                    "one byte short");
+  ExpectDecodeFails(section + '\0', space, "one byte long");
+
+  // Same count, other keys: (0, 0) .. (2, 1).
+  const auto other = testing::FullPairSpace(3, 2);
+  ASSERT_EQ(other->size(), space->size());
+  const Status digest = DecodeScoreSection(2, section, other).status();
+  EXPECT_TRUE(digest.IsIOError()) << digest.ToString();
+  EXPECT_NE(digest.message().find("digest"), std::string::npos)
+      << digest.ToString();
+
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           1.0000001, -1e-300}) {
+    std::string patched = section;
+    std::memcpy(patched.data() + 16 + 3 * 8, &bad, 8);
+    ExpectDecodeFails(patched, space, StrFormat("value %g", bad));
+  }
+
+  EXPECT_TRUE(DecodeScoreSection(3, section, space).status().IsIOError());
+  EXPECT_TRUE(DecodeScoreSection(0, section, space).status().IsIOError());
+}
+
+// The decoder alone, without the snapshot checksum in front of it: every
+// cut through the header and the first value, and a flipped byte at every
+// header offset, ends in an IOError.
+TEST(SnapshotPersistTest, DecoderRejectsEveryCutAndHeaderFlip) {
+  const FSimScores scores = SixPairScores();
+  const std::string section = SectionOf(scores);
+  for (size_t cut = 0; cut < 16 + 8; ++cut) {
+    ExpectDecodeFails(section.substr(0, cut), scores.space(),
+                      StrFormat("cut at %zu", cut));
+  }
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (const int mask : {0x01, 0x80, 0xff}) {
+      std::string flipped = section;
+      flipped[offset] = static_cast<char>(flipped[offset] ^ mask);
+      ExpectDecodeFails(flipped, scores.space(),
+                        StrFormat("flip 0x%02x at %zu", mask, offset));
+    }
+  }
+}
+
+// A version-1 snapshot (score section in core/scores_io.h text) written
+// before the binary section still recovers and warm-seeds with the values
+// written.
+TEST(RecoveryTest, Version1SnapshotStillWarmSeeds) {
+  const std::string dir = FreshDir("v1_snapshot");
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  const Graph g = MakeServeGraph();
+  auto scores = ComputeFSim(g, g, TightConfig());
+  ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+
+  auto append_u64 = [](std::string* out, uint64_t v) {
+    out->append(reinterpret_cast<const char*>(&v), 8);
+  };
+  auto append_blob = [&](std::string* out, const std::string& blob) {
+    append_u64(out, blob.size());
+    out->append(blob);
+  };
+  std::string bytes = "FSIMSNP1";
+  const uint32_t version = 1;
+  bytes.append(reinterpret_cast<const char*>(&version), 4);
+  append_u64(&bytes, 3);  // lsn
+  append_blob(&bytes, GraphToBinary(g));
+  append_blob(&bytes, GraphToBinary(g));
+  append_blob(&bytes, ScoresToString(*scores));
+  append_u64(&bytes, HashBytes(bytes.data() + 8, bytes.size() - 8));
+  {
+    std::ofstream out(dir + "/snap-00000000000000000003.fsnap",
+                      std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(out.good());
+  }
+
+  auto loaded = LoadLatestSnapshot(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->scores.version, 1u);
+
+  SnapshotStore store;
+  DurabilityOptions durability;
+  durability.snapshot_every_edits = 0;
+  RecoveredState seen;
+  auto driver = OpenDurableDriver(dir, &store, durability, &seen);
+  ASSERT_NE(driver, nullptr);
+  EXPECT_TRUE(seen.have_snapshot);
+  EXPECT_EQ(seen.snapshot_lsn, 3u);
+  EXPECT_EQ(seen.next_lsn, 4u);
+  // EnableDurability published the decoded scores as the warm snapshot.
+  const SnapshotPtr warm = store.Acquire();
+  ASSERT_NE(warm, nullptr);
+  EXPECT_TRUE(warm->meta().warm_start);
+  ASSERT_EQ(warm->scores().keys(), scores->keys());
+  for (size_t i = 0; i < scores->values().size(); ++i) {
+    EXPECT_EQ(warm->scores().values()[i], scores->values()[i]);
+  }
+
+  // The boot snapshot Init persists is version 2, and its size is what
+  // the driver reports.
+  ASSERT_TRUE(driver->Init().ok());
+  const RefreshDriver::Stats stats = driver->stats();
+  EXPECT_EQ(stats.snapshot_persists, 1u);
+  EXPECT_EQ(stats.last_snapshot_bytes,
+            std::filesystem::file_size(dir +
+                                       "/snap-00000000000000000003.fsnap"));
+  EXPECT_EQ(obs::Registry::Default()
+                .GetGauge("fsim_snapshot_bytes",
+                          "Size of the last durable snapshot written")
+                ->Value(),
+            static_cast<double>(stats.last_snapshot_bytes));
+  loaded = LoadLatestSnapshot(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->scores.version, 2u);
 }
 
 TEST(RecoveryTest, CleanRestartReplaysWalTailWithin1e12) {

@@ -725,8 +725,9 @@ TEST(ServeLoopTest, GoldenTranscript) {
       "ERR line exceeds 4096 bytes\n"
       "ERR embedded NUL byte in request\n"
       "STATS version=2 pairs=25 pending=0 capacity=0 applied=1 coalesced=0 "
-      "failed=0 shed=0 replayed=0 publishes=2 persists=0 wal_durable=0 "
-      "wal_applied=0 wal_pending=0 stale_edits=0 stale_s=0 publish_age_s=0 "
+      "failed=0 shed=0 replayed=0 publishes=2 persists=0 snapshot_bytes=0 "
+      "wal_durable=0 wal_applied=0 wal_pending=0 stale_edits=0 stale_s=0 "
+      "publish_age_s=0 "
       "ready=yes converged=yes warm=no simd=off\n"
       "BYE\n";
   unsetenv("FSIM_SIMD");
