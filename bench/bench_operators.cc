@@ -1,12 +1,12 @@
 // google-benchmark micro-benchmarks of the framework's hot paths: the
 // greedy vs Hungarian realizations of the injective mapping operators (the
-// ablation behind the paper's complexity claim in §4.2), the per-direction
-// operator evaluation, the pair-space slot lookups behind every score
-// query (PairSpace::Find), and the isolated stages of the vectorized tile
-// kernels (core/simd/) — panel/work-list build, the masked-gather
-// accumulate pass, and the normalize reduction — per
-// kernel level, through the kernel table only (no intrinsics here; the
-// simd-isolation lint rule keeps those in src/core/simd/).
+// ablation behind the paper's complexity claim in §4.2), the pair-space
+// slot lookups behind every score query (PairSpace::Find), and the
+// isolated stages of the vectorized tile kernels (core/simd/) —
+// panel/work-list build, the masked-gather accumulate pass, and the
+// normalize reduction — per kernel level, through the kernel table only
+// (no intrinsics here; the simd-isolation lint rule keeps those in
+// src/core/simd/).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,7 +19,6 @@
 #include "common/aligned.h"
 #include "common/random.h"
 #include "core/fsim_config.h"
-#include "core/operators.h"
 #include "core/pair_space.h"
 #include "core/simd/cpu_features.h"
 #include "core/simd/kernels.h"
@@ -71,26 +70,6 @@ void BM_HungarianMatching(benchmark::State& state) {
   state.SetComplexityN(static_cast<int64_t>(n));
 }
 BENCHMARK(BM_HungarianMatching)->Arg(4)->Arg(16)->Arg(64)->Complexity();
-
-void BM_DirectionScore(benchmark::State& state) {
-  const SimVariant variant = static_cast<SimVariant>(state.range(0));
-  const size_t deg = static_cast<size_t>(state.range(1));
-  Rng rng(7);
-  std::vector<double> scores(deg * deg);
-  for (auto& s : scores) s = rng.NextDouble();
-  std::vector<NodeId> s1(deg), s2(deg);
-  for (size_t i = 0; i < deg; ++i) s1[i] = s2[i] = static_cast<NodeId>(i);
-  auto lookup = [&](NodeId x, NodeId y) { return scores[x * deg + y]; };
-  MatchingScratch scratch;
-  const OperatorConfig op = OperatorsForVariant(variant);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(DirectionScore(op, MatchingAlgo::kGreedy, s1,
-                                            s2, lookup, &scratch));
-  }
-}
-BENCHMARK(BM_DirectionScore)
-    ->ArgsProduct({{0, 1, 2, 3}, {4, 16, 64}})
-    ->ArgNames({"variant", "deg"});
 
 // ---------------------------------------------------------------------------
 // Tile-kernel stages (core/simd/). A synthetic yeast-shaped workload: one

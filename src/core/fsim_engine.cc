@@ -96,9 +96,7 @@ Result<FSimScores> ComputeFSim(const Graph& g1, const Graph& g2,
     return engine.TakeScores(std::move(stats));
   }
   FSIM_ASSIGN_OR_RETURN(PairStore store,
-                        PairStore::Build(g1, g2, config, lsim,
-                                         /*build_neighbor_index=*/true,
-                                         &pool));
+                        PairStore::Build(g1, g2, config, lsim, &pool));
   stats.theta_candidates = store.info().theta_candidates;
   stats.maintained_pairs = store.info().kept;
   stats.pruned_pairs = store.info().pruned;

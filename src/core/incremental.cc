@@ -65,7 +65,7 @@ Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
       PairStore store,
       PairStore::Build(g1, g2,
                        RepairConfig(config, options.propagation_tolerance),
-                       lsim, /*build_neighbor_index=*/true, &pool));
+                       lsim, &pool));
   if (!store.reverse_spans()) {
     return Status::ResourceExhausted(StrFormat(
         "incremental maintenance needs the reverse-span neighbor index, up "

@@ -1,6 +1,6 @@
 // The mapping and normalizing operators Mχ / Ωχ of Table 3, evaluated over
-// two neighbor sets. DirectionScore computes one direction's normalized
-// contribution FSimχ(S1, S2) = Σ_{(x,y)∈Mχ} FSim(x,y) / Ωχ(S1,S2)
+// two neighbor sets. DirectionScoreIndexed computes one direction's
+// normalized contribution FSimχ(S1, S2) = Σ_{(x,y)∈Mχ} FSim(x,y) / Ωχ(S1,S2)
 // (Equation 2), including the empty-set conventions that make simulation
 // definiteness (P2 of Definition 4) hold:
 //
@@ -10,9 +10,10 @@
 //   bj:      both empty -> 1; exactly one empty -> 0 (no bijection exists)
 //   product: either empty -> 0 (SimRank's convention)
 //
-// The score lookup is a template parameter returning the previous-iteration
-// score of (x, y), or a negative value when x may not be mapped to y (label
-// constraint of Remark 2).
+// It reads the label-compatible pairs of S1 x S2 from the pair-graph CSR
+// neighbor index (PairStore). The realization that looks each score up by
+// node pair instead lives in the test oracle (tests/naive_fsim.h), which
+// the indexed one is checked against.
 #ifndef FSIM_CORE_OPERATORS_H_
 #define FSIM_CORE_OPERATORS_H_
 
@@ -126,125 +127,6 @@ inline bool TinyMatchingSum(const std::vector<WeightedEdge>& edges,
   }
 }
 
-/// Σ over the max-weight injective mapping between s1 and s2 (the M_dp/M_bj
-/// realization). Greedy is the paper's ½-approximation; Hungarian is exact.
-template <typename Lookup>
-double InjectiveMappingSum(std::span<const NodeId> s1,
-                           std::span<const NodeId> s2, Lookup&& lookup,
-                           MatchingAlgo algo, MatchingScratch* scratch) {
-  if (s1.size() == 1 || s2.size() == 1) {
-    // An injective mapping out of (or into) a singleton keeps exactly the
-    // best edge; greedy and Hungarian both reduce to this maximum.
-    double best = 0.0;
-    for (NodeId x : s1) {
-      for (NodeId y : s2) {
-        const double score = lookup(x, y);
-        if (score > best) best = score;
-      }
-    }
-    return best;
-  }
-  scratch->edges.clear();
-  for (size_t i = 0; i < s1.size(); ++i) {
-    for (size_t j = 0; j < s2.size(); ++j) {
-      double score = lookup(s1[i], s2[j]);
-      // Zero-weight edges cannot increase the matching sum; dropping them
-      // keeps the sort cheap.
-      if (score > 0.0) {
-        scratch->edges.push_back({static_cast<uint32_t>(i),
-                                  static_cast<uint32_t>(j), score});
-      }
-    }
-  }
-  double tiny = 0.0;
-  if (TinyMatchingSum(scratch->edges, &tiny)) return tiny;
-  if (algo == MatchingAlgo::kHungarian) {
-    // Reuse the scratch's flat weight matrix — the per-call
-    // vector<vector<double>> allocation dominated Hungarian runs.
-    scratch->weights.assign(s1.size() * s2.size(), 0.0);
-    for (const WeightedEdge& e : scratch->edges) {
-      scratch->weights[e.left * s2.size() + e.right] = e.weight;
-    }
-    return HungarianMaxWeightMatching(scratch->weights.data(), s1.size(),
-                                      s2.size());
-  }
-  return GreedyMaxWeightMatching(scratch, s1.size(), s2.size());
-}
-
-/// Σ of per-row maxima: every x in s1 maps to its best compatible y.
-template <typename Lookup>
-double MaxPerRowSum(std::span<const NodeId> s1, std::span<const NodeId> s2,
-                    Lookup&& lookup) {
-  double sum = 0.0;
-  for (NodeId x : s1) {
-    double best = 0.0;
-    for (NodeId y : s2) {
-      double score = lookup(x, y);
-      if (score > best) best = score;
-    }
-    sum += best;
-  }
-  return sum;
-}
-
-}  // namespace internal
-
-/// One direction's contribution in [0, 1]: Σ_{Mχ} / Ωχ with the empty-set
-/// conventions listed above.
-template <typename Lookup>
-double DirectionScore(const OperatorConfig& op, MatchingAlgo algo,
-                      std::span<const NodeId> s1, std::span<const NodeId> s2,
-                      Lookup&& lookup, MatchingScratch* scratch) {
-  const size_t n1 = s1.size();
-  const size_t n2 = s2.size();
-  double sum = 0.0;
-  switch (op.mapping) {
-    case MappingKind::kMaxPerRow:
-      if (n1 == 0) return 1.0;
-      sum = internal::MaxPerRowSum(s1, s2, lookup);
-      break;
-    case MappingKind::kInjectiveRow:
-      if (n1 == 0) return 1.0;
-      if (n2 == 0) return 0.0;
-      sum = internal::InjectiveMappingSum(s1, s2, lookup, algo, scratch);
-      break;
-    case MappingKind::kMaxBothSides: {
-      if (n1 == 0 && n2 == 0) return 1.0;
-      sum = internal::MaxPerRowSum(s1, s2, lookup);
-      // The converse side: every y in s2 maps to its best x in s1.
-      for (NodeId y : s2) {
-        double best = 0.0;
-        for (NodeId x : s1) {
-          double score = lookup(x, y);
-          if (score > best) best = score;
-        }
-        sum += best;
-      }
-      break;
-    }
-    case MappingKind::kInjectiveSym:
-      if (n1 == 0 && n2 == 0) return 1.0;
-      if (n1 == 0 || n2 == 0) return 0.0;
-      sum = internal::InjectiveMappingSum(s1, s2, lookup, algo, scratch);
-      break;
-    case MappingKind::kProduct: {
-      if (n1 == 0 || n2 == 0) return 0.0;
-      for (NodeId x : s1) {
-        for (NodeId y : s2) {
-          double score = lookup(x, y);
-          if (score > 0.0) sum += score;
-        }
-      }
-      break;
-    }
-  }
-  const double omega = OmegaValue(op.omega, n1, n2);
-  FSIM_DCHECK(omega > 0.0);
-  return sum / omega;
-}
-
-namespace internal {
-
 /// MaxPerRowSum over CSR entries: Σ of per-row maxima. Rows without entries
 /// contribute 0, exactly like rows whose lookups are all non-positive.
 /// `Ref` is NeighborRef or PackedNeighborRef.
@@ -301,13 +183,14 @@ double InjectiveMappingSumIndexed(size_t n1, size_t n2,
 
 }  // namespace internal
 
-/// DirectionScore over the pair-graph CSR neighbor index: identical results
-/// to the lookup-based overload (the entries enumerate exactly the
-/// label-compatible pairs, in the same (x, y) order the nested loops visit),
-/// but previous-iteration scores are read by direct array indexing through
-/// `score_of(ref)` — zero hash probes and zero label checks. n1/n2 are the
-/// full neighbor-set sizes |S1|/|S2| (the empty-set conventions and Ωχ
-/// depend on them, not on the compatible-entry count).
+/// One direction's contribution in [0, 1] over the pair-graph CSR neighbor
+/// index: identical results to the oracle's lookup-based DirectionScore
+/// (the entries enumerate exactly the label-compatible pairs, in the same
+/// (x, y) order its nested loops visit), but previous-iteration scores are
+/// read by direct array indexing through `score_of(ref)` — zero hash probes
+/// and zero label checks. n1/n2 are the full neighbor-set sizes |S1|/|S2|
+/// (the empty-set conventions and Ωχ depend on them, not on the
+/// compatible-entry count).
 template <typename Ref, typename ScoreFn>
 double DirectionScoreIndexed(const OperatorConfig& op, MatchingAlgo algo,
                              size_t n1, size_t n2,
@@ -360,7 +243,7 @@ double DirectionScoreIndexed(const OperatorConfig& op, MatchingAlgo algo,
   return sum / omega;
 }
 
-/// Upper bound of one direction's contribution (Eq. 6): DirectionScore with
+/// Upper bound of one direction's contribution (Eq. 6): the direction score with
 /// every mappable pair's score over-approximated by 1, i.e. |Mχ| / Ωχ under
 /// the label-compatibility relation. |Mχ| itself is over-approximated for
 /// the injective operators (min of the side counts), which keeps the bound

@@ -1,7 +1,8 @@
 // The per-pair Equation 3 evaluation shared by the Algorithm 1 engines
-// (ComputeFSim, ComputeTopKPairs, IncrementalFSim): one iterate-loop body
-// that reads previous-iteration scores through the pair-graph CSR neighbor
-// index (direct array indexing, no hash probes or label checks). The index
+// (ComputeFSim, ComputeTopKPairs, TopKSearch, IncrementalFSim): one
+// iterate-loop body that reads previous-iteration scores through the
+// pair-graph CSR neighbor index (direct array indexing, no hash probes or
+// label checks). The index
 // enumerates exactly the candidate pairs Algorithm 1's Hp lookups visit,
 // in the same order; tests/naive_fsim.h keeps that hash-lookup evaluation
 // as the oracle the engines are checked against.
@@ -103,10 +104,10 @@ class PairEvaluator {
 
 /// Delta-driven active-set scheduling of the Algorithm 1 iterate loop —
 /// the one iterate loop of the sparse engines: ComputeFSim,
-/// ComputeTopKPairs, and IncrementalFSim's initial solve and edit repair
-/// (docs/performance.md "Active-set iteration"). Each Step() runs one
-/// synchronous Jacobi iteration and leaves the pair space's previous-score
-/// buffer holding the complete new state:
+/// ComputeTopKPairs, TopKSearch, and IncrementalFSim's initial solve and
+/// edit repair (docs/performance.md "Active-set iteration"). Each Step()
+/// runs one synchronous Jacobi iteration and leaves the pair space's
+/// previous-score buffer holding the complete new state:
 ///
 ///  * The first iteration (and every iteration with the active set off or
 ///    without reverse spans) is a plain full sweep over all maintained

@@ -134,7 +134,9 @@ class PairSpace {
 
   /// θ <= 0: every label pair is compatible and the rank of y is y.
   bool all_compatible() const { return all_compatible_; }
-  /// Candidate id of row x's first pair.
+  /// Candidate id of row x's first pair, for x <= |V1|; row x is empty
+  /// (θ-incompatible with all of g2, or left unfilled by Build's `rows`)
+  /// when RowBegin(x + 1) equals it.
   uint64_t RowBegin(NodeId x) const { return row_offsets_[x]; }
   /// The compatible g2 labels of g1 label a (θ > 0 only).
   Compatible CompatibleWith(LabelId a) const {

@@ -68,8 +68,8 @@ std::vector<uint32_t> PruneRefs(const Graph& g1, const Graph& g2,
 Result<PairStore> PairStore::Build(const Graph& g1, const Graph& g2,
                                    const FSimConfig& config,
                                    const LabelSimilarityCache& lsim,
-                                   bool build_neighbor_index,
-                                   ThreadPool* pool) {
+                                   ThreadPool* pool,
+                                   const std::vector<bool>* rows) {
   PairStore store;
   ThreadPool serial_pool(1);
   if (pool == nullptr) pool = &serial_pool;
@@ -78,7 +78,7 @@ Result<PairStore> PairStore::Build(const Graph& g1, const Graph& g2,
     // upper-bound pruning (Eq. 6). ---
     FSIM_TRACE_SPAN("engine.build.enumerate");
     FSIM_ASSIGN_OR_RETURN(PairSpace space,
-                          PairSpace::Build(g1, g2, config, lsim, pool));
+                          PairSpace::Build(g1, g2, config, lsim, pool, rows));
     store.info_.theta_candidates = space.size();
     if (config.upper_bound) {
       space.Prune(PruneRefs(g1, g2, config, lsim, space.keys(),
@@ -105,8 +105,8 @@ Result<PairStore> PairStore::Build(const Graph& g1, const Graph& g2,
     });
   }
 
-  // --- Stage 4: pair-graph CSR neighbor index (budget ceiling). ---
-  if (build_neighbor_index) {
+  {
+    // --- Stage 4: pair-graph CSR neighbor index (budget ceiling). ---
     FSIM_TRACE_SPAN("engine.build.index");
     FSIM_RETURN_NOT_OK(store.BuildNeighborIndex(g1, g2, config, *pool));
 #ifdef FSIM_DEBUG_CHECKS
@@ -350,6 +350,11 @@ void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
                                 std::vector<uint32_t>* column_blocks,
                                 std::vector<Ref>* buf) -> uint64_t {
     const size_t before = buf->size();
+    // A row left unfilled (Build's `rows`) holds no candidates: the ids
+    // computed from its RowBegin would be the next filled row's.
+    auto unfilled = [&](NodeId x, uint64_t row_begin) {
+      return row_begin == space.RowBegin(x + 1);
+    };
     auto emit = [&](uint32_t r, uint32_t c, uint64_t id) {
       const uint32_t ref = space.RefOf(id);
       if (ref == kAbsentRef) return;
@@ -362,6 +367,7 @@ void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
     if (space.all_compatible()) {
       for (uint32_t r = 0; r < s1.size(); ++r) {
         const uint64_t row_begin = space.RowBegin(s1[r]);
+        if (unfilled(s1[r], row_begin)) continue;
         for (uint32_t c = 0; c < s2.size(); ++c) {
           emit(r, c, row_begin + s2[c]);
         }
@@ -372,6 +378,7 @@ void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
     for (uint32_t r = 0; r < s1.size(); ++r) {
       const NodeId x = s1[r];
       const uint64_t row_begin = space.RowBegin(x);
+      if (unfilled(x, row_begin)) continue;
       auto emit_ranked = [&](uint32_t c, NodeId y, uint32_t block) {
         emit(r, c, row_begin + space.Rank(block, y));
       };

@@ -3,9 +3,10 @@
 // double-buffered scores, the side table of upper bounds for pruned pairs
 // (upper-bound updating, §3.4), and the pair-graph CSR neighbor index that
 // turns the iterate loop's score lookups into direct array reads. The one
-// index of every sparse engine: ComputeFSim and ComputeTopKPairs iterate
-// on it, and IncrementalFSim (core/incremental.h) solves on it and keeps
-// it valid under edge edits by re-staging the spans an edit invalidates.
+// index of every sparse engine: ComputeFSim, ComputeTopKPairs and
+// TopKSearch iterate on it, and IncrementalFSim (core/incremental.h) solves
+// on it and keeps it valid under edge edits by re-staging the spans an
+// edit invalidates.
 #ifndef FSIM_CORE_PAIR_STORE_H_
 #define FSIM_CORE_PAIR_STORE_H_
 
@@ -80,16 +81,27 @@ class PairStore {
   /// the 32-bit pair-slot range, and with ResourceExhausted — naming
   /// the bytes the index needs and the budget — if the index cannot fit
   /// config.neighbor_index_budget_bytes or its refs would overflow the
-  /// pruned-ref tag. `build_neighbor_index` = false skips the index; such
-  /// a store only hands out its space and scores, and must not be iterated.
-  /// `pool` parallelizes enumeration, initialization and the index build
-  /// when provided (the engines pass their iterate pool); nullptr builds
-  /// serially.
+  /// pruned-ref tag. `pool` parallelizes enumeration, initialization and
+  /// the index build when provided (the engines pass their iterate pool);
+  /// nullptr builds serially. With `rows`, only rows u with (*rows)[u] set
+  /// are filled (PairSpace::Build): a pair of an unfilled row is outside
+  /// the store, so the index omits it and it reads 0, as a pruned
+  /// untracked pair does (TopKSearch's radius ball).
   static Result<PairStore> Build(const Graph& g1, const Graph& g2,
                                  const FSimConfig& config,
                                  const LabelSimilarityCache& lsim,
-                                 bool build_neighbor_index = true,
-                                 ThreadPool* pool = nullptr);
+                                 ThreadPool* pool = nullptr,
+                                 const std::vector<bool>* rows = nullptr);
+
+  /// The former spelling Build(g1, g2, config, lsim, /*index=*/true,
+  /// pool), still called by perfbench/src/probes.cc; `index` must be true.
+  static Result<PairStore> Build(const Graph& g1, const Graph& g2,
+                                 const FSimConfig& config,
+                                 const LabelSimilarityCache& lsim, bool index,
+                                 ThreadPool* pool) {
+    FSIM_CHECK(index);
+    return Build(g1, g2, config, lsim, pool);
+  }
 
   size_t size() const { return keys_.size(); }
   NodeId U(size_t i) const { return PairFirst(keys_[i]); }

@@ -56,9 +56,7 @@ Result<TopKPairsResult> ComputeTopKPairs(const Graph& g1, const Graph& g2,
   ThreadPool pool(config.num_threads);
   LabelSimilarityCache lsim(*g1.dict(), config.label_sim);
   FSIM_ASSIGN_OR_RETURN(PairStore store,
-                        PairStore::Build(g1, g2, config, lsim,
-                                         /*build_neighbor_index=*/true,
-                                         &pool));
+                        PairStore::Build(g1, g2, config, lsim, &pool));
 
   const double w = config.w_out + config.w_in;
   const uint32_t max_iters = FSimIterationBound(config);

@@ -5,11 +5,12 @@
 // materializing the all-pairs computation: after d iterations, FSim^d(u, v)
 // depends only on pairs whose left node is within (undirected) distance d of
 // u. TopKSearch therefore:
-//   1. restricts the candidate-pair set to pairs whose left node lies in the
-//      radius-d ball around u* (right nodes only θ-filtered),
-//   2. runs d iterations of the standard engine on that restricted set —
-//      which reproduces the unrestricted FSim^d(u*, ·) exactly,
-//   3. ranks the candidates, carrying the Corollary-1 tail bound
+//   1. builds the shared PairStore with only the rows of the radius-d ball
+//      around u* filled (right nodes only θ-filtered),
+//   2. runs d exact active-set steps of the shared sparse driver
+//      (ActiveSetDriver + PairEvaluator, as ComputeFSim) on it — which
+//      reproduces the unrestricted FSim^d(u*, ·) exactly,
+//   3. ranks row u* (FSimScores::TopK), carrying the Corollary-1 tail bound
 //      |FSim(u*,v) - FSim^d(u*,v)| <= (w+ + w-)^(d+1) / (1 - w+ - w-)
 //      as a certified error radius.
 #ifndef FSIM_CORE_TOPK_SEARCH_H_
@@ -41,8 +42,13 @@ struct TopKOptions {
 };
 
 /// Computes the top-k nodes of g2 most similar to `source` in g1 under the
-/// given FSim configuration (config.max_iterations/num_threads are ignored;
-/// the depth controls both locality and iterations).
+/// given FSim configuration, honoring pin_diagonal, upper_bound (with α/β)
+/// and num_threads as ComputeFSim does. The depth replaces
+/// config.max_iterations and the epsilon stop (it controls both locality
+/// and iterations; epsilon only derives a zero options.depth), and the
+/// steps always run in exact active-set mode, whatever config.active_set
+/// says. Fails with ResourceExhausted when the ball's neighbor index
+/// cannot fit config.neighbor_index_budget_bytes.
 Result<TopKResult> TopKSearch(const Graph& g1, const Graph& g2, NodeId source,
                               const FSimConfig& config,
                               const TopKOptions& options = {});

@@ -98,30 +98,26 @@ Status EditQueue::Admit(const EditOp& op) {
   return Status::OK();
 }
 
-bool EditQueue::CommitLocked(const EditOp& op) {
-  if (reserved_ > 0) --reserved_;
-  if (op.graph_index != 1 && op.graph_index != 2) {
-    // Let invalid ops flow through to the driver's edits_failed counter.
-    ops_.push_back(op);
-    return false;
-  }
-  auto [it, inserted] = index_[op.graph_index == 2].try_emplace(
-      PairKey(op.from, op.to), ops_.size());
-  if (inserted) {
-    ops_.push_back(op);
-    return false;
-  }
-  EditOp& queued = ops_[it->second];
-  queued.insert = op.insert;
-  if (op.lsn > queued.lsn) queued.lsn = op.lsn;
-  return true;
-}
-
 bool EditQueue::CommitAdmitted(const EditOp& op) {
-  bool coalesced;
+  bool coalesced = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    coalesced = CommitLocked(op);
+    if (reserved_ > 0) --reserved_;
+    if (op.graph_index != 1 && op.graph_index != 2) {
+      // Let invalid ops flow through to the driver's edits_failed counter.
+      ops_.push_back(op);
+    } else {
+      auto [it, inserted] = index_[op.graph_index == 2].try_emplace(
+          PairKey(op.from, op.to), ops_.size());
+      if (inserted) {
+        ops_.push_back(op);
+      } else {
+        EditOp& queued = ops_[it->second];
+        queued.insert = op.insert;
+        if (op.lsn > queued.lsn) queued.lsn = op.lsn;
+        coalesced = true;
+      }
+    }
   }
   cv_.notify_all();
   return coalesced;
@@ -130,27 +126,6 @@ bool EditQueue::CommitAdmitted(const EditOp& op) {
 void EditQueue::CancelAdmitted() {
   std::lock_guard<std::mutex> lock(mu_);
   if (reserved_ > 0) --reserved_;
-}
-
-Status EditQueue::TryPush(const EditOp& op, bool* coalesced) {
-  bool merged;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (capacity_ > 0 && ops_.size() + reserved_ >= capacity_) {
-      const bool coalescible =
-          (op.graph_index == 1 || op.graph_index == 2) &&
-          index_[op.graph_index == 2].count(PairKey(op.from, op.to)) > 0;
-      if (!coalescible) {
-        return Status::ResourceExhausted(
-            "edit queue is full (overload shed; retry after a refresh)");
-      }
-    }
-    ++reserved_;  // consumed immediately by the commit below
-    merged = CommitLocked(op);
-  }
-  cv_.notify_all();
-  if (coalesced != nullptr) *coalesced = merged;
-  return Status::OK();
 }
 
 size_t EditQueue::Drain(std::vector<EditOp>* out) {

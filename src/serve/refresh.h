@@ -87,10 +87,6 @@ class EditQueue {
   /// Releases a reservation without enqueueing (WAL append failed).
   void CancelAdmitted();
 
-  /// Admit + Commit in one step, for producers without a durability gap.
-  /// Sets *coalesced when non-null.
-  Status TryPush(const EditOp& op, bool* coalesced = nullptr);
-
   /// Appends all pending ops to *out in submission order; returns the count.
   size_t Drain(std::vector<EditOp>* out);
 
@@ -105,9 +101,6 @@ class EditQueue {
   void Wake() const { cv_.notify_all(); }
 
  private:
-  /// Commit body; the caller holds mu_. Returns whether it coalesced.
-  bool CommitLocked(const EditOp& op);
-
   const size_t capacity_;  // 0 = unbounded
   mutable std::mutex mu_;               // guards: ops_, index_, reserved_
   mutable std::condition_variable cv_;  // ordering: signaled under mu_

@@ -19,11 +19,13 @@
 #include "exact/signatures.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "tests/naive_fsim.h"
 #include "tests/test_graphs.h"
 
 namespace fsim {
 namespace {
 
+using testing::DirectionScore;
 using testing::Figure1;
 using testing::GraphPair;
 using testing::MakeFigure1;

@@ -67,28 +67,62 @@ TEST(EfficientSimTest, LargerGraphAgreesWithNaive) {
 // ------------------------------------------------------- Top-k search ----
 
 TEST(TopKSearchTest, MatchesFullEngineRow) {
-  auto pair = testing::MakeRandomPair(0x70, 12, 14, 3);
-  FSimConfig config;
-  config.variant = SimVariant::kBijective;
-  config.epsilon = 1e-9;
-  const uint32_t depth = 6;
-
-  FSimConfig full_config = config;
-  full_config.max_iterations = depth;
-  full_config.epsilon = 1e-300;  // run exactly `depth` iterations
-  auto full = ComputeFSim(pair.g1, pair.g2, full_config);
-  ASSERT_TRUE(full.ok());
-
-  for (NodeId source = 0; source < pair.g1.NumNodes(); ++source) {
-    TopKOptions options;
-    options.depth = depth;
-    options.k = pair.g2.NumNodes();
-    auto topk = TopKSearch(pair.g1, pair.g2, source, config, options);
-    ASSERT_TRUE(topk.ok()) << topk.status().ToString();
-    // The localized computation reproduces FSim^depth(source, ·) exactly.
-    for (const auto& [v, score] : topk->ranking) {
-      ASSERT_DOUBLE_EQ(score, full->Score(source, v))
-          << "source " << source << " candidate " << v;
+  // Every config the search honors: θ = 0 and θ = 1 candidate sets, a
+  // pinned diagonal, and upper-bound pruning with tracked bounds. Each
+  // row must equal the full engine's FSim^depth row bit for bit.
+  const testing::GraphPair pair = testing::MakeRandomPair(0x70, 12, 14, 3);
+  struct Case {
+    const char* name;
+    bool self;  // g1 against itself (pin_diagonal needs a diagonal)
+    FSimConfig config;
+  };
+  FSimConfig bj;
+  bj.variant = SimVariant::kBijective;
+  FSimConfig s_theta1;
+  s_theta1.variant = SimVariant::kSimple;
+  s_theta1.theta = 1.0;
+  FSimConfig upper_bound;
+  upper_bound.theta = 1.0;
+  upper_bound.upper_bound = true;
+  upper_bound.alpha = 0.2;
+  const Case kCases[] = {{"bj theta=0", false, bj},
+                         {"s theta=1", false, s_theta1},
+                         {"simrank", true, SimRankFSimConfig()},
+                         {"upper-bound alpha=0.2", false, upper_bound}};
+  for (const Case& test_case : kCases) {
+    const Graph& g2 = test_case.self ? pair.g1 : pair.g2;
+    for (int threads : {1, 3}) {
+      for (uint32_t depth : {2u, 6u}) {
+        const std::string context =
+            StrFormat("%s threads=%d depth=%u", test_case.name, threads,
+                      depth);
+        FSimConfig config = test_case.config;
+        config.num_threads = threads;
+        FSimConfig full_config = config;
+        full_config.max_iterations = depth;
+        full_config.epsilon = 1e-300;  // run exactly `depth` iterations
+        auto full = ComputeFSim(pair.g1, g2, full_config);
+        ASSERT_TRUE(full.ok()) << context << ": " << full.status().ToString();
+        if (config.upper_bound) {
+          ASSERT_GT(full->stats().pruned_pairs, 0u) << context;
+        }
+        for (NodeId source = 0; source < pair.g1.NumNodes(); ++source) {
+          TopKOptions options;
+          options.depth = depth;
+          options.k = g2.NumNodes();
+          auto topk = TopKSearch(pair.g1, g2, source, config, options);
+          ASSERT_TRUE(topk.ok()) << context << ": "
+                                 << topk.status().ToString();
+          // The localized computation reproduces FSim^depth(source, ·)
+          // exactly, over the same candidates.
+          ASSERT_EQ(topk->ranking.size(), full->Row(source).size())
+              << context << " source " << source;
+          for (const auto& [v, score] : topk->ranking) {
+            ASSERT_EQ(score, full->Score(source, v))
+                << context << " source " << source << " candidate " << v;
+          }
+        }
+      }
     }
   }
 }

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -24,6 +25,132 @@
 
 namespace fsim {
 namespace testing {
+
+// The lookup realization of the Table 3 operators (Equation 2): one
+// direction's normalized mapping sum over two neighbor sets, reading each
+// FSim^{k-1}(x, y) through `lookup`, which returns a negative value when x
+// may not be mapped to y (Remark 2). The engines evaluate the same
+// operators over their neighbor index (DirectionScoreIndexed in
+// core/operators.h); this is the oracle those are checked against.
+
+namespace internal {
+
+/// Σ over the max-weight injective mapping between s1 and s2 (the M_dp/M_bj
+/// realization). Greedy is the paper's ½-approximation; Hungarian is exact.
+template <typename Lookup>
+double InjectiveMappingSum(std::span<const NodeId> s1,
+                           std::span<const NodeId> s2, Lookup&& lookup,
+                           MatchingAlgo algo, MatchingScratch* scratch) {
+  if (s1.size() == 1 || s2.size() == 1) {
+    // An injective mapping out of (or into) a singleton keeps exactly the
+    // best edge; greedy and Hungarian both reduce to this maximum.
+    double best = 0.0;
+    for (NodeId x : s1) {
+      for (NodeId y : s2) {
+        const double score = lookup(x, y);
+        if (score > best) best = score;
+      }
+    }
+    return best;
+  }
+  scratch->edges.clear();
+  for (size_t i = 0; i < s1.size(); ++i) {
+    for (size_t j = 0; j < s2.size(); ++j) {
+      double score = lookup(s1[i], s2[j]);
+      // Zero-weight edges cannot increase the matching sum; dropping them
+      // keeps the sort cheap.
+      if (score > 0.0) {
+        scratch->edges.push_back({static_cast<uint32_t>(i),
+                                  static_cast<uint32_t>(j), score});
+      }
+    }
+  }
+  double tiny = 0.0;
+  if (::fsim::internal::TinyMatchingSum(scratch->edges, &tiny)) return tiny;
+  if (algo == MatchingAlgo::kHungarian) {
+    // Reuse the scratch's flat weight matrix — the per-call
+    // vector<vector<double>> allocation dominated Hungarian runs.
+    scratch->weights.assign(s1.size() * s2.size(), 0.0);
+    for (const WeightedEdge& e : scratch->edges) {
+      scratch->weights[e.left * s2.size() + e.right] = e.weight;
+    }
+    return HungarianMaxWeightMatching(scratch->weights.data(), s1.size(),
+                                      s2.size());
+  }
+  return GreedyMaxWeightMatching(scratch, s1.size(), s2.size());
+}
+
+/// Σ of per-row maxima: every x in s1 maps to its best compatible y.
+template <typename Lookup>
+double MaxPerRowSum(std::span<const NodeId> s1, std::span<const NodeId> s2,
+                    Lookup&& lookup) {
+  double sum = 0.0;
+  for (NodeId x : s1) {
+    double best = 0.0;
+    for (NodeId y : s2) {
+      double score = lookup(x, y);
+      if (score > best) best = score;
+    }
+    sum += best;
+  }
+  return sum;
+}
+
+}  // namespace internal
+
+/// One direction's contribution in [0, 1]: Σ_{Mχ} / Ωχ with the empty-set
+/// conventions listed above.
+template <typename Lookup>
+double DirectionScore(const OperatorConfig& op, MatchingAlgo algo,
+                      std::span<const NodeId> s1, std::span<const NodeId> s2,
+                      Lookup&& lookup, MatchingScratch* scratch) {
+  const size_t n1 = s1.size();
+  const size_t n2 = s2.size();
+  double sum = 0.0;
+  switch (op.mapping) {
+    case MappingKind::kMaxPerRow:
+      if (n1 == 0) return 1.0;
+      sum = internal::MaxPerRowSum(s1, s2, lookup);
+      break;
+    case MappingKind::kInjectiveRow:
+      if (n1 == 0) return 1.0;
+      if (n2 == 0) return 0.0;
+      sum = internal::InjectiveMappingSum(s1, s2, lookup, algo, scratch);
+      break;
+    case MappingKind::kMaxBothSides: {
+      if (n1 == 0 && n2 == 0) return 1.0;
+      sum = internal::MaxPerRowSum(s1, s2, lookup);
+      // The converse side: every y in s2 maps to its best x in s1.
+      for (NodeId y : s2) {
+        double best = 0.0;
+        for (NodeId x : s1) {
+          double score = lookup(x, y);
+          if (score > best) best = score;
+        }
+        sum += best;
+      }
+      break;
+    }
+    case MappingKind::kInjectiveSym:
+      if (n1 == 0 && n2 == 0) return 1.0;
+      if (n1 == 0 || n2 == 0) return 0.0;
+      sum = internal::InjectiveMappingSum(s1, s2, lookup, algo, scratch);
+      break;
+    case MappingKind::kProduct: {
+      if (n1 == 0 || n2 == 0) return 0.0;
+      for (NodeId x : s1) {
+        for (NodeId y : s2) {
+          double score = lookup(x, y);
+          if (score > 0.0) sum += score;
+        }
+      }
+      break;
+    }
+  }
+  const double omega = OmegaValue(op.omega, n1, n2);
+  FSIM_DCHECK(omega > 0.0);
+  return sum / omega;
+}
 
 struct NaiveFSimResult {
   std::vector<uint64_t> keys;  // ascending PairKey order (u-major)

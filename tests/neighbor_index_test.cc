@@ -247,8 +247,7 @@ TEST(NeighborIndexTest, ParallelBuildMatchesAcrossPoolSizes) {
   size_t reference_bytes = 0;
   for (int threads : {1, 3, 4}) {
     ThreadPool pool(threads);
-    auto store = PairStore::Build(g, g, config, lsim,
-                                  /*build_neighbor_index=*/true, &pool);
+    auto store = PairStore::Build(g, g, config, lsim, &pool);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     ASSERT_GE(store->size(), 3 * PairStore::kChunkPairs);
     ASSERT_NE(store->size() % PairStore::kChunkPairs, 0u);

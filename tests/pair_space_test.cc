@@ -75,8 +75,7 @@ TEST(PairSpaceTest, FindAgreesWithKeysUnderEveryShape) {
       config.beta = 0.5;
       const std::string context = "theta=" + std::to_string(theta) +
                                   (prune ? " pruned" : "");
-      auto store = PairStore::Build(g, g, config, lsim,
-                                    /*build_neighbor_index=*/false);
+      auto store = PairStore::Build(g, g, config, lsim);
       ASSERT_TRUE(store.ok()) << context << ": " << store.status().ToString();
       if (prune) {
         EXPECT_GT(store->info().pruned, 0u) << context;

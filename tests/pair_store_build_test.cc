@@ -118,8 +118,7 @@ TEST(PairStoreBuildTest, EnumerationMatchesSortedLabelLoops) {
       FSimConfig config;
       config.label_sim = LabelSimKind::kEditDistance;
       config.theta = theta;
-      auto store = PairStore::Build(*input.g1, *input.g2, config, lsim,
-                                    /*build_neighbor_index=*/false);
+      auto store = PairStore::Build(*input.g1, *input.g2, config, lsim);
       ASSERT_TRUE(store.ok()) << context << ": " << store.status().ToString();
       const std::vector<uint64_t> keys = StoreKeys(*store);
       ASSERT_FALSE(keys.empty()) << context;
@@ -141,8 +140,7 @@ TEST(PairStoreBuildTest, PairLimitFailsWithItsMessage) {
   FSimConfig config;
   config.label_sim = LabelSimKind::kEditDistance;
   config.theta = 0.4;
-  auto fits = PairStore::Build(mixed.g1, mixed.g2, config, lsim,
-                               /*build_neighbor_index=*/false);
+  auto fits = PairStore::Build(mixed.g1, mixed.g2, config, lsim);
   ASSERT_TRUE(fits.ok()) << fits.status().ToString();
   const size_t candidates = fits->size();
 
@@ -292,16 +290,14 @@ TEST(PairStoreBuildTest, LargeIndicatorDictionaryMatchesReference) {
   }
   FSimConfig config;
   config.theta = 1.0;
-  auto store = PairStore::Build(g1, g2, config, lsim,
-                                /*build_neighbor_index=*/true, &pool);
+  auto store = PairStore::Build(g1, g2, config, lsim, &pool);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ExpectMatchesReference(
       *store,
       BuildReferencePairStore(g1, g2, config, lsim, store->reverse_spans(),
                               &same_label),
       "theta=1");
-  store = PairStore::Build(g1, few, config, lsim,
-                           /*build_neighbor_index=*/true, &pool);
+  store = PairStore::Build(g1, few, config, lsim, &pool);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ExpectMatchesReference(
       *store,
@@ -314,8 +310,7 @@ TEST(PairStoreBuildTest, LargeIndicatorDictionaryMatchesReference) {
 
   // θ = 0: every pair, against a small g2 and then over the limit.
   config = FSimConfig();
-  store = PairStore::Build(g1, few, config, lsim,
-                           /*build_neighbor_index=*/true, &pool);
+  store = PairStore::Build(g1, few, config, lsim, &pool);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ExpectMatchesReference(
       *store,
@@ -399,8 +394,7 @@ TEST(NeighborIndexTest, ParallelBuildMatchesReferenceBuilder) {
       ReferencePairStore ref;
       for (int threads : {1, 3, 4}) {
         ThreadPool pool(threads);
-        auto store = PairStore::Build(mixed.g1, g2, config, lsim,
-                                      /*build_neighbor_index=*/true, &pool);
+        auto store = PairStore::Build(mixed.g1, g2, config, lsim, &pool);
         ASSERT_TRUE(store.ok()) << context << ": " << store.status().ToString();
         EXPECT_TRUE(store->ValidateNeighborIndex().ok()) << context;
         if (config.upper_bound && theta > 0.0) {
@@ -413,6 +407,65 @@ TEST(NeighborIndexTest, ParallelBuildMatchesReferenceBuilder) {
         ExpectMatchesReference(*store, ref,
                                context + " threads=" +
                                    std::to_string(threads));
+      }
+    }
+  }
+}
+
+// The build with only some rows filled (TopKSearch's radius ball), against
+// the reference over the same keys. A label that occurs in filled and
+// unfilled rows is compatible with the columns of an unfilled neighbor
+// row, whose entries the index must omit: their candidate ids would be
+// the next filled row's.
+TEST(NeighborIndexTest, ParallelBuildOfRestrictedRowsMatchesReference) {
+  const GraphPair mixed = MakeMixedLabelPair(7, 60);
+  const LabelSimilarityCache lsim(*mixed.g1.dict(),
+                                  LabelSimKind::kEditDistance);
+  const size_t n1 = mixed.g1.NumNodes();
+  std::vector<bool> rows(n1);
+  for (NodeId u = 0; u < n1; ++u) rows[u] = u % 3 == 0 || u + 2 >= n1;
+  std::vector<bool> filled_label(mixed.g1.dict()->size());
+  for (NodeId u = 0; u < n1; ++u) {
+    if (rows[u]) filled_label[mixed.g1.Label(u)] = true;
+  }
+  bool shared_label = false;
+  for (NodeId u = 0; u < n1; ++u) {
+    shared_label |= !rows[u] && filled_label[mixed.g1.Label(u)];
+  }
+  ASSERT_TRUE(shared_label);
+
+  for (double theta : {0.0, 0.4, 1.0}) {
+    for (bool prune : {false, true}) {
+      FSimConfig config;
+      config.label_sim = LabelSimKind::kEditDistance;
+      config.theta = theta;
+      if (prune) {
+        config.upper_bound = true;
+        config.alpha = 0.3;
+        config.beta = 0.45;
+      }
+      std::vector<uint64_t> keys;
+      for (NodeId u = 0; u < n1; ++u) {
+        if (!rows[u]) continue;
+        for (NodeId v = 0; v < mixed.g2.NumNodes(); ++v) {
+          if (lsim.Compatible(mixed.g1.Label(u), mixed.g2.Label(v), theta)) {
+            keys.push_back(PairKey(u, v));
+          }
+        }
+      }
+      for (int threads : {1, 3}) {
+        const std::string context = StrFormat(
+            "theta=%.1f%s threads=%d", theta, prune ? " pruned" : "", threads);
+        ThreadPool pool(threads);
+        auto store =
+            PairStore::Build(mixed.g1, mixed.g2, config, lsim, &pool, &rows);
+        ASSERT_TRUE(store.ok()) << context << ": " << store.status().ToString();
+        EXPECT_TRUE(store->ValidateNeighborIndex().ok()) << context;
+        ExpectMatchesReference(
+            *store,
+            BuildReferencePairStore(mixed.g1, mixed.g2, config, lsim,
+                                    store->reverse_spans(), &keys),
+            context);
       }
     }
   }
