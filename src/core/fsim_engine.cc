@@ -1,15 +1,11 @@
 #include "core/fsim_engine.h"
 
 #include <cmath>
+#include <memory>
 #include <utility>
 
 #include "common/string_util.h"
-#include "common/thread_pool.h"
-#include "common/timer.h"
-#include "core/pair_evaluator.h"
-#include "core/pair_store.h"
-#include "core/panel_engine.h"
-#include "obs/trace.h"
+#include "core/fsim_solver.h"
 
 namespace fsim {
 
@@ -79,37 +75,11 @@ Status ValidateFSimConfig(const Graph& g1, const Graph& g2,
 
 Result<FSimScores> ComputeFSim(const Graph& g1, const Graph& g2,
                                const FSimConfig& config) {
-  FSIM_RETURN_NOT_OK(ValidateFSimConfig(g1, g2, config));
-
-  ThreadPool pool(config.num_threads);
-  Timer build_timer;
-  obs::TraceSpan init_span("engine.init");
-  LabelSimilarityCache lsim(*g1.dict(), config.label_sim);
-  FSimStats stats;
-  if (RunsOnTilePanels(config)) {
-    FSIM_ASSIGN_OR_RETURN(
-        TilePanelEngine engine,
-        TilePanelEngine::Build(g1, g2, config, lsim, pool, &stats));
-    stats.build_seconds = build_timer.Seconds();
-    init_span.End();
-    engine.Run(&stats);
-    return engine.TakeScores(std::move(stats));
-  }
-  FSIM_ASSIGN_OR_RETURN(PairStore store,
-                        PairStore::Build(g1, g2, config, lsim, &pool));
-  stats.theta_candidates = store.info().theta_candidates;
-  stats.maintained_pairs = store.info().kept;
-  stats.pruned_pairs = store.info().pruned;
-  stats.neighbor_index_bytes = store.NeighborIndexBytes();
-  stats.packed_neighbor_refs = store.packed_refs();
-  stats.build_seconds = build_timer.Seconds();
-  init_span.End();
-
-  const PairEvaluator evaluator(g1, g2, config, lsim, store);
-  ActiveSetDriver driver(pool, store, evaluator, g1, g2, config);
-  driver.Run(&stats);
-
-  return FSimScores(store.space(), store.TakeScores(), std::move(stats));
+  FSIM_ASSIGN_OR_RETURN(std::unique_ptr<FSimSolver> solver,
+                        FSimSolver::Create(g1, g2, config, {}));
+  FSimStats stats = solver->build_stats();
+  solver->Run(&stats);
+  return solver->TakeScores(std::move(stats));
 }
 
 Result<FSimScores> ComputeFSimSelf(const Graph& g, const FSimConfig& config) {

@@ -21,11 +21,13 @@ Status ValidateFSimConfig(const Graph& g1, const Graph& g2,
 /// limits, or ResourceExhausted when the run's index does not fit
 /// config.neighbor_index_budget_bytes.
 ///
-/// The path follows from the config: at θ = 0 with the s or b mapping and
-/// no upper-bound updating, every pair is a candidate and the run iterates
-/// on the tile panels (core/panel_engine.h) in full sweeps; every other
-/// run iterates through the pair-graph CSR neighbor index under the
-/// active-set driver (core/pair_evaluator.h). Both give the same values.
+/// The run is the shared solver's (core/fsim_solver.h), which
+/// ComputeTopKPairs, TopKSearch and IncrementalFSim::Create use too. Its
+/// path follows from the config: at θ = 0 with the s or b mapping and no
+/// upper-bound updating, every pair is a candidate and the run iterates on
+/// the tile panels (core/panel_engine.h) in full sweeps; every other run
+/// iterates through the pair-graph CSR neighbor index under the active-set
+/// driver (core/pair_evaluator.h). Both give the same values.
 ///
 /// Guarantees (assuming MatchingAlgo::kHungarian for dp/bj, which makes
 /// condition C3 of Theorem 1 exact):

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <optional>
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "core/fsim_engine.h"
+#include "core/fsim_solver.h"
 #include "core/pair_evaluator.h"
 #include "obs/trace.h"
 
@@ -44,7 +45,6 @@ Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
                                                 FSimConfig config,
                                                 IncrementalOptions options,
                                                 const FSimScores* warm_seed) {
-  FSIM_RETURN_NOT_OK(ValidateFSimConfig(g1, g2, config));
   if (config.upper_bound) {
     return Status::InvalidArgument(
         "incremental maintenance requires the full θ-candidate set "
@@ -56,16 +56,14 @@ Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
         "propagation_tolerance must be positive and finite");
   }
 
-  // The store serves the tolerance-mode repair, so it is built with the
-  // repair's config: the reverse-span layout whatever config.active_set
-  // says.
-  ThreadPool pool(config.num_threads);
-  LabelSimilarityCache lsim(*g1.dict(), config.label_sim);
-  FSIM_ASSIGN_OR_RETURN(
-      PairStore store,
-      PairStore::Build(g1, g2,
-                       RepairConfig(config, options.propagation_tolerance),
-                       lsim, &pool));
+  // ComputeFSim's sparse solve, so the serving layer's warm-start
+  // background solve (RefreshDriver passes its FSimConfig straight
+  // through) freezes converged pairs exactly like the batch engine; the
+  // store it solves on keeps the reverse spans the repair walks.
+  FSIM_ASSIGN_OR_RETURN(std::unique_ptr<FSimSolver> solver,
+                        FSimSolver::Create(g1, g2, config,
+                                           {.repairable = true}));
+  PairStore& store = solver->store();
   if (!store.reverse_spans()) {
     return Status::ResourceExhausted(StrFormat(
         "incremental maintenance needs the reverse-span neighbor index, up "
@@ -73,9 +71,25 @@ Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
         static_cast<unsigned long long>(store.info().reverse_span_bytes),
         static_cast<unsigned long long>(config.neighbor_index_budget_bytes)));
   }
-  IncrementalFSim inc(g1, g2, std::move(config), options, std::move(lsim),
-                      std::move(store));
-  const std::vector<uint64_t>& keys = inc.store_.space()->keys();
+  const std::vector<uint64_t>& keys = store.space()->keys();
+
+  // Warm start: overwrite the FSim^0 initialization with the seed's values
+  // when the keysets agree exactly. Any mismatch (different graphs, config,
+  // or a truncated snapshot) keeps the cold initialization — correctness
+  // never depends on the seed, only the solve's iteration count does.
+  if (warm_seed != nullptr && warm_seed->keys() == keys) {
+    for (size_t i = 0; i < keys.size(); ++i) {
+      store.set_curr(i, warm_seed->values()[i]);
+      store.CommitPair(i);
+    }
+  }
+  FSimStats solve_stats;
+  solver->Run(&solve_stats);
+
+  IncrementalFSim inc(g1, g2, std::move(config), options,
+                      solver->TakeLabelSimilarity(), solver->TakeStore());
+  inc.solve_stats_ = std::move(solve_stats);
+  inc.converged_ = inc.solve_stats_.converged;
 
   // The v-grouped CSR (rows come from the space).
   const size_t n2 = inc.g2_.NumNodes();
@@ -91,25 +105,6 @@ Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
   for (size_t i = 0; i < keys.size(); ++i) {
     inc.col_pairs_[cursor[PairSecond(keys[i])]++] = static_cast<uint32_t>(i);
   }
-
-  // Warm start: overwrite the FSim^0 initialization with the seed's values
-  // when the keysets agree exactly. Any mismatch (different graphs, config,
-  // or a truncated snapshot) keeps the cold initialization — correctness
-  // never depends on the seed, only the solve's iteration count does.
-  if (warm_seed != nullptr && warm_seed->keys() == keys) {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      inc.store_.set_curr(i, warm_seed->values()[i]);
-      inc.store_.CommitPair(i);
-    }
-  }
-
-  // ComputeFSim's sparse solve, so the serving layer's warm-start
-  // background solve (RefreshDriver passes its FSimConfig straight
-  // through) freezes converged pairs exactly like the batch engine.
-  const PairEvaluator evaluator(g1, g2, inc.config_, inc.lsim_, inc.store_);
-  ActiveSetDriver driver(pool, inc.store_, evaluator, g1, g2, inc.config_);
-  driver.Run(&inc.solve_stats_);
-  inc.converged_ = inc.solve_stats_.converged;
   return inc;
 }
 

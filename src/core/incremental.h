@@ -20,18 +20,18 @@
 //
 // One index and one iterate loop do all of it: PairStore's chunked CSR
 // neighbor index (core/pair_store.h) and ActiveSetDriver with
-// PairEvaluator (core/pair_evaluator.h). Create builds the store and runs
-// ComputeFSim's sparse solve on it, on a pool of config.num_threads
-// workers that lives only for the call. A burst of edits (ApplyEdits)
-// first patches every op, then repairs once: the driver in tolerance mode
-// (frontier_tolerance = τ) starts from the union of the ops' seeded pairs
-// and runs over an in-place view of the store. Its writes land in the
-// previous-score buffer at once, so an evaluation sees the changes made
-// earlier in the same step. The repair is serial at every thread count, so
-// the maintained scores do not depend on config.num_threads. The first
-// burst builds the repair driver and every later burst reuses it, so
-// influence a repair left below τ is carried into the next one: the bound
-// above holds over any number of bursts.
+// PairEvaluator (core/pair_evaluator.h). Create runs the shared solver's
+// sparse solve (core/fsim_solver.h), on a pool of config.num_threads
+// workers that lives only for the call, and keeps its store. A burst of
+// edits (ApplyEdits) first patches every op, then repairs once: the
+// driver in tolerance mode (frontier_tolerance = τ) starts from the union
+// of the ops' seeded pairs and runs over an in-place view of the store.
+// Its writes land in the previous-score buffer at once, so an evaluation
+// sees the changes made earlier in the same step. The repair is serial at
+// every thread count, so the maintained scores do not depend on
+// config.num_threads. The first burst builds the repair driver and every
+// later burst reuses it, so influence a repair left below τ is carried
+// into the next one: the bound above holds over any number of bursts.
 //
 // Cost model:
 //  * the graphs are held as DynamicGraph (graph/dynamic_graph.h), so each

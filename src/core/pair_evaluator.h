@@ -1,11 +1,11 @@
-// The per-pair Equation 3 evaluation shared by the Algorithm 1 engines
-// (ComputeFSim, ComputeTopKPairs, TopKSearch, IncrementalFSim): one
-// iterate-loop body that reads previous-iteration scores through the
-// pair-graph CSR neighbor index (direct array indexing, no hash probes or
-// label checks). The index
-// enumerates exactly the candidate pairs Algorithm 1's Hp lookups visit,
-// in the same order; tests/naive_fsim.h keeps that hash-lookup evaluation
-// as the oracle the engines are checked against.
+// The per-pair Equation 3 evaluation and its active-set scheduler: the
+// sparse path of the shared solver (core/fsim_solver.h) and of
+// IncrementalFSim's edit repair. The evaluation reads previous-iteration
+// scores through the pair-graph CSR neighbor index (direct array indexing,
+// no hash probes or label checks). The index enumerates exactly the
+// candidate pairs Algorithm 1's Hp lookups visit, in the same order;
+// tests/naive_fsim.h keeps that hash-lookup evaluation as the oracle the
+// engines are checked against.
 #ifndef FSIM_CORE_PAIR_EVALUATOR_H_
 #define FSIM_CORE_PAIR_EVALUATOR_H_
 
@@ -34,7 +34,7 @@ namespace fsim {
 /// DynamicGraph of IncrementalFSim's edit repair.
 ///
 /// This sparse per-pair path always runs the scalar operators of
-/// core/operators.h; only ComputeFSim's θ = 0 tile-panel loop for s and b
+/// core/operators.h; only the θ = 0 tile-panel loop for s and b
 /// (core/panel_engine.h) runs through the kernel table (core/simd/), and
 /// the two give identical values (tests/panel_engine_test.cc).
 template <typename G>
@@ -102,12 +102,11 @@ class PairEvaluator {
   const double alpha_;
 };
 
-/// Delta-driven active-set scheduling of the Algorithm 1 iterate loop —
-/// the one iterate loop of the sparse engines: ComputeFSim,
-/// ComputeTopKPairs, TopKSearch, and IncrementalFSim's initial solve and
-/// edit repair (docs/performance.md "Active-set iteration"). Each Step()
-/// runs one synchronous Jacobi iteration and leaves the pair space's
-/// previous-score buffer holding the complete new state:
+/// Delta-driven active-set scheduling of the Algorithm 1 iterate loop: the
+/// step of the solver's sparse path and IncrementalFSim's edit repair
+/// (docs/performance.md "Active-set iteration"). Each Step() runs one
+/// synchronous Jacobi iteration and leaves the pair space's previous-score
+/// buffer holding the complete new state:
 ///
 ///  * The first iteration (and every iteration with the active set off or
 ///    without reverse spans) is a plain full sweep over all maintained
@@ -205,61 +204,31 @@ class ActiveSetDriver {
 
   /// Runs one iteration (frontier or full sweep per the policy above) and
   /// returns max |FSim^k - FSim^{k-1}| over the evaluated pairs — in exact
-  /// mode, exactly the full sweep's max delta. `force_full` makes it a
-  /// full sweep whatever the frontier.
-  double Step(bool force_full = false) {
+  /// mode, exactly the full sweep's max delta.
+  double Step() {
     ++iter_;
     // A frontier is only sound when the *previous* sweep marked dependents
     // (see marking_ below); density decides whether it is worth indirect
     // evaluation.
     bool full = true;
-    if (can_build_frontier_ && !force_full && iter_ > forced_full_sweeps_) {
+    if (can_build_frontier_ && iter_ > forced_full_sweeps_) {
       BuildFrontier();
       full = Dense(frontier_.size());
     }
     return Sweep(full);
   }
 
-  /// Steps until the max delta drops below config.epsilon or the
-  /// Corollary 1 bound is reached, and records the iterate fields of
-  /// `*stats` (iterations, converged, final_delta, histories, active_set,
-  /// full_sweep_iterations, frozen_fraction and the timings).
-  void Run(FSimStats* stats) {
-    Timer iterate_timer;
-    const uint32_t max_iters = FSimIterationBound(config_);
-    stats->active_set = active();
-    // Pre-reserve the iteration-indexed telemetry: the hard bound is known
-    // up front, so the hot loop never reallocates mid-iteration.
-    if (config_.record_delta_history) stats->delta_history.reserve(max_iters);
-    if (active()) stats->active_pairs_history.reserve(max_iters);
-    for (uint32_t iter = 1; iter <= max_iters; ++iter) {
-      FSIM_TRACE_SPAN_ARG("engine.iter", iter);
-      const double max_delta = Step();
-      stats->iterations = iter;
-      stats->final_delta = max_delta;
-      if (config_.record_delta_history) {
-        stats->delta_history.push_back(max_delta);
-      }
-      if (active()) stats->active_pairs_history.push_back(last_evaluated_);
-      if (max_delta < config_.epsilon) {
-        stats->converged = true;
-        break;
-      }
-    }
-    stats->iterate_seconds = iterate_timer.Seconds();
-    stats->frontier_build_seconds = frontier_build_seconds_;
-    stats->full_sweep_iterations = full_sweeps_;
-    if (active() && stats->iterations > 0 && space_.size() > 0) {
-      stats->frozen_fraction =
-          1.0 - static_cast<double>(total_evaluated_) /
-                    (static_cast<double>(stats->iterations) *
-                     static_cast<double>(space_.size()));
-    }
-  }
-
   /// True when active-set scheduling is engaged (mode != kOff and the
   /// space has reverse spans).
   bool active() const { return mode_ != ActiveSetMode::kOff; }
+
+  /// Work counters for the solver's FSimStats: pairs the last step
+  /// evaluated, pairs evaluated over all steps, full sweeps run, and the
+  /// time spent building frontiers.
+  size_t last_evaluated() const { return last_evaluated_; }
+  size_t total_evaluated() const { return total_evaluated_; }
+  uint32_t full_sweeps() const { return full_sweeps_; }
+  double frontier_build_seconds() const { return frontier_build_seconds_; }
 
   /// Tolerance mode: recomputes pair i's influence factors from the
   /// current degrees of `g1`/`g2`.

@@ -3,10 +3,9 @@
 // double-buffered scores, the side table of upper bounds for pruned pairs
 // (upper-bound updating, §3.4), and the pair-graph CSR neighbor index that
 // turns the iterate loop's score lookups into direct array reads. The one
-// index of every sparse engine: ComputeFSim, ComputeTopKPairs and
-// TopKSearch iterate on it, and IncrementalFSim (core/incremental.h) solves
-// on it and keeps it valid under edge edits by re-staging the spans an
-// edit invalidates.
+// index of the solver's sparse path (core/fsim_solver.h); IncrementalFSim
+// (core/incremental.h) keeps the store after its solve and keeps the index
+// valid under edge edits by re-staging the spans an edit invalidates.
 #ifndef FSIM_CORE_PAIR_STORE_H_
 #define FSIM_CORE_PAIR_STORE_H_
 

@@ -5,9 +5,7 @@
 #include <span>
 #include <vector>
 
-#include "common/aligned.h"
 #include "common/string_util.h"
-#include "common/timer.h"
 #include "core/init_value.h"
 #include "core/operators.h"
 #include "core/simd/dispatch.h"
@@ -16,10 +14,6 @@
 namespace fsim {
 
 namespace {
-
-struct alignas(64) WorkerDelta {
-  double value = 0.0;
-};
 
 /// Rows per parallel chunk. A chunk is also the tiling unit: all rows of a
 /// chunk walk one v-tile before advancing, so the tile's N±(v) column sets
@@ -195,13 +189,21 @@ Result<TilePanelEngine> TilePanelEngine::Build(
   stats->simd_panel_bytes =
       engine.out_panels_.MemoryBytes() + engine.in_panels_.MemoryBytes();
   stats->simd_level = static_cast<uint32_t>(simd_level);
+
+  engine.scratch_.resize(static_cast<size_t>(pool.num_threads()));
+  if (config.operators().mapping == MappingKind::kMaxBothSides) {
+    const uint32_t max_slots = std::max(engine.out_panels_.max_slots,
+                                        engine.in_panels_.max_slots);
+    for (WorkerScratch& ps : engine.scratch_) {
+      ps.colmax.resize(max_slots);
+      FSIM_DCHECK(IsSimdAligned(ps.colmax.data()));
+    }
+  }
   return engine;
 }
 
-void TilePanelEngine::Run(FSimStats* stats) {
-  Timer iterate_timer;
+double TilePanelEngine::Step() {
   const Graph& g1 = *g1_;
-  const Graph& g2 = *g2_;
   const FSimConfig& config = *config_;
   const simd::SimdKernels& kern = *kern_;
   const OperatorConfig op = config.operators();
@@ -209,29 +211,7 @@ void TilePanelEngine::Run(FSimStats* stats) {
   const bool use_out = config.w_out > 0.0;
   const bool use_in = config.w_in > 0.0;
   const size_t n1 = g1.NumNodes();
-  const size_t n2 = g2.NumNodes();
-  const size_t num_threads = static_cast<size_t>(pool_->num_threads());
-  const uint32_t max_iters = FSimIterationBound(config);
-
-  std::vector<WorkerDelta> worker_delta(num_threads);
-  // Per-worker panel-loop scratch: one running accumulator per tile entry,
-  // the slot-space column-maximum panel of the both-sides operator, and one
-  // tile of each direction's scores.
-  struct PanelScratch {
-    std::vector<double> acc;
-    AlignedVector<double> colmax;
-    std::vector<double> out_scores;
-    std::vector<double> in_scores;
-  };
-  std::vector<PanelScratch> panel_scratch(num_threads);
-  if (both_sides) {
-    const uint32_t max_slots =
-        std::max(out_panels_.max_slots, in_panels_.max_slots);
-    for (PanelScratch& ps : panel_scratch) {
-      ps.colmax.resize(max_slots);
-      FSIM_DCHECK(IsSimdAligned(ps.colmax.data()));
-    }
-  }
+  const size_t n2 = g2_->NumNodes();
 
   // One chunk: rows [begin, end) x all v, tiled over v so the tile's panels
   // and prev-row slices are reused across the chunk's rows. Per (row x,
@@ -243,7 +223,7 @@ void TilePanelEngine::Run(FSimStats* stats) {
   // order, and a skipped zero `best` equals `acc[t] += 0.0`.
   auto evaluate_chunk = [&]<bool kBothSides>(int worker, size_t begin,
                                              size_t end) {
-    PanelScratch& ps = panel_scratch[static_cast<size_t>(worker)];
+    WorkerScratch& ps = scratch_[static_cast<size_t>(worker)];
     const double* prev_data = prev_.data();
     double chunk_delta = 0.0;
 
@@ -349,41 +329,27 @@ void TilePanelEngine::Run(FSimStats* stats) {
         }
       }
     }
-    WorkerDelta& delta = worker_delta[static_cast<size_t>(worker)];
-    delta.value = std::max(delta.value, chunk_delta);
+    ps.delta = std::max(ps.delta, chunk_delta);
   };
 
-  // Pre-reserve so the per-iteration push never reallocates mid-loop.
-  if (config.record_delta_history) stats->delta_history.reserve(max_iters);
-  for (uint32_t iter = 1; iter <= max_iters; ++iter) {
-    FSIM_TRACE_SPAN_ARG("engine.iter", iter);
-    for (WorkerDelta& d : worker_delta) d.value = 0.0;
-    // Chunks of u-rows: rows are independent under double buffering, and
-    // row granularity amortizes the scheduling cost that per-pair items
-    // would pay on the full matrix.
-    pool_->ParallelForChunked(
-        n1, kRowGrain, [&](int worker, size_t begin, size_t end) {
-          if (both_sides) {
-            evaluate_chunk.template operator()<true>(worker, begin, end);
-          } else {
-            evaluate_chunk.template operator()<false>(worker, begin, end);
-          }
-        });
-    double max_delta = 0.0;
-    for (const WorkerDelta& d : worker_delta) {
-      max_delta = std::max(max_delta, d.value);
-    }
-    prev_.swap(curr_);
-    stats->iterations = iter;
-    stats->final_delta = max_delta;
-    if (config.record_delta_history) stats->delta_history.push_back(max_delta);
-    if (max_delta < config.epsilon) {
-      stats->converged = true;
-      break;
-    }
+  for (WorkerScratch& ps : scratch_) ps.delta = 0.0;
+  // Chunks of u-rows: rows are independent under double buffering, and
+  // row granularity amortizes the scheduling cost that per-pair items
+  // would pay on the full matrix.
+  pool_->ParallelForChunked(
+      n1, kRowGrain, [&](int worker, size_t begin, size_t end) {
+        if (both_sides) {
+          evaluate_chunk.template operator()<true>(worker, begin, end);
+        } else {
+          evaluate_chunk.template operator()<false>(worker, begin, end);
+        }
+      });
+  double max_delta = 0.0;
+  for (const WorkerScratch& ps : scratch_) {
+    max_delta = std::max(max_delta, ps.delta);
   }
-  stats->full_sweep_iterations = stats->iterations;
-  stats->iterate_seconds = iterate_timer.Seconds();
+  prev_.swap(curr_);
+  return max_delta;
 }
 
 }  // namespace fsim

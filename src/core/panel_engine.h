@@ -1,4 +1,4 @@
-// ComputeFSim's θ = 0 path for the max-family mappings (s, b): the same
+// The solver's θ = 0 path for the max-family mappings (s, b): the same
 // iterative computation as the sparse engine (Algorithm 1), carried out
 // over the full |V1| x |V2| score matrix in two flat buffers with no
 // candidate index (docs/performance.md "θ = 0 tile panels").
@@ -27,6 +27,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/aligned.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "core/fsim_config.h"
@@ -39,14 +40,15 @@
 
 namespace fsim {
 
-/// True when ComputeFSim evaluates `config` on the tile panels: θ = 0, the
-/// max-per-row (s) or max-both-sides (b) mapping, and no upper-bound
-/// updating. Every other config runs the sparse driver.
+/// True when `config` can run on the tile panels: θ = 0, the max-per-row
+/// (s) or max-both-sides (b) mapping, and no upper-bound updating. The
+/// solver picks them then unless it fills only some rows or must keep a
+/// repairable store; every other run takes the sparse driver.
 bool RunsOnTilePanels(const FSimConfig& config);
 
-/// The θ = 0 panel engine of one ComputeFSim run. Build sets the build
-/// fields of the run's FSimStats, Run the iterate fields, as PairStore and
-/// ActiveSetDriver do on the sparse path.
+/// The θ = 0 panel realization of the solver (core/fsim_solver.h): Build
+/// sets the build fields of the run's FSimStats, and each Step is one full
+/// sweep.
 class TilePanelEngine {
  public:
   /// Enumerates the θ = 0 pair space, checks the label-term table plus the
@@ -59,11 +61,13 @@ class TilePanelEngine {
                                        const LabelSimilarityCache& lsim,
                                        ThreadPool& pool, FSimStats* stats);
 
-  /// Full sweeps until the max delta drops below config.epsilon or the
-  /// Corollary 1 bound is reached; records the iterate fields of `*stats`.
-  void Run(FSimStats* stats);
+  /// One full sweep of Equation 3 over every pair; returns the max delta.
+  double Step();
 
-  /// The converged scores over the shared pair space (call after Run).
+  const PairSpace& space() const { return *space_; }
+  /// The current scores in slot order (row-major n1 x n2).
+  const double* values() const { return prev_.data(); }
+
   FSimScores TakeScores(FSimStats stats) {
     return FSimScores(space_, std::move(prev_), std::move(stats));
   }
@@ -96,6 +100,17 @@ class TilePanelEngine {
   simd::TilePanelSet in_panels_;
   std::vector<double> prev_;  // row-major n1 x n2, slot order
   std::vector<double> curr_;
+  // Per-worker Step scratch: the max delta, one running accumulator per
+  // tile entry, the slot-space column-maximum panel of the both-sides
+  // operator, and one tile of each direction's scores.
+  struct alignas(64) WorkerScratch {
+    double delta = 0.0;
+    std::vector<double> acc;
+    AlignedVector<double> colmax;
+    std::vector<double> out_scores;
+    std::vector<double> in_scores;
+  };
+  std::vector<WorkerScratch> scratch_;
 };
 
 }  // namespace fsim

@@ -16,6 +16,11 @@
 // Certification is exact under MatchingAlgo::kHungarian (the contraction
 // argument needs the true maximum mapping, Theorem 1's C3); under the greedy
 // default it is sharp in practice and validated by the property tests.
+//
+// The steps are the shared solver's (core/fsim_solver.h), so the search
+// takes ComputeFSim's path: the tile panels at θ = 0 for s and b, the CSR
+// index under the active-set driver otherwise. Full sweeps and exact-mode
+// steps add no slack to r; tolerance mode adds its drift bound.
 #ifndef FSIM_CORE_TOPK_ALLPAIRS_H_
 #define FSIM_CORE_TOPK_ALLPAIRS_H_
 
@@ -71,7 +76,8 @@ struct TopKPairsResult {
 
 /// Runs the iterative computation just long enough to certify the global
 /// top-k pair set. Honors the full FSimConfig (variant, θ, upper-bound
-/// updating — the search is then over the maintained candidate set).
+/// updating — the search is then over the maintained candidate set), and
+/// fails as ComputeFSim does, against the same index budget.
 Result<TopKPairsResult> ComputeTopKPairs(const Graph& g1, const Graph& g2,
                                          const FSimConfig& config,
                                          const TopKPairsOptions& options);

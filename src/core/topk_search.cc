@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
-#include "common/thread_pool.h"
 #include "core/fsim_engine.h"
-#include "core/pair_evaluator.h"
-#include "core/pair_store.h"
+#include "core/fsim_solver.h"
 #include "graph/traversal.h"
-#include "label/label_similarity.h"
 
 namespace fsim {
 
@@ -19,44 +17,57 @@ Result<TopKResult> TopKSearch(const Graph& g1, const Graph& g2, NodeId source,
   if (source >= g1.NumNodes()) {
     return Status::InvalidArgument("source node out of range");
   }
-  const double w = config.w_out + config.w_in;
-  uint32_t depth = options.depth;
-  if (depth == 0) {
-    depth = w <= 0.0
-                ? 1
-                : static_cast<uint32_t>(std::max(
-                      1.0, std::ceil(std::log(config.epsilon) / std::log(w))));
-  }
+  // The solve runs exact active-set steps (bit-identical to full sweeps),
+  // `depth` of them at most.
+  FSimConfig solve = config;
+  solve.active_set = ActiveSetMode::kExact;
+  solve.max_iterations = 0;
+  const uint32_t depth =
+      options.depth > 0 ? options.depth : FSimIterationBound(solve);
+  solve.max_iterations = depth;
 
   // The rows of left nodes within the radius-`depth` ball of the source
   // (the full dependency cone of FSim^depth(source, ·)); every other row
-  // is left unfilled, so its pairs read 0.
+  // is left unfilled, so its pairs read 0. A ball of every row is the
+  // all-pairs solve.
   auto dist = BfsDistances(g1, source, /*undirected=*/true);
   std::vector<bool> ball(g1.NumNodes());
+  bool every_row = true;
   for (NodeId x = 0; x < g1.NumNodes(); ++x) {
     ball[x] = dist[x] != kUnreachable && dist[x] <= depth;
+    every_row = every_row && ball[x];
   }
-  // Exact active-set steps are bit-identical to full sweeps.
-  FSimConfig exact = config;
-  exact.active_set = ActiveSetMode::kExact;
-  ThreadPool pool(config.num_threads);
-  LabelSimilarityCache lsim(*g1.dict(), config.label_sim);
-  FSIM_ASSIGN_OR_RETURN(PairStore store,
-                        PairStore::Build(g1, g2, exact, lsim, &pool, &ball));
-  const PairEvaluator evaluator(g1, g2, exact, lsim, store);
-  ActiveSetDriver driver(pool, store, evaluator, g1, g2, exact);
-  for (uint32_t iter = 0; iter < depth; ++iter) driver.Step();
+  FSimSolver::Options solver_options;
+  if (!every_row) solver_options.rows = &ball;
+  FSIM_ASSIGN_OR_RETURN(std::unique_ptr<FSimSolver> solver,
+                        FSimSolver::Create(g1, g2, solve, solver_options));
 
+  // A derived depth over every row stops on the delta as ComputeFSim does;
+  // otherwise the row must be exactly FSim^depth.
   TopKResult result;
-  result.depth = depth;
-  result.pairs_computed = store.size();
-  // Corollary 1 tail: the remaining change after `depth` iterations is at
-  // most sum_{t > depth} w^t <= w^(depth+1) / (1 - w).
-  result.error_bound =
-      w <= 0.0 ? 0.0
-               : std::min(1.0, std::pow(w, depth + 1) / (1.0 - w));
-  result.ranking = FSimScores(store.space(), store.TakeScores(), {})
-                       .TopK(source, options.k);
+  double max_delta = 0.0;
+  if (options.depth == 0 && every_row) {
+    FSimStats stats;
+    solver->Run(&stats);
+    result.depth = stats.iterations;
+    max_delta = stats.final_delta;
+  } else {
+    for (result.depth = 0; result.depth < depth; ++result.depth) {
+      max_delta = solver->Step();
+    }
+  }
+  result.pairs_computed = solver->space().size();
+  // Over every row the solve is the all-pairs one, so the Theorem 1
+  // residual of the last step bounds the distance to the fixpoint. A
+  // partial ball has only the Corollary 1 tail after `depth` steps:
+  // sum_{t > depth} w^t <= w^(depth+1) / (1 - w).
+  const double w = config.w_out + config.w_in;
+  if (w > 0.0) {
+    result.error_bound =
+        std::min(1.0, every_row ? max_delta * w / (1.0 - w)
+                                : std::pow(w, depth + 1) / (1.0 - w));
+  }
+  result.ranking = solver->TakeScores({}).TopK(source, options.k);
   return result;
 }
 

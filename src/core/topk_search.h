@@ -5,14 +5,19 @@
 // materializing the all-pairs computation: after d iterations, FSim^d(u, v)
 // depends only on pairs whose left node is within (undirected) distance d of
 // u. TopKSearch therefore:
-//   1. builds the shared PairStore with only the rows of the radius-d ball
-//      around u* filled (right nodes only θ-filtered),
-//   2. runs d exact active-set steps of the shared sparse driver
-//      (ActiveSetDriver + PairEvaluator, as ComputeFSim) on it — which
-//      reproduces the unrestricted FSim^d(u*, ·) exactly,
-//   3. ranks row u* (FSimScores::TopK), carrying the Corollary-1 tail bound
-//      |FSim(u*,v) - FSim^d(u*,v)| <= (w+ + w-)^(d+1) / (1 - w+ - w-)
-//      as a certified error radius.
+//   1. takes d from options.depth, or else from the Corollary 1 bound
+//      (FSimIterationBound without config.max_iterations), and collects the
+//      radius-d ball around u*;
+//   2. hands it to the shared solver (core/fsim_solver.h): a partial ball
+//      fills only its rows of the PairStore and runs d exact active-set
+//      steps, which reproduces the unrestricted FSim^d(u*, ·) exactly; a
+//      ball of every row is the all-pairs solve, on the tile panels when
+//      the config runs on them, and a derived depth then stops once the
+//      max delta drops below ε, as ComputeFSim does;
+//   3. ranks row u* (FSimScores::TopK) with a certified error radius: over
+//      every row the Theorem 1 residual Δ·w/(1 - w) of the last step's max
+//      delta Δ, over a partial ball the Corollary 1 tail
+//      |FSim(u*,v) - FSim^d(u*,v)| <= w^(d+1) / (1 - w), w = w+ + w-.
 #ifndef FSIM_CORE_TOPK_SEARCH_H_
 #define FSIM_CORE_TOPK_SEARCH_H_
 
@@ -31,6 +36,8 @@ struct TopKResult {
   double error_bound = 0.0;
   /// Pairs actually iterated (vs |ball| * |V2| worst case).
   size_t pairs_computed = 0;
+  /// Steps run: options.depth, or the derived depth unless the delta
+  /// stopped the solve earlier.
   uint32_t depth = 0;
 };
 
@@ -44,10 +51,11 @@ struct TopKOptions {
 /// Computes the top-k nodes of g2 most similar to `source` in g1 under the
 /// given FSim configuration, honoring pin_diagonal, upper_bound (with α/β)
 /// and num_threads as ComputeFSim does. The depth replaces
-/// config.max_iterations and the epsilon stop (it controls both locality
-/// and iterations; epsilon only derives a zero options.depth), and the
-/// steps always run in exact active-set mode, whatever config.active_set
-/// says. Fails with ResourceExhausted when the ball's neighbor index
+/// config.max_iterations (it controls both locality and iterations); the
+/// epsilon stop applies only to a derived depth whose ball covers every
+/// row. Sparse steps always run in exact active-set mode, whatever
+/// config.active_set says. Fails with ResourceExhausted when the ball's
+/// index (or, over every row at θ = 0 for s and b, the tile panels)
 /// cannot fit config.neighbor_index_budget_bytes.
 Result<TopKResult> TopKSearch(const Graph& g1, const Graph& g2, NodeId source,
                               const FSimConfig& config,

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <random>
 #include <string>
 
@@ -68,8 +69,10 @@ TEST(EfficientSimTest, LargerGraphAgreesWithNaive) {
 
 TEST(TopKSearchTest, MatchesFullEngineRow) {
   // Every config the search honors: θ = 0 and θ = 1 candidate sets, a
-  // pinned diagonal, and upper-bound pruning with tracked bounds. Each
-  // row must equal the full engine's FSim^depth row bit for bit.
+  // pinned diagonal, upper-bound pruning with tracked bounds, and the
+  // θ = 0 s and b configs, whose searches run on the tile panels when the
+  // ball covers every row. Each row must equal the full engine's FSim^depth
+  // row bit for bit.
   const testing::GraphPair pair = testing::MakeRandomPair(0x70, 12, 14, 3);
   struct Case {
     const char* name;
@@ -81,6 +84,10 @@ TEST(TopKSearchTest, MatchesFullEngineRow) {
   FSimConfig s_theta1;
   s_theta1.variant = SimVariant::kSimple;
   s_theta1.theta = 1.0;
+  FSimConfig s_theta0;
+  s_theta0.variant = SimVariant::kSimple;
+  FSimConfig b_theta0;
+  b_theta0.variant = SimVariant::kBi;
   FSimConfig upper_bound;
   upper_bound.theta = 1.0;
   upper_bound.upper_bound = true;
@@ -88,7 +95,9 @@ TEST(TopKSearchTest, MatchesFullEngineRow) {
   const Case kCases[] = {{"bj theta=0", false, bj},
                          {"s theta=1", false, s_theta1},
                          {"simrank", true, SimRankFSimConfig()},
-                         {"upper-bound alpha=0.2", false, upper_bound}};
+                         {"upper-bound alpha=0.2", false, upper_bound},
+                         {"s theta=0", false, s_theta0},
+                         {"b theta=0", false, b_theta0}};
   for (const Case& test_case : kCases) {
     const Graph& g2 = test_case.self ? pair.g1 : pair.g2;
     for (int threads : {1, 3}) {
@@ -150,6 +159,43 @@ TEST(TopKSearchTest, ErrorBoundCoversConvergedScores) {
   }
 }
 
+TEST(TopKSearchTest, DefaultDepthStopsOnDelta) {
+  // Ring graphs: every node is within reach of the source, so the
+  // default-depth ball covers every row, the search is the all-pairs
+  // solve, and it stops on the delta as ComputeFSim does (6 and 9 steps
+  // here, not the 21 of the Corollary 1 depth at ε = 0.01).
+  auto dict = std::make_shared<LabelDict>();
+  const Graph g1 = testing::MakeDenseRandomGraph(0x76, 24, dict);
+  const Graph g2 = testing::MakeDenseRandomGraph(0x77, 30, dict);
+  FSimConfig bj_theta1;
+  bj_theta1.theta = 1.0;
+  FSimConfig s_theta0;
+  s_theta0.variant = SimVariant::kSimple;
+  for (const FSimConfig& config : {bj_theta1, s_theta0}) {
+    const std::string name = SimVariantName(config.variant);
+    auto full = ComputeFSim(g1, g2, config);
+    ASSERT_TRUE(full.ok()) << name << ": " << full.status().ToString();
+    FSimConfig tight = config;
+    tight.epsilon = 1e-12;
+    auto converged = ComputeFSim(g1, g2, tight);
+    ASSERT_TRUE(converged.ok()) << name;
+    ASSERT_TRUE(converged->stats().converged) << name;
+
+    TopKOptions options;
+    options.k = g2.NumNodes();
+    auto topk = TopKSearch(g1, g2, 0, config, options);
+    ASSERT_TRUE(topk.ok()) << name << ": " << topk.status().ToString();
+    EXPECT_EQ(topk->depth, full->stats().iterations) << name;
+    EXPECT_LT(topk->depth, FSimIterationBound(config)) << name;
+    ASSERT_EQ(topk->ranking.size(), full->Row(0).size()) << name;
+    for (const auto& [v, score] : topk->ranking) {
+      EXPECT_EQ(score, full->Score(0, v)) << name << " candidate " << v;
+      EXPECT_LE(std::abs(score - converged->Score(0, v)), topk->error_bound)
+          << name << " candidate " << v;
+    }
+  }
+}
+
 TEST(TopKSearchTest, RankingIsSortedAndTruncated) {
   auto pair = testing::MakeRandomPair(0x72, 10, 20, 2);
   FSimConfig config;
@@ -191,12 +237,18 @@ TEST(TopKSearchTest, LocalityReducesPairCount) {
   for (uint32_t i = 0; i < kPathLen; ++i) b.AddNode("P");
   for (uint32_t i = 0; i + 1 < kPathLen; ++i) b.AddEdge(i, i + 1);
   Graph g = std::move(b).BuildOrDie();
-  FSimConfig config;
-  TopKOptions options;
-  options.depth = 3;
-  auto topk = TopKSearch(g, g, 0, config, options);
-  ASSERT_TRUE(topk.ok());
-  EXPECT_EQ(topk->pairs_computed, 4u * kPathLen);  // ball = {0,1,2,3}
+  // bj, and s at θ = 0, whose partial ball keeps it off the tile panels.
+  FSimConfig s_theta0;
+  s_theta0.variant = SimVariant::kSimple;
+  for (const FSimConfig& config : {FSimConfig{}, s_theta0}) {
+    TopKOptions options;
+    options.depth = 3;
+    auto topk = TopKSearch(g, g, 0, config, options);
+    ASSERT_TRUE(topk.ok()) << SimVariantName(config.variant);
+    EXPECT_EQ(topk->pairs_computed, 4u * kPathLen)  // ball = {0,1,2,3}
+        << SimVariantName(config.variant);
+    EXPECT_EQ(topk->depth, 3u);
+  }
 }
 
 // ------------------------------------------------------- Scores I/O ------

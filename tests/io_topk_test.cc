@@ -1,13 +1,18 @@
 // Tests for binary graph serialization (graph/binary_io.h) — round-trips
 // plus defensive-decoding failure injection — and for the certified global
 // top-k pair search (core/topk_allpairs.h).
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/hash.h"
+#include "common/string_util.h"
 #include "core/fsim_engine.h"
+#include "core/panel_engine.h"
 #include "core/topk_allpairs.h"
+#include "exact/exact_simulation.h"
 #include "graph/binary_io.h"
 #include "graph/graph_io.h"
 #include "gtest/gtest.h"
@@ -208,45 +213,97 @@ TEST(BinaryIO, MissingFileIsIOError) {
 // ---------------------------------------------------------------------------
 
 TEST(TopKPairs, MatchesBruteForceOnConvergedScores) {
-  for (uint64_t seed : {151u, 152u, 153u}) {
-    auto pair = MakeRandomPair(seed);
-    FSimConfig config;
-    config.variant = SimVariant::kBijective;
-    config.epsilon = 1e-10;
+  // bj on the neighbor index; s and b at θ = 0 on the tile panels.
+  for (SimVariant variant :
+       {SimVariant::kBijective, SimVariant::kSimple, SimVariant::kBi}) {
+    for (uint64_t seed : {151u, 152u, 153u}) {
+      auto pair = MakeRandomPair(seed);
+      FSimConfig config;
+      config.variant = variant;
+      config.epsilon = 1e-10;
+      const std::string context = StrFormat(
+          "%s seed %llu", SimVariantName(variant),
+          static_cast<unsigned long long>(seed));
 
-    TopKPairsOptions options;
-    options.k = 5;
-    auto topk = ComputeTopKPairs(pair.g1, pair.g2, config, options);
-    ASSERT_TRUE(topk.ok()) << topk.status().ToString();
-    ASSERT_EQ(topk->pairs.size(), 5u);
+      TopKPairsOptions options;
+      options.k = 5;
+      auto topk = ComputeTopKPairs(pair.g1, pair.g2, config, options);
+      ASSERT_TRUE(topk.ok()) << context << ": " << topk.status().ToString();
+      ASSERT_EQ(topk->pairs.size(), 5u) << context;
 
-    auto full = ComputeFSim(pair.g1, pair.g2, config);
-    ASSERT_TRUE(full.ok());
-    // Brute force: sort all pairs by converged score.
-    std::vector<std::pair<double, uint64_t>> all;
-    for (size_t i = 0; i < full->keys().size(); ++i) {
-      all.emplace_back(full->values()[i], full->keys()[i]);
-    }
-    std::sort(all.begin(), all.end(), std::greater<>());
+      auto full = ComputeFSim(pair.g1, pair.g2, config);
+      ASSERT_TRUE(full.ok()) << context;
+      // Brute force: sort all pairs by converged score.
+      std::vector<std::pair<double, uint64_t>> all;
+      for (size_t i = 0; i < full->keys().size(); ++i) {
+        all.emplace_back(full->values()[i], full->keys()[i]);
+      }
+      std::sort(all.begin(), all.end(), std::greater<>());
 
-    if (topk->certified) {
-      for (size_t i = 0; i < 5; ++i) {
-        bool found = false;
-        for (size_t j = 0; j < 5; ++j) {
-          if (topk->pairs[i].u == PairFirst(all[j].second) &&
-              topk->pairs[i].v == PairSecond(all[j].second)) {
-            found = true;
-            break;
+      if (topk->certified) {
+        for (size_t i = 0; i < 5; ++i) {
+          bool found = false;
+          for (size_t j = 0; j < 5; ++j) {
+            if (topk->pairs[i].u == PairFirst(all[j].second) &&
+                topk->pairs[i].v == PairSecond(all[j].second)) {
+              found = true;
+              break;
+            }
           }
+          EXPECT_TRUE(found) << context << ": certified pair "
+                             << topk->pairs[i].u << "," << topk->pairs[i].v
+                             << " not in brute-force top-5";
         }
-        EXPECT_TRUE(found) << "seed " << seed << ": certified pair "
-                           << topk->pairs[i].u << "," << topk->pairs[i].v
-                           << " not in brute-force top-5";
+      }
+      // The reported scores are within the radius of the converged ones.
+      for (const auto& p : topk->pairs) {
+        EXPECT_NEAR(p.score, full->Score(p.u, p.v), topk->radius + 1e-9)
+            << context;
       }
     }
-    // The reported scores are within the radius of the converged ones.
-    for (const auto& p : topk->pairs) {
-      EXPECT_NEAR(p.score, full->Score(p.u, p.v), topk->radius + 1e-9);
+  }
+}
+
+// At θ = 0 the s and b searches step on the tile panels in full sweeps, so
+// every returned score is the fixed-iteration solve's value bit for bit,
+// and the set is that matrix's top-k under the search's tie-break
+// (descending score, then ascending (u, v)).
+TEST(TopKPairs, PanelPathMatchesFixedIterationSolve) {
+  const auto pair = MakeRandomPair(168, 14, 16, 3);
+  for (SimVariant variant : {SimVariant::kSimple, SimVariant::kBi}) {
+    for (int threads : {1, 3}) {
+      FSimConfig config;
+      config.variant = variant;
+      config.num_threads = threads;
+      const std::string context =
+          StrFormat("%s threads=%d", SimVariantName(variant), threads);
+      ASSERT_TRUE(RunsOnTilePanels(config)) << context;
+      TopKPairsOptions options;
+      options.k = 7;
+      auto topk = ComputeTopKPairs(pair.g1, pair.g2, config, options);
+      ASSERT_TRUE(topk.ok()) << context << ": " << topk.status().ToString();
+      ASSERT_EQ(topk->pairs.size(), options.k) << context;
+
+      FSimConfig fixed = config;
+      fixed.max_iterations = topk->iterations;
+      fixed.epsilon = 1e-300;  // run exactly topk->iterations sweeps
+      auto full = ComputeFSim(pair.g1, pair.g2, fixed);
+      ASSERT_TRUE(full.ok()) << context;
+      ASSERT_EQ(full->stats().iterations, topk->iterations) << context;
+
+      std::vector<std::pair<double, uint64_t>> all;
+      for (size_t i = 0; i < full->keys().size(); ++i) {
+        all.emplace_back(full->values()[i], full->keys()[i]);
+      }
+      std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+        return a.first != b.first ? a.first > b.first : a.second < b.second;
+      });
+      for (size_t i = 0; i < options.k; ++i) {
+        const ScoredPair& p = topk->pairs[i];
+        EXPECT_EQ(p.score, full->Score(p.u, p.v)) << context << " rank " << i;
+        EXPECT_EQ(p.u, PairFirst(all[i].second)) << context << " rank " << i;
+        EXPECT_EQ(p.v, PairSecond(all[i].second)) << context << " rank " << i;
+      }
     }
   }
 }

@@ -12,12 +12,17 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/fsim_config.h"
 #include "core/fsim_engine.h"
+#include "core/incremental.h"
+#include "core/topk_allpairs.h"
+#include "core/topk_search.h"
+#include "exact/exact_simulation.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tests/test_graphs.h"
@@ -351,39 +356,82 @@ TEST(TraceTest, ChromeTraceJsonIsWellFormed) {
   EXPECT_GE(events, 2u);
 }
 
+// Every solve entry point runs the one solver: one engine.init with the
+// three build stages nested inside it, then one engine.iter per step. bj
+// runs on the neighbor index, s at θ = 0 on the tile panels (IncrementalFSim
+// keeps the index for both).
 TEST(TraceTest, BuildStagesNestUnderEngineInit) {
   const Graph g = fsim::testing::MakeDenseRandomGraph(3);
-  FSimConfig config;
-  config.num_threads = 1;
-  ArmTracing();
-  ASSERT_TRUE(ComputeFSimSelf(g, config).ok());
-  DisarmTracing();
-
-  // One solve on one thread: engine.init and, inside it, one span per
-  // PairStore::Build stage.
+  FSimConfig bj;
+  bj.num_threads = 1;
+  FSimConfig s = bj;
+  s.variant = SimVariant::kSimple;
+  struct EntryPoint {
+    const char* name;
+    // Runs one solve and returns its step count.
+    std::function<uint32_t(const FSimConfig&)> run;
+  };
+  const EntryPoint kEntryPoints[] = {
+      {"ComputeFSim",
+       [&](const FSimConfig& config) {
+         return ComputeFSimSelf(g, config).ValueOrDie().stats().iterations;
+       }},
+      {"TopKSearch",
+       [&](const FSimConfig& config) {
+         return TopKSearch(g, g, 0, config).ValueOrDie().depth;
+       }},
+      {"ComputeTopKPairs",
+       [&](const FSimConfig& config) {
+         return ComputeTopKPairs(g, g, config, TopKPairsOptions{})
+             .ValueOrDie()
+             .iterations;
+       }},
+      {"IncrementalFSim::Create",
+       [&](const FSimConfig& config) {
+         return IncrementalFSim::Create(g, g, config)
+             .ValueOrDie()
+             .Snapshot()
+             .stats()
+             .iterations;
+       }},
+  };
   const char* kStages[] = {"engine.build.enumerate", "engine.build.init",
                            "engine.build.index"};
-  size_t init_count = 0;
-  size_t stage_count = 0;
-  for (const ThreadTrace& t : SnapshotTrace()) {
-    for (const TraceEvent& init : t.events) {
-      if (std::string(init.name) != "engine.init") continue;
-      ++init_count;
-      for (const char* stage : kStages) {
-        const auto it = std::find_if(
-            t.events.begin(), t.events.end(), [&](const TraceEvent& e) {
-              return std::string(e.name) == stage;
-            });
-        ASSERT_NE(it, t.events.end()) << stage;
-        EXPECT_GE(it->start_ns, init.start_ns) << stage;
-        EXPECT_LE(it->start_ns + it->dur_ns, init.start_ns + init.dur_ns)
-            << stage;
-        ++stage_count;
+  for (const FSimConfig& config : {bj, s}) {
+    for (const EntryPoint& entry : kEntryPoints) {
+      const std::string context =
+          std::string(entry.name) + " " + SimVariantName(config.variant);
+      ArmTracing();
+      const uint32_t steps = entry.run(config);
+      DisarmTracing();
+      ASSERT_GT(steps, 0u) << context;
+
+      size_t init_count = 0;
+      size_t stage_count = 0;
+      uint32_t iter_count = 0;
+      for (const ThreadTrace& t : SnapshotTrace()) {
+        for (const TraceEvent& init : t.events) {
+          if (std::string(init.name) == "engine.iter") ++iter_count;
+          if (std::string(init.name) != "engine.init") continue;
+          ++init_count;
+          for (const char* stage : kStages) {
+            const auto it = std::find_if(
+                t.events.begin(), t.events.end(), [&](const TraceEvent& e) {
+                  return std::string(e.name) == stage;
+                });
+            ASSERT_NE(it, t.events.end()) << context << ": " << stage;
+            EXPECT_GE(it->start_ns, init.start_ns) << context << ": " << stage;
+            EXPECT_LE(it->start_ns + it->dur_ns, init.start_ns + init.dur_ns)
+                << context << ": " << stage;
+            ++stage_count;
+          }
+        }
       }
+      EXPECT_EQ(init_count, 1u) << context;
+      EXPECT_EQ(stage_count, 3u) << context;
+      EXPECT_EQ(iter_count, steps) << context;
     }
   }
-  EXPECT_EQ(init_count, 1u);
-  EXPECT_EQ(stage_count, 3u);
 }
 
 TEST(TraceTest, ArmResetsPriorEvents) {
