@@ -213,11 +213,12 @@ struct FSimConfig {
   /// from the first iteration (tests use this to pin the frontier path).
   double active_set_activation_fraction = 0.125;
 
-  /// Scheduler chunk length (pairs per chunk) for the iterate loop's full
-  /// and frontier sweeps. Small enough that the work-stealing scheduler can
-  /// rebalance around expensive pairs (large dp/bj matchings), large enough
-  /// to amortize the per-chunk claim; 64 held up across the thread-count
-  /// sweep in BENCH_fsim.json's tuning section.
+  /// Scheduler slice length (pairs per slice) of the iterate loop's
+  /// frontier sweeps; full sweeps hand out whole neighbor-index chunks
+  /// (PairStore::kChunkPairs). Small enough that the work-stealing
+  /// scheduler can rebalance around expensive pairs (large dp/bj
+  /// matchings), large enough to amortize the per-slice claim; 64 held up
+  /// across the thread-count sweep in BENCH_fsim.json's tuning section.
   size_t iterate_grain = 64;
 
   /// Vectorized kernel ceiling for the θ = 0 tile panels (see SimdMode).

@@ -114,6 +114,8 @@ Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
 /// reading the current graphs.
 class IncrementalFSim::RepairSpace {
  public:
+  static constexpr bool kInPlace = true;
+
   explicit RepairSpace(IncrementalFSim* inc) { Bind(inc); }
 
   /// Points the view at `inc` (the engine may have moved since).
@@ -142,8 +144,9 @@ class IncrementalFSim::RepairSpace {
   }
   size_t RefSpanTotal(size_t i) const { return store_->RefSpanTotal(i); }
 
-  double Evaluate(size_t i, MatchingScratch* scratch) const {
-    return evaluator_->Evaluate(i, scratch);
+  void EvaluateRun(size_t begin, size_t end, PairEvalScratch* scratch,
+                   double* out) const {
+    evaluator_->EvaluateRun(begin, end, scratch, out);
   }
 
  private:

@@ -35,8 +35,10 @@ inline double InitValue(const FSimConfig& config,
 }
 
 /// The additive L-term of Equation 1/3 for a label-class pair under
-/// config.label_term. Iteration-invariant, so engines hoist it — per pair
-/// (sparse) or per label pair (θ = 0 tile panels, core/panel_engine.h).
+/// config.label_term. Iteration-invariant: the θ = 0 tile panels
+/// (core/panel_engine.h) hoist it per label pair; the sparse path reads it
+/// per pair evaluation (one table lookup, with label(u) read once per row
+/// of the pair space).
 inline double LabelTermValue(const FSimConfig& config,
                              const LabelSimilarityCache& lsim, LabelId a,
                              LabelId b) {

@@ -11,18 +11,25 @@
 //   product: either empty -> 0 (SimRank's convention)
 //
 // It reads the label-compatible pairs of S1 x S2 from the pair-graph CSR
-// neighbor index (PairStore). The realization that looks each score up by
-// node pair instead lives in the test oracle (tests/naive_fsim.h), which
-// the indexed one is checked against.
+// neighbor index (PairStore). The per-row-maximum sum of the max family
+// (all of s, the row half of b) is not computed per span: the one
+// realization is SegmentedMaxPerRowSums, which sweeps a run of consecutive
+// spans in one branch-free pass, and DirectionScoreIndexed takes its
+// result. The realization that looks each score up by node pair instead
+// lives in the test oracle (tests/naive_fsim.h), together with the
+// per-span reference of the segmented sum; the indexed ones are checked
+// against them.
 #ifndef FSIM_CORE_OPERATORS_H_
 #define FSIM_CORE_OPERATORS_H_
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/fsim_config.h"
+#include "core/simd/masked_double.h"
 #include "graph/graph.h"
 #include "matching/greedy_matching.h"
 #include "matching/hungarian.h"
@@ -127,26 +134,6 @@ inline bool TinyMatchingSum(const std::vector<WeightedEdge>& edges,
   }
 }
 
-/// MaxPerRowSum over CSR entries: Σ of per-row maxima. Rows without entries
-/// contribute 0, exactly like rows whose lookups are all non-positive.
-/// `Ref` is NeighborRef or PackedNeighborRef.
-template <typename Ref, typename ScoreFn>
-double MaxPerRowSumIndexed(std::span<const Ref> refs, ScoreFn&& score_of) {
-  double sum = 0.0;
-  size_t k = 0;
-  const size_t m = refs.size();
-  while (k < m) {
-    const uint32_t row = refs[k].row;
-    double best = 0.0;
-    for (; k < m && refs[k].row == row; ++k) {
-      const double score = score_of(refs[k].ref);
-      if (score > best) best = score;
-    }
-    sum += best;
-  }
-  return sum;
-}
-
 /// InjectiveMappingSum over CSR entries.
 template <typename Ref, typename ScoreFn>
 double InjectiveMappingSumIndexed(size_t n1, size_t n2,
@@ -183,6 +170,100 @@ double InjectiveMappingSumIndexed(size_t n1, size_t n2,
 
 }  // namespace internal
 
+/// The max-per-row mapping sum Σ_rows max(0, max_entries score) of every
+/// span of a run of consecutive CSR spans, in one branch-free pass over
+/// their entries. Span k of the run is entries[offsets[k], offsets[k + 1]);
+/// its sum goes to sums[k] (0 for an empty span, as for a span whose
+/// scores are all non-positive). `span_starts` is caller-owned scratch.
+///
+/// The values are == to summing per span row by row from 0.0 in row order
+/// (tests/naive_fsim.h MaxPerRowSumIndexed): every entry adds either its
+/// row's best (at the row's last entry) or +0.0 to its span's running sum,
+/// and adding +0.0 to a non-negative sum leaves it unchanged. The span of
+/// each entry comes from the offsets, so there is no loop per span and no
+/// exit per row, and the selects are bit masks (core/simd/masked_double.h).
+/// `Ref` is NeighborRef or PackedNeighborRef.
+template <typename Ref, typename ScoreFn>
+void SegmentedMaxPerRowSums(const Ref* entries,
+                            std::span<const uint32_t> offsets,
+                            ScoreFn&& score_of,
+                            std::vector<uint16_t>* span_starts, double* sums) {
+  const size_t num_spans = offsets.size() - 1;
+  FSIM_DCHECK(num_spans <= 0xFFFF);
+  std::fill(sums, sums + num_spans, 0.0);
+  const uint32_t base = offsets[0];
+  const size_t m = offsets[num_spans] - base;
+  if (m == 0) return;
+  // span_at[k]: 1 + the last span that starts at entry k, 0 if none does.
+  // Spans ascend, so entry k's span is the largest such id up to k.
+  span_starts->assign(m + 1, 0);
+  uint16_t* span_at = span_starts->data();
+  for (size_t k = 0; k < num_spans; ++k) {
+    span_at[offsets[k] - base] = static_cast<uint16_t>(k + 1);
+  }
+  const Ref* e = entries + base;
+  size_t span = 0;  // 1 + the span of entry k
+  using simd::MaskedDouble;
+  using simd::MaskOf;
+  MaskedDouble best = simd::ToMasked(0.0);  // the running maximum of k's row
+  MaskedDouble sum = simd::ToMasked(0.0);   // the running sum of k's span
+  MaskedDouble new_row = MaskOf(true);
+  // Entry k's span_at and row, carried from the previous step's lookahead.
+  uint16_t at = span_at[0];
+  uint32_t row = e[0].row;
+  auto step = [&](size_t k, uint16_t at_next, uint32_t row_next, bool last) {
+    span = std::max<size_t>(span, at);
+    const MaskedDouble row_end =
+        MaskOf(last | (at_next != 0) | (row_next != row));
+    best = simd::Max(simd::ToMasked(score_of(e[k].ref)),
+                     simd::Clear(best, new_row));
+    sum = simd::Add(simd::Clear(sum, MaskOf(at != 0)),
+                    simd::Keep(best, row_end));
+    sums[span - 1] = simd::FromMasked(sum);
+    new_row = row_end;
+    at = at_next;
+    row = row_next;
+  };
+  for (size_t k = 0; k + 1 < m; ++k) {
+    step(k, span_at[k + 1], e[k + 1].row, false);
+  }
+  step(m - 1, 0, row, true);
+}
+
+/// b's converse side: every y in S2 maps to its best x in S1. Adds the
+/// column maxima to `sum` in ascending-y order, the order the lookup-based
+/// loop adds them in. A column without entries adds +0.0, which leaves the
+/// non-negative sum unchanged, so spans of at most one entry skip the
+/// column array.
+template <typename Ref, typename ScoreFn>
+double AddColumnMaxima(double sum, size_t n2, std::span<const Ref> refs,
+                       ScoreFn&& score_of, MatchingScratch* scratch) {
+  if (refs.size() <= 1) {
+    for (const Ref& e : refs) sum += std::max(0.0, score_of(e.ref));
+    return sum;
+  }
+  auto& col_best = scratch->col_best;
+  col_best.assign(n2, 0.0);
+  for (const Ref& e : refs) {
+    const double score = score_of(e.ref);
+    if (score > col_best[e.col]) col_best[e.col] = score;
+  }
+  for (double best : col_best) sum += best;
+  return sum;
+}
+
+/// Equation 2 of a max-family mapping (s, b) from Σ of its mapped scores:
+/// the empty-set convention, else Σ / Ωχ.
+inline double MaxFamilyDirectionScore(const OperatorConfig& op, size_t n1,
+                                      size_t n2, double sum) {
+  if (n1 == 0 && (op.mapping == MappingKind::kMaxPerRow || n2 == 0)) {
+    return 1.0;
+  }
+  const double omega = OmegaValue(op.omega, n1, n2);
+  FSIM_DCHECK(omega > 0.0);
+  return sum / omega;
+}
+
 /// One direction's contribution in [0, 1] over the pair-graph CSR neighbor
 /// index: identical results to the oracle's lookup-based DirectionScore
 /// (the entries enumerate exactly the label-compatible pairs, in the same
@@ -190,39 +271,28 @@ double InjectiveMappingSumIndexed(size_t n1, size_t n2,
 /// read by direct array indexing through `score_of(ref)` — zero hash probes
 /// and zero label checks. n1/n2 are the full neighbor-set sizes |S1|/|S2|
 /// (the empty-set conventions and Ωχ depend on them, not on the
-/// compatible-entry count).
+/// compatible-entry count). `row_max_sum` is the span's sum from
+/// SegmentedMaxPerRowSums: the max-family mappings take it as their row
+/// half, the others ignore it.
 template <typename Ref, typename ScoreFn>
 double DirectionScoreIndexed(const OperatorConfig& op, MatchingAlgo algo,
                              size_t n1, size_t n2,
-                             std::span<const Ref> refs,
+                             std::span<const Ref> refs, double row_max_sum,
                              ScoreFn&& score_of, MatchingScratch* scratch) {
   double sum = 0.0;
   switch (op.mapping) {
     case MappingKind::kMaxPerRow:
-      if (n1 == 0) return 1.0;
-      sum = internal::MaxPerRowSumIndexed(refs, score_of);
-      break;
+      return MaxFamilyDirectionScore(op, n1, n2, row_max_sum);
+    case MappingKind::kMaxBothSides:
+      return MaxFamilyDirectionScore(
+          op, n1, n2,
+          AddColumnMaxima(row_max_sum, n2, refs, score_of, scratch));
     case MappingKind::kInjectiveRow:
       if (n1 == 0) return 1.0;
       if (n2 == 0) return 0.0;
       sum = internal::InjectiveMappingSumIndexed(n1, n2, refs, score_of, algo,
                                                  scratch);
       break;
-    case MappingKind::kMaxBothSides: {
-      if (n1 == 0 && n2 == 0) return 1.0;
-      sum = internal::MaxPerRowSumIndexed(refs, score_of);
-      // The converse side: every y in s2 maps to its best x in s1. Column
-      // maxima accumulate into scratch, then reduce in ascending-y order
-      // (the order the lookup-based loop adds them in).
-      auto& col_best = scratch->col_best;
-      col_best.assign(n2, 0.0);
-      for (const Ref& e : refs) {
-        const double score = score_of(e.ref);
-        if (score > col_best[e.col]) col_best[e.col] = score;
-      }
-      for (double best : col_best) sum += best;
-      break;
-    }
     case MappingKind::kInjectiveSym:
       if (n1 == 0 && n2 == 0) return 1.0;
       if (n1 == 0 || n2 == 0) return 0.0;

@@ -1,17 +1,20 @@
-// The per-pair Equation 3 evaluation and its active-set scheduler: the
-// sparse path of the shared solver (core/fsim_solver.h) and of
-// IncrementalFSim's edit repair. The evaluation reads previous-iteration
-// scores through the pair-graph CSR neighbor index (direct array indexing,
-// no hash probes or label checks). The index enumerates exactly the
-// candidate pairs Algorithm 1's Hp lookups visit, in the same order;
-// tests/naive_fsim.h keeps that hash-lookup evaluation as the oracle the
-// engines are checked against.
+// The Equation 3 evaluation of a run of consecutive pairs and its
+// active-set scheduler: the sparse path of the shared solver
+// (core/fsim_solver.h) and of IncrementalFSim's edit repair. The
+// evaluation reads previous-iteration scores through the pair-graph CSR
+// neighbor index (direct array indexing, no hash probes or label checks).
+// The index enumerates exactly the candidate pairs Algorithm 1's Hp lookups
+// visit, in the same order; tests/naive_fsim.h keeps that hash-lookup
+// evaluation as the oracle the engines are checked against.
 #ifndef FSIM_CORE_PAIR_EVALUATOR_H_
 #define FSIM_CORE_PAIR_EVALUATOR_H_
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -27,16 +30,36 @@
 
 namespace fsim {
 
+/// One worker's scratch for PairEvaluator::EvaluateRun, and the run's
+/// values for the driver that asked for them.
+struct alignas(64) PairEvalScratch {
+  MatchingScratch matching;
+  /// SegmentedMaxPerRowSums: spans starting at each entry of the run.
+  std::vector<uint16_t> span_starts;
+  /// The run's per-span Σ of per-row maxima (max family only).
+  std::array<double, 2 * PairStore::kChunkPairs> row_sums;
+  /// The run's values, for ActiveSetDriver.
+  std::array<double, PairStore::kChunkPairs> values;
+};
+
 /// Evaluates FSim^k(u, v) for maintained pairs against a PairStore's
 /// previous-iteration buffer. Stateless between calls except for the
-/// caller-owned MatchingScratch, so one instance serves all workers.
+/// caller-owned PairEvalScratch, so one instance serves all workers.
 /// `G` is the graph type whose degrees and labels it reads: Graph, or the
 /// DynamicGraph of IncrementalFSim's edit repair.
 ///
-/// This sparse per-pair path always runs the scalar operators of
-/// core/operators.h; only the θ = 0 tile-panel loop for s and b
-/// (core/panel_engine.h) runs through the kernel table (core/simd/), and
-/// the two give identical values (tests/panel_engine_test.cc).
+/// A run of consecutive pairs of one index chunk is evaluated in two
+/// passes. For the max-family mappings (s, and the row half of b), one
+/// branch-free SegmentedMaxPerRowSums pass over all the run's entries
+/// gives every span's per-row-maximum sum; the injective matchings (dp,
+/// bj), the product operator and b's column half run per span. A finish
+/// per pair then applies the empty-set conventions, Ωχ, the weights and
+/// the label term, in the order of Equation 3.
+///
+/// This sparse path always runs the scalar operators of core/operators.h;
+/// only the θ = 0 tile-panel loop for s and b (core/panel_engine.h) runs
+/// through the kernel table (core/simd/), and the two give identical
+/// values (tests/panel_engine_test.cc).
 template <typename G>
 class PairEvaluator {
  public:
@@ -48,17 +71,18 @@ class PairEvaluator {
         lsim_(lsim),
         store_(store),
         op_(config.operators()),
+        max_family_(op_.mapping == MappingKind::kMaxPerRow ||
+                    op_.mapping == MappingKind::kMaxBothSides),
         label_weight_(1.0 - config.w_out - config.w_in),
         alpha_(config.upper_bound ? config.alpha : 0.0) {}
 
-  /// The Equation 3 value of store pair i from the previous-iteration
-  /// scores. Safe to call concurrently with distinct scratches.
-  double Evaluate(size_t i, MatchingScratch* scratch) const {
-    const NodeId u = store_.U(i);
-    const NodeId v = store_.V(i);
-    if (config_.pin_diagonal && u == v) return 1.0;
-    double out_score = 0.0;
-    double in_score = 0.0;
+  /// Writes the Equation 3 values of store pairs [begin, end), which must
+  /// lie in one index chunk (PairStore::kChunkPairs), from the
+  /// previous-iteration scores to out[0, end - begin). Every value is ==
+  /// to the one a run of any other length gives. Safe to call
+  /// concurrently with distinct scratches.
+  void EvaluateRun(size_t begin, size_t end, PairEvalScratch* scratch,
+                   double* out) const {
     const double* prev = store_.prev_data();
     const float* pruned = store_.pruned_bounds_data();
     auto score_of = [prev, pruned, this](uint32_t ref) -> double {
@@ -68,26 +92,103 @@ class PairEvaluator {
       }
       return prev[ref];
     };
-    // One evaluation body for both index entry layouts (the packed 8-byte
-    // refs of degree-bounded graphs and the wide 12-byte refs).
-    auto evaluate_refs = [&](auto out_refs, auto in_refs) {
-      if (config_.w_out > 0.0) {
-        out_score = DirectionScoreIndexed(op_, config_.matching,
-                                          g1_.OutDegree(u), g2_.OutDegree(v),
-                                          out_refs, score_of, scratch);
+    if (!max_family_) {
+      for (size_t i = begin; i < end; ++i) {
+        store_.WithRefs(i, [&](auto out_refs, auto in_refs) {
+          out[i - begin] = EvaluateSpans(i, out_refs, in_refs, score_of,
+                                         &scratch->matching);
+        });
       }
-      if (config_.w_in > 0.0) {
-        in_score = DirectionScoreIndexed(op_, config_.matching,
-                                         g1_.InDegree(u), g2_.InDegree(v),
-                                         in_refs, score_of, scratch);
+      return;
+    }
+    // One body for both index entry layouts (the packed 8-byte refs of
+    // degree-bounded graphs and the wide 12-byte refs).
+    store_.WithRunRefs(begin, end, [&](const auto* entries,
+                                       std::span<const uint32_t> offsets) {
+      double* sums = scratch->row_sums.data();
+      if (store_.has_pruned_refs()) {
+        SegmentedMaxPerRowSums(entries, offsets, score_of,
+                               &scratch->span_starts, sums);
+      } else {
+        SegmentedMaxPerRowSums(
+            entries, offsets, [prev](uint32_t ref) { return prev[ref]; },
+            &scratch->span_starts, sums);
       }
-    };
-    store_.WithRefs(i, evaluate_refs);
+      using Ref = std::remove_cv_t<std::remove_pointer_t<decltype(entries)>>;
+      // Span k of the run plus, for b, its column maxima; then Equation 2.
+      auto direction = [&](size_t k, uint32_t n1, uint32_t n2) {
+        double sum = sums[k];
+        if (op_.mapping == MappingKind::kMaxBothSides) {
+          sum = AddColumnMaxima(
+              sum, n2,
+              std::span<const Ref>(entries + offsets[k],
+                                   entries + offsets[k + 1]),
+              score_of, &scratch->matching);
+        }
+        return MaxFamilyDirectionScore(op_, n1, n2, sum);
+      };
+      // Locals: the stores to `out` could alias the config's doubles.
+      const double w_out = config_.w_out;
+      const double w_in = config_.w_in;
+      const bool pin_diagonal = config_.pin_diagonal;
+      // What depends on u only is read once per row of the pair space.
+      NodeId u = kInvalidNode;
+      uint32_t u_out = 0;
+      uint32_t u_in = 0;
+      LabelId u_label = 0;
+      for (size_t j = 0; j < end - begin; ++j) {
+        const NodeId v = store_.V(begin + j);
+        if (store_.U(begin + j) != u) {
+          u = store_.U(begin + j);
+          u_out = static_cast<uint32_t>(g1_.OutDegree(u));
+          u_in = static_cast<uint32_t>(g1_.InDegree(u));
+          u_label = g1_.Label(u);
+        }
+        double out_score = 0.0;
+        double in_score = 0.0;
+        if (w_out > 0.0) {
+          out_score = direction(2 * j, u_out,
+                                static_cast<uint32_t>(g2_.OutDegree(v)));
+        }
+        if (w_in > 0.0) {
+          in_score = direction(2 * j + 1, u_in,
+                               static_cast<uint32_t>(g2_.InDegree(v)));
+        }
+        out[j] = pin_diagonal && u == v
+                     ? 1.0
+                     : w_out * out_score + w_in * in_score +
+                           label_weight_ * LabelTermValue(config_, lsim_,
+                                                          u_label,
+                                                          g2_.Label(v));
+      }
+    });
+  }
+
+ private:
+  /// The Equation 3 value of pair i from its spans, one at a time: the
+  /// mappings outside the max family.
+  template <typename Refs, typename ScoreFn>
+  double EvaluateSpans(size_t i, Refs out_refs, Refs in_refs,
+                       ScoreFn& score_of, MatchingScratch* scratch) const {
+    const NodeId u = store_.U(i);
+    const NodeId v = store_.V(i);
+    if (config_.pin_diagonal && u == v) return 1.0;
+    double out_score = 0.0;
+    double in_score = 0.0;
+    if (config_.w_out > 0.0) {
+      out_score = DirectionScoreIndexed(op_, config_.matching,
+                                        g1_.OutDegree(u), g2_.OutDegree(v),
+                                        out_refs, 0.0, score_of, scratch);
+    }
+    if (config_.w_in > 0.0) {
+      in_score = DirectionScoreIndexed(op_, config_.matching, g1_.InDegree(u),
+                                       g2_.InDegree(v), in_refs, 0.0, score_of,
+                                       scratch);
+    }
     return config_.w_out * out_score + config_.w_in * in_score +
            label_weight_ * LabelTerm(u, v);
   }
 
- private:
   double LabelTerm(NodeId u, NodeId v) const {
     return LabelTermValue(config_, lsim_, g1_.Label(u), g2_.Label(v));
   }
@@ -98,6 +199,8 @@ class PairEvaluator {
   const LabelSimilarityCache& lsim_;
   const PairStore& store_;
   const OperatorConfig op_;
+  /// s or b: the row maxima come from the segmented pass.
+  const bool max_family_;
   const double label_weight_;
   const double alpha_;
 };
@@ -110,14 +213,18 @@ class PairEvaluator {
 ///
 ///  * The first iteration (and every iteration with the active set off or
 ///    without reverse spans) is a plain full sweep over all maintained
-///    pairs, followed by an O(1) SwapBuffers.
+///    pairs, one index chunk per scheduler task and per EvaluateRun,
+///    followed by an O(1) SwapBuffers.
 ///  * While sweeping, workers stamp the dependents of every changed pair
 ///    into their FrontierTracker arrays by walking the pair's own CSR
 ///    spans in reverse: the refs of the in-span are exactly the pairs
 ///    reading (u, v) through their out-direction, and vice versa.
 ///  * Later iterations evaluate only the built frontier and commit the
 ///    evaluated entries into the previous buffer (selective forward copy);
-///    every frozen pair keeps its score for free. Frontiers at or above
+///    every frozen pair keeps its score for free. The frontier is handed
+///    out in slices of FSimConfig::iterate_grain ids, and each slice is
+///    evaluated in runs of consecutive ids inside one index chunk.
+///    Frontiers at or above
 ///    FSimConfig::frontier_density_threshold of the pairs fall back to a
 ///    full sweep — dense frontiers are cheaper as sweeps.
 ///
@@ -133,18 +240,22 @@ class PairEvaluator {
 ///
 /// `Space` is the iterated pair space (PairStore, or the in-place view of
 /// one that IncrementalFSim's edit repair runs on). Its contract:
-///  * size(), U(i), V(i);
+///  * size(), U(i), V(i), over PairStore's pair order and index chunks;
 ///  * prev(i) / set_curr(i, value), SwapBuffers(), CommitPair(i) — the
 ///    double buffer (see PairStore::CommitPair), or an in-place view whose
 ///    set_curr writes prev(i) at once and whose buffer calls do nothing;
+///  * kInPlace: true for the in-place view. Each evaluation must then see
+///    the values written before it, so every run is a single pair;
 ///  * reverse_spans(): per-pair out/in spans exist and list reverse
 ///    dependencies; WithRefs(i, f) calls f(out_refs, in_refs) with them;
 ///    RefSpanTotal(i) is their total length;
 ///  * pinned_pairs_spanned(): pin_diagonal pairs carry spans too. When
 ///    they do not, their init -> 1 snap in the first sweep cannot mark its
 ///    dependents, so the second sweep is forced full as well.
-/// `Evaluator` provides Evaluate(i, scratch), the Equation 3 value of pair
-/// i from the previous buffer, safe to call concurrently for distinct i.
+/// `Evaluator` provides EvaluateRun(begin, end, scratch, out) as
+/// PairEvaluator does: the Equation 3 values of the pairs [begin, end) of
+/// one index chunk from the previous buffer, safe to call concurrently for
+/// disjoint runs.
 template <typename Space, typename Evaluator>
 class ActiveSetDriver {
  public:
@@ -317,16 +428,17 @@ class ActiveSetDriver {
   double Sweep(bool full) {
     if (marking_) tracker_.BeginIteration();
     for (auto& w : worker_stats_) w = WorkerSweepStats{};
-    const size_t iterate_grain = config_.iterate_grain;
+    constexpr size_t kChunk = PairStore::kChunkPairs;
     if (full) {
       FSIM_TRACE_SPAN_ARG("engine.sweep.full", space_.size());
+      const size_t n = space_.size();
       pool_.ParallelForChunked(
-          space_.size(), iterate_grain,
+          (n + kChunk - 1) / kChunk, 1,
           [&](int worker, size_t begin, size_t end) {
-            MatchingScratch* scratch = &scratch_[worker];
             WorkerSweepStats local;
-            for (size_t i = begin; i < end; ++i) {
-              EvaluatePair(worker, i, scratch, &local);
+            for (size_t c = begin; c < end; ++c) {
+              EvaluateRun(worker, c * kChunk, std::min(n, (c + 1) * kChunk),
+                          &local);
             }
             Fold(worker, local);
           });
@@ -345,11 +457,23 @@ class ActiveSetDriver {
           [this](uint32_t i) {
             return static_cast<float>(space_.RefSpanTotal(i));
           },
-          iterate_grain,
+          config_.iterate_grain,
           [&](int worker, std::span<const uint32_t> ids) {
-            MatchingScratch* scratch = &scratch_[worker];
             WorkerSweepStats local;
-            for (uint32_t i : ids) EvaluatePair(worker, i, scratch, &local);
+            size_t t = 0;
+            while (t < ids.size()) {
+              // The run of consecutive ids from ids[t] inside its chunk.
+              const size_t begin = ids[t];
+              size_t end = begin + 1;
+              if constexpr (!Space::kInPlace) {
+                while (t + (end - begin) < ids.size() &&
+                       ids[t + (end - begin)] == end && end % kChunk != 0) {
+                  ++end;
+                }
+              }
+              EvaluateRun(worker, begin, end, &local);
+              t += end - begin;
+            }
             Fold(worker, local);
           });
       // Selective forward copy, after the sweep's last read of prev_
@@ -424,25 +548,41 @@ class ActiveSetDriver {
     worker_stats_[worker].dep_bound += local.dep_bound;
   }
 
-  /// Evaluates pair i, records it, and (once marking is active) marks its
-  /// dependents when changed.
-  void EvaluatePair(int worker, size_t i, MatchingScratch* scratch,
-                    WorkerSweepStats* local) {
-    const double value = evaluator_.Evaluate(i, scratch);
+  /// Evaluates the pairs [begin, end) of one index chunk and records each.
+  void EvaluateRun(int worker, size_t begin, size_t end,
+                   WorkerSweepStats* local) {
+    PairEvalScratch* scratch = &scratch_[worker];
+    if constexpr (Space::kInPlace) {
+      for (size_t i = begin; i < end; ++i) {
+        evaluator_.EvaluateRun(i, i + 1, scratch, scratch->values.data());
+        Record(worker, i, scratch->values[0], local);
+      }
+    } else {
+      evaluator_.EvaluateRun(begin, end, scratch, scratch->values.data());
+      for (size_t i = begin; i < end; ++i) {
+        Record(worker, i, scratch->values[i - begin], local);
+      }
+    }
+  }
+
+  /// Records pair i's new value and (once marking is active) marks its
+  /// dependents when it changed.
+  void Record(int worker, size_t i, double value, WorkerSweepStats* local) {
     // Before set_curr: an in-place space's prev(i) is the value it writes.
     const double delta = std::abs(value - space_.prev(i));
     space_.set_curr(i, value);
-    if (delta > local->max_delta) local->max_delta = delta;
+    local->max_delta = std::max(local->max_delta, delta);
+    // Whether a pair moved is data-dependent, so the counters add 0 or 1
+    // rather than branch.
     if (mode_ == ActiveSetMode::kExact) {
-      if (delta != 0.0) {
-        if (marking_) {
-          MarkDependents<false>(worker, i, delta);
-        } else {
-          local->dep_bound += space_.RefSpanTotal(i);
-        }
+      if (marking_) {
+        if (delta != 0.0) MarkDependents<false>(worker, i, delta);
+      } else {
+        local->dep_bound +=
+            space_.RefSpanTotal(i) * static_cast<uint64_t>(delta != 0.0);
       }
     } else if (mode_ == ActiveSetMode::kTolerance) {
-      if (delta <= config_.frontier_tolerance) ++local->freeze_signal;
+      local->freeze_signal += delta <= config_.frontier_tolerance;
       if (delta != 0.0 && marking_) MarkDependents<true>(worker, i, delta);
     }
   }
@@ -521,7 +661,7 @@ class ActiveSetDriver {
   std::vector<uint32_t> frontier_;
   std::vector<float> influence_out_;  // kTolerance: per-pair c/Ωχ factors
   std::vector<float> influence_in_;
-  std::vector<MatchingScratch> scratch_;
+  std::vector<PairEvalScratch> scratch_;
   std::vector<WorkerSweepStats> worker_stats_;
   uint32_t iter_ = 0;
   uint32_t full_sweeps_ = 0;

@@ -131,7 +131,7 @@ uint64_t PairStore::NumEntries() const {
 size_t PairStore::NeighborIndexBytes() const {
   const size_t entry_bytes =
       packed_refs_ ? sizeof(PackedNeighborRef) : sizeof(NeighborRef);
-  return nbr_offsets_.size() * sizeof(uint64_t) +
+  return nbr_offsets_.size() * sizeof(uint32_t) +
          static_cast<size_t>(NumEntries()) * entry_bytes;
 }
 
@@ -274,7 +274,7 @@ Status PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
     return max_entries;
   };
   const uint64_t offsets_bytes =
-      (2 * n + (n + kChunkPairs - 1) / kChunkPairs) * sizeof(uint64_t);
+      (2 * n + (n + kChunkPairs - 1) / kChunkPairs) * sizeof(uint32_t);
   auto entry_bytes_for = [&](const SpanPlan& p) {
     return packed_for(p) ? sizeof(PackedNeighborRef) : sizeof(NeighborRef);
   };
@@ -312,15 +312,13 @@ Status PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
   packed_refs_ = packed_for(plan);
   reverse_spans_ = active_spans;
   if (packed_refs_) {
-    FillNeighborRefs(g1, g2, pool, &nbr_chunks_packed_);
-  } else {
-    FillNeighborRefs(g1, g2, pool, &nbr_chunks_);
+    return FillNeighborRefs(g1, g2, pool, &nbr_chunks_packed_);
   }
-  return Status::OK();
+  return FillNeighborRefs(g1, g2, pool, &nbr_chunks_);
 }
 
 template <typename Ref>
-void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
+Status PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
                                  ThreadPool& pool,
                                  std::vector<std::vector<Ref>>* chunks) {
   const PairSpace& space = *space_;
@@ -435,6 +433,8 @@ void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
     std::vector<uint32_t> column_blocks;
   };
   std::vector<WorkerScratch> scratch(static_cast<size_t>(pool.num_threads()));
+  // ordering: relaxed — read only after the region has joined.
+  std::atomic<bool> overflow{false};
   pool.ParallelForChunked(num_chunks, 1,
                          [&](int worker, size_t begin, size_t end) {
     WorkerScratch& mine = scratch[static_cast<size_t>(worker)];
@@ -443,7 +443,7 @@ void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
       buf.clear();
       const size_t last = std::min(n, (chunk + 1) * kChunkPairs);
       // offsets[2j + 1] and offsets[2j + 2] end pair (chunk·K + j)'s spans.
-      uint64_t* offsets = &nbr_offsets_[2 * chunk * kChunkPairs + chunk];
+      uint32_t* offsets = &nbr_offsets_[2 * chunk * kChunkPairs + chunk];
       for (size_t i = chunk * kChunkPairs; i < last; ++i) {
         const size_t j = i - chunk * kChunkPairs;
         const NodeId u = PairFirst(keys_[i]);
@@ -453,19 +453,30 @@ void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
             classify_direction(g1.OutNeighbors(u), g2.OutNeighbors(v), out2,
                                v, &mine.column_blocks, &buf);
           }
-          offsets[2 * j + 1] = buf.size();
+          offsets[2 * j + 1] = static_cast<uint32_t>(buf.size());
           if (plan.use_in) {
             classify_direction(g1.InNeighbors(u), g2.InNeighbors(v), in2, v,
                                &mine.column_blocks, &buf);
           }
         } else {
-          offsets[2 * j + 1] = buf.size();
+          offsets[2 * j + 1] = static_cast<uint32_t>(buf.size());
         }
-        offsets[2 * j + 2] = buf.size();
+        offsets[2 * j + 2] = static_cast<uint32_t>(buf.size());
+        if (buf.size() > kMaxChunkEntries) {
+          overflow.store(true, std::memory_order_relaxed);
+          break;
+        }
       }
       (*chunks)[chunk].assign(buf.begin(), buf.end());
     }
   });
+  if (overflow.load(std::memory_order_relaxed)) {
+    return Status::ResourceExhausted(StrFormat(
+        "a neighbor index chunk would hold more than %llu entries, the most "
+        "its 32-bit offsets address",
+        static_cast<unsigned long long>(kMaxChunkEntries)));
+  }
+  return Status::OK();
 }
 
 namespace {
@@ -498,8 +509,24 @@ Status PairStore::ReserveInsert(uint64_t new_entries, size_t out_degree,
                        (plan_.use_in && in_degree > kPackedDegreeLimit));
   const size_t entry_bytes = packed_refs_ && !widen ? sizeof(PackedNeighborRef)
                                                     : sizeof(NeighborRef);
+  // The new entries may all land in one chunk.
+  uint64_t largest_chunk = 0;
+  for (const auto& chunk : nbr_chunks_) {
+    largest_chunk = std::max<uint64_t>(largest_chunk, chunk.size());
+  }
+  for (const auto& chunk : nbr_chunks_packed_) {
+    largest_chunk = std::max<uint64_t>(largest_chunk, chunk.size());
+  }
+  if (new_entries > kMaxChunkEntries - largest_chunk) {
+    return Status::ResourceExhausted(StrFormat(
+        "edit could grow a neighbor index chunk of %llu entries by %llu, "
+        "past the %llu its 32-bit offsets address",
+        static_cast<unsigned long long>(largest_chunk),
+        static_cast<unsigned long long>(new_entries),
+        static_cast<unsigned long long>(kMaxChunkEntries)));
+  }
   const uint64_t entries = NumEntries();
-  const uint64_t offsets_bytes = nbr_offsets_.size() * sizeof(uint64_t);
+  const uint64_t offsets_bytes = nbr_offsets_.size() * sizeof(uint32_t);
   const uint64_t needed = (entries + new_entries) * entry_bytes + offsets_bytes;
   if (needed > budget_bytes) {
     return Status::ResourceExhausted(StrFormat(
@@ -562,9 +589,9 @@ void PairStore::RestageChunks(const DynamicGraph& g1, const DynamicGraph& g2,
     const size_t first_span = 2 * chunk * kChunkPairs;
     const size_t num_spans =
         2 * std::min(n, (chunk + 1) * kChunkPairs) - first_span;
-    uint64_t* offsets = &nbr_offsets_[first_span + chunk];
+    uint32_t* offsets = &nbr_offsets_[first_span + chunk];
     std::vector<Ref>& buf = (*chunks)[chunk];
-    const auto at = [&](uint64_t offset) {
+    const auto at = [&](uint32_t offset) {
       return buf.begin() + static_cast<std::ptrdiff_t>(offset);
     };
     const size_t listed = s;
@@ -593,22 +620,23 @@ void PairStore::RestageChunks(const DynamicGraph& g1, const DynamicGraph& g2,
     if (first_resized != SIZE_MAX) {
       const size_t j1 = spans[first_resized] - first_span;
       const size_t j2 = spans[last_resized] - first_span;
-      const uint64_t region_begin = offsets[j1];
-      const uint64_t old_region_end = offsets[j2 + 1];
+      // ReserveInsert admitted the growth, so every offset fits 32 bits.
+      const uint32_t region_begin = offsets[j1];
+      const uint32_t old_region_end = offsets[j2 + 1];
       region.clear();
-      uint64_t old_begin = region_begin;
+      uint32_t old_begin = region_begin;
       for (size_t j = j1, q = first_resized; j <= j2; ++j) {
-        const uint64_t old_end = offsets[j + 1];
+        const uint32_t old_end = offsets[j + 1];
         if (q <= last_resized && spans[q] - first_span == j) {
           const std::span<const Ref> entries = fresh_span(q++);
           region.insert(region.end(), entries.begin(), entries.end());
         } else {
           region.insert(region.end(), at(old_begin), at(old_end));
         }
-        offsets[j + 1] = region_begin + region.size();
+        offsets[j + 1] = static_cast<uint32_t>(region_begin + region.size());
         old_begin = old_end;
       }
-      const uint64_t new_region_end = offsets[j2 + 1];
+      const uint32_t new_region_end = offsets[j2 + 1];
       if (new_region_end > old_region_end) {
         buf.insert(at(old_region_end), new_region_end - old_region_end,
                    Ref{});

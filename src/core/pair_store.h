@@ -10,6 +10,7 @@
 #define FSIM_CORE_PAIR_STORE_H_
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -51,17 +52,26 @@ class DynamicGraph;
 /// scores through the index by direct indexing (prev_data() / pruned ref
 /// tag); callers that look scores up by key share the space (space()).
 /// The entries are stored per chunk of kChunkPairs consecutive pairs, one
-/// exact-size buffer each with chunk-local span offsets, which the
+/// exact-size buffer each with chunk-local 32-bit span offsets, which the
 /// parallel build fills in one pass and an edit rewrites without touching
-/// any other chunk (RestageSpans).
+/// any other chunk (RestageSpans). The chunk is also the unit of a full
+/// sweep: PairEvaluator evaluates a run of consecutive pairs of one chunk
+/// in one segmented pass over their entries (WithRunRefs).
 /// config.neighbor_index_budget_bytes is a ceiling: an index whose bound
 /// cannot fit it fails the build. Beyond the index, the build holds one
 /// chunk of classification scratch per worker.
 class PairStore {
  public:
-  /// Pairs per neighbor-index chunk: the unit of entry storage and of the
-  /// parallel index build.
+  /// Pairs per neighbor-index chunk: the unit of entry storage, of the
+  /// parallel index build and of a full sweep's evaluation.
   static constexpr size_t kChunkPairs = 256;
+
+  /// Most entries one chunk may hold: its offsets are 32-bit.
+  static constexpr uint64_t kMaxChunkEntries = UINT32_MAX;
+
+  /// set_curr writes the current buffer, which the next sweep reads only
+  /// after SwapBuffers or CommitPair (ActiveSetDriver's Space contract).
+  static constexpr bool kInPlace = false;
 
   struct BuildInfo {
     size_t theta_candidates = 0;  // pairs surviving the θ filter
@@ -79,8 +89,9 @@ class PairStore {
   /// exceed config.pair_limit (checked before the keys are allocated) or
   /// the 32-bit pair-slot range, and with ResourceExhausted — naming
   /// the bytes the index needs and the budget — if the index cannot fit
-  /// config.neighbor_index_budget_bytes or its refs would overflow the
-  /// pruned-ref tag. `pool` parallelizes enumeration, initialization and
+  /// config.neighbor_index_budget_bytes, its refs would overflow the
+  /// pruned-ref tag or a chunk would hold more than kMaxChunkEntries
+  /// entries. `pool` parallelizes enumeration, initialization and
   /// the index build when provided (the engines pass their iterate pool);
   /// nullptr builds serially. With `rows`, only rows u with (*rows)[u] set
   /// are filled (PairSpace::Build): a pair of an unfilled row is outside
@@ -180,6 +191,25 @@ class PairStore {
     }
   }
 
+  /// Calls f(entries, offsets) for the run of pairs [begin, end), which
+  /// must lie in one chunk: `entries` is the chunk's buffer in whichever
+  /// layout the index uses, and `offsets` the run's 2·(end − begin) + 1
+  /// span bounds in it, so span 2j (pair begin + j's out-direction) is
+  /// entries[offsets[2j], offsets[2j + 1]) and span 2j + 1 (its
+  /// in-direction) the range after it.
+  template <typename F>
+  void WithRunRefs(size_t begin, size_t end, F&& f) const {
+    const size_t chunk = begin / kChunkPairs;
+    FSIM_DCHECK(begin < end && (end - 1) / kChunkPairs == chunk);
+    const std::span<const uint32_t> offsets(
+        nbr_offsets_.data() + 2 * begin + chunk, 2 * (end - begin) + 1);
+    if (packed_refs_) {
+      f(nbr_chunks_packed_[chunk].data(), offsets);
+    } else {
+      f(nbr_chunks_[chunk].data(), offsets);
+    }
+  }
+
   /// True when pinned diagonal pairs carry spans (the reverse-span layout
   /// keeps them; see OutRefs), so their init -> 1 snap marks dependents.
   bool pinned_pairs_spanned() const { return reverse_spans_; }
@@ -200,6 +230,10 @@ class PairStore {
   /// Eq. 6 bounds of tracked pruned pairs, indexed by tagged refs.
   const float* pruned_bounds_data() const { return pruned_ub_.data(); }
 
+  /// True when the index holds tagged refs (upper-bound pruning with
+  /// α > 0 tracks the pruned bounds).
+  bool has_pruned_refs() const { return !pruned_ub_.empty(); }
+
   /// Live footprint of the neighbor index: the entries the chunk buffers
   /// hold and the offsets (sizes, not capacities).
   size_t NeighborIndexBytes() const;
@@ -212,7 +246,8 @@ class PairStore {
   /// Admits an edge insert that adds at most `new_entries` entries and
   /// leaves its source with out-degree `out_degree` and its target with
   /// in-degree `in_degree`. ResourceExhausted, changing nothing, when the
-  /// grown index could pass `budget_bytes`; otherwise, when a position
+  /// grown index could pass `budget_bytes` or a chunk could pass
+  /// kMaxChunkEntries; otherwise, when a position
   /// would no longer fit the packed layout, widens the index to the
   /// 12-byte entries, which it keeps from then on. Call before the graph
   /// changes.
@@ -270,9 +305,10 @@ class PairStore {
 
   /// Classifies every pair's candidate entries into `chunks`, one
   /// exact-size buffer per kChunkPairs-pair chunk, and fills nbr_offsets_
-  /// per plan_. Ref is NeighborRef or PackedNeighborRef.
+  /// per plan_; ResourceExhausted when a chunk would pass
+  /// kMaxChunkEntries. Ref is NeighborRef or PackedNeighborRef.
   template <typename Ref>
-  void FillNeighborRefs(const Graph& g1, const Graph& g2, ThreadPool& pool,
+  Status FillNeighborRefs(const Graph& g1, const Graph& g2, ThreadPool& pool,
                         std::vector<std::vector<Ref>>* chunks);
 
   /// RestageSpans on the populated entry layout.
@@ -307,12 +343,12 @@ class PairStore {
   // 2i + 1 (its in-direction) in its own exact-size buffer, span k at
   // [nbr_offsets_[k + c], nbr_offsets_[k + c + 1]): every chunk's offsets
   // are local, starting at 0, so nbr_offsets_ holds 2 * size() + (number
-  // of chunks) entries. Exactly one of the two chunk lists is populated,
-  // per packed_refs_.
+  // of chunks) entries, each at most kMaxChunkEntries. Exactly one of the
+  // two chunk lists is populated, per packed_refs_.
   bool packed_refs_ = false;
   bool reverse_spans_ = false;
   SpanPlan plan_;
-  std::vector<uint64_t> nbr_offsets_;
+  std::vector<uint32_t> nbr_offsets_;
   std::vector<std::vector<NeighborRef>> nbr_chunks_;
   std::vector<std::vector<PackedNeighborRef>> nbr_chunks_packed_;
 };

@@ -28,7 +28,7 @@ namespace fsim {
 // Friend backdoors used to corrupt internal state; declared in the owning
 // headers, defined here so production code cannot reach them.
 struct PairStoreTestAccess {
-  static std::vector<uint64_t>& Offsets(PairStore& s) { return s.nbr_offsets_; }
+  static std::vector<uint32_t>& Offsets(PairStore& s) { return s.nbr_offsets_; }
   /// Calls f(chunks) with the store's populated list of per-chunk entry
   /// buffers, whichever entry layout it uses.
   template <typename F>
@@ -221,7 +221,7 @@ TEST(ValidateNeighborIndexTest, CatchesNonMonotoneOffsets) {
     }
   }
   ASSERT_GT(target, 0u);
-  const uint64_t saved = offsets[target];
+  const uint32_t saved = offsets[target];
   offsets[target] = 0;
   if (saved == offsets.back()) offsets[target] = saved;  // keep the total
   for (size_t i = 1; i < offsets.size(); ++i) {

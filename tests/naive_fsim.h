@@ -30,8 +30,10 @@ namespace testing {
 // direction's normalized mapping sum over two neighbor sets, reading each
 // FSim^{k-1}(x, y) through `lookup`, which returns a negative value when x
 // may not be mapped to y (Remark 2). The engines evaluate the same
-// operators over their neighbor index (DirectionScoreIndexed in
-// core/operators.h); this is the oracle those are checked against.
+// operators over their neighbor index (DirectionScoreIndexed and the
+// segmented SegmentedMaxPerRowSums in core/operators.h); this is the oracle
+// those are checked against, with MaxPerRowSumIndexed below as the
+// per-span reference of the segmented sum.
 
 namespace internal {
 
@@ -97,6 +99,28 @@ double MaxPerRowSum(std::span<const NodeId> s1, std::span<const NodeId> s2,
 }
 
 }  // namespace internal
+
+/// The per-span reference of SegmentedMaxPerRowSums (core/operators.h):
+/// Σ of per-row maxima over one span's CSR entries, summed row by row from
+/// 0.0 in row order. Rows without entries contribute 0, exactly like rows
+/// whose lookups are all non-positive. `Ref` is NeighborRef or
+/// PackedNeighborRef.
+template <typename Ref, typename ScoreFn>
+double MaxPerRowSumIndexed(std::span<const Ref> refs, ScoreFn&& score_of) {
+  double sum = 0.0;
+  size_t k = 0;
+  const size_t m = refs.size();
+  while (k < m) {
+    const uint32_t row = refs[k].row;
+    double best = 0.0;
+    for (; k < m && refs[k].row == row; ++k) {
+      const double score = score_of(refs[k].ref);
+      if (score > best) best = score;
+    }
+    sum += best;
+  }
+  return sum;
+}
 
 /// One direction's contribution in [0, 1]: Σ_{Mχ} / Ωχ with the empty-set
 /// conventions listed above.

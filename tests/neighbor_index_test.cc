@@ -13,6 +13,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -360,6 +361,29 @@ TEST(NeighborIndexTest, OverBudgetRunsReturnResourceExhausted) {
   EXPECT_TRUE(ComputeFSimSelf(g, panel_config).status().IsInvalidArgument());
   EXPECT_TRUE(
       IncrementalFSim::Create(g, g, config).status().IsInvalidArgument());
+}
+
+TEST(NeighborIndexTest, ChunkOffsetsRefuseGrowthPast32Bits) {
+  // A chunk's span offsets are 32-bit: an edit that could grow one chunk
+  // past PairStore::kMaxChunkEntries entries is refused whatever the
+  // budget, and leaves the index as it was.
+  const Graph g = MakeDenseRandomGraph(23);
+  FSimConfig config;
+  config.label_sim = LabelSimKind::kEditDistance;
+  config.theta = 0.4;
+  const LabelSimilarityCache lsim(*g.dict(), config.label_sim);
+  auto store = PairStore::Build(g, g, config, lsim);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const size_t bytes = store->NeighborIndexBytes();
+  const uint64_t no_budget = std::numeric_limits<uint64_t>::max();
+  const Status past =
+      store->ReserveInsert(PairStore::kMaxChunkEntries, 1, 1, no_budget);
+  EXPECT_TRUE(past.IsResourceExhausted()) << past.ToString();
+  EXPECT_NE(past.ToString().find("32-bit offsets"), std::string::npos)
+      << past.ToString();
+  EXPECT_EQ(store->NeighborIndexBytes(), bytes);
+  EXPECT_TRUE(store->ValidateNeighborIndex().ok());
+  EXPECT_TRUE(store->ReserveInsert(1, 1, 1, no_budget).ok());
 }
 
 TEST(NeighborIndexTest, TightBudgetBuildEquivalence) {
