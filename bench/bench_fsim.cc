@@ -113,21 +113,6 @@ std::string RunTuningSweep(int num_threads) {
   };
 
   std::printf("\ntuning sweep (dp, theta=1, t=%d)\n", num_threads);
-  out += "    \"iterate_grain\": {";
-  for (size_t grain : {size_t{16}, size_t{64}, size_t{256}}) {
-    FSimConfig config = base;
-    config.iterate_grain = grain;
-    const double s = timed_iterate(config);
-    std::snprintf(buf, sizeof(buf), "%s\"%zu\": %.6f",
-                  grain == 16 ? "" : ", ", grain, s);
-    out += buf;
-    std::printf("  iterate_grain=%-4zu iterate=%s\n", grain,
-                bench::FormatSeconds(s).c_str());
-  }
-  std::snprintf(buf, sizeof(buf), ", \"chosen\": %zu},\n",
-                FSimConfig().iterate_grain);
-  out += buf;
-
   out += "    \"frontier_density_threshold\": {";
   for (double density : {0.25, 0.5, 0.75}) {
     FSimConfig config = base;

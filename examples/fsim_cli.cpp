@@ -35,7 +35,6 @@
 #include "common/check.h"
 #include "common/failpoint.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "core/fsim_engine.h"
 #include "core/incremental.h"
 #include "core/pair_store.h"
@@ -163,17 +162,6 @@ int RunValidate(const Graph& graph1, const Graph& target, FSimConfig config) {
                inc->store().ValidateNeighborIndex());
       }
     }
-  }
-
-  // Work-stealing scheduler accounting, after a real parallel region.
-  {
-    ThreadPool pool(config.num_threads > 0 ? config.num_threads : 2);
-    std::vector<uint64_t> sums(1024, 0);
-    pool.ParallelForChunked(sums.size(), 16,
-                            [&sums](int, size_t begin, size_t end) {
-                              for (size_t i = begin; i < end; ++i) sums[i] = i;
-                            });
-    report("ThreadPool::ValidateScheduler", pool.ValidateScheduler());
   }
 
   // Snapshot publish chain, fed by an actual solve.

@@ -42,7 +42,6 @@ BASE_FAMILIES = [
     "fsim_publish_age_seconds",
     "fsim_snapshot_pin_refreshes_total",
     "fsim_scheduler_regions_total",
-    "fsim_scheduler_steal_batches_total",
 ]
 
 # Families that additionally appear when the serve run logs to a WAL.

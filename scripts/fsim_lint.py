@@ -70,7 +70,7 @@ ATOMIC_MEMBER_RE = re.compile(
     r"condition_variable\b)"
 )
 SYNC_COMMENT_RE = re.compile(r"//.*(guards:|ordering:)")
-PARALLEL_CALL_RE = re.compile(r"\bParallelFor(?:Chunked|Span|Frontier)?\s*\(")
+PARALLEL_CALL_RE = re.compile(r"\bParallelFor(?:Chunked|Span)?\s*\(")
 LOCK_RE = re.compile(
     r"\b(?:lock_guard|unique_lock|scoped_lock|shared_lock)\s*<|\.lock\s*\(\)"
 )

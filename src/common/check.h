@@ -1,7 +1,7 @@
 // FSIM_CHECK / FSIM_DCHECK — the project's invariant-checking macro family,
 // plus the invocation counters behind the structural validators
 // (PairStore::ValidateNeighborIndex, DynamicGraph::ValidateAdjacency,
-// SnapshotStore::ValidateChain, ThreadPool::ValidateScheduler).
+// SnapshotStore::ValidateChain).
 //
 //   FSIM_CHECK(cond) << "context " << value;
 //

@@ -213,14 +213,6 @@ struct FSimConfig {
   /// from the first iteration (tests use this to pin the frontier path).
   double active_set_activation_fraction = 0.125;
 
-  /// Scheduler slice length (pairs per slice) of the iterate loop's
-  /// frontier sweeps; full sweeps hand out whole neighbor-index chunks
-  /// (PairStore::kChunkPairs). Small enough that the work-stealing
-  /// scheduler can rebalance around expensive pairs (large dp/bj
-  /// matchings), large enough to amortize the per-slice claim; 64 held up
-  /// across the thread-count sweep in BENCH_fsim.json's tuning section.
-  size_t iterate_grain = 64;
-
   /// Vectorized kernel ceiling for the θ = 0 tile panels (see SimdMode).
   /// The FSIM_SIMD environment variable takes precedence when set to a
   /// valid value; -DFSIM_SIMD_FORCE_SCALAR builds ignore both.

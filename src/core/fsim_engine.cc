@@ -63,9 +63,6 @@ Status ValidateFSimConfig(const Graph& g1, const Graph& g2,
         "neighbor_index_budget_bytes must be positive (every engine "
         "iterates through its neighbor index)");
   }
-  if (config.iterate_grain == 0) {
-    return Status::InvalidArgument("iterate_grain must be >= 1");
-  }
   if (config.pin_diagonal && &g1 != &g2 && g1.NumNodes() != g2.NumNodes()) {
     return Status::InvalidArgument(
         "pin_diagonal requires a self-similarity run");

@@ -222,7 +222,7 @@ class PairEvaluator {
 ///  * Later iterations evaluate only the built frontier and commit the
 ///    evaluated entries into the previous buffer (selective forward copy);
 ///    every frozen pair keeps its score for free. The frontier is handed
-///    out in slices of FSimConfig::iterate_grain ids, and each slice is
+///    out in slices of kFrontierGrain ids, and each slice is
 ///    evaluated in runs of consecutive ids inside one index chunk.
 ///    Frontiers at or above
 ///    FSimConfig::frontier_density_threshold of the pairs fall back to a
@@ -447,17 +447,12 @@ class ActiveSetDriver {
       last_evaluated_ = space_.size();
     } else {
       FSIM_TRACE_SPAN_ARG("engine.sweep.frontier", frontier_.size());
-      // Priority draining: a pair's evaluation cost is dominated by the
-      // neighbor refs it walks, so RefSpanTotal is the weight. Exact-mode
-      // bit-identity across thread counts is unaffected — evaluations are
-      // Jacobi (all reads hit prev_) and the reductions below are
-      // order-independent.
-      pool_.ParallelForFrontier(
-          frontier_,
-          [this](uint32_t i) {
-            return static_cast<float>(space_.RefSpanTotal(i));
-          },
-          config_.iterate_grain,
+      // Slices of the ascending frontier. Exact-mode bit-identity across
+      // thread counts does not depend on which worker takes a slice:
+      // evaluations are Jacobi (all reads hit prev_) and the reductions
+      // below are order-independent.
+      pool_.ParallelForSpan(
+          frontier_, kFrontierGrain,
           [&](int worker, std::span<const uint32_t> ids) {
             WorkerSweepStats local;
             size_t t = 0;
@@ -524,6 +519,13 @@ class ActiveSetDriver {
     }
     return max_delta;
   }
+
+  /// Frontier ids per scheduler slice (full sweeps hand out whole index
+  /// chunks instead). Small enough to rebalance around expensive pairs
+  /// (large dp/bj matchings), large enough to amortize the per-slice claim.
+  /// 16, 64 and 256 timed alike on the yeast dp iterate at θ = 1 (0.14,
+  /// 0.14 and 0.16 s at 4 threads on a 4-vCPU host).
+  static constexpr size_t kFrontierGrain = 64;
 
   /// Cache-line-padded per-worker sweep accumulators.
   struct alignas(64) WorkerSweepStats {

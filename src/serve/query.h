@@ -65,9 +65,8 @@ struct QueryResult {
 /// publish mutex (at most one bounded wait per publish). An optional
 /// ThreadPool fans large RunBatch calls out across workers — sound because
 /// every query of a batch reads the caller's one pinned snapshot and writes
-/// only its own result slot. The pool must not be
-/// shared with concurrent ParallelFor callers (ThreadPool regions are
-/// exclusive); single queries never touch it.
+/// only its own result slot. Concurrent RunBatch calls take turns on the
+/// pool (its regions run one at a time); single queries never touch it.
 class QueryEngine {
  public:
   using Clock = std::chrono::steady_clock;

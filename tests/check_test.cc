@@ -13,7 +13,6 @@
 
 #include "common/check.h"
 #include "common/hash.h"
-#include "common/thread_pool.h"
 #include "core/fsim_scores.h"
 #include "core/fsim_config.h"
 #include "core/pair_store.h"
@@ -337,22 +336,6 @@ TEST(ValidateChainTest, StalePublishRejectedAndChainStaysValid) {
   EXPECT_FALSE(store.Publish(first));  // stale: dropped
   EXPECT_TRUE(store.ValidateChain().ok());
   EXPECT_EQ(store.version(), 2u);
-}
-
-// ---------------------------------------------------- ThreadPool validator --
-
-TEST(ValidateSchedulerTest, CleanAfterStealHeavyRegions) {
-  ThreadPool pool(4);
-  std::vector<uint64_t> out(4096, 0);
-  for (int round = 0; round < 3; ++round) {
-    pool.ParallelForChunked(out.size(), 8, [&out](int, size_t b, size_t e) {
-      for (size_t i = b; i < e; ++i) out[i] += i;
-    });
-  }
-  EXPECT_TRUE(pool.ValidateScheduler().ok());
-  const ThreadPool::SchedulerStats scheduler_stats = pool.stats();
-  EXPECT_EQ(scheduler_stats.chunks_dealt, scheduler_stats.chunks_executed);
-  EXPECT_GT(scheduler_stats.chunks_executed, 0u);
 }
 
 }  // namespace

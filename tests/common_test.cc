@@ -3,12 +3,15 @@
 // printer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <span>
 #include <thread>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/random.h"
@@ -233,14 +236,19 @@ TEST(PowerLawDegreeSequenceTest, HitsAverageAndCap) {
 TEST(ThreadPoolTest, SingleThreadRunsInline) {
   ThreadPool pool(1);
   std::vector<int> hits(100, 0);
-  pool.ParallelFor(100, [&](size_t i) { hits[i]++; });
+  pool.ParallelForChunked(100, 8, [&](int worker, size_t begin, size_t end) {
+    EXPECT_EQ(worker, 0);
+    for (size_t i = begin; i < end; ++i) hits[i]++;
+  });
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(ThreadPoolTest, CoversAllIndicesExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(10000);
-  pool.ParallelFor(10000, [&](size_t i) { hits[i]++; });
+  pool.ParallelForChunked(10000, 312, [&](int, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) hits[i]++;
+  });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -248,14 +256,18 @@ TEST(ThreadPoolTest, ReusableAcrossCalls) {
   ThreadPool pool(3);
   for (int round = 0; round < 20; ++round) {
     std::atomic<int> count{0};
-    pool.ParallelFor(97, [&](size_t) { count++; });
+    pool.ParallelForChunked(97, 4, [&](int, size_t begin, size_t end) {
+      count += static_cast<int>(end - begin);
+    });
     EXPECT_EQ(count.load(), 97);
   }
 }
 
 TEST(ThreadPoolTest, EmptyRangeIsNoOp) {
   ThreadPool pool(2);
-  pool.ParallelFor(0, [](size_t) { FAIL() << "must not run"; });
+  pool.ParallelForChunked(0, 1, [](int, size_t, size_t) {
+    FAIL() << "must not run";
+  });
 }
 
 TEST(ThreadPoolTest, UnbalancedBodiesStillCoverAllIndices) {
@@ -263,15 +275,17 @@ TEST(ThreadPoolTest, UnbalancedBodiesStillCoverAllIndices) {
   // when one stripe of indices is much more expensive than the rest.
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(101);
-  pool.ParallelFor(101, [&](size_t i) {
-    if (i % 4 == 0) {
-      // Unbalanced work on one residue class.
-      volatile double x = 0;
-      for (int k = 0; k < 1000; ++k) {
-        x = x + std::sqrt(static_cast<double>(k));
+  pool.ParallelForChunked(101, 3, [&](int, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      if (i % 4 == 0) {
+        // Unbalanced work on one residue class.
+        volatile double x = 0;
+        for (int k = 0; k < 1000; ++k) {
+          x = x + std::sqrt(static_cast<double>(k));
+        }
       }
+      hits[i]++;
     }
-    hits[i]++;
   });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
@@ -339,6 +353,53 @@ TEST(ThreadPoolTest, ChunkedZeroGrainIsClampedToOne) {
     for (size_t i = begin; i < end; ++i) hits[i]++;
   });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, SpanSlicesAreGrainAlignedRunsOfTheIndexArray) {
+  // The frontier sweep relies on each slice being a contiguous run of the
+  // ascending index array that starts on a grain boundary, so a slice
+  // walks the score arrays upward.
+  ThreadPool pool(3);
+  constexpr size_t kN = 1000;
+  constexpr size_t kGrain = 64;
+  std::vector<uint32_t> indices(kN);
+  for (size_t i = 0; i < kN; ++i) {
+    indices[i] = static_cast<uint32_t>(3 * i + 1);
+  }
+  std::vector<std::atomic<int>> hits(kN);
+  std::atomic<int> misaligned{0};
+  pool.ParallelForSpan(indices, kGrain,
+                       [&](int, std::span<const uint32_t> ids) {
+                         const size_t offset =
+                             static_cast<size_t>(ids.data() - indices.data());
+                         if (offset % kGrain != 0 ||
+                             ids.size() != std::min(kGrain, kN - offset)) {
+                           misaligned++;
+                         }
+                         for (size_t k = 0; k < ids.size(); ++k) {
+                           if (ids[k] != indices[offset + k]) misaligned++;
+                           hits[offset + k]++;
+                         }
+                       });
+  EXPECT_EQ(misaligned.load(), 0);
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, SpanEmptyAndShortArraysRunInline) {
+  ThreadPool pool(4);
+  pool.ParallelForSpan({}, 8, [](int, std::span<const uint32_t>) {
+    FAIL() << "must not run";
+  });
+  const std::vector<uint32_t> indices = {2, 5, 9, 11, 40};
+  std::vector<int> workers;
+  pool.ParallelForSpan(indices, 8, [&](int worker,
+                                       std::span<const uint32_t> ids) {
+    workers.push_back(worker);
+    EXPECT_EQ(ids.data(), indices.data());
+    EXPECT_EQ(ids.size(), indices.size());
+  });
+  ASSERT_EQ(workers.size(), 1u);
+  EXPECT_EQ(workers[0], 0);
 }
 
 // ------------------------------------------------------------ StringUtil --

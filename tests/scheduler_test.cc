@@ -1,16 +1,19 @@
-// Tests for the work-stealing scheduler (common/thread_pool.h) and the
-// multi-thread determinism contracts built on it: every parallel-for
-// primitive must cover its range exactly once under adversarially skewed
+// Tests for the chunk scheduler (common/thread_pool.h) and the
+// multi-thread determinism contracts built on it: both parallel-for
+// primitives must cover their range exactly once under adversarially skewed
 // per-index costs (one index ~1000x heavier than the rest, the shape that
-// starves a static partition); exact-mode active-set results must stay
-// bit-identical to the single-thread full sweep at any thread count; and
-// the incremental engine's scores, after its initial solve and after every
-// edit, must not depend on the engine's thread count at all.
+// starves a static partition) and when several threads start regions on
+// one pool at once; exact-mode active-set results must stay bit-identical
+// to the single-thread full sweep at any thread count; and the incremental
+// engine's scores, after its initial solve and after every edit, must not
+// depend on the engine's thread count at all.
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "test_graphs.h"
 
 namespace fsim {
@@ -38,12 +42,12 @@ void BurnWork(int iters) {
   for (int i = 0; i < iters; ++i) sink = sink + i;
 }
 
-/// Runs all three primitives over [0, n) with index `heavy` costing ~1000x,
+/// Runs both primitives over [0, n) with index `heavy` costing ~1000x,
 /// asserting exactly-once coverage and in-range worker ids.
 void StressPrimitives(int num_threads, size_t n, size_t grain, size_t heavy) {
   ThreadPool pool(num_threads);
 
-  // The span/frontier primitives take an index array; shuffle it so chunk
+  // The span primitive takes an index array; shuffle it so chunk
   // boundaries do not align with the identity order.
   std::vector<uint32_t> indices(n);
   std::iota(indices.begin(), indices.end(), 0u);
@@ -56,7 +60,7 @@ void StressPrimitives(int num_threads, size_t n, size_t grain, size_t heavy) {
     BurnWork(i == heavy ? 50000 : 50);
   };
 
-  for (int round = 0; round < 3; ++round) {
+  for (int round = 0; round < 2; ++round) {
     std::vector<std::atomic<uint32_t>> hits(n);
     for (auto& h : hits) h.store(0);
     std::atomic<bool> worker_ok{true};
@@ -73,7 +77,7 @@ void StressPrimitives(int num_threads, size_t n, size_t grain, size_t heavy) {
                                   hits[i].fetch_add(1);
                                 }
                               });
-    } else if (round == 1) {
+    } else {
       pool.ParallelForSpan(indices, grain,
                            [&](int worker, std::span<const uint32_t> ids) {
                              check_worker(worker);
@@ -82,17 +86,6 @@ void StressPrimitives(int num_threads, size_t n, size_t grain, size_t heavy) {
                                hits[i].fetch_add(1);
                              }
                            });
-    } else {
-      pool.ParallelForFrontier(
-          indices,
-          [&](uint32_t i) { return i == heavy ? 1000.0f : 1.0f; }, grain,
-          [&](int worker, std::span<const uint32_t> ids) {
-            check_worker(worker);
-            for (uint32_t i : ids) {
-              body_cost(i);
-              hits[i].fetch_add(1);
-            }
-          });
     }
 
     EXPECT_TRUE(worker_ok.load()) << "threads=" << num_threads
@@ -104,31 +97,42 @@ void StressPrimitives(int num_threads, size_t n, size_t grain, size_t heavy) {
   }
 }
 
-TEST(WorkStealingScheduler, SkewedCostsCoverEveryIndexOnceAt1Thread) {
+TEST(ThreadPoolScheduler, SkewedCostsCoverEveryIndexOnceAt1Thread) {
   StressPrimitives(1, 4096, 7, 1234);
 }
 
-TEST(WorkStealingScheduler, SkewedCostsCoverEveryIndexOnceAt2Threads) {
+TEST(ThreadPoolScheduler, SkewedCostsCoverEveryIndexOnceAt2Threads) {
   StressPrimitives(2, 4096, 7, 1234);
 }
 
-TEST(WorkStealingScheduler, SkewedCostsCoverEveryIndexOnceAt8Threads) {
+TEST(ThreadPoolScheduler, SkewedCostsCoverEveryIndexOnceAt8Threads) {
   StressPrimitives(8, 4096, 7, 1234);
 }
 
-// The heavy index landing in the last chunk is the worst case for the old
-// shared counter (it is claimed last and runs alone); stealing must still
-// cover everything exactly once.
-TEST(WorkStealingScheduler, HeavyTailIndexIsCoveredExactlyOnce) {
+// The heavy index landing in the last chunk is the worst case for the
+// shared counter: it is claimed last and runs alone while the others wait.
+TEST(ThreadPoolScheduler, HeavyTailIndexIsCoveredExactlyOnce) {
   StressPrimitives(8, 2048, 16, 2047);
 }
 
-// Alternating small (shared-counter fallback) and large (deque) regions on
-// one pool: mode switching must not leak chunks between regions.
-TEST(WorkStealingScheduler, AlternatingCounterAndStealRegionsStayIsolated) {
+uint64_t RegionCount(const char* kind) {
+  for (const auto& [label, value] :
+       obs::Registry::Default().CounterFamilySnapshot(
+           "fsim_scheduler_regions_total")) {
+    if (label == kind) return value;
+  }
+  return 0;
+}
+
+// Alternating inline (one chunk) and parallel regions on one pool: the
+// counter reset between regions must not leak chunks from one to the next,
+// and each region is counted under its kind.
+TEST(ThreadPoolScheduler, AlternatingInlineAndParallelRegionsStayIsolated) {
   ThreadPool pool(4);
+  const uint64_t inline0 = RegionCount("inline");
+  const uint64_t parallel0 = RegionCount("parallel");
   for (int round = 0; round < 20; ++round) {
-    const size_t n = (round % 2 == 0) ? 17 : 4096;  // small: counter fallback
+    const size_t n = (round % 2 == 0) ? 3 : 4096;  // 3 <= grain: inline
     std::vector<std::atomic<uint32_t>> hits(n);
     for (auto& h : hits) h.store(0);
     pool.ParallelForChunked(n, 4, [&](int /*worker*/, size_t b, size_t e) {
@@ -136,29 +140,71 @@ TEST(WorkStealingScheduler, AlternatingCounterAndStealRegionsStayIsolated) {
     });
     for (size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1u);
   }
-  const auto stats = pool.stats();
-  EXPECT_GT(stats.steal_regions, 0u);
-  EXPECT_GT(stats.counter_regions, 0u);
-  EXPECT_GT(stats.chunks_executed, 0u);
+  EXPECT_GE(RegionCount("inline") - inline0, 10u);
+  EXPECT_GE(RegionCount("parallel") - parallel0, 10u);
 }
 
-// Zero and uniform frontier weights are edge cases of the two-class split
-// (max_weight == 0 puts everything in the "big" class).
-TEST(WorkStealingScheduler, FrontierHandlesDegenerateWeights) {
-  ThreadPool pool(4);
-  const size_t n = 1000;
-  std::vector<uint32_t> indices(n);
+// Two caller threads start regions on one pool at once, one through each
+// primitive (a QueryEngine's batch pool shared by reader threads). Every
+// index of each caller's range must run exactly once, and no two bodies
+// may run under the same worker id at the same time (per-worker scratch).
+// The first slice of every region sleeps, so the other caller's next
+// region is requested while this one is still running.
+TEST(ThreadPoolScheduler, ConcurrentCallersCoverTheirRangesOnce) {
+  constexpr int kThreads = 3;
+  constexpr size_t kN = 20000;
+  constexpr size_t kGrain = 16;
+  constexpr int kRounds = 20;
+  ThreadPool pool(kThreads);
+  std::vector<uint32_t> indices(kN);
   std::iota(indices.begin(), indices.end(), 0u);
-  for (float weight : {0.0f, 1.0f}) {
-    std::vector<std::atomic<uint32_t>> hits(n);
-    for (auto& h : hits) h.store(0);
-    pool.ParallelForFrontier(
-        indices, [weight](uint32_t) { return weight; }, 8,
-        [&](int /*worker*/, std::span<const uint32_t> ids) {
-          for (uint32_t i : ids) hits[i].fetch_add(1);
-        });
-    for (size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1u);
-  }
+  std::vector<std::atomic<bool>> busy(kThreads);
+  for (auto& b : busy) b.store(false);
+  std::atomic<bool> shared_worker{false};
+  const auto enter = [&](int worker, bool first) {
+    if (busy[static_cast<size_t>(worker)].exchange(true)) {
+      shared_worker.store(true);
+    }
+    if (first) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  const auto leave = [&](int worker) {
+    busy[static_cast<size_t>(worker)].store(false);
+  };
+
+  std::vector<std::atomic<uint32_t>> hits[2] = {
+      std::vector<std::atomic<uint32_t>>(kN),
+      std::vector<std::atomic<uint32_t>>(kN)};
+  std::atomic<size_t> wrong[2] = {0, 0};
+  const auto caller = [&](int c) {
+    for (int round = 0; round < kRounds; ++round) {
+      for (auto& h : hits[c]) h.store(0);
+      if (c == 0) {
+        pool.ParallelForChunked(kN, kGrain,
+                                [&](int worker, size_t begin, size_t end) {
+                                  enter(worker, begin == 0);
+                                  for (size_t i = begin; i < end; ++i) {
+                                    hits[0][i].fetch_add(1);
+                                  }
+                                  leave(worker);
+                                });
+      } else {
+        pool.ParallelForSpan(indices, kGrain,
+                             [&](int worker, std::span<const uint32_t> ids) {
+                               enter(worker, ids.data() == indices.data());
+                               for (uint32_t i : ids) hits[1][i].fetch_add(1);
+                               leave(worker);
+                             });
+      }
+      for (const auto& h : hits[c]) wrong[c] += h.load() != 1;
+    }
+  };
+  std::thread a(caller, 0);
+  std::thread b(caller, 1);
+  a.join();
+  b.join();
+  EXPECT_EQ(wrong[0].load(), 0u);
+  EXPECT_EQ(wrong[1].load(), 0u);
+  EXPECT_FALSE(shared_worker.load());
 }
 
 // ---------------------------------------------------------------------------

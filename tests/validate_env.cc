@@ -9,7 +9,6 @@
 
 #include "common/check.h"
 #include "common/hash.h"
-#include "common/thread_pool.h"
 #include "core/fsim_config.h"
 #include "core/incremental.h"
 #include "core/pair_store.h"
@@ -60,14 +59,6 @@ void RunAllValidators() {
   const Status edited = inc->store().ValidateNeighborIndex();
   EXPECT_TRUE(edited.ok()) << edited.ToString();
 
-  ThreadPool pool(3);
-  std::vector<uint64_t> sums(512, 0);
-  pool.ParallelForChunked(sums.size(), 8, [&sums](int, size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) sums[i] = i * i;
-  });
-  const Status scheduler = pool.ValidateScheduler();
-  EXPECT_TRUE(scheduler.ok()) << scheduler.ToString();
-
   SnapshotStore snapshots;
   SharedFSimScores scores = FreezeScores(
       FSimScores(testing::FullPairSpace(1, 1), {1.0}, FSimStats{}));
@@ -89,7 +80,7 @@ class StructureValidationEnvironment : public ::testing::Environment {
     // audit above at minimum, plus any automatic FSIM_DEBUG_CHECKS hooks.
     for (const char* name :
          {"DynamicGraph::ValidateAdjacency", "PairStore::ValidateNeighborIndex",
-          "ThreadPool::ValidateScheduler", "SnapshotStore::ValidateChain"}) {
+          "SnapshotStore::ValidateChain"}) {
       EXPECT_GE(ValidatorCounters::Count(name), 1u)
           << "validator never executed: " << name;
     }
