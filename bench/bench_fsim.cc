@@ -2,7 +2,7 @@
 // optimization setting on the Yeast analog (the smallest Table 4 dataset) —
 // the per-iteration engine cost behind Figures 7 and 8. The main()
 // additionally times the build/iterate phases per variant and scheduling
-// policy (exact active set, full sweeps, tolerance) plus the θ = 0
+// policy (full sweeps, tolerance frontiers) plus the θ = 0
 // tile-panel path of s and b, and writes BENCH_fsim.json for the perf
 // trajectory.
 #include <benchmark/benchmark.h>
@@ -116,7 +116,6 @@ std::string RunTuningSweep(int num_threads) {
   out += "    \"frontier_density_threshold\": {";
   for (double density : {0.25, 0.5, 0.75}) {
     FSimConfig config = base;
-    config.active_set = ActiveSetMode::kTolerance;
     config.frontier_tolerance = config.epsilon / 10.0;
     config.frontier_density_threshold = density;
     const double s = timed_iterate(config);
@@ -133,6 +132,7 @@ std::string RunTuningSweep(int num_threads) {
   out += "    \"active_set_activation_fraction\": {";
   for (double fraction : {0.0, 0.125, 0.5}) {
     FSimConfig config = base;
+    config.frontier_tolerance = config.epsilon / 10.0;
     config.active_set_activation_fraction = fraction;
     const double s = timed_iterate(config);
     std::snprintf(buf, sizeof(buf), "%s\"%.3f\": %.6f",
@@ -340,20 +340,18 @@ std::string RunTraceOverheadGuard() {
 }
 
 /// Phase-timing comparison per χ variant, written to BENCH_fsim.json:
-///  * "indexed"   — the default engine (CSR index + exact active set),
-///  * "fullsweep" — active set off (the PR 1 indexed path, the baseline the
-///                  active-set speedup is measured against),
-///  * "tol"       — tolerance-mode active set (frontier_tolerance = ε/10,
-///                  error bound tol·(1+w)/(1-w) = 0.9·ε — the frontier
-///                  slack stays below the termination tolerance itself).
-/// indexed/fullsweep are cross-checked bit-identical; tol is cross-checked
-/// against its documented error bound plus the termination residual slack
-/// 2·ε·w/(1-w) (the two runs may stop at different sweeps).
+///  * "indexed" — the default engine (CSR index, full sweeps),
+///  * "tol"     — tolerance frontiers (frontier_tolerance = ε/10, error
+///                bound tol·(1+w)/(1-w) = 0.9·ε — the frontier slack stays
+///                below the termination tolerance itself).
+/// tol is cross-checked against indexed within its documented error bound
+/// plus the termination residual slack 2·ε·w/(1-w) (the two runs may stop
+/// at different sweeps).
 void RunPhaseTimings() {
   const Graph& g = Yeast();
   bench::PhaseTimingsJson json;
   std::printf(
-      "\nvariant  path       build      iterate    vs fullsweep  frozen\n");
+      "\nvariant  path       build      iterate    vs indexed    frozen\n");
   for (SimVariant variant :
        {SimVariant::kSimple, SimVariant::kDegreePreserving, SimVariant::kBi,
         SimVariant::kBijective}) {
@@ -362,34 +360,20 @@ void RunPhaseTimings() {
     const double w = config.w_out + config.w_in;
 
     auto indexed = ComputeFSim(g, g, config);
-    config.active_set = ActiveSetMode::kOff;
-    auto fullsweep = ComputeFSim(g, g, config);
-    config.active_set = ActiveSetMode::kTolerance;
     config.frontier_tolerance = config.epsilon / 10.0;
     auto tol = ComputeFSim(g, g, config);
-    if (!indexed.ok() || !fullsweep.ok() || !tol.ok()) {
+    if (!indexed.ok() || !tol.ok()) {
       std::fprintf(stderr, "fatal: phase-timing run failed\n");
-      std::abort();
-    }
-    auto max_diff_vs_fullsweep = [&](const FSimScores& scores) {
-      double max_diff = 0.0;
-      for (size_t i = 0; i < scores.values().size(); ++i) {
-        max_diff = std::max(max_diff, std::abs(scores.values()[i] -
-                                               fullsweep->values()[i]));
-      }
-      return max_diff;
-    };
-    const double exact_diff = max_diff_vs_fullsweep(*indexed);
-    if (exact_diff != 0.0) {
-      std::fprintf(stderr,
-                   "fatal: indexed/fullsweep mismatch (diff=%g)\n",
-                   exact_diff);
       std::abort();
     }
     const double tol_bound =
         config.frontier_tolerance * (1.0 + w) / (1.0 - w) +
         2.0 * config.epsilon * w / (1.0 - w);
-    const double tol_diff = max_diff_vs_fullsweep(*tol);
+    double tol_diff = 0.0;
+    for (size_t i = 0; i < tol->values().size(); ++i) {
+      tol_diff = std::max(
+          tol_diff, std::abs(tol->values()[i] - indexed->values()[i]));
+    }
     if (tol_diff > tol_bound) {
       std::fprintf(stderr, "fatal: tolerance run outside bound (%g > %g)\n",
                    tol_diff, tol_bound);
@@ -398,17 +382,15 @@ void RunPhaseTimings() {
 
     const char* name = SimVariantName(variant);
     json.Add(std::string(name) + "/indexed", indexed->stats());
-    json.Add(std::string(name) + "/fullsweep", fullsweep->stats());
     json.Add(std::string(name) + "/tol", tol->stats());
     auto row = [&](const char* path, const FSimStats& s) {
       std::printf("%-8s %-10s %-10s %-10s %.2fx         %.2f\n", name, path,
                   bench::FormatSeconds(s.build_seconds).c_str(),
                   bench::FormatSeconds(s.iterate_seconds).c_str(),
-                  fullsweep->stats().iterate_seconds / s.iterate_seconds,
+                  indexed->stats().iterate_seconds / s.iterate_seconds,
                   s.frozen_fraction);
     };
     row("indexed", indexed->stats());
-    row("fullsweep", fullsweep->stats());
     row("tol", tol->stats());
     std::printf("%-8s tol frontier:", name);
     for (size_t a : tol->stats().active_pairs_history) {
@@ -435,11 +417,11 @@ void RunPhaseTimings() {
                 bench::FormatSeconds(panels->stats().iterate_seconds).c_str());
   }
 
-  // Thread-count sweep: the indexed (exact active set) and tolerance paths
-  // at every BenchThreadCounts() count > 1. The t=1 records above keep
-  // their unsuffixed names so the perf-gate history stays continuous;
+  // Thread-count sweep: the indexed (full sweeps) and tolerance paths at
+  // every BenchThreadCounts() count > 1. The t=1 records above keep their
+  // unsuffixed names so the perf-gate history stays continuous;
   // multi-thread runs get distinct "/tN" names and record num_threads so
-  // the gate never compares across thread counts. Exact-mode results are
+  // the gate never compares across thread counts. Full-sweep results are
   // cross-checked bit-identical to the single-thread run (the scheduler's
   // determinism contract); tolerance mode re-checks its error bound.
   const std::vector<int> thread_counts = bench::BenchThreadCounts();
@@ -452,8 +434,8 @@ void RunPhaseTimings() {
       config.theta = 1.0;
       const double w = config.w_out + config.w_in;
       auto base_indexed = ComputeFSim(g, g, config);
-      config.active_set = ActiveSetMode::kTolerance;
-      config.frontier_tolerance = config.epsilon / 10.0;
+      const double tolerance = config.epsilon / 10.0;
+      config.frontier_tolerance = tolerance;
       auto base_tol = ComputeFSim(g, g, config);
       if (!base_indexed.ok() || !base_tol.ok()) {
         std::fprintf(stderr, "fatal: thread-sweep baseline failed\n");
@@ -463,9 +445,9 @@ void RunPhaseTimings() {
       for (int t : thread_counts) {
         if (t <= 1) continue;
         config.num_threads = t;
-        config.active_set = ActiveSetMode::kExact;
+        config.frontier_tolerance = 0.0;
         auto indexed = ComputeFSim(g, g, config);
-        config.active_set = ActiveSetMode::kTolerance;
+        config.frontier_tolerance = tolerance;
         auto tol = ComputeFSim(g, g, config);
         if (!indexed.ok() || !tol.ok()) {
           std::fprintf(stderr, "fatal: thread-sweep run failed (t=%d)\n", t);
@@ -474,7 +456,8 @@ void RunPhaseTimings() {
         for (size_t i = 0; i < indexed->values().size(); ++i) {
           if (indexed->values()[i] != base_indexed->values()[i]) {
             std::fprintf(stderr,
-                         "fatal: t=%d exact run not bit-identical to t=1\n",
+                         "fatal: t=%d full-sweep run not bit-identical to "
+                         "t=1\n",
                          t);
             std::abort();
           }

@@ -62,7 +62,7 @@ int Usage(const char* argv0) {
       "usage: %s --g1 <file> [--g2 <file>] [--variant s|dp|b|bj]\n"
       "          [--theta T] [--w-out W] [--w-in W] [--label-sim i|e|j]\n"
       "          [--upper-bound] [--threads N] [--simd off|avx2|avx512|auto]\n"
-      "          [--active-set off|exact|tol] [--frontier-tolerance T]\n"
+      "          [--frontier-tolerance T]\n"
       "          [--topk K --source NODE] [--topk-pairs K]\n"
       "          [--exact] [--partition]\n"
       "          [--out <scores-file>] [--save-binary <graph-file>]\n"
@@ -73,7 +73,10 @@ int Usage(const char* argv0) {
       "          [--failpoints <site=spec;...>] [--validate]\n"
       "          [--metrics] [--trace-out <file>]\n"
       "--simd caps the vector kernel level of theta=0 s/b runs (the tile\n"
-      "panels); other runs do not use the kernels\n",
+      "panels); other runs do not use the kernels\n"
+      "--frontier-tolerance T > 0 runs tolerance frontiers: pairs whose\n"
+      "inputs moved by at most T are skipped, scores stay within\n"
+      "T*(1+w)/(1-w) of full sweeps; 0 (the default) runs full sweeps\n",
       argv0);
   return 2;
 }
@@ -284,21 +287,10 @@ int main(int argc, char** argv) {
       config.num_threads = parse_int_flag("--threads");
     } else if (std::strcmp(argv[i], "--upper-bound") == 0) {
       config.upper_bound = true;
-    } else if (std::strcmp(argv[i], "--active-set") == 0) {
-      // Iterate-loop scheduling (docs/performance.md "Active-set
-      // iteration"); flows through every engine the CLI reaches, including
-      // the serving layer's warm-start initial solve.
-      const char* mode = need_value("--active-set");
-      if (std::strcmp(mode, "off") == 0) {
-        config.active_set = ActiveSetMode::kOff;
-      } else if (std::strcmp(mode, "exact") == 0) {
-        config.active_set = ActiveSetMode::kExact;
-      } else if (std::strcmp(mode, "tol") == 0) {
-        config.active_set = ActiveSetMode::kTolerance;
-      } else {
-        return Usage(argv[0]);
-      }
     } else if (std::strcmp(argv[i], "--frontier-tolerance") == 0) {
+      // Tolerance frontiers (docs/performance.md "Active-set iteration");
+      // flows through every engine the CLI reaches, including the serving
+      // layer's warm-start initial solve.
       config.frontier_tolerance = parse_double_flag("--frontier-tolerance");
     } else if (std::strcmp(argv[i], "--simd") == 0) {
       // Kernel-level ceiling for the θ = 0 s/b tile panels

@@ -33,12 +33,13 @@ The "theta0.*" and "simd_theta0.*" series replace the "dense.*" and
 "simd.*" ones of older lines, which timed a separate dense engine at
 θ = 1: new keys, so no θ = 0 time is ever compared against a θ = 1 median.
 
-PR 5 note: "fsim.<variant>/indexed.iterate_s" now measures the active-set
-engine (exact mode, the library default — bit-identical to full sweeps and
-within noise of the PR 1 indexed path), while the new
-"fsim.<variant>/fullsweep.iterate_s" pins the PR 1 scheduling and
-"fsim.<variant>/tol.iterate_s" the tolerance-mode frontier engine. The new
-paths enter the gate through the usual --min-history grace period.
+Engine series: "fsim.<variant>/indexed.iterate_s" times the default engine,
+which runs full sweeps over the CSR index (it timed the exact active set
+while that mode existed, which was bit-identical to full sweeps and within
+noise of them), and "fsim.<variant>/tol.iterate_s" times tolerance-mode
+frontiers (frontier_tolerance = epsilon/10). Older lines also carry
+"fsim.<variant>/fullsweep.*", a duplicate of "indexed" that is no longer
+written; like any retired metric it is ignored once absent.
 
 A malformed history line (truncated write, merge droppings) fails loudly
 with exit code 2 and the offending line number, instead of the former

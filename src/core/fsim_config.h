@@ -54,28 +54,6 @@ struct OperatorConfig {
   OmegaKind omega = OmegaKind::kGeoMean;
 };
 
-/// How the iterate loop schedules pair evaluations across sweeps
-/// (docs/performance.md "Active-set iteration"). The fixpoint is monotone
-/// from the all-ones-shaped seed, so after the first few sweeps most pairs'
-/// N±xN± inputs have stopped moving; the active-set driver evaluates only
-/// the pairs with at least one changed input — found by walking the changed
-/// pair's own CSR spans in reverse (the refs of the in-span are exactly the
-/// pairs reading it through their out-direction, and vice versa) — and
-/// carries every other score forward for free.
-enum class ActiveSetMode {
-  /// Full sweep every iteration (the pre-active-set behavior).
-  kOff,
-  /// Skip a pair only when none of its inputs changed at all. Provably
-  /// bit-identical to the full sweep (identical inputs, deterministic
-  /// operators), including the iteration count and convergence decision.
-  kExact,
-  /// Additionally skip a pair while its accumulated input influence — the
-  /// sharpened Σ w± · c/Ωχ · |Δ input| bound shared with the incremental
-  /// engine — stays below frontier_tolerance. Final scores stay within
-  /// frontier_tolerance · (1 + w) / (1 - w) of the exact-mode result.
-  kTolerance,
-};
-
 /// The Table 3 operators for a χ variant.
 OperatorConfig OperatorsForVariant(SimVariant variant);
 
@@ -180,37 +158,37 @@ struct FSimConfig {
   /// scratch per worker while it runs.
   uint64_t neighbor_index_budget_bytes = 1ULL << 30;
 
-  /// Iterate-loop scheduling (see ActiveSetMode). The CSR neighbor index's
-  /// spans double as the reverse-dependency lists; when only the widened
-  /// span layout would exceed the budget, the index is built
-  /// evaluation-only and the engine runs full sweeps regardless. A θ = 0
-  /// s/b run iterates on the tile panels in full sweeps at every mode,
-  /// which meets each mode's contract.
-  /// kExact is the default: it is bit-identical to full sweeps and on
-  /// converging workloads freezes most pairs after the first few
-  /// iterations (FSimStats::active_pairs_history / frozen_fraction).
-  ActiveSetMode active_set = ActiveSetMode::kExact;
+  /// Tolerance frontiers (docs/performance.md "Active-set iteration").
+  /// 0, the default, runs Algorithm 1 as written: every sweep evaluates
+  /// every maintained pair. A positive value lets the sparse path skip a
+  /// pair while the accumulated influence of its skipped input changes —
+  /// Σ w± · c/Ωχ · |Δ input| — stays at or below it; the final scores
+  /// then stay within frontier_tolerance · (1 + w) / (1 − w),
+  /// w = w+ + w−, of the full-sweep scores (plus the termination
+  /// residual), provided the operator contracts (Theorem 1; dp and bj need
+  /// kHungarian, see MatchingAlgo). The dependents of a changed pair are
+  /// read off the CSR neighbor index, whose spans then double as
+  /// reverse-dependency lists; when only that widened span layout would
+  /// exceed the budget, the index is built evaluation-only and the run
+  /// falls back to full sweeps. A θ = 0 s/b run iterates on the tile
+  /// panels in full sweeps, which meets the bound at distance 0. Must be
+  /// finite and >= 0.
+  double frontier_tolerance = 0.0;
 
-  /// kTolerance only: a pair is re-evaluated once the accumulated influence
-  /// of its skipped input changes exceeds this. Must be positive in
-  /// tolerance mode; the induced error is bounded by
-  /// frontier_tolerance * (1 + w) / (1 - w), w = w+ + w-.
-  double frontier_tolerance = 1e-6;
-
-  /// Frontiers holding at least this fraction of the maintained pairs are
-  /// evaluated as plain full sweeps (dense frontiers are cheaper without
-  /// the indirection); 0 forces full sweeps, 1 always uses the frontier
-  /// path when the active set is engaged.
+  /// Tolerance mode: frontiers holding at least this fraction of the
+  /// maintained pairs are evaluated as plain full sweeps (dense frontiers
+  /// are cheaper without the indirection); 0 forces full sweeps, 1 always
+  /// uses the frontier path.
   double frontier_density_threshold = 0.5;
 
-  /// Dependent marking — the reverse span walk per changed pair — costs
-  /// about as much as re-evaluating the cheap (non-matching) operators, so
-  /// the driver defers it until skipping can actually pay: marking turns
-  /// on once at least this fraction of a sweep's evaluated pairs look
-  /// freezable (delta == 0 in exact mode, delta <= frontier_tolerance in
-  /// tolerance mode), and stays on. Until then iterations are plain full
-  /// sweeps whose only extra cost is the per-pair freeze counter. 0 marks
-  /// from the first iteration (tests use this to pin the frontier path).
+  /// Tolerance mode: dependent marking — the reverse span walk per changed
+  /// pair — costs about as much as re-evaluating the cheap (non-matching)
+  /// operators, so the driver defers it until skipping can actually pay:
+  /// marking turns on once at least this fraction of a sweep's evaluated
+  /// pairs moved by at most frontier_tolerance, and stays on. Until then
+  /// iterations are plain full sweeps whose only extra cost is the
+  /// per-pair counter. 0 marks from the first iteration (tests use this to
+  /// pin the frontier path).
   double active_set_activation_fraction = 0.125;
 
   /// Vectorized kernel ceiling for the θ = 0 tile panels (see SimdMode).

@@ -39,14 +39,10 @@ Status ValidateFSimConfig(const Graph& g1, const Graph& g2,
   if (config.num_threads < 1) {
     return Status::InvalidArgument("num_threads must be >= 1");
   }
-  if (!std::isfinite(config.frontier_tolerance)) {
-    return Status::InvalidArgument("frontier_tolerance must be finite");
-  }
-  if (config.active_set == ActiveSetMode::kTolerance &&
-      !(config.frontier_tolerance > 0.0)) {
+  if (!(config.frontier_tolerance >= 0.0) ||
+      !std::isfinite(config.frontier_tolerance)) {
     return Status::InvalidArgument(
-        "tolerance-mode active-set iteration needs a positive "
-        "frontier_tolerance");
+        "frontier_tolerance must be finite and >= 0");
   }
   if (!(config.frontier_density_threshold >= 0.0 &&
         config.frontier_density_threshold <= 1.0)) {

@@ -27,7 +27,9 @@ Status ValidateFSimConfig(const Graph& g1, const Graph& g2,
 /// upper-bound updating, every pair is a candidate and the run iterates on
 /// the tile panels (core/panel_engine.h) in full sweeps; every other run
 /// iterates through the pair-graph CSR neighbor index under the active-set
-/// driver (core/pair_evaluator.h). Both give the same values.
+/// driver (core/pair_evaluator.h), in full sweeps unless
+/// config.frontier_tolerance > 0 asks for tolerance frontiers. Both paths
+/// give the same values.
 ///
 /// Guarantees (assuming MatchingAlgo::kHungarian for dp/bj, which makes
 /// condition C3 of Theorem 1 exact):

@@ -34,22 +34,22 @@ struct FSimStats {
   /// FSimConfig::record_delta_history is set (Theorem 1: strictly
   /// decreasing).
   std::vector<double> delta_history;
-  /// True when the iterate loop ran under active-set scheduling
-  /// (FSimConfig::active_set != kOff and the neighbor index carries
+  /// True when the iterate loop ran under tolerance frontiers
+  /// (FSimConfig::frontier_tolerance > 0 and the neighbor index carries
   /// reverse-dependency spans — it does not when only the widened span
   /// layout would have exceeded the budget). Always false for a θ = 0 s/b
   /// run, which iterates on the tile panels in full sweeps.
   bool active_set = false;
-  /// Pairs evaluated per iteration under active-set scheduling (the first
+  /// Pairs evaluated per iteration under tolerance frontiers (the first
   /// entry is the full maintained-pair count; later entries shrink as
   /// pairs freeze). Empty when active_set is false.
   std::vector<size_t> active_pairs_history;
-  /// Fraction of the iterate loop's pair evaluations the active set
+  /// Fraction of the iterate loop's pair evaluations the frontiers
   /// skipped: 1 - evaluated / (iterations * maintained_pairs). 0 when
-  /// active-set scheduling was off.
+  /// active_set is false.
   double frozen_fraction = 0.0;
-  /// Accumulated time spent building frontiers from the epoch-tagged dirty
-  /// stamps (part of iterate_seconds).
+  /// Accumulated time spent building frontiers from the per-worker
+  /// influence marks (part of iterate_seconds).
   double frontier_build_seconds = 0.0;
   /// Iterations that ran as full sweeps: the first one, plus every
   /// frontier at or above FSimConfig::frontier_density_threshold.

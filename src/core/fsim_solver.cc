@@ -27,14 +27,14 @@ Result<std::unique_ptr<FSimSolver>> FSimSolver::Create(
                                                  &stats));
     solver->panels_.emplace(std::move(panels));
   } else {
-    // Any active-set mode selects the reverse-span layout.
-    FSimConfig build_config = config;
-    if (options.repairable && config.active_set == ActiveSetMode::kOff) {
-      build_config.active_set = ActiveSetMode::kExact;
-    }
-    FSIM_ASSIGN_OR_RETURN(PairStore store,
-                          PairStore::Build(g1, g2, build_config, solver->lsim_,
-                                           &solver->pool_, options.rows));
+    // Tolerance frontiers and edit repair walk the reverse spans; full
+    // sweeps do not need them.
+    const bool reverse_spans =
+        config.frontier_tolerance > 0.0 || options.repairable;
+    FSIM_ASSIGN_OR_RETURN(
+        PairStore store,
+        PairStore::Build(g1, g2, config, solver->lsim_, &solver->pool_,
+                         options.rows, reverse_spans));
     stats.theta_candidates = store.info().theta_candidates;
     stats.maintained_pairs = store.info().kept;
     stats.pruned_pairs = store.info().pruned;

@@ -5,7 +5,9 @@
 // (core/panel_engine.h) in full sweeps when RunsOnTilePanels(config) holds
 // and every row is wanted, else the PairStore neighbor index
 // (core/pair_store.h) stepped by ActiveSetDriver with PairEvaluator
-// (core/pair_evaluator.h). Run is the engines' one ε/bound iterate loop.
+// (core/pair_evaluator.h), in full sweeps unless config.frontier_tolerance
+// > 0 asks for tolerance frontiers. Run is the engines' one ε/bound
+// iterate loop.
 #ifndef FSIM_CORE_FSIM_SOLVER_H_
 #define FSIM_CORE_FSIM_SOLVER_H_
 
@@ -33,8 +35,8 @@ class FSimSolver {
     /// Fill only the rows u of g1 with (*rows)[u] set (TopKSearch's radius
     /// ball); a pair of any other row reads 0.
     const std::vector<bool>* rows = nullptr;
-    /// Ask for the reverse-span index whatever config.active_set says:
-    /// IncrementalFSim repairs on store() after the solve.
+    /// Ask for the reverse-span index whatever config.frontier_tolerance
+    /// says: IncrementalFSim repairs on store() after the solve.
     bool repairable = false;
   };
 
@@ -62,7 +64,7 @@ class FSimSolver {
   /// The build fields of a ComputeFSim FSimStats.
   const FSimStats& build_stats() const { return build_stats_; }
 
-  /// True when frontier sweeps may skip pairs.
+  /// True when tolerance frontiers may skip pairs.
   bool active_set() const { return driver_ && driver_->active(); }
 
   FSimScores TakeScores(FSimStats stats);

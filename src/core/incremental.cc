@@ -22,7 +22,6 @@ namespace {
 /// every remaining one is below τ. The cap also ends a greedy matching's
 /// occasional non-Lipschitz tie-flip oscillation.
 FSimConfig RepairConfig(FSimConfig config, double tolerance) {
-  config.active_set = ActiveSetMode::kTolerance;
   config.frontier_tolerance = tolerance;
   config.epsilon = tolerance;
   config.max_iterations = 0;
@@ -58,7 +57,7 @@ Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
 
   // ComputeFSim's sparse solve, so the serving layer's warm-start
   // background solve (RefreshDriver passes its FSimConfig straight
-  // through) freezes converged pairs exactly like the batch engine; the
+  // through) gives the batch engine's scores and iteration count; the
   // store it solves on keeps the reverse spans the repair walks.
   FSIM_ASSIGN_OR_RETURN(std::unique_ptr<FSimSolver> solver,
                         FSimSolver::Create(g1, g2, config,
@@ -142,7 +141,6 @@ class IncrementalFSim::RepairSpace {
   void WithRefs(size_t i, F&& f) const {
     store_->WithRefs(i, std::forward<F>(f));
   }
-  size_t RefSpanTotal(size_t i) const { return store_->RefSpanTotal(i); }
 
   void EvaluateRun(size_t begin, size_t end, PairEvalScratch* scratch,
                    double* out) const {

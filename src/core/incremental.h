@@ -38,10 +38,10 @@
 //    op's edge edit patches two sorted adjacency lists in O(deg);
 //  * the store keeps both directions of every pair (its reverse-span
 //    layout, which the tolerance-mode repair needs whatever
-//    config.active_set says) and is maintained, not rebuilt: an edit to
-//    edge (a, b) in graph 1 invalidates only the out-spans of pairs (a, *)
-//    and the in-spans of pairs (b, *) (symmetrically (*, a) / (*, b) for
-//    graph 2), and exactly those spans are re-staged —
+//    config.frontier_tolerance says) and is maintained, not rebuilt: an
+//    edit to edge (a, b) in graph 1 invalidates only the out-spans of
+//    pairs (a, *) and the in-spans of pairs (b, *) (symmetrically
+//    (*, a) / (*, b) for graph 2), and exactly those spans are re-staged —
 //    O(|N(u)|·|N(v)|) classify work per affected pair, the same order as
 //    the one re-evaluation the edit forces anyway — plus one rewrite of
 //    each touched kChunkPairs-pair chunk buffer per op. A graph-1 edit

@@ -205,38 +205,32 @@ class PairEvaluator {
   const double alpha_;
 };
 
-/// Delta-driven active-set scheduling of the Algorithm 1 iterate loop: the
-/// step of the solver's sparse path and IncrementalFSim's edit repair
-/// (docs/performance.md "Active-set iteration"). Each Step() runs one
-/// synchronous Jacobi iteration and leaves the pair space's previous-score
-/// buffer holding the complete new state:
+/// The Algorithm 1 iterate loop of the solver's sparse path and of
+/// IncrementalFSim's edit repair (docs/performance.md "Active-set
+/// iteration"). Each Step() runs one synchronous Jacobi iteration and
+/// leaves the pair space's previous-score buffer holding the complete new
+/// state. By default every step is a plain full sweep over all maintained
+/// pairs, one index chunk per scheduler task and per EvaluateRun, followed
+/// by an O(1) SwapBuffers.
 ///
-///  * The first iteration (and every iteration with the active set off or
-///    without reverse spans) is a plain full sweep over all maintained
-///    pairs, one index chunk per scheduler task and per EvaluateRun,
-///    followed by an O(1) SwapBuffers.
-///  * While sweeping, workers stamp the dependents of every changed pair
-///    into their FrontierTracker arrays by walking the pair's own CSR
-///    spans in reverse: the refs of the in-span are exactly the pairs
-///    reading (u, v) through their out-direction, and vice versa.
-///  * Later iterations evaluate only the built frontier and commit the
-///    evaluated entries into the previous buffer (selective forward copy);
-///    every frozen pair keeps its score for free. The frontier is handed
-///    out in slices of kFrontierGrain ids, and each slice is
-///    evaluated in runs of consecutive ids inside one index chunk.
-///    Frontiers at or above
+/// With FSimConfig::frontier_tolerance > 0 and reverse spans, the driver
+/// runs tolerance frontiers (the active set):
+///  * While sweeping, workers add the influence of every changed pair on
+///    its dependents into their FrontierTracker arrays by walking the
+///    pair's own CSR spans in reverse: the refs of the in-span are exactly
+///    the pairs reading (u, v) through their out-direction, and vice
+///    versa. The influence is Σ w± · c/Ωχ · |Δ|, with the sharpened
+///    per-pair factors of PairInfluenceFactor.
+///  * Later iterations evaluate only the pairs whose carried influence
+///    exceeds frontier_tolerance, and commit the evaluated entries into
+///    the previous buffer (selective forward copy); every skipped pair
+///    keeps its score for free. The frontier is handed out in slices of
+///    kFrontierGrain ids, and each slice is evaluated in runs of
+///    consecutive ids inside one index chunk. Frontiers at or above
 ///    FSimConfig::frontier_density_threshold of the pairs fall back to a
 ///    full sweep — dense frontiers are cheaper as sweeps.
-///
-/// In kExact mode a pair is skipped only when *none* of its inputs changed
-/// at all, which (with the deterministic operators) is provably
-/// bit-identical to running full sweeps: identical inputs produce the
-/// identical value, the observed max delta equals the true max delta
-/// (frozen pairs have exactly zero change), so scores, iteration count and
-/// convergence decision all coincide. kTolerance additionally skips pairs
-/// whose accumulated input influence — Σ w± · c/Ωχ · |Δ| with the
-/// sharpened per-pair factors of PairInfluenceFactor — stays below
-/// frontier_tolerance, trading bounded error for fewer evaluations.
+/// This trades an error of at most frontier_tolerance · (1 + w) / (1 − w)
+/// against full sweeps for fewer evaluations.
 ///
 /// `Space` is the iterated pair space (PairStore, or the in-place view of
 /// one that IncrementalFSim's edit repair runs on). Its contract:
@@ -248,7 +242,6 @@ class PairEvaluator {
 ///    the values written before it, so every run is a single pair;
 ///  * reverse_spans(): per-pair out/in spans exist and list reverse
 ///    dependencies; WithRefs(i, f) calls f(out_refs, in_refs) with them;
-///    RefSpanTotal(i) is their total length;
 ///  * pinned_pairs_spanned(): pin_diagonal pairs carry spans too. When
 ///    they do not, their init -> 1 snap in the first sweep cannot mark its
 ///    dependents, so the second sweep is forced full as well.
@@ -287,35 +280,29 @@ class ActiveSetDriver {
             config.pin_diagonal && !space.pinned_pairs_spanned() ? 2 : 1),
         scratch_(static_cast<size_t>(pool.num_threads())),
         worker_stats_(static_cast<size_t>(pool.num_threads())) {
-    mode_ = ActiveSetMode::kOff;
-    if (space.reverse_spans() && config.w_out + config.w_in > 0.0) {
+    if (config.frontier_tolerance > 0.0 && space.reverse_spans() &&
+        config.w_out + config.w_in > 0.0) {
       const bool transpose = g1.NumInEdges() == g1.NumEdges() &&
                              g2.NumInEdges() == g2.NumEdges();
       const bool symmetric_out =
           g1.NumInEdges() == 0 && g2.NumInEdges() == 0;
-      if (transpose || symmetric_out) {
-        mode_ = config.active_set;
-        scheme_ = transpose ? ReverseDepScheme::kTranspose
-                            : ReverseDepScheme::kSymmetricOut;
-      }
       // Neither shape (partially populated in-lists that are not the
       // transpose) has no sound reverse walk; stay on full sweeps.
+      active_ = transpose || symmetric_out;
+      scheme_ = transpose ? ReverseDepScheme::kTranspose
+                          : ReverseDepScheme::kSymmetricOut;
     }
-    if (mode_ == ActiveSetMode::kTolerance) {
+    if (active_) {
       influence_out_.resize(space.size());
       influence_in_.resize(space.size());
       for (size_t i = 0; i < space.size(); ++i) UpdateInfluence(i, g1, g2);
-    }
-    if (mode_ != ActiveSetMode::kOff) {
-      tracker_.Init(space.size(), pool.num_threads(),
-                    mode_ == ActiveSetMode::kTolerance);
+      tracker_.Init(space.size(), pool.num_threads());
       marking_ = config.active_set_activation_fraction == 0.0;
     }
   }
 
   /// Runs one iteration (frontier or full sweep per the policy above) and
-  /// returns max |FSim^k - FSim^{k-1}| over the evaluated pairs — in exact
-  /// mode, exactly the full sweep's max delta.
+  /// returns max |FSim^k - FSim^{k-1}| over the evaluated pairs.
   double Step() {
     ++iter_;
     // A frontier is only sound when the *previous* sweep marked dependents
@@ -329,9 +316,9 @@ class ActiveSetDriver {
     return Sweep(full);
   }
 
-  /// True when active-set scheduling is engaged (mode != kOff and the
-  /// space has reverse spans).
-  bool active() const { return mode_ != ActiveSetMode::kOff; }
+  /// True when tolerance frontiers are engaged (frontier_tolerance > 0 and
+  /// the space has reverse spans of a graph shape the walk supports).
+  bool active() const { return active_; }
 
   /// Work counters for the solver's FSimStats: pairs the last step
   /// evaluated, pairs evaluated over all steps, full sweeps run, and the
@@ -341,11 +328,11 @@ class ActiveSetDriver {
   uint32_t full_sweeps() const { return full_sweeps_; }
   double frontier_build_seconds() const { return frontier_build_seconds_; }
 
-  /// Tolerance mode: recomputes pair i's influence factors from the
-  /// current degrees of `g1`/`g2`.
+  /// Recomputes pair i's influence factors from the current degrees of
+  /// `g1`/`g2` (a no-op while the driver runs full sweeps).
   template <typename G>
   void UpdateInfluence(size_t i, const G& g1, const G& g2) {
-    if (mode_ != ActiveSetMode::kTolerance) return;
+    if (!active_) return;
     const NodeId u = space_.U(i);
     const NodeId v = space_.V(i);
     influence_out_[i] = static_cast<float>(
@@ -447,10 +434,8 @@ class ActiveSetDriver {
       last_evaluated_ = space_.size();
     } else {
       FSIM_TRACE_SPAN_ARG("engine.sweep.frontier", frontier_.size());
-      // Slices of the ascending frontier. Exact-mode bit-identity across
-      // thread counts does not depend on which worker takes a slice:
-      // evaluations are Jacobi (all reads hit prev_) and the reductions
-      // below are order-independent.
+      // Slices of the ascending frontier. Which worker takes a slice does
+      // not change a value: evaluations are Jacobi (all reads hit prev_).
       pool_.ParallelForSpan(
           frontier_, kFrontierGrain,
           [&](int worker, std::span<const uint32_t> ids) {
@@ -488,34 +473,25 @@ class ActiveSetDriver {
     last_was_full_sweep_ = full;
     double max_delta = 0.0;
     size_t freeze_signal = 0;
-    uint64_t dep_bound = 0;
     for (const auto& w : worker_stats_) {
       max_delta = std::max(max_delta, w.max_delta);
       freeze_signal += w.freeze_signal;
-      dep_bound += w.dep_bound;
     }
-    // Marks from this sweep feed the next frontier; once the signal says a
-    // frontier would skip at least active_set_activation_fraction of the
-    // pairs, start paying for marking — and never stop, since a sparse
-    // sweep's skipped pairs depend on the marks staying complete. Exact
-    // mode predicts the frontier by the changed pairs' dependent cover;
-    // tolerance mode by the fraction of sub-tolerance deltas.
+    // Marks from this sweep feed the next frontier; once enough deltas are
+    // sub-tolerance that a frontier would skip at least
+    // active_set_activation_fraction of the pairs, start paying for
+    // marking — and never stop, since a sparse sweep's skipped pairs
+    // depend on the marks staying complete. A frontier only beats a full
+    // sweep below the density threshold, which needs at least
+    // (1 - threshold) · n skippable pairs, so wait for that many too.
     can_build_frontier_ = marking_;
-    if (mode_ != ActiveSetMode::kOff && !marking_) {
-      const double n = static_cast<double>(space_.size());
-      if (mode_ == ActiveSetMode::kExact) {
-        marking_ = static_cast<double>(dep_bound) <=
-                   (1.0 - config_.active_set_activation_fraction) * n;
-      } else {
-        // A frontier only beats a full sweep below the density threshold,
-        // which needs at least (1 - threshold) · n skippable pairs — so
-        // wait for that many sub-tolerance deltas before paying for marks.
-        const double needed =
-            std::max(config_.active_set_activation_fraction *
-                         static_cast<double>(last_evaluated_),
-                     (1.0 - config_.frontier_density_threshold) * n);
-        marking_ = static_cast<double>(freeze_signal) >= needed;
-      }
+    if (active_ && !marking_) {
+      const double needed =
+          std::max(config_.active_set_activation_fraction *
+                       static_cast<double>(last_evaluated_),
+                   (1.0 - config_.frontier_density_threshold) *
+                       static_cast<double>(space_.size()));
+      marking_ = static_cast<double>(freeze_signal) >= needed;
     }
     return max_delta;
   }
@@ -530,16 +506,10 @@ class ActiveSetDriver {
   /// Cache-line-padded per-worker sweep accumulators.
   struct alignas(64) WorkerSweepStats {
     double max_delta = 0.0;
-    /// Tolerance mode, while marking is deferred: pairs with
-    /// delta <= frontier_tolerance (their outgoing influence is near the
-    /// skip threshold, so frontiers are about to shrink).
+    /// While marking is deferred: pairs with delta <= frontier_tolerance
+    /// (their outgoing influence is near the skip threshold, so frontiers
+    /// are about to shrink).
     size_t freeze_signal = 0;
-    /// Exact mode, while marking is deferred: Σ RefSpanTotal over changed
-    /// pairs — an upper bound on the next frontier's size. Zero-delta
-    /// counts are useless here: a pair whose value sits still can still
-    /// have changed inputs, so only a small *dependent cover* predicts a
-    /// shrinking frontier.
-    uint64_t dep_bound = 0;
   };
 
   void Fold(int worker, const WorkerSweepStats& local) {
@@ -547,7 +517,6 @@ class ActiveSetDriver {
       worker_stats_[worker].max_delta = local.max_delta;
     }
     worker_stats_[worker].freeze_signal += local.freeze_signal;
-    worker_stats_[worker].dep_bound += local.dep_bound;
   }
 
   /// Evaluates the pairs [begin, end) of one index chunk and records each.
@@ -574,52 +543,36 @@ class ActiveSetDriver {
     const double delta = std::abs(value - space_.prev(i));
     space_.set_curr(i, value);
     local->max_delta = std::max(local->max_delta, delta);
-    // Whether a pair moved is data-dependent, so the counters add 0 or 1
-    // rather than branch.
-    if (mode_ == ActiveSetMode::kExact) {
-      if (marking_) {
-        if (delta != 0.0) MarkDependents<false>(worker, i, delta);
-      } else {
-        local->dep_bound +=
-            space_.RefSpanTotal(i) * static_cast<uint64_t>(delta != 0.0);
-      }
-    } else if (mode_ == ActiveSetMode::kTolerance) {
+    if (active_) {
+      // Whether a pair moved is data-dependent, so the counter adds 0 or 1
+      // rather than branch.
       local->freeze_signal += delta <= config_.frontier_tolerance;
-      if (delta != 0.0 && marking_) MarkDependents<true>(worker, i, delta);
+      if (delta != 0.0 && marking_) MarkDependents(worker, i, delta);
     }
   }
 
-  /// Stamps the pairs whose next evaluation reads pair i: the refs of i's
-  /// in-span (their out-direction consumes i) and of i's out-span (their
-  /// in-direction does). Pruned-table refs never re-evaluate and are
-  /// skipped; a zero-weight direction contributes nothing to any dependent
-  /// and is skipped with it.
-  template <bool kTolerance>
+  /// Adds pair i's change to the influence on the pairs whose next
+  /// evaluation reads it: the refs of i's in-span (their out-direction
+  /// consumes i) and of i's out-span (their in-direction does), in the
+  /// calling worker's private arrays. Pruned-table refs never re-evaluate
+  /// and are skipped; a zero-weight direction contributes nothing to any
+  /// dependent and is skipped with it.
   void MarkDependents(int worker, size_t i, double delta) {
     const uint32_t epoch = tracker_.epoch();
-    // Exact mode stamps the shared atomic array (all writers store the
-    // same epoch, so relaxed order suffices); tolerance mode accumulates
-    // per-worker influence next to a private stamp.
-    uint32_t* stamp = kTolerance ? tracker_.stamps(worker) : nullptr;
-    float* inf = kTolerance ? tracker_.influence(worker) : nullptr;
-    uint64_t* marked = kTolerance ? tracker_.marked(worker) : nullptr;
-    std::atomic<uint32_t>* shared =
-        kTolerance ? nullptr : tracker_.shared_stamps();
+    uint32_t* stamp = tracker_.stamps(worker);
+    float* inf = tracker_.influence(worker);
+    uint64_t* marked = tracker_.marked(worker);
     auto mark_span = [&](auto refs, double base, const float* factor) {
       for (const auto& e : refs) {
         const uint32_t r = e.ref;
         if (IsPrunedRef(r)) continue;
-        if constexpr (kTolerance) {
-          const float x = static_cast<float>(base * factor[r]);
-          if (stamp[r] != epoch) {
-            stamp[r] = epoch;
-            inf[r] = x;
-            marked[r / 64] |= uint64_t{1} << (r % 64);
-          } else {
-            inf[r] += x;
-          }
+        const float x = static_cast<float>(base * factor[r]);
+        if (stamp[r] != epoch) {
+          stamp[r] = epoch;
+          inf[r] = x;
+          marked[r / 64] |= uint64_t{1} << (r % 64);
         } else {
-          shared[r].store(epoch, std::memory_order_relaxed);
+          inf[r] += x;
         }
       }
     };
@@ -650,7 +603,8 @@ class ActiveSetDriver {
   const OperatorConfig op_;
   /// Leading iterations that sweep in full whatever the marks say.
   const uint32_t forced_full_sweeps_;
-  ActiveSetMode mode_;
+  /// Tolerance frontiers engaged (see active()).
+  bool active_ = false;
   ReverseDepScheme scheme_ = ReverseDepScheme::kTranspose;
   /// Dependent marking engaged (see active_set_activation_fraction).
   bool marking_ = false;
@@ -661,7 +615,7 @@ class ActiveSetDriver {
   bool last_was_full_sweep_ = false;
   FrontierTracker tracker_;
   std::vector<uint32_t> frontier_;
-  std::vector<float> influence_out_;  // kTolerance: per-pair c/Ωχ factors
+  std::vector<float> influence_out_;  // per-pair c/Ωχ factors
   std::vector<float> influence_in_;
   std::vector<PairEvalScratch> scratch_;
   std::vector<WorkerSweepStats> worker_stats_;

@@ -1,6 +1,7 @@
 #include "core/pair_store.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -69,7 +70,8 @@ Result<PairStore> PairStore::Build(const Graph& g1, const Graph& g2,
                                    const FSimConfig& config,
                                    const LabelSimilarityCache& lsim,
                                    ThreadPool* pool,
-                                   const std::vector<bool>* rows) {
+                                   const std::vector<bool>* rows,
+                                   bool reverse_spans) {
   PairStore store;
   ThreadPool serial_pool(1);
   if (pool == nullptr) pool = &serial_pool;
@@ -108,7 +110,8 @@ Result<PairStore> PairStore::Build(const Graph& g1, const Graph& g2,
   {
     // --- Stage 4: pair-graph CSR neighbor index (budget ceiling). ---
     FSIM_TRACE_SPAN("engine.build.index");
-    FSIM_RETURN_NOT_OK(store.BuildNeighborIndex(g1, g2, config, *pool));
+    FSIM_RETURN_NOT_OK(
+        store.BuildNeighborIndex(g1, g2, config, *pool, reverse_spans));
 #ifdef FSIM_DEBUG_CHECKS
     const Status valid = store.ValidateNeighborIndex();
     FSIM_CHECK(valid.ok()) << valid.ToString();
@@ -224,7 +227,7 @@ Status PairStore::ValidateNeighborIndex() const {
 
 Status PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
                                      const FSimConfig& config,
-                                     ThreadPool& pool) {
+                                     ThreadPool& pool, bool reverse_spans) {
   const size_t n = keys_.size();
   // The pruned-ref tag bit halves the addressable range of a ref.
   if (n >= kNeighborRefPrunedTag || pruned_ub_.size() >= kNeighborRefPrunedTag) {
@@ -234,16 +237,15 @@ Status PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
         n, pruned_ub_.size(), kNeighborRefPrunedTag - 1));
   }
 
-  // With the active set engaged, a direction's span is also materialized
+  // In the reverse-span layout a direction's span is also materialized
   // when only the *opposite* weight is nonzero (it is then never evaluated
   // but serves as the reverse-dependency list for frontier marking), and
   // pinned diagonal spans are kept so their first-sweep init -> 1 snap can
   // notify dependents. See the OutRefs comment in the header.
-  auto plan_for = [&](bool active_spans) {
-    return SpanPlan{
-        config.w_out > 0.0 || (active_spans && config.w_in > 0.0),
-        config.w_in > 0.0 || (active_spans && config.w_out > 0.0),
-        config.pin_diagonal && !active_spans};
+  auto plan_for = [&](bool widened) {
+    return SpanPlan{config.w_out > 0.0 || (widened && config.w_in > 0.0),
+                    config.w_in > 0.0 || (widened && config.w_out > 0.0),
+                    config.pin_diagonal && !widened};
   };
   // Entry layout: the packed 8-byte NeighborRef when every row/col fits in
   // 16 bits; positions inside a neighbor list run 0..deg-1, so a direction
@@ -285,16 +287,15 @@ Status PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
     return bound_bytes(p, max_entries) <= config.neighbor_index_budget_bytes;
   };
 
-  // Prefer the widened layout the active set needs; if only the widening
-  // blows the budget (single-direction configs double their entry count),
-  // fall back to the evaluation-only index — the driver then runs full
-  // sweeps (reverse_spans() false) instead of the build failing.
-  bool active_spans = config.active_set != ActiveSetMode::kOff;
-  SpanPlan plan = plan_for(active_spans);
+  // Build the widened layout when asked; if only the widening blows the
+  // budget (single-direction configs double their entry count), fall back
+  // to the evaluation-only index — the driver then runs full sweeps
+  // (reverse_spans() false) instead of the build failing.
+  SpanPlan plan = plan_for(reverse_spans);
   uint64_t max_entries = max_entries_for(plan);
-  if (active_spans && !fits(plan, max_entries)) {
+  if (reverse_spans && !fits(plan, max_entries)) {
     info_.reverse_span_bytes = bound_bytes(plan, max_entries);
-    active_spans = false;
+    reverse_spans = false;
     plan = plan_for(false);
     max_entries = max_entries_for(plan);
   }
@@ -310,7 +311,7 @@ Status PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
   }
   plan_ = plan;
   packed_refs_ = packed_for(plan);
-  reverse_spans_ = active_spans;
+  reverse_spans_ = reverse_spans;
   if (packed_refs_) {
     return FillNeighborRefs(g1, g2, pool, &nbr_chunks_packed_);
   }
@@ -660,77 +661,60 @@ void PairStore::RestageChunks(const DynamicGraph& g1, const DynamicGraph& g2,
   }
 }
 
-void FrontierTracker::Init(size_t num_pairs, int num_workers,
-                           bool tolerance) {
-  num_pairs_ = num_pairs;
-  tolerance_ = tolerance;
+void FrontierTracker::Init(size_t num_pairs, int num_workers) {
+  const size_t words = (num_pairs + 63) / 64;
   epoch_ = 0;
-  if (tolerance) {
-    const size_t words = (num_pairs + 63) / 64;
-    stamps_.assign(static_cast<size_t>(num_workers),
-                   std::vector<uint32_t>(num_pairs, 0));
-    influence_.assign(static_cast<size_t>(num_workers),
-                      std::vector<float>(num_pairs, 0.0f));
-    marked_.assign(static_cast<size_t>(num_workers),
-                   std::vector<uint64_t>(words, 0));
-    marked_union_.assign(words, 0);
-    carry_.assign(num_pairs, 0.0);
-  } else {
-    // Value-initialized to epoch 0 (< the first BeginIteration's epoch).
-    shared_stamps_ =
-        std::make_unique<std::atomic<uint32_t>[]>(num_pairs);
-  }
+  stamps_.assign(static_cast<size_t>(num_workers),
+                 std::vector<uint32_t>(num_pairs, 0));
+  influence_.assign(static_cast<size_t>(num_workers),
+                    std::vector<float>(num_pairs, 0.0f));
+  marked_.assign(static_cast<size_t>(num_workers),
+                 std::vector<uint64_t>(words, 0));
+  marked_union_.assign(words, 0);
+  carry_.assign(num_pairs, 0.0);
 }
 
 void FrontierTracker::BuildNext(ThreadPool& pool, double tolerance,
                                 bool previous_sweep_was_full,
                                 std::vector<uint32_t>* frontier) {
-  // Exact mode scans the stamps, tolerance mode the marked-bit words, in
-  // 4096-pair chunks: coarse enough that the two-pass offsets stay tiny,
-  // fine enough to balance across workers.
-  const size_t n = tolerance_ ? marked_union_.size() : num_pairs_;
-  const size_t grain = tolerance_ ? 4096 / 64 : 4096;
-  const size_t num_chunks = (n + grain - 1) / grain;
+  // Scans the marked-bit words in chunks of 4096 pairs: coarse enough
+  // that the two-pass offsets stay tiny, fine enough to balance across
+  // workers.
+  const size_t n = marked_union_.size();
+  constexpr size_t kGrain = 4096 / 64;
+  const size_t num_chunks = (n + kGrain - 1) / kGrain;
   chunk_offsets_.assign(num_chunks + 1, 0);
   const uint32_t epoch = epoch_;
   const size_t workers = stamps_.size();
   // A full sweep evaluated every pair, absorbing all carried influence.
-  if (tolerance_ && previous_sweep_was_full) {
+  if (previous_sweep_was_full) {
     std::fill(carry_.begin(), carry_.end(), 0.0);
   }
 
-  // Pass 1: per-chunk counts. Exact mode reads the one shared stamp
-  // array; tolerance mode collapses the marked pairs' per-worker
-  // influence sums into the cross-iteration carry_ accumulator (unmarked
-  // pairs keep a carry at or below the tolerance, as every larger one was
+  // Pass 1: per-chunk counts. The marked pairs' per-worker influence sums
+  // collapse into the cross-iteration carry_ accumulator (unmarked pairs
+  // keep a carry at or below the tolerance, as every larger one was
   // reset). Chunks partition the pairs, so writes are race-free.
-  pool.ParallelForChunked(n, grain, [&](int, size_t begin, size_t end) {
+  pool.ParallelForChunked(n, kGrain, [&](int, size_t begin, size_t end) {
     uint32_t count = 0;
-    if (!tolerance_) {
-      const std::atomic<uint32_t>* stamps = shared_stamps_.get();
-      for (size_t j = begin; j < end; ++j) {
-        if (stamps[j].load(std::memory_order_relaxed) == epoch) ++count;
+    for (size_t word = begin; word < end; ++word) {
+      uint64_t bits = 0;
+      for (size_t w = 0; w < workers; ++w) {
+        bits |= marked_[w][word];
+        marked_[w][word] = 0;
       }
-    } else {
-      for (size_t word = begin; word < end; ++word) {
-        uint64_t bits = 0;
+      marked_union_[word] = bits;
+      for (; bits != 0; bits &= bits - 1) {
+        const size_t j = word * 64 + std::countr_zero(bits);
+        double sum = carry_[j];
         for (size_t w = 0; w < workers; ++w) {
-          bits |= marked_[w][word];
-          marked_[w][word] = 0;
+          if (stamps_[w][j] == epoch) sum += influence_[w][j];
         }
-        marked_union_[word] = bits;
-        for (; bits != 0; bits &= bits - 1) {
-          const size_t j = word * 64 + std::countr_zero(bits);
-          double sum = carry_[j];
-          for (size_t w = 0; w < workers; ++w) {
-            if (stamps_[w][j] == epoch) sum += influence_[w][j];
-          }
-          carry_[j] = sum;
-          if (sum > tolerance) ++count;
-        }
+        carry_[j] = sum;
+        if (sum > tolerance) ++count;
       }
     }
-    chunk_offsets_[begin / grain + 1] = count;
+    chunk_offsets_[begin / kGrain + 1] = count;
   });
   for (size_t c = 1; c <= num_chunks; ++c) {
     chunk_offsets_[c] += chunk_offsets_[c - 1];
@@ -739,24 +723,14 @@ void FrontierTracker::BuildNext(ThreadPool& pool, double tolerance,
   // Pass 2: fill each chunk's slice; evaluated pairs reset their carried
   // influence (their next evaluation starts from a clean slate).
   frontier->resize(num_chunks == 0 ? 0 : chunk_offsets_[num_chunks]);
-  pool.ParallelForChunked(n, grain, [&](int, size_t begin, size_t end) {
-    uint32_t pos = chunk_offsets_[begin / grain];
-    if (!tolerance_) {
-      const std::atomic<uint32_t>* stamps = shared_stamps_.get();
-      for (size_t j = begin; j < end; ++j) {
-        if (stamps[j].load(std::memory_order_relaxed) == epoch) {
+  pool.ParallelForChunked(n, kGrain, [&](int, size_t begin, size_t end) {
+    uint32_t pos = chunk_offsets_[begin / kGrain];
+    for (size_t word = begin; word < end; ++word) {
+      for (uint64_t bits = marked_union_[word]; bits != 0; bits &= bits - 1) {
+        const size_t j = word * 64 + std::countr_zero(bits);
+        if (carry_[j] > tolerance) {
           (*frontier)[pos++] = static_cast<uint32_t>(j);
-        }
-      }
-    } else {
-      for (size_t word = begin; word < end; ++word) {
-        for (uint64_t bits = marked_union_[word]; bits != 0;
-             bits &= bits - 1) {
-          const size_t j = word * 64 + std::countr_zero(bits);
-          if (carry_[j] > tolerance) {
-            (*frontier)[pos++] = static_cast<uint32_t>(j);
-            carry_[j] = 0.0;
-          }
+          carry_[j] = 0.0;
         }
       }
     }

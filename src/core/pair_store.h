@@ -9,7 +9,6 @@
 #ifndef FSIM_CORE_PAIR_STORE_H_
 #define FSIM_CORE_PAIR_STORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -96,12 +95,16 @@ class PairStore {
   /// nullptr builds serially. With `rows`, only rows u with (*rows)[u] set
   /// are filled (PairSpace::Build): a pair of an unfilled row is outside
   /// the store, so the index omits it and it reads 0, as a pruned
-  /// untracked pair does (TopKSearch's radius ball).
+  /// untracked pair does (TopKSearch's radius ball). `reverse_spans` asks
+  /// for the widened span layout whose spans double as reverse-dependency
+  /// lists (see reverse_spans()): tolerance frontiers and edit repair walk
+  /// it, full sweeps do not need it.
   static Result<PairStore> Build(const Graph& g1, const Graph& g2,
                                  const FSimConfig& config,
                                  const LabelSimilarityCache& lsim,
                                  ThreadPool* pool = nullptr,
-                                 const std::vector<bool>* rows = nullptr);
+                                 const std::vector<bool>* rows = nullptr,
+                                 bool reverse_spans = false);
 
   /// The former spelling Build(g1, g2, config, lsim, /*index=*/true,
   /// pool), still called by perfbench/src/probes.cc; `index` must be true.
@@ -141,18 +144,20 @@ class PairStore {
   /// 16-bit row/col.
   static constexpr size_t kPackedDegreeLimit = 0x10000;
 
-  /// True when the index was built with the widened active-set span
-  /// layout (opposite-direction spans + pinned diagonal spans kept), so
-  /// the spans are usable as reverse-dependency lists. False when only
-  /// the widening would have blown neighbor_index_budget_bytes and the
-  /// build fell back to the evaluation-only layout — the active-set
-  /// driver then runs full sweeps instead of the build failing.
+  /// True when the index was built with the widened span layout
+  /// (opposite-direction spans + pinned diagonal spans kept), so the spans
+  /// are usable as reverse-dependency lists. False when Build was not
+  /// asked for it, or when only the widening would have blown
+  /// neighbor_index_budget_bytes and the build fell back to the
+  /// evaluation-only layout — the active-set driver then runs full sweeps
+  /// instead of the build failing.
   bool reverse_spans() const { return reverse_spans_; }
 
   /// Out-direction CSR entries of pair i: the label-compatible candidate
-  /// pairs of N+(u) x N+(v), sorted by (row, col). With the active set
-  /// off, diagonal pairs of a pin_diagonal run and zero-weight directions
-  /// have empty spans (never evaluated); with it on, a direction is
+  /// pairs of N+(u) x N+(v), sorted by (row, col). In the evaluation-only
+  /// layout, diagonal pairs of a pin_diagonal run and zero-weight
+  /// directions have empty spans (never evaluated); in the reverse-span
+  /// layout, a direction is
   /// additionally materialized when the *opposite* weight is nonzero — the
   /// refs of the in-span are exactly the pairs reading (u, v) through their
   /// out-direction (x ∈ N-(u), y ∈ N-(v)), and vice versa, so each span
@@ -213,15 +218,6 @@ class PairStore {
   /// True when pinned diagonal pairs carry spans (the reverse-span layout
   /// keeps them; see OutRefs), so their init -> 1 snap marks dependents.
   bool pinned_pairs_spanned() const { return reverse_spans_; }
-
-  /// Total CSR entries of pair i across both directions — an O(1) upper
-  /// bound on how many (pair, direction) dependents a change at i can wake.
-  /// The active-set driver sums this over changed pairs while marking is
-  /// still deferred, to predict whether a frontier would skip anything.
-  size_t RefSpanTotal(size_t i) const {
-    const size_t p = 2 * i + i / kChunkPairs;
-    return static_cast<size_t>(nbr_offsets_[p + 2] - nbr_offsets_[p]);
-  }
 
   /// Previous-iteration scores, indexed by untagged NeighborRef::ref values.
   /// The pointer is stable across SwapBuffers only if re-read afterwards.
@@ -299,9 +295,11 @@ class PairStore {
   };
 
   /// Materializes the CSR neighbor index, choosing the packed or wide
-  /// entry layout; ResourceExhausted when it cannot fit the budget.
+  /// entry layout and, when `reverse_spans` asks for it and it fits, the
+  /// reverse-span layout; ResourceExhausted when it cannot fit the budget.
   Status BuildNeighborIndex(const Graph& g1, const Graph& g2,
-                            const FSimConfig& config, ThreadPool& pool);
+                            const FSimConfig& config, ThreadPool& pool,
+                            bool reverse_spans);
 
   /// Classifies every pair's candidate entries into `chunks`, one
   /// exact-size buffer per kChunkPairs-pair chunk, and fills nbr_offsets_
@@ -354,75 +352,59 @@ class PairStore {
 };
 
 /// Race-free, allocation-free (after Init) construction of the next
-/// active-set frontier. While sweeping, workers stamp the dependents of
-/// every changed pair into epoch-tagged dirty arrays (a stamp equal to
-/// the current epoch means "marked this iteration" — no clearing between
-/// iterations, ever); BuildNext then scans the stamps once and emits the
-/// ascending list of pairs to evaluate next.
-///
-/// Exact mode stamps into ONE shared array of relaxed atomics: every
-/// concurrent writer stores the same epoch value, so ordering is
-/// irrelevant, and memory stays O(num_pairs) regardless of worker count.
-/// Tolerance mode needs per-worker influence sums, so it keeps one stamp
-/// + float array per worker; there, a pair enters the frontier only once
-/// its *carried* influence — accumulated across iterations while it was
-/// being skipped — exceeds the tolerance, which bounds the error by
-/// τ·(1+w)/(1-w) against the exact-mode scores. Each worker also sets a
-/// bit per pair it stamps, so BuildNext visits only the marked pairs (a
-/// pair's carry changes only when it is marked) at O(pairs / 64) words
-/// per call: a small frontier is cheap to build however large the table.
-/// The incremental engine's edit repair runs on this scheme
-/// (core/incremental.h).
+/// tolerance frontier. While sweeping, each worker adds the influence of
+/// every changed pair on its dependents into its own epoch-tagged arrays
+/// (a stamp equal to the current epoch means "marked this iteration" — no
+/// clearing between iterations, ever), next to a bit per marked pair.
+/// BuildNext folds the workers' sums into a cross-iteration carry and
+/// emits, ascending, the pairs whose carried influence — accumulated while
+/// they were being skipped — exceeds the tolerance, which bounds the
+/// error by τ·(1+w)/(1-w) against full sweeps. It visits only the marked
+/// pairs (a pair's carry changes only when it is marked) at
+/// O(pairs / 64) words per call, so a small frontier is cheap to build
+/// however large the table. The incremental engine's edit repair runs on
+/// this scheme too (core/incremental.h).
 class FrontierTracker {
  public:
-  /// Sizes the stamp arrays: one shared atomic array (exact) or one stamp
-  /// + influence array + marked-bit array per worker (tolerance).
-  void Init(size_t num_pairs, int num_workers, bool tolerance);
+  /// Sizes one stamp + influence array + marked-bit array per worker and
+  /// the shared carry.
+  void Init(size_t num_pairs, int num_workers);
 
   /// Opens the next iteration's epoch; marks stamped from now on belong to
   /// the frontier *after* the upcoming sweep.
   void BeginIteration() { ++epoch_; }
   uint32_t epoch() const { return epoch_; }
 
-  /// Exact mode: the shared stamp array (store the current epoch with
-  /// std::memory_order_relaxed).
-  std::atomic<uint32_t>* shared_stamps() { return shared_stamps_.get(); }
-
-  /// Tolerance mode: the calling worker's stamp / influence arrays
-  /// (hot-path raw pointers; one cache-resident array per worker, no
-  /// false sharing of the accumulators), and its marked bits: set bit j
-  /// (word j / 64) whenever stamping pair j afresh.
+  /// The calling worker's stamp / influence arrays (hot-path raw pointers;
+  /// one cache-resident array per worker, no false sharing of the
+  /// accumulators), and its marked bits: set bit j (word j / 64) whenever
+  /// stamping pair j afresh.
   uint32_t* stamps(int worker) { return stamps_[worker].data(); }
   float* influence(int worker) { return influence_[worker].data(); }
   uint64_t* marked(int worker) { return marked_[worker].data(); }
 
-  /// Collects the pairs stamped in the current epoch (exact mode) or whose
-  /// carried influence exceeds `tolerance` (tolerance mode) into
+  /// Collects the pairs whose carried influence exceeds `tolerance` into
   /// `*frontier`, ascending. Two chunked parallel passes (count, then
   /// fill), reusing the frontier's and the scratch's capacity.
-  /// `previous_sweep_was_full` (tolerance mode): every pair was just
-  /// evaluated, so influence carried from before that sweep is absorbed
-  /// and only the fresh epoch's marks count.
+  /// `previous_sweep_was_full`: every pair was just evaluated, so
+  /// influence carried from before that sweep is absorbed and only the
+  /// fresh epoch's marks count.
   void BuildNext(ThreadPool& pool, double tolerance,
                  bool previous_sweep_was_full,
                  std::vector<uint32_t>* frontier);
 
-  /// Tolerance mode: drops the carried influence of `pairs`, which the
-  /// caller evaluates next without a BuildNext (a repair's seeds).
+  /// Drops the carried influence of `pairs`, which the caller evaluates
+  /// next without a BuildNext (a repair's seeds).
   void ResetCarry(std::span<const uint32_t> pairs) {
-    if (!tolerance_) return;
     for (uint32_t j : pairs) carry_[j] = 0.0;
   }
 
  private:
-  size_t num_pairs_ = 0;
-  bool tolerance_ = false;
   uint32_t epoch_ = 0;
-  std::unique_ptr<std::atomic<uint32_t>[]> shared_stamps_;  // exact mode
-  std::vector<std::vector<uint32_t>> stamps_;     // per worker, tolerance
-  std::vector<std::vector<float>> influence_;     // per worker, tolerance
+  std::vector<std::vector<uint32_t>> stamps_;     // per worker
+  std::vector<std::vector<float>> influence_;     // per worker
   std::vector<double> carry_;       // cross-iteration pending influence
-  std::vector<std::vector<uint64_t>> marked_;  // per worker, tolerance
+  std::vector<std::vector<uint64_t>> marked_;  // per worker
   std::vector<uint64_t> marked_union_;  // BuildNext: the workers' bits
   std::vector<uint32_t> chunk_offsets_;  // BuildNext count/fill scratch
 };

@@ -13,8 +13,8 @@
 // id-sorted neighbor list, so rows are summed and column maxima reduced in
 // the nested loops' ascending position order, and the values are
 // bit-identical to the sparse driver's. Every iteration is a full sweep,
-// which meets each ActiveSetMode contract (kOff and kExact are
-// bit-identical to full sweeps; kTolerance's bound holds at distance 0).
+// also when FSimConfig::frontier_tolerance > 0: the tolerance bound then
+// holds at distance 0.
 //
 // The panels and the weighted label-term table are bounded together
 // against FSimConfig::neighbor_index_budget_bytes before either is built.

@@ -59,15 +59,14 @@ Result<TopKPairsResult> ComputeTopKPairs(const Graph& g1, const Graph& g2,
   TopKPairsResult result;
   result.iteration_bound = FSimIterationBound(config);
 
-  // Tolerance-mode frontier skipping lets maintained scores drift up to
-  // frontier_tolerance * (1 + w) / (1 - w) from the exact sweep values
+  // Tolerance frontiers let maintained scores drift up to
+  // frontier_tolerance * (1 + w) / (1 - w) from the full-sweep values
   // (docs/performance.md "Active-set iteration"), so the boundary
   // separation test must absorb that slack on both compared scores or it
-  // could certify a set whose boundary pairs are swapped in the exact
-  // solution. Exact mode and the panels' full sweeps contribute zero slack
-  // (bit-identical sweeps).
+  // could certify a set whose boundary pairs are swapped in the full-sweep
+  // solution. Full sweeps, on the index or the panels, add no slack.
   const double score_slack =
-      solver->active_set() && config.active_set == ActiveSetMode::kTolerance
+      solver->active_set()
           ? config.frontier_tolerance * (1.0 + w) / (1.0 - w)
           : 0.0;
 

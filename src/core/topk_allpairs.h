@@ -19,8 +19,8 @@
 //
 // The steps are the shared solver's (core/fsim_solver.h), so the search
 // takes ComputeFSim's path: the tile panels at θ = 0 for s and b, the CSR
-// index under the active-set driver otherwise. Full sweeps and exact-mode
-// steps add no slack to r; tolerance mode adds its drift bound.
+// index under the active-set driver otherwise. Full sweeps add no slack
+// to r; tolerance frontiers (frontier_tolerance > 0) add their drift bound.
 #ifndef FSIM_CORE_TOPK_ALLPAIRS_H_
 #define FSIM_CORE_TOPK_ALLPAIRS_H_
 

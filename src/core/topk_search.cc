@@ -17,10 +17,9 @@ Result<TopKResult> TopKSearch(const Graph& g1, const Graph& g2, NodeId source,
   if (source >= g1.NumNodes()) {
     return Status::InvalidArgument("source node out of range");
   }
-  // The solve runs exact active-set steps (bit-identical to full sweeps),
-  // `depth` of them at most.
+  // The solve runs full sweeps, `depth` of them at most.
   FSimConfig solve = config;
-  solve.active_set = ActiveSetMode::kExact;
+  solve.frontier_tolerance = 0.0;
   solve.max_iterations = 0;
   const uint32_t depth =
       options.depth > 0 ? options.depth : FSimIterationBound(solve);

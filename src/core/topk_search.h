@@ -9,8 +9,8 @@
 //      (FSimIterationBound without config.max_iterations), and collects the
 //      radius-d ball around u*;
 //   2. hands it to the shared solver (core/fsim_solver.h): a partial ball
-//      fills only its rows of the PairStore and runs d exact active-set
-//      steps, which reproduces the unrestricted FSim^d(u*, ·) exactly; a
+//      fills only its rows of the PairStore and runs d full sweeps, which
+//      reproduces the unrestricted FSim^d(u*, ·) exactly; a
 //      ball of every row is the all-pairs solve, on the tile panels when
 //      the config runs on them, and a derived depth then stops once the
 //      max delta drops below ε, as ComputeFSim does;
@@ -53,9 +53,9 @@ struct TopKOptions {
 /// and num_threads as ComputeFSim does. The depth replaces
 /// config.max_iterations (it controls both locality and iterations); the
 /// epsilon stop applies only to a derived depth whose ball covers every
-/// row. Sparse steps always run in exact active-set mode, whatever
-/// config.active_set says. Fails with ResourceExhausted when the ball's
-/// index (or, over every row at θ = 0 for s and b, the tile panels)
+/// row. The steps always run as full sweeps, whatever
+/// config.frontier_tolerance says. Fails with ResourceExhausted when the
+/// ball's index (or, over every row at θ = 0 for s and b, the tile panels)
 /// cannot fit config.neighbor_index_budget_bytes.
 Result<TopKResult> TopKSearch(const Graph& g1, const Graph& g2, NodeId source,
                               const FSimConfig& config,

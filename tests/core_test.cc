@@ -256,7 +256,9 @@ TEST(ValidationTest, RejectsBadDomains) {
 // Every real-valued field is range-checked so that NaN fails, and epsilon
 // and frontier_tolerance must be finite: a NaN weight would make every
 // score NaN, a NaN θ would empty the candidate space and a NaN epsilon
-// would stop the solve after one iteration, all without an error.
+// would stop the solve after one iteration, all without an error. A
+// negative frontier_tolerance fails too, although it would run full
+// sweeps as 0 does.
 TEST(ValidationTest, RejectsNonFiniteFields) {
   auto pair = MakeRandomPair(2);
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -280,13 +282,8 @@ TEST(ValidationTest, RejectsNonFiniteFields) {
          c->beta = x;
        }},
       {"epsilon", [](FSimConfig* c, double x) { c->epsilon = x; }},
-      {"frontier_tolerance (exact)",
+      {"frontier_tolerance",
        [](FSimConfig* c, double x) { c->frontier_tolerance = x; }},
-      {"frontier_tolerance (tolerance)",
-       [](FSimConfig* c, double x) {
-         c->active_set = ActiveSetMode::kTolerance;
-         c->frontier_tolerance = x;
-       }},
       {"frontier_density_threshold",
        [](FSimConfig* c, double x) { c->frontier_density_threshold = x; }},
       {"active_set_activation_fraction",
@@ -307,6 +304,15 @@ TEST(ValidationTest, RejectsNonFiniteFields) {
     row.set(&config, 0.5);
     EXPECT_TRUE(ValidateFSimConfig(pair.g1, pair.g2, config).ok())
         << row.field;
+  }
+
+  // frontier_tolerance must also be >= 0.
+  for (double x : {-1e-6, inf}) {
+    FSimConfig config;
+    config.frontier_tolerance = x;
+    EXPECT_TRUE(
+        ValidateFSimConfig(pair.g1, pair.g2, config).IsInvalidArgument())
+        << "frontier_tolerance = " << x;
   }
 }
 

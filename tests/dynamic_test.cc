@@ -685,7 +685,8 @@ void ExpectStoreMatchesFreshBuild(const IncrementalFSim& inc, bool undirected,
   ASSERT_TRUE(valid.ok()) << where << ": " << valid.ToString();
   LabelSimilarityCache lsim(*inc.g1().dict(), inc.config().label_sim);
   auto want = PairStore::Build(inc.MaterializeG1(), inc.MaterializeG2(),
-                               inc.config(), lsim);
+                               inc.config(), lsim, /*pool=*/nullptr,
+                               /*rows=*/nullptr, /*reverse_spans=*/true);
   ASSERT_TRUE(want.ok()) << where << ": " << want.status().ToString();
   ASSERT_TRUE(want->reverse_spans()) << where;
   ASSERT_EQ(got.space()->keys(), want->space()->keys()) << where;
@@ -929,14 +930,13 @@ TEST(Incremental, OverBudgetInsertIsRejectedAndLeavesStateUntouched) {
 }
 
 // Repair runs in tolerance mode, so the engine needs the reverse-span
-// layout even where ComputeFSim would fall back to the evaluation-only
-// index: SimRank's single weighted direction doubles its entries when
-// widened, and a budget that fits only the evaluation-only index fails
-// Create, naming the bytes and the budget.
+// layout, which ComputeFSim's full sweeps do not build: SimRank's single
+// weighted direction doubles its entries when widened, and a budget that
+// fits only the evaluation-only index fails Create, naming the bytes and
+// the budget.
 TEST(Incremental, CreateNeedsTheReverseSpanLayout) {
   auto pair = MakeRandomPair(37);
   FSimConfig config = SimRankFSimConfig();
-  config.active_set = ActiveSetMode::kOff;
   LabelSimilarityCache lsim(*pair.g1.dict(), config.label_sim);
   auto evaluation_only = PairStore::Build(pair.g1, pair.g1, config, lsim);
   ASSERT_TRUE(evaluation_only.ok()) << evaluation_only.status().ToString();
@@ -945,7 +945,6 @@ TEST(Incremental, CreateNeedsTheReverseSpanLayout) {
 
   auto batch = ComputeFSim(pair.g1, pair.g1, config);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  config.active_set = ActiveSetMode::kExact;
   auto inc = IncrementalFSim::Create(pair.g1, pair.g1, config);
   ASSERT_TRUE(inc.status().IsResourceExhausted()) << inc.status().ToString();
   const std::string message = inc.status().ToString();
@@ -1043,7 +1042,8 @@ TEST(Incremental, IndexBytesAreTheLiveFootprint) {
     ASSERT_TRUE(inc->RemoveEdge(1, u, inc->g1().OutNeighbors(u)[0]).ok());
     LabelSimilarityCache lsim(*pair.g1.dict(), config.label_sim);
     auto fresh = PairStore::Build(inc->MaterializeG1(), inc->MaterializeG2(),
-                                  config, lsim);
+                                  config, lsim, /*pool=*/nullptr,
+                                  /*rows=*/nullptr, /*reverse_spans=*/true);
     ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
     EXPECT_EQ(inc->store().NeighborIndexBytes(), fresh->NeighborIndexBytes())
         << "theta " << theta;

@@ -229,8 +229,6 @@ void ExpectMatchesReference(const PairStore& store,
             << context << " pair " << i << (dir == 0 ? " out" : " in");
         ++dir;
       }
-      EXPECT_EQ(store.RefSpanTotal(i), out_refs.size() + in_refs.size())
-          << context << " pair " << i;
       entries += out_refs.size() + in_refs.size();
     });
   }
@@ -353,34 +351,30 @@ TEST(NeighborIndexTest, ParallelBuildMatchesReferenceBuilder) {
   struct Case {
     const char* name;
     bool self;  // g1 against itself (pin_diagonal needs a diagonal)
+    bool reverse_spans;  // ask for the reverse-span layout
     void (*apply)(FSimConfig*);
   };
   const Case kCases[] = {
-      {"plain", false, [](FSimConfig*) {}},
-      {"ub-alpha", false,
+      {"plain", false, true, [](FSimConfig*) {}},
+      {"ub-alpha", false, true,
        [](FSimConfig* c) {
          c->upper_bound = true;
          c->alpha = 0.3;
          c->beta = 0.45;
        }},
-      {"ub-alpha-zero", false,
+      {"ub-alpha-zero", false, true,
        [](FSimConfig* c) {
          c->upper_bound = true;
          c->alpha = 0.0;
          c->beta = 0.45;
        }},
-      {"w-in-zero", false, [](FSimConfig* c) { c->w_in = 0.0; }},
-      {"w-in-zero-full-sweeps", false,
-       [](FSimConfig* c) {
-         c->w_in = 0.0;
-         c->active_set = ActiveSetMode::kOff;
-       }},
-      {"pin-diagonal", true, [](FSimConfig* c) { c->pin_diagonal = true; }},
-      {"pin-diagonal-full-sweeps", true,
-       [](FSimConfig* c) {
-         c->pin_diagonal = true;
-         c->active_set = ActiveSetMode::kOff;
-       }},
+      {"w-in-zero", false, true, [](FSimConfig* c) { c->w_in = 0.0; }},
+      {"w-in-zero-full-sweeps", false, false,
+       [](FSimConfig* c) { c->w_in = 0.0; }},
+      {"pin-diagonal", true, true,
+       [](FSimConfig* c) { c->pin_diagonal = true; }},
+      {"pin-diagonal-full-sweeps", true, false,
+       [](FSimConfig* c) { c->pin_diagonal = true; }},
   };
   for (double theta : {0.0, 0.35, 1.0}) {
     for (const Case& test_case : kCases) {
@@ -394,8 +388,11 @@ TEST(NeighborIndexTest, ParallelBuildMatchesReferenceBuilder) {
       ReferencePairStore ref;
       for (int threads : {1, 3, 4}) {
         ThreadPool pool(threads);
-        auto store = PairStore::Build(mixed.g1, g2, config, lsim, &pool);
+        auto store = PairStore::Build(mixed.g1, g2, config, lsim, &pool,
+                                      /*rows=*/nullptr,
+                                      test_case.reverse_spans);
         ASSERT_TRUE(store.ok()) << context << ": " << store.status().ToString();
+        EXPECT_EQ(store->reverse_spans(), test_case.reverse_spans) << context;
         EXPECT_TRUE(store->ValidateNeighborIndex().ok()) << context;
         if (config.upper_bound && theta > 0.0) {
           EXPECT_GT(store->info().pruned, 0u) << context;
@@ -469,6 +466,101 @@ TEST(NeighborIndexTest, ParallelBuildOfRestrictedRowsMatchesReference) {
       }
     }
   }
+}
+
+/// Asserts that the reverse-span layout lists every pair that reads a
+/// pair, which is what the dependency walk of tolerance frontiers and edit
+/// repair (ActiveSetDriver::MarkDependents) relies on to miss nothing: for
+/// every maintained pair j and every unpruned ref r in a span j evaluates,
+/// j is listed in r's reverse-dependency span. Under the transpose scheme
+/// that is the opposite-direction span (r ∈ N+(u) x N+(v) means
+/// j ∈ N-(x) x N-(y)); under AsUndirected (symmetric out-lists, empty
+/// in-lists) it is r's out-span. Pinned diagonal pairs evaluate nothing.
+void ExpectReverseSpansListEveryReader(const Graph& g1, const Graph& g2,
+                                       const FSimConfig& config,
+                                       const std::string& context) {
+  const LabelSimilarityCache lsim(*g1.dict(), config.label_sim);
+  ThreadPool pool(2);
+  auto store = PairStore::Build(g1, g2, config, lsim, &pool,
+                                /*rows=*/nullptr, /*reverse_spans=*/true);
+  ASSERT_TRUE(store.ok()) << context << ": " << store.status().ToString();
+  ASSERT_TRUE(store->reverse_spans()) << context;
+  if (config.alpha > 0.0) {
+    EXPECT_TRUE(store->has_pruned_refs()) << context;
+  }
+  const bool symmetric_out = g1.NumInEdges() == 0 && g2.NumInEdges() == 0;
+  ASSERT_TRUE(symmetric_out || (g1.NumInEdges() == g1.NumEdges() &&
+                                g2.NumInEdges() == g2.NumEdges()))
+      << context;
+  size_t reads = 0;
+  size_t missing = 0;
+  std::string first_missing;
+  for (size_t j = 0; j < store->size(); ++j) {
+    if (config.pin_diagonal && store->U(j) == store->V(j)) continue;
+    store->WithRefs(j, [&](auto out_refs, auto in_refs) {
+      // `listed_in_out_span`: which of r's spans must list j.
+      auto check = [&](auto refs, bool listed_in_out_span, const char* dir) {
+        for (const auto& entry : refs) {
+          if (IsPrunedRef(entry.ref)) continue;
+          ++reads;
+          bool listed = false;
+          store->WithRefs(entry.ref, [&](auto r_out, auto r_in) {
+            for (const auto& back : listed_in_out_span ? r_out : r_in) {
+              listed = listed || back.ref == j;
+            }
+          });
+          if (!listed && missing++ == 0) {
+            first_missing = StrFormat("pair %zu reads pair %u through its %s",
+                                      j, entry.ref, dir);
+          }
+        }
+      };
+      if (config.w_out > 0.0) check(out_refs, symmetric_out, "out-span");
+      if (config.w_in > 0.0) check(in_refs, true, "in-span");
+    });
+  }
+  EXPECT_GT(reads, 0u) << context;
+  EXPECT_EQ(missing, 0u) << context << ": first miss: " << first_missing;
+}
+
+TEST(PairStoreReverseSpansTest, ListEveryPairThatReadsThem) {
+  const GraphPair mixed = MakeMixedLabelPair(11, 60);
+  for (double theta : {0.0, 0.4}) {
+    for (SimVariant variant :
+         {SimVariant::kSimple, SimVariant::kBi, SimVariant::kDegreePreserving,
+          SimVariant::kBijective}) {
+      FSimConfig config;
+      config.variant = variant;
+      config.label_sim = LabelSimKind::kEditDistance;
+      config.theta = theta;
+      ExpectReverseSpansListEveryReader(
+          mixed.g1, mixed.g2, config,
+          StrFormat("%s theta=%.1f", SimVariantName(variant), theta));
+    }
+    FSimConfig product;
+    product.operator_override =
+        OperatorConfig{MappingKind::kProduct, OmegaKind::kProduct};
+    product.label_sim = LabelSimKind::kEditDistance;
+    product.theta = theta;
+    ExpectReverseSpansListEveryReader(
+        mixed.g1, mixed.g2, product, StrFormat("product theta=%.1f", theta));
+  }
+  // Single weighted direction: the reverse lists are the spans the
+  // evaluation never reads. SimRank also pins the diagonal.
+  ExpectReverseSpansListEveryReader(mixed.g1, mixed.g1, SimRankFSimConfig(),
+                                    "simrank");
+  const Graph undirected = mixed.g1.AsUndirected();
+  ExpectReverseSpansListEveryReader(undirected, undirected,
+                                    RoleSimFSimConfig(), "rolesim");
+  // Upper-bound pruning with α > 0 plants tagged refs the walk skips.
+  FSimConfig pruned;
+  pruned.label_sim = LabelSimKind::kEditDistance;
+  pruned.theta = 0.4;
+  pruned.upper_bound = true;
+  pruned.alpha = 0.3;
+  pruned.beta = 0.45;
+  ExpectReverseSpansListEveryReader(mixed.g1, mixed.g2, pruned,
+                                    "upper bound, alpha > 0");
 }
 
 }  // namespace

@@ -208,28 +208,24 @@ TEST(PanelEngineTest, PathFollowsTheConfig) {
   EXPECT_FALSE(RunsOnTilePanels(RoleSimFSimConfig()));
 }
 
-TEST(PanelEngineTest, EveryActiveSetModeRunsFullSweeps) {
-  // kOff and kExact are bit-identical to full sweeps, and kTolerance's
-  // bound holds at distance 0, so the panel path serves every mode with
-  // full sweeps and reports no active set.
+TEST(PanelEngineTest, ToleranceModeRunsFullSweeps) {
+  // Tolerance frontiers' bound holds at distance 0, so the panel path
+  // serves a positive frontier_tolerance with full sweeps too and reports
+  // no active set.
   const Graph g = MakeDenseRandomGraph(5, 40);
   FSimConfig config;
   config.variant = SimVariant::kBi;
   config.epsilon = 1e-6;
-  config.active_set = ActiveSetMode::kOff;
   auto off = ComputeFSimSelf(g, config);
   ASSERT_TRUE(off.ok()) << off.status().ToString();
-  for (ActiveSetMode mode :
-       {ActiveSetMode::kExact, ActiveSetMode::kTolerance}) {
-    config.active_set = mode;
-    auto run = ComputeFSimSelf(g, config);
-    ASSERT_TRUE(run.ok()) << run.status().ToString();
-    EXPECT_FALSE(run->stats().active_set);
-    EXPECT_TRUE(run->stats().active_pairs_history.empty());
-    EXPECT_EQ(run->stats().frozen_fraction, 0.0);
-    EXPECT_EQ(run->stats().full_sweep_iterations, run->stats().iterations);
-    testing::ExpectSameScores(*run, *off);
-  }
+  config.frontier_tolerance = 1e-3;
+  auto run = ComputeFSimSelf(g, config);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_FALSE(run->stats().active_set);
+  EXPECT_TRUE(run->stats().active_pairs_history.empty());
+  EXPECT_EQ(run->stats().frozen_fraction, 0.0);
+  EXPECT_EQ(run->stats().full_sweep_iterations, run->stats().iterations);
+  testing::ExpectSameScores(*run, *off);
 }
 
 TEST(PanelEngineThreads, ThetaZeroLockstepAcrossThreadCounts) {

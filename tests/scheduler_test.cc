@@ -3,8 +3,8 @@
 // primitives must cover their range exactly once under adversarially skewed
 // per-index costs (one index ~1000x heavier than the rest, the shape that
 // starves a static partition) and when several threads start regions on
-// one pool at once; exact-mode active-set results must stay bit-identical
-// to the single-thread full sweep at any thread count; and the incremental
+// one pool at once; a multi-thread tolerance-frontier solve must stay
+// within its bound of the single-thread full sweep; and the incremental
 // engine's scores, after its initial solve and after every edit, must not
 // depend on the engine's thread count at all.
 #include <atomic>
@@ -208,7 +208,7 @@ TEST(ThreadPoolScheduler, ConcurrentCallersCoverTheirRangesOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// Exact-mode equivalence across thread counts
+// Tolerance frontiers across thread counts
 // ---------------------------------------------------------------------------
 
 const MappingKind kAllMappings[] = {
@@ -221,14 +221,17 @@ const OmegaKind kAllOmegas[] = {OmegaKind::kSizeS1, OmegaKind::kSumSizes,
 
 using SweepParam = std::tuple<MappingKind, OmegaKind, MatchingAlgo>;
 
-class MultiThreadExactLockstep : public ::testing::TestWithParam<SweepParam> {
-};
+class MultiThreadToleranceFrontier
+    : public ::testing::TestWithParam<SweepParam> {};
 
-// Multi-thread exact-mode active set vs the single-thread full sweep, bit
-// for bit: the sweeps are Jacobi (all reads hit the previous buffer), the
-// reductions are order-independent, and exact-mode freezing carries the
-// identical value — so thread count must not appear in the result at all.
-TEST_P(MultiThreadExactLockstep, EightThreadsMatchOneThreadFullSweeps) {
+// A four-thread tolerance-frontier solve vs the single-thread full sweep:
+// the workers mark dependents into private influence arrays, the frontier
+// build folds them, and the steps after the first run as frontier sweeps
+// and commits, so the run exercises all of the parallel frontier
+// machinery.
+// Its scores must stay within τ(1+w)/(1-w) of the full sweeps, plus the
+// termination residual of both runs.
+TEST_P(MultiThreadToleranceFrontier, FourThreadsStayWithinBoundOfFullSweeps) {
   const auto [mapping, omega, matching] = GetParam();
   const Graph g = MakeDenseRandomGraph(/*seed=*/17 + static_cast<int>(omega));
   FSimConfig config;
@@ -242,32 +245,43 @@ TEST_P(MultiThreadExactLockstep, EightThreadsMatchOneThreadFullSweeps) {
   config.neighbor_index_budget_bytes = 1ULL << 30;
 
   FSimConfig parallel = config;
-  parallel.num_threads = 8;
-  parallel.active_set = ActiveSetMode::kExact;
-  parallel.active_set_activation_fraction = 0.0;  // pin the frontier path
+  parallel.num_threads = 4;
+  parallel.frontier_tolerance = 1e-4;
+  // Mark from the first sweep; only a frontier of every pair runs as a
+  // full sweep.
+  parallel.active_set_activation_fraction = 0.0;
+  parallel.frontier_density_threshold = 1.0;
   auto active = ComputeFSimSelf(g, parallel);
   ASSERT_TRUE(active.ok()) << active.status().ToString();
   EXPECT_TRUE(active->stats().active_set);
 
   config.num_threads = 1;
-  config.active_set = ActiveSetMode::kOff;
   auto off = ComputeFSimSelf(g, config);
   ASSERT_TRUE(off.ok()) << off.status().ToString();
+  EXPECT_FALSE(off->stats().active_set);
+  // Some operator pairs of the sweep do not converge by the iteration cap:
+  // their deltas stay above τ, so every frontier holds every pair and runs
+  // as a full sweep. Wherever the full sweeps converge, frontiers must
+  // have run.
+  if (off->stats().converged) {
+    EXPECT_LT(active->stats().full_sweep_iterations,
+              active->stats().iterations);
+  }
 
-  ASSERT_EQ(active->keys().size(), off->keys().size());
-  EXPECT_EQ(active->stats().iterations, off->stats().iterations);
-  EXPECT_EQ(active->stats().converged, off->stats().converged);
+  const double w = config.w_out + config.w_in;
+  const double bound =
+      parallel.frontier_tolerance * (1.0 + w) / (1.0 - w) +
+      2.0 * config.epsilon * w / (1.0 - w);
+  ASSERT_EQ(active->keys(), off->keys());
   for (size_t i = 0; i < active->keys().size(); ++i) {
-    ASSERT_EQ(active->keys()[i], off->keys()[i]);
-    // Bit-identical, not just close.
-    ASSERT_EQ(active->values()[i], off->values()[i])
+    ASSERT_NEAR(active->values()[i], off->values()[i], bound)
         << "pair " << i << " (u=" << PairFirst(active->keys()[i])
         << ", v=" << PairSecond(active->keys()[i]) << ")";
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Operators, MultiThreadExactLockstep,
+    Operators, MultiThreadToleranceFrontier,
     ::testing::Combine(::testing::ValuesIn(kAllMappings),
                        ::testing::ValuesIn(kAllOmegas),
                        ::testing::Values(MatchingAlgo::kGreedy,

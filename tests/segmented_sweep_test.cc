@@ -247,15 +247,18 @@ InputShape ShapeOf(const Graph& g1, const PairStore& store) {
   return shape;
 }
 
-/// Three Jacobi steps on a fresh store. Each step evaluates the pairs as
-/// whole index chunks, as single pairs and as random splits of each chunk,
-/// and compares all three, bit for bit, with the per-span reference.
+/// Three Jacobi steps on a fresh store, in the reverse-span layout when
+/// `reverse_spans` asks for it. Each step evaluates the pairs as whole
+/// index chunks, as single pairs and as random splits of each chunk, and
+/// compares all three, bit for bit, with the per-span reference.
 InputShape ExpectRunsMatchReference(const Graph& g1, const Graph& g2,
                                     const FSimConfig& config,
-                                    const std::string& name) {
+                                    const std::string& name,
+                                    bool reverse_spans = false) {
   const LabelSimilarityCache lsim(*g1.dict(), config.label_sim);
   ThreadPool pool(1);
-  auto built = PairStore::Build(g1, g2, config, lsim, &pool);
+  auto built = PairStore::Build(g1, g2, config, lsim, &pool,
+                                /*rows=*/nullptr, reverse_spans);
   EXPECT_TRUE(built.ok()) << name << ": " << built.status().ToString();
   if (!built.ok()) return {};
   PairStore& store = *built;
@@ -350,10 +353,10 @@ TEST_P(SegmentedSweepEvaluator, PinnedDiagonals) {
   const Graph g = testing::MakeDenseRandomGraph(19, 36);
   FSimConfig config = BaseConfig(GetParam());
   config.pin_diagonal = true;
+  // Only the reverse-span layout gives the pinned pairs spans.
+  ExpectRunsMatchReference(g, g, config, "pin_diagonal, reverse spans",
+                           /*reverse_spans=*/true);
   ExpectRunsMatchReference(g, g, config, "pin_diagonal");
-  // Without the active set the pinned pairs carry no spans.
-  config.active_set = ActiveSetMode::kOff;
-  ExpectRunsMatchReference(g, g, config, "pin_diagonal, active set off");
 }
 
 TEST_P(SegmentedSweepEvaluator, TaggedPrunedRefs) {
@@ -437,22 +440,39 @@ TEST_P(SegmentedSweepEvaluator, SolvesAtOneAndThreeThreadsMatchReference) {
   ExpectSolvesMatchReference(g, g, BaseConfig(GetParam()), "full sweeps");
 }
 
-TEST_P(SegmentedSweepEvaluator, FrontierRunsMatchReference) {
-  // Marking from the first sweep and no dense fallback: after the first
-  // sweeps only the pairs whose inputs moved are evaluated, in runs of
-  // consecutive ids, many of them single pairs.
+TEST_P(SegmentedSweepEvaluator, FrontierRunsStayWithinBoundOfReference) {
+  // Tolerance frontiers, marking from the first sweep and no dense
+  // fallback: after the first sweeps only the pairs whose carried
+  // influence passed τ are evaluated, in runs of consecutive ids, many of
+  // them single pairs. Every run length is checked bit for bit above; the
+  // solve stays within τ(1+w)/(1-w) of the reference's full sweeps, plus
+  // the termination residual of both.
   const testing::GraphPair graphs = testing::MakeRandomPair(5, 60, 64);
   FSimConfig config = BaseConfig(GetParam());
   config.label_sim = LabelSimKind::kIndicator;
   config.theta = 1.0;
   config.epsilon = 1e-14;
+  config.frontier_tolerance = 1e-10;
   config.active_set_activation_fraction = 0.0;
   config.frontier_density_threshold = 1.0;
-  auto scores = ComputeFSim(graphs.g1, graphs.g2, config);
-  ASSERT_TRUE(scores.ok());
-  EXPECT_LT(scores->stats().full_sweep_iterations,
-            scores->stats().iterations);
-  ExpectSolvesMatchReference(graphs.g1, graphs.g2, config, "frontier");
+  const std::vector<double> expected =
+      ReferenceSolve(graphs.g1, graphs.g2, config).first;
+  const double w = config.w_out + config.w_in;
+  const double bound = config.frontier_tolerance * (1.0 + w) / (1.0 - w) +
+                       2.0 * config.epsilon * w / (1.0 - w);
+  for (int threads : {1, 3}) {
+    config.num_threads = threads;
+    auto scores = ComputeFSim(graphs.g1, graphs.g2, config);
+    ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+    EXPECT_LT(scores->stats().full_sweep_iterations,
+              scores->stats().iterations)
+        << "t=" << threads;
+    ASSERT_EQ(scores->values().size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_NEAR(scores->values()[i], expected[i], bound)
+          << "t=" << threads << " pair " << i;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(MaxFamily, SegmentedSweepEvaluator,
