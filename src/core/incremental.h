@@ -14,6 +14,11 @@
 //
 //   ||maintained - exact fixpoint||∞  <=  τ · (1 + w) / (1 - w).
 //
+// The bound holds only where Equation 3 contracts (Theorem 1): for s and
+// b, and for dp and bj under MatchingAlgo::kHungarian. The default greedy
+// matching of dp and bj does not meet condition C3, so their repairs are
+// still run the same way but claim no bound.
+//
 // The dependency structure mirrors Equation 3: the score of (u, v) is read by
 // the out-direction of every pair in N-(u) x N-(v) and by the in-direction of
 // every pair in N+(u) x N+(v).
@@ -92,9 +97,10 @@ namespace fsim {
 /// Tuning knobs for the incremental engine.
 struct IncrementalOptions {
   /// A pair is re-evaluated once the accumulated influence of its inputs'
-  /// changes exceeds this; smaller influences are absorbed. The maintained
+  /// changes exceeds this; smaller influences are absorbed. Where the
+  /// operator contracts (s, b, and dp/bj under kHungarian) the maintained
   /// scores stay within tau * (1 + w) / (1 - w) of the exact fixpoint
-  /// (w = w+ + w-).
+  /// (w = w+ + w-); greedy dp/bj repairs claim no bound.
   double propagation_tolerance = 1e-9;
 
   /// Safety valve, per burst: a repair that has recomputed at least this

@@ -1,8 +1,9 @@
 // The mapping and normalizing operators Mχ / Ωχ of Table 3, evaluated over
 // two neighbor sets. DirectionScoreIndexed computes one direction's
 // normalized contribution FSimχ(S1, S2) = Σ_{(x,y)∈Mχ} FSim(x,y) / Ωχ(S1,S2)
-// (Equation 2), including the empty-set conventions that make simulation
-// definiteness (P2 of Definition 4) hold:
+// (Equation 2) for the injective and product mappings, including the
+// empty-set conventions that make simulation definiteness (P2 of
+// Definition 4) hold:
 //
 //   s / dp:  S1 = ∅              -> 1   (Definition 1's ∀ is vacuous)
 //   b:       S1 = ∅ and S2 = ∅   -> 1   (otherwise the unmatched side
@@ -11,14 +12,14 @@
 //   product: either empty -> 0 (SimRank's convention)
 //
 // It reads the label-compatible pairs of S1 x S2 from the pair-graph CSR
-// neighbor index (PairStore). The per-row-maximum sum of the max family
-// (all of s, the row half of b) is not computed per span: the one
-// realization is SegmentedMaxPerRowSums, which sweeps a run of consecutive
-// spans in one branch-free pass, and DirectionScoreIndexed takes its
-// result. The realization that looks each score up by node pair instead
-// lives in the test oracle (tests/naive_fsim.h), together with the
-// per-span reference of the segmented sum; the indexed ones are checked
-// against them.
+// neighbor index (PairStore). The max family (s, b) is not evaluated per
+// span: SegmentedMaxFamilySums sweeps a run of consecutive spans in one
+// branch-free pass that gives each span's per-row-maximum sum and, for b,
+// adds its column maxima, and MaxFamilyDirectionScore finishes each span.
+// The realization that looks each score up by node pair instead lives in
+// the test oracle (tests/naive_fsim.h), together with the per-span
+// references of the segmented sums; the indexed ones are checked against
+// them.
 #ifndef FSIM_CORE_OPERATORS_H_
 #define FSIM_CORE_OPERATORS_H_
 
@@ -170,24 +171,45 @@ double InjectiveMappingSumIndexed(size_t n1, size_t n2,
 
 }  // namespace internal
 
-/// The max-per-row mapping sum Σ_rows max(0, max_entries score) of every
-/// span of a run of consecutive CSR spans, in one branch-free pass over
-/// their entries. Span k of the run is entries[offsets[k], offsets[k + 1]);
+/// Caller-owned scratch of SegmentedMaxFamilySums.
+struct SegmentedSweepScratch {
+  /// The spans starting at each entry of the run.
+  std::vector<uint16_t> span_starts;
+  /// b's column slots: at least one past the largest column of the run,
+  /// and all +0.0 between calls (each span clears what it wrote).
+  std::vector<double> columns;
+};
+
+/// The max-family mapping sums of every span of a run of consecutive CSR
+/// spans, in one pass over their entries that reads each entry and each
+/// score once. Span k of the run is entries[offsets[k], offsets[k + 1]);
 /// its sum goes to sums[k] (0 for an empty span, as for a span whose
-/// scores are all non-positive). `span_starts` is caller-owned scratch.
+/// scores are all non-positive). With kMaxPerRow the sum is
+/// Σ_rows max(0, max_entries score); with kMaxBothSides (b) the span's
+/// column maxima are added onto it, in ascending column order, which needs
+/// scratch->columns sized past the run's largest column.
 ///
-/// The values are == to summing per span row by row from 0.0 in row order
-/// (tests/naive_fsim.h MaxPerRowSumIndexed): every entry adds either its
-/// row's best (at the row's last entry) or +0.0 to its span's running sum,
-/// and adding +0.0 to a non-negative sum leaves it unchanged. The span of
-/// each entry comes from the offsets, so there is no loop per span and no
-/// exit per row, and the selects are bit masks (core/simd/masked_double.h).
-/// `Ref` is NeighborRef or PackedNeighborRef.
-template <typename Ref, typename ScoreFn>
-void SegmentedMaxPerRowSums(const Ref* entries,
+/// The values are == to summing per span row by row from 0.0 in row order,
+/// then (for b) column by column in ascending order over all n2 columns
+/// (tests/naive_fsim.h MaxPerRowSumIndexed, MaxBothSidesSumIndexed): every
+/// entry adds either its row's best (at the row's last entry) or +0.0 to
+/// its span's running sum, a column no entry hits would add +0.0, and
+/// adding +0.0 to a non-negative sum leaves it unchanged. The row half has
+/// no loop per span and no exit per row: the span of each entry comes from
+/// the offsets, and the selects are bit masks (core/simd/masked_double.h).
+/// b's column half scatters each score into its column slot as the walk
+/// passes it, and at the span's last entry adds and clears the slots
+/// between the span's lowest and highest column, so the column scratch is
+/// O(max degree) whatever the run's length. `Ref` is NeighborRef or
+/// PackedNeighborRef.
+template <MappingKind kMapping, typename Ref, typename ScoreFn>
+void SegmentedMaxFamilySums(const Ref* entries,
                             std::span<const uint32_t> offsets,
                             ScoreFn&& score_of,
-                            std::vector<uint16_t>* span_starts, double* sums) {
+                            SegmentedSweepScratch* scratch, double* sums) {
+  static_assert(kMapping == MappingKind::kMaxPerRow ||
+                kMapping == MappingKind::kMaxBothSides);
+  constexpr bool kColumnMaxima = kMapping == MappingKind::kMaxBothSides;
   const size_t num_spans = offsets.size() - 1;
   FSIM_DCHECK(num_spans <= 0xFFFF);
   std::fill(sums, sums + num_spans, 0.0);
@@ -196,30 +218,52 @@ void SegmentedMaxPerRowSums(const Ref* entries,
   if (m == 0) return;
   // span_at[k]: 1 + the last span that starts at entry k, 0 if none does.
   // Spans ascend, so entry k's span is the largest such id up to k.
-  span_starts->assign(m + 1, 0);
-  uint16_t* span_at = span_starts->data();
+  scratch->span_starts.assign(m + 1, 0);
+  uint16_t* span_at = scratch->span_starts.data();
   for (size_t k = 0; k < num_spans; ++k) {
     span_at[offsets[k] - base] = static_cast<uint16_t>(k + 1);
   }
   const Ref* e = entries + base;
+  double* columns = scratch->columns.data();
   size_t span = 0;  // 1 + the span of entry k
   using simd::MaskedDouble;
   using simd::MaskOf;
   MaskedDouble best = simd::ToMasked(0.0);  // the running maximum of k's row
   MaskedDouble sum = simd::ToMasked(0.0);   // the running sum of k's span
   MaskedDouble new_row = MaskOf(true);
+  // The columns k's span has hit so far: [col_lo, col_hi).
+  uint32_t col_lo = UINT32_MAX;
+  uint32_t col_hi = 0;
   // Entry k's span_at and row, carried from the previous step's lookahead.
   uint16_t at = span_at[0];
   uint32_t row = e[0].row;
   auto step = [&](size_t k, uint16_t at_next, uint32_t row_next, bool last) {
     span = std::max<size_t>(span, at);
-    const MaskedDouble row_end =
-        MaskOf(last | (at_next != 0) | (row_next != row));
-    best = simd::Max(simd::ToMasked(score_of(e[k].ref)),
-                     simd::Clear(best, new_row));
+    const bool span_end = last | (at_next != 0);
+    const MaskedDouble row_end = MaskOf(span_end | (row_next != row));
+    const MaskedDouble score = simd::ToMasked(score_of(e[k].ref));
+    best = simd::Max(score, simd::Clear(best, new_row));
     sum = simd::Add(simd::Clear(sum, MaskOf(at != 0)),
                     simd::Keep(best, row_end));
     sums[span - 1] = simd::FromMasked(sum);
+    if constexpr (kColumnMaxima) {
+      const uint32_t col = e[k].col;
+      FSIM_DCHECK(col < scratch->columns.size());
+      columns[col] =
+          simd::FromMasked(simd::Max(score, simd::ToMasked(columns[col])));
+      col_lo = std::min(col_lo, col);
+      col_hi = std::max(col_hi, col + 1);
+      if (span_end) {
+        double total = simd::FromMasked(sum);
+        for (uint32_t c = col_lo; c < col_hi; ++c) {
+          total += columns[c];
+          columns[c] = 0.0;
+        }
+        sums[span - 1] = total;
+        col_lo = UINT32_MAX;
+        col_hi = 0;
+      }
+    }
     new_row = row_end;
     at = at_next;
     row = row_next;
@@ -228,28 +272,6 @@ void SegmentedMaxPerRowSums(const Ref* entries,
     step(k, span_at[k + 1], e[k + 1].row, false);
   }
   step(m - 1, 0, row, true);
-}
-
-/// b's converse side: every y in S2 maps to its best x in S1. Adds the
-/// column maxima to `sum` in ascending-y order, the order the lookup-based
-/// loop adds them in. A column without entries adds +0.0, which leaves the
-/// non-negative sum unchanged, so spans of at most one entry skip the
-/// column array.
-template <typename Ref, typename ScoreFn>
-double AddColumnMaxima(double sum, size_t n2, std::span<const Ref> refs,
-                       ScoreFn&& score_of, MatchingScratch* scratch) {
-  if (refs.size() <= 1) {
-    for (const Ref& e : refs) sum += std::max(0.0, score_of(e.ref));
-    return sum;
-  }
-  auto& col_best = scratch->col_best;
-  col_best.assign(n2, 0.0);
-  for (const Ref& e : refs) {
-    const double score = score_of(e.ref);
-    if (score > col_best[e.col]) col_best[e.col] = score;
-  }
-  for (double best : col_best) sum += best;
-  return sum;
 }
 
 /// Equation 2 of a max-family mapping (s, b) from Σ of its mapped scores:
@@ -265,28 +287,26 @@ inline double MaxFamilyDirectionScore(const OperatorConfig& op, size_t n1,
 }
 
 /// One direction's contribution in [0, 1] over the pair-graph CSR neighbor
-/// index: identical results to the oracle's lookup-based DirectionScore
-/// (the entries enumerate exactly the label-compatible pairs, in the same
+/// index, for the mappings outside the max family (dp, bj, product):
+/// identical results to the oracle's lookup-based DirectionScore (the
+/// entries enumerate exactly the label-compatible pairs, in the same
 /// (x, y) order its nested loops visit), but previous-iteration scores are
 /// read by direct array indexing through `score_of(ref)` — zero hash probes
 /// and zero label checks. n1/n2 are the full neighbor-set sizes |S1|/|S2|
 /// (the empty-set conventions and Ωχ depend on them, not on the
-/// compatible-entry count). `row_max_sum` is the span's sum from
-/// SegmentedMaxPerRowSums: the max-family mappings take it as their row
-/// half, the others ignore it.
+/// compatible-entry count).
 template <typename Ref, typename ScoreFn>
 double DirectionScoreIndexed(const OperatorConfig& op, MatchingAlgo algo,
                              size_t n1, size_t n2,
-                             std::span<const Ref> refs, double row_max_sum,
-                             ScoreFn&& score_of, MatchingScratch* scratch) {
+                             std::span<const Ref> refs, ScoreFn&& score_of,
+                             MatchingScratch* scratch) {
   double sum = 0.0;
   switch (op.mapping) {
     case MappingKind::kMaxPerRow:
-      return MaxFamilyDirectionScore(op, n1, n2, row_max_sum);
     case MappingKind::kMaxBothSides:
-      return MaxFamilyDirectionScore(
-          op, n1, n2,
-          AddColumnMaxima(row_max_sum, n2, refs, score_of, scratch));
+      // Evaluated a run at a time: SegmentedMaxFamilySums.
+      FSIM_DCHECK(false);
+      return 0.0;
     case MappingKind::kInjectiveRow:
       if (n1 == 0) return 1.0;
       if (n2 == 0) return 0.0;

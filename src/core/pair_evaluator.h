@@ -34,10 +34,10 @@ namespace fsim {
 /// values for the driver that asked for them.
 struct alignas(64) PairEvalScratch {
   MatchingScratch matching;
-  /// SegmentedMaxPerRowSums: spans starting at each entry of the run.
-  std::vector<uint16_t> span_starts;
-  /// The run's per-span Σ of per-row maxima (max family only).
-  std::array<double, 2 * PairStore::kChunkPairs> row_sums;
+  /// SegmentedMaxFamilySums: span starts and b's column slots.
+  SegmentedSweepScratch sweep;
+  /// The run's per-span max-family mapping sums.
+  std::array<double, 2 * PairStore::kChunkPairs> sums;
   /// The run's values, for ActiveSetDriver.
   std::array<double, PairStore::kChunkPairs> values;
 };
@@ -49,12 +49,12 @@ struct alignas(64) PairEvalScratch {
 /// DynamicGraph of IncrementalFSim's edit repair.
 ///
 /// A run of consecutive pairs of one index chunk is evaluated in two
-/// passes. For the max-family mappings (s, and the row half of b), one
-/// branch-free SegmentedMaxPerRowSums pass over all the run's entries
-/// gives every span's per-row-maximum sum; the injective matchings (dp,
-/// bj), the product operator and b's column half run per span. A finish
-/// per pair then applies the empty-set conventions, Ωχ, the weights and
-/// the label term, in the order of Equation 3.
+/// passes. For the max-family mappings (s and b), one
+/// SegmentedMaxFamilySums pass over all the run's entries gives every
+/// span's mapping sum, b's column maxima included; the injective matchings
+/// (dp, bj) and the product operator run per span. A finish per pair then
+/// applies the empty-set conventions, Ωχ, the weights and the label term,
+/// in the order of Equation 3.
 ///
 /// This sparse path always runs the scalar operators of core/operators.h;
 /// only the θ = 0 tile-panel loop for s and b (core/panel_engine.h) runs
@@ -101,31 +101,38 @@ class PairEvaluator {
       }
       return;
     }
+    if (op_.mapping == MappingKind::kMaxBothSides) {
+      // b's column slots: a span's columns are below n2, v's degree.
+      size_t columns = 0;
+      for (size_t i = begin; i < end; ++i) {
+        const NodeId v = store_.V(i);
+        columns = std::max({columns, g2_.OutDegree(v), g2_.InDegree(v)});
+      }
+      if (scratch->sweep.columns.size() < columns) {
+        scratch->sweep.columns.resize(columns, 0.0);
+      }
+    }
     // One body for both index entry layouts (the packed 8-byte refs of
     // degree-bounded graphs and the wide 12-byte refs).
     store_.WithRunRefs(begin, end, [&](const auto* entries,
                                        std::span<const uint32_t> offsets) {
-      double* sums = scratch->row_sums.data();
-      if (store_.has_pruned_refs()) {
-        SegmentedMaxPerRowSums(entries, offsets, score_of,
-                               &scratch->span_starts, sums);
-      } else {
-        SegmentedMaxPerRowSums(
-            entries, offsets, [prev](uint32_t ref) { return prev[ref]; },
-            &scratch->span_starts, sums);
-      }
-      using Ref = std::remove_cv_t<std::remove_pointer_t<decltype(entries)>>;
-      // Span k of the run plus, for b, its column maxima; then Equation 2.
-      auto direction = [&](size_t k, uint32_t n1, uint32_t n2) {
-        double sum = sums[k];
+      double* sums = scratch->sums.data();
+      auto sweep = [&](auto&& score) {
         if (op_.mapping == MappingKind::kMaxBothSides) {
-          sum = AddColumnMaxima(
-              sum, n2,
-              std::span<const Ref>(entries + offsets[k],
-                                   entries + offsets[k + 1]),
-              score_of, &scratch->matching);
+          SegmentedMaxFamilySums<MappingKind::kMaxBothSides>(
+              entries, offsets, score, &scratch->sweep, sums);
+        } else {
+          SegmentedMaxFamilySums<MappingKind::kMaxPerRow>(
+              entries, offsets, score, &scratch->sweep, sums);
         }
-        return MaxFamilyDirectionScore(op_, n1, n2, sum);
+      };
+      if (store_.has_pruned_refs()) {
+        sweep(score_of);
+      } else {
+        sweep([prev](uint32_t ref) { return prev[ref]; });
+      }
+      auto direction = [&](size_t k, uint32_t n1, uint32_t n2) {
+        return MaxFamilyDirectionScore(op_, n1, n2, sums[k]);
       };
       // Locals: the stores to `out` could alias the config's doubles.
       const double w_out = config_.w_out;
@@ -178,11 +185,11 @@ class PairEvaluator {
     if (config_.w_out > 0.0) {
       out_score = DirectionScoreIndexed(op_, config_.matching,
                                         g1_.OutDegree(u), g2_.OutDegree(v),
-                                        out_refs, 0.0, score_of, scratch);
+                                        out_refs, score_of, scratch);
     }
     if (config_.w_in > 0.0) {
       in_score = DirectionScoreIndexed(op_, config_.matching, g1_.InDegree(u),
-                                       g2_.InDegree(v), in_refs, 0.0, score_of,
+                                       g2_.InDegree(v), in_refs, score_of,
                                        scratch);
     }
     return config_.w_out * out_score + config_.w_in * in_score +
@@ -199,7 +206,7 @@ class PairEvaluator {
   const LabelSimilarityCache& lsim_;
   const PairStore& store_;
   const OperatorConfig op_;
-  /// s or b: the row maxima come from the segmented pass.
+  /// s or b: the mapping sums come from the segmented pass.
   const bool max_family_;
   const double label_weight_;
   const double alpha_;

@@ -27,6 +27,95 @@ constexpr uint32_t kAbsentRef = ~0u;
 /// Pairs per parallel chunk of Stage 3.
 constexpr size_t kInitPairGrain = 4096;
 
+/// The filled rows of one neighbor set S1 = N±(u), bucketed by the g2
+/// labels they are θ-compatible with: the neighbor-index build looks each
+/// label run of an N±(v) up once instead of testing every row against it.
+/// A row compatible with several labels is in each of their buckets, and
+/// every bucket lists its rows ascending. The per-label table is sized by
+/// the label dictionary and stamped, so a rebuild touches only the labels
+/// S1's rows are compatible with.
+class RowBuckets {
+ public:
+  /// One row of a bucket: its position in S1, the candidate id of its
+  /// node's first pair, and the label's rank base in its compatible list
+  /// (PairSpace::Compatible::Block).
+  struct Row {
+    uint64_t row_begin;
+    uint32_t row;
+    uint32_t block;
+  };
+
+  /// Buckets the rows of `s1` that the space filled.
+  void Build(std::span<const NodeId> s1, const Graph& g1,
+             const PairSpace& space) {
+    const size_t dict_size = g1.dict()->size();
+    if (stamp_.size() != dict_size) {
+      stamp_.assign(dict_size, 0);
+      begin_.resize(dict_size);
+      end_.resize(dict_size);
+      epoch_ = 0;
+    }
+    if (++epoch_ == 0) {
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 1;
+    }
+    // Calls f(row, row_begin, compatible) for each filled row. A row left
+    // unfilled (Build's `rows`) holds no candidates: the ids computed from
+    // its RowBegin would be the next filled row's.
+    auto for_each_row = [&](auto&& f) {
+      for (uint32_t r = 0; r < s1.size(); ++r) {
+        const NodeId x = s1[r];
+        const uint64_t row_begin = space.RowBegin(x);
+        if (row_begin == space.RowBegin(x + 1)) continue;
+        f(r, row_begin, space.CompatibleWith(g1.Label(x)));
+      }
+    };
+    // Count each bucket's rows, then lay the buckets out and fill them.
+    labels_.clear();
+    for_each_row([&](uint32_t, uint64_t, PairSpace::Compatible compatible) {
+      for (const LabelId* b = compatible.labels_begin;
+           b != compatible.labels_end; ++b) {
+        if (stamp_[*b] != epoch_) {
+          stamp_[*b] = epoch_;
+          end_[*b] = 0;
+          labels_.push_back(*b);
+        }
+        ++end_[*b];
+      }
+    });
+    uint32_t total = 0;
+    for (LabelId b : labels_) {
+      begin_[b] = total;
+      total += end_[b];
+      end_[b] = begin_[b];
+    }
+    rows_.resize(total);
+    for_each_row([&](uint32_t r, uint64_t row_begin,
+                     PairSpace::Compatible compatible) {
+      for (const LabelId* b = compatible.labels_begin;
+           b != compatible.labels_end; ++b) {
+        rows_[end_[*b]++] =
+            Row{row_begin, r, compatible.blocks[b - compatible.labels_begin]};
+      }
+    });
+  }
+
+  /// The rows compatible with g2 label b, ascending; empty when none is.
+  std::span<const Row> Bucket(LabelId b) const {
+    if (stamp_[b] != epoch_) return {};
+    return {rows_.data() + begin_[b], rows_.data() + end_[b]};
+  }
+
+ private:
+  uint32_t epoch_ = 0;
+  // Per dictionary label; begin_/end_ are valid where stamp_ is epoch_.
+  std::vector<uint32_t> stamp_;
+  std::vector<uint32_t> begin_;
+  std::vector<uint32_t> end_;
+  std::vector<LabelId> labels_;  // the labels stamped by the last Build
+  std::vector<Row> rows_;
+};
+
 /// Stage 2: upper-bound pruning (Eq. 6). Every candidate gets its
 /// neighbor-index ref: the maintained slot, a tagged `pruned_ub` slot
 /// (tracked when α > 0), or kAbsentRef.
@@ -335,25 +424,38 @@ Status PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
       plan.use_in && by_class ? GroupedAdjacency::Build(g2, /*out=*/false)
                               : GroupedAdjacency();
 
+  // One cache line per worker: the push_backs would otherwise false-share
+  // the neighboring workers' vector headers.
+  struct alignas(64) WorkerScratch {
+    std::vector<Ref> entries;
+    std::vector<uint32_t> column_blocks;
+    // θ > 0: the rows of N+(u) and N-(u) for the u of bucket_u.
+    RowBuckets out_rows;
+    RowBuckets in_rows;
+    NodeId bucket_u = kInvalidNode;
+    // A row bucket matched by one label run of N±(v), with the bucket's
+    // next row to emit.
+    struct Match {
+      const RowBuckets::Row* next;
+      const RowBuckets::Row* end;
+      const ClassGroup* run;
+    };
+    std::vector<Match> matches;
+  };
+  using Match = typename WorkerScratch::Match;
+
   using PosT = decltype(Ref::row);
-  // Appends the entries of one direction's N±(u) x N±(v) to `buf` and
-  // returns how many there were: for each row r (x = s1[r]) the
-  // label-compatible y of s2 in ascending column order, each with its
-  // score source — the maintained slot, or a tagged pruned-bound index
-  // whose score is α * bound. Pruned untracked pairs (score 0) are
-  // omitted; zero never contributes to any operator. `column_blocks` is
-  // scratch for merging several label runs.
+  // Appends the entries of one direction's N±(u) x N±(v) to `buf`: for
+  // each row r (x = s1[r]) the label-compatible y of s2 in ascending
+  // column order, each with its score source — the maintained slot, or a
+  // tagged pruned-bound index whose score is α * bound. Pruned untracked
+  // pairs (score 0) are omitted; zero never contributes to any operator.
+  // At θ > 0 `rows` holds s1's filled rows bucketed by compatible label.
   auto classify_direction = [&](std::span<const NodeId> s1,
                                 std::span<const NodeId> s2,
                                 const GroupedAdjacency& adjacency, NodeId v,
-                                std::vector<uint32_t>* column_blocks,
-                                std::vector<Ref>* buf) -> uint64_t {
-    const size_t before = buf->size();
-    // A row left unfilled (Build's `rows`) holds no candidates: the ids
-    // computed from its RowBegin would be the next filled row's.
-    auto unfilled = [&](NodeId x, uint64_t row_begin) {
-      return row_begin == space.RowBegin(x + 1);
-    };
+                                const RowBuckets& rows, WorkerScratch* mine) {
+    std::vector<Ref>* buf = &mine->entries;
     auto emit = [&](uint32_t r, uint32_t c, uint64_t id) {
       const uint32_t ref = space.RefOf(id);
       if (ref == kAbsentRef) return;
@@ -366,58 +468,70 @@ Status PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
     if (space.all_compatible()) {
       for (uint32_t r = 0; r < s1.size(); ++r) {
         const uint64_t row_begin = space.RowBegin(s1[r]);
-        if (unfilled(s1[r], row_begin)) continue;
+        // An unfilled row (Build's `rows`) holds no candidates.
+        if (row_begin == space.RowBegin(s1[r] + 1)) continue;
         for (uint32_t c = 0; c < s2.size(); ++c) {
           emit(r, c, row_begin + s2[c]);
         }
       }
-      return buf->size() - before;
+      return;
     }
+    // Each label run of N±(v) meets the bucket of the rows compatible with
+    // its label; a run without one is skipped whole.
     const GroupedNeighborhood grouped = adjacency.Neighborhood(v);
-    for (uint32_t r = 0; r < s1.size(); ++r) {
-      const NodeId x = s1[r];
-      const uint64_t row_begin = space.RowBegin(x);
-      if (unfilled(x, row_begin)) continue;
-      auto emit_ranked = [&](uint32_t c, NodeId y, uint32_t block) {
-        emit(r, c, row_begin + space.Rank(block, y));
-      };
-      const PairSpace::Compatible compatible =
-          space.CompatibleWith(g1.Label(x));
-      const ClassGroup* match = nullptr;
-      uint32_t match_block = PairSpace::kIncompatible;
-      size_t matches = 0;
-      for (const ClassGroup& run : grouped.groups) {
-        const uint32_t block = compatible.Block(run.label);
-        if (block == PairSpace::kIncompatible) continue;
-        match = &run;
-        match_block = block;
-        if (++matches > 1) break;
+    std::vector<Match>& matches = mine->matches;
+    matches.clear();
+    for (const ClassGroup& run : grouped.groups) {
+      const std::span<const RowBuckets::Row> bucket = rows.Bucket(run.label);
+      if (!bucket.empty()) {
+        matches.push_back(
+            Match{bucket.data(), bucket.data() + bucket.size(), &run});
       }
-      if (matches == 1) {
-        // One compatible run: its nodes are already in column order.
-        for (uint32_t k = match->begin; k < match->end; ++k) {
-          emit_ranked(grouped.pos[k], grouped.nodes[k], match_block);
+    }
+    // Merge the matched buckets by row. A row in one of them takes its
+    // run's nodes, already in column order; a row in several records each
+    // compatible column's rank base, then walks the columns in ascending
+    // order to merge their runs.
+    while (true) {
+      uint32_t row = UINT32_MAX;
+      Match* first = nullptr;
+      size_t hits = 0;
+      for (Match& m : matches) {
+        if (m.next == m.end) continue;
+        if (m.next->row < row) {
+          row = m.next->row;
+          first = &m;
+          hits = 1;
+        } else if (m.next->row == row) {
+          ++hits;
         }
-      } else if (matches > 1) {
-        // Several runs: record each compatible column's rank base, then
-        // walk the columns in ascending order to merge the runs.
-        column_blocks->assign(s2.size(), PairSpace::kIncompatible);
-        for (const ClassGroup& run : grouped.groups) {
-          const uint32_t block = compatible.Block(run.label);
-          if (block == PairSpace::kIncompatible) continue;
-          for (uint32_t k = run.begin; k < run.end; ++k) {
-            (*column_blocks)[grouped.pos[k]] = block;
-          }
+      }
+      if (hits == 0) break;
+      const uint64_t row_begin = first->next->row_begin;
+      if (hits == 1) {
+        const uint32_t block = first->next->block;
+        for (uint32_t k = first->run->begin; k < first->run->end; ++k) {
+          emit(row, grouped.pos[k],
+               row_begin + space.Rank(block, grouped.nodes[k]));
         }
-        for (uint32_t c = 0; c < s2.size(); ++c) {
-          const uint32_t block = (*column_blocks)[c];
-          if (block != PairSpace::kIncompatible) {
-            emit_ranked(c, s2[c], block);
-          }
+        ++first->next;
+        continue;
+      }
+      mine->column_blocks.assign(s2.size(), PairSpace::kIncompatible);
+      for (Match& m : matches) {
+        if (m.next == m.end || m.next->row != row) continue;
+        for (uint32_t k = m.run->begin; k < m.run->end; ++k) {
+          mine->column_blocks[grouped.pos[k]] = m.next->block;
+        }
+        ++m.next;
+      }
+      for (uint32_t c = 0; c < s2.size(); ++c) {
+        const uint32_t block = mine->column_blocks[c];
+        if (block != PairSpace::kIncompatible) {
+          emit(row, c, row_begin + space.Rank(block, s2[c]));
         }
       }
     }
-    return buf->size() - before;
   };
 
   // One classification pass over the compatible part of N±(u) x N±(v)
@@ -427,12 +541,6 @@ Status PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
   const size_t num_chunks = (n + kChunkPairs - 1) / kChunkPairs;
   nbr_offsets_.assign(2 * n + num_chunks, 0);
   chunks->assign(num_chunks, std::vector<Ref>());
-  // One cache line per worker: the push_backs would otherwise false-share
-  // the neighboring workers' vector headers.
-  struct alignas(64) WorkerScratch {
-    std::vector<Ref> entries;
-    std::vector<uint32_t> column_blocks;
-  };
   std::vector<WorkerScratch> scratch(static_cast<size_t>(pool.num_threads()));
   // ordering: relaxed — read only after the region has joined.
   std::atomic<bool> overflow{false};
@@ -449,15 +557,20 @@ Status PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
         const size_t j = i - chunk * kChunkPairs;
         const NodeId u = PairFirst(keys_[i]);
         const NodeId v = PairSecond(keys_[i]);
+        if (by_class && u != mine.bucket_u) {
+          mine.bucket_u = u;
+          if (plan.use_out) mine.out_rows.Build(g1.OutNeighbors(u), g1, space);
+          if (plan.use_in) mine.in_rows.Build(g1.InNeighbors(u), g1, space);
+        }
         if (!(plan.skip_diagonal && u == v)) {
           if (plan.use_out) {
             classify_direction(g1.OutNeighbors(u), g2.OutNeighbors(v), out2,
-                               v, &mine.column_blocks, &buf);
+                               v, mine.out_rows, &mine);
           }
           offsets[2 * j + 1] = static_cast<uint32_t>(buf.size());
           if (plan.use_in) {
             classify_direction(g1.InNeighbors(u), g2.InNeighbors(v), in2, v,
-                               &mine.column_blocks, &buf);
+                               mine.in_rows, &mine);
           }
         } else {
           offsets[2 * j + 1] = static_cast<uint32_t>(buf.size());

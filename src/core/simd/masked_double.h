@@ -1,5 +1,5 @@
 // Branch-free selects on doubles for the segmented max-per-row sweep
-// (core/operators.h SegmentedMaxPerRowSums). GCC compiles `?:` on doubles
+// (core/operators.h SegmentedMaxFamilySums). GCC compiles `?:` on doubles
 // into jumps, which mispredict on the sweep's data-dependent conditions, so
 // its selects are bit masks. On x86-64 they stay in SSE2 registers, which
 // the ISA always has (no flags, no runtime dispatch); a mask built in an

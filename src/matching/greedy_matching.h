@@ -27,8 +27,6 @@ struct MatchingScratch {
   std::vector<uint8_t> right_used;
   /// Flattened row-major weight matrix for the Hungarian realization.
   std::vector<double> weights;
-  /// Per-column maxima for the bisimulation operator's converse side.
-  std::vector<double> col_best;
 };
 
 /// Greedily selects edges in descending weight order (ties broken by

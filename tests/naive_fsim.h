@@ -31,9 +31,10 @@ namespace testing {
 // FSim^{k-1}(x, y) through `lookup`, which returns a negative value when x
 // may not be mapped to y (Remark 2). The engines evaluate the same
 // operators over their neighbor index (DirectionScoreIndexed and the
-// segmented SegmentedMaxPerRowSums in core/operators.h); this is the oracle
-// those are checked against, with MaxPerRowSumIndexed below as the
-// per-span reference of the segmented sum.
+// segmented SegmentedMaxFamilySums in core/operators.h); this is the oracle
+// those are checked against, with MaxPerRowSumIndexed and
+// MaxBothSidesSumIndexed below as the per-span references of the
+// segmented sums.
 
 namespace internal {
 
@@ -100,7 +101,7 @@ double MaxPerRowSum(std::span<const NodeId> s1, std::span<const NodeId> s2,
 
 }  // namespace internal
 
-/// The per-span reference of SegmentedMaxPerRowSums (core/operators.h):
+/// The per-span reference of SegmentedMaxFamilySums for s (core/operators.h):
 /// Σ of per-row maxima over one span's CSR entries, summed row by row from
 /// 0.0 in row order. Rows without entries contribute 0, exactly like rows
 /// whose lookups are all non-positive. `Ref` is NeighborRef or
@@ -119,6 +120,23 @@ double MaxPerRowSumIndexed(std::span<const Ref> refs, ScoreFn&& score_of) {
     }
     sum += best;
   }
+  return sum;
+}
+
+/// The per-span reference of SegmentedMaxFamilySums for b: the span's
+/// MaxPerRowSumIndexed, then every one of its n2 columns' maximum (0 for a
+/// column without entries or with only non-positive scores) added in
+/// ascending column order.
+template <typename Ref, typename ScoreFn>
+double MaxBothSidesSumIndexed(size_t n2, std::span<const Ref> refs,
+                              ScoreFn&& score_of) {
+  double sum = MaxPerRowSumIndexed(refs, score_of);
+  std::vector<double> col_best(n2, 0.0);
+  for (const Ref& e : refs) {
+    const double score = score_of(e.ref);
+    if (score > col_best[e.col]) col_best[e.col] = score;
+  }
+  for (double best : col_best) sum += best;
   return sum;
 }
 

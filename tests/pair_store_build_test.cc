@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -463,6 +464,133 @@ TEST(NeighborIndexTest, ParallelBuildOfRestrictedRowsMatchesReference) {
             BuildReferencePairStore(mixed.g1, mixed.g2, config, lsim,
                                     store->reverse_spans(), &keys),
             context);
+      }
+    }
+  }
+}
+
+/// What the θ > 0 fill's label buckets meet in one build: rows of an
+/// N±(u) compatible with two or more label runs of N±(v) (their columns
+/// merge), and spans where two or more runs meet a compatible row (their
+/// buckets merge by row). Counted from the graphs and the label
+/// similarity alone, over the filled rows.
+struct BucketShape {
+  size_t multi_run_rows = 0;
+  size_t multi_bucket_spans = 0;
+};
+
+BucketShape BucketShapeOf(const Graph& g1, const Graph& g2,
+                          const LabelSimilarityCache& lsim, double theta,
+                          const std::vector<uint64_t>& keys,
+                          const std::vector<bool>* rows) {
+  BucketShape shape;
+  auto count = [&](std::span<const NodeId> s1, std::span<const NodeId> s2) {
+    std::vector<LabelId> labels2;
+    for (NodeId y : s2) labels2.push_back(g2.Label(y));
+    std::sort(labels2.begin(), labels2.end());
+    labels2.erase(std::unique(labels2.begin(), labels2.end()), labels2.end());
+    std::vector<bool> met(labels2.size(), false);
+    for (NodeId x : s1) {
+      if (rows != nullptr && !(*rows)[x]) continue;
+      size_t runs = 0;
+      for (size_t k = 0; k < labels2.size(); ++k) {
+        if (lsim.Compatible(g1.Label(x), labels2[k], theta)) {
+          ++runs;
+          met[k] = true;
+        }
+      }
+      if (runs >= 2) ++shape.multi_run_rows;
+    }
+    if (std::count(met.begin(), met.end(), true) >= 2) {
+      ++shape.multi_bucket_spans;
+    }
+  };
+  for (uint64_t key : keys) {
+    const NodeId u = PairFirst(key);
+    const NodeId v = PairSecond(key);
+    count(g1.OutNeighbors(u), g2.OutNeighbors(v));
+    count(g1.InNeighbors(u), g2.InNeighbors(v));
+  }
+  return shape;
+}
+
+// The θ > 0 fill buckets the rows of N±(u) by compatible g2 label and
+// looks each label run of N±(v) up once: against the reference builder,
+// with rows that meet several runs (a column merge), spans that meet
+// several buckets (a row merge), a dictionary holding labels neither
+// graph uses, restricted rows, and pruning with tagged (α > 0) and absent
+// (α = 0) refs. The ParallelBuild prefix puts it on the thread-sanitizer
+// leg.
+TEST(NeighborIndexTest, ParallelBuildBucketedFillMatchesReference) {
+  const GraphPair mixed = MakeMixedLabelPair(13, 70);
+  {
+    // Labels no node carries: the bucket tables are sized by the
+    // dictionary, past every label g2 holds.
+    GraphBuilder unused(mixed.g1.dict());
+    for (uint32_t i = 0; i < 40; ++i) unused.AddNode(StrFormat("unused%u", i));
+    (void)std::move(unused).BuildOrDie();
+  }
+  ASSERT_GT(mixed.g1.dict()->size(), mixed.g2.NumDistinctLabels() + 40);
+  const LabelSimilarityCache lsim(*mixed.g1.dict(),
+                                  LabelSimKind::kEditDistance);
+  const size_t n1 = mixed.g1.NumNodes();
+  std::vector<bool> some_rows(n1);
+  for (NodeId u = 0; u < n1; ++u) some_rows[u] = u % 4 != 1;
+
+  struct Case {
+    const char* name;
+    const std::vector<bool>* rows;
+    double alpha;  // < 0: no upper-bound pruning
+  };
+  const Case kCases[] = {
+      {"all rows", nullptr, -1.0},
+      {"restricted rows", &some_rows, -1.0},
+      {"ub alpha>0", nullptr, 0.3},
+      {"ub alpha=0", nullptr, 0.0},
+      {"restricted rows, ub alpha>0", &some_rows, 0.3},
+  };
+  for (double theta : {0.35, 1.0}) {
+    for (const Case& test_case : kCases) {
+      FSimConfig config;
+      config.label_sim = LabelSimKind::kEditDistance;
+      config.theta = theta;
+      if (test_case.alpha >= 0.0) {
+        config.upper_bound = true;
+        config.alpha = test_case.alpha;
+        config.beta = 0.45;
+      }
+      std::vector<uint64_t> keys;
+      for (NodeId u = 0; u < n1; ++u) {
+        if (test_case.rows != nullptr && !(*test_case.rows)[u]) continue;
+        for (NodeId v = 0; v < mixed.g2.NumNodes(); ++v) {
+          if (lsim.Compatible(mixed.g1.Label(u), mixed.g2.Label(v), theta)) {
+            keys.push_back(PairKey(u, v));
+          }
+        }
+      }
+      const std::string context =
+          StrFormat("%s theta=%.2f", test_case.name, theta);
+      const BucketShape shape = BucketShapeOf(
+          mixed.g1, mixed.g2, lsim, theta, keys, test_case.rows);
+      EXPECT_GT(shape.multi_bucket_spans, 0u) << context;
+      if (theta < 1.0) {
+        EXPECT_GT(shape.multi_run_rows, 0u) << context;
+      }
+      for (int threads : {1, 3}) {
+        ThreadPool pool(threads);
+        auto store = PairStore::Build(mixed.g1, mixed.g2, config, lsim, &pool,
+                                      test_case.rows);
+        ASSERT_TRUE(store.ok()) << context << ": " << store.status().ToString();
+        EXPECT_TRUE(store->ValidateNeighborIndex().ok()) << context;
+        if (config.upper_bound) {
+          EXPECT_GT(store->info().pruned, 0u) << context;
+          EXPECT_EQ(store->has_pruned_refs(), test_case.alpha > 0.0) << context;
+        }
+        ExpectMatchesReference(
+            *store,
+            BuildReferencePairStore(mixed.g1, mixed.g2, config, lsim,
+                                    store->reverse_spans(), &keys),
+            context + StrFormat(" threads=%d", threads));
       }
     }
   }

@@ -1,15 +1,18 @@
-// The segmented max-per-row sweep (core/operators.h
-// SegmentedMaxPerRowSums) and PairEvaluator's run evaluation
-// (core/pair_evaluator.h) against their per-span reference: every sum and
-// every Equation 3 value must have the same bits as summing each span row by
-// row (tests/naive_fsim.h MaxPerRowSumIndexed) and finishing the pair
-// through DirectionScoreIndexed, at every run length (whole index chunks,
-// single pairs, arbitrary splits) and for s and b solves at 1 and 3
-// threads. Inputs cover empty spans and empty sides, multi-entry rows,
-// pinned diagonals, tagged pruned refs (α > 0), the wide 12-byte entry
-// layout and a short last chunk.
+// The segmented max-family sweep (core/operators.h SegmentedMaxFamilySums)
+// and PairEvaluator's run evaluation (core/pair_evaluator.h) against their
+// per-span references: every sum and every Equation 3 value must have the
+// same bits as summing each span row by row (tests/naive_fsim.h
+// MaxPerRowSumIndexed), then for b column by column
+// (MaxBothSidesSumIndexed), and finishing the pair through
+// MaxFamilyDirectionScore, at every run length (whole index chunks, single
+// pairs, arbitrary splits) and for s and b solves at 1 and 3 threads.
+// Inputs cover empty spans and empty sides, multi-entry rows, columns that
+// several rows hit, pinned diagonals, tagged pruned refs (α > 0), the wide
+// 12-byte entry layout and a short last chunk.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -35,6 +38,7 @@
 namespace fsim {
 namespace {
 
+using ::fsim::testing::MaxBothSidesSumIndexed;
 using ::fsim::testing::MaxPerRowSumIndexed;
 
 ::testing::AssertionResult SameBits(double a, double b) {
@@ -52,21 +56,35 @@ using ::fsim::testing::MaxPerRowSumIndexed;
 const std::vector<double> kScores = {0.0, 0.1, 0.2, 0.3, 1.0 / 3.0, 0.7,
                                      1e-17, 0.25, 0.0, 0.9, 0.6, 1.0};
 
-/// CSR spans built entry by entry, for the kernel.
+/// CSR spans built entry by entry, for the kernel, each with the column
+/// count n2 of its S2.
 template <typename Ref>
 struct Spans {
   std::vector<Ref> entries;
   std::vector<uint32_t> offsets{0};
+  std::vector<uint32_t> n2s;
 
-  /// Appends a span of (row, ref) entries, rows ascending.
+  /// Appends a span of (row, ref) entries, rows ascending, each in a
+  /// column of its own.
   void Add(const std::vector<std::pair<uint32_t, uint32_t>>& row_refs) {
-    using Pos = decltype(Ref::row);
+    std::vector<std::array<uint32_t, 3>> triples;
     uint32_t col = 0;
-    for (const auto& [row, ref] : row_refs) {
-      entries.push_back(Ref{static_cast<Pos>(row), static_cast<Pos>(col++),
-                            ref});
+    for (const auto& [row, ref] : row_refs) triples.push_back({row, col++, ref});
+    AddWithColumns(triples, col);
+  }
+
+  /// Appends a span of (row, col, ref) entries, (row, col)-sorted, over
+  /// n2 columns.
+  void AddWithColumns(const std::vector<std::array<uint32_t, 3>>& triples,
+                      uint32_t n2) {
+    using Pos = decltype(Ref::row);
+    for (const auto& [row, col, ref] : triples) {
+      EXPECT_LT(col, n2);
+      entries.push_back(
+          Ref{static_cast<Pos>(row), static_cast<Pos>(col), ref});
     }
     offsets.push_back(static_cast<uint32_t>(entries.size()));
+    n2s.push_back(n2);
   }
 
   size_t num_spans() const { return offsets.size() - 1; }
@@ -76,21 +94,52 @@ struct Spans {
   }
 };
 
-/// Runs the kernel on spans [a, b) and compares every sum with the
-/// per-span reference.
+/// Runs both kernels on spans [a, b) and compares every sum with the
+/// per-span references: s with MaxPerRowSumIndexed, b with
+/// MaxBothSidesSumIndexed over the span's n2 columns. b's column slots
+/// are sized to the widest n2 and must be all +0.0 again afterwards.
 template <typename Ref, typename ScoreFn>
 void ExpectRunMatchesReference(const Spans<Ref>& spans, size_t a, size_t b,
                                ScoreFn score_of) {
-  std::vector<uint16_t> starts;
+  SegmentedSweepScratch scratch;
+  const std::span<const uint32_t> offsets =
+      std::span<const uint32_t>(spans.offsets).subspan(a, b - a + 1);
   std::vector<double> sums(b - a, -1.0);
-  SegmentedMaxPerRowSums(
-      spans.entries.data(),
-      std::span<const uint32_t>(spans.offsets).subspan(a, b - a + 1),
-      score_of, &starts, sums.data());
+  SegmentedMaxFamilySums<MappingKind::kMaxPerRow>(
+      spans.entries.data(), offsets, score_of, &scratch, sums.data());
   for (size_t k = a; k < b; ++k) {
     ASSERT_TRUE(
         SameBits(sums[k - a], MaxPerRowSumIndexed(spans.Span(k), score_of)))
-        << "span " << k << " of run [" << a << ", " << b << ")";
+        << "s: span " << k << " of run [" << a << ", " << b << ")";
+  }
+  uint32_t n2_max = 0;
+  for (size_t k = a; k < b; ++k) n2_max = std::max(n2_max, spans.n2s[k]);
+  scratch.columns.assign(n2_max, 0.0);
+  std::fill(sums.begin(), sums.end(), -1.0);
+  SegmentedMaxFamilySums<MappingKind::kMaxBothSides>(
+      spans.entries.data(), offsets, score_of, &scratch, sums.data());
+  for (size_t k = a; k < b; ++k) {
+    ASSERT_TRUE(SameBits(sums[k - a],
+                         MaxBothSidesSumIndexed(spans.n2s[k], spans.Span(k),
+                                                score_of)))
+        << "b: span " << k << " of run [" << a << ", " << b << ")";
+  }
+  for (size_t c = 0; c < scratch.columns.size(); ++c) {
+    ASSERT_TRUE(SameBits(scratch.columns[c], 0.0))
+        << "column slot " << c << " left set by run [" << a << ", " << b
+        << ")";
+  }
+}
+
+/// Every sub-run: single spans, runs starting or ending on empty spans,
+/// and the whole buffer.
+template <typename Ref, typename ScoreFn>
+void ExpectEverySubRunMatchesReference(const Spans<Ref>& spans,
+                                       ScoreFn score_of) {
+  for (size_t a = 0; a < spans.num_spans(); ++a) {
+    for (size_t b = a + 1; b <= spans.num_spans(); ++b) {
+      ExpectRunMatchesReference(spans, a, b, score_of);
+    }
   }
 }
 
@@ -110,19 +159,42 @@ void CheckHandBuiltSpans() {
   spans.Add({{0, 11}, {0, 11}, {1, 4}});             // ties in one row
   spans.Add({});                                     // trailing empties
   spans.Add({});
-  auto score_of = [](uint32_t ref) { return kScores[ref]; };
-  // Every sub-run: single spans, runs starting or ending on empty spans,
-  // and the whole buffer.
-  for (size_t a = 0; a < spans.num_spans(); ++a) {
-    for (size_t b = a + 1; b <= spans.num_spans(); ++b) {
-      ExpectRunMatchesReference(spans, a, b, score_of);
-    }
-  }
+  ExpectEverySubRunMatchesReference(
+      spans, [](uint32_t ref) { return kScores[ref]; });
 }
 
 TEST(SegmentedSweepKernel, HandBuiltSpansMatchPerSpanReference) {
   CheckHandBuiltSpans<PackedNeighborRef>();
   CheckHandBuiltSpans<NeighborRef>();
+}
+
+/// Spans whose rows share columns, as b's converse side sees them: column
+/// maxima that several rows feed, tied across rows, hit only by a later
+/// row, and n2 past every column the span uses.
+template <typename Ref>
+void CheckSharedColumnSpans() {
+  Spans<Ref> spans;
+  spans.AddWithColumns({}, 5);                          // empty, n2 = 5
+  spans.AddWithColumns({{0, 3, 9}}, 7);                 // single entry
+  spans.AddWithColumns({{0, 0, 1}, {0, 2, 3}, {1, 0, 3}, {1, 2, 1}}, 3);
+  spans.AddWithColumns({{0, 1, 5}, {1, 1, 5}, {2, 1, 5}}, 2);  // one column,
+                                                               // tied rows
+  spans.AddWithColumns({{0, 0, 2}, {1, 0, 7}, {3, 4, 4}}, 9);  // col 4 only
+                                                               // in row 3
+  spans.AddWithColumns({{0, 0, 0}, {1, 0, 8}}, 4);      // an all-zero column
+  spans.AddWithColumns({}, 1);
+  spans.AddWithColumns({{2, 6, 6}}, 12);                // one far column
+  spans.AddWithColumns(
+      {{0, 1, 1}, {0, 3, 2}, {1, 1, 2}, {1, 2, 3}, {2, 0, 10}, {2, 3, 2}},
+      6);                                               // order-sensitive
+  spans.AddWithColumns({{0, 5, 11}, {1, 5, 11}, {1, 6, 11}}, 7);
+  ExpectEverySubRunMatchesReference(
+      spans, [](uint32_t ref) { return kScores[ref]; });
+}
+
+TEST(SegmentedSweepKernel, SharedColumnSpansMatchPerSpanReference) {
+  CheckSharedColumnSpans<PackedNeighborRef>();
+  CheckSharedColumnSpans<NeighborRef>();
 }
 
 template <typename Ref>
@@ -159,6 +231,47 @@ TEST(SegmentedSweepKernel, RandomSpansMatchPerSpanReference) {
   }
 }
 
+/// Random spans over few columns, so rows keep hitting the same ones; n2
+/// is at times past every column used.
+template <typename Ref>
+void CheckRandomSharedColumnSpans(uint64_t seed) {
+  Rng rng(seed);
+  Spans<Ref> spans;
+  for (int s = 0; s < 300; ++s) {
+    const uint32_t n2 = 1 + static_cast<uint32_t>(rng.Next() % 6);
+    const uint64_t rows = rng.Next() % 5;
+    std::vector<std::array<uint32_t, 3>> triples;
+    uint32_t row = 0;
+    for (uint64_t r = 0; r < rows; ++r) {
+      row += static_cast<uint32_t>(rng.Next() % 2);  // gaps
+      for (uint32_t col = static_cast<uint32_t>(rng.Next() % 3); col < n2;
+           col += 1 + static_cast<uint32_t>(rng.Next() % 2)) {
+        triples.push_back(
+            {row, col, static_cast<uint32_t>(rng.Next() % kScores.size())});
+      }
+      ++row;
+    }
+    spans.AddWithColumns(triples, n2 + static_cast<uint32_t>(rng.Next() % 3));
+  }
+  auto score_of = [](uint32_t ref) { return kScores[ref]; };
+  ExpectRunMatchesReference(spans, 0, spans.num_spans(), score_of);
+  for (size_t k = 0; k < spans.num_spans(); ++k) {
+    ExpectRunMatchesReference(spans, k, k + 1, score_of);
+  }
+  for (int r = 0; r < 200; ++r) {
+    const size_t a = rng.Next() % spans.num_spans();
+    const size_t b = a + 1 + rng.Next() % (spans.num_spans() - a);
+    ExpectRunMatchesReference(spans, a, b, score_of);
+  }
+}
+
+TEST(SegmentedSweepKernel, RandomSharedColumnSpansMatchPerSpanReference) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    CheckRandomSharedColumnSpans<PackedNeighborRef>(seed);
+    CheckRandomSharedColumnSpans<NeighborRef>(seed);
+  }
+}
+
 TEST(SegmentedSweepKernel, TaggedPrunedRefsReadAlphaTimesBound) {
   // Refs with the tag bit read α · bound from the pruned table, the
   // others the score array, as PairEvaluator's score function does.
@@ -171,26 +284,30 @@ TEST(SegmentedSweepKernel, TaggedPrunedRefsReadAlphaTimesBound) {
     return kScores[ref];
   };
   const uint32_t tag = kNeighborRefPrunedTag;
-  Spans<PackedNeighborRef> spans;
-  spans.Add({{0, tag | 0}, {0, 1}, {1, tag | 2}});
-  spans.Add({});
-  spans.Add({{0, 3}, {1, tag | 1}, {1, tag | 0}, {2, 0}});
-  spans.Add({{0, tag | 2}});
-  for (size_t a = 0; a < spans.num_spans(); ++a) {
-    for (size_t b = a + 1; b <= spans.num_spans(); ++b) {
-      ExpectRunMatchesReference(spans, a, b, score_of);
-    }
-  }
+  auto check = [&](auto spans) {
+    spans.Add({{0, tag | 0}, {0, 1}, {1, tag | 2}});
+    spans.Add({});
+    spans.Add({{0, 3}, {1, tag | 1}, {1, tag | 0}, {2, 0}});
+    spans.Add({{0, tag | 2}});
+    // Tagged and untagged refs meeting in one column.
+    spans.AddWithColumns({{0, 0, tag | 1}, {0, 1, 3}, {1, 0, 2}, {1, 1, tag | 2}},
+                         3);
+    spans.AddWithColumns({{0, 2, tag | 0}, {1, 2, tag | 0}}, 4);
+    ExpectEverySubRunMatchesReference(spans, score_of);
+  };
+  check(Spans<PackedNeighborRef>());
+  check(Spans<NeighborRef>());
 }
 
 // ------------------------------------------------------------- evaluator --
 
-/// The per-span reference of one Equation 3 value: each direction's rows
-/// summed by MaxPerRowSumIndexed and finished by DirectionScoreIndexed.
+/// The per-span reference of one Equation 3 value: each direction's
+/// mapping sum from MaxPerRowSumIndexed (s) or MaxBothSidesSumIndexed (b),
+/// finished by MaxFamilyDirectionScore.
 double ReferenceValue(const Graph& g1, const Graph& g2,
                       const FSimConfig& config,
                       const LabelSimilarityCache& lsim, const PairStore& store,
-                      size_t i, MatchingScratch* scratch) {
+                      size_t i) {
   const NodeId u = store.U(i);
   const NodeId v = store.V(i);
   if (config.pin_diagonal && u == v) return 1.0;
@@ -204,18 +321,20 @@ double ReferenceValue(const Graph& g1, const Graph& g2,
     return store.prev_data()[ref];
   };
   const OperatorConfig op = config.operators();
+  auto direction = [&](size_t n1, size_t n2, auto refs) {
+    const double sum = op.mapping == MappingKind::kMaxBothSides
+                           ? MaxBothSidesSumIndexed(n2, refs, score_of)
+                           : MaxPerRowSumIndexed(refs, score_of);
+    return MaxFamilyDirectionScore(op, n1, n2, sum);
+  };
   double out_score = 0.0;
   double in_score = 0.0;
   store.WithRefs(i, [&](auto out_refs, auto in_refs) {
     if (config.w_out > 0.0) {
-      out_score = DirectionScoreIndexed(
-          op, config.matching, g1.OutDegree(u), g2.OutDegree(v), out_refs,
-          MaxPerRowSumIndexed(out_refs, score_of), score_of, scratch);
+      out_score = direction(g1.OutDegree(u), g2.OutDegree(v), out_refs);
     }
     if (config.w_in > 0.0) {
-      in_score = DirectionScoreIndexed(
-          op, config.matching, g1.InDegree(u), g2.InDegree(v), in_refs,
-          MaxPerRowSumIndexed(in_refs, score_of), score_of, scratch);
+      in_score = direction(g1.InDegree(u), g2.InDegree(v), in_refs);
     }
   });
   const double label_weight = 1.0 - config.w_out - config.w_in;
@@ -266,7 +385,6 @@ InputShape ExpectRunsMatchReference(const Graph& g1, const Graph& g2,
   const size_t n = store.size();
   const size_t kChunk = PairStore::kChunkPairs;
   PairEvalScratch scratch;
-  MatchingScratch reference_scratch;
   Rng rng(n);
   std::vector<double> chunked(n);
   std::vector<double> single(n);
@@ -285,8 +403,7 @@ InputShape ExpectRunsMatchReference(const Graph& g1, const Graph& g2,
       }
     }
     for (size_t i = 0; i < n; ++i) {
-      const double expected =
-          ReferenceValue(g1, g2, config, lsim, store, i, &reference_scratch);
+      const double expected = ReferenceValue(g1, g2, config, lsim, store, i);
       EXPECT_TRUE(SameBits(chunked[i], expected))
           << name << " step " << step << " pair " << i << " (chunk run)";
       EXPECT_TRUE(SameBits(single[i], expected))
@@ -401,14 +518,12 @@ std::pair<std::vector<double>, uint32_t> ReferenceSolve(
   auto built = PairStore::Build(g1, g2, config, lsim);
   EXPECT_TRUE(built.ok());
   PairStore& store = *built;
-  MatchingScratch scratch;
   uint32_t iterations = 0;
   while (iterations < FSimIterationBound(config)) {
     ++iterations;
     double max_delta = 0.0;
     for (size_t i = 0; i < store.size(); ++i) {
-      const double value =
-          ReferenceValue(g1, g2, config, lsim, store, i, &scratch);
+      const double value = ReferenceValue(g1, g2, config, lsim, store, i);
       max_delta = std::max(max_delta, std::abs(value - store.prev(i)));
       store.set_curr(i, value);
     }
