@@ -1,14 +1,11 @@
 // google-benchmark end-to-end timings of ComputeFSim per variant and
 // optimization setting on the Yeast analog (the smallest Table 4 dataset) —
 // the per-iteration engine cost behind Figures 7 and 8. The main()
-// additionally times the build/iterate phases per variant and scheduling
-// policy (full sweeps, tolerance frontiers) plus the θ = 0
+// additionally times the build/iterate phases per variant plus the θ = 0
 // tile-panel path of s and b, and writes BENCH_fsim.json for the perf
 // trajectory.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -85,65 +82,17 @@ BENCHMARK(BM_FSimMatchingAlgo)
     ->ArgName("hungarian")
     ->Unit(benchmark::kMillisecond);
 
-/// Re-validates the PR 1–5 tuning constants under multicore contention at
-/// `num_threads` workers (the sweep's max) and renders the measurements as
-/// the "tuning" JSON section of BENCH_fsim.json. Each knob is swept on the
-/// yeast θ=1 FSim_dp run around its shipped default; "chosen" records the
-/// default so a future PR that retunes leaves an audit trail. The θ = 0
-/// tile-panel path's 8×256 v-tile is timed on FSim_s at 1 vs N threads
-/// (tile shape is compile-time, so the check is that the tiled kernel still
-/// scales rather than a re-sweep).
+/// Times the θ = 0 tile-panel path's 8×256 v-tile on FSim_s at 1 vs
+/// `num_threads` workers (tile shape is compile-time, so the check is that
+/// the tiled kernel still scales rather than a re-sweep) and renders the
+/// measurement as the "tuning" JSON section of BENCH_fsim.json.
 std::string RunTuningSweep(int num_threads) {
   const Graph& g = Yeast();
   std::string out = "{\n";
   char buf[160];
   std::snprintf(buf, sizeof(buf), "    \"num_threads\": %d,\n", num_threads);
   out += buf;
-
-  FSimConfig base = BaseConfig(SimVariant::kDegreePreserving);
-  base.theta = 1.0;
-  base.num_threads = num_threads;
-  auto timed_iterate = [&](const FSimConfig& config) {
-    auto scores = ComputeFSim(g, g, config);
-    if (!scores.ok()) {
-      std::fprintf(stderr, "fatal: tuning-sweep run failed\n");
-      std::abort();
-    }
-    return scores->stats().iterate_seconds;
-  };
-
-  std::printf("\ntuning sweep (dp, theta=1, t=%d)\n", num_threads);
-  out += "    \"frontier_density_threshold\": {";
-  for (double density : {0.25, 0.5, 0.75}) {
-    FSimConfig config = base;
-    config.frontier_tolerance = config.epsilon / 10.0;
-    config.frontier_density_threshold = density;
-    const double s = timed_iterate(config);
-    std::snprintf(buf, sizeof(buf), "%s\"%.2f\": %.6f",
-                  density == 0.25 ? "" : ", ", density, s);
-    out += buf;
-    std::printf("  frontier_density_threshold=%.2f iterate=%s\n", density,
-                bench::FormatSeconds(s).c_str());
-  }
-  std::snprintf(buf, sizeof(buf), ", \"chosen\": %.2f},\n",
-                FSimConfig().frontier_density_threshold);
-  out += buf;
-
-  out += "    \"active_set_activation_fraction\": {";
-  for (double fraction : {0.0, 0.125, 0.5}) {
-    FSimConfig config = base;
-    config.frontier_tolerance = config.epsilon / 10.0;
-    config.active_set_activation_fraction = fraction;
-    const double s = timed_iterate(config);
-    std::snprintf(buf, sizeof(buf), "%s\"%.3f\": %.6f",
-                  fraction == 0.0 ? "" : ", ", fraction, s);
-    out += buf;
-    std::printf("  active_set_activation_fraction=%.3f iterate=%s\n",
-                fraction, bench::FormatSeconds(s).c_str());
-  }
-  std::snprintf(buf, sizeof(buf), ", \"chosen\": %.3f},\n",
-                FSimConfig().active_set_activation_fraction);
-  out += buf;
+  std::printf("\ntuning sweep (t=%d)\n", num_threads);
 
   // θ = 0 8×256 v-tile at 1 vs N threads (the panel loop runs on the
   // run's pool, config.num_threads).
@@ -339,64 +288,27 @@ std::string RunTraceOverheadGuard() {
   return buf;
 }
 
-/// Phase-timing comparison per χ variant, written to BENCH_fsim.json:
-///  * "indexed" — the default engine (CSR index, full sweeps),
-///  * "tol"     — tolerance frontiers (frontier_tolerance = ε/10, error
-///                bound tol·(1+w)/(1-w) = 0.9·ε — the frontier slack stays
-///                below the termination tolerance itself).
-/// tol is cross-checked against indexed within its documented error bound
-/// plus the termination residual slack 2·ε·w/(1-w) (the two runs may stop
-/// at different sweeps).
+/// Phase timings per χ variant of the default engine (CSR index, full
+/// sweeps), written to BENCH_fsim.json as the "indexed" runs.
 void RunPhaseTimings() {
   const Graph& g = Yeast();
   bench::PhaseTimingsJson json;
-  std::printf(
-      "\nvariant  path       build      iterate    vs indexed    frozen\n");
+  std::printf("\nvariant  path       build      iterate\n");
   for (SimVariant variant :
        {SimVariant::kSimple, SimVariant::kDegreePreserving, SimVariant::kBi,
         SimVariant::kBijective}) {
     FSimConfig config = BaseConfig(variant);
     config.theta = 1.0;
-    const double w = config.w_out + config.w_in;
-
     auto indexed = ComputeFSim(g, g, config);
-    config.frontier_tolerance = config.epsilon / 10.0;
-    auto tol = ComputeFSim(g, g, config);
-    if (!indexed.ok() || !tol.ok()) {
+    if (!indexed.ok()) {
       std::fprintf(stderr, "fatal: phase-timing run failed\n");
       std::abort();
     }
-    const double tol_bound =
-        config.frontier_tolerance * (1.0 + w) / (1.0 - w) +
-        2.0 * config.epsilon * w / (1.0 - w);
-    double tol_diff = 0.0;
-    for (size_t i = 0; i < tol->values().size(); ++i) {
-      tol_diff = std::max(
-          tol_diff, std::abs(tol->values()[i] - indexed->values()[i]));
-    }
-    if (tol_diff > tol_bound) {
-      std::fprintf(stderr, "fatal: tolerance run outside bound (%g > %g)\n",
-                   tol_diff, tol_bound);
-      std::abort();
-    }
-
     const char* name = SimVariantName(variant);
     json.Add(std::string(name) + "/indexed", indexed->stats());
-    json.Add(std::string(name) + "/tol", tol->stats());
-    auto row = [&](const char* path, const FSimStats& s) {
-      std::printf("%-8s %-10s %-10s %-10s %.2fx         %.2f\n", name, path,
-                  bench::FormatSeconds(s.build_seconds).c_str(),
-                  bench::FormatSeconds(s.iterate_seconds).c_str(),
-                  indexed->stats().iterate_seconds / s.iterate_seconds,
-                  s.frozen_fraction);
-    };
-    row("indexed", indexed->stats());
-    row("tol", tol->stats());
-    std::printf("%-8s tol frontier:", name);
-    for (size_t a : tol->stats().active_pairs_history) {
-      std::printf(" %zu", a);
-    }
-    std::printf("\n");
+    std::printf("%-8s %-10s %-10s %-10s\n", name, "indexed",
+                bench::FormatSeconds(indexed->stats().build_seconds).c_str(),
+                bench::FormatSeconds(indexed->stats().iterate_seconds).c_str());
   }
   // θ = 0: s and b run on the tile panels (core/panel_engine.h), every
   // pair a candidate. Recorded under the "theta0" section, apart from the
@@ -417,13 +329,12 @@ void RunPhaseTimings() {
                 bench::FormatSeconds(panels->stats().iterate_seconds).c_str());
   }
 
-  // Thread-count sweep: the indexed (full sweeps) and tolerance paths at
-  // every BenchThreadCounts() count > 1. The t=1 records above keep their
-  // unsuffixed names so the perf-gate history stays continuous;
-  // multi-thread runs get distinct "/tN" names and record num_threads so
-  // the gate never compares across thread counts. Full-sweep results are
-  // cross-checked bit-identical to the single-thread run (the scheduler's
-  // determinism contract); tolerance mode re-checks its error bound.
+  // Thread-count sweep: the indexed runs at every BenchThreadCounts()
+  // count > 1. The t=1 records above keep their unsuffixed names so the
+  // perf-gate history stays continuous; multi-thread runs get distinct
+  // "/tN" names and record num_threads so the gate never compares across
+  // thread counts. Results are cross-checked bit-identical to the
+  // single-thread run (the scheduler's determinism contract).
   const std::vector<int> thread_counts = bench::BenchThreadCounts();
   if (thread_counts.size() > 1) {
     std::printf("\nvariant  path     threads  iterate    vs t=1\n");
@@ -432,12 +343,8 @@ void RunPhaseTimings() {
           SimVariant::kBijective}) {
       FSimConfig config = BaseConfig(variant);
       config.theta = 1.0;
-      const double w = config.w_out + config.w_in;
       auto base_indexed = ComputeFSim(g, g, config);
-      const double tolerance = config.epsilon / 10.0;
-      config.frontier_tolerance = tolerance;
-      auto base_tol = ComputeFSim(g, g, config);
-      if (!base_indexed.ok() || !base_tol.ok()) {
+      if (!base_indexed.ok()) {
         std::fprintf(stderr, "fatal: thread-sweep baseline failed\n");
         std::abort();
       }
@@ -445,50 +352,26 @@ void RunPhaseTimings() {
       for (int t : thread_counts) {
         if (t <= 1) continue;
         config.num_threads = t;
-        config.frontier_tolerance = 0.0;
         auto indexed = ComputeFSim(g, g, config);
-        config.frontier_tolerance = tolerance;
-        auto tol = ComputeFSim(g, g, config);
-        if (!indexed.ok() || !tol.ok()) {
+        if (!indexed.ok()) {
           std::fprintf(stderr, "fatal: thread-sweep run failed (t=%d)\n", t);
           std::abort();
         }
-        for (size_t i = 0; i < indexed->values().size(); ++i) {
-          if (indexed->values()[i] != base_indexed->values()[i]) {
-            std::fprintf(stderr,
-                         "fatal: t=%d full-sweep run not bit-identical to "
-                         "t=1\n",
-                         t);
-            std::abort();
-          }
-        }
-        const double tol_bound =
-            config.frontier_tolerance * (1.0 + w) / (1.0 - w) +
-            2.0 * config.epsilon * w / (1.0 - w);
-        double tol_diff = 0.0;
-        for (size_t i = 0; i < tol->values().size(); ++i) {
-          tol_diff = std::max(tol_diff, std::abs(tol->values()[i] -
-                                                 base_indexed->values()[i]));
-        }
-        if (tol_diff > tol_bound) {
+        if (indexed->values() != base_indexed->values()) {
           std::fprintf(stderr,
-                       "fatal: t=%d tolerance run outside bound (%g > %g)\n",
-                       t, tol_diff, tol_bound);
+                       "fatal: t=%d full-sweep run not bit-identical to "
+                       "t=1\n",
+                       t);
           std::abort();
         }
         char suffix[16];
         std::snprintf(suffix, sizeof(suffix), "/t%d", t);
         json.Add(std::string(name) + "/indexed" + suffix, indexed->stats(), t);
-        json.Add(std::string(name) + "/tol" + suffix, tol->stats(), t);
         std::printf("%-8s indexed  %-8d %-10s %.2fx\n", name, t,
                     bench::FormatSeconds(indexed->stats().iterate_seconds)
                         .c_str(),
                     base_indexed->stats().iterate_seconds /
                         indexed->stats().iterate_seconds);
-        std::printf("%-8s tol      %-8d %-10s %.2fx\n", name, t,
-                    bench::FormatSeconds(tol->stats().iterate_seconds).c_str(),
-                    base_tol->stats().iterate_seconds /
-                        tol->stats().iterate_seconds);
       }
     }
     json.SetTuningJson(RunTuningSweep(thread_counts.back()));

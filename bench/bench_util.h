@@ -121,11 +121,6 @@ class PhaseTimingsJson {
     // compares runs at different thread counts (thread-suffixed names keep
     // the metric paths distinct too).
     int num_threads = 1;
-    // Active-set telemetry (docs/performance.md "Active-set iteration").
-    bool active_set = false;
-    double frozen_fraction = 0.0;
-    double frontier_build_seconds = 0.0;
-    std::vector<size_t> active_pairs_history;
   };
 
   void Add(const std::string& name, const FSimStats& stats,
@@ -191,11 +186,7 @@ class PhaseTimingsJson {
                   stats.iterate_seconds,
                   stats.iterations,
                   stats.maintained_pairs,
-                  num_threads,
-                  stats.active_set,
-                  stats.frozen_fraction,
-                  stats.frontier_build_seconds,
-                  stats.active_pairs_history};
+                  num_threads};
   }
 
   static void WriteSection(std::FILE* f, const char* key,
@@ -210,20 +201,6 @@ class PhaseTimingsJson {
                    "\"maintained_pairs\": %zu, \"num_threads\": %d",
                    r.name.c_str(), r.build_seconds, r.iterate_seconds,
                    r.iterations, r.maintained_pairs, r.num_threads);
-      if (r.active_set) {
-        // Only active-set runs carry the frontier telemetry, so older
-        // consumers of the fixed-field records keep parsing unchanged.
-        std::fprintf(f,
-                     ", \"active_set\": true, \"frozen_fraction\": %.4f, "
-                     "\"frontier_build_seconds\": %.6f, "
-                     "\"active_pairs_history\": [",
-                     r.frozen_fraction, r.frontier_build_seconds);
-        for (size_t k = 0; k < r.active_pairs_history.size(); ++k) {
-          std::fprintf(f, "%s%zu", k == 0 ? "" : ", ",
-                       r.active_pairs_history[k]);
-        }
-        std::fprintf(f, "]");
-      }
       std::fprintf(f, "}%s\n", i + 1 < records.size() ? "," : "");
     }
     std::fprintf(f, "  }%s\n", trailing_comma ? "," : "");

@@ -36,10 +36,13 @@ The "theta0.*" and "simd_theta0.*" series replace the "dense.*" and
 Engine series: "fsim.<variant>/indexed.iterate_s" times the default engine,
 which runs full sweeps over the CSR index (it timed the exact active set
 while that mode existed, which was bit-identical to full sweeps and within
-noise of them), and "fsim.<variant>/tol.iterate_s" times tolerance-mode
-frontiers (frontier_tolerance = epsilon/10). Older lines also carry
-"fsim.<variant>/fullsweep.*", a duplicate of "indexed" that is no longer
-written; like any retired metric it is ignored once absent.
+noise of them). Older lines also carry "fsim.<variant>/fullsweep.*", a
+duplicate of "indexed" that is no longer written, and the retired "tol"
+series: "fsim.<variant>/tol.*" and "tol/tN", which timed batch tolerance
+frontiers (frontier_tolerance = epsilon/10) until batch solves lost that
+mode, and the "tuning" section's frontier_density_threshold and
+active_set_activation_fraction sweeps. Like any retired metric they are
+ignored once absent.
 
 A malformed history line (truncated write, merge droppings) fails loudly
 with exit code 2 and the offending line number, instead of the former

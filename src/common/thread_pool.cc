@@ -87,15 +87,6 @@ void ThreadPool::ParallelForChunked(size_t n, size_t grain,
   RegionMetrics::Get().parallel_regions->Inc();
 }
 
-void ThreadPool::ParallelForSpan(std::span<const uint32_t> indices,
-                                 size_t grain, const SpanBody& body) {
-  ChunkedBody chunked = [&body, indices](int worker, size_t begin,
-                                         size_t end) {
-    body(worker, indices.subspan(begin, end - begin));
-  };
-  ParallelForChunked(indices.size(), grain, chunked);
-}
-
 void ThreadPool::RunChunks(int worker_id, const Task& task) {
   const size_t n = task.n;
   const size_t grain = task.grain;

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -41,9 +40,6 @@ class ThreadPool {
   /// `worker` in [0, num_threads).
   using ChunkedBody = std::function<void(int, size_t, size_t)>;
 
-  /// body(worker, ids): evaluate the store indices `ids` as worker `worker`.
-  using SpanBody = std::function<void(int, std::span<const uint32_t>)>;
-
   /// Creates `num_threads` workers (>= 1).
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
@@ -57,14 +53,6 @@ class ThreadPool {
   /// exactly once each; returns when all chunks have completed. grain is the
   /// chunk length (clamped to >= 1). The caller participates as worker 0.
   void ParallelForChunked(size_t n, size_t grain, const ChunkedBody& body);
-
-  /// Runs body over contiguous grain-sized slices of an index array (the
-  /// active-set driver's frontier sweep: the frontier is an ascending list
-  /// of store indices, so slices keep workers walking the score and
-  /// neighbor-ref arrays upward). Scheduling and worker-id semantics are
-  /// those of ParallelForChunked.
-  void ParallelForSpan(std::span<const uint32_t> indices, size_t grain,
-                       const SpanBody& body);
 
  private:
   struct Task {

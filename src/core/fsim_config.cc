@@ -5,12 +5,15 @@
 
 namespace fsim {
 
+uint32_t CorollaryOneBound(double w, double epsilon) {
+  if (w <= 0.0) return 1;  // scores are fixed by the label term alone
+  double bound = std::ceil(std::log(epsilon) / std::log(w));
+  return static_cast<uint32_t>(std::max(1.0, bound));
+}
+
 uint32_t FSimIterationBound(const FSimConfig& config) {
   if (config.max_iterations > 0) return config.max_iterations;
-  const double w = config.w_out + config.w_in;
-  if (w <= 0.0) return 1;  // scores are fixed by the label term alone
-  double bound = std::ceil(std::log(config.epsilon) / std::log(w));
-  return static_cast<uint32_t>(std::max(1.0, bound));
+  return CorollaryOneBound(config.w_out + config.w_in, config.epsilon);
 }
 
 OperatorConfig OperatorsForVariant(SimVariant variant) {

@@ -115,6 +115,9 @@ struct FSimConfig {
 
   /// Convergence: stop when max |FSim^k - FSim^(k-1)| < epsilon. The
   /// experiments terminate "when the values changed by less than 0.01".
+  /// Every iteration is Algorithm 1's synchronous full sweep over all
+  /// maintained pairs, which Theorem 1 and Corollary 1 speak about; only
+  /// IncrementalFSim's edit repair skips pairs (IncrementalOptions).
   double epsilon = 0.01;
 
   /// Hard iteration cap; 0 uses the Corollary 1 bound
@@ -158,39 +161,6 @@ struct FSimConfig {
   /// scratch per worker while it runs.
   uint64_t neighbor_index_budget_bytes = 1ULL << 30;
 
-  /// Tolerance frontiers (docs/performance.md "Active-set iteration").
-  /// 0, the default, runs Algorithm 1 as written: every sweep evaluates
-  /// every maintained pair. A positive value lets the sparse path skip a
-  /// pair while the accumulated influence of its skipped input changes —
-  /// Σ w± · c/Ωχ · |Δ input| — stays at or below it; the final scores
-  /// then stay within frontier_tolerance · (1 + w) / (1 − w),
-  /// w = w+ + w−, of the full-sweep scores (plus the termination
-  /// residual), provided the operator contracts (Theorem 1; dp and bj need
-  /// kHungarian, see MatchingAlgo). The dependents of a changed pair are
-  /// read off the CSR neighbor index, whose spans then double as
-  /// reverse-dependency lists; when only that widened span layout would
-  /// exceed the budget, the index is built evaluation-only and the run
-  /// falls back to full sweeps. A θ = 0 s/b run iterates on the tile
-  /// panels in full sweeps, which meets the bound at distance 0. Must be
-  /// finite and >= 0.
-  double frontier_tolerance = 0.0;
-
-  /// Tolerance mode: frontiers holding at least this fraction of the
-  /// maintained pairs are evaluated as plain full sweeps (dense frontiers
-  /// are cheaper without the indirection); 0 forces full sweeps, 1 always
-  /// uses the frontier path.
-  double frontier_density_threshold = 0.5;
-
-  /// Tolerance mode: dependent marking — the reverse span walk per changed
-  /// pair — costs about as much as re-evaluating the cheap (non-matching)
-  /// operators, so the driver defers it until skipping can actually pay:
-  /// marking turns on once at least this fraction of a sweep's evaluated
-  /// pairs moved by at most frontier_tolerance, and stays on. Until then
-  /// iterations are plain full sweeps whose only extra cost is the
-  /// per-pair counter. 0 marks from the first iteration (tests use this to
-  /// pin the frontier path).
-  double active_set_activation_fraction = 0.125;
-
   /// Vectorized kernel ceiling for the θ = 0 tile panels (see SimdMode).
   /// The FSIM_SIMD environment variable takes precedence when set to a
   /// valid value; -DFSIM_SIMD_FORCE_SCALAR builds ignore both.
@@ -203,8 +173,12 @@ struct FSimConfig {
   }
 };
 
+/// The Corollary 1 convergence bound ⌈log_w(ε)⌉ (>= 1; 1 when w <= 0),
+/// w = w+ + w-: after that many sweeps every change is below ε.
+uint32_t CorollaryOneBound(double w, double epsilon);
+
 /// The engines' shared iteration cap: config.max_iterations when set,
-/// otherwise the Corollary 1 convergence bound ⌈log_{w+ + w-}(ε)⌉ (>= 1).
+/// otherwise CorollaryOneBound(w+ + w-, ε).
 uint32_t FSimIterationBound(const FSimConfig& config);
 
 /// §4.3: FSimχ configured to compute SimRank with decay factor c on a single

@@ -39,21 +39,6 @@ Status ValidateFSimConfig(const Graph& g1, const Graph& g2,
   if (config.num_threads < 1) {
     return Status::InvalidArgument("num_threads must be >= 1");
   }
-  if (!(config.frontier_tolerance >= 0.0) ||
-      !std::isfinite(config.frontier_tolerance)) {
-    return Status::InvalidArgument(
-        "frontier_tolerance must be finite and >= 0");
-  }
-  if (!(config.frontier_density_threshold >= 0.0 &&
-        config.frontier_density_threshold <= 1.0)) {
-    return Status::InvalidArgument(
-        "frontier_density_threshold must be in [0, 1]");
-  }
-  if (!(config.active_set_activation_fraction >= 0.0 &&
-        config.active_set_activation_fraction <= 1.0)) {
-    return Status::InvalidArgument(
-        "active_set_activation_fraction must be in [0, 1]");
-  }
   if (config.neighbor_index_budget_bytes == 0) {
     return Status::InvalidArgument(
         "neighbor_index_budget_bytes must be positive (every engine "

@@ -34,26 +34,12 @@ struct FSimStats {
   /// FSimConfig::record_delta_history is set (Theorem 1: strictly
   /// decreasing).
   std::vector<double> delta_history;
-  /// True when the iterate loop ran under tolerance frontiers
-  /// (FSimConfig::frontier_tolerance > 0 and the neighbor index carries
-  /// reverse-dependency spans — it does not when only the widened span
-  /// layout would have exceeded the budget). Always false for a θ = 0 s/b
-  /// run, which iterates on the tile panels in full sweeps.
+  /// Frontier telemetry that perfbench/src/probes.cc still reads. Every
+  /// solve runs full sweeps, so active_set is always false,
+  /// active_pairs_history always empty and frozen_fraction always 0.
   bool active_set = false;
-  /// Pairs evaluated per iteration under tolerance frontiers (the first
-  /// entry is the full maintained-pair count; later entries shrink as
-  /// pairs freeze). Empty when active_set is false.
   std::vector<size_t> active_pairs_history;
-  /// Fraction of the iterate loop's pair evaluations the frontiers
-  /// skipped: 1 - evaluated / (iterations * maintained_pairs). 0 when
-  /// active_set is false.
   double frozen_fraction = 0.0;
-  /// Accumulated time spent building frontiers from the per-worker
-  /// influence marks (part of iterate_seconds).
-  double frontier_build_seconds = 0.0;
-  /// Iterations that ran as full sweeps: the first one, plus every
-  /// frontier at or above FSimConfig::frontier_density_threshold.
-  uint32_t full_sweep_iterations = 0;
   /// Resolved vectorized kernel level of the run (core/simd/kernels.h
   /// SimdLevel: 0 = scalar, 1 = AVX2, 2 = AVX-512). Only θ = 0 s/b runs
   /// iterate on the kernels (core/panel_engine.h); every other run

@@ -1,5 +1,7 @@
 #include "core/fsim_solver.h"
 
+#include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/timer.h"
@@ -27,14 +29,11 @@ Result<std::unique_ptr<FSimSolver>> FSimSolver::Create(
                                                  &stats));
     solver->panels_.emplace(std::move(panels));
   } else {
-    // Tolerance frontiers and edit repair walk the reverse spans; full
-    // sweeps do not need them.
-    const bool reverse_spans =
-        config.frontier_tolerance > 0.0 || options.repairable;
+    // Edit repair walks the reverse spans; full sweeps do not need them.
     FSIM_ASSIGN_OR_RETURN(
         PairStore store,
         PairStore::Build(g1, g2, config, solver->lsim_, &solver->pool_,
-                         options.rows, reverse_spans));
+                         options.rows, options.repairable));
     stats.theta_candidates = store.info().theta_candidates;
     stats.maintained_pairs = store.info().kept;
     stats.pruned_pairs = store.info().pruned;
@@ -42,8 +41,7 @@ Result<std::unique_ptr<FSimSolver>> FSimSolver::Create(
     stats.packed_neighbor_refs = store.packed_refs();
     PairStore& kept = solver->store_.emplace(std::move(store));
     solver->evaluator_.emplace(g1, g2, solver->config_, solver->lsim_, kept);
-    solver->driver_.emplace(solver->pool_, kept, *solver->evaluator_, g1, g2,
-                            solver->config_);
+    solver->workers_.resize(static_cast<size_t>(solver->pool_.num_threads()));
   }
   stats.build_seconds = build_timer.Seconds();
   return solver;
@@ -52,28 +50,54 @@ Result<std::unique_ptr<FSimSolver>> FSimSolver::Create(
 double FSimSolver::Step() {
   ++steps_;
   FSIM_TRACE_SPAN_ARG("engine.iter", steps_);
-  return panels_ ? panels_->Step() : driver_->Step();
+  return panels_ ? panels_->Step() : SweepStore();
+}
+
+double FSimSolver::SweepStore() {
+  FSIM_TRACE_SPAN_ARG("engine.sweep.full", store_->size());
+  constexpr size_t kChunk = PairStore::kChunkPairs;
+  const size_t n = store_->size();
+  for (WorkerSweep& w : workers_) w.max_delta = 0.0;
+  pool_.ParallelForChunked(
+      (n + kChunk - 1) / kChunk, 1,
+      [&](int worker, size_t first_chunk, size_t last_chunk) {
+        WorkerSweep& w = workers_[worker];
+        double* values = w.scratch.values.data();
+        double max_delta = w.max_delta;
+        for (size_t c = first_chunk; c < last_chunk; ++c) {
+          const size_t begin = c * kChunk;
+          const size_t end = std::min(n, begin + kChunk);
+          evaluator_->EvaluateRun(begin, end, &w.scratch, values);
+          for (size_t i = begin; i < end; ++i) {
+            const double value = values[i - begin];
+            max_delta =
+                std::max(max_delta, std::abs(value - store_->prev(i)));
+            store_->set_curr(i, value);
+          }
+        }
+        w.max_delta = max_delta;
+      });
+  store_->SwapBuffers();
+  double max_delta = 0.0;
+  for (const WorkerSweep& w : workers_) {
+    max_delta = std::max(max_delta, w.max_delta);
+  }
+  return max_delta;
 }
 
 void FSimSolver::Run(FSimStats* stats,
                      const std::function<bool(double max_delta)>& done) {
   Timer iterate_timer;
   const uint32_t max_iters = FSimIterationBound(config_);
-  const bool active = active_set();
-  stats->active_set = active;
   // Pre-reserve the iteration-indexed telemetry: the hard bound is known
   // up front, so the loop never reallocates mid-iteration.
   if (config_.record_delta_history) stats->delta_history.reserve(max_iters);
-  if (active) stats->active_pairs_history.reserve(max_iters);
   while (steps_ < max_iters) {
     const double max_delta = Step();
     stats->iterations = steps_;
     stats->final_delta = max_delta;
     if (config_.record_delta_history) {
       stats->delta_history.push_back(max_delta);
-    }
-    if (active) {
-      stats->active_pairs_history.push_back(driver_->last_evaluated());
     }
     const bool stop = done && done(max_delta);
     if (max_delta < config_.epsilon) {
@@ -83,18 +107,6 @@ void FSimSolver::Run(FSimStats* stats,
     if (stop) break;
   }
   stats->iterate_seconds = iterate_timer.Seconds();
-  if (panels_) {
-    stats->full_sweep_iterations = stats->iterations;
-    return;
-  }
-  stats->frontier_build_seconds = driver_->frontier_build_seconds();
-  stats->full_sweep_iterations = driver_->full_sweeps();
-  if (active && stats->iterations > 0 && store_->size() > 0) {
-    stats->frozen_fraction =
-        1.0 - static_cast<double>(driver_->total_evaluated()) /
-                  (static_cast<double>(stats->iterations) *
-                   static_cast<double>(store_->size()));
-  }
 }
 
 const PairSpace& FSimSolver::space() const {

@@ -4,10 +4,8 @@
 // one of two paths with the same values: the θ = 0 tile panels
 // (core/panel_engine.h) in full sweeps when RunsOnTilePanels(config) holds
 // and every row is wanted, else the PairStore neighbor index
-// (core/pair_store.h) stepped by ActiveSetDriver with PairEvaluator
-// (core/pair_evaluator.h), in full sweeps unless config.frontier_tolerance
-// > 0 asks for tolerance frontiers. Run is the engines' one ε/bound
-// iterate loop.
+// (core/pair_store.h) evaluated by PairEvaluator (core/pair_evaluator.h),
+// in full sweeps too. Run is the engines' one ε/bound iterate loop.
 #ifndef FSIM_CORE_FSIM_SOLVER_H_
 #define FSIM_CORE_FSIM_SOLVER_H_
 
@@ -35,8 +33,8 @@ class FSimSolver {
     /// Fill only the rows u of g1 with (*rows)[u] set (TopKSearch's radius
     /// ball); a pair of any other row reads 0.
     const std::vector<bool>* rows = nullptr;
-    /// Ask for the reverse-span index whatever config.frontier_tolerance
-    /// says: IncrementalFSim repairs on store() after the solve.
+    /// Build the sparse path's index in the reverse-span layout:
+    /// IncrementalFSim repairs on store() after the solve.
     bool repairable = false;
   };
 
@@ -64,9 +62,6 @@ class FSimSolver {
   /// The build fields of a ComputeFSim FSimStats.
   const FSimStats& build_stats() const { return build_stats_; }
 
-  /// True when tolerance frontiers may skip pairs.
-  bool active_set() const { return driver_ && driver_->active(); }
-
   FSimScores TakeScores(FSimStats stats);
 
   /// The sparse path's store and what IncrementalFSim keeps of the solver;
@@ -81,16 +76,26 @@ class FSimSolver {
         pool_(config.num_threads),
         lsim_(*g1.dict(), config.label_sim) {}
 
+  /// One Jacobi full sweep over store_, one index chunk per scheduler
+  /// task; returns the max delta.
+  double SweepStore();
+
+  /// A worker's evaluation scratch and the max delta it saw this sweep.
+  struct alignas(64) WorkerSweep {
+    PairEvalScratch scratch;
+    double max_delta = 0.0;
+  };
+
   const FSimConfig config_;
   ThreadPool pool_;
   LabelSimilarityCache lsim_;
   FSimStats build_stats_;
   uint32_t steps_ = 0;
   std::optional<TilePanelEngine> panels_;
-  // The sparse path; the driver and evaluator refer to the members above.
+  // The sparse path; the evaluator refers to the members above.
   std::optional<PairStore> store_;
   std::optional<PairEvaluator<Graph>> evaluator_;
-  std::optional<ActiveSetDriver<PairStore, PairEvaluator<Graph>>> driver_;
+  std::vector<WorkerSweep> workers_;
 };
 
 }  // namespace fsim

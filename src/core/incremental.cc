@@ -1,34 +1,17 @@
 #include "core/incremental.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
-#include <optional>
 
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/fsim_solver.h"
 #include "core/pair_evaluator.h"
 #include "obs/trace.h"
 
 namespace fsim {
-
-namespace {
-
-/// Tolerance mode at τ: the driver's carried influence is the pending
-/// bound behind the τ·(1+w)/(1-w) guarantee, and Corollary 1 at ε = τ caps
-/// the steps — changes shrink by w per step, so after ceil(log_w τ) steps
-/// every remaining one is below τ. The cap also ends a greedy matching's
-/// occasional non-Lipschitz tie-flip oscillation.
-FSimConfig RepairConfig(FSimConfig config, double tolerance) {
-  config.frontier_tolerance = tolerance;
-  config.epsilon = tolerance;
-  config.max_iterations = 0;
-  return config;
-}
-
-}  // namespace
 
 IncrementalFSim::IncrementalFSim(const Graph& g1, const Graph& g2,
                                  FSimConfig config, IncrementalOptions options,
@@ -63,13 +46,6 @@ Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
                         FSimSolver::Create(g1, g2, config,
                                            {.repairable = true}));
   PairStore& store = solver->store();
-  if (!store.reverse_spans()) {
-    return Status::ResourceExhausted(StrFormat(
-        "incremental maintenance needs the reverse-span neighbor index, up "
-        "to %llu bytes, over neighbor_index_budget_bytes %llu",
-        static_cast<unsigned long long>(store.info().reverse_span_bytes),
-        static_cast<unsigned long long>(config.neighbor_index_budget_bytes)));
-  }
   const std::vector<uint64_t>& keys = store.space()->keys();
 
   // Warm start: overwrite the FSim^0 initialization with the seed's values
@@ -78,8 +54,7 @@ Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
   // never depends on the seed, only the solve's iteration count does.
   if (warm_seed != nullptr && warm_seed->keys() == keys) {
     for (size_t i = 0; i < keys.size(); ++i) {
-      store.set_curr(i, warm_seed->values()[i]);
-      store.CommitPair(i);
+      store.set_prev(i, warm_seed->values()[i]);
     }
   }
   FSimStats solve_stats;
@@ -107,66 +82,210 @@ Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
   return inc;
 }
 
-/// Edit repair's view of the store: set_curr commits at once, so an
-/// evaluation sees the changes made earlier in the same step, and there
-/// is nothing left to swap or commit. It is also the driver's evaluator,
-/// reading the current graphs.
-class IncrementalFSim::RepairSpace {
+/// Edit repair's tolerance frontiers (see Repair), kept across bursts.
+/// A step evaluates its frontier serially and in place: each new score
+/// lands in the store's previous-score buffer at once, so later
+/// evaluations of the same step read it. Each changed pair adds its
+/// influence Σ w± · c/Ωχ · |Δ| on the pairs that read it to their pending
+/// sums; the pairs whose carried influence then exceeds τ form the next
+/// frontier. The readers of pair i are the refs of its own reverse spans:
+/// those of its in-span read i through their out-direction, and vice
+/// versa.
+class IncrementalFSim::Repairer {
  public:
-  static constexpr bool kInPlace = true;
+  /// Frontiers at or above this fraction of the pairs run as full sweeps,
+  /// which skip the frontier indirection.
+  static constexpr double kDenseFrontier = 0.5;
 
-  explicit RepairSpace(IncrementalFSim* inc) { Bind(inc); }
-
-  /// Points the view at `inc` (the engine may have moved since).
-  void Bind(IncrementalFSim* inc) {
-    store_ = &inc->store_;
-    evaluator_.emplace(inc->g1_, inc->g2_, inc->config_, inc->lsim_,
-                       inc->store_);
+  /// Chooses the reader walk from the graphs' shape and computes every
+  /// pair's influence factors.
+  explicit Repairer(const IncrementalFSim& inc) {
+    const FSimConfig& config = inc.config_;
+    const bool transpose = inc.g1_.NumInEdges() == inc.g1_.NumEdges() &&
+                           inc.g2_.NumInEdges() == inc.g2_.NumEdges();
+    // The AsUndirected adaptation (§4.3: symmetric out-adjacency, empty
+    // in-lists): u ∈ N+(x) ⟺ x ∈ N+(u), so the out-span is its own
+    // reader list, and the in-direction reads empty sets everywhere.
+    symmetric_out_ = !transpose && inc.g1_.NumInEdges() == 0 &&
+                     inc.g2_.NumInEdges() == 0;
+    // Partially populated in-lists that are not the transpose have no
+    // sound reader walk; those repairs run full sweeps.
+    frontiers_ =
+        config.w_out + config.w_in > 0.0 && (transpose || symmetric_out_);
+    if (!frontiers_) return;
+    const size_t n = inc.store_.size();
+    influence_out_.resize(n);
+    influence_in_.resize(n);
+    for (size_t i = 0; i < n; ++i) UpdateInfluence(inc, i);
+    pending_.assign(n, 0.0f);
+    marked_.assign((n + 63) / 64, 0);
+    carry_.assign(n, 0.0);
   }
 
-  size_t size() const { return store_->size(); }
-  NodeId U(size_t i) const { return store_->U(i); }
-  NodeId V(size_t i) const { return store_->V(i); }
-  double prev(size_t i) const { return store_->prev(i); }
-  void set_curr(size_t i, double value) {
-    store_->set_curr(i, value);
-    store_->CommitPair(i);
-  }
-  void SwapBuffers() {}
-  void CommitPair(size_t /*i*/) {}
-
-  bool reverse_spans() const { return store_->reverse_spans(); }
-  bool pinned_pairs_spanned() const { return store_->pinned_pairs_spanned(); }
-  template <typename F>
-  void WithRefs(size_t i, F&& f) const {
-    store_->WithRefs(i, std::forward<F>(f));
-  }
-
-  void EvaluateRun(size_t begin, size_t end, PairEvalScratch* scratch,
-                   double* out) const {
-    evaluator_->EvaluateRun(begin, end, scratch, out);
-  }
-
- private:
-  PairStore* store_ = nullptr;
-  std::optional<PairEvaluator<DynamicGraph>> evaluator_;
-};
-
-struct IncrementalFSim::Repairer {
-  explicit Repairer(IncrementalFSim* inc)
-      : config(RepairConfig(inc->config_, inc->options_.propagation_tolerance)),
-        space(inc),
-        driver(pool, space, space, inc->g1_, inc->g2_, config) {}
   Repairer(const Repairer&) = delete;
   Repairer& operator=(const Repairer&) = delete;
 
-  // The driver holds references to the members above it.
-  FSimConfig config;
-  // One worker: in-place results depend on the evaluation order, which
-  // must not depend on config.num_threads.
-  ThreadPool pool{1};
-  RepairSpace space;
-  ActiveSetDriver<RepairSpace, RepairSpace> driver;
+  /// Recomputes pair i's influence factors from the current degrees.
+  void UpdateInfluence(const IncrementalFSim& inc, size_t i) {
+    if (!frontiers_) return;
+    const OperatorConfig op = inc.config_.operators();
+    const NodeId u = inc.store_.U(i);
+    const NodeId v = inc.store_.V(i);
+    influence_out_[i] = static_cast<float>(
+        PairInfluenceFactor(op, inc.g1_.OutDegree(u), inc.g2_.OutDegree(v)));
+    influence_in_[i] = static_cast<float>(
+        PairInfluenceFactor(op, inc.g1_.InDegree(u), inc.g2_.InDegree(v)));
+  }
+
+  /// The work one Run did.
+  struct Report {
+    uint32_t steps = 0;
+    size_t evaluated = 0;
+    /// Stopped with work left: max_steps steps were run, or
+    /// max_evaluations was reached.
+    bool step_capped = false;
+    bool evaluation_capped = false;
+  };
+
+  /// Repairs from `seeds` (ascending, distinct): the first step evaluates
+  /// exactly the seeds, and every later step the pairs whose carried
+  /// influence exceeds τ, until none is left. Without frontiers every step
+  /// is a full sweep, until the max delta is within τ. The caps are
+  /// checked between steps, so a capped run still finishes its last step.
+  /// Influence below τ stays carried into the next Run, which keeps the
+  /// τ·(1+w)/(1-w) bound over any number of repairs.
+  Report Run(IncrementalFSim* inc, std::span<const uint32_t> seeds,
+             uint32_t max_steps, uint64_t max_evaluations) {
+    const double tolerance = inc->options_.propagation_tolerance;
+    const PairEvaluator<DynamicGraph> evaluator(inc->g1_, inc->g2_,
+                                                inc->config_, inc->lsim_,
+                                                inc->store_);
+    const size_t n = inc->store_.size();
+    Report report;
+    frontier_.assign(seeds.begin(), seeds.end());
+    // The seeds are evaluated next, which absorbs what they carry.
+    if (frontiers_) {
+      for (uint32_t j : frontier_) carry_[j] = 0.0;
+    }
+    bool more = !frontier_.empty();
+    while (more) {
+      if (report.steps == max_steps) {
+        report.step_capped = true;
+        break;
+      }
+      if (report.evaluated >= max_evaluations) {
+        report.evaluation_capped = true;
+        break;
+      }
+      const bool full =
+          !frontiers_ || static_cast<double>(frontier_.size()) >=
+                             kDenseFrontier * static_cast<double>(n);
+      const double max_delta = Sweep(inc, evaluator, full);
+      ++report.steps;
+      report.evaluated += full ? n : frontier_.size();
+      if (frontiers_) {
+        BuildFrontier(tolerance, full);
+        more = !frontier_.empty();
+      } else {
+        more = max_delta > tolerance;
+      }
+    }
+    return report;
+  }
+
+ private:
+  /// Evaluates the frontier (or every pair when `full`) in ascending
+  /// order, in place, marking the readers of each changed pair; returns
+  /// the max delta.
+  double Sweep(IncrementalFSim* inc,
+               const PairEvaluator<DynamicGraph>& evaluator, bool full) {
+    PairStore& store = inc->store_;
+    double max_delta = 0.0;
+    auto evaluate = [&](size_t i) {
+      double value = 0.0;
+      evaluator.EvaluateRun(i, i + 1, &scratch_, &value);
+      const double delta = std::abs(value - store.prev(i));
+      store.set_prev(i, value);
+      max_delta = std::max(max_delta, delta);
+      if (frontiers_ && delta != 0.0) MarkReaders(*inc, i, delta);
+    };
+    if (full) {
+      FSIM_TRACE_SPAN_ARG("engine.sweep.full", store.size());
+      for (size_t i = 0; i < store.size(); ++i) evaluate(i);
+    } else {
+      FSIM_TRACE_SPAN_ARG("engine.sweep.frontier", frontier_.size());
+      for (uint32_t i : frontier_) evaluate(i);
+    }
+    return max_delta;
+  }
+
+  /// Adds pair i's change to the pending influence on the pairs whose
+  /// next evaluation reads it. A zero-weight direction contributes nothing
+  /// to any reader and is skipped.
+  void MarkReaders(const IncrementalFSim& inc, size_t i, double delta) {
+    const FSimConfig& config = inc.config_;
+    auto mark = [&](auto refs, double base, const float* factor) {
+      for (const auto& e : refs) {
+        const uint32_t r = e.ref;
+        // Create rejects upper-bound pruning, so no ref is tagged.
+        FSIM_DCHECK(!IsPrunedRef(r));
+        const float x = static_cast<float>(base * factor[r]);
+        uint64_t& word = marked_[r / 64];
+        const uint64_t bit = uint64_t{1} << (r % 64);
+        if ((word & bit) == 0) {
+          word |= bit;
+          pending_[r] = x;
+        } else {
+          pending_[r] += x;
+        }
+      }
+    };
+    const double base_out = config.w_out * delta;
+    const double base_in = config.w_in * delta;
+    inc.store_.WithRefs(i, [&](auto out_refs, auto in_refs) {
+      if (symmetric_out_) {
+        if (config.w_out > 0.0) {
+          mark(out_refs, base_out, influence_out_.data());
+        }
+        return;
+      }
+      if (config.w_out > 0.0) mark(in_refs, base_out, influence_out_.data());
+      if (config.w_in > 0.0) mark(out_refs, base_in, influence_in_.data());
+    });
+  }
+
+  /// Folds the marked pairs' pending influence into their carry and
+  /// collects, ascending, those whose carry exceeds `tolerance` as the
+  /// next frontier; their carry restarts from 0. A full sweep evaluated
+  /// every pair, which absorbs all influence carried from before it.
+  void BuildFrontier(double tolerance, bool after_full_sweep) {
+    FSIM_TRACE_SPAN("engine.frontier_build");
+    if (after_full_sweep) std::fill(carry_.begin(), carry_.end(), 0.0);
+    frontier_.clear();
+    for (size_t w = 0; w < marked_.size(); ++w) {
+      for (uint64_t bits = marked_[w]; bits != 0; bits &= bits - 1) {
+        const size_t j = w * 64 + std::countr_zero(bits);
+        carry_[j] += pending_[j];
+        if (carry_[j] > tolerance) {
+          frontier_.push_back(static_cast<uint32_t>(j));
+          carry_[j] = 0.0;
+        }
+      }
+      marked_[w] = 0;
+    }
+  }
+
+  /// Frontiers engaged: the graphs' shape has a sound reader walk.
+  bool frontiers_ = false;
+  /// Readers come from the out-span alone (see the constructor).
+  bool symmetric_out_ = false;
+  std::vector<float> influence_out_;  // per-pair c/Ωχ factors
+  std::vector<float> influence_in_;
+  std::vector<float> pending_;    // this step's influence on marked pairs
+  std::vector<uint64_t> marked_;  // one bit per pair marked this step
+  std::vector<double> carry_;     // influence carried while skipped
+  std::vector<uint32_t> frontier_;
+  PairEvalScratch scratch_;
 };
 
 IncrementalFSim::IncrementalFSim(IncrementalFSim&&) noexcept = default;
@@ -177,22 +296,26 @@ IncrementalFSim::~IncrementalFSim() = default;
 Status IncrementalFSim::Repair(std::span<const uint32_t> seeds) {
   FSIM_TRACE_SPAN_ARG("incremental.repair", seeds.size());
   Timer timer;
-  // One driver for every burst, so that influence a repair leaves below τ
-  // counts toward the next one instead of being dropped with the driver.
-  // It chose its dependency walk from the graphs' shape; edits keep
-  // mirrored in-lists mirrored, but change any other shape (the empty
-  // in-lists of Graph::AsUndirected), which then needs a new driver.
+  // One repairer for every burst, so that influence a repair leaves below
+  // τ counts toward the next one instead of being dropped with it. It
+  // chose its reader walk from the graphs' shape; edits keep mirrored
+  // in-lists mirrored, but change any other shape (the empty in-lists of
+  // Graph::AsUndirected), which then needs a new repairer.
   if (repairer_ == nullptr || g1_.NumInEdges() != g1_.NumEdges() ||
       g2_.NumInEdges() != g2_.NumEdges()) {
-    repairer_ = std::make_unique<Repairer>(this);
+    repairer_ = std::make_unique<Repairer>(*this);
   }
-  repairer_->space.Bind(this);
-  auto& driver = repairer_->driver;
   // The ops changed the degrees only of pairs they re-staged, the seeds.
-  for (uint32_t i : seeds) driver.UpdateInfluence(i, g1_, g2_);
-  const auto report =
-      driver.Repair(seeds, FSimIterationBound(repairer_->config),
-                    options_.max_updates_per_edit);
+  for (uint32_t i : seeds) repairer_->UpdateInfluence(*this, i);
+  // Corollary 1 at ε = τ caps the steps: changes shrink by w per step, so
+  // after ceil(log_w τ) steps every remaining one is below τ. The cap
+  // also ends a greedy matching's occasional non-Lipschitz tie-flip
+  // oscillation.
+  const auto report = repairer_->Run(
+      this, seeds,
+      CorollaryOneBound(config_.w_out + config_.w_in,
+                        options_.propagation_tolerance),
+      options_.max_updates_per_edit);
   last_edit_.recomputed = report.evaluated;
   last_edit_.steps = report.steps;
   last_edit_.truncated = report.step_capped || report.evaluation_capped;

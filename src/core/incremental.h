@@ -23,27 +23,29 @@
 // the out-direction of every pair in N-(u) x N-(v) and by the in-direction of
 // every pair in N+(u) x N+(v).
 //
-// One index and one iterate loop do all of it: PairStore's chunked CSR
-// neighbor index (core/pair_store.h) and ActiveSetDriver with
-// PairEvaluator (core/pair_evaluator.h). Create runs the shared solver's
-// sparse solve (core/fsim_solver.h), on a pool of config.num_threads
+// One index and one evaluator do all of it: PairStore's chunked CSR
+// neighbor index (core/pair_store.h) and PairEvaluator
+// (core/pair_evaluator.h). Create runs the shared solver's sparse solve
+// (core/fsim_solver.h) in full sweeps, on a pool of config.num_threads
 // workers that lives only for the call, and keeps its store. A burst of
-// edits (ApplyEdits) first patches every op, then repairs once: the
-// driver in tolerance mode (frontier_tolerance = τ) starts from the union
-// of the ops' seeded pairs and runs over an in-place view of the store.
-// Its writes land in the previous-score buffer at once, so an evaluation
-// sees the changes made earlier in the same step. The repair is serial at
-// every thread count, so the maintained scores do not depend on
-// config.num_threads. The first burst builds the repair driver and every
+// edits (ApplyEdits) first patches every op, then repairs once with
+// tolerance frontiers at τ = IncrementalOptions::propagation_tolerance,
+// starting from the union of the ops' seeded pairs. The repair is a
+// serial loop that evaluates in place: its writes land in the store's
+// previous-score buffer at once, so an evaluation sees the changes made
+// earlier in the same step, and the maintained scores do not depend on
+// config.num_threads. The first burst builds the repair state and every
 // later burst reuses it, so influence a repair left below τ is carried
 // into the next one: the bound above holds over any number of bursts.
+// Batch solves have no frontiers (docs/performance.md "Edit-repair
+// frontiers").
 //
 // Cost model:
 //  * the graphs are held as DynamicGraph (graph/dynamic_graph.h), so each
 //    op's edge edit patches two sorted adjacency lists in O(deg);
 //  * the store keeps both directions of every pair (its reverse-span
-//    layout, which the tolerance-mode repair needs whatever
-//    config.frontier_tolerance says) and is maintained, not rebuilt: an
+//    layout, whose spans list each pair's readers for the repair's
+//    frontiers) and is maintained, not rebuilt: an
 //    edit to edge (a, b) in graph 1 invalidates only the out-spans of
 //    pairs (a, *) and the in-spans of pairs (b, *) (symmetrically
 //    (*, a) / (*, b) for graph 2), and exactly those spans are re-staged —
@@ -55,7 +57,7 @@
 //  * the repair costs its evaluations (through the index, as in the batch
 //    engines) and their dependent marks, plus a frontier build per repair
 //    step over the marked pairs and pairs/64 bitmap words, once per burst
-//    however many ops it holds. Only the first burst pays the driver's
+//    however many ops it holds. Only the first burst pays the repair's
 //    O(pairs) setup (influence factors, zeroed frontier arrays).
 //    FSimConfig::neighbor_index_budget_bytes
 //    is a ceiling: Create fails with ResourceExhausted when the index does
@@ -156,10 +158,10 @@ class IncrementalFSim {
   /// foreign seed can never corrupt the fixpoint (the contraction drives
   /// any starting point in [0,1] to the same result).
   ///
-  /// Fails with ResourceExhausted, naming the bytes it needs and the
-  /// budget, when the reverse-span neighbor index cannot fit
-  /// config.neighbor_index_budget_bytes (even where ComputeFSim would fall
-  /// back to its evaluation-only index).
+  /// Fails with ResourceExhausted, naming the reverse-span bytes it needs
+  /// and the budget, when the reverse-span neighbor index cannot fit
+  /// config.neighbor_index_budget_bytes (even where ComputeFSim's
+  /// evaluation-only index would).
   static Result<IncrementalFSim> Create(Graph g1, Graph g2, FSimConfig config,
                                         IncrementalOptions options = {},
                                         const FSimScores* warm_seed = nullptr);
@@ -208,8 +210,8 @@ class IncrementalFSim {
   /// stats().converged faithfully reports whether the initial solve
   /// converged and every repair since ran to quiescence (no truncation by
   /// max_updates_per_edit or the step cap). The iterate fields of stats()
-  /// (iterations, final_delta, active_set, full_sweep_iterations,
-  /// frozen_fraction, iterate_seconds, ...) describe the initial solve.
+  /// (iterations, final_delta, iterate_seconds, ...) describe the initial
+  /// solve.
   FSimScores Snapshot() const;
 
   /// The evolving graphs (edit-capable adjacency; read API mirrors Graph).
@@ -240,23 +242,19 @@ class IncrementalFSim {
                   IncrementalOptions options, LabelSimilarityCache lsim,
                   PairStore store);
 
-  /// The in-place view of the store that edit repair runs on.
-  class RepairSpace;
-  /// Edit repair's driver with its view and one-worker pool, kept across
-  /// bursts (see Repair).
-  struct Repairer;
+  /// Edit repair's frontier state, kept across bursts (see Repair).
+  class Repairer;
 
   /// Applies one op's graph-side edit and re-stages the index spans it
   /// invalidated, appending the pairs whose Equation 3 inputs changed
   /// shape to `*seeds`. A rejected op changes nothing.
   Status Patch(const EdgeEdit& edit, std::vector<uint32_t>* seeds);
 
-  /// ActiveSetDriver::Repair over RepairSpace from `seeds` (ascending,
-  /// distinct), serial at every thread count; records EditStats and maps
-  /// truncation by max_updates_per_edit to Internal. The driver is built
-  /// by the first repair and reused while the graphs' in-lists mirror
-  /// their out-lists, so its carried sub-τ influence persists from burst
-  /// to burst.
+  /// Repairs from `seeds` (ascending, distinct), serially and in place at
+  /// every thread count; records EditStats and maps truncation by
+  /// max_updates_per_edit to Internal. The Repairer is built by the first
+  /// repair and reused while the graphs' in-lists mirror their out-lists,
+  /// so its carried sub-τ influence persists from burst to burst.
   Status Repair(std::span<const uint32_t> seeds);
 
   /// Upper bound on the index entries inserting edge (from, to) into graph

@@ -54,8 +54,7 @@ struct NeighborRef {
 inline constexpr uint32_t kNeighborRefPrunedTag = 0x80000000u;
 
 /// True when `ref` points into the pruned upper-bound side table. Pruned
-/// pairs are never re-evaluated and their bounds never change, so the
-/// active-set frontier marking skips tagged refs outright.
+/// pairs are never re-evaluated and their bounds never change.
 inline constexpr bool IsPrunedRef(uint32_t ref) {
   return (ref & kNeighborRefPrunedTag) != 0;
 }
@@ -96,7 +95,7 @@ inline double OmegaValue(OmegaKind kind, size_t n1, size_t n2) {
 /// feed a row and a column maximum). Clamped at 1 so it is never looser
 /// than the coarse "Ωχ >= 1" bound; 0 when the direction has an empty side
 /// (its span has no entries, so the factor is never read). Read by
-/// ActiveSetDriver's tolerance-mode frontier marking.
+/// IncrementalFSim's edit-repair frontier marking.
 inline double PairInfluenceFactor(const OperatorConfig& op, size_t n1,
                                   size_t n2) {
   if (n1 == 0 || n2 == 0) return 0.0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -328,78 +327,53 @@ Status PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
 
   // In the reverse-span layout a direction's span is also materialized
   // when only the *opposite* weight is nonzero (it is then never evaluated
-  // but serves as the reverse-dependency list for frontier marking), and
-  // pinned diagonal spans are kept so their first-sweep init -> 1 snap can
-  // notify dependents. See the OutRefs comment in the header.
-  auto plan_for = [&](bool widened) {
-    return SpanPlan{config.w_out > 0.0 || (widened && config.w_in > 0.0),
-                    config.w_in > 0.0 || (widened && config.w_out > 0.0),
-                    config.pin_diagonal && !widened};
-  };
+  // but serves as the reverse-dependency list for edit repair's frontier
+  // marking), and pinned diagonal spans are kept. See the OutRefs comment
+  // in the header.
+  const SpanPlan plan{
+      config.w_out > 0.0 || (reverse_spans && config.w_in > 0.0),
+      config.w_in > 0.0 || (reverse_spans && config.w_out > 0.0),
+      config.pin_diagonal && !reverse_spans};
   // Entry layout: the packed 8-byte NeighborRef when every row/col fits in
   // 16 bits; positions inside a neighbor list run 0..deg-1, so a direction
   // packs while its max degree is <= kPackedDegreeLimit. The 12-byte
   // layout otherwise.
-  auto packed_for = [&](const SpanPlan& p) {
-    return (!p.use_out || (g1.MaxOutDegree() <= kPackedDegreeLimit &&
-                           g2.MaxOutDegree() <= kPackedDegreeLimit)) &&
-           (!p.use_in || (g1.MaxInDegree() <= kPackedDegreeLimit &&
-                          g2.MaxInDegree() <= kPackedDegreeLimit));
-  };
+  const bool packed =
+      (!plan.use_out || (g1.MaxOutDegree() <= kPackedDegreeLimit &&
+                         g2.MaxOutDegree() <= kPackedDegreeLimit)) &&
+      (!plan.use_in || (g1.MaxInDegree() <= kPackedDegreeLimit &&
+                        g2.MaxInDegree() <= kPackedDegreeLimit));
   // The pre-filter upper bound Σ |N±(u)|·|N±(v)| (compatibility filtering
   // only shrinks it, so fitting the bound guarantees fitting the index).
-  auto max_entries_for = [&](const SpanPlan& p) {
-    uint64_t max_entries = 0;
-    for (uint64_t key : keys_) {
-      const NodeId u = PairFirst(key);
-      const NodeId v = PairSecond(key);
-      if (p.skip_diagonal && u == v) continue;
-      if (p.use_out) {
-        max_entries +=
-            static_cast<uint64_t>(g1.OutDegree(u)) * g2.OutDegree(v);
-      }
-      if (p.use_in) {
-        max_entries += static_cast<uint64_t>(g1.InDegree(u)) * g2.InDegree(v);
-      }
+  uint64_t max_entries = 0;
+  for (uint64_t key : keys_) {
+    const NodeId u = PairFirst(key);
+    const NodeId v = PairSecond(key);
+    if (plan.skip_diagonal && u == v) continue;
+    if (plan.use_out) {
+      max_entries += static_cast<uint64_t>(g1.OutDegree(u)) * g2.OutDegree(v);
     }
-    return max_entries;
-  };
+    if (plan.use_in) {
+      max_entries += static_cast<uint64_t>(g1.InDegree(u)) * g2.InDegree(v);
+    }
+  }
   const uint64_t offsets_bytes =
       (2 * n + (n + kChunkPairs - 1) / kChunkPairs) * sizeof(uint32_t);
-  auto entry_bytes_for = [&](const SpanPlan& p) {
-    return packed_for(p) ? sizeof(PackedNeighborRef) : sizeof(NeighborRef);
-  };
-  auto bound_bytes = [&](const SpanPlan& p, uint64_t max_entries) {
-    return max_entries * entry_bytes_for(p) + offsets_bytes;
-  };
-  auto fits = [&](const SpanPlan& p, uint64_t max_entries) {
-    return bound_bytes(p, max_entries) <= config.neighbor_index_budget_bytes;
-  };
-
-  // Build the widened layout when asked; if only the widening blows the
-  // budget (single-direction configs double their entry count), fall back
-  // to the evaluation-only index — the driver then runs full sweeps
-  // (reverse_spans() false) instead of the build failing.
-  SpanPlan plan = plan_for(reverse_spans);
-  uint64_t max_entries = max_entries_for(plan);
-  if (reverse_spans && !fits(plan, max_entries)) {
-    info_.reverse_span_bytes = bound_bytes(plan, max_entries);
-    reverse_spans = false;
-    plan = plan_for(false);
-    max_entries = max_entries_for(plan);
-  }
-  if (!fits(plan, max_entries)) {
+  const size_t entry_bytes =
+      packed ? sizeof(PackedNeighborRef) : sizeof(NeighborRef);
+  const uint64_t bound_bytes = max_entries * entry_bytes + offsets_bytes;
+  if (bound_bytes > config.neighbor_index_budget_bytes) {
     return Status::ResourceExhausted(StrFormat(
-        "neighbor index needs up to %llu bytes (%llu candidate entries of "
-        "%zu bytes + %llu offset bytes), over neighbor_index_budget_bytes "
-        "%llu",
-        static_cast<unsigned long long>(bound_bytes(plan, max_entries)),
-        static_cast<unsigned long long>(max_entries), entry_bytes_for(plan),
+        "%s needs up to %llu bytes (%llu candidate entries of %zu bytes + "
+        "%llu offset bytes), over neighbor_index_budget_bytes %llu",
+        reverse_spans ? "reverse-span neighbor index" : "neighbor index",
+        static_cast<unsigned long long>(bound_bytes),
+        static_cast<unsigned long long>(max_entries), entry_bytes,
         static_cast<unsigned long long>(offsets_bytes),
         static_cast<unsigned long long>(config.neighbor_index_budget_bytes)));
   }
   plan_ = plan;
-  packed_refs_ = packed_for(plan);
+  packed_refs_ = packed;
   reverse_spans_ = reverse_spans;
   if (packed_refs_) {
     return FillNeighborRefs(g1, g2, pool, &nbr_chunks_packed_);
@@ -772,82 +746,6 @@ void PairStore::RestageChunks(const DynamicGraph& g1, const DynamicGraph& g2,
                 at(offsets[spans[q] - first_span]));
     }
   }
-}
-
-void FrontierTracker::Init(size_t num_pairs, int num_workers) {
-  const size_t words = (num_pairs + 63) / 64;
-  epoch_ = 0;
-  stamps_.assign(static_cast<size_t>(num_workers),
-                 std::vector<uint32_t>(num_pairs, 0));
-  influence_.assign(static_cast<size_t>(num_workers),
-                    std::vector<float>(num_pairs, 0.0f));
-  marked_.assign(static_cast<size_t>(num_workers),
-                 std::vector<uint64_t>(words, 0));
-  marked_union_.assign(words, 0);
-  carry_.assign(num_pairs, 0.0);
-}
-
-void FrontierTracker::BuildNext(ThreadPool& pool, double tolerance,
-                                bool previous_sweep_was_full,
-                                std::vector<uint32_t>* frontier) {
-  // Scans the marked-bit words in chunks of 4096 pairs: coarse enough
-  // that the two-pass offsets stay tiny, fine enough to balance across
-  // workers.
-  const size_t n = marked_union_.size();
-  constexpr size_t kGrain = 4096 / 64;
-  const size_t num_chunks = (n + kGrain - 1) / kGrain;
-  chunk_offsets_.assign(num_chunks + 1, 0);
-  const uint32_t epoch = epoch_;
-  const size_t workers = stamps_.size();
-  // A full sweep evaluated every pair, absorbing all carried influence.
-  if (previous_sweep_was_full) {
-    std::fill(carry_.begin(), carry_.end(), 0.0);
-  }
-
-  // Pass 1: per-chunk counts. The marked pairs' per-worker influence sums
-  // collapse into the cross-iteration carry_ accumulator (unmarked pairs
-  // keep a carry at or below the tolerance, as every larger one was
-  // reset). Chunks partition the pairs, so writes are race-free.
-  pool.ParallelForChunked(n, kGrain, [&](int, size_t begin, size_t end) {
-    uint32_t count = 0;
-    for (size_t word = begin; word < end; ++word) {
-      uint64_t bits = 0;
-      for (size_t w = 0; w < workers; ++w) {
-        bits |= marked_[w][word];
-        marked_[w][word] = 0;
-      }
-      marked_union_[word] = bits;
-      for (; bits != 0; bits &= bits - 1) {
-        const size_t j = word * 64 + std::countr_zero(bits);
-        double sum = carry_[j];
-        for (size_t w = 0; w < workers; ++w) {
-          if (stamps_[w][j] == epoch) sum += influence_[w][j];
-        }
-        carry_[j] = sum;
-        if (sum > tolerance) ++count;
-      }
-    }
-    chunk_offsets_[begin / kGrain + 1] = count;
-  });
-  for (size_t c = 1; c <= num_chunks; ++c) {
-    chunk_offsets_[c] += chunk_offsets_[c - 1];
-  }
-
-  // Pass 2: fill each chunk's slice; evaluated pairs reset their carried
-  // influence (their next evaluation starts from a clean slate).
-  frontier->resize(num_chunks == 0 ? 0 : chunk_offsets_[num_chunks]);
-  pool.ParallelForChunked(n, kGrain, [&](int, size_t begin, size_t end) {
-    uint32_t pos = chunk_offsets_[begin / kGrain];
-    for (size_t word = begin; word < end; ++word) {
-      for (uint64_t bits = marked_union_[word]; bits != 0; bits &= bits - 1) {
-        const size_t j = word * 64 + std::countr_zero(bits);
-        if (carry_[j] > tolerance) {
-          (*frontier)[pos++] = static_cast<uint32_t>(j);
-          carry_[j] = 0.0;
-        }
-      }
-    }
-  });
 }
 
 }  // namespace fsim

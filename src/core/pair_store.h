@@ -68,18 +68,10 @@ class PairStore {
   /// Most entries one chunk may hold: its offsets are 32-bit.
   static constexpr uint64_t kMaxChunkEntries = UINT32_MAX;
 
-  /// set_curr writes the current buffer, which the next sweep reads only
-  /// after SwapBuffers or CommitPair (ActiveSetDriver's Space contract).
-  static constexpr bool kInPlace = false;
-
   struct BuildInfo {
     size_t theta_candidates = 0;  // pairs surviving the θ filter
     size_t kept = 0;              // pairs actually maintained
     size_t pruned = 0;            // pairs dropped by the upper bound
-    // Bound of the reverse-span layout when it did not fit the budget and
-    // the index fell back to the evaluation-only layout (reverse_spans()
-    // false); 0 otherwise.
-    uint64_t reverse_span_bytes = 0;
   };
 
   /// Enumerates and initializes the candidate pairs and builds the
@@ -97,8 +89,10 @@ class PairStore {
   /// the store, so the index omits it and it reads 0, as a pruned
   /// untracked pair does (TopKSearch's radius ball). `reverse_spans` asks
   /// for the widened span layout whose spans double as reverse-dependency
-  /// lists (see reverse_spans()): tolerance frontiers and edit repair walk
-  /// it, full sweeps do not need it.
+  /// lists (see reverse_spans()), which IncrementalFSim's edit repair
+  /// walks; full sweeps do not need it. When the widened layout cannot fit
+  /// the budget, the build fails with ResourceExhausted naming the
+  /// reverse-span bytes and the budget.
   static Result<PairStore> Build(const Graph& g1, const Graph& g2,
                                  const FSimConfig& config,
                                  const LabelSimilarityCache& lsim,
@@ -124,14 +118,10 @@ class PairStore {
   void set_curr(size_t i, double value) { curr_[i] = value; }
   void SwapBuffers() { prev_.swap(curr_); }
 
-  /// Copies pair i's just-evaluated current value into the previous-score
-  /// buffer — the active-set driver's selective forward copy. A frontier
-  /// sweep writes curr_ only at the evaluated positions, so a wholesale
-  /// SwapBuffers would expose stale entries; instead the driver commits
-  /// exactly the evaluated pairs (O(|frontier|), after the sweep's last
-  /// read of prev_) and every frozen pair keeps its score in place for
-  /// free. Full sweeps keep using SwapBuffers.
-  void CommitPair(size_t i) { prev_[i] = curr_[i]; }
+  /// Overwrites pair i's score in the previous-score buffer, which the
+  /// next evaluation reads: a warm start's seed, and edit repair's
+  /// in-place updates.
+  void set_prev(size_t i, double value) { prev_[i] = value; }
 
   /// True when the index uses the packed 8-byte entry layout (16-bit
   /// row/col) — selected whenever every relevant neighbor-list position
@@ -144,13 +134,9 @@ class PairStore {
   /// 16-bit row/col.
   static constexpr size_t kPackedDegreeLimit = 0x10000;
 
-  /// True when the index was built with the widened span layout
+  /// True when Build was asked for the widened span layout
   /// (opposite-direction spans + pinned diagonal spans kept), so the spans
-  /// are usable as reverse-dependency lists. False when Build was not
-  /// asked for it, or when only the widening would have blown
-  /// neighbor_index_budget_bytes and the build fell back to the
-  /// evaluation-only layout — the active-set driver then runs full sweeps
-  /// instead of the build failing.
+  /// are usable as reverse-dependency lists.
   bool reverse_spans() const { return reverse_spans_; }
 
   /// Out-direction CSR entries of pair i: the label-compatible candidate
@@ -161,9 +147,9 @@ class PairStore {
   /// additionally materialized when the *opposite* weight is nonzero — the
   /// refs of the in-span are exactly the pairs reading (u, v) through their
   /// out-direction (x ∈ N-(u), y ∈ N-(v)), and vice versa, so each span
-  /// doubles as the pair's reverse-dependency list for frontier marking —
-  /// and pinned diagonal spans are kept so the init -> 1 snap of the first
-  /// sweep can notify its dependents.
+  /// doubles as the pair's reverse-dependency list for edit repair's
+  /// frontier marking — and pinned diagonal spans are kept too, so the
+  /// layout lists every reader of every pair.
   std::span<const NeighborRef> OutRefs(size_t i) const {
     FSIM_DCHECK(!packed_refs_);
     return SpanOf(nbr_chunks_, 2 * i);
@@ -214,10 +200,6 @@ class PairStore {
       f(nbr_chunks_[chunk].data(), offsets);
     }
   }
-
-  /// True when pinned diagonal pairs carry spans (the reverse-span layout
-  /// keeps them; see OutRefs), so their init -> 1 snap marks dependents.
-  bool pinned_pairs_spanned() const { return reverse_spans_; }
 
   /// Previous-iteration scores, indexed by untagged NeighborRef::ref values.
   /// The pointer is stable across SwapBuffers only if re-read afterwards.
@@ -295,8 +277,8 @@ class PairStore {
   };
 
   /// Materializes the CSR neighbor index, choosing the packed or wide
-  /// entry layout and, when `reverse_spans` asks for it and it fits, the
-  /// reverse-span layout; ResourceExhausted when it cannot fit the budget.
+  /// entry layout, in the reverse-span layout when `reverse_spans` asks for
+  /// it; ResourceExhausted when it cannot fit the budget.
   Status BuildNeighborIndex(const Graph& g1, const Graph& g2,
                             const FSimConfig& config, ThreadPool& pool,
                             bool reverse_spans);
@@ -349,64 +331,6 @@ class PairStore {
   std::vector<uint32_t> nbr_offsets_;
   std::vector<std::vector<NeighborRef>> nbr_chunks_;
   std::vector<std::vector<PackedNeighborRef>> nbr_chunks_packed_;
-};
-
-/// Race-free, allocation-free (after Init) construction of the next
-/// tolerance frontier. While sweeping, each worker adds the influence of
-/// every changed pair on its dependents into its own epoch-tagged arrays
-/// (a stamp equal to the current epoch means "marked this iteration" — no
-/// clearing between iterations, ever), next to a bit per marked pair.
-/// BuildNext folds the workers' sums into a cross-iteration carry and
-/// emits, ascending, the pairs whose carried influence — accumulated while
-/// they were being skipped — exceeds the tolerance, which bounds the
-/// error by τ·(1+w)/(1-w) against full sweeps. It visits only the marked
-/// pairs (a pair's carry changes only when it is marked) at
-/// O(pairs / 64) words per call, so a small frontier is cheap to build
-/// however large the table. The incremental engine's edit repair runs on
-/// this scheme too (core/incremental.h).
-class FrontierTracker {
- public:
-  /// Sizes one stamp + influence array + marked-bit array per worker and
-  /// the shared carry.
-  void Init(size_t num_pairs, int num_workers);
-
-  /// Opens the next iteration's epoch; marks stamped from now on belong to
-  /// the frontier *after* the upcoming sweep.
-  void BeginIteration() { ++epoch_; }
-  uint32_t epoch() const { return epoch_; }
-
-  /// The calling worker's stamp / influence arrays (hot-path raw pointers;
-  /// one cache-resident array per worker, no false sharing of the
-  /// accumulators), and its marked bits: set bit j (word j / 64) whenever
-  /// stamping pair j afresh.
-  uint32_t* stamps(int worker) { return stamps_[worker].data(); }
-  float* influence(int worker) { return influence_[worker].data(); }
-  uint64_t* marked(int worker) { return marked_[worker].data(); }
-
-  /// Collects the pairs whose carried influence exceeds `tolerance` into
-  /// `*frontier`, ascending. Two chunked parallel passes (count, then
-  /// fill), reusing the frontier's and the scratch's capacity.
-  /// `previous_sweep_was_full`: every pair was just evaluated, so
-  /// influence carried from before that sweep is absorbed and only the
-  /// fresh epoch's marks count.
-  void BuildNext(ThreadPool& pool, double tolerance,
-                 bool previous_sweep_was_full,
-                 std::vector<uint32_t>* frontier);
-
-  /// Drops the carried influence of `pairs`, which the caller evaluates
-  /// next without a BuildNext (a repair's seeds).
-  void ResetCarry(std::span<const uint32_t> pairs) {
-    for (uint32_t j : pairs) carry_[j] = 0.0;
-  }
-
- private:
-  uint32_t epoch_ = 0;
-  std::vector<std::vector<uint32_t>> stamps_;     // per worker
-  std::vector<std::vector<float>> influence_;     // per worker
-  std::vector<double> carry_;       // cross-iteration pending influence
-  std::vector<std::vector<uint64_t>> marked_;  // per worker
-  std::vector<uint64_t> marked_union_;  // BuildNext: the workers' bits
-  std::vector<uint32_t> chunk_offsets_;  // BuildNext count/fill scratch
 };
 
 }  // namespace fsim

@@ -12,9 +12,8 @@
 // FSIM_SIMD=off selects the scalar kernels). The panels follow each node's
 // id-sorted neighbor list, so rows are summed and column maxima reduced in
 // the nested loops' ascending position order, and the values are
-// bit-identical to the sparse driver's. Every iteration is a full sweep,
-// also when FSimConfig::frontier_tolerance > 0: the tolerance bound then
-// holds at distance 0.
+// bit-identical to the sparse path's. Every iteration is a full sweep,
+// as on the sparse path.
 //
 // The panels and the weighted label-term table are bounded together
 // against FSimConfig::neighbor_index_budget_bytes before either is built.
@@ -43,7 +42,7 @@ namespace fsim {
 /// True when `config` can run on the tile panels: θ = 0, the max-per-row
 /// (s) or max-both-sides (b) mapping, and no upper-bound updating. The
 /// solver picks them then unless it fills only some rows or must keep a
-/// repairable store; every other run takes the sparse driver.
+/// repairable store; every other run takes the sparse path.
 bool RunsOnTilePanels(const FSimConfig& config);
 
 /// The θ = 0 panel realization of the solver (core/fsim_solver.h): Build

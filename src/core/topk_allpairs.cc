@@ -59,26 +59,13 @@ Result<TopKPairsResult> ComputeTopKPairs(const Graph& g1, const Graph& g2,
   TopKPairsResult result;
   result.iteration_bound = FSimIterationBound(config);
 
-  // Tolerance frontiers let maintained scores drift up to
-  // frontier_tolerance * (1 + w) / (1 - w) from the full-sweep values
-  // (docs/performance.md "Active-set iteration"), so the boundary
-  // separation test must absorb that slack on both compared scores or it
-  // could certify a set whose boundary pairs are swapped in the full-sweep
-  // solution. Full sweeps, on the index or the panels, add no slack.
-  const double score_slack =
-      solver->active_set()
-          ? config.frontier_tolerance * (1.0 + w) / (1.0 - w)
-          : 0.0;
-
   // The solver leaves values() holding the complete state after every
   // step, so the boundary test reads one consistent snapshot.
   std::vector<std::pair<double, size_t>> best;
   FSimStats stats;
   solver->Run(&stats, [&](double max_delta) {
-    // Residual radius from the contraction tail bound, plus the
-    // tolerance-mode drift slack.
-    result.radius =
-        (w > 0.0 ? max_delta * w / (1.0 - w) : max_delta) + score_slack;
+    // Residual radius from the contraction tail bound.
+    result.radius = w > 0.0 ? max_delta * w / (1.0 - w) : max_delta;
     // Boundary test: kth best must beat the (k+1)th by more than 2r. With
     // no boundary (fewer than k+1 eligible pairs) the set is trivially
     // certain. A boundary still within 2r at convergence (e.g. exact

@@ -17,9 +17,8 @@ Result<TopKResult> TopKSearch(const Graph& g1, const Graph& g2, NodeId source,
   if (source >= g1.NumNodes()) {
     return Status::InvalidArgument("source node out of range");
   }
-  // The solve runs full sweeps, `depth` of them at most.
+  // The solve runs `depth` full sweeps at most.
   FSimConfig solve = config;
-  solve.frontier_tolerance = 0.0;
   solve.max_iterations = 0;
   const uint32_t depth =
       options.depth > 0 ? options.depth : FSimIterationBound(solve);

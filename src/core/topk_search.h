@@ -53,10 +53,9 @@ struct TopKOptions {
 /// and num_threads as ComputeFSim does. The depth replaces
 /// config.max_iterations (it controls both locality and iterations); the
 /// epsilon stop applies only to a derived depth whose ball covers every
-/// row. The steps always run as full sweeps, whatever
-/// config.frontier_tolerance says. Fails with ResourceExhausted when the
-/// ball's index (or, over every row at θ = 0 for s and b, the tile panels)
-/// cannot fit config.neighbor_index_budget_bytes.
+/// row. Fails with ResourceExhausted when the ball's index (or, over every
+/// row at θ = 0 for s and b, the tile panels) cannot fit
+/// config.neighbor_index_budget_bytes.
 Result<TopKResult> TopKSearch(const Graph& g1, const Graph& g2, NodeId source,
                               const FSimConfig& config,
                               const TopKOptions& options = {});

@@ -64,8 +64,8 @@ class Graph {
   /// Total stored in-adjacency entries. Equals NumEdges() for every graph
   /// whose in-lists are the transpose of its out-lists (all GraphBuilder /
   /// IO construction); 0 for the AsUndirected adaptation, which stores the
-  /// symmetric neighborhood in the out-lists only. The active-set engines
-  /// use the comparison to pick the reverse-dependency walk.
+  /// symmetric neighborhood in the out-lists only. IncrementalFSim's edit
+  /// repair uses the comparison to pick the reverse-dependency walk.
   size_t NumInEdges() const { return in_adj_.size(); }
 
   /// N+(u): nodes w with an edge u -> w.

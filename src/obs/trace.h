@@ -1,7 +1,7 @@
 // Phase tracing — RAII spans recorded into per-thread ring buffers and
 // dumped as Chrome trace_event JSON (chrome://tracing, Perfetto). The
 // instrumented phases are the engine iteration structure (init, per-iter
-// frontier build / sweep / commit), incremental edit repair, scheduler
+// sweep), incremental edit repair (its sweeps and frontier builds), scheduler
 // dispatch regions and the serve path; `fsim_cli --trace-out t.json`
 // arms tracing around a solve and writes the dump.
 //

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <limits>
 #include <set>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -353,53 +352,6 @@ TEST(ThreadPoolTest, ChunkedZeroGrainIsClampedToOne) {
     for (size_t i = begin; i < end; ++i) hits[i]++;
   });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, SpanSlicesAreGrainAlignedRunsOfTheIndexArray) {
-  // The frontier sweep relies on each slice being a contiguous run of the
-  // ascending index array that starts on a grain boundary, so a slice
-  // walks the score arrays upward.
-  ThreadPool pool(3);
-  constexpr size_t kN = 1000;
-  constexpr size_t kGrain = 64;
-  std::vector<uint32_t> indices(kN);
-  for (size_t i = 0; i < kN; ++i) {
-    indices[i] = static_cast<uint32_t>(3 * i + 1);
-  }
-  std::vector<std::atomic<int>> hits(kN);
-  std::atomic<int> misaligned{0};
-  pool.ParallelForSpan(indices, kGrain,
-                       [&](int, std::span<const uint32_t> ids) {
-                         const size_t offset =
-                             static_cast<size_t>(ids.data() - indices.data());
-                         if (offset % kGrain != 0 ||
-                             ids.size() != std::min(kGrain, kN - offset)) {
-                           misaligned++;
-                         }
-                         for (size_t k = 0; k < ids.size(); ++k) {
-                           if (ids[k] != indices[offset + k]) misaligned++;
-                           hits[offset + k]++;
-                         }
-                       });
-  EXPECT_EQ(misaligned.load(), 0);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, SpanEmptyAndShortArraysRunInline) {
-  ThreadPool pool(4);
-  pool.ParallelForSpan({}, 8, [](int, std::span<const uint32_t>) {
-    FAIL() << "must not run";
-  });
-  const std::vector<uint32_t> indices = {2, 5, 9, 11, 40};
-  std::vector<int> workers;
-  pool.ParallelForSpan(indices, 8, [&](int worker,
-                                       std::span<const uint32_t> ids) {
-    workers.push_back(worker);
-    EXPECT_EQ(ids.data(), indices.data());
-    EXPECT_EQ(ids.size(), indices.size());
-  });
-  ASSERT_EQ(workers.size(), 1u);
-  EXPECT_EQ(workers[0], 0);
 }
 
 // ------------------------------------------------------------ StringUtil --

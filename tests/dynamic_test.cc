@@ -21,6 +21,7 @@
 #include "core/panel_engine.h"
 #include "graph/dynamic_graph.h"
 #include "graph/edits.h"
+#include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "gtest/gtest.h"
 #include "test_graphs.h"
@@ -518,6 +519,309 @@ TEST(Incremental, LongBurstStreamStaysWithinToleranceBound) {
           std::max(max_diff, std::abs(full->Score(u, v) - inc->Score(u, v)));
     }
     EXPECT_LE(max_diff, tau * (1 + w) / (1 - w) + 1e-8) << "burst " << burst;
+  }
+}
+
+// The repair's frontiers walk each pair's reverse spans to find its
+// readers. Each case drives one shape of that walk through a stream of
+// bursts and holds the repaired scores to τ·(1+w)/(1-w) of a full
+// recompute: SimRank's single weighted direction, whose reader lists are
+// the widened opposite-direction spans, with pinned diagonal pairs (each
+// edit applied to both graphs keeps the run a self-similarity); RoleSim's
+// AsUndirected adaptation, whose out-span is its own reader list (each
+// burst removes an undirected edge in both directions from both graphs,
+// so the out-lists stay symmetric and the in-lists empty); and a
+// three-node right graph, where a graph-2 edit seeds two thirds of the
+// pairs and the repair runs its dense frontiers as full sweeps.
+struct RepairShapeCase {
+  std::string name;
+  FSimConfig config;
+  Graph g1;
+  Graph g2;
+  bool undirected = false;
+};
+
+void PrintTo(const RepairShapeCase& c, std::ostream* os) { *os << c.name; }
+
+std::vector<RepairShapeCase> RepairShapeCases() {
+  LabelingOptions one_label;
+  one_label.num_labels = 1;
+  std::vector<RepairShapeCase> cases;
+  const Graph directed = ErdosRenyi(14, 40, one_label, 31);
+  cases.push_back({"simrank_pinned", SimRankFSimConfig(0.8), directed,
+                   directed});
+  FSimConfig rolesim = RoleSimFSimConfig(0.15);
+  rolesim.matching = MatchingAlgo::kHungarian;  // exact C3: contraction
+  const Graph undirected = ErdosRenyi(12, 30, one_label, 47).AsUndirected();
+  cases.push_back({"rolesim_undirected", rolesim, undirected, undirected,
+                   /*undirected=*/true});
+  FSimConfig dense;
+  dense.variant = SimVariant::kSimple;
+  dense.w_out = 0.45;
+  dense.w_in = 0.35;
+  auto pair = MakeRandomPair(61, 20, 3);
+  cases.push_back({"dense_frontier", dense, pair.g1, pair.g2});
+  return cases;
+}
+
+class IncrementalRepairShapes
+    : public ::testing::TestWithParam<RepairShapeCase> {};
+
+TEST_P(IncrementalRepairShapes, StayWithinToleranceBoundOfFullRecompute) {
+  const RepairShapeCase& param = GetParam();
+  FSimConfig config = param.config;
+  config.epsilon = 1e-12;
+  IncrementalOptions options;
+  options.propagation_tolerance = 1e-8;
+  const double w = config.w_out + config.w_in;
+  const double bound =
+      options.propagation_tolerance * (1 + w) / (1 - w) + 1e-9;
+  auto inc = IncrementalFSim::Create(param.g1, param.g2, config, options);
+  ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+
+  Rng rng(777);
+  std::vector<Status> statuses;
+  for (int burst = 0; burst < 6; ++burst) {
+    std::vector<EdgeEdit> edits;
+    if (param.undirected) {
+      const NodeId n = static_cast<NodeId>(inc->g1().NumNodes());
+      NodeId a = static_cast<NodeId>(rng.Next() % n);
+      while (inc->g1().OutDegree(a) == 0) a = (a + 1) % n;
+      const NodeId b = inc->g1().OutNeighbors(a)[0];
+      for (int graph_index : {1, 2}) {
+        edits.push_back({graph_index, a, b, /*insert=*/false});
+        if (a != b) edits.push_back({graph_index, b, a, /*insert=*/false});
+      }
+    } else {
+      const bool self = param.config.pin_diagonal;
+      const int graph_index = self || rng.Next() % 2 == 0 ? 1 : 2;
+      const DynamicGraph& g = graph_index == 1 ? inc->g1() : inc->g2();
+      const NodeId n = static_cast<NodeId>(g.NumNodes());
+      const NodeId from = static_cast<NodeId>(rng.Next() % n);
+      const NodeId to = static_cast<NodeId>(rng.Next() % n);
+      const bool insert = !g.HasEdge(from, to);
+      edits.push_back({graph_index, from, to, insert});
+      if (self) edits.push_back({2, from, to, insert});
+    }
+    const Status status = inc->ApplyEdits(edits, &statuses);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    for (const Status& op : statuses) ASSERT_TRUE(op.ok()) << op.ToString();
+    ASSERT_TRUE(inc->converged()) << "burst " << burst;
+
+    auto full = ComputeFSim(inc->MaterializeG1(), inc->MaterializeG2(),
+                            config);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    double max_diff = 0.0;
+    for (uint64_t key : full->keys()) {
+      const NodeId u = PairFirst(key);
+      const NodeId v = PairSecond(key);
+      max_diff =
+          std::max(max_diff, std::abs(full->Score(u, v) - inc->Score(u, v)));
+    }
+    EXPECT_LE(max_diff, bound) << "burst " << burst;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, IncrementalRepairShapes, ::testing::ValuesIn(RepairShapeCases()),
+    [](const ::testing::TestParamInfo<RepairShapeCase>& param_info) {
+      return param_info.param.name;
+    });
+
+// The repair's frontiers under every operator whose iteration contracts:
+// each MappingKind x OmegaKind pair whose mapping sums at most Ω entries
+// (rows for kMaxPerRow, except under the geometric mean, where
+// n1 > √(n1·n2) when n1 > n2; rows plus columns for kMaxBothSides; every
+// entry for kProduct), and the injective mappings under the exact
+// matching (a greedy one breaks condition C3, and the repair may then
+// settle on another orbit). Matching is swept only where it changes the
+// operator, the injective mappings. Each runs at θ = 0 (every pair a
+// candidate) and θ = 0.4 (label-similar pairs), with both directions
+// weighted or one, whose readers come from the widened opposite-direction
+// spans. On a dense random graph against itself, the two sides drift
+// apart over four two-edit bursts; after each burst the repaired scores
+// must stay within τ·(1+w)/(1-w) of a full recompute.
+struct RepairSweepCase {
+  MappingKind mapping;
+  OmegaKind omega;
+  MatchingAlgo matching;
+  double theta;
+  double w_out;
+  double w_in;
+  std::string name;
+};
+
+void PrintTo(const RepairSweepCase& c, std::ostream* os) { *os << c.name; }
+
+std::vector<RepairSweepCase> RepairSweepCases() {
+  struct Operator {
+    MappingKind mapping;
+    OmegaKind omega;
+    MatchingAlgo matching;
+    std::string name;
+  };
+  std::vector<Operator> operators = {
+      {MappingKind::kMaxPerRow, OmegaKind::kSizeS1, MatchingAlgo::kGreedy,
+       "MaxPerRow_SizeS1"},
+      {MappingKind::kMaxPerRow, OmegaKind::kSumSizes, MatchingAlgo::kGreedy,
+       "MaxPerRow_SumSizes"},
+      {MappingKind::kMaxPerRow, OmegaKind::kMaxSize, MatchingAlgo::kGreedy,
+       "MaxPerRow_MaxSize"},
+      {MappingKind::kMaxPerRow, OmegaKind::kProduct, MatchingAlgo::kGreedy,
+       "MaxPerRow_Product"},
+      {MappingKind::kMaxBothSides, OmegaKind::kSumSizes,
+       MatchingAlgo::kGreedy, "MaxBothSides_SumSizes"},
+      {MappingKind::kProduct, OmegaKind::kProduct, MatchingAlgo::kGreedy,
+       "Product_Product"},
+  };
+  const std::pair<OmegaKind, const char*> omegas[] = {
+      {OmegaKind::kSizeS1, "SizeS1"},   {OmegaKind::kSumSizes, "SumSizes"},
+      {OmegaKind::kGeoMean, "GeoMean"}, {OmegaKind::kMaxSize, "MaxSize"},
+      {OmegaKind::kProduct, "Product"}};
+  for (const auto& [omega, omega_name] : omegas) {
+    operators.push_back({MappingKind::kInjectiveRow, omega,
+                         MatchingAlgo::kHungarian,
+                         std::string("InjectiveRow_") + omega_name});
+    operators.push_back({MappingKind::kInjectiveSym, omega,
+                         MatchingAlgo::kHungarian,
+                         std::string("InjectiveSym_") + omega_name});
+  }
+  const struct {
+    double w_out;
+    double w_in;
+    const char* name;
+  } weights[] = {{0.35, 0.35, "both"}, {0.7, 0.0, "out"}, {0.0, 0.7, "in"}};
+  std::vector<RepairSweepCase> cases;
+  for (const Operator& op : operators) {
+    for (double theta : {0.0, 0.4}) {
+      for (const auto& w : weights) {
+        cases.push_back({op.mapping, op.omega, op.matching, theta, w.w_out,
+                         w.w_in,
+                         op.name + (theta == 0.0 ? "_theta0_" : "_theta04_") +
+                             w.name});
+      }
+    }
+  }
+  return cases;
+}
+
+class IncrementalOperatorSweep
+    : public ::testing::TestWithParam<RepairSweepCase> {};
+
+TEST_P(IncrementalOperatorSweep,
+       RepairStaysWithinToleranceBoundOfFullRecompute) {
+  const RepairSweepCase& param = GetParam();
+  const Graph g = testing::MakeDenseRandomGraph(
+      /*seed=*/11 + static_cast<int>(param.omega));
+  FSimConfig config;
+  config.operator_override = OperatorConfig{param.mapping, param.omega};
+  config.matching = param.matching;
+  config.label_sim = LabelSimKind::kEditDistance;
+  config.theta = param.theta;
+  config.w_out = param.w_out;
+  config.w_in = param.w_in;
+  config.epsilon = 1e-12;
+  IncrementalOptions options;
+  options.propagation_tolerance = 1e-8;
+  const double w = config.w_out + config.w_in;
+  const double bound =
+      options.propagation_tolerance * (1 + w) / (1 - w) + 1e-9;
+  auto inc = IncrementalFSim::Create(g, g, config, options);
+  ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+  ASSERT_TRUE(inc->converged());
+
+  Rng rng(0x5EED + static_cast<uint64_t>(param.mapping));
+  std::vector<Status> statuses;
+  for (int burst = 0; burst < 4; ++burst) {
+    std::vector<EdgeEdit> edits;
+    for (int graph_index : {1, 2}) {
+      const DynamicGraph& side = graph_index == 1 ? inc->g1() : inc->g2();
+      const NodeId n = static_cast<NodeId>(side.NumNodes());
+      const NodeId from = static_cast<NodeId>(rng.Next() % n);
+      const NodeId to = static_cast<NodeId>(rng.Next() % n);
+      edits.push_back({graph_index, from, to, !side.HasEdge(from, to)});
+    }
+    const Status status = inc->ApplyEdits(edits, &statuses);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    for (const Status& op : statuses) ASSERT_TRUE(op.ok()) << op.ToString();
+    EXPECT_TRUE(inc->converged()) << "burst " << burst;
+
+    auto full = ComputeFSim(inc->MaterializeG1(), inc->MaterializeG2(),
+                            config);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    ASSERT_TRUE(full->stats().converged) << "burst " << burst;
+    double max_diff = 0.0;
+    for (uint64_t key : full->keys()) {
+      const NodeId u = PairFirst(key);
+      const NodeId v = PairSecond(key);
+      max_diff =
+          std::max(max_diff, std::abs(full->Score(u, v) - inc->Score(u, v)));
+    }
+    EXPECT_LE(max_diff, bound) << "burst " << burst;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Operators, IncrementalOperatorSweep,
+    ::testing::ValuesIn(RepairSweepCases()),
+    [](const ::testing::TestParamInfo<RepairSweepCase>& param_info) {
+      return param_info.param.name;
+    });
+
+// IncrementalFSim's initial solve (the serving layer's warm-start path)
+// is ComputeFSim's sparse solve: full sweeps, equal bit for bit to
+// ComputeFSim at any thread count, with the same iterate stats — on
+// transpose-consistent and undirected graphs, and under SimRank's
+// pin_diagonal.
+TEST(Incremental, InitialSolveMatchesComputeFSim) {
+  LabelingOptions three_labels;
+  three_labels.num_labels = 3;
+  const Graph directed = ErdosRenyi(16, 48, three_labels, 77);
+  LabelingOptions one_label;
+  one_label.num_labels = 1;
+  const Graph undirected = ErdosRenyi(12, 30, one_label, 13).AsUndirected();
+  const Graph unlabeled = ErdosRenyi(14, 40, one_label, 31);
+  FSimConfig plain;
+  plain.epsilon = 1e-8;
+  FSimConfig rolesim = RoleSimFSimConfig(0.15);
+  rolesim.epsilon = 1e-8;
+  FSimConfig simrank = SimRankFSimConfig(0.8);
+  simrank.epsilon = 1e-8;
+  const struct {
+    const Graph* g;
+    FSimConfig config;
+    const char* name;
+  } cases[] = {{&directed, plain, "directed"},
+               {&undirected, rolesim, "undirected"},
+               {&unlabeled, simrank, "simrank"}};
+  for (const auto& c : cases) {
+    std::vector<double> single_thread;
+    for (int threads : {1, 3}) {
+      const std::string name =
+          std::string(c.name) + " t=" + std::to_string(threads);
+      FSimConfig config = c.config;
+      config.num_threads = threads;
+      auto inc = IncrementalFSim::Create(*c.g, *c.g, config);
+      ASSERT_TRUE(inc.ok()) << name << ": " << inc.status().ToString();
+      auto batch = ComputeFSim(*c.g, *c.g, config);
+      ASSERT_TRUE(batch.ok()) << name;
+      const FSimScores a = inc->Snapshot();
+      EXPECT_EQ(a.values(), batch->values()) << name;
+      if (threads == 1) {
+        single_thread = a.values();
+      } else {
+        EXPECT_EQ(a.values(), single_thread) << name;
+      }
+      const FSimStats& stats = a.stats();
+      EXPECT_GT(stats.iterations, 1u) << name;
+      EXPECT_EQ(stats.iterations, batch->stats().iterations) << name;
+      EXPECT_EQ(stats.final_delta, batch->stats().final_delta) << name;
+      EXPECT_LT(stats.final_delta, config.epsilon) << name;
+      EXPECT_FALSE(stats.active_set) << name;
+      EXPECT_TRUE(stats.active_pairs_history.empty()) << name;
+      EXPECT_EQ(stats.frozen_fraction, 0.0) << name;
+      EXPECT_GT(stats.iterate_seconds, 0.0) << name;
+    }
   }
 }
 

@@ -597,8 +597,8 @@ TEST(NeighborIndexTest, ParallelBuildBucketedFillMatchesReference) {
 }
 
 /// Asserts that the reverse-span layout lists every pair that reads a
-/// pair, which is what the dependency walk of tolerance frontiers and edit
-/// repair (ActiveSetDriver::MarkDependents) relies on to miss nothing: for
+/// pair, which is what the dependency walk of edit repair's frontiers
+/// (IncrementalFSim) relies on to miss nothing: for
 /// every maintained pair j and every unpruned ref r in a span j evaluates,
 /// j is listed in r's reverse-dependency span. Under the transpose scheme
 /// that is the opposite-direction span (r ∈ N+(u) x N+(v) means
@@ -680,7 +680,9 @@ TEST(PairStoreReverseSpansTest, ListEveryPairThatReadsThem) {
   const Graph undirected = mixed.g1.AsUndirected();
   ExpectReverseSpansListEveryReader(undirected, undirected,
                                     RoleSimFSimConfig(), "rolesim");
-  // Upper-bound pruning with α > 0 plants tagged refs the walk skips.
+  // Upper-bound pruning with α > 0 plants tagged refs, which no pair
+  // needs listed (IncrementalFSim rejects pruning, so no repair walks
+  // them).
   FSimConfig pruned;
   pruned.label_sim = LabelSimKind::kEditDistance;
   pruned.theta = 0.4;

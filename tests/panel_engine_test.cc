@@ -208,26 +208,6 @@ TEST(PanelEngineTest, PathFollowsTheConfig) {
   EXPECT_FALSE(RunsOnTilePanels(RoleSimFSimConfig()));
 }
 
-TEST(PanelEngineTest, ToleranceModeRunsFullSweeps) {
-  // Tolerance frontiers' bound holds at distance 0, so the panel path
-  // serves a positive frontier_tolerance with full sweeps too and reports
-  // no active set.
-  const Graph g = MakeDenseRandomGraph(5, 40);
-  FSimConfig config;
-  config.variant = SimVariant::kBi;
-  config.epsilon = 1e-6;
-  auto off = ComputeFSimSelf(g, config);
-  ASSERT_TRUE(off.ok()) << off.status().ToString();
-  config.frontier_tolerance = 1e-3;
-  auto run = ComputeFSimSelf(g, config);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_FALSE(run->stats().active_set);
-  EXPECT_TRUE(run->stats().active_pairs_history.empty());
-  EXPECT_EQ(run->stats().frozen_fraction, 0.0);
-  EXPECT_EQ(run->stats().full_sweep_iterations, run->stats().iterations);
-  testing::ExpectSameScores(*run, *off);
-}
-
 TEST(PanelEngineThreads, ThetaZeroLockstepAcrossThreadCounts) {
   // 64 rows are eight 8-row chunks and 300 columns two v-tiles, so every
   // worker count splits the rows differently; rows are independent under

@@ -1,17 +1,14 @@
 // Tests for the chunk scheduler (common/thread_pool.h) and the
-// multi-thread determinism contracts built on it: both parallel-for
-// primitives must cover their range exactly once under adversarially skewed
-// per-index costs (one index ~1000x heavier than the rest, the shape that
-// starves a static partition) and when several threads start regions on
-// one pool at once; a multi-thread tolerance-frontier solve must stay
-// within its bound of the single-thread full sweep; and the incremental
-// engine's scores, after its initial solve and after every edit, must not
-// depend on the engine's thread count at all.
+// multi-thread determinism contracts built on it: the parallel-for must
+// cover its range exactly once under adversarially skewed per-index costs
+// (one index ~1000x heavier than the rest, the shape that starves a
+// static partition) and when several threads start regions on one pool at
+// once; and the incremental engine's scores, after its initial solve and
+// after every edit, must not depend on the engine's thread count at all,
+// under any MappingKind x OmegaKind x matching operator.
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -31,7 +28,6 @@
 namespace fsim {
 namespace {
 
-using ::fsim::testing::MakeDenseRandomGraph;
 using ::fsim::testing::MakeRandomPair;
 
 // Burns enough work to make one index dominate a chunk (the adversarial
@@ -42,77 +38,43 @@ void BurnWork(int iters) {
   for (int i = 0; i < iters; ++i) sink = sink + i;
 }
 
-/// Runs both primitives over [0, n) with index `heavy` costing ~1000x,
+/// Runs the parallel-for over [0, n) with index `heavy` costing ~1000x,
 /// asserting exactly-once coverage and in-range worker ids.
-void StressPrimitives(int num_threads, size_t n, size_t grain, size_t heavy) {
+void StressParallelFor(int num_threads, size_t n, size_t grain, size_t heavy) {
   ThreadPool pool(num_threads);
-
-  // The span primitive takes an index array; shuffle it so chunk
-  // boundaries do not align with the identity order.
-  std::vector<uint32_t> indices(n);
-  std::iota(indices.begin(), indices.end(), 0u);
-  Rng rng(0xC0FFEE);
-  for (size_t i = n; i > 1; --i) {
-    std::swap(indices[i - 1], indices[rng.Next() % i]);
-  }
-
-  const auto body_cost = [&](uint32_t i) {
-    BurnWork(i == heavy ? 50000 : 50);
-  };
-
-  for (int round = 0; round < 2; ++round) {
-    std::vector<std::atomic<uint32_t>> hits(n);
-    for (auto& h : hits) h.store(0);
-    std::atomic<bool> worker_ok{true};
-    const auto check_worker = [&](int worker) {
-      if (worker < 0 || worker >= num_threads) worker_ok.store(false);
-    };
-
-    if (round == 0) {
-      pool.ParallelForChunked(n, grain,
-                              [&](int worker, size_t begin, size_t end) {
-                                check_worker(worker);
-                                for (size_t i = begin; i < end; ++i) {
-                                  body_cost(static_cast<uint32_t>(i));
-                                  hits[i].fetch_add(1);
-                                }
-                              });
-    } else {
-      pool.ParallelForSpan(indices, grain,
-                           [&](int worker, std::span<const uint32_t> ids) {
-                             check_worker(worker);
-                             for (uint32_t i : ids) {
-                               body_cost(i);
-                               hits[i].fetch_add(1);
-                             }
-                           });
+  std::vector<std::atomic<uint32_t>> hits(n);
+  for (auto& h : hits) h.store(0);
+  std::atomic<bool> worker_ok{true};
+  pool.ParallelForChunked(n, grain, [&](int worker, size_t begin, size_t end) {
+    if (worker < 0 || worker >= num_threads) worker_ok.store(false);
+    for (size_t i = begin; i < end; ++i) {
+      BurnWork(i == heavy ? 50000 : 50);
+      hits[i].fetch_add(1);
     }
-
-    EXPECT_TRUE(worker_ok.load()) << "threads=" << num_threads
-                                  << " round=" << round;
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(hits[i].load(), 1u)
-          << "threads=" << num_threads << " round=" << round << " index=" << i;
-    }
+  });
+  EXPECT_TRUE(worker_ok.load()) << "threads=" << num_threads;
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(hits[i].load(), 1u)
+        << "threads=" << num_threads << " index=" << i;
   }
 }
 
 TEST(ThreadPoolScheduler, SkewedCostsCoverEveryIndexOnceAt1Thread) {
-  StressPrimitives(1, 4096, 7, 1234);
+  StressParallelFor(1, 4096, 7, 1234);
 }
 
 TEST(ThreadPoolScheduler, SkewedCostsCoverEveryIndexOnceAt2Threads) {
-  StressPrimitives(2, 4096, 7, 1234);
+  StressParallelFor(2, 4096, 7, 1234);
 }
 
 TEST(ThreadPoolScheduler, SkewedCostsCoverEveryIndexOnceAt8Threads) {
-  StressPrimitives(8, 4096, 7, 1234);
+  StressParallelFor(8, 4096, 7, 1234);
 }
 
 // The heavy index landing in the last chunk is the worst case for the
 // shared counter: it is claimed last and runs alone while the others wait.
 TEST(ThreadPoolScheduler, HeavyTailIndexIsCoveredExactlyOnce) {
-  StressPrimitives(8, 2048, 16, 2047);
+  StressParallelFor(8, 2048, 16, 2047);
 }
 
 uint64_t RegionCount(const char* kind) {
@@ -144,8 +106,8 @@ TEST(ThreadPoolScheduler, AlternatingInlineAndParallelRegionsStayIsolated) {
   EXPECT_GE(RegionCount("parallel") - parallel0, 10u);
 }
 
-// Two caller threads start regions on one pool at once, one through each
-// primitive (a QueryEngine's batch pool shared by reader threads). Every
+// Two caller threads start regions on one pool at once (a QueryEngine's
+// batch pool shared by reader threads). Every
 // index of each caller's range must run exactly once, and no two bodies
 // may run under the same worker id at the same time (per-worker scratch).
 // The first slice of every region sleeps, so the other caller's next
@@ -156,8 +118,6 @@ TEST(ThreadPoolScheduler, ConcurrentCallersCoverTheirRangesOnce) {
   constexpr size_t kGrain = 16;
   constexpr int kRounds = 20;
   ThreadPool pool(kThreads);
-  std::vector<uint32_t> indices(kN);
-  std::iota(indices.begin(), indices.end(), 0u);
   std::vector<std::atomic<bool>> busy(kThreads);
   for (auto& b : busy) b.store(false);
   std::atomic<bool> shared_worker{false};
@@ -178,23 +138,14 @@ TEST(ThreadPoolScheduler, ConcurrentCallersCoverTheirRangesOnce) {
   const auto caller = [&](int c) {
     for (int round = 0; round < kRounds; ++round) {
       for (auto& h : hits[c]) h.store(0);
-      if (c == 0) {
-        pool.ParallelForChunked(kN, kGrain,
-                                [&](int worker, size_t begin, size_t end) {
-                                  enter(worker, begin == 0);
-                                  for (size_t i = begin; i < end; ++i) {
-                                    hits[0][i].fetch_add(1);
-                                  }
-                                  leave(worker);
-                                });
-      } else {
-        pool.ParallelForSpan(indices, kGrain,
-                             [&](int worker, std::span<const uint32_t> ids) {
-                               enter(worker, ids.data() == indices.data());
-                               for (uint32_t i : ids) hits[1][i].fetch_add(1);
-                               leave(worker);
-                             });
-      }
+      pool.ParallelForChunked(kN, kGrain,
+                              [&](int worker, size_t begin, size_t end) {
+                                enter(worker, begin == 0);
+                                for (size_t i = begin; i < end; ++i) {
+                                  hits[c][i].fetch_add(1);
+                                }
+                                leave(worker);
+                              });
       for (const auto& h : hits[c]) wrong[c] += h.load() != 1;
     }
   };
@@ -206,86 +157,6 @@ TEST(ThreadPoolScheduler, ConcurrentCallersCoverTheirRangesOnce) {
   EXPECT_EQ(wrong[1].load(), 0u);
   EXPECT_FALSE(shared_worker.load());
 }
-
-// ---------------------------------------------------------------------------
-// Tolerance frontiers across thread counts
-// ---------------------------------------------------------------------------
-
-const MappingKind kAllMappings[] = {
-    MappingKind::kMaxPerRow, MappingKind::kInjectiveRow,
-    MappingKind::kMaxBothSides, MappingKind::kInjectiveSym,
-    MappingKind::kProduct};
-const OmegaKind kAllOmegas[] = {OmegaKind::kSizeS1, OmegaKind::kSumSizes,
-                                OmegaKind::kGeoMean, OmegaKind::kMaxSize,
-                                OmegaKind::kProduct};
-
-using SweepParam = std::tuple<MappingKind, OmegaKind, MatchingAlgo>;
-
-class MultiThreadToleranceFrontier
-    : public ::testing::TestWithParam<SweepParam> {};
-
-// A four-thread tolerance-frontier solve vs the single-thread full sweep:
-// the workers mark dependents into private influence arrays, the frontier
-// build folds them, and the steps after the first run as frontier sweeps
-// and commits, so the run exercises all of the parallel frontier
-// machinery.
-// Its scores must stay within τ(1+w)/(1-w) of the full sweeps, plus the
-// termination residual of both runs.
-TEST_P(MultiThreadToleranceFrontier, FourThreadsStayWithinBoundOfFullSweeps) {
-  const auto [mapping, omega, matching] = GetParam();
-  const Graph g = MakeDenseRandomGraph(/*seed=*/17 + static_cast<int>(omega));
-  FSimConfig config;
-  config.operator_override = OperatorConfig{mapping, omega};
-  config.matching = matching;
-  config.label_sim = LabelSimKind::kEditDistance;
-  config.theta = 0.4;
-  config.w_out = 0.35;
-  config.w_in = 0.35;
-  config.epsilon = 1e-6;
-  config.neighbor_index_budget_bytes = 1ULL << 30;
-
-  FSimConfig parallel = config;
-  parallel.num_threads = 4;
-  parallel.frontier_tolerance = 1e-4;
-  // Mark from the first sweep; only a frontier of every pair runs as a
-  // full sweep.
-  parallel.active_set_activation_fraction = 0.0;
-  parallel.frontier_density_threshold = 1.0;
-  auto active = ComputeFSimSelf(g, parallel);
-  ASSERT_TRUE(active.ok()) << active.status().ToString();
-  EXPECT_TRUE(active->stats().active_set);
-
-  config.num_threads = 1;
-  auto off = ComputeFSimSelf(g, config);
-  ASSERT_TRUE(off.ok()) << off.status().ToString();
-  EXPECT_FALSE(off->stats().active_set);
-  // Some operator pairs of the sweep do not converge by the iteration cap:
-  // their deltas stay above τ, so every frontier holds every pair and runs
-  // as a full sweep. Wherever the full sweeps converge, frontiers must
-  // have run.
-  if (off->stats().converged) {
-    EXPECT_LT(active->stats().full_sweep_iterations,
-              active->stats().iterations);
-  }
-
-  const double w = config.w_out + config.w_in;
-  const double bound =
-      parallel.frontier_tolerance * (1.0 + w) / (1.0 - w) +
-      2.0 * config.epsilon * w / (1.0 - w);
-  ASSERT_EQ(active->keys(), off->keys());
-  for (size_t i = 0; i < active->keys().size(); ++i) {
-    ASSERT_NEAR(active->values()[i], off->values()[i], bound)
-        << "pair " << i << " (u=" << PairFirst(active->keys()[i])
-        << ", v=" << PairSecond(active->keys()[i]) << ")";
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Operators, MultiThreadToleranceFrontier,
-    ::testing::Combine(::testing::ValuesIn(kAllMappings),
-                       ::testing::ValuesIn(kAllOmegas),
-                       ::testing::Values(MatchingAlgo::kGreedy,
-                                         MatchingAlgo::kHungarian)));
 
 // ---------------------------------------------------------------------------
 // Incremental engine across thread counts
@@ -317,10 +188,10 @@ Status ApplyOp(IncrementalFSim* inc,
                 : inc->RemoveEdge(graph_index, from, to);
 }
 
-// The initial solve runs on ActiveSetDriver, whose exact mode is
-// bit-identical at any thread count, and edit repair is serial at every
-// thread count — so engines at 1, 2 and 8 threads agree bit for bit after
-// Create and after every edit of the script.
+// The initial solve runs full sweeps, which are bit-identical at any
+// thread count, and edit repair is serial at every thread count — so
+// engines at 1, 2 and 8 threads agree bit for bit after Create and after
+// every edit of the script.
 TEST(ParallelPropagate, EditsIdenticalAtAnyThreadCount) {
   auto pair = MakeRandomPair(/*seed=*/3);
   FSimConfig config;
@@ -363,6 +234,79 @@ TEST(ParallelPropagate, EditsIdenticalAtAnyThreadCount) {
     expect_identical("after edit");
   }
 }
+
+const MappingKind kAllMappings[] = {
+    MappingKind::kMaxPerRow, MappingKind::kInjectiveRow,
+    MappingKind::kMaxBothSides, MappingKind::kInjectiveSym,
+    MappingKind::kProduct};
+const OmegaKind kAllOmegas[] = {OmegaKind::kSizeS1, OmegaKind::kSumSizes,
+                                OmegaKind::kGeoMean, OmegaKind::kMaxSize,
+                                OmegaKind::kProduct};
+
+using SweepParam = std::tuple<MappingKind, OmegaKind, MatchingAlgo>;
+
+class MultiThreadOperatorSweep : public ::testing::TestWithParam<SweepParam> {
+};
+
+// The same contract under every operator: a four-thread engine's initial
+// solve splits each full sweep into index chunks across the workers, and
+// its repairs run serially, so it agrees bit for bit with a one-thread
+// engine after Create and after every edit of the script — greedy
+// injective matchings included, whose tie-breaks would expose any
+// difference in evaluation order.
+TEST_P(MultiThreadOperatorSweep,
+       FourThreadEngineMatchesOneThreadAfterEveryEdit) {
+  const auto [mapping, omega, matching] = GetParam();
+  testing::GraphPair pair;
+  pair.g1 =
+      testing::MakeDenseRandomGraph(/*seed=*/17 + static_cast<int>(omega));
+  pair.g2 = pair.g1;
+  FSimConfig config;
+  config.operator_override = OperatorConfig{mapping, omega};
+  config.matching = matching;
+  config.label_sim = LabelSimKind::kEditDistance;
+  config.theta = 0.4;
+  config.w_out = 0.35;
+  config.w_in = 0.35;
+  config.epsilon = 1e-6;
+  IncrementalOptions options;
+  options.propagation_tolerance = 1e-6;
+
+  std::vector<IncrementalFSim> engines;
+  for (int t : {1, 4}) {
+    FSimConfig c = config;
+    c.num_threads = t;
+    auto inc = IncrementalFSim::Create(pair.g1, pair.g2, c, options);
+    ASSERT_TRUE(inc.ok()) << "t=" << t << ": " << inc.status().ToString();
+    engines.push_back(std::move(*inc));
+  }
+  auto expect_identical = [&](const std::string& when) {
+    const FSimScores one = engines[0].Snapshot();
+    const FSimScores four = engines[1].Snapshot();
+    ASSERT_EQ(one.keys(), four.keys()) << when;
+    for (size_t i = 0; i < one.keys().size(); ++i) {
+      ASSERT_EQ(one.values()[i], four.values()[i])
+          << when << ", pair " << i << " (u=" << PairFirst(one.keys()[i])
+          << ", v=" << PairSecond(one.keys()[i]) << ")";
+    }
+    EXPECT_EQ(one.stats().iterations, four.stats().iterations) << when;
+  };
+  expect_identical("after Create");
+
+  int edit = 0;
+  for (const auto& op : EditScript(pair)) {
+    const Status s1 = ApplyOp(&engines[0], op);
+    ASSERT_EQ(ApplyOp(&engines[1], op).ok(), s1.ok());
+    expect_identical("after edit " + std::to_string(edit++));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Operators, MultiThreadOperatorSweep,
+    ::testing::Combine(::testing::ValuesIn(kAllMappings),
+                       ::testing::ValuesIn(kAllOmegas),
+                       ::testing::Values(MatchingAlgo::kGreedy,
+                                         MatchingAlgo::kHungarian)));
 
 }  // namespace
 }  // namespace fsim

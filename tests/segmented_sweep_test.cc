@@ -555,41 +555,6 @@ TEST_P(SegmentedSweepEvaluator, SolvesAtOneAndThreeThreadsMatchReference) {
   ExpectSolvesMatchReference(g, g, BaseConfig(GetParam()), "full sweeps");
 }
 
-TEST_P(SegmentedSweepEvaluator, FrontierRunsStayWithinBoundOfReference) {
-  // Tolerance frontiers, marking from the first sweep and no dense
-  // fallback: after the first sweeps only the pairs whose carried
-  // influence passed τ are evaluated, in runs of consecutive ids, many of
-  // them single pairs. Every run length is checked bit for bit above; the
-  // solve stays within τ(1+w)/(1-w) of the reference's full sweeps, plus
-  // the termination residual of both.
-  const testing::GraphPair graphs = testing::MakeRandomPair(5, 60, 64);
-  FSimConfig config = BaseConfig(GetParam());
-  config.label_sim = LabelSimKind::kIndicator;
-  config.theta = 1.0;
-  config.epsilon = 1e-14;
-  config.frontier_tolerance = 1e-10;
-  config.active_set_activation_fraction = 0.0;
-  config.frontier_density_threshold = 1.0;
-  const std::vector<double> expected =
-      ReferenceSolve(graphs.g1, graphs.g2, config).first;
-  const double w = config.w_out + config.w_in;
-  const double bound = config.frontier_tolerance * (1.0 + w) / (1.0 - w) +
-                       2.0 * config.epsilon * w / (1.0 - w);
-  for (int threads : {1, 3}) {
-    config.num_threads = threads;
-    auto scores = ComputeFSim(graphs.g1, graphs.g2, config);
-    ASSERT_TRUE(scores.ok()) << scores.status().ToString();
-    EXPECT_LT(scores->stats().full_sweep_iterations,
-              scores->stats().iterations)
-        << "t=" << threads;
-    ASSERT_EQ(scores->values().size(), expected.size());
-    for (size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_NEAR(scores->values()[i], expected[i], bound)
-          << "t=" << threads << " pair " << i;
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(MaxFamily, SegmentedSweepEvaluator,
                          ::testing::Values(SimVariant::kSimple,
                                            SimVariant::kBi),
